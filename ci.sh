@@ -130,24 +130,40 @@ go test -run='^$' -fuzz='^FuzzResultRoundTrip$' -fuzztime=5s ./internal/jobs
 # crash-recovery soak above is the process-death half.
 go test -run='^$' -fuzz='^FuzzJournalReplay$' -fuzztime=10s ./internal/journal
 
-# Proving-service smoke test: start unizk-server on an ephemeral port,
-# prove one Plonky2 and one Starky job over HTTP (cmd/prove -remote
-# re-verifies each proof locally), then drain it with SIGTERM and
-# require a clean exit.
+# Benchmark self-test: the repository benchmark (benchmark/, its own
+# module, so `./...` above skips it) builds the serving binaries and
+# drives them through serverclient, /metrics keys and flags. A wire or
+# metrics-key break in the served path fails here, before the pipeline's
+# benchmark run finds it.
+(cd benchmark && go test ./...)
+
+# Serving smoke tests, one per tier: start the binary on an ephemeral
+# port, prove one Plonky2 and one Starky job over HTTP (cmd/prove
+# -remote re-verifies each proof locally), then drain it with SIGTERM
+# and require a clean exit. unizk-server is the job-lifecycle core with
+# the local executor; unizk-cluster is the same core with the remote
+# executor over two self-spawned nodes.
 SMOKE_DIR=$(mktemp -d)
 trap 'rm -rf "$SMOKE_DIR"' EXIT
-go build -o "$SMOKE_DIR/unizk-server" ./cmd/unizk-server
-"$SMOKE_DIR/unizk-server" -addr 127.0.0.1:0 -portfile "$SMOKE_DIR/port" \
-	-queue 8 -inflight 1 >"$SMOKE_DIR/server.log" 2>&1 &
-SERVER_PID=$!
-for _ in $(seq 1 100); do
-	[ -s "$SMOKE_DIR/port" ] && break
-	sleep 0.1
-done
-[ -s "$SMOKE_DIR/port" ] || { cat "$SMOKE_DIR/server.log"; exit 1; }
-ADDR=$(head -n1 "$SMOKE_DIR/port")
-go run ./cmd/prove -remote "http://$ADDR" -protocol plonky2 -app Fibonacci -rows 6
-go run ./cmd/prove -remote "http://$ADDR" -protocol starky -app Factorial -rows 6 -retries 3
-kill -TERM "$SERVER_PID"
-wait "$SERVER_PID"
-grep -q 'drained cleanly' "$SMOKE_DIR/server.log"
+smoke() {
+	bin=$1
+	shift
+	go build -o "$SMOKE_DIR/$bin" "./cmd/$bin"
+	rm -f "$SMOKE_DIR/port"
+	"$SMOKE_DIR/$bin" -addr 127.0.0.1:0 -portfile "$SMOKE_DIR/port" "$@" \
+		>"$SMOKE_DIR/$bin.log" 2>&1 &
+	pid=$!
+	for _ in $(seq 1 100); do
+		[ -s "$SMOKE_DIR/port" ] && break
+		sleep 0.1
+	done
+	[ -s "$SMOKE_DIR/port" ] || { cat "$SMOKE_DIR/$bin.log"; exit 1; }
+	addr=$(head -n1 "$SMOKE_DIR/port")
+	go run ./cmd/prove -remote "http://$addr" -protocol plonky2 -app Fibonacci -rows 6
+	go run ./cmd/prove -remote "http://$addr" -protocol starky -app Factorial -rows 6 -retries 3
+	kill -TERM "$pid"
+	wait "$pid"
+	grep -q 'drained cleanly' "$SMOKE_DIR/$bin.log"
+}
+smoke unizk-server -queue 8 -inflight 1
+smoke unizk-cluster -spawn 2

@@ -1,7 +1,8 @@
 // Command unizk-cluster runs the fault-tolerant proving cluster
 // coordinator: the same HTTP job API as unizk-server, fronting N
-// prover nodes with least-loaded placement, health-probed failover,
-// and a replicated idempotency index. See DESIGN.md §12.
+// prover nodes with least-loaded placement and health-probed failover —
+// the job-lifecycle core (internal/jobcore) with the remote executor
+// (internal/cluster). See DESIGN.md §10 and §12.
 //
 // Point it at existing nodes:
 //
@@ -26,95 +27,47 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"unizk/cmd/internal/serving"
 	"unizk/internal/cluster"
-	"unizk/internal/journal"
 	"unizk/internal/server"
-	"unizk/internal/tenant"
 )
 
-// tenantFlags collects repeatable -tenant specs
-// (name:key[:class=N][:rate=R][:burst=B][:inflight=M]).
-type tenantFlags []tenant.Config
+// options is every flag of the binary: the shared serving flags plus
+// the remote executor's.
+type options struct {
+	*serving.Flags
+	nodes        *string
+	spawn        *int
+	probe, stale *time.Duration
+}
 
-func (f *tenantFlags) String() string { return fmt.Sprintf("%d tenants", len(*f)) }
-
-func (f *tenantFlags) Set(spec string) error {
-	cfg, err := tenant.ParseSpec(spec)
-	if err != nil {
-		return err
+func registerFlags(fs *flag.FlagSet) options {
+	return options{
+		Flags: serving.Register(fs, serving.Tier{
+			Name:        "unizk-cluster",
+			Addr:        "127.0.0.1:8500",
+			AddrHelp:    "coordinator listen address (use :0 for an ephemeral port)",
+			Drain:       60 * time.Second,
+			DrainHelp:   "how long shutdown waits for in-flight cluster jobs",
+			CacheHelp:   "coordinator proof cache entries (0 = cache off)",
+			JournalHelp: "write-ahead journal directory; admitted jobs survive coordinator crashes (empty = journaling off)",
+		}),
+		nodes: fs.String("nodes", "", "comma-separated prover node base URLs"),
+		spawn: fs.Int("spawn", 0, "spawn N in-process prover nodes on ephemeral ports (instead of -nodes)"),
+		probe: fs.Duration("probe", 250*time.Millisecond, "health/load probe interval per node"),
+		stale: fs.Duration("stale", 3*time.Second, "failed-probe duration after which a node is ejected"),
 	}
-	*f = append(*f, cfg)
-	return nil
 }
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:8500", "coordinator listen address (use :0 for an ephemeral port)")
-	nodes := flag.String("nodes", "", "comma-separated prover node base URLs")
-	spawn := flag.Int("spawn", 0, "spawn N in-process prover nodes on ephemeral ports (instead of -nodes)")
-	probe := flag.Duration("probe", 250*time.Millisecond, "health/load probe interval per node")
-	stale := flag.Duration("stale", 3*time.Second, "failed-probe duration after which a node is ejected")
-	drain := flag.Duration("drain", 60*time.Second, "how long shutdown waits for in-flight cluster jobs")
-	jobTimeout := flag.Duration("job-timeout", 5*time.Minute, "default per-job deadline, measured from admission")
-	portfile := flag.String("portfile", "", "write the bound address to this file once listening (for scripts)")
-	cacheEntries := flag.Int("cache", 0, "coordinator proof cache entries (0 = cache off)")
-	cacheTTL := flag.Duration("cache-ttl", 0, "cached proof lifetime (0 = proofcache default)")
-	cacheVerify := flag.Bool("cache-verify", false, "verify each proof before caching it (verify-on-insert)")
-	journalDir := flag.String("journal", "", "write-ahead journal directory; admitted jobs survive coordinator crashes (empty = journaling off)")
-	fsyncPolicy := flag.String("fsync", "batch", "journal fsync policy: always, batch, or off")
-	snapshotEvery := flag.Int("snapshot-every", 0, "journal records between snapshot compactions (0 = journal default, negative = never)")
-	var tenants tenantFlags
-	flag.Var(&tenants, "tenant", "tenant spec name:key[:class=N][:rate=R][:burst=B][:inflight=M] (repeatable)")
+	o := registerFlags(flag.CommandLine)
 	flag.Parse()
-
-	var urls []string
-	for _, u := range strings.Split(*nodes, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			urls = append(urls, u)
-		}
+	if err := run(o); err != nil {
+		o.Fatal(err)
 	}
-	fsync, err := journal.ParsePolicy(*fsyncPolicy)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "unizk-cluster:", err)
-		os.Exit(1)
-	}
-	opts := servingOptions{
-		cacheEntries:  *cacheEntries,
-		cacheTTL:      *cacheTTL,
-		cacheVerify:   *cacheVerify,
-		journalDir:    *journalDir,
-		fsync:         fsync,
-		snapshotEvery: *snapshotEvery,
-	}
-	if len(tenants) > 0 {
-		reg, err := tenant.NewRegistry(tenants...)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "unizk-cluster:", err)
-			os.Exit(1)
-		}
-		opts.tenants = reg
-	}
-	if err := run(*addr, urls, *spawn, *probe, *stale, *drain, *jobTimeout, *portfile, opts); err != nil {
-		fmt.Fprintln(os.Stderr, "unizk-cluster:", err)
-		os.Exit(1)
-	}
-}
-
-// servingOptions carries the serving-tier knobs (coordinator cache and
-// tenant registry) from flags into run.
-type servingOptions struct {
-	cacheEntries  int
-	cacheTTL      time.Duration
-	cacheVerify   bool
-	tenants       *tenant.Registry
-	journalDir    string
-	fsync         journal.Policy
-	snapshotEvery int
 }
 
 // localNode is one self-spawned in-process prover node.
@@ -138,7 +91,7 @@ func spawnLocal(n int) ([]*localNode, []string, error) {
 		}
 		s := server.New(server.Config{})
 		hs := &http.Server{Handler: s.Handler()}
-		//unizklint:allow goroutinelife(embedded node server; exits when main calls l.hs.Shutdown during drain, or hs.Close on spawn failure)
+		//unizklint:allow goroutinelife(embedded node server; exits when run calls l.hs.Shutdown during drain, or hs.Close on spawn failure)
 		go func() { _ = hs.Serve(ln) }()
 		u := "http://" + ln.Addr().String()
 		locals = append(locals, &localNode{srv: s, hs: hs, url: u})
@@ -147,18 +100,27 @@ func spawnLocal(n int) ([]*localNode, []string, error) {
 	return locals, urls, nil
 }
 
-func run(addr string, urls []string, spawn int, probe, stale, drain, jobTimeout time.Duration, portfile string, opts servingOptions) error {
-	if spawn > 0 && len(urls) > 0 {
+func run(o options) error {
+	fsync, tenants, err := o.Resolve()
+	if err != nil {
+		return err
+	}
+	var urls []string
+	for _, u := range strings.Split(*o.nodes, ",") {
+		if u = strings.TrimSpace(u); u != "" {
+			urls = append(urls, u)
+		}
+	}
+	if *o.spawn > 0 && len(urls) > 0 {
 		return errors.New("use -nodes or -spawn, not both")
 	}
 	var locals []*localNode
-	if spawn > 0 {
-		var err error
-		locals, urls, err = spawnLocal(spawn)
+	if *o.spawn > 0 {
+		locals, urls, err = spawnLocal(*o.spawn)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("unizk-cluster: spawned %d local nodes: %s\n", spawn, strings.Join(urls, " "))
+		fmt.Printf("unizk-cluster: spawned %d local nodes: %s\n", *o.spawn, strings.Join(urls, " "))
 	}
 	if len(urls) == 0 {
 		return errors.New("no prover nodes: pass -nodes or -spawn")
@@ -166,16 +128,16 @@ func run(addr string, urls []string, spawn int, probe, stale, drain, jobTimeout 
 
 	coord, err := cluster.New(cluster.Config{
 		Nodes:          urls,
-		ProbeInterval:  probe,
-		StaleAfter:     stale,
-		DefaultTimeout: jobTimeout,
-		CacheEntries:   opts.cacheEntries,
-		CacheTTL:       opts.cacheTTL,
-		CacheVerify:    opts.cacheVerify,
-		Tenants:        opts.tenants,
-		JournalDir:     opts.journalDir,
-		JournalFsync:   opts.fsync,
-		SnapshotEvery:  opts.snapshotEvery,
+		ProbeInterval:  *o.probe,
+		StaleAfter:     *o.stale,
+		DefaultTimeout: *o.JobTimeout,
+		CacheEntries:   *o.CacheEntries,
+		CacheTTL:       *o.CacheTTL,
+		CacheVerify:    *o.CacheVerify,
+		Tenants:        tenants,
+		JournalDir:     *o.JournalDir,
+		JournalFsync:   fsync,
+		SnapshotEvery:  *o.SnapshotEvery,
 	})
 	if err != nil {
 		return err
@@ -187,50 +149,12 @@ func run(addr string, urls []string, spawn int, probe, stale, drain, jobTimeout 
 		fmt.Println("unizk-cluster: warning: no node answered a probe yet; serving anyway")
 	}
 
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	bound := ln.Addr().String()
-	if portfile != "" {
-		if err := os.WriteFile(portfile, []byte(bound+"\n"), 0o644); err != nil {
-			ln.Close()
-			return err
+	detail := fmt.Sprintf("(nodes=%d probe=%v stale=%v)", len(urls), *o.probe, *o.stale)
+	return o.Serve(coord.Handler(), detail, coord.Shutdown, func(ctx context.Context) {
+		// Self-spawned nodes drain after the coordinator that feeds them.
+		for _, l := range locals {
+			_ = l.srv.Shutdown(ctx)
+			_ = l.hs.Shutdown(ctx)
 		}
-	}
-	fmt.Printf("unizk-cluster listening on %s (nodes=%d probe=%v stale=%v)\n",
-		bound, len(urls), probe, stale)
-
-	hs := &http.Server{Handler: coord.Handler()}
-	serveErr := make(chan error, 1)
-	//unizklint:allow goroutinelife(exits when hs.Serve returns; Shutdown below unblocks it and main waits on serveErr)
-	go func() { serveErr <- hs.Serve(ln) }()
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-
-	select {
-	case sig := <-sigCh:
-		fmt.Printf("unizk-cluster: %v, draining (up to %v)\n", sig, drain)
-	case err := <-serveErr:
-		return err
-	}
-
-	dctx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	forced := coord.Shutdown(dctx)
-	if err := hs.Shutdown(dctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		return err
-	}
-	<-serveErr
-	for _, l := range locals {
-		_ = l.srv.Shutdown(dctx)
-		_ = l.hs.Shutdown(dctx)
-	}
-	if forced != nil {
-		fmt.Println("unizk-cluster: drain deadline hit, in-flight jobs canceled")
-	} else {
-		fmt.Println("unizk-cluster: drained cleanly")
-	}
-	return nil
+	})
 }

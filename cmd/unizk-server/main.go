@@ -1,7 +1,8 @@
 // Command unizk-server runs the proving service: an HTTP API that
 // queues Plonky2/Starky proving jobs behind a bounded queue, proves
-// them on the shared worker pool, and serves results. See DESIGN.md
-// §10 for the architecture and internal/server for the API surface.
+// them on the shared worker pool, and serves results: the job-lifecycle
+// core (internal/jobcore, which owns the API surface) with the local
+// executor (internal/server). See DESIGN.md §10.
 //
 // Usage:
 //
@@ -19,144 +20,77 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
-	"unizk/internal/journal"
+	"unizk/cmd/internal/serving"
 	"unizk/internal/parallel"
 	"unizk/internal/server"
-	"unizk/internal/tenant"
 )
 
-// tenantFlags collects repeatable -tenant specs
-// (name:key[:class=N][:rate=R][:burst=B][:inflight=M]).
-type tenantFlags []tenant.Config
+// options is every flag of the binary: the shared serving flags plus
+// the local executor's.
+type options struct {
+	*serving.Flags
+	queueCap, inflight, workers, idemKeys, registry *int
+	idemTTL                                         *time.Duration
+}
 
-func (f *tenantFlags) String() string { return fmt.Sprintf("%d tenants", len(*f)) }
-
-func (f *tenantFlags) Set(spec string) error {
-	cfg, err := tenant.ParseSpec(spec)
-	if err != nil {
-		return err
+func registerFlags(fs *flag.FlagSet) options {
+	return options{
+		Flags: serving.Register(fs, serving.Tier{
+			Name:        "unizk-server",
+			Addr:        "127.0.0.1:8427",
+			AddrHelp:    "listen address (use :0 for an ephemeral port)",
+			Drain:       30 * time.Second,
+			DrainHelp:   "how long shutdown waits for in-flight jobs before canceling them",
+			CacheHelp:   "content-addressed proof cache entries (0 = cache off)",
+			JournalHelp: "write-ahead journal directory; admitted jobs survive server crashes (empty = journaling off)",
+		}),
+		queueCap: fs.Int("queue", 64, "queued-job capacity before submissions get 429"),
+		inflight: fs.Int("inflight", 2, "jobs proving concurrently"),
+		workers:  fs.Int("workers", 0, "prover pool size shared by all in-flight jobs (0 = NumCPU)"),
+		idemTTL:  fs.Duration("idem-ttl", 10*time.Minute, "how long a submitted idempotency key deduplicates retries"),
+		idemKeys: fs.Int("idem-keys", 4096, "max idempotency keys tracked before the oldest are evicted"),
+		registry: fs.Int("registry", 0, "precompiled-circuit registry size: hot circuits compile once (0 = off)"),
 	}
-	*f = append(*f, cfg)
-	return nil
 }
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:8427", "listen address (use :0 for an ephemeral port)")
-	queueCap := flag.Int("queue", 64, "queued-job capacity before submissions get 429")
-	inflight := flag.Int("inflight", 2, "jobs proving concurrently")
-	workers := flag.Int("workers", 0, "prover pool size shared by all in-flight jobs (0 = NumCPU)")
-	jobTimeout := flag.Duration("job-timeout", 5*time.Minute, "default per-job deadline, measured from admission")
-	drain := flag.Duration("drain", 30*time.Second, "how long shutdown waits for in-flight jobs before canceling them")
-	idemTTL := flag.Duration("idem-ttl", 10*time.Minute, "how long a submitted idempotency key deduplicates retries")
-	idemKeys := flag.Int("idem-keys", 4096, "max idempotency keys tracked before the oldest are evicted")
-	portfile := flag.String("portfile", "", "write the bound address to this file once listening (for scripts)")
-	cacheEntries := flag.Int("cache", 0, "content-addressed proof cache entries (0 = cache off)")
-	cacheTTL := flag.Duration("cache-ttl", 0, "cached proof lifetime (0 = proofcache default)")
-	cacheVerify := flag.Bool("cache-verify", false, "verify each proof before caching it (verify-on-insert)")
-	registry := flag.Int("registry", 0, "precompiled-circuit registry size: hot circuits compile once (0 = off)")
-	journalDir := flag.String("journal", "", "write-ahead journal directory; admitted jobs survive server crashes (empty = journaling off)")
-	fsyncPolicy := flag.String("fsync", "batch", "journal fsync policy: always, batch, or off")
-	snapshotEvery := flag.Int("snapshot-every", 0, "journal records between snapshot compactions (0 = journal default, negative = never)")
-	var tenants tenantFlags
-	flag.Var(&tenants, "tenant", "tenant spec name:key[:class=N][:rate=R][:burst=B][:inflight=M] (repeatable)")
+	o := registerFlags(flag.CommandLine)
 	flag.Parse()
-
-	fsync, err := journal.ParsePolicy(*fsyncPolicy)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "unizk-server:", err)
-		os.Exit(1)
-	}
-	cfg := server.Config{
-		QueueCap:           *queueCap,
-		MaxInFlight:        *inflight,
-		DefaultTimeout:     *jobTimeout,
-		IdempotencyTTL:     *idemTTL,
-		MaxIdempotencyKeys: *idemKeys,
-		CacheEntries:       *cacheEntries,
-		CacheTTL:           *cacheTTL,
-		CacheVerify:        *cacheVerify,
-		RegistryCircuits:   *registry,
-		JournalDir:         *journalDir,
-		JournalFsync:       fsync,
-		SnapshotEvery:      *snapshotEvery,
-	}
-	if len(tenants) > 0 {
-		reg, err := tenant.NewRegistry(tenants...)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "unizk-server:", err)
-			os.Exit(1)
-		}
-		cfg.Tenants = reg
-	}
-	if err := run(*addr, cfg, *workers, *drain, *portfile); err != nil {
-		fmt.Fprintln(os.Stderr, "unizk-server:", err)
-		os.Exit(1)
+	if err := run(o); err != nil {
+		o.Fatal(err)
 	}
 }
 
-func run(addr string, cfg server.Config, workers int, drain time.Duration, portfile string) error {
-	if workers > 0 {
-		parallel.SetWorkers(workers)
-	}
-
-	s, err := server.NewDurable(cfg)
+func run(o options) error {
+	fsync, tenants, err := o.Resolve()
 	if err != nil {
 		return err
 	}
-
-	ln, err := net.Listen("tcp", addr)
+	if *o.workers > 0 {
+		parallel.SetWorkers(*o.workers)
+	}
+	s, err := server.NewDurable(server.Config{
+		QueueCap:           *o.queueCap,
+		MaxInFlight:        *o.inflight,
+		RegistryCircuits:   *o.registry,
+		DefaultTimeout:     *o.JobTimeout,
+		IdempotencyTTL:     *o.idemTTL,
+		MaxIdempotencyKeys: *o.idemKeys,
+		CacheEntries:       *o.CacheEntries,
+		CacheTTL:           *o.CacheTTL,
+		CacheVerify:        *o.CacheVerify,
+		Tenants:            tenants,
+		JournalDir:         *o.JournalDir,
+		JournalFsync:       fsync,
+		SnapshotEvery:      *o.SnapshotEvery,
+	})
 	if err != nil {
 		return err
 	}
-	bound := ln.Addr().String()
-	if portfile != "" {
-		if err := os.WriteFile(portfile, []byte(bound+"\n"), 0o644); err != nil {
-			ln.Close()
-			return err
-		}
-	}
-	fmt.Printf("unizk-server listening on %s (queue=%d inflight=%d workers=%d)\n",
-		bound, cfg.QueueCap, cfg.MaxInFlight, parallel.Workers())
-
-	hs := &http.Server{Handler: s.Handler()}
-	serveErr := make(chan error, 1)
-	//unizklint:allow goroutinelife(exits when hs.Serve returns; Shutdown below unblocks it and main waits on serveErr)
-	go func() { serveErr <- hs.Serve(ln) }()
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-
-	select {
-	case sig := <-sigCh:
-		fmt.Printf("unizk-server: %v, draining (up to %v)\n", sig, drain)
-	case err := <-serveErr:
-		return err
-	}
-
-	// Drain the job scheduler first so queued jobs are rejected and
-	// in-flight proofs finish, then close the HTTP listener.
-	dctx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	forced := s.Shutdown(dctx)
-	if err := hs.Shutdown(dctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		return err
-	}
-	<-serveErr // always http.ErrServerClosed after Shutdown
-	if forced != nil {
-		fmt.Println("unizk-server: drain deadline hit, in-flight jobs canceled")
-	} else {
-		fmt.Println("unizk-server: drained cleanly")
-	}
-	return nil
+	detail := fmt.Sprintf("(queue=%d inflight=%d workers=%d)", *o.queueCap, *o.inflight, parallel.Workers())
+	return o.Serve(s.Handler(), detail, s.Shutdown, nil)
 }

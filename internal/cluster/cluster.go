@@ -1,18 +1,17 @@
-// Package cluster scales the proving service horizontally: a
-// coordinator that fronts N unizk-server prover nodes behind the same
-// HTTP job API a single node serves, so clients (and cmd/prove -remote)
-// talk to a cluster exactly as they would to one server.
+// Package cluster scales the proving service horizontally: the
+// job-lifecycle core (internal/jobcore) with a remote executor that
+// fronts N unizk-server prover nodes behind the same HTTP job API a
+// single node serves, so clients (and cmd/prove -remote) talk to a
+// cluster exactly as they would to one server.
 //
-// The coordinator's defining property is surviving node failure, not
-// just adding throughput:
+// The executor's defining property is surviving node failure:
 //
-//   - Submits are routed by least-loaded placement over each node's
+//   - Jobs are routed by least-loaded placement over each node's
 //     probed /metrics in-flight and queue-wait signals.
-//   - Every node is health-probed on a fixed cadence through the
-//     serverclient breaker/retry stack; a node whose probes have failed
-//     for longer than Config.StaleAfter is ejected (its in-flight
-//     attributions are declared lost), and a later successful probe —
-//     admitted by the breaker's own half-open machinery — readmits it.
+//   - Every node is health-probed through the serverclient breaker/retry
+//     stack; one whose probes have failed for longer than
+//     Config.StaleAfter is ejected (its in-flight attributions are
+//     declared lost), and a later successful probe readmits it.
 //   - Each node's /healthz identity (node_id, start_ns) is watched for
 //     epoch changes: a restarted node at the same address lost its
 //     in-memory jobs, so its attributions are invalidated even though
@@ -21,58 +20,65 @@
 //     healthy one under a stable per-job idempotency key, after a
 //     last-chance attempt to recover the original result — so a node
 //     kill mid-prove yields exactly one completed proof, bit-identical
-//     to direct proving, and a recoverable result is never proved
-//     twice.
-//   - The idempotency fingerprint index is replicated at the
-//     coordinator: a client retry landing after a failover still dedups
-//     onto the original cluster job, whose cached result replays even
-//     when the node that proved it is gone.
+//     to direct proving, and a recoverable result is never proved twice.
 //
-// Degradation is graceful: the coordinator keeps accepting and
-// completing jobs while any node is healthy, and refuses with 503 +
-// Retry-After only when every node is ejected/unprobed or the cluster
-// is saturated (Config.PendingCap).
+// The idempotency index, proof cache, tenant gate and journal live in
+// the core, at the coordinator: a client retry that lands after a
+// failover still dedups onto the original cluster job, whose retained
+// result replays even when the node that proved it is gone. The
+// coordinator refuses with 503 + Retry-After only when every node is
+// ejected/unprobed or the cluster is saturated (Config.PendingCap).
 package cluster
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"unizk/internal/jobs"
+	"unizk/internal/jobcore"
 	"unizk/internal/journal"
-	"unizk/internal/proofcache"
-	"unizk/internal/server"
+	"unizk/internal/serverclient"
 	"unizk/internal/tenant"
 )
 
-// Rejection sentinels for cluster admission. Both are retryable — they
-// map to 503 + a computed Retry-After — and are deliberately distinct
-// classes so a client can tell "the cluster is full" from "the cluster
-// is dead".
+// Rejection sentinels for cluster admission. Both map to a retryable
+// 503, in distinct classes so a client can tell "the cluster is full"
+// from "the cluster is dead".
 var (
 	// ErrNoHealthyNodes rejects work while every node is ejected,
 	// draining, or has never answered a probe.
 	ErrNoHealthyNodes = errors.New("cluster: no healthy prover nodes")
-	// ErrSaturated rejects work while the coordinator's pending-job
-	// count is at Config.PendingCap — all node queues plus the
-	// coordinator's own buffer are full.
+	// ErrSaturated rejects work while the coordinator carries
+	// Config.PendingCap unfinished jobs.
 	ErrSaturated = errors.New("cluster: saturated, retry later")
 )
 
+// statusForCluster layers the coordinator's two refusal classes over
+// the shared status table.
+func statusForCluster(err error) (int, string) {
+	switch {
+	case errors.Is(err, ErrNoHealthyNodes):
+		return http.StatusServiceUnavailable, "no_healthy_nodes"
+	case errors.Is(err, ErrSaturated):
+		return http.StatusServiceUnavailable, "cluster_saturated"
+	}
+	return jobcore.StatusFor(err)
+}
+
 // Config sizes the coordinator. The zero value of every field except
-// Nodes has a usable default.
+// Nodes has a usable default. The fields from MaxRetained through
+// SnapshotEvery are the jobcore.Options fields of the same name,
+// documented and defaulted there; they are enforced once at the cluster
+// edge (nodes behind it see only the coordinator's own submissions).
 type Config struct {
 	// Nodes lists the base URLs of the prover nodes, e.g.
 	// "http://127.0.0.1:8427". At least one is required.
 	Nodes []string
 
-	// ProbeInterval is the health/load probe cadence per node.
-	// Default 250ms.
+	// ProbeInterval is the health/load probe cadence per node (250ms).
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one probe exchange. Default 1s.
 	ProbeTimeout time.Duration
@@ -82,708 +88,275 @@ type Config struct {
 	// conservative because re-dispatching a job whose node is merely
 	// slow risks proving it twice. Default 3s.
 	StaleAfter time.Duration
-	// PollInterval paces result polling for dispatched jobs.
-	// Default 25ms.
+	// PollInterval paces result polling for dispatched jobs (25ms).
 	PollInterval time.Duration
 	// SaturationBackoff is how long a node that refused a submit with
 	// queue-full backpressure is skipped by placement. Default 250ms.
 	SaturationBackoff time.Duration
 	// RecoverTimeout bounds the last-chance result fetch from a node
-	// that was just declared lost, before its job is re-dispatched.
-	// Default 2s.
+	// just declared lost, before its job is re-dispatched. Default 2s.
 	RecoverTimeout time.Duration
-
-	// PendingCap bounds queued+dispatched cluster jobs; beyond it
-	// submissions are refused with 503 (ErrSaturated).
-	// Default 64 × len(Nodes).
+	// PendingCap bounds queued+dispatched cluster jobs; beyond it submits
+	// are refused with 503 (ErrSaturated). Default 64 × len(Nodes).
 	PendingCap int
-	// MaxRetained bounds finished-job records kept for status/result
-	// queries (and, with them, replayable idempotent results).
-	// Default 1024.
-	MaxRetained int
-	// DefaultTimeout / MaxTimeout mirror the node-side per-job deadline
-	// policy, measured from cluster admission. Defaults 5m / 30m.
-	DefaultTimeout time.Duration
-	MaxTimeout     time.Duration
-	// RetryAfter is the floor of the computed Retry-After hint.
-	// Default 1s.
-	RetryAfter time.Duration
-	// MaxBodyBytes bounds request bodies. Default 1<<26.
-	MaxBodyBytes int64
-	// IdempotencyTTL / MaxIdempotencyKeys bound the replicated
-	// idempotency index. Defaults 10m / 4096.
+
+	MaxRetained        int
+	DefaultTimeout     time.Duration
+	MaxTimeout         time.Duration
+	RetryAfter         time.Duration
+	MaxBodyBytes       int64
 	IdempotencyTTL     time.Duration
 	MaxIdempotencyKeys int
+	CacheEntries       int
+	CacheTTL           time.Duration
+	CacheVerify        bool
+	Tenants            *tenant.Registry
 
-	// CacheEntries > 0 enables the coordinator-level content-addressed
-	// proof cache: identical content is answered before any dispatch,
-	// and concurrent identical submissions coalesce onto one cluster
-	// job. Replicated at the coordinator like the idempotency index, so
-	// hits survive the node that proved them. 0 disables it.
-	CacheEntries int
-	// CacheTTL bounds cached proof age; proofcache.DefaultTTL when 0.
-	CacheTTL time.Duration
-	// CacheVerify re-verifies each proof (jobs.CheckResult) before it
-	// is cached at the coordinator.
-	CacheVerify bool
-	// Tenants, when non-nil, is the multi-tenant registry the
-	// coordinator authenticates and gates against — the same model a
-	// single server applies, enforced once at the cluster edge (nodes
-	// behind it see only the coordinator's own submissions). Nil gets a
-	// registry with just the unlimited default tenant.
-	Tenants *tenant.Registry
-
-	// Node-client tuning: each node handle gets its own
-	// breaker/retry stack built from these; zero values use the
-	// serverclient defaults. Tests and soaks shrink them so failure
-	// detection runs on a millisecond cadence.
+	// Node-client tuning: each node handle gets its own breaker/retry
+	// stack built from these; zero values use the serverclient defaults.
 	NodeFailureThreshold int
 	NodeOpenTimeout      time.Duration
 	NodeMaxAttempts      int
 	NodeBaseDelay        time.Duration
 	NodeMaxDelay         time.Duration
 
-	// JournalDir, when non-empty, enables the write-ahead journal: every
-	// externally acknowledged state transition (admission, dispatch,
-	// completion, idempotency binding) is made durable before the client
-	// sees it, and a coordinator restarted on the same directory replays
-	// the journal into its pending/retained maps and re-dispatches
-	// in-flight jobs under their stable node-level dedup keys. Empty
-	// disables journaling (the pre-durability in-memory behavior).
-	JournalDir string
-	// JournalFsync selects the journal's fsync policy; the zero value is
-	// journal.FsyncBatch (group commit).
-	JournalFsync journal.Policy
-	// SnapshotEvery is the journal's snapshot/compaction cadence in
-	// records; 0 uses the journal default, negative disables snapshots.
+	JournalDir    string
+	JournalFsync  journal.Policy
 	SnapshotEvery int
 
 	// Seed fixes the node clients' retry jitter for deterministic
 	// soaks; 0 seeds from the wall clock.
 	Seed int64
 	// Transport, when non-nil, is the HTTP transport node clients use —
-	// the seam tests use to inject network chaos between coordinator
-	// and nodes. nil means http.DefaultTransport.
+	// the seam tests inject network chaos through.
 	Transport http.RoundTripper
 }
 
 func (c Config) withDefaults() Config {
-	if c.ProbeInterval <= 0 {
-		c.ProbeInterval = 250 * time.Millisecond
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = time.Second
-	}
-	if c.StaleAfter <= 0 {
-		c.StaleAfter = 3 * time.Second
-	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = 25 * time.Millisecond
-	}
-	if c.SaturationBackoff <= 0 {
-		c.SaturationBackoff = 250 * time.Millisecond
-	}
-	if c.RecoverTimeout <= 0 {
-		c.RecoverTimeout = 2 * time.Second
-	}
-	if c.PendingCap <= 0 {
-		c.PendingCap = 64 * len(c.Nodes)
-		if c.PendingCap < 64 {
-			c.PendingCap = 64
-		}
-	}
-	if c.MaxRetained <= 0 {
-		c.MaxRetained = 1024
-	}
-	if c.DefaultTimeout == 0 {
-		c.DefaultTimeout = 5 * time.Minute
-	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 30 * time.Minute
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 26
-	}
-	if c.IdempotencyTTL <= 0 {
-		c.IdempotencyTTL = 10 * time.Minute
-	}
-	if c.MaxIdempotencyKeys <= 0 {
-		c.MaxIdempotencyKeys = 4096
-	}
+	jobcore.Default(&c.ProbeInterval, 250*time.Millisecond)
+	jobcore.Default(&c.ProbeTimeout, time.Second)
+	jobcore.Default(&c.StaleAfter, 3*time.Second)
+	jobcore.Default(&c.PollInterval, 25*time.Millisecond)
+	jobcore.Default(&c.SaturationBackoff, 250*time.Millisecond)
+	jobcore.Default(&c.RecoverTimeout, 2*time.Second)
+	jobcore.Default(&c.PendingCap, 64*len(c.Nodes))
 	return c
 }
 
-// cjobState is a cluster job's lifecycle position.
-type cjobState int
-
-const (
-	cstateQueued cjobState = iota
-	cstateDispatched
-	cstateDone
-	cstateFailed
-	cstateCanceled
-)
-
-func (s cjobState) String() string {
-	switch s {
-	case cstateQueued:
-		return "queued"
-	case cstateDispatched:
-		return "running"
-	case cstateDone:
-		return "done"
-	case cstateFailed:
-		return "failed"
-	case cstateCanceled:
-		return "canceled"
-	default:
-		return fmt.Sprintf("state(%d)", int(s))
+func (c Config) options() jobcore.Options {
+	return jobcore.Options{
+		IDPrefix:           "c",
+		DefaultTimeout:     c.DefaultTimeout,
+		MaxTimeout:         c.MaxTimeout,
+		RetryAfter:         c.RetryAfter,
+		MaxBodyBytes:       c.MaxBodyBytes,
+		MaxRetained:        c.MaxRetained,
+		IdempotencyTTL:     c.IdempotencyTTL,
+		MaxIdempotencyKeys: c.MaxIdempotencyKeys,
+		CacheEntries:       c.CacheEntries,
+		CacheTTL:           c.CacheTTL,
+		CacheVerify:        c.CacheVerify,
+		Tenants:            c.Tenants,
+		JournalDir:         c.JournalDir,
+		JournalFsync:       c.JournalFsync,
+		SnapshotEvery:      c.SnapshotEvery,
+		Classify:           statusForCluster,
 	}
 }
 
-// cjob is one admitted cluster job and its mutable lifecycle record.
-type cjob struct {
-	id  string
-	req *jobs.Request
-	// nodeKey is the idempotency key node submits travel under:
-	// "cluster/<id>". It is stable across re-dispatches and resubmits,
-	// so an ambiguous submit retried against the same node attaches to
-	// the node's original job instead of proving twice.
-	nodeKey  string
-	priority int
-	timeout  time.Duration
+// Coordinator fronts the prover nodes. Construct with New; its probers
+// are running on return.
+type Coordinator struct {
+	x *remote
+}
 
-	ctx    context.Context
-	cancel context.CancelFunc
-	done   chan struct{}
-	// running closes exactly once, on the first dispatch to a node; jobs
-	// that finish without dispatching (canceled while queued, served from
-	// cache) never close it — progress streams select on done alongside.
-	running chan struct{}
+// New builds the coordinator, replays its journal when one is
+// configured (re-dispatching unfinished jobs under their stable node
+// keys), and starts one prober per node.
+func New(cfg Config) (*Coordinator, error) {
+	if len(cfg.Nodes) == 0 {
+		return nil, errors.New("cluster: Config.Nodes is empty")
+	}
+	cfg = cfg.withDefaults()
+	x := &remote{core: jobcore.New(cfg.options()), cfg: cfg}
+	for i, u := range cfg.Nodes {
+		x.nodes = append(x.nodes, newNode(u, i, cfg))
+	}
+	if err := x.core.Open(x); err != nil {
+		return nil, err
+	}
+	for _, n := range x.nodes {
+		x.probers.Add(1)
+		go x.probeLoop(n)
+	}
+	return &Coordinator{x: x}, nil
+}
 
-	// owner is the tenant this job is attributed to; only slotHeld jobs
-	// release an in-flight quota slot at finish.
-	owner    *tenant.Tenant
-	slotHeld bool
-	// cacheKey/cacheLeader mark a job leading a proof-cache flight; its
-	// result (or failure) settles the flight in watch/finishJob.
-	cacheKey    proofcache.Key
-	cacheLeader bool
+// Handler returns the cluster's HTTP API.
+func (c *Coordinator) Handler() http.Handler { return c.x.core.Handler() }
+
+// Shutdown drains the coordinator: admission stops, in-flight cluster
+// jobs run to completion unless ctx expires first (then they and their
+// remote jobs are canceled), and the probers stop. It returns nil on a
+// clean drain, ctx.Err() if jobs had to be canceled.
+func (c *Coordinator) Shutdown(ctx context.Context) error { return c.x.core.Shutdown(ctx) }
+
+// Metrics is the document GET /metrics serves.
+func (c *Coordinator) Metrics() ClusterMetrics {
+	return c.x.Metrics(c.x.core.Shared()).(ClusterMetrics)
+}
+
+// WaitReady blocks until at least one node is healthy or ctx ends.
+func (c *Coordinator) WaitReady(ctx context.Context) error {
+	for c.x.healthyNodes() == 0 {
+		if !sleepCtx(ctx, c.x.cfg.ProbeInterval/4) {
+			return ctx.Err()
+		}
+	}
+	return nil
+}
+
+// remote is the jobcore.Executor that runs jobs on prover nodes: one
+// prober goroutine per node keeps the roster's health/load picture, one
+// watcher goroutine per started job drives it (dispatch.go).
+type remote struct {
+	core  *jobcore.Core
+	cfg   Config
+	nodes []*node
+	met   metrics
+
+	// active counts started jobs that have not finished; Start refuses
+	// fresh jobs beyond Config.PendingCap.
+	active   atomic.Int64
+	probers  sync.WaitGroup
+	watchers sync.WaitGroup
+}
+
+// placement is a cluster job's executor state: which node (and which
+// of its generations) currently owns the job, the remote job id there,
+// and the completion provenance surfaced on status.
+type placement struct {
+	// restored marks a job admitted in an earlier life and replayed from
+	// the journal: PendingCap does not apply to it again.
+	restored bool
 
 	mu sync.Mutex
-	//unizklint:guardedby mu
-	state cjobState
-	//unizklint:guardedby mu
-	res *jobs.Result
-	//unizklint:guardedby mu
-	err error
-	//unizklint:guardedby mu
-	submitted time.Time
-	//unizklint:guardedby mu
-	started time.Time
-	//unizklint:guardedby mu
-	finished time.Time
-
-	// Attribution: which node (and which of its generations) currently
-	// owns the job, and the remote job id there. A node's generation
-	// bumps on ejection and on epoch change, so genAt < node.gen means
-	// the attribution is lost.
+	// A node's generation bumps on ejection and on epoch change, so
+	// genAt < node.gen means the attribution is lost.
 	//unizklint:guardedby mu
 	node *node
 	//unizklint:guardedby mu
 	genAt int64
 	//unizklint:guardedby mu
 	remoteID string
-
-	// Completion provenance, surfaced on status for operators and
-	// pinned by the soak's exactly-once accounting.
 	//unizklint:guardedby mu
 	doneNodeURL string
 	//unizklint:guardedby mu
 	doneNodeID string
-
 	//unizklint:guardedby mu
 	redispatches int
-
-	// dispatches counts node submit attempts (journaled as TypeDispatched
-	// before each one); snapshots persist it so re-dispatch credits
-	// survive compaction.
-	//unizklint:guardedby mu
-	dispatches int
 }
 
-func (j *cjob) snapshot() (state cjobState, err error, queueWait, run time.Duration) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	state, err = j.state, j.err
-	if !j.started.IsZero() {
-		queueWait = j.started.Sub(j.submitted)
-		if !j.finished.IsZero() {
-			run = j.finished.Sub(j.started)
+// Prepare refuses fresh work while no node could take it, and attaches
+// the job's placement record. For a replayed job it restores the
+// completion provenance and credits the pre-crash dispatches as recorded
+// re-dispatches, so unique ≤ invocations ≤ unique + re-dispatches holds
+// across the restart: a terminal job's D dispatches may have invoked up
+// to D proves (D-1 surplus); an unfinished one is re-dispatched on top
+// of all D.
+func (x *remote) Prepare(j *jobcore.Job, rec *journal.JobRecord) error {
+	p := &placement{restored: rec != nil}
+	j.Exec = p
+	if rec == nil {
+		if x.healthyNodes() == 0 {
+			x.met.rejectedNoNodes.Add(1)
+			return ErrNoHealthyNodes
 		}
-	} else if !j.finished.IsZero() {
-		queueWait = j.finished.Sub(j.submitted)
+		return nil
 	}
-	return state, err, queueWait, run
+	// Not yet published, but the guarded fields keep their discipline.
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	credit := rec.Dispatches
+	if rec.Terminal {
+		p.doneNodeURL, p.doneNodeID = rec.DoneNode, rec.DoneNodeID
+		credit--
+	}
+	if credit > 0 {
+		p.redispatches = int(credit)
+		x.met.redispatches.Add(credit)
+	}
+	return nil
 }
 
-// result returns the terminal outcome, or errNotFinished.
-func (j *cjob) result() (*jobs.Result, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	switch j.state {
-	case cstateDone:
-		return j.res, nil
-	case cstateFailed, cstateCanceled:
-		return nil, j.err
-	default:
-		return nil, errNotFinished
+// Start hands the job to a watcher goroutine, unless the coordinator is
+// already carrying Config.PendingCap jobs.
+func (x *remote) Start(j *jobcore.Job) error {
+	p := j.Exec.(*placement)
+	if x.active.Add(1) > int64(x.cfg.PendingCap) && !p.restored {
+		x.active.Add(-1)
+		x.met.rejectedSaturated.Add(1)
+		return ErrSaturated
 	}
+	x.watchers.Add(1)
+	go x.watch(j, p)
+	return nil
 }
 
-var errNotFinished = errors.New("cluster: job not finished")
-
-// Coordinator fronts the prover nodes. Construct with New; its probers
-// are running on return.
-type Coordinator struct {
-	cfg   Config
-	nodes []*node
-	met   *metrics
-	mux   *http.ServeMux
-
-	// cache is the coordinator-level proof cache (nil when disabled);
-	// tenants is always non-nil.
-	cache   *proofcache.Cache
-	tenants *tenant.Registry
-
-	base      context.Context
-	cancelAll context.CancelFunc
-	probers   sync.WaitGroup
-	watchers  sync.WaitGroup
-	draining  atomic.Bool
-	nextID    atomic.Int64
-
-	// jnl is the write-ahead journal (nil when Config.JournalDir is
-	// empty); epoch is the persisted coordinator epoch, written once in
-	// New before any request is served. The recovery* counters describe
-	// the startup replay, also set before serving.
-	jnl                  *journal.Journal
-	epoch                uint64
-	recoveredJobs        int64
-	recoveryRedispatches int64
-
-	// snapMu is the snapshot barrier: every journal-append-plus-state-
-	// mutation pair runs under RLock, and the snapshot writer captures
-	// state and compacts under Lock — so a record acknowledged into an
-	// old segment can never be deleted before the snapshot that replaces
-	// it contains its effect. Ordering: snapMu before c.mu before j.mu.
-	snapMu sync.RWMutex
-
-	mu sync.Mutex
-	//unizklint:guardedby mu
-	jobsByID map[string]*cjob
-	//unizklint:guardedby mu
-	finishedList []string
-	//unizklint:guardedby mu
-	pending int
-	//unizklint:guardedby mu
-	idemIndex map[string]*idemEntry
-	//unizklint:guardedby mu
-	idemOrder []idemOrderEntry
-	//unizklint:guardedby mu
-	idemSeq uint64
+// Backlog scales the slowest node's observed median prove latency by
+// the pending backlog per healthy node.
+func (x *remote) Backlog() time.Duration {
+	var p50ms float64
+	for _, n := range x.nodes {
+		p50ms = max(p50ms, n.proveLatencyP50())
+	}
+	healthy := max(x.healthyNodes(), 1)
+	return time.Duration(float64(x.core.Pending()+1) / float64(healthy) * p50ms * float64(time.Millisecond))
 }
 
-// New builds the coordinator and starts one prober per node.
-func New(cfg Config) (*Coordinator, error) {
-	if len(cfg.Nodes) == 0 {
-		return nil, errors.New("cluster: Config.Nodes is empty")
+// Attribution reports the node (and epoch) that produced the result
+// once there is one, else the node the job currently runs on.
+func (x *remote) Attribution(j *jobcore.Job) jobcore.Attribution {
+	p, _ := j.Exec.(*placement)
+	if p == nil {
+		return jobcore.Attribution{} // served from cache: never placed
 	}
-	cfg = cfg.withDefaults()
-	base, cancel := context.WithCancel(context.Background())
-	c := &Coordinator{
-		cfg:       cfg,
-		met:       newMetrics(),
-		base:      base,
-		cancelAll: cancel,
-		jobsByID:  make(map[string]*cjob),
-		idemIndex: make(map[string]*idemEntry),
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	at := jobcore.Attribution{Node: p.doneNodeURL, NodeID: p.doneNodeID, Redispatches: p.redispatches}
+	if at.Node == "" && p.node != nil {
+		at.Node = p.node.url
 	}
-	if cfg.CacheEntries > 0 {
-		c.cache = proofcache.New(proofcache.Config{
-			MaxEntries: cfg.CacheEntries,
-			TTL:        cfg.CacheTTL,
-			Verify:     cfg.CacheVerify,
-		})
-	}
-	c.tenants = cfg.Tenants
-	if c.tenants == nil {
-		// NewRegistry without configs cannot fail: it only synthesizes
-		// the unlimited default tenant.
-		c.tenants, _ = tenant.NewRegistry()
-	}
-	for i, u := range cfg.Nodes {
-		c.nodes = append(c.nodes, newNode(u, i, cfg))
-	}
-	c.mux = c.buildMux()
-	if cfg.JournalDir != "" {
-		jnl, err := journal.Open(cfg.JournalDir, journal.Options{
-			Fsync:         cfg.JournalFsync,
-			SnapshotEvery: cfg.SnapshotEvery,
-		})
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		c.jnl = jnl
-		if err := c.recover(); err != nil {
-			cancel()
-			jnl.Close()
-			return nil, err
-		}
-		c.probers.Add(1)
-		go c.snapshotLoop()
-	}
-	for _, n := range c.nodes {
-		c.probers.Add(1)
-		go c.probeLoop(n)
-	}
-	return c, nil
+	return at
 }
 
-// Handler returns the cluster's HTTP API — the same surface a single
-// unizk-server exposes, so serverclient.Client (and cmd/prove -remote)
-// work against a cluster unchanged.
-func (c *Coordinator) Handler() http.Handler { return c.mux }
-
-// admitHow classifies how a submit resolved to its cluster job —
-// mirrors the single-server taxonomy so SubmitReply flags line up.
-type admitHow int
-
-const (
-	admitFresh admitHow = iota
-	admitDeduped
-	admitCachedHit
-	admitCoalesced
-)
-
-// admit validates, registers, and starts a cluster job on behalf of tn
-// (nil means the default tenant). Non-fresh outcomes return an existing
-// (or pre-completed) job: idempotent replays, coordinator proof-cache
-// hits, and coalesced attachments onto an in-flight identical job.
-//
-// Admission order matches the single server: drain gate, tenant rate
-// token, request validation, idempotency lookup, node availability,
-// proof-cache lookup/flight, tenant in-flight slot, register, dispatch.
-func (c *Coordinator) admit(req *jobs.Request, priority int, timeout time.Duration, tn *tenant.Tenant) (j *cjob, how admitHow, err error) {
-	if c.draining.Load() {
-		return nil, admitFresh, server.ErrDraining
+// Health reports "ok" while every node can take work, "degraded" when
+// some are out, 503 "no_healthy_nodes" when none is.
+func (x *remote) Health(h *serverclient.Health) int {
+	h.Queued = x.core.Pending()
+	switch healthy := x.healthyNodes(); {
+	case healthy == 0:
+		h.Status = "no_healthy_nodes"
+		return http.StatusServiceUnavailable
+	case healthy < len(x.nodes):
+		h.Status = "degraded"
 	}
-	if tn == nil {
-		tn = c.tenants.Default()
-	}
-	if err := tn.AllowSubmit(); err != nil {
-		c.met.rejectedLimited.Add(1)
-		return nil, admitFresh, err
-	}
-	priority = tn.EffectivePriority(priority)
-	if err := req.Validate(); err != nil {
-		c.met.rejectedInvalid.Add(1)
-		return nil, admitFresh, err
-	}
-	var fp fingerprint
-	if req.IdempotencyKey != "" {
-		raw, err := req.MarshalBinary()
-		if err != nil {
-			return nil, admitFresh, err
-		}
-		fp = requestFingerprint(raw)
-		c.mu.Lock()
-		existing, err := c.idemLookupLocked(req.IdempotencyKey, fp)
-		c.mu.Unlock()
-		if err != nil {
-			return nil, admitFresh, err
-		}
-		if existing != nil {
-			c.met.idemHits.Add(1)
-			tn.RecordAdmit()
-			return existing, admitDeduped, nil
-		}
-	}
-	id := fmt.Sprintf("c%08d", c.nextID.Add(1))
-	var ckey proofcache.Key
-	cacheLeader := false
-	if c.cache != nil {
-		// The cache is consulted before node availability: a hit answers
-		// even while every node is dark — the proof already exists.
-		ckey = proofcache.KeyFor(req)
-		res, leaderID, leader := c.cache.Begin(ckey, id)
-		for i := 0; leaderID != ""; i++ {
-			if lj, ok := c.lookup(leaderID); ok {
-				tn.RecordAdmit()
-				return lj, admitCoalesced, nil
-			}
-			// The flight exists but its leader's job is not registered
-			// yet (the window between Begin and registration), or its
-			// admission failed and the flight is about to clear. Wait a
-			// beat and re-resolve; after a bounded wait, prove
-			// independently rather than stalling admission.
-			if i >= 500 {
-				leaderID = ""
-				break
-			}
-			time.Sleep(2 * time.Millisecond)
-			if cur, ok := c.cache.Flight(ckey); ok && cur == leaderID {
-				continue
-			}
-			res, leaderID, leader = c.cache.Begin(ckey, id)
-		}
-		if res != nil {
-			return c.admitCached(id, req, priority, res, tn, fp)
-		}
-		if leader {
-			cacheLeader = true
-		}
-	}
-	rollback := func() {
-		if cacheLeader {
-			c.cache.Abort(ckey, id)
-		}
-	}
-	if c.healthyNodes() == 0 {
-		rollback()
-		c.met.rejectedNoNodes.Add(1)
-		return nil, admitFresh, ErrNoHealthyNodes
-	}
-	if err := tn.AcquireSlot(time.Duration(c.retryAfterSeconds()) * time.Second); err != nil {
-		rollback()
-		c.met.rejectedLimited.Add(1)
-		return nil, admitFresh, err
-	}
-	releaseSlot := func() { tn.Release() }
-	if timeout <= 0 || timeout > c.cfg.MaxTimeout {
-		if timeout > c.cfg.MaxTimeout {
-			timeout = c.cfg.MaxTimeout
-		} else {
-			timeout = c.cfg.DefaultTimeout
-		}
-	}
-	ctx, cancel := context.WithCancel(c.base)
-	if timeout > 0 {
-		var tcancel context.CancelFunc
-		ctx, tcancel = context.WithTimeout(ctx, timeout)
-		inner := cancel
-		cancel = func() { tcancel(); inner() }
-	}
-	j = &cjob{
-		id:          id,
-		req:         req,
-		priority:    priority,
-		timeout:     timeout,
-		ctx:         ctx,
-		cancel:      cancel,
-		done:        make(chan struct{}),
-		running:     make(chan struct{}),
-		owner:       tn,
-		slotHeld:    true,
-		cacheKey:    ckey,
-		cacheLeader: cacheLeader,
-		submitted:   time.Now(),
-	}
-	j.nodeKey = "cluster/" + j.id
-
-	// Journal the admission before registration: nothing is acknowledged
-	// to the client (admit has not returned) until the record is durable.
-	// snapMu keeps the append and the registration atomic with respect to
-	// snapshot compaction.
-	c.snapMu.RLock()
-	if err := c.journalAdmitted(j); err != nil {
-		c.snapMu.RUnlock()
-		j.cancel()
-		rollback()
-		releaseSlot()
-		return nil, admitFresh, err
-	}
-	c.mu.Lock()
-	if req.IdempotencyKey != "" {
-		// Recheck under the lock: a concurrent duplicate may have
-		// registered the key while this request was being validated.
-		existing, lerr := c.idemLookupLocked(req.IdempotencyKey, fp)
-		if lerr != nil || existing != nil {
-			c.mu.Unlock()
-			// The Admitted record is already durable; mark the loser
-			// superseded so replay does not resurrect it.
-			c.journalSuperseded(j.id)
-			c.snapMu.RUnlock()
-			j.cancel()
-			rollback()
-			releaseSlot()
-			if lerr != nil {
-				return nil, admitFresh, lerr
-			}
-			c.met.idemHits.Add(1)
-			return existing, admitDeduped, nil
-		}
-	}
-	if c.pending >= c.cfg.PendingCap {
-		c.mu.Unlock()
-		c.journalSuperseded(j.id)
-		c.snapMu.RUnlock()
-		j.cancel()
-		rollback()
-		releaseSlot()
-		c.met.rejectedSaturated.Add(1)
-		return nil, admitFresh, ErrSaturated
-	}
-	if req.IdempotencyKey != "" {
-		c.idemInsertLocked(req.IdempotencyKey, fp, j.id)
-	}
-	c.jobsByID[j.id] = j
-	c.pending++
-	c.mu.Unlock()
-	if req.IdempotencyKey != "" {
-		c.journalIdem(req.IdempotencyKey, fp, j.id)
-	}
-	c.snapMu.RUnlock()
-
-	c.met.submitted.Add(1)
-	c.watchers.Add(1)
-	go c.watch(j)
-	return j, admitFresh, nil
+	return http.StatusOK
 }
 
-// admitCached mints an already-done cluster job for a coordinator
-// proof-cache hit: every surface (status, proof, sync prove, waiters,
-// idempotent replays) serves the cached result through the normal job
-// lifecycle, with no dispatch and no node traffic.
-func (c *Coordinator) admitCached(id string, req *jobs.Request, priority int, res *jobs.Result, tn *tenant.Tenant, fp fingerprint) (*cjob, admitHow, error) {
-	// Counted here, not via AcquireSlot: a cached serve claims no slot
-	// but is still a submission the tenant had accepted.
-	tn.RecordAdmit()
-	ctx, cancel := context.WithCancel(c.base)
-	j := &cjob{
-		id:        id,
-		req:       req,
-		priority:  priority,
-		ctx:       ctx,
-		cancel:    cancel,
-		done:      make(chan struct{}),
-		running:   make(chan struct{}),
-		owner:     tn,
-		submitted: time.Now(),
-	}
-	j.nodeKey = "cluster/" + j.id
-	c.snapMu.RLock()
-	if err := c.journalAdmitted(j); err != nil {
-		c.snapMu.RUnlock()
-		j.cancel()
-		return nil, admitFresh, err
-	}
-	c.mu.Lock()
-	if req.IdempotencyKey != "" {
-		existing, lerr := c.idemLookupLocked(req.IdempotencyKey, fp)
-		if lerr != nil || existing != nil {
-			c.mu.Unlock()
-			c.journalSuperseded(j.id)
-			c.snapMu.RUnlock()
-			j.cancel()
-			if lerr != nil {
-				return nil, admitFresh, lerr
-			}
-			c.met.idemHits.Add(1)
-			return existing, admitDeduped, nil
-		}
-		c.idemInsertLocked(req.IdempotencyKey, fp, id)
-	}
-	c.jobsByID[id] = j
-	c.pending++
-	c.mu.Unlock()
-	if req.IdempotencyKey != "" {
-		c.journalIdem(req.IdempotencyKey, fp, id)
-	}
-	c.snapMu.RUnlock()
-	c.met.submitted.Add(1)
-	c.finishJob(j, res, nil)
-	return j, admitCachedHit, nil
+// Drain is a no-op: every started job already has a watcher driving it.
+func (x *remote) Drain() {}
+
+func (x *remote) Close() {
+	x.watchers.Wait()
+	x.probers.Wait()
 }
 
-// lookup returns a registered cluster job by id.
-func (c *Coordinator) lookup(id string) (*cjob, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok := c.jobsByID[id]
-	return j, ok
-}
-
-// finishJob moves a job to its terminal state exactly once, records
-// metrics, and retires the record.
-func (c *Coordinator) finishJob(j *cjob, res *jobs.Result, err error) {
-	c.snapMu.RLock()
-	j.mu.Lock()
-	if j.state == cstateDone || j.state == cstateFailed || j.state == cstateCanceled {
-		j.mu.Unlock()
-		c.snapMu.RUnlock()
-		return
-	}
-	j.finished = time.Now()
-	j.res, j.err = res, err
-	switch {
-	case err == nil:
-		j.state = cstateDone
-	case errors.Is(err, context.Canceled):
-		j.state = cstateCanceled
-	default:
-		j.state = cstateFailed
-	}
-	state := j.state
-	doneURL, doneID := j.doneNodeURL, j.doneNodeID
-	j.mu.Unlock()
-	// The terminal record must be durable before close(j.done) releases
-	// waiters: an acked outcome survives a crash.
-	c.journalTerminal(j.id, state, res, err, doneURL, doneID)
-	c.snapMu.RUnlock()
-
-	switch state {
-	case cstateDone:
-		c.met.completed.Add(1)
-	case cstateCanceled:
-		c.met.canceled.Add(1)
-	default:
-		c.met.failed.Add(1)
-	}
-	if j.cacheLeader {
-		// No-op after a successful Complete; clears the flight on every
-		// failure path so the content stays provable by the next submit.
-		c.cache.Abort(j.cacheKey, j.id)
-	}
-	if j.slotHeld {
-		j.owner.Release()
-	}
-	j.cancel()
-	close(j.done)
-
-	c.mu.Lock()
-	c.pending--
-	c.finishedList = append(c.finishedList, j.id)
-	for len(c.finishedList) > c.cfg.MaxRetained {
-		evict := c.finishedList[0]
-		c.finishedList = c.finishedList[1:]
-		if old, ok := c.jobsByID[evict]; ok {
-			c.idemDeleteLocked(old.req.IdempotencyKey, evict)
-			delete(c.jobsByID, evict)
-		}
-	}
-	c.mu.Unlock()
-}
-
-// healthyNodes counts nodes currently eligible for placement gating:
-// probed at least once, not ejected, not draining.
-func (c *Coordinator) healthyNodes() int {
+// healthyNodes counts nodes probed at least once, not ejected, not
+// draining.
+func (x *remote) healthyNodes() int {
 	count := 0
-	for _, n := range c.nodes {
+	for _, n := range x.nodes {
 		if n.healthy() {
 			count++
 		}
@@ -791,65 +364,7 @@ func (c *Coordinator) healthyNodes() int {
 	return count
 }
 
-// Shutdown drains the coordinator: admission stops, in-flight cluster
-// jobs run to completion unless ctx expires first (then their contexts
-// are canceled and their remote jobs are best-effort canceled), and the
-// probers stop. Returns nil on a clean drain, ctx.Err() if jobs had to
-// be canceled.
-func (c *Coordinator) Shutdown(ctx context.Context) error {
-	c.draining.Store(true)
-	done := make(chan struct{})
-	go func() {
-		c.watchers.Wait()
-		close(done)
-	}()
-	var forced error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		forced = ctx.Err()
-		c.mu.Lock()
-		jobsNow := make([]*cjob, 0, len(c.jobsByID))
-		for _, j := range c.jobsByID {
-			jobsNow = append(jobsNow, j)
-		}
-		c.mu.Unlock()
-		for _, j := range jobsNow {
-			j.cancel()
-		}
-		<-done
-	}
-	c.cancelAll()
-	c.probers.Wait()
-	if c.jnl != nil {
-		// All appenders (watchers, snapshot loop) are done; a clean close
-		// fsyncs the tail.
-		_ = c.jnl.Close()
-	}
-	return forced
-}
-
-// Draining reports whether Shutdown has begun.
-func (c *Coordinator) Draining() bool { return c.draining.Load() }
-
-// WaitReady blocks until at least one node is healthy (or ctx ends) —
-// the startup barrier cmd/unizk-cluster and tests use before accepting
-// traffic.
-func (c *Coordinator) WaitReady(ctx context.Context) error {
-	for {
-		if c.healthyNodes() > 0 {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(c.cfg.ProbeInterval / 4):
-		}
-	}
-}
-
-// sleepCtx sleeps d or until ctx is done, reporting false when ctx
-// ended the sleep early.
+// sleepCtx sleeps d, reporting false when ctx ended the sleep early.
 func sleepCtx(ctx context.Context, d time.Duration) bool {
 	select {
 	case <-ctx.Done():
@@ -857,38 +372,4 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	case <-time.After(d):
 		return true
 	}
-}
-
-// retryAfterSeconds computes the backpressure hint for 503 replies: the
-// configured floor scaled by how long the pending backlog will take at
-// the slowest node's observed median prove latency.
-func (c *Coordinator) retryAfterSeconds() int {
-	hint := c.cfg.RetryAfter
-	var p50ms float64
-	for _, n := range c.nodes {
-		if v := n.proveLatencyP50(); v > p50ms {
-			p50ms = v
-		}
-	}
-	if p50ms > 0 {
-		c.mu.Lock()
-		depth := c.pending
-		c.mu.Unlock()
-		healthy := c.healthyNodes()
-		if healthy < 1 {
-			healthy = 1
-		}
-		est := time.Duration(float64(depth+1) / float64(healthy) * p50ms * float64(time.Millisecond))
-		if est > hint {
-			hint = est
-		}
-	}
-	secs := int((hint + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > 60 {
-		secs = 60
-	}
-	return secs
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"unizk/internal/jobcore"
 	"unizk/internal/jobs"
 	"unizk/internal/server"
 	"unizk/internal/serverclient"
@@ -111,9 +112,9 @@ func startCluster(t *testing.T, cfg Config) (*Coordinator, *serverclient.Client,
 func waitHealthy(t *testing.T, c *Coordinator, n int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for c.healthyNodes() < n {
+	for c.x.healthyNodes() < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d healthy nodes, want %d", c.healthyNodes(), n)
+			t.Fatalf("only %d healthy nodes, want %d", c.x.healthyNodes(), n)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -276,15 +277,16 @@ func TestClusterEpochChangeRedispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Wait until the coordinator has actually placed it remotely.
-	j, ok := coord.lookup(id)
+	j, ok := coord.x.core.Lookup(id)
 	if !ok {
 		t.Fatalf("cluster job %s not registered", id)
 	}
+	p := j.Exec.(*placement)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		j.mu.Lock()
-		placed := j.remoteID != ""
-		j.mu.Unlock()
+		p.mu.Lock()
+		placed := p.remoteID != ""
+		p.mu.Unlock()
 		if placed {
 			break
 		}
@@ -319,9 +321,9 @@ func TestClusterEpochChangeRedispatch(t *testing.T) {
 	if m.Redispatches == 0 {
 		t.Fatal("job was not re-dispatched after the restart")
 	}
-	j.mu.Lock()
-	red := j.redispatches
-	j.mu.Unlock()
+	p.mu.Lock()
+	red := p.redispatches
+	p.mu.Unlock()
 	if red == 0 {
 		t.Fatal("job record shows no redispatch")
 	}
@@ -440,7 +442,7 @@ func TestClusterReplicatedIdempotency(t *testing.T) {
 	// index and cached result must answer the retry anyway.
 	n.kill()
 	deadline := time.Now().Add(10 * time.Second)
-	for coord.healthyNodes() != 0 {
+	for coord.x.healthyNodes() != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("dead node still counted healthy")
 		}
@@ -541,13 +543,20 @@ type fakeNode struct {
 	ts       *httptest.Server
 }
 
+// replyJSON is the fake node's JSON reply helper.
+func replyJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(v)
+}
+
 func newFakeNode(t *testing.T, name string, queued int, inFlight int64, res []byte) *fakeNode {
 	f := &fakeNode{queued: queued, inFlight: inFlight, res: res}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
 		defer f.mu.Unlock()
-		writeJSON(w, http.StatusOK, serverclient.Health{
+		replyJSON(w, http.StatusOK, serverclient.Health{
 			Status: "ok", Queued: f.queued, InFlight: f.inFlight,
 			NodeID: name, StartNS: 1,
 		})
@@ -555,7 +564,7 @@ func newFakeNode(t *testing.T, name string, queued int, inFlight int64, res []by
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
 		defer f.mu.Unlock()
-		writeJSON(w, http.StatusOK, serverclient.MetricsSnapshot{
+		replyJSON(w, http.StatusOK, serverclient.MetricsSnapshot{
 			Queued: f.queued, InFlight: f.inFlight,
 		})
 	})
@@ -563,14 +572,14 @@ func newFakeNode(t *testing.T, name string, queued int, inFlight int64, res []by
 		f.mu.Lock()
 		f.submits++
 		f.mu.Unlock()
-		writeJSON(w, http.StatusAccepted, serverclient.SubmitReply{ID: "f-1", State: "queued"})
+		replyJSON(w, http.StatusAccepted, serverclient.SubmitReply{ID: "f-1", State: "queued"})
 	})
 	mux.HandleFunc("GET /v1/jobs/f-1/proof", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/octet-stream")
 		_, _ = w.Write(f.res)
 	})
 	mux.HandleFunc("POST /v1/jobs/f-1/cancel", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, serverclient.JobStatus{ID: "f-1", State: "canceled"})
+		replyJSON(w, http.StatusOK, serverclient.JobStatus{ID: "f-1", State: "canceled"})
 	})
 	f.ts = httptest.NewServer(mux)
 	t.Cleanup(f.ts.Close)
@@ -665,7 +674,7 @@ func TestClusterEjectionAndReadmission(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if coord.healthyNodes() != 0 {
+	if coord.x.healthyNodes() != 0 {
 		t.Fatal("ejected node still counted healthy")
 	}
 
@@ -701,7 +710,7 @@ func TestStatusForCluster(t *testing.T) {
 	}{
 		{ErrNoHealthyNodes, http.StatusServiceUnavailable, "no_healthy_nodes"},
 		{ErrSaturated, http.StatusServiceUnavailable, "cluster_saturated"},
-		{server.ErrDraining, http.StatusServiceUnavailable, "draining"},
+		{jobcore.ErrDraining, http.StatusServiceUnavailable, "draining"},
 		{fmt.Errorf("wrapped: %w", ErrNoHealthyNodes), http.StatusServiceUnavailable, "no_healthy_nodes"},
 		{&serverclient.APIError{StatusCode: 422, Class: "rejected"}, 422, "rejected"},
 		{&serverclient.APIError{StatusCode: 499, Class: "canceled"}, 499, "canceled"},

@@ -1,7 +1,7 @@
-// Job dispatch and failover. Each admitted cluster job gets a watcher
-// goroutine that places it on the least-loaded healthy node, submits it
-// under the job's stable "cluster/<id>" idempotency key, and polls for
-// the result. The exactly-once discipline lives here:
+// Job dispatch and failover. Each started job gets a watcher goroutine
+// that places it on the least-loaded healthy node, submits it under the
+// stable "cluster/<id>" idempotency key, and polls for the result. The
+// exactly-once discipline lives here:
 //
 //   - An *ambiguous* submit failure (transport fault, breaker open,
 //     unclassified 5xx) may mean the node admitted the job before the
@@ -18,6 +18,15 @@
 //     re-dispatching, the watcher makes one last bounded attempt to
 //     fetch the finished result from the old address, so a proof that
 //     actually completed is recovered instead of recomputed.
+//   - A node that *disowns* the job (404, swept by its drain, or
+//     canceled there by someone other than this job's own context) is
+//     lost for it too. The watcher may learn of a restart from the 404
+//     before the prober does, so it re-probes the node before re-placing:
+//     the epoch change is then already in the generation the new
+//     placement is made under, instead of a later bump declaring *that*
+//     placement lost. And it never cancels a remote job across an epoch
+//     change: on a restarted node the stable key can only name the new
+//     epoch's live job.
 package cluster
 
 import (
@@ -26,89 +35,76 @@ import (
 	"net/http"
 	"time"
 
+	"unizk/internal/jobcore"
 	"unizk/internal/jobs"
 	"unizk/internal/serverclient"
 )
 
 // Internal dispatch outcomes.
 var (
-	// errNodeLost: the attributed node was ejected or changed epoch; the
-	// job must be re-dispatched elsewhere.
+	// errNodeLost: the node was ejected, changed epoch, or disowns the
+	// job, which must be re-dispatched.
 	errNodeLost = errors.New("cluster: node lost")
-	// errNodeBusy: the node provably refused the submit before admission
-	// (queue_full/draining); another node may be tried immediately.
+	// errNodeBusy: the node provably refused the submit before admission;
+	// another node may be tried immediately.
 	errNodeBusy = errors.New("cluster: node refused submission")
 )
 
 // watch drives one cluster job to a terminal state.
-func (c *Coordinator) watch(j *cjob) {
-	defer c.watchers.Done()
-	res, err := c.runJob(j)
-	if err == nil && j.cacheLeader {
-		// Settle the coordinator's proof-cache flight before the job goes
-		// terminal; with CacheVerify a proof failing re-verification fails
-		// the job instead of fanning out to every coalesced waiter.
-		if cerr := c.cache.Complete(j.cacheKey, j.id, res, c.cacheCheck(j)); cerr != nil {
-			res, err = nil, cerr
-		}
+func (x *remote) watch(j *jobcore.Job, p *placement) {
+	defer x.watchers.Done()
+	res, err := x.runJob(j, p)
+	if cerr := j.Context().Err(); err != nil && errors.Is(err, cerr) {
+		// The job's own context ended it: cancel the remote job so the
+		// node does not burn a prover slot on a result nobody will read,
+		// and surface the context's error (deadline or canceled).
+		x.cancelRemote(p)
+		err = cerr
 	}
-	if err != nil && errors.Is(err, j.ctx.Err()) {
-		// The job's own context ended it (cancel or deadline); if a
-		// remote job is still attributed, cancel it there so the node
-		// does not burn a prover slot on a result nobody will read.
-		c.cancelRemote(j)
-		// Normalize: a cluster-timeout surfaces as the deadline error,
-		// an explicit cancel as context.Canceled.
-		err = j.ctx.Err()
-	}
-	c.finishJob(j, res, err)
-}
-
-// cacheCheck returns the verify-on-insert hook for a flight leader:
-// a full re-verification of the node-produced proof against the
-// request, or nil when CacheVerify is off.
-func (c *Coordinator) cacheCheck(j *cjob) func(*jobs.Result) error {
-	if !c.cfg.CacheVerify {
-		return nil
-	}
-	return func(res *jobs.Result) error { return jobs.CheckResult(j.req, res) }
+	// Free the PendingCap slot before waiters are released, so a client
+	// that saw its job finish can always submit the next one.
+	x.active.Add(-1)
+	x.core.Finish(j, res, err)
 }
 
 // runJob is the placement/failover loop: pick a node, run the job
-// there, and either return its outcome or — when the node was lost or
-// provably refused — loop to try another.
-func (c *Coordinator) runJob(j *cjob) (*jobs.Result, error) {
+// there, and return its outcome or — node lost or busy — try another.
+func (x *remote) runJob(j *jobcore.Job, p *placement) (*jobs.Result, error) {
+	ctx := j.Context()
 	for {
-		if err := j.ctx.Err(); err != nil {
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		n := c.pickNode()
+		n := x.pickNode()
 		if n == nil {
-			// Nothing placeable right now (all ejected, draining, or in
-			// saturation backoff). The job stays admitted; placement
+			// Nothing placeable right now. The job stays admitted; placement
 			// retries on the probe cadence until a node recovers or the
 			// job's deadline expires.
-			if !sleepCtx(j.ctx, c.cfg.ProbeInterval) {
-				return nil, j.ctx.Err()
+			if !sleepCtx(ctx, x.cfg.ProbeInterval) {
+				return nil, ctx.Err()
 			}
 			continue
 		}
-		res, err := c.runOn(j, n)
+		res, err := x.runOn(j, p, n)
 		switch {
 		case err == nil:
 			return res, nil
 		case errors.Is(err, errNodeLost):
-			// If the "lost" node is actually alive (spurious ejection —
-			// probes starved or chaos-eaten), the orphaned remote job
-			// would burn a prover slot on a result nobody will consume.
-			// Best-effort cancel it before re-dispatching; against a
-			// truly dead node this fails fast (breaker or refused dial).
-			c.cancelRemote(j)
-			c.met.redispatches.Add(1)
-			j.mu.Lock()
-			j.redispatches++
-			j.node, j.remoteID = nil, ""
-			j.mu.Unlock()
+			p.mu.Lock()
+			genAt := p.genAt
+			p.mu.Unlock()
+			if n.ejectedSince(genAt) {
+				// If the ejected node is actually alive (probes starved or
+				// chaos-eaten), the orphaned remote job would burn a prover
+				// slot for nobody. Best-effort cancel it; against a truly
+				// dead node this fails fast (breaker or refused dial).
+				x.cancelRemote(p)
+			}
+			x.met.redispatches.Add(1)
+			p.mu.Lock()
+			p.redispatches++
+			p.node, p.remoteID = nil, ""
+			p.mu.Unlock()
 			continue
 		case errors.Is(err, errNodeBusy):
 			continue
@@ -119,13 +115,12 @@ func (c *Coordinator) runJob(j *cjob) (*jobs.Result, error) {
 }
 
 // pickNode returns the placeable node with the lowest load score, or
-// nil when none qualifies. Ties break by node-list order, keeping
-// placement deterministic for a given probe picture.
-func (c *Coordinator) pickNode() *node {
+// nil; ties break by node-list order, keeping placement deterministic.
+func (x *remote) pickNode() *node {
 	now := time.Now()
 	var best *node
 	bestScore := 0
-	for _, n := range c.nodes {
+	for _, n := range x.nodes {
 		if !n.placeable(now) {
 			continue
 		}
@@ -138,65 +133,53 @@ func (c *Coordinator) pickNode() *node {
 
 // runOn dispatches the job to one node and sees it through to a result
 // there, or to errNodeLost/errNodeBusy for the outer loop.
-func (c *Coordinator) runOn(j *cjob, n *node) (*jobs.Result, error) {
+func (x *remote) runOn(j *jobcore.Job, p *placement, n *node) (*jobs.Result, error) {
 	gen := n.generation()
-	c.snapMu.RLock()
-	j.mu.Lock()
-	j.node, j.genAt = n, gen
-	if j.started.IsZero() {
-		j.started = time.Now()
-	}
-	if j.state == cstateQueued {
-		j.state = cstateDispatched
-		close(j.running) // first dispatch only; failovers keep the state
-	}
-	j.dispatches++
-	j.mu.Unlock()
-	// Durable before the submit attempt: replay over-counts rather than
-	// under-counts dispatches, keeping the re-dispatch credit an upper
-	// bound on extra prove invocations.
-	c.journalDispatched(j.id, n.url)
-	c.snapMu.RUnlock()
+	p.mu.Lock()
+	p.node, p.genAt = n, gen
+	p.mu.Unlock()
+	x.core.Dispatch(j, n.url)
 
 	n.addOutstanding(1)
 	defer n.addOutstanding(-1)
 
-	remoteID, err := c.submitTo(j, n, gen)
+	remoteID, err := x.submitTo(j, n, gen)
 	if err != nil {
 		return nil, err
 	}
-	j.mu.Lock()
-	j.remoteID = remoteID
-	j.mu.Unlock()
-	return c.awaitResult(j, n, gen, remoteID)
+	p.mu.Lock()
+	p.remoteID = remoteID
+	p.mu.Unlock()
+	return x.awaitResult(j, p, n, gen, remoteID)
 }
 
 // submitTo places the job on the node under its stable cluster
 // idempotency key, retrying ambiguous failures against the same node.
-func (c *Coordinator) submitTo(j *cjob, n *node, gen int64) (string, error) {
-	// The node-side key is the cluster job id, not the client's key: it
-	// is stable across resubmits and re-dispatches, never collides
-	// between cluster jobs, and — because IdempotencyKey is excluded
-	// from what the prover sees — leaves the proof bytes identical to a
-	// direct submission.
-	req := *j.req
-	req.IdempotencyKey = j.nodeKey
-	opts := serverclient.Options{Priority: j.priority}
-	if dl, ok := j.ctx.Deadline(); ok {
+func (x *remote) submitTo(j *jobcore.Job, n *node, gen int64) (string, error) {
+	// The node-side key is "cluster/<id>", not the client's key: it is
+	// stable across resubmits, re-dispatches and coordinator restarts,
+	// never collides between cluster jobs, and — because IdempotencyKey
+	// is excluded from what the prover sees — leaves the proof bytes
+	// identical to a direct submission.
+	ctx := j.Context()
+	req := *j.Req
+	req.IdempotencyKey = "cluster/" + j.ID
+	opts := serverclient.Options{Priority: j.Priority}
+	if dl, ok := ctx.Deadline(); ok {
 		if rem := time.Until(dl); rem > 0 {
 			opts.Timeout = rem
 		}
 	}
 	for {
-		if err := j.ctx.Err(); err != nil {
+		if err := ctx.Err(); err != nil {
 			return "", err
 		}
-		reply, err := n.client.SubmitDetail(j.ctx, &req, opts)
+		reply, err := n.client.SubmitDetail(ctx, &req, opts)
 		if err == nil {
 			return reply.ID, nil
 		}
 		if refusedBeforeAdmission(err) {
-			n.markSaturated(c.cfg.SaturationBackoff)
+			n.markSaturated(x.cfg.SaturationBackoff)
 			return "", errNodeBusy
 		}
 		if terminalSubmitError(err) {
@@ -208,17 +191,16 @@ func (c *Coordinator) submitTo(j *cjob, n *node, gen int64) (string, error) {
 		if n.lostSince(gen) {
 			return "", errNodeLost
 		}
-		if !sleepCtx(j.ctx, c.cfg.PollInterval) {
-			return "", j.ctx.Err()
+		if !sleepCtx(ctx, x.cfg.PollInterval) {
+			return "", ctx.Err()
 		}
 	}
 }
 
 // refusedBeforeAdmission reports a *provable* non-admission: the node's
 // own backpressure/drain classes, emitted strictly before a job is
-// enqueued. Only these make immediate re-routing safe. A 503 with any
-// other class (e.g. a fault injector's blip) proves nothing about
-// admission and must be treated as ambiguous.
+// enqueued. A 503 with any other class (a fault injector's blip) proves
+// nothing about admission and must be treated as ambiguous.
 func refusedBeforeAdmission(err error) bool {
 	var ae *serverclient.APIError
 	if !errors.As(err, &ae) {
@@ -239,14 +221,15 @@ func terminalSubmitError(err error) bool {
 }
 
 // awaitResult polls the node for the remote job's outcome.
-func (c *Coordinator) awaitResult(j *cjob, n *node, gen int64, remoteID string) (*jobs.Result, error) {
+func (x *remote) awaitResult(j *jobcore.Job, p *placement, n *node, gen int64, remoteID string) (*jobs.Result, error) {
+	ctx := j.Context()
 	for {
-		if err := j.ctx.Err(); err != nil {
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		res, err := n.client.Result(j.ctx, remoteID)
+		res, err := n.client.Result(ctx, remoteID)
 		if err == nil {
-			c.recordCompletion(j, n)
+			x.recordCompletion(p, n)
 			return res, nil
 		}
 		switch classifyAwait(err) {
@@ -255,28 +238,26 @@ func (c *Coordinator) awaitResult(j *cjob, n *node, gen int64, remoteID string) 
 			// the prober has declared the node lost — then try to salvage
 			// the result before re-dispatching.
 			if n.lostSince(gen) {
-				if res, ok := c.tryRecover(j, n, remoteID); ok {
-					c.recordCompletion(j, n)
+				if res, ok := x.tryRecover(j, n, remoteID); ok {
+					x.recordCompletion(p, n)
 					return res, nil
 				}
 				return nil, errNodeLost
 			}
 		case awaitGone:
-			// The node answered and does not have the job (restart lost
-			// it, or it was swept): re-dispatch without a recovery
-			// attempt — the node itself just said there is nothing to
-			// recover.
+			// The node answered and disowns the job: nothing to recover.
+			// Probe now, so a restart is in the generation the next
+			// placement reads (see the file comment).
+			x.probe(n)
 			return nil, errNodeLost
 		case awaitTerminal:
-			// The remote job's own decided outcome (rejected, malformed,
-			// canceled, deadline, internal error). Re-proving elsewhere
-			// would either fail identically or double-prove a job whose
-			// invocation already counted; the cluster job inherits the
-			// outcome.
+			// The remote job's own decided outcome. Re-proving elsewhere
+			// would fail identically or double-prove a job whose invocation
+			// already counted; the cluster job inherits the outcome.
 			return nil, err
 		}
-		if !sleepCtx(j.ctx, c.cfg.PollInterval) {
-			return nil, j.ctx.Err()
+		if !sleepCtx(ctx, x.cfg.PollInterval) {
+			return nil, ctx.Err()
 		}
 	}
 }
@@ -302,9 +283,15 @@ func classifyAwait(err error) int {
 	case ae.StatusCode == http.StatusNotFound:
 		return awaitGone
 	case ae.Class == "draining":
-		// The remote job was swept out of the queue by a drain without
-		// ever reaching the prover; it is safe and necessary to place it
-		// again.
+		// Swept out of the node's queue by a drain without ever reaching
+		// the prover: safe and necessary to place again.
+		return awaitGone
+	case ae.Class == "canceled":
+		// Canceled on the node, but not by this job's context (the watcher
+		// cancels remotely only after it stops polling): the node was
+		// force-drained, or the cancel was aimed at an earlier placement.
+		// Nobody asked for the cluster job to end, so it is placed again; a
+		// canceled job drops its key on the node, so the resubmit proves.
 		return awaitGone
 	case ae.StatusCode == http.StatusTooManyRequests,
 		ae.StatusCode == http.StatusServiceUnavailable,
@@ -317,41 +304,36 @@ func classifyAwait(err error) int {
 }
 
 // tryRecover makes one bounded attempt to fetch the finished result
-// from a node that was just declared lost. If the node was ejected
-// spuriously (alive but unreachable-to-probes) and the proof completed,
-// this salvages it — the cheapest possible failover, and one fewer
-// wasted prove invocation.
-func (c *Coordinator) tryRecover(j *cjob, n *node, remoteID string) (*jobs.Result, bool) {
-	rctx, cancel := context.WithTimeout(j.ctx, c.cfg.RecoverTimeout)
+// from a node that was just declared lost: if it was ejected spuriously
+// and the proof completed, this salvages it instead of re-proving.
+func (x *remote) tryRecover(j *jobcore.Job, n *node, remoteID string) (*jobs.Result, bool) {
+	rctx, cancel := context.WithTimeout(j.Context(), x.cfg.RecoverTimeout)
 	defer cancel()
 	res, err := n.client.Result(rctx, remoteID)
 	if err != nil {
 		return nil, false
 	}
-	c.met.recovered.Add(1)
+	x.met.recovered.Add(1)
 	return res, true
 }
 
-// recordCompletion pins which node (and epoch) actually produced the
-// job's result — surfaced on status, and the anchor for the soak's
-// exactly-once accounting.
-func (c *Coordinator) recordCompletion(j *cjob, n *node) {
+// recordCompletion pins which node (and epoch) produced the result.
+func (x *remote) recordCompletion(p *placement, n *node) {
 	n.mu.Lock()
-	id := n.nodeID
+	id := n.m.NodeID
 	n.mu.Unlock()
-	j.mu.Lock()
-	j.doneNodeURL = n.url
-	j.doneNodeID = id
-	j.mu.Unlock()
+	p.mu.Lock()
+	p.doneNodeURL = n.url
+	p.doneNodeID = id
+	p.mu.Unlock()
 }
 
-// cancelRemote best-effort cancels the job's attributed remote job,
-// bounded so shutdown cannot hang on a dead node. It runs outside the
-// job's (already ended) context.
-func (c *Coordinator) cancelRemote(j *cjob) {
-	j.mu.Lock()
-	n, remoteID := j.node, j.remoteID
-	j.mu.Unlock()
+// cancelRemote best-effort cancels the attributed remote job, outside
+// the job's (ended) context and bounded so a dead node cannot hang it.
+func (x *remote) cancelRemote(p *placement) {
+	p.mu.Lock()
+	n, remoteID := p.node, p.remoteID
+	p.mu.Unlock()
 	if n == nil || remoteID == "" {
 		return
 	}

@@ -1,31 +1,21 @@
-// Cluster metrics: coordinator-level counters plus a per-node roster
-// that folds in each node's probed load picture and its client stack's
-// breaker/retry statistics. Served as JSON on GET /metrics.
+// Cluster metrics: the shared sections, the remote executor's counters,
+// and a per-node roster with each node's probed load picture and its
+// client stack's breaker/retry statistics.
 package cluster
 
 import (
 	"sync/atomic"
 	"time"
 
-	"unizk/internal/server"
+	"unizk/internal/jobcore"
 	"unizk/internal/serverclient"
 )
 
-// metrics holds the coordinator's atomic counters.
+// metrics holds the remote executor's atomic counters; the lifecycle
+// counters live in the core.
 type metrics struct {
-	submitted atomic.Int64
-	completed atomic.Int64
-	failed    atomic.Int64
-	canceled  atomic.Int64
-
-	idemHits      atomic.Int64
-	idemConflicts atomic.Int64
-
 	rejectedSaturated atomic.Int64
 	rejectedNoNodes   atomic.Int64
-	rejectedInvalid   atomic.Int64
-	rejectedLimited   atomic.Int64
-	rejectedUnauth    atomic.Int64
 
 	// Failover machinery counters.
 	redispatches atomic.Int64 // jobs re-placed after their node was lost
@@ -35,21 +25,24 @@ type metrics struct {
 	epochChanges atomic.Int64 // node restarts detected via healthz identity
 }
 
-func newMetrics() *metrics { return &metrics{} }
-
 // NodeMetrics is one node's row in the cluster metrics roster.
 type NodeMetrics struct {
 	URL     string `json:"url"`
 	NodeID  string `json:"node_id,omitempty"`
 	StartNS int64  `json:"start_ns,omitempty"`
 
-	Probed   bool `json:"probed"`
-	Ejected  bool `json:"ejected"`
+	Probed  bool `json:"probed"`
+	Ejected bool `json:"ejected"`
+	// Draining mirrors the node's own /healthz drain state; a draining
+	// node finishes what it has but must not receive new placements.
 	Draining bool `json:"draining"`
-	// LastProbeAgeMS is how stale the node's last successful probe is;
-	// it climbs toward the ejection threshold while the node is dark.
+	// LastProbeAgeMS climbs toward the ejection threshold while the node
+	// is dark.
 	LastProbeAgeMS int64 `json:"last_probe_age_ms"`
 
+	// InFlight and Queued are probed; Outstanding counts cluster jobs this
+	// coordinator currently has dispatched there — the placement signal
+	// that reacts instantly, between probe ticks.
 	InFlight    int64 `json:"in_flight"`
 	Queued      int   `json:"queued"`
 	Outstanding int   `json:"outstanding"`
@@ -67,6 +60,9 @@ type NodeMetrics struct {
 	Retry   serverclient.RetryStats   `json:"retry"`
 }
 
+// healthy: probed at least once, not ejected, not draining.
+func (m NodeMetrics) healthy() bool { return m.Probed && !m.Ejected && !m.Draining }
+
 // ClusterMetrics is the JSON body of the coordinator's GET /metrics.
 type ClusterMetrics struct {
 	// Status is "ok" (all nodes healthy), "degraded" (some healthy),
@@ -76,37 +72,19 @@ type ClusterMetrics struct {
 	NodesHealthy int    `json:"nodes_healthy"`
 	Pending      int    `json:"pending"`
 
-	Submitted int64 `json:"submitted"`
-	Completed int64 `json:"completed"`
-	Failed    int64 `json:"failed"`
-	Canceled  int64 `json:"canceled"`
-
-	IdempotentHits      int64 `json:"idempotent_hits"`
-	IdempotentConflicts int64 `json:"idempotent_conflicts"`
-	IdempotencyEntries  int   `json:"idempotency_entries"`
+	serverclient.JobCounters
+	serverclient.IdempotencyMetrics
 
 	RejectedSaturated int64 `json:"rejected_saturated"`
 	RejectedNoNodes   int64 `json:"rejected_no_healthy_nodes"`
 	RejectedInvalid   int64 `json:"rejected_invalid"`
 
-	RejectedRateLimited  int64 `json:"rejected_rate_limited,omitempty"`
-	RejectedUnauthorized int64 `json:"rejected_unauthorized,omitempty"`
+	// Tenant-tier rejections, coordinator proof-cache counters (all zero
+	// when the cache is off), and the per-tenant roster.
+	serverclient.TenantSection
+	serverclient.CacheMetrics
 
-	// Coordinator proof-cache counters; all zero when the cache is off.
-	CacheHits           int64 `json:"cache_hits,omitempty"`
-	CacheMisses         int64 `json:"cache_misses,omitempty"`
-	CacheCoalesced      int64 `json:"cache_coalesced,omitempty"`
-	CacheEvicted        int64 `json:"cache_evicted,omitempty"`
-	CacheExpired        int64 `json:"cache_expired,omitempty"`
-	CacheInserted       int64 `json:"cache_inserted,omitempty"`
-	CacheVerifyRejected int64 `json:"cache_verify_rejected,omitempty"`
-	CacheEntries        int   `json:"cache_entries,omitempty"`
-
-	// Tenants is the per-tenant admission/limit roster.
-	Tenants []serverclient.TenantMetrics `json:"tenants,omitempty"`
-
-	// Journal is the write-ahead-journal section; nil when journaling is
-	// off.
+	// Journal is nil (and omitted) when journaling is off.
 	Journal *serverclient.JournalMetrics `json:"journal,omitempty"`
 
 	Redispatches int64 `json:"redispatches"`
@@ -118,87 +96,44 @@ type ClusterMetrics struct {
 	Nodes []NodeMetrics `json:"nodes"`
 }
 
-// Metrics assembles the current cluster snapshot — the same data GET
-// /metrics serves, exposed directly for embedding processes and tests.
-func (c *Coordinator) Metrics() ClusterMetrics {
+func (x *remote) Metrics(sh jobcore.Shared) any {
 	now := time.Now()
 	m := ClusterMetrics{
-		NodesTotal: len(c.nodes),
-		Submitted:  c.met.submitted.Load(),
-		Completed:  c.met.completed.Load(),
-		Failed:     c.met.failed.Load(),
-		Canceled:   c.met.canceled.Load(),
+		NodesTotal:         len(x.nodes),
+		Pending:            sh.Pending,
+		JobCounters:        sh.JobCounters,
+		IdempotencyMetrics: sh.IdempotencyMetrics,
 
-		IdempotentHits:      c.met.idemHits.Load(),
-		IdempotentConflicts: c.met.idemConflicts.Load(),
+		RejectedSaturated: x.met.rejectedSaturated.Load(),
+		RejectedNoNodes:   x.met.rejectedNoNodes.Load(),
+		RejectedInvalid:   sh.RejectedInvalid,
 
-		RejectedSaturated: c.met.rejectedSaturated.Load(),
-		RejectedNoNodes:   c.met.rejectedNoNodes.Load(),
-		RejectedInvalid:   c.met.rejectedInvalid.Load(),
+		TenantSection: sh.TenantSection,
+		CacheMetrics:  sh.CacheMetrics,
+		Journal:       sh.Journal,
 
-		Redispatches: c.met.redispatches.Load(),
-		Recovered:    c.met.recovered.Load(),
-		Ejections:    c.met.ejections.Load(),
-		Readmissions: c.met.readmissions.Load(),
-		EpochChanges: c.met.epochChanges.Load(),
+		Redispatches: x.met.redispatches.Load(),
+		Recovered:    x.met.recovered.Load(),
+		Ejections:    x.met.ejections.Load(),
+		Readmissions: x.met.readmissions.Load(),
+		EpochChanges: x.met.epochChanges.Load(),
 	}
-	c.mu.Lock()
-	m.Pending = c.pending
-	m.IdempotencyEntries = len(c.idemIndex)
-	c.mu.Unlock()
-
-	m.RejectedRateLimited = c.met.rejectedLimited.Load()
-	m.RejectedUnauthorized = c.met.rejectedUnauth.Load()
-	if c.cache != nil {
-		cs := c.cache.Stats()
-		m.CacheHits = cs.Hits
-		m.CacheMisses = cs.Misses
-		m.CacheCoalesced = cs.Coalesced
-		m.CacheEvicted = cs.Evicted
-		m.CacheExpired = cs.Expired
-		m.CacheInserted = cs.Inserted
-		m.CacheVerifyRejected = cs.VerifyRejected
-		m.CacheEntries = cs.Entries
-	}
-	m.Tenants = server.TenantMetricsFor(c.tenants)
-	if c.jnl != nil {
-		m.Journal = server.JournalMetricsFor(c.jnl.Stats(), c.epoch,
-			c.recoveredJobs, c.recoveryRedispatches)
-	}
-
-	for _, n := range c.nodes {
+	for _, n := range x.nodes {
 		n.mu.Lock()
-		row := NodeMetrics{
-			URL:               n.url,
-			NodeID:            n.nodeID,
-			StartNS:           n.startNS,
-			Probed:            n.probed,
-			Ejected:           n.ejected,
-			Draining:          n.draining,
-			InFlight:          n.inFlight,
-			Queued:            n.queued,
-			Outstanding:       n.outstanding,
-			QueueWaitP50MS:    n.queueWaitP50,
-			ProveLatencyP50MS: n.proveP50,
-			ProveInvocations:  n.proveInvocations,
-			Completed:         n.completed,
-			Ejections:         n.ejections,
-			Readmissions:      n.readmissions,
-			EpochChanges:      n.epochChanges,
-		}
+		row := n.m
 		if !n.lastOK.IsZero() {
 			row.LastProbeAgeMS = now.Sub(n.lastOK).Milliseconds()
 		}
 		n.mu.Unlock()
 		row.Breaker = n.breaker.Stats()
 		row.Retry = n.retry.Stats()
-		if row.Probed && !row.Ejected && !row.Draining {
+		if row.healthy() {
 			m.NodesHealthy++
 		}
 		m.Nodes = append(m.Nodes, row)
 	}
 	switch {
-	case c.draining.Load():
+	case sh.Draining:
 		m.Status = "draining"
 	case m.NodesHealthy == 0:
 		m.Status = "down"

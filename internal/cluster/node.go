@@ -20,64 +20,30 @@ type node struct {
 	retry   *serverclient.RetryPolicy
 
 	mu sync.Mutex
-	// probed flips true on the first successful probe and never back: an
-	// address that has never answered is "unknown", not "ejected", and
-	// cannot hold attributions worth invalidating.
+	// m is the node's row in the metrics roster, and the only copy of
+	// its probed health/load picture: placement and /metrics read the
+	// same fields. Probed flips true on the first successful probe and
+	// never back: an address that has never answered is "unknown", not
+	// "ejected", and cannot hold attributions worth invalidating.
 	//unizklint:guardedby mu
-	probed bool
-	//unizklint:guardedby mu
-	ejected bool
-	// draining mirrors the node's own /healthz drain state; a draining
-	// node finishes what it has but must not receive new placements.
-	//unizklint:guardedby mu
-	draining bool
+	m NodeMetrics
 	// gen bumps whenever in-flight attributions to this node become
 	// invalid: on ejection and on epoch change. A job dispatched at
 	// generation g is lost once n.gen > g.
 	//unizklint:guardedby mu
 	gen int64
+	// epochGen is gen as of the last epoch change. A job dispatched at
+	// generation g with epochGen > g was placed on a process that no
+	// longer exists: whatever the address holds under the same remote id
+	// or node key belongs to the current epoch and must not be canceled.
+	//unizklint:guardedby mu
+	epochGen int64
 	//unizklint:guardedby mu
 	lastOK time.Time
-	//unizklint:guardedby mu
-	lastErr error
-
-	// Epoch identity from /healthz.
-	//unizklint:guardedby mu
-	nodeID string
-	//unizklint:guardedby mu
-	startNS int64
-
-	// Probed load signals (healthz + /metrics).
-	//unizklint:guardedby mu
-	inFlight int64
-	//unizklint:guardedby mu
-	queued int
-	//unizklint:guardedby mu
-	queueWaitP50 float64
-	//unizklint:guardedby mu
-	proveP50 float64
-	//unizklint:guardedby mu
-	proveInvocations int64
-	//unizklint:guardedby mu
-	completed int64
-
-	// outstanding counts cluster jobs currently dispatched to this node
-	// by this coordinator — the placement signal that reacts instantly,
-	// between probe ticks.
-	//unizklint:guardedby mu
-	outstanding int
 	// saturatedUntil backs off placement after the node refused a submit
 	// with queue-full backpressure.
 	//unizklint:guardedby mu
 	saturatedUntil time.Time
-
-	// Lifetime transition counters for cluster metrics.
-	//unizklint:guardedby mu
-	ejections int64
-	//unizklint:guardedby mu
-	readmissions int64
-	//unizklint:guardedby mu
-	epochChanges int64
 }
 
 func newNode(baseURL string, index int, cfg Config) *node {
@@ -102,6 +68,7 @@ func newNode(baseURL string, index int, cfg Config) *node {
 	}
 	return &node{
 		url:     baseURL,
+		m:       NodeMetrics{URL: baseURL},
 		breaker: br,
 		retry:   rp,
 		client: &serverclient.Client{
@@ -122,21 +89,29 @@ func (n *node) generation() int64 {
 }
 
 // lostSince reports whether attributions made at generation g are now
-// invalid: the node was ejected or changed epoch since the dispatch.
+// invalid.
 func (n *node) lostSince(g int64) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.gen > g
 }
 
-// healthy reports admission-level eligibility: the node has answered at
-// least one probe, is not ejected, and is not draining. Saturation
-// backoff deliberately does not count — a briefly-full node is healthy,
-// and admission must not 503 because of it.
+// ejectedSince reports whether attributions made at generation g were
+// lost to ejection alone — the node's process is the one the job was
+// placed on, so a remote job orphaned there is still worth canceling.
+func (n *node) ejectedSince(g int64) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.gen > g && n.epochGen <= g
+}
+
+// healthy reports admission-level eligibility. Saturation backoff
+// deliberately does not count — a briefly-full node is healthy, and
+// admission must not 503 because of it.
 func (n *node) healthy() bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.probed && !n.ejected && !n.draining
+	return n.m.healthy()
 }
 
 // placeable reports placement-level eligibility: healthy and not inside
@@ -144,27 +119,25 @@ func (n *node) healthy() bool {
 func (n *node) placeable(now time.Time) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.probed && !n.ejected && !n.draining && !now.Before(n.saturatedUntil)
+	return n.m.healthy() && !now.Before(n.saturatedUntil)
 }
 
 // score is the least-loaded placement key: work the node already has
 // (probed queue depth + in-flight) plus work this coordinator has
-// dispatched there that the probes may not reflect yet. Lower is
-// better; ties break by node order for determinism.
+// dispatched there that the probes may not reflect yet.
 func (n *node) score() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.queued + int(n.inFlight) + n.outstanding
+	return n.m.Queued + int(n.m.InFlight) + n.m.Outstanding
 }
 
 func (n *node) addOutstanding(d int) {
 	n.mu.Lock()
-	n.outstanding += d
+	n.m.Outstanding += d
 	n.mu.Unlock()
 }
 
-// markSaturated starts a placement backoff window after the node
-// refused a submit with queue-full backpressure.
+// markSaturated starts a placement backoff window.
 func (n *node) markSaturated(d time.Duration) {
 	n.mu.Lock()
 	n.saturatedUntil = time.Now().Add(d)
@@ -174,20 +147,19 @@ func (n *node) markSaturated(d time.Duration) {
 func (n *node) proveLatencyP50() float64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.proveP50
+	return n.m.ProveLatencyP50MS
 }
 
-// probeLoop drives one node's health/load probes until the coordinator
-// shuts down. The first probe fires immediately so WaitReady clears as
-// soon as the nodes answer.
-func (c *Coordinator) probeLoop(n *node) {
-	defer c.probers.Done()
-	t := time.NewTicker(c.cfg.ProbeInterval)
+// probeLoop probes one node until the coordinator shuts down, the first
+// time immediately so WaitReady clears as soon as the nodes answer.
+func (x *remote) probeLoop(n *node) {
+	defer x.probers.Done()
+	t := time.NewTicker(x.cfg.ProbeInterval)
 	defer t.Stop()
 	for {
-		c.probe(n)
+		x.probe(n)
 		select {
-		case <-c.base.Done():
+		case <-x.core.Base().Done():
 			return
 		case <-t.C:
 		}
@@ -197,71 +169,72 @@ func (c *Coordinator) probeLoop(n *node) {
 // probe performs one health+metrics exchange against the node and folds
 // the outcome into its state: readmission on success after ejection,
 // epoch-change detection when the node identity moved, ejection once
-// failures have persisted past StaleAfter.
-func (c *Coordinator) probe(n *node) {
-	pctx, cancel := context.WithTimeout(c.base, c.cfg.ProbeTimeout)
+// failures have persisted past StaleAfter. Besides the prober, a watcher
+// calls it when a node disowns a job, so the generation it re-places
+// under already reflects a restart (the identity compare-and-set below
+// runs under n.mu, so concurrent probes count one epoch change once).
+func (x *remote) probe(n *node) {
+	pctx, cancel := context.WithTimeout(x.core.Base(), x.cfg.ProbeTimeout)
 	defer cancel()
 
 	h, status, err := n.client.HealthAny(pctx)
 	now := time.Now()
 	if err != nil {
 		n.mu.Lock()
-		n.lastErr = err
-		// Ejection is edge-triggered and conservative: only a node that
-		// was once healthy can be ejected, and only after its probes have
-		// been failing for longer than StaleAfter — transient chaos
-		// (resets, latency spikes) must not strand its in-flight jobs.
-		eject := n.probed && !n.ejected && now.Sub(n.lastOK) > c.cfg.StaleAfter
+		// Ejection is edge-triggered and conservative: only a once-healthy
+		// node, and only after StaleAfter of failing probes — transient
+		// chaos must not strand its in-flight jobs.
+		eject := n.m.Probed && !n.m.Ejected && now.Sub(n.lastOK) > x.cfg.StaleAfter
 		if eject {
-			n.ejected = true
+			n.m.Ejected = true
 			n.gen++
-			n.ejections++
+			n.m.Ejections++
 		}
 		n.mu.Unlock()
 		if eject {
-			c.met.ejections.Add(1)
+			x.met.ejections.Add(1)
 		}
 		return
 	}
 
 	var epochChanged, readmitted bool
 	n.mu.Lock()
-	if n.probed && (n.nodeID != h.NodeID || n.startNS != h.StartNS) {
+	if n.m.Probed && (n.m.NodeID != h.NodeID || n.m.StartNS != h.StartNS) {
 		// Same address, different process: the node restarted and lost
 		// its in-memory jobs. Everything attributed to the old epoch is
 		// gone even though the address answers.
 		epochChanged = true
 		n.gen++
-		n.epochChanges++
+		n.epochGen = n.gen
+		n.m.EpochChanges++
 	}
-	if n.ejected {
-		n.ejected = false
-		n.readmissions++
+	if n.m.Ejected {
+		n.m.Ejected = false
+		n.m.Readmissions++
 		readmitted = true
 	}
-	n.probed = true
-	n.nodeID, n.startNS = h.NodeID, h.StartNS
+	n.m.Probed = true
+	n.m.NodeID, n.m.StartNS = h.NodeID, h.StartNS
 	n.lastOK = now
-	n.lastErr = nil
-	n.draining = h.Status == "draining" || status == 503
-	n.inFlight, n.queued = h.InFlight, h.Queued
+	n.m.Draining = h.Status == "draining" || status == 503
+	n.m.InFlight, n.m.Queued = h.InFlight, h.Queued
 	n.mu.Unlock()
 	if epochChanged {
-		c.met.epochChanges.Add(1)
+		x.met.epochChanges.Add(1)
 	}
 	if readmitted {
-		c.met.readmissions.Add(1)
+		x.met.readmissions.Add(1)
 	}
 
 	// Load detail is best-effort: the healthz probe alone keeps the node
 	// routable, a failed metrics fetch only staleness placement signals.
 	if m, merr := n.client.Metrics(pctx); merr == nil {
 		n.mu.Lock()
-		n.inFlight, n.queued = m.InFlight, m.Queued
-		n.queueWaitP50 = m.QueueWaitP50MS
-		n.proveP50 = m.ProveLatencyP50MS
-		n.proveInvocations = m.ProveInvocations
-		n.completed = m.Completed
+		n.m.InFlight, n.m.Queued = m.InFlight, m.Queued
+		n.m.QueueWaitP50MS = m.QueueWaitP50MS
+		n.m.ProveLatencyP50MS = m.ProveLatencyP50MS
+		n.m.ProveInvocations = m.ProveInvocations
+		n.m.Completed = m.Completed
 		n.mu.Unlock()
 	}
 }

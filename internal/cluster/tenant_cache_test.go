@@ -187,45 +187,3 @@ func TestClusterCacheAndTenants(t *testing.T) {
 		t.Fatalf("tenant roster = %+v", m.Tenants)
 	}
 }
-
-// TestClusterStreamAndLongPoll checks the coordinator speaks the same
-// progress protocols as a single node: WaitStream consumes its SSE
-// stream to a verified result, and ?wait= long-polls settle promptly.
-func TestClusterStreamAndLongPoll(t *testing.T) {
-	n := startTestNode(t, server.Config{QueueCap: 16, MaxInFlight: 2})
-	t.Cleanup(n.kill)
-	coord, cl, _ := startCluster(t, fastConfig(n.url))
-	waitHealthy(t, coord, 1)
-	ctx := context.Background()
-
-	req := &jobs.Request{Kind: jobs.KindStark, Workload: "Fibonacci", LogRows: 6}
-	id, err := cl.Submit(ctx, req, serverclient.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var states []string
-	res, err := cl.WaitStream(ctx, id, func(st *serverclient.JobStatus) {
-		states = append(states, st.State)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := jobs.CheckResult(req, res); err != nil {
-		t.Fatal(err)
-	}
-	if len(states) == 0 || !serverclient.TerminalState(states[len(states)-1]) {
-		t.Fatalf("WaitStream against cluster observed %v, want terminal tail", states)
-	}
-
-	id2, err := cl.Submit(ctx, req, serverclient.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := cl.StatusWait(ctx, id2, 30*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != "done" {
-		t.Fatalf("long-poll state = %q, want done", st.State)
-	}
-}

@@ -1,9 +1,4 @@
-// HTTP status mapping for the service's error taxonomy. This is the one
-// place where internal error classes (internal/prooferr, jobqueue
-// backpressure, context cancellation) become wire-visible status codes;
-// every handler and the client rely on it, and TestStatusFor pins each
-// mapping.
-package server
+package jobcore
 
 import (
 	"context"
@@ -12,18 +7,23 @@ import (
 
 	"unizk/internal/jobqueue"
 	"unizk/internal/prooferr"
+	"unizk/internal/serverclient"
 	"unizk/internal/tenant"
 )
 
-// StatusClientClosedRequest is the non-standard (nginx-originated) code
-// for "the client went away before the response": the job's context was
-// canceled by disconnect or an explicit cancel call, not by the server.
+// StatusClientClosedRequest is the nginx-originated code for "the
+// client went away": the job was canceled by disconnect or an explicit
+// cancel call, not by the server.
 const StatusClientClosedRequest = 499
 
-// statusFor maps an error to (HTTP status, error class). The class is
-// the machine-readable label carried in JSON bodies and job status:
+// StatusFor maps an error to (HTTP status, error class) — the one place
+// internal error classes become wire-visible. Every handler, the job
+// status document and the journal go through it (via Options.Classify);
+// the class is the machine-readable label in JSON bodies:
 //
 //	nil                      → 200 ""
+//	journal-replayed outcome → the status/class it was acknowledged with
+//	serverclient.APIError    → the node's own status/class, passed through
 //	tenant.LimitError        → 429 "rate_limited" | "quota_exceeded" (retry)
 //	tenant.ErrUnknownKey     → 401 "unauthorized" (terminal: fix the key)
 //	jobqueue.ErrFull         → 429 "queue_full"   (backpressure; retry)
@@ -35,19 +35,21 @@ const StatusClientClosedRequest = 499
 //	prooferr.ErrProofRejected  → 422 "rejected"   (well-formed, refused)
 //	anything else            → 500 "internal"
 //
-// Order matters: queue and lifecycle conditions are checked before the
-// prooferr taxonomy so that, e.g., a canceled job whose error chain also
+// Order matters: decided outcomes first (a replayed or node-reported
+// result must not be re-mapped), then queue and lifecycle conditions
+// before the prooferr taxonomy, so a canceled job whose error chain also
 // carries a classification still reports the lifecycle code.
-func statusFor(err error) (int, string) {
+func StatusFor(err error) (int, string) {
 	var limit *tenant.LimitError
 	var replayed *replayedError
+	var api *serverclient.APIError
 	switch {
 	case err == nil:
 		return http.StatusOK, ""
 	case errors.As(err, &replayed):
-		// A journal-replayed terminal outcome keeps the status and class
-		// it was originally acknowledged with.
 		return replayed.code, replayed.class
+	case errors.As(err, &api):
+		return api.StatusCode, api.Class
 	case errors.As(err, &limit):
 		return http.StatusTooManyRequests, limit.Reason
 	case errors.Is(err, tenant.ErrUnknownKey):
@@ -71,19 +73,9 @@ func statusFor(err error) (int, string) {
 	}
 }
 
-// StatusFor exposes the error→(status, class) mapping to the cluster
-// coordinator, which fronts this service and must speak the identical
-// wire taxonomy.
-func StatusFor(err error) (int, string) { return statusFor(err) }
-
-// RetryableStatus exposes the transient-status classification alongside
-// StatusFor.
-func RetryableStatus(status int) bool { return retryable(status) }
-
-// retryable reports whether resubmitting the same request later can
-// succeed: backpressure, drain, cancellation, and deadline are
-// transient; malformed and rejected requests are not.
-func retryable(status int) bool {
+// Retryable reports whether resubmitting the same request later can
+// succeed: backpressure, drain, cancellation and deadline are transient.
+func Retryable(status int) bool {
 	switch status {
 	case http.StatusTooManyRequests, http.StatusServiceUnavailable,
 		StatusClientClosedRequest, http.StatusGatewayTimeout:

@@ -1,23 +1,24 @@
-// Service metrics: expvar-style monotonic counters plus reservoir
-// latency quantiles, served as JSON by GET /metrics. Everything here is
-// observability-only — nothing feeds the Fiat–Shamir transcript, so
-// wall-clock reads are safe (and this package never imports poseidon).
 package server
 
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"unizk/internal/serverclient"
 )
 
+// MetricsSnapshot is the JSON shape of GET /metrics; it lives in
+// serverclient with the other API types (the cluster coordinator decodes
+// it as a per-node load signal).
+type MetricsSnapshot = serverclient.MetricsSnapshot
+
 // latWindow is the sliding-window size for latency quantiles.
 const latWindow = 512
 
-// latencySampler keeps the last latWindow observations and answers
-// quantile queries over them.
+// latencySampler answers quantile queries over the last latWindow
+// observations. Observability-only: nothing here feeds the Fiat–Shamir
+// transcript, so wall-clock reads are safe.
 type latencySampler struct {
 	mu sync.Mutex
 	//unizklint:guardedby mu
@@ -37,10 +38,7 @@ func (l *latencySampler) add(d time.Duration) {
 // no observations.
 func (l *latencySampler) quantile(q float64) time.Duration {
 	l.mu.Lock()
-	size := l.n
-	if size > latWindow {
-		size = latWindow
-	}
+	size := min(l.n, latWindow)
 	buf := make([]time.Duration, size)
 	copy(buf, l.ring[:size])
 	l.mu.Unlock()
@@ -48,39 +46,5 @@ func (l *latencySampler) quantile(q float64) time.Duration {
 		return 0
 	}
 	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-	idx := int(q * float64(size-1))
-	return buf[idx]
+	return buf[int(q*float64(size-1))]
 }
-
-// metrics is the service's counter set.
-type metrics struct {
-	submitted       atomic.Int64 // jobs accepted into the queue
-	completed       atomic.Int64 // jobs proved successfully
-	failed          atomic.Int64 // jobs that errored (incl. deadline)
-	canceled        atomic.Int64 // jobs canceled by client or drain force
-	rejectedFull    atomic.Int64 // submissions refused: queue full
-	rejectedInvalid atomic.Int64 // submissions refused: bad request
-	rejectedDrain   atomic.Int64 // queued jobs rejected at drain
-	rejectedLimited atomic.Int64 // submissions refused: tenant rate/quota (429)
-	rejectedUnauth  atomic.Int64 // requests refused: unknown API key (401)
-	inFlight        atomic.Int64 // currently proving
-
-	proveInvocations atomic.Int64 // prover entries; == unique proved jobs
-	idemHits         atomic.Int64 // submits deduplicated onto an existing job
-	idemConflicts    atomic.Int64 // submits rejected: key reused with new request
-
-	proveLat  *latencySampler // running → finished
-	queueWait *latencySampler // submitted → running
-}
-
-func newMetrics() *metrics {
-	return &metrics{proveLat: &latencySampler{}, queueWait: &latencySampler{}}
-}
-
-// MetricsSnapshot is the JSON shape of GET /metrics. The struct itself
-// lives in serverclient with the rest of the API types (the cluster
-// coordinator decodes it as a per-node load signal); the alias keeps
-// this package's established name.
-type MetricsSnapshot = serverclient.MetricsSnapshot
-
-func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

@@ -3,10 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"sort"
 	"testing"
 	"time"
@@ -33,106 +30,6 @@ func newDurableTestServer(t *testing.T, dir string, cfg Config) (*Server, *serve
 		ts.Close()
 	})
 	return s, serverclient.New(ts.URL)
-}
-
-// TestServerJournalRestartRetainsState restarts a journaled server
-// cleanly and checks the replayed process serves the first life's
-// results bit-identically, keeps its idempotency bindings, bumps the
-// persisted epoch, and reports the replay in /metrics and /healthz.
-func TestServerJournalRestartRetainsState(t *testing.T) {
-	dir := t.TempDir()
-	cfg := Config{QueueCap: 8, MaxInFlight: 2}
-
-	s1, c1 := newDurableTestServer(t, dir, cfg)
-	ctx := context.Background()
-
-	plain := &jobs.Request{Kind: jobs.KindPlonk, Workload: "Fibonacci", LogRows: 5}
-	keyed := &jobs.Request{Kind: jobs.KindStark, Workload: "Factorial", LogRows: 5,
-		IdempotencyKey: "restart-k1"}
-
-	plainID, err := c1.Submit(ctx, plain, serverclient.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	keyedID, err := c1.Submit(ctx, keyed, serverclient.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plainRes, err := c1.Wait(ctx, plainID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c1.Wait(ctx, keyedID); err != nil {
-		t.Fatal(err)
-	}
-	if s1.epoch != 1 {
-		t.Fatalf("first life epoch = %d, want 1", s1.epoch)
-	}
-	sctx, scancel := context.WithTimeout(ctx, 30*time.Second)
-	_ = s1.Shutdown(sctx)
-	scancel()
-
-	s2, c2 := newDurableTestServer(t, dir, cfg)
-	if s2.epoch != 2 {
-		t.Fatalf("second life epoch = %d, want 2", s2.epoch)
-	}
-	h, err := c2.Health(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Epoch != 2 {
-		t.Fatalf("healthz epoch = %d, want 2", h.Epoch)
-	}
-
-	// The first life's result is still served, bit-identical.
-	res, err := c2.Result(ctx, plainID)
-	if err != nil {
-		t.Fatalf("replayed result fetch: %v", err)
-	}
-	if !bytes.Equal(res.Proof, plainRes.Proof) {
-		t.Fatal("replayed proof differs from the one acknowledged before restart")
-	}
-	st, err := c2.Status(ctx, keyedID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != "done" {
-		t.Fatalf("replayed keyed job state = %q, want done", st.State)
-	}
-
-	// The idempotency binding survived: the same key resolves to the
-	// pre-restart job instead of proving again.
-	dupID, err := c2.Submit(ctx, keyed, serverclient.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dupID != keyedID {
-		t.Fatalf("idempotent resubmit after restart = %s, want %s", dupID, keyedID)
-	}
-
-	// A *sync* prove of the same key parks on the restored job's done
-	// channel; it must observe the channel already closed and return at
-	// once, not hang (the channel is rebuilt by replay, not by a prove).
-	pctx, pcancel := context.WithTimeout(ctx, 30*time.Second)
-	defer pcancel()
-	syncRes, err := c2.Prove(pctx, keyed, serverclient.Options{})
-	if err != nil {
-		t.Fatalf("sync prove against replayed terminal job: %v", err)
-	}
-	if len(syncRes.Proof) == 0 {
-		t.Fatal("sync prove against replayed terminal job returned no proof")
-	}
-
-	m, err := c2.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Journal == nil {
-		t.Fatal("metrics journal section missing with journaling on")
-	}
-	if m.Journal.Epoch != 2 || m.Journal.RecordsReplayed == 0 {
-		t.Fatalf("journal metrics = %+v, want epoch 2 and replayed records", m.Journal)
-	}
 }
 
 // TestServerJournalRequeuesUnfinished replays a hand-written journal
@@ -195,9 +92,9 @@ func TestServerJournalRequeuesUnfinished(t *testing.T) {
 			t.Fatalf("%s: recovered proof differs from direct prove", id)
 		}
 	}
-	if s.recoveredJobs != 2 || s.recoveryRedispatches != 1 {
+	if jm := s.Metrics().Journal; jm.RecoveredJobs != 2 || jm.RecoveryRedispatches != 1 {
 		t.Fatalf("recovered=%d redispatches=%d, want 2 and 1",
-			s.recoveredJobs, s.recoveryRedispatches)
+			jm.RecoveredJobs, jm.RecoveryRedispatches)
 	}
 	// New admissions must not collide with replayed ids.
 	freshID, err := c.Submit(ctx, &jobs.Request{Kind: jobs.KindPlonk, Workload: "MVM", LogRows: 5}, serverclient.Options{})
@@ -206,121 +103,5 @@ func TestServerJournalRequeuesUnfinished(t *testing.T) {
 	}
 	if freshID <= "j00000002" {
 		t.Fatalf("fresh id %s does not continue the replayed sequence", freshID)
-	}
-}
-
-// TestServerJournalTornTailTruncated corrupts the journal tail — the
-// torn write a crash can leave — and checks startup truncates it and
-// keeps serving what was durable, rather than refusing to start.
-func TestServerJournalTornTailTruncated(t *testing.T) {
-	dir := t.TempDir()
-	cfg := Config{QueueCap: 8, MaxInFlight: 2}
-
-	s1, c1 := newDurableTestServer(t, dir, cfg)
-	ctx := context.Background()
-	id, err := c1.Submit(ctx, &jobs.Request{Kind: jobs.KindPlonk, Workload: "Fibonacci", LogRows: 5}, serverclient.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res1, err := c1.Wait(ctx, id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sctx, scancel := context.WithTimeout(ctx, 30*time.Second)
-	_ = s1.Shutdown(sctx)
-	scancel()
-
-	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.wal"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("no journal segments in %s (err=%v)", dir, err)
-	}
-	sort.Strings(segs)
-	f, err := os.OpenFile(segs[len(segs)-1], os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte{0xde, 0xad, 0xbe, 0xef, 0x01}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, c2 := newDurableTestServer(t, dir, cfg)
-	got, err := c2.Result(ctx, id)
-	if err != nil {
-		t.Fatalf("result after torn-tail recovery: %v", err)
-	}
-	if !bytes.Equal(got.Proof, res1.Proof) {
-		t.Fatal("proof changed across torn-tail recovery")
-	}
-	stats := s2.jnl.Stats()
-	if stats.TruncatedTails == 0 {
-		t.Fatalf("stats = %+v, want a truncated-tail event", stats)
-	}
-	m, err := c2.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Journal == nil || m.Journal.TruncatedTails == 0 {
-		t.Fatalf("metrics journal = %+v, want truncated_tails > 0", m.Journal)
-	}
-}
-
-// TestJournalMetricsShape pins the /metrics wire shape of the journal
-// section: present with the documented field names when journaling is
-// on, absent entirely when it is off.
-func TestJournalMetricsShape(t *testing.T) {
-	ctx := context.Background()
-
-	s, c := newDurableTestServer(t, t.TempDir(), Config{QueueCap: 4, MaxInFlight: 1})
-	if _, err := c.Submit(ctx, &jobs.Request{Kind: jobs.KindPlonk, Workload: "Fibonacci", LogRows: 4}, serverclient.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := json.Marshal(s.Metrics())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatal(err)
-	}
-	sect, ok := doc["journal"]
-	if !ok {
-		t.Fatalf("metrics JSON has no journal section: %s", raw)
-	}
-	var fields map[string]any
-	if err := json.Unmarshal(sect, &fields); err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{
-		"epoch", "records_appended", "records_replayed", "fsyncs",
-		"fsync_p50_ms", "fsync_p99_ms", "segments", "snapshots",
-		"snapshot_age_ms", "truncated_tails", "recovery_duration_ms",
-		"recovered_jobs", "recovery_redispatches",
-	} {
-		if _, ok := fields[key]; !ok {
-			t.Errorf("journal metrics missing %q: %s", key, sect)
-		}
-	}
-	if fields["epoch"].(float64) != 1 {
-		t.Fatalf("fresh journal epoch = %v, want 1", fields["epoch"])
-	}
-	if fields["records_appended"].(float64) == 0 {
-		t.Fatal("an admitted job appended no journal records")
-	}
-
-	// Journaling off: the section must be omitted, not zero-filled.
-	off, _ := newTestServer(t, Config{QueueCap: 4, MaxInFlight: 1})
-	raw, err = json.Marshal(off.Metrics())
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc = nil
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := doc["journal"]; ok {
-		t.Fatalf("journaling off but metrics JSON has a journal section: %s", raw)
 	}
 }

@@ -1,19 +1,17 @@
-// Package server is the proving service: an HTTP front-end that admits
-// Plonk and Stark proof jobs into a bounded queue (internal/jobqueue)
-// and a scheduler that dispatches them onto the shared worker pool
-// (internal/parallel) through the ProveContext cancellation plumbing.
-// It is the system-level counterpart of the paper's kernel mapping
-// (§5): a stream of proof kernels contending for fixed compute, with
-// admission control at the front and bounded concurrency at the back —
-// concurrent jobs share the pool's workers instead of oversubscribing
-// cores, and per-job deadlines, client disconnects, and server drain
-// all arrive at the kernels as context cancellation.
+// Package server is the single-node proving service: the job-lifecycle
+// core (internal/jobcore — admission, idempotency, journal, HTTP API)
+// with a local executor that compiles each admitted job, holds it in a
+// bounded queue (internal/jobqueue), and proves it on the shared worker
+// pool (internal/parallel) through the ProveContext cancellation
+// plumbing. It is the system-level counterpart of the paper's kernel
+// mapping (§5): a stream of proof kernels contending for fixed compute,
+// with admission control at the front and bounded concurrency at the
+// back — concurrent jobs share the pool's workers instead of
+// oversubscribing cores, and per-job deadlines, client disconnects, and
+// server drain all arrive at the kernels as context cancellation.
 //
-// Lifecycle: New starts the scheduler; Handler serves the API
-// (submit/status/proof, a synchronous prove, healthz, metrics);
-// Shutdown drains — admission stops, queued-but-unstarted jobs are
-// rejected with a retryable error, in-flight jobs get until the
-// caller's deadline before their contexts are canceled.
+// Lifecycle: New starts the runners, Handler serves the API, Shutdown
+// drains.
 package server
 
 import (
@@ -27,24 +25,20 @@ import (
 	"sync/atomic"
 	"time"
 
+	"unizk/internal/jobcore"
 	"unizk/internal/jobqueue"
 	"unizk/internal/jobs"
 	"unizk/internal/journal"
+	"unizk/internal/parallel"
 	"unizk/internal/proofcache"
+	"unizk/internal/serverclient"
 	"unizk/internal/tenant"
 )
 
-// ErrDraining rejects work while (or after) the server drains. It is
-// retryable: another replica, or this one after restart, can take the
-// job.
-var ErrDraining = errors.New("server draining, retry later")
-
-// errNotFinished is the internal marker for result requests against
-// jobs that are still queued or running.
-var errNotFinished = errors.New("job not finished")
-
-// Config sizes the service. The zero value is usable: every field has a
-// default applied by New.
+// Config sizes the service. The zero value is usable. QueueCap,
+// MaxInFlight and RegistryCircuits configure the local executor; every
+// other field is the jobcore.Options field of the same name, documented
+// and defaulted there.
 type Config struct {
 	// QueueCap bounds the number of queued-but-unstarted jobs; pushes
 	// beyond it fail fast with 429 + Retry-After. Default 64.
@@ -54,274 +48,59 @@ type Config struct {
 	// latency against utilization when jobs have serial phases; it does
 	// not multiply CPU demand. Default 2.
 	MaxInFlight int
-	// DefaultTimeout applies to jobs that do not request a deadline;
-	// 0 means none. Default 5m.
-	DefaultTimeout time.Duration
-	// MaxTimeout caps client-requested deadlines. Default 30m.
-	MaxTimeout time.Duration
-	// RetryAfter is the minimum backpressure hint; the advertised value
-	// scales with observed prove latency and queue depth. Default 1s.
-	RetryAfter time.Duration
-	// MaxBodyBytes bounds request bodies. Default 1<<26.
-	MaxBodyBytes int64
-	// MaxRetained bounds finished-job records kept for status/result
-	// queries; the oldest finished jobs are evicted first. Default 1024.
-	// Retained records double as the idempotency result cache: an
-	// evicted job's idempotency entry is dropped with it.
-	MaxRetained int
-	// IdempotencyTTL bounds how long a submitted idempotency key
-	// deduplicates retries. Default 10m.
-	IdempotencyTTL time.Duration
-	// MaxIdempotencyKeys bounds the idempotency index; the oldest
-	// entries are evicted first. Default 4096.
-	MaxIdempotencyKeys int
-
-	// CacheEntries > 0 enables the content-addressed proof cache
-	// (internal/proofcache) with that many entries. 0 disables it — the
-	// default, so deployments (and tests) that rely on every admitted
-	// job proving must opt in.
-	CacheEntries int
-	// CacheTTL bounds cached proof age; proofcache.DefaultTTL when 0.
-	CacheTTL time.Duration
-	// CacheVerify makes the cache verify each proof against its compiled
-	// job before inserting (verify-on-insert): a proof failing its own
-	// verifier fails the job and is never served from cache.
-	CacheVerify bool
 	// RegistryCircuits > 0 enables the precompiled-circuit registry:
 	// hot (kind, workload, logRows) triples compile once and every
 	// subsequent admit derives from the stored base. 0 disables it.
 	RegistryCircuits int
-	// Tenants, when non-nil, is the multi-tenant registry: API keys,
-	// rate limits, in-flight quotas, priority classes. Nil gets a
-	// registry with only the unlimited default tenant, which keeps
-	// unauthenticated single-user deployments working untouched.
-	Tenants *tenant.Registry
 
-	// JournalDir, when non-empty, enables the write-ahead journal:
-	// admissions, prover entries, terminal outcomes, and idempotency
-	// bindings are durable before they are acknowledged, and a server
-	// restarted on the same directory replays them — terminal jobs back
-	// into the retained set, unfinished jobs back into the queue. Empty
-	// disables journaling.
-	JournalDir string
-	// JournalFsync selects the journal's fsync policy; the zero value is
-	// journal.FsyncBatch (group commit).
-	JournalFsync journal.Policy
-	// SnapshotEvery is the journal's snapshot/compaction cadence in
-	// records; 0 uses the journal default, negative disables snapshots.
-	SnapshotEvery int
+	DefaultTimeout     time.Duration
+	MaxTimeout         time.Duration
+	RetryAfter         time.Duration
+	MaxBodyBytes       int64
+	MaxRetained        int
+	IdempotencyTTL     time.Duration
+	MaxIdempotencyKeys int
+	CacheEntries       int
+	CacheTTL           time.Duration
+	CacheVerify        bool
+	Tenants            *tenant.Registry
+	JournalDir         string
+	JournalFsync       journal.Policy
+	SnapshotEvery      int
 
-	// testHookRunning, when set by in-package tests, runs synchronously
-	// after a job transitions to running and before its prover starts —
-	// the handle tests use to hold jobs in flight deterministically. It
-	// lives in Config so it is in place before the runners start.
-	testHookRunning func(*job)
+	// testHookRunning, when set by in-package tests, runs after a job
+	// transitions to running and before its prover starts.
+	testHookRunning func(*jobcore.Job)
 }
 
-func (c Config) withDefaults() Config {
-	if c.QueueCap <= 0 {
-		c.QueueCap = 64
-	}
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = 2
-	}
-	if c.DefaultTimeout == 0 {
-		c.DefaultTimeout = 5 * time.Minute
-	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 30 * time.Minute
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 26
-	}
-	if c.MaxRetained <= 0 {
-		c.MaxRetained = 1024
-	}
-	if c.IdempotencyTTL <= 0 {
-		c.IdempotencyTTL = 10 * time.Minute
-	}
-	if c.MaxIdempotencyKeys <= 0 {
-		c.MaxIdempotencyKeys = 4096
-	}
-	return c
-}
-
-// jobState is a job's lifecycle position.
-type jobState int
-
-const (
-	stateQueued jobState = iota
-	stateRunning
-	stateDone
-	stateFailed
-	stateCanceled
-)
-
-func (s jobState) String() string {
-	switch s {
-	case stateQueued:
-		return "queued"
-	case stateRunning:
-		return "running"
-	case stateDone:
-		return "done"
-	case stateFailed:
-		return "failed"
-	case stateCanceled:
-		return "canceled"
-	default:
-		return fmt.Sprintf("state(%d)", int(s))
-	}
-}
-
-// job is one admitted proof job and its mutable lifecycle record.
-type job struct {
-	id       string
-	req      *jobs.Request
-	compiled *jobs.Job
-	priority int
-	timeout  time.Duration
-
-	// ctx is derived from the server's base context and carries the
-	// job's deadline, measured from admission (it covers queue wait and
-	// prove). cancel aborts the job whether queued (the runner skips
-	// it) or proving (ProveContext unwinds through every parallel
-	// kernel) and releases the deadline timer.
-	ctx    context.Context
-	cancel context.CancelFunc
-	// done closes exactly once, when the job reaches a terminal state.
-	done chan struct{}
-	// running closes exactly once, when the job transitions to
-	// stateRunning; jobs that finish without ever running (canceled in
-	// queue, drained, cache-served) never close it — progress streams
-	// select on done alongside it.
-	running chan struct{}
-
-	// owner is the tenant whose in-flight slot this job holds (nil when
-	// the job holds none: dedup/cache/coalesce attachments and tenants
-	// without quotas still set it for attribution, but only slotHeld
-	// jobs release a slot at finish).
-	owner    *tenant.Tenant
-	slotHeld bool
-	// cacheKey/cacheLeader mark a job that leads a proof-cache flight:
-	// its result (or failure) settles the flight in finish/run.
-	cacheKey    proofcache.Key
-	cacheLeader bool
-
-	mu sync.Mutex
-	//unizklint:guardedby mu
-	state jobState
-	//unizklint:guardedby mu
-	res *jobs.Result
-	//unizklint:guardedby mu
-	err error
-	//unizklint:guardedby mu
-	submitted time.Time
-	//unizklint:guardedby mu
-	started time.Time
-	//unizklint:guardedby mu
-	finished time.Time
-
-	// dispatches counts prover entries for this job (journaled as
-	// TypeDispatched before each Prove); snapshots persist it so the
-	// re-prove accounting survives compaction.
-	//unizklint:guardedby mu
-	dispatches int
-}
-
-// snapshot returns the fields the status endpoint reports, consistently.
-func (j *job) snapshot() (state jobState, err error, queueWait, prove time.Duration) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	state, err = j.state, j.err
-	if !j.started.IsZero() {
-		queueWait = j.started.Sub(j.submitted)
-		if !j.finished.IsZero() {
-			prove = j.finished.Sub(j.started)
-		}
-	} else if !j.finished.IsZero() {
-		queueWait = j.finished.Sub(j.submitted)
-	}
-	return state, err, queueWait, prove
-}
-
-// result returns the terminal outcome, or errNotFinished.
-func (j *job) result() (*jobs.Result, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	switch j.state {
-	case stateDone:
-		return j.res, nil
-	case stateFailed, stateCanceled:
-		return nil, j.err
-	default:
-		return nil, errNotFinished
+func (c Config) options() jobcore.Options {
+	return jobcore.Options{
+		IDPrefix:           "j",
+		DefaultTimeout:     c.DefaultTimeout,
+		MaxTimeout:         c.MaxTimeout,
+		RetryAfter:         c.RetryAfter,
+		MaxBodyBytes:       c.MaxBodyBytes,
+		MaxRetained:        c.MaxRetained,
+		IdempotencyTTL:     c.IdempotencyTTL,
+		MaxIdempotencyKeys: c.MaxIdempotencyKeys,
+		CacheEntries:       c.CacheEntries,
+		CacheTTL:           c.CacheTTL,
+		CacheVerify:        c.CacheVerify,
+		Tenants:            c.Tenants,
+		JournalDir:         c.JournalDir,
+		JournalFsync:       c.JournalFsync,
+		SnapshotEvery:      c.SnapshotEvery,
 	}
 }
 
 // Server is the proving service. Construct with New; it is ready (and
-// its scheduler running) on return.
+// its runners started) on return.
 type Server struct {
-	cfg   Config
-	queue *jobqueue.Queue[*job]
-	met   *metrics
-	mux   *http.ServeMux
-
-	// nodeID and started name this server epoch: a fresh random ID and
-	// the construction instant, surfaced on /healthz so a cluster
-	// coordinator can detect that a node at a known address restarted
-	// (same addr, new epoch) and lost its in-memory job state.
-	nodeID  string
-	started time.Time
-
-	// cache/registry/tenants are the PR 9 serving-tier subsystems; cache
-	// and registry are nil when disabled, tenants is always non-nil.
-	cache    *proofcache.Cache
-	registry *proofcache.Registry
-	tenants  *tenant.Registry
-
-	base      context.Context
-	cancelAll context.CancelFunc
-	runners   sync.WaitGroup
-	draining  atomic.Bool
-	nextID    atomic.Int64
-
-	// jnl is the write-ahead journal (nil when Config.JournalDir is
-	// empty); epoch is the persisted server epoch, set once in NewDurable
-	// before any request is served, alongside the recovery counters. aux
-	// tracks the snapshot loop, waited out by Shutdown before the
-	// journal closes.
-	jnl                  *journal.Journal
-	epoch                uint64
-	recoveredJobs        int64
-	recoveryRedispatches int64
-	aux                  sync.WaitGroup
-
-	// snapMu is the snapshot barrier: journal-append-plus-state-mutation
-	// pairs run under RLock; the snapshot writer captures state and
-	// compacts under Lock. Ordering: snapMu before s.mu before j.mu.
-	snapMu sync.RWMutex
-
-	mu sync.Mutex
-	//unizklint:guardedby mu
-	now func() time.Time // test hook for idempotency TTL expiry; nil means time.Now
-	//unizklint:guardedby mu
-	jobsByID map[string]*job
-	//unizklint:guardedby mu
-	finishedList []string
-	//unizklint:guardedby mu
-	idemIndex map[string]*idemEntry
-	//unizklint:guardedby mu
-	idemOrder []idemOrderEntry
-	//unizklint:guardedby mu
-	idemSeq uint64
+	x *local
 }
 
-// New builds the service and starts its scheduler runners. It panics if
-// the configured journal directory cannot be opened or replayed — use
+// New builds the service and starts its runners. It panics if the
+// configured journal directory cannot be opened or replayed — use
 // NewDurable to handle that error; without Config.JournalDir, New
 // cannot fail.
 func New(cfg Config) *Server {
@@ -337,82 +116,52 @@ func New(cfg Config) *Server {
 // retained records (results replayable, idempotency intact), unfinished
 // jobs re-enter the queue, and the persisted epoch bumps.
 func NewDurable(cfg Config) (*Server, error) {
-	cfg = cfg.withDefaults()
-	base, cancel := context.WithCancel(context.Background())
-	s := &Server{
-		cfg:       cfg,
-		queue:     jobqueue.New[*job](cfg.QueueCap),
-		met:       newMetrics(),
-		nodeID:    newNodeID(),
-		started:   time.Now(),
-		base:      base,
-		cancelAll: cancel,
-		jobsByID:  make(map[string]*job),
-		idemIndex: make(map[string]*idemEntry),
-	}
-	if cfg.CacheEntries > 0 {
-		s.cache = proofcache.New(proofcache.Config{
-			MaxEntries: cfg.CacheEntries,
-			TTL:        cfg.CacheTTL,
-			Verify:     cfg.CacheVerify,
-		})
+	jobcore.Default(&cfg.QueueCap, 64)
+	jobcore.Default(&cfg.MaxInFlight, 2)
+	x := &local{
+		core:    jobcore.New(cfg.options()),
+		cfg:     cfg,
+		queue:   jobqueue.New[*jobcore.Job](cfg.QueueCap),
+		nodeID:  newNodeID(),
+		started: time.Now(),
 	}
 	if cfg.RegistryCircuits > 0 {
-		s.registry = proofcache.NewRegistry(cfg.RegistryCircuits)
+		x.registry = proofcache.NewRegistry(cfg.RegistryCircuits)
 	}
-	s.tenants = cfg.Tenants
-	if s.tenants == nil {
-		// NewRegistry without configs cannot fail: it only synthesizes
-		// the unlimited default tenant.
-		s.tenants, _ = tenant.NewRegistry()
-	}
-	s.mux = s.buildMux()
-	var requeue []*job
-	if cfg.JournalDir != "" {
-		jnl, err := journal.Open(cfg.JournalDir, journal.Options{
-			Fsync:         cfg.JournalFsync,
-			SnapshotEvery: cfg.SnapshotEvery,
-		})
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		s.jnl = jnl
-		if requeue, err = s.recover(); err != nil {
-			cancel()
-			jnl.Close()
-			return nil, err
-		}
-		s.aux.Add(1)
-		go s.snapshotLoop()
-	}
+	// The runners start before recovery re-enqueues unfinished jobs, so a
+	// full queue at startup drains instead of failing them.
 	for i := 0; i < cfg.MaxInFlight; i++ {
-		s.runners.Add(1)
-		go s.runner(base)
+		x.runners.Add(1)
+		go x.runner()
 	}
-	// Push replayed unfinished jobs after the runners start, oldest
-	// first; a queue that cannot take one (shrunk QueueCap) fails that
-	// job with the retryable draining class rather than blocking startup.
-	for _, j := range requeue {
-		if err := s.queue.Push(j, j.priority); err != nil {
-			s.finish(j, nil, fmt.Errorf("job %s could not re-enter the queue after recovery: %w", j.id, ErrDraining))
-		}
+	if err := x.core.Open(x); err != nil {
+		x.Close()
+		return nil, err
 	}
-	return s, nil
+	return &Server{x: x}, nil
 }
 
-// Handler returns the HTTP API. Mount it on any http.Server (or
-// httptest.Server); Shutdown drains jobs but leaves serving the
-// listener to the caller.
-func (s *Server) Handler() http.Handler { return s.mux }
+// Handler returns the HTTP API; serving the listener is the caller's.
+func (s *Server) Handler() http.Handler { return s.x.core.Handler() }
 
-// NodeID returns this server epoch's random identity, as reported on
-// /healthz.
-func (s *Server) NodeID() string { return s.nodeID }
+// NodeID is this server epoch's random identity, as on /healthz.
+func (s *Server) NodeID() string { return s.x.nodeID }
 
-// StartTime returns when this server epoch was constructed, as reported
-// on /healthz (UnixNano).
-func (s *Server) StartTime() time.Time { return s.started }
+// StartTime is when this server epoch was constructed, as on /healthz.
+func (s *Server) StartTime() time.Time { return s.x.started }
+
+// Shutdown drains the service: admission stops, queued-but-unstarted
+// jobs are rejected with the retryable jobcore.ErrDraining, and
+// in-flight jobs run to completion unless ctx expires first — then
+// their contexts are canceled (which reaches every parallel kernel) and
+// Shutdown waits for them to unwind. It returns nil on a clean drain,
+// ctx.Err() if jobs had to be canceled.
+func (s *Server) Shutdown(ctx context.Context) error { return s.x.core.Shutdown(ctx) }
+
+// Metrics is the document GET /metrics serves.
+func (s *Server) Metrics() MetricsSnapshot {
+	return s.x.Metrics(s.x.core.Shared()).(MetricsSnapshot)
+}
 
 // newNodeID mints the per-epoch identity: 8 random bytes, hex-encoded.
 // crypto/rand never feeds a transcript here — the ID exists precisely
@@ -420,523 +169,166 @@ func (s *Server) StartTime() time.Time { return s.started }
 func newNodeID() string {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
-		// The system entropy source failing is unrecoverable for a
-		// service; fall back to a time-derived ID rather than refusing
-		// to start.
+		// No entropy source: a time-derived ID beats refusing to start.
 		return fmt.Sprintf("t%x", time.Now().UnixNano())
 	}
 	return hex.EncodeToString(b[:])
 }
 
-// clock reads the injected time source; the idempotency index's TTL
-// expiry goes through it so tests drive expiry deterministically
-// (same pattern as serverclient.Breaker.clock).
-//
-//unizklint:holds s.mu
-func (s *Server) clock() time.Time {
-	if s.now != nil {
-		return s.now()
-	}
-	return time.Now()
+// local is the jobcore.Executor that proves in this process: Prepare
+// compiles, Start enqueues, and MaxInFlight runners pop jobs in
+// priority-then-FIFO order and prove them on the shared pool.
+type local struct {
+	core     *jobcore.Core
+	cfg      Config
+	queue    *jobqueue.Queue[*jobcore.Job]
+	registry *proofcache.Registry // nil when disabled
+	runners  sync.WaitGroup
+
+	// nodeID and started name this server epoch on /healthz, so a cluster
+	// coordinator can detect that a node at a known address restarted and
+	// lost its in-memory job state.
+	nodeID  string
+	started time.Time
+
+	inFlight     atomic.Int64 // currently proving
+	rejectedFull atomic.Int64 // submissions refused: queue full
+	// proveInvocations counts prover entries, not admissions: the soaks
+	// compare it with unique jobs to show retries never prove twice.
+	proveInvocations atomic.Int64
+	proveLat         latencySampler // running → proved
+	queueWait        latencySampler // submitted → running
 }
 
-// runner is the scheduler loop: it pops admitted jobs in
-// priority-then-FIFO order and proves them on the shared pool. MaxInFlight
-// runners give bounded prove concurrency; Pop consults ctx, so
-// cancellation (and queue close on drain) stops the loop.
-func (s *Server) runner(ctx context.Context) {
-	defer s.runners.Done()
+// Prepare compiles the request (through the registry when configured),
+// so bad requests are refused at submit time and the runners only
+// prove. Restored terminal jobs need no circuit.
+func (x *local) Prepare(j *jobcore.Job, rec *journal.JobRecord) error {
+	if rec != nil && rec.Terminal {
+		return nil
+	}
+	compile := jobs.Compile
+	if x.registry != nil {
+		compile = x.registry.JobFor
+	}
+	compiled, err := compile(j.Req)
+	if err != nil {
+		return err
+	}
+	j.Exec, j.Verify = compiled, compiled.Check
+	return nil
+}
+
+// Start enqueues the job; a full or closed queue refuses it.
+func (x *local) Start(j *jobcore.Job) error {
+	err := x.queue.Push(j, j.Priority)
+	switch {
+	case errors.Is(err, jobqueue.ErrFull):
+		x.rejectedFull.Add(1)
+	case errors.Is(err, jobqueue.ErrClosed):
+		err = jobcore.ErrDraining
+	}
+	return err
+}
+
+// runner is the scheduler loop. Pop consults the base context, so a
+// forced shutdown (and queue close on drain) stops it.
+func (x *local) runner() {
+	defer x.runners.Done()
 	for {
-		j, err := s.queue.Pop(ctx)
+		j, err := x.queue.Pop(x.core.Base())
 		if err != nil {
 			return
 		}
-		s.run(j)
+		x.run(j)
 	}
 }
 
 // run executes one job to a terminal state.
-func (s *Server) run(j *job) {
+func (x *local) run(j *jobcore.Job) {
 	// A job canceled (or deadline-expired) while queued is finished
 	// without proving.
-	if err := j.ctx.Err(); err != nil {
-		s.finish(j, nil, err)
+	if err := j.Context().Err(); err != nil {
+		x.core.Finish(j, nil, err)
 		return
 	}
-	s.snapMu.RLock()
-	j.mu.Lock()
-	j.state = stateRunning
-	j.started = time.Now()
-	wait := j.started.Sub(j.submitted)
-	j.dispatches++
-	j.mu.Unlock()
-	// Durable before the prover entry: replay over-counts rather than
-	// under-counts prover entries, so a recovered server's re-prove is
-	// always a recorded one.
-	s.journalDispatched(j.id)
-	s.snapMu.RUnlock()
-	close(j.running)
-	s.met.inFlight.Add(1)
-	s.met.queueWait.add(wait)
-	if hook := s.cfg.testHookRunning; hook != nil {
+	x.queueWait.add(x.core.Dispatch(j, ""))
+	began := time.Now()
+	x.inFlight.Add(1)
+	if hook := x.cfg.testHookRunning; hook != nil {
 		hook(j)
 	}
-
-	// proveInvocations counts actual prover entries (not admissions):
-	// it is what the chaos soak compares against unique admitted jobs to
-	// prove that retried submits never prove twice.
-	s.met.proveInvocations.Add(1)
-	res, err := j.compiled.Prove(j.ctx)
-	s.met.inFlight.Add(-1)
-	if err == nil && j.cacheLeader {
-		// Settle the proof-cache flight before the job goes terminal:
-		// with verify-on-insert, a proof that fails its own verifier
-		// fails the job (and is never cached) instead of fanning out to
-		// every coalesced waiter.
-		if cerr := s.cache.Complete(j.cacheKey, j.id, res, s.cacheCheck(j)); cerr != nil {
-			res, err = nil, cerr
-		}
+	x.proveInvocations.Add(1)
+	res, err := j.Exec.(*jobs.Job).Prove(j.Context())
+	x.inFlight.Add(-1)
+	if err == nil {
+		x.proveLat.add(time.Since(began))
 	}
-	s.finish(j, res, err)
+	x.core.Finish(j, res, err)
 }
 
-// cacheCheck returns the verify-on-insert hook for a leader job, nil
-// when verification is disabled.
-func (s *Server) cacheCheck(j *job) func(*jobs.Result) error {
-	if !s.cfg.CacheVerify {
-		return nil
+// Backlog scales the observed median prove latency by the queue depth
+// per runner. While draining the queue is closed and empty, so the
+// estimate switches to the in-flight jobs shutdown is waiting out — the
+// soonest this process (restarted) or a sibling could take the retry.
+func (x *local) Backlog() time.Duration {
+	depth := int64(x.queue.Len())/int64(x.cfg.MaxInFlight) + 1
+	if x.core.Draining() {
+		depth = x.inFlight.Load() + 1
 	}
-	return j.compiled.Check
+	return time.Duration(depth) * x.proveLat.quantile(0.50)
 }
 
-// finish moves a job to its terminal state exactly once and records
-// metrics. It is called by the runner, by Shutdown for drained queued
-// jobs, and by admission rollback paths.
-func (s *Server) finish(j *job, res *jobs.Result, err error) {
-	s.snapMu.RLock()
-	j.mu.Lock()
-	if j.state == stateDone || j.state == stateFailed || j.state == stateCanceled {
-		j.mu.Unlock()
-		s.snapMu.RUnlock()
-		return
-	}
-	wasRunning := j.state == stateRunning
-	j.finished = time.Now()
-	j.res, j.err = res, err
-	switch {
-	case err == nil:
-		j.state = stateDone
-	case errors.Is(err, context.Canceled):
-		j.state = stateCanceled
-	default:
-		j.state = stateFailed
-	}
-	var proveTime time.Duration
-	if wasRunning {
-		proveTime = j.finished.Sub(j.started)
-	}
-	state := j.state
-	j.mu.Unlock()
-	// The terminal record must be durable before close(j.done) releases
-	// waiters: an acked outcome survives a crash.
-	s.journalTerminal(j.id, state, res, err)
-	s.snapMu.RUnlock()
+func (x *local) Attribution(*jobcore.Job) jobcore.Attribution { return jobcore.Attribution{} }
 
-	switch state {
-	case stateDone:
-		s.met.completed.Add(1)
-		s.met.proveLat.add(proveTime)
-	case stateCanceled:
-		s.met.canceled.Add(1)
-	default:
-		if errors.Is(err, ErrDraining) {
-			s.met.rejectedDrain.Add(1)
-		} else {
-			s.met.failed.Add(1)
-		}
-	}
-	if j.cacheLeader {
-		// No-op after a successful Complete (the flight is already
-		// settled); clears the flight on every failure path — canceled in
-		// queue, deadline, drain — so the content stays provable.
-		s.cache.Abort(j.cacheKey, j.id)
-	}
-	if j.slotHeld {
-		j.owner.Release()
-	}
-	j.cancel()
-	close(j.done)
-	s.retire(j)
+func (x *local) Health(h *serverclient.Health) int {
+	h.Queued = x.queue.Len()
+	h.InFlight = x.inFlight.Load()
+	h.NodeID, h.StartNS = x.nodeID, x.started.UnixNano()
+	return http.StatusOK
 }
 
-// retire records a finished job for later status queries and evicts the
-// oldest finished records beyond the retention bound. An evicted job's
-// idempotency entry goes with it: the index only ever points at live
-// records, so a dedup hit can always replay the result.
-func (s *Server) retire(j *job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.finishedList = append(s.finishedList, j.id)
-	for len(s.finishedList) > s.cfg.MaxRetained {
-		evict := s.finishedList[0]
-		s.finishedList = s.finishedList[1:]
-		if old, ok := s.jobsByID[evict]; ok {
-			s.idemDeleteLocked(old.req.IdempotencyKey, evict)
-			delete(s.jobsByID, evict)
-		}
+// Drain closes the queue and rejects what it still held.
+func (x *local) Drain() {
+	for _, j := range x.queue.Close() {
+		x.core.Finish(j, nil, fmt.Errorf("job %s was queued at drain: %w", j.ID, jobcore.ErrDraining))
 	}
 }
 
-// admitHow classifies how a submit resolved to its job.
-type admitHow int
+func (x *local) Close() { x.runners.Wait() }
 
-const (
-	// admitFresh admitted a new job that will prove.
-	admitFresh admitHow = iota
-	// admitDeduped attached to an existing job via the idempotency key.
-	admitDeduped
-	// admitCached was served from the content-addressed proof cache; the
-	// returned job was minted already done.
-	admitCached
-	// admitCoalesced attached to the in-flight job already proving
-	// identical content (thundering-herd protection).
-	admitCoalesced
-)
+func (x *local) Metrics(sh jobcore.Shared) any {
+	qs := x.queue.Stats()
+	snap := MetricsSnapshot{
+		Queued:            qs.Len,
+		InFlight:          x.inFlight.Load(),
+		JobCounters:       sh.JobCounters,
+		RejectedQueueFull: x.rejectedFull.Load(),
+		RejectedInvalid:   sh.RejectedInvalid,
+		RejectedDraining:  sh.RejectedDraining,
+		Workers:           parallel.Workers(),
 
-// admit validates, compiles, registers, and enqueues a request on
-// behalf of tn (nil means the default tenant). On any error the job is
-// not registered and the typed error maps to an HTTP status via
-// statusFor. Non-fresh outcomes return an existing (or pre-completed)
-// job: the caller serves that job's result instead of proving again.
-//
-// Admission order: drain gate, tenant rate token, idempotency lookup,
-// proof-cache lookup/flight, tenant in-flight slot, compile, register,
-// enqueue. Rejections happen cheapest-first — a rate-limited tenant
-// never costs a compile, and a cache hit never takes a quota slot (it
-// admits no new work).
-func (s *Server) admit(req *jobs.Request, priority int, timeout time.Duration, tn *tenant.Tenant) (j *job, how admitHow, err error) {
-	if s.draining.Load() {
-		return nil, admitFresh, ErrDraining
-	}
-	if tn == nil {
-		tn = s.tenants.Default()
-	}
-	if err := tn.AllowSubmit(); err != nil {
-		s.met.rejectedLimited.Add(1)
-		return nil, admitFresh, err
-	}
-	priority = tn.EffectivePriority(priority)
-	var fp [32]byte
-	if req.IdempotencyKey != "" {
-		raw, err := req.MarshalBinary()
-		if err != nil {
-			return nil, admitFresh, err
-		}
-		fp = requestFingerprint(raw)
-		s.mu.Lock()
-		existing, err := s.idemLookupLocked(req.IdempotencyKey, fp)
-		s.mu.Unlock()
-		if err != nil {
-			return nil, admitFresh, err
-		}
-		if existing != nil {
-			s.met.idemHits.Add(1)
-			tn.RecordAdmit()
-			return existing, admitDeduped, nil
-		}
-	}
-	id := fmt.Sprintf("j%08d", s.nextID.Add(1))
-	var ckey proofcache.Key
-	cacheLeader := false
-	if s.cache != nil {
-		// Validate before touching the cache so malformed requests keep
-		// their 400s; only valid content ever completes a flight.
-		if err := req.Validate(); err != nil {
-			s.met.rejectedInvalid.Add(1)
-			return nil, admitFresh, err
-		}
-		ckey = proofcache.KeyFor(req)
-		res, leaderID, leader := s.cache.Begin(ckey, id)
-		for i := 0; leaderID != ""; i++ {
-			if lj, ok := s.lookup(leaderID); ok {
-				tn.RecordAdmit()
-				return lj, admitCoalesced, nil
-			}
-			// The flight exists but its leader's job is not visible yet:
-			// the leader is in its window between Begin and registration
-			// (compile, slot acquisition), or its admission failed and the
-			// flight is about to clear. Wait a beat and re-resolve; after a
-			// bounded wait, prove independently rather than stalling
-			// admission on a flight nobody can observe.
-			if i >= 500 {
-				leaderID = ""
-				break
-			}
-			time.Sleep(2 * time.Millisecond)
-			if cur, ok := s.cache.Flight(ckey); ok && cur == leaderID {
-				continue
-			}
-			res, leaderID, leader = s.cache.Begin(ckey, id)
-		}
-		if res != nil {
-			return s.admitCached(id, req, priority, res, tn, fp)
-		}
-		if leader {
-			cacheLeader = true
-		}
-	}
-	// rollback unwinds cache-flight leadership on every pre-enqueue
-	// failure path so the content stays provable by the next submit.
-	rollback := func() {
-		if cacheLeader {
-			s.cache.Abort(ckey, id)
-		}
-	}
-	slotHeld := false
-	if err := tn.AcquireSlot(time.Duration(s.retryAfterSeconds()) * time.Second); err != nil {
-		rollback()
-		s.met.rejectedLimited.Add(1)
-		return nil, admitFresh, err
-	}
-	slotHeld = true
-	releaseSlot := func() { tn.Release() }
-	compiled, err := s.compile(req)
-	if err != nil {
-		rollback()
-		releaseSlot()
-		s.met.rejectedInvalid.Add(1)
-		return nil, admitFresh, err
-	}
-	if timeout <= 0 || timeout > s.cfg.MaxTimeout {
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
-		} else {
-			timeout = s.cfg.DefaultTimeout
-		}
-	}
-	ctx, cancel := context.WithCancel(s.base)
-	if timeout > 0 {
-		// The deadline runs from admission: a job that waits out its
-		// deadline in the queue fails with "deadline" without ever
-		// taking workers.
-		var tcancel context.CancelFunc
-		ctx, tcancel = context.WithTimeout(ctx, timeout)
-		inner := cancel
-		cancel = func() { tcancel(); inner() }
-	}
-	j = &job{
-		id:          id,
-		req:         req,
-		compiled:    compiled,
-		priority:    priority,
-		timeout:     timeout,
-		ctx:         ctx,
-		cancel:      cancel,
-		done:        make(chan struct{}),
-		running:     make(chan struct{}),
-		owner:       tn,
-		slotHeld:    slotHeld,
-		cacheKey:    ckey,
-		cacheLeader: cacheLeader,
-		submitted:   time.Now(),
-	}
-	// Journal the admission before registration and enqueue: nothing is
-	// acknowledged (admit has not returned) until the record is durable.
-	s.snapMu.RLock()
-	if err := s.journalAdmitted(j); err != nil {
-		s.snapMu.RUnlock()
-		j.cancel()
-		rollback()
-		releaseSlot()
-		return nil, admitFresh, err
-	}
-	s.mu.Lock()
-	if req.IdempotencyKey != "" {
-		// Recheck under the lock: a concurrent duplicate may have
-		// registered the key while this request was compiling. Exactly
-		// one of the racing submits admits; the rest attach to its job.
-		existing, lerr := s.idemLookupLocked(req.IdempotencyKey, fp)
-		if lerr != nil || existing != nil {
-			s.mu.Unlock()
-			// The Admitted record is already durable; mark the loser
-			// superseded so replay does not resurrect it.
-			s.journalSuperseded(j.id)
-			s.snapMu.RUnlock()
-			j.cancel()
-			rollback()
-			releaseSlot()
-			if lerr != nil {
-				return nil, admitFresh, lerr
-			}
-			s.met.idemHits.Add(1)
-			return existing, admitDeduped, nil
-		}
-		s.idemInsertLocked(req.IdempotencyKey, fp, j.id)
-	}
-	s.jobsByID[j.id] = j
-	s.mu.Unlock()
-	if err := s.queue.Push(j, priority); err != nil {
-		s.mu.Lock()
-		delete(s.jobsByID, j.id)
-		s.idemDeleteLocked(req.IdempotencyKey, j.id)
-		s.mu.Unlock()
-		// The admission was never acknowledged; a replay must not
-		// resurrect it.
-		s.journalSuperseded(j.id)
-		s.snapMu.RUnlock()
-		// finish (via cacheLeader/slotHeld) would also unwind these, but
-		// the job was never enqueued — do it directly and cheaply.
-		j.cacheLeader, j.slotHeld = false, false
-		j.cancel()
-		rollback()
-		releaseSlot()
-		if errors.Is(err, jobqueue.ErrClosed) {
-			err = ErrDraining
-		}
-		if errors.Is(err, jobqueue.ErrFull) {
-			s.met.rejectedFull.Add(1)
-		}
-		return nil, admitFresh, err
-	}
-	if req.IdempotencyKey != "" {
-		s.journalIdem(req.IdempotencyKey, fp, j.id)
-	}
-	s.snapMu.RUnlock()
-	s.met.submitted.Add(1)
-	return j, admitFresh, nil
-}
+		ProveInvocations:   x.proveInvocations.Load(),
+		IdempotencyMetrics: sh.IdempotencyMetrics,
 
-// compile builds the request's job, through the precompiled-circuit
-// registry when one is configured.
-func (s *Server) compile(req *jobs.Request) (*jobs.Job, error) {
-	if s.registry != nil {
-		return s.registry.JobFor(req)
-	}
-	return jobs.Compile(req)
-}
+		QueueHighWater:      qs.HighWater,
+		QueueRejectedPushes: qs.RejectedFull + qs.RejectedClosed,
 
-// admitCached mints an already-done job record for a proof-cache hit so
-// every existing surface — status, proof fetch, sync prove, waiters,
-// idempotent replays — serves the cached result through the normal job
-// lifecycle, with zero queue time and zero prover entries.
-func (s *Server) admitCached(id string, req *jobs.Request, priority int, res *jobs.Result, tn *tenant.Tenant, fp [32]byte) (*job, admitHow, error) {
-	// Counted here, not via AcquireSlot: a cached serve claims no slot
-	// but is still a submission the tenant had accepted.
-	tn.RecordAdmit()
-	ctx, cancel := context.WithCancel(s.base)
-	j := &job{
-		id:        id,
-		req:       req,
-		priority:  priority,
-		ctx:       ctx,
-		cancel:    cancel,
-		done:      make(chan struct{}),
-		running:   make(chan struct{}),
-		owner:     tn,
-		submitted: time.Now(),
-	}
-	s.snapMu.RLock()
-	if err := s.journalAdmitted(j); err != nil {
-		s.snapMu.RUnlock()
-		j.cancel()
-		return nil, admitFresh, err
-	}
-	s.mu.Lock()
-	if req.IdempotencyKey != "" {
-		existing, lerr := s.idemLookupLocked(req.IdempotencyKey, fp)
-		if lerr != nil || existing != nil {
-			s.mu.Unlock()
-			s.journalSuperseded(j.id)
-			s.snapMu.RUnlock()
-			j.cancel()
-			if lerr != nil {
-				return nil, admitFresh, lerr
-			}
-			s.met.idemHits.Add(1)
-			return existing, admitDeduped, nil
-		}
-		s.idemInsertLocked(req.IdempotencyKey, fp, id)
-	}
-	s.jobsByID[id] = j
-	s.mu.Unlock()
-	if req.IdempotencyKey != "" {
-		s.journalIdem(req.IdempotencyKey, fp, id)
-	}
-	s.snapMu.RUnlock()
-	s.met.submitted.Add(1)
-	s.finish(j, res, nil)
-	return j, admitCached, nil
-}
+		ProveLatencyP50MS: jobcore.MS(x.proveLat.quantile(0.50)),
+		ProveLatencyP99MS: jobcore.MS(x.proveLat.quantile(0.99)),
+		QueueWaitP50MS:    jobcore.MS(x.queueWait.quantile(0.50)),
+		QueueWaitP99MS:    jobcore.MS(x.queueWait.quantile(0.99)),
 
-// lookup returns a registered job by id.
-func (s *Server) lookup(id string) (*job, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobsByID[id]
-	return j, ok
-}
-
-// Shutdown drains the service: admission stops, queued-but-unstarted
-// jobs are rejected with the retryable ErrDraining, and in-flight jobs
-// run to completion unless ctx expires first, at which point their
-// contexts are canceled and Shutdown waits for them to unwind (the
-// cancellation reaches every parallel kernel, so this is prompt).
-// It returns nil on a clean drain, ctx.Err() if jobs had to be canceled.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.draining.Store(true)
-	for _, j := range s.queue.Close() {
-		s.finish(j, nil, fmt.Errorf("job %s was queued at drain: %w", j.id, ErrDraining))
+		CacheMetrics:  sh.CacheMetrics,
+		TenantSection: sh.TenantSection,
+		Journal:       sh.Journal,
 	}
-	done := make(chan struct{})
-	go func() {
-		s.runners.Wait()
-		close(done)
-	}()
-	var forced error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		forced = ctx.Err()
-		s.cancelAll()
-		<-done
+	if x.registry != nil {
+		rs := x.registry.Stats()
+		snap.RegistryHits = rs.Hits
+		snap.RegistryMisses = rs.Misses
+		snap.RegistryCompiles = rs.Compiles
+		snap.RegistryEntries = rs.Entries
 	}
-	s.cancelAll()
-	if s.jnl != nil {
-		// Runners are done and cancelAll stops the snapshot loop; a clean
-		// close fsyncs the journal tail.
-		s.aux.Wait()
-		_ = s.jnl.Close()
-	}
-	return forced
-}
-
-// Draining reports whether Shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
-// retryAfterSeconds is the backpressure hint for 429/503 responses: at
-// least the configured floor, scaled by how long the current queue will
-// take to drain at the observed median prove latency. While draining,
-// the queue is already closed and empty, so the estimate switches to
-// the in-flight jobs that shutdown is waiting out — the soonest this
-// process (restarted) or a sibling replica could plausibly take the
-// retry.
-func (s *Server) retryAfterSeconds() int {
-	hint := s.cfg.RetryAfter
-	if p50 := s.met.proveLat.quantile(0.50); p50 > 0 {
-		depth := int64(s.queue.Len())/int64(s.cfg.MaxInFlight) + 1
-		if s.draining.Load() {
-			depth = s.met.inFlight.Load() + 1
-		}
-		if est := time.Duration(depth) * p50; est > hint {
-			hint = est
-		}
-	}
-	secs := int((hint + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > 60 {
-		secs = 60
-	}
-	return secs
+	return snap
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"unizk/internal/jobcore"
 	"unizk/internal/jobs"
 	"unizk/internal/serverclient"
 )
@@ -87,10 +88,10 @@ func TestBackpressureEndToEnd(t *testing.T) {
 	const queueCap = 2
 	gate := make(chan struct{})
 	_, c := newTestServer(t, Config{QueueCap: queueCap, MaxInFlight: 1,
-		testHookRunning: func(j *job) {
+		testHookRunning: func(j *jobcore.Job) {
 			select {
 			case <-gate:
-			case <-j.ctx.Done():
+			case <-j.Context().Done():
 			}
 		}})
 	ctx := context.Background()
@@ -218,14 +219,14 @@ func TestSyncProve(t *testing.T) {
 // TestSyncProveClientDisconnect ties the cancellation plumbing together:
 // dropping the sync connection mid-prove cancels the job's context.
 func TestSyncProveClientDisconnect(t *testing.T) {
-	running := make(chan *job, 1)
+	running := make(chan *jobcore.Job, 1)
 	gate := make(chan struct{})
 	_, c := newTestServer(t, Config{QueueCap: 4, MaxInFlight: 1,
-		testHookRunning: func(j *job) {
+		testHookRunning: func(j *jobcore.Job) {
 			running <- j
 			select {
 			case <-gate:
-			case <-j.ctx.Done():
+			case <-j.Context().Done():
 			}
 		}})
 	defer close(gate)
@@ -236,7 +237,7 @@ func TestSyncProveClientDisconnect(t *testing.T) {
 		_, err := c.Prove(ctx, &jobs.Request{Kind: jobs.KindPlonk, Workload: "Fibonacci", LogRows: 6}, serverclient.Options{})
 		errc <- err
 	}()
-	var j *job
+	var j *jobcore.Job
 	select {
 	case j = <-running:
 	case <-time.After(10 * time.Second):
@@ -252,11 +253,11 @@ func TestSyncProveClientDisconnect(t *testing.T) {
 		t.Fatal("sync prove did not return after disconnect")
 	}
 	select {
-	case <-j.done:
+	case <-j.Done():
 	case <-time.After(10 * time.Second):
 		t.Fatal("job not finished after disconnect")
 	}
-	if state, jerr, _, _ := j.snapshot(); state != stateCanceled || !errors.Is(jerr, context.Canceled) {
+	if state, jerr := j.Outcome(); state != jobcore.StateCanceled || !errors.Is(jerr, context.Canceled) {
 		t.Fatalf("job after disconnect: state %v err %v, want canceled", state, jerr)
 	}
 }
@@ -266,7 +267,7 @@ func TestSyncProveClientDisconnect(t *testing.T) {
 func TestJobDeadline(t *testing.T) {
 	_, c := newTestServer(t, Config{QueueCap: 4, MaxInFlight: 1,
 		// Hold the job until its own deadline fires.
-		testHookRunning: func(j *job) { <-j.ctx.Done() }})
+		testHookRunning: func(j *jobcore.Job) { <-j.Context().Done() }})
 	req := &jobs.Request{Kind: jobs.KindPlonk, Workload: "Fibonacci", LogRows: 6}
 	_, err := c.Prove(context.Background(), req, serverclient.Options{Timeout: 50 * time.Millisecond})
 	var apiErr *serverclient.APIError
@@ -368,10 +369,10 @@ func TestMetricsEndpoint(t *testing.T) {
 func TestCancelQueuedJob(t *testing.T) {
 	gate := make(chan struct{})
 	_, c := newTestServer(t, Config{QueueCap: 4, MaxInFlight: 1,
-		testHookRunning: func(j *job) {
+		testHookRunning: func(j *jobcore.Job) {
 			select {
 			case <-gate:
-			case <-j.ctx.Done():
+			case <-j.Context().Done():
 			}
 		}})
 	ctx := context.Background()
@@ -399,7 +400,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	// Its proof endpoint maps to 499.
 	_, err = c.Result(ctx, queued)
 	var apiErr *serverclient.APIError
-	if !errors.As(err, &apiErr) || apiErr.StatusCode != StatusClientClosedRequest {
+	if !errors.As(err, &apiErr) || apiErr.StatusCode != jobcore.StatusClientClosedRequest {
 		t.Fatalf("result of canceled job = %v, want 499", err)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"unizk/internal/jobcore"
 	"unizk/internal/jobs"
 	"unizk/internal/serverclient"
 )
@@ -21,10 +22,10 @@ func TestGracefulShutdownDrains(t *testing.T) {
 
 	gate := make(chan struct{})
 	s := New(Config{QueueCap: 4, MaxInFlight: 1,
-		testHookRunning: func(j *job) {
+		testHookRunning: func(j *jobcore.Job) {
 			select {
 			case <-gate:
-			case <-j.ctx.Done():
+			case <-j.Context().Done():
 			}
 		}})
 	ts := httptest.NewServer(s.Handler())
@@ -106,7 +107,7 @@ func TestShutdownForcedCancel(t *testing.T) {
 
 	s := New(Config{QueueCap: 4, MaxInFlight: 1,
 		// Hold the job until drain force-cancels it.
-		testHookRunning: func(j *job) { <-j.ctx.Done() }})
+		testHookRunning: func(j *jobcore.Job) { <-j.Context().Done() }})
 	ts := httptest.NewServer(s.Handler())
 	c := serverclient.New(ts.URL)
 	ctx := context.Background()

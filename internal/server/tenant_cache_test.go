@@ -1,17 +1,15 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"unizk/internal/jobcore"
 	"unizk/internal/jobs"
 	"unizk/internal/serverclient"
 	"unizk/internal/tenant"
@@ -88,10 +86,10 @@ func TestProofCacheCoalescing(t *testing.T) {
 	gate := make(chan struct{})
 	s, c := newTestServer(t, Config{QueueCap: 16, MaxInFlight: 2,
 		CacheEntries: 16,
-		testHookRunning: func(j *job) {
+		testHookRunning: func(j *jobcore.Job) {
 			select {
 			case <-gate:
-			case <-j.ctx.Done():
+			case <-j.Context().Done():
 			}
 		}})
 	ctx := context.Background()
@@ -165,10 +163,10 @@ func TestCacheFailureNotCached(t *testing.T) {
 	gate := make(chan struct{})
 	s, c := newTestServer(t, Config{QueueCap: 8, MaxInFlight: 1,
 		CacheEntries: 16,
-		testHookRunning: func(j *job) {
+		testHookRunning: func(j *jobcore.Job) {
 			select {
 			case <-gate:
-			case <-j.ctx.Done():
+			case <-j.Context().Done():
 			}
 		}})
 	ctx := context.Background()
@@ -300,10 +298,10 @@ func TestTenantInFlightQuota(t *testing.T) {
 	}
 	gate := make(chan struct{})
 	_, c := newTestServer(t, Config{QueueCap: 8, MaxInFlight: 2, Tenants: reg,
-		testHookRunning: func(j *job) {
+		testHookRunning: func(j *jobcore.Job) {
 			select {
 			case <-gate:
-			case <-j.ctx.Done():
+			case <-j.Context().Done():
 			}
 		}})
 	ctx := context.Background()
@@ -337,198 +335,5 @@ func TestTenantInFlightQuota(t *testing.T) {
 	}
 	if _, err := small.Wait(ctx, id); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestStatusLongPoll parks a ?wait= status request against a held job
-// and checks it returns promptly once the job settles (not after the
-// full wait).
-func TestStatusLongPoll(t *testing.T) {
-	gate := make(chan struct{})
-	_, c := newTestServer(t, Config{QueueCap: 8, MaxInFlight: 1,
-		testHookRunning: func(j *job) {
-			select {
-			case <-gate:
-			case <-j.ctx.Done():
-			}
-		}})
-	ctx := context.Background()
-	id, err := c.Submit(ctx, &jobs.Request{Kind: jobs.KindPlonk, Workload: "Fibonacci", LogRows: 5}, serverclient.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitForState(t, c, id, "running")
-
-	type polled struct {
-		st  *serverclient.JobStatus
-		err error
-	}
-	got := make(chan polled, 1)
-	go func() {
-		st, err := c.StatusWait(ctx, id, time.Minute)
-		got <- polled{st, err}
-	}()
-	// The long-poll must be parked, not answered with "running".
-	select {
-	case p := <-got:
-		t.Fatalf("long-poll returned early: %+v %v", p.st, p.err)
-	case <-time.After(100 * time.Millisecond):
-	}
-	close(gate)
-	select {
-	case p := <-got:
-		if p.err != nil {
-			t.Fatal(p.err)
-		}
-		if p.st.State != "done" {
-			t.Fatalf("long-poll state = %q, want done", p.st.State)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("long-poll did not return after job settled")
-	}
-
-	// A zero wait still answers immediately, and a bad wait is 400.
-	if st, err := c.StatusWait(ctx, id, 0); err != nil || st.State != "done" {
-		t.Fatalf("plain status = %+v %v", st, err)
-	}
-	resp, err := http.Get(c.BaseURL + "/v1/jobs/" + id + "?wait=bogus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad wait = %d, want 400", resp.StatusCode)
-	}
-}
-
-// TestStatusSSE consumes the raw SSE stream for a held job: an initial
-// "running" event, then a terminal "done" event, then EOF.
-func TestStatusSSE(t *testing.T) {
-	gate := make(chan struct{})
-	_, c := newTestServer(t, Config{QueueCap: 8, MaxInFlight: 1,
-		testHookRunning: func(j *job) {
-			select {
-			case <-gate:
-			case <-j.ctx.Done():
-			}
-		}})
-	ctx := context.Background()
-	id, err := c.Submit(ctx, &jobs.Request{Kind: jobs.KindStark, Workload: "Fibonacci", LogRows: 5}, serverclient.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitForState(t, c, id, "running")
-
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/jobs/"+id, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hreq.Header.Set("Accept", "text/event-stream")
-	resp, err := http.DefaultClient.Do(hreq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "text/event-stream") {
-		t.Fatalf("content type = %q, want text/event-stream", ct)
-	}
-
-	events := make(chan serverclient.JobStatus, 4)
-	go func() {
-		defer close(events)
-		sc := bufio.NewScanner(resp.Body)
-		for sc.Scan() {
-			if data, ok := strings.CutPrefix(sc.Text(), "data: "); ok {
-				var st serverclient.JobStatus
-				if json.Unmarshal([]byte(data), &st) == nil {
-					events <- st
-				}
-			}
-		}
-	}()
-
-	first := <-events
-	if first.State != "running" {
-		t.Fatalf("first SSE event state = %q, want running", first.State)
-	}
-	close(gate)
-	var last serverclient.JobStatus
-	for st := range events { // drains until the server ends the stream
-		last = st
-	}
-	if last.State != "done" {
-		t.Fatalf("terminal SSE event state = %q, want done", last.State)
-	}
-
-	// The client helper consumes the same stream end to end.
-	id2, err := c.Submit(ctx, &jobs.Request{Kind: jobs.KindStark, Workload: "Factorial", LogRows: 5}, serverclient.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var seen []string
-	res, err := c.WaitStream(ctx, id2, func(st *serverclient.JobStatus) {
-		seen = append(seen, st.State)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := jobs.CheckResult(&jobs.Request{Kind: jobs.KindStark, Workload: "Factorial", LogRows: 5}, res); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) == 0 || !serverclient.TerminalState(seen[len(seen)-1]) {
-		t.Fatalf("WaitStream observed states %v, want a terminal tail", seen)
-	}
-}
-
-// TestIdempotencyTTLDeterministic drives the idempotency index's TTL
-// through the injected clock — no sleeps: the key dedups while fresh,
-// then re-admits the instant the clock passes expiry.
-func TestIdempotencyTTLDeterministic(t *testing.T) {
-	s, c := newTestServer(t, Config{QueueCap: 8, MaxInFlight: 2,
-		IdempotencyTTL: 10 * time.Minute})
-	now := time.Unix(1_700_000_000, 0)
-	s.mu.Lock()
-	s.now = func() time.Time { return now }
-	s.mu.Unlock()
-	ctx := context.Background()
-	req := &jobs.Request{Kind: jobs.KindPlonk, Workload: "Fibonacci", LogRows: 5,
-		IdempotencyKey: "clocked"}
-
-	first, err := c.SubmitDetail(ctx, req, serverclient.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Wait(ctx, first.ID); err != nil {
-		t.Fatal(err)
-	}
-
-	// One tick short of the TTL: still deduplicates.
-	s.mu.Lock()
-	now = now.Add(10*time.Minute - time.Nanosecond)
-	s.mu.Unlock()
-	replay, err := c.SubmitDetail(ctx, req, serverclient.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !replay.Deduplicated || replay.ID != first.ID {
-		t.Fatalf("pre-expiry replay = %+v, want dedup onto %s", replay, first.ID)
-	}
-
-	// At the TTL boundary the entry is expired: fresh admit.
-	s.mu.Lock()
-	now = now.Add(time.Nanosecond)
-	s.mu.Unlock()
-	fresh, err := c.SubmitDetail(ctx, req, serverclient.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fresh.Deduplicated || fresh.ID == first.ID {
-		t.Fatalf("post-expiry replay = %+v, want fresh admit", fresh)
-	}
-	if _, err := c.Wait(ctx, fresh.ID); err != nil {
-		t.Fatal(err)
-	}
-	if m := s.Metrics(); m.IdempotentHits != 1 {
-		t.Fatalf("idempotent hits = %d, want 1", m.IdempotentHits)
 	}
 }

@@ -81,17 +81,58 @@ type Health struct {
 	Epoch uint64 `json:"epoch,omitempty"`
 }
 
-// MetricsSnapshot is the JSON body of GET /metrics. It lives here with
-// the other API shapes so the server, the client, and the cluster
-// coordinator (which reads per-node metrics as load signals) cannot
-// drift; internal/server aliases it.
+// The /metrics sections every tier serves. The job-lifecycle core
+// (internal/jobcore) fills them once; the single server's
+// MetricsSnapshot and the cluster coordinator's document both embed
+// them, so the shared JSON keys cannot drift between tiers.
+
+// JobCounters counts jobs by lifecycle outcome.
+type JobCounters struct {
+	Submitted int64 `json:"submitted"`
+	Completed int64 `json:"completed"`
+	Failed    int64 `json:"failed"`
+	Canceled  int64 `json:"canceled"`
+}
+
+// IdempotencyMetrics exposes the dedup index: replayed submits,
+// key-reuse rejections, and the current (bounded, TTL'd) entry count.
+type IdempotencyMetrics struct {
+	IdempotentHits      int64 `json:"idempotent_hits"`
+	IdempotentConflicts int64 `json:"idempotent_conflicts"`
+	IdempotencyEntries  int   `json:"idempotency_entries"`
+}
+
+// CacheMetrics holds the proof-cache counters (internal/proofcache),
+// all zero when the cache is disabled. CacheHits counts submits served
+// a stored proof; CacheCoalesced counts submits attached to an
+// in-flight identical prove.
+type CacheMetrics struct {
+	CacheHits           int64 `json:"cache_hits,omitempty"`
+	CacheMisses         int64 `json:"cache_misses,omitempty"`
+	CacheCoalesced      int64 `json:"cache_coalesced,omitempty"`
+	CacheEvicted        int64 `json:"cache_evicted,omitempty"`
+	CacheExpired        int64 `json:"cache_expired,omitempty"`
+	CacheInserted       int64 `json:"cache_inserted,omitempty"`
+	CacheVerifyRejected int64 `json:"cache_verify_rejected,omitempty"`
+	CacheEntries        int   `json:"cache_entries,omitempty"`
+}
+
+// TenantSection holds the tenant-tier rejection counters and the
+// per-tenant roster.
+type TenantSection struct {
+	RejectedRateLimited  int64           `json:"rejected_rate_limited,omitempty"`
+	RejectedUnauthorized int64           `json:"rejected_unauthorized,omitempty"`
+	Tenants              []TenantMetrics `json:"tenants,omitempty"`
+}
+
+// MetricsSnapshot is the JSON body of a single server's GET /metrics.
+// It lives here with the other API shapes so the server, the client,
+// and the cluster coordinator (which reads per-node metrics as load
+// signals) cannot drift; internal/server aliases it.
 type MetricsSnapshot struct {
-	Queued            int   `json:"queued"`
-	InFlight          int64 `json:"in_flight"`
-	Submitted         int64 `json:"submitted"`
-	Completed         int64 `json:"completed"`
-	Failed            int64 `json:"failed"`
-	Canceled          int64 `json:"canceled"`
+	Queued   int   `json:"queued"`
+	InFlight int64 `json:"in_flight"`
+	JobCounters
 	RejectedQueueFull int64 `json:"rejected_queue_full"`
 	RejectedInvalid   int64 `json:"rejected_invalid"`
 	RejectedDraining  int64 `json:"rejected_draining"`
@@ -101,12 +142,7 @@ type MetricsSnapshot struct {
 	// equals the number of unique admitted jobs that reached the prover,
 	// regardless of how many times each was (re)submitted.
 	ProveInvocations int64 `json:"prove_invocations"`
-	// IdempotentHits / IdempotentConflicts / IdempotencyEntries expose
-	// the dedup index: replayed submits, key-reuse rejections, and the
-	// current (bounded, TTL'd) entry count.
-	IdempotentHits      int64 `json:"idempotent_hits"`
-	IdempotentConflicts int64 `json:"idempotent_conflicts"`
-	IdempotencyEntries  int   `json:"idempotency_entries"`
+	IdempotencyMetrics
 
 	// QueueHighWater and QueueRejectedPushes come from the jobqueue
 	// itself: the deepest the queue has ever been, and every push it
@@ -119,18 +155,7 @@ type MetricsSnapshot struct {
 	QueueWaitP50MS    float64 `json:"queue_wait_p50_ms"`
 	QueueWaitP99MS    float64 `json:"queue_wait_p99_ms"`
 
-	// Proof-cache counters (internal/proofcache), all zero when the
-	// cache is disabled. CacheHits counts submits served a stored
-	// proof; CacheCoalesced counts submits attached to an in-flight
-	// identical prove.
-	CacheHits           int64 `json:"cache_hits,omitempty"`
-	CacheMisses         int64 `json:"cache_misses,omitempty"`
-	CacheCoalesced      int64 `json:"cache_coalesced,omitempty"`
-	CacheEvicted        int64 `json:"cache_evicted,omitempty"`
-	CacheExpired        int64 `json:"cache_expired,omitempty"`
-	CacheInserted       int64 `json:"cache_inserted,omitempty"`
-	CacheVerifyRejected int64 `json:"cache_verify_rejected,omitempty"`
-	CacheEntries        int   `json:"cache_entries,omitempty"`
+	CacheMetrics
 
 	// Precompiled-circuit registry counters; zero when disabled.
 	RegistryHits     int64 `json:"registry_hits,omitempty"`
@@ -138,10 +163,7 @@ type MetricsSnapshot struct {
 	RegistryCompiles int64 `json:"registry_compiles,omitempty"`
 	RegistryEntries  int   `json:"registry_entries,omitempty"`
 
-	// Tenant-tier rejection counters and the per-tenant roster.
-	RejectedRateLimited  int64           `json:"rejected_rate_limited,omitempty"`
-	RejectedUnauthorized int64           `json:"rejected_unauthorized,omitempty"`
-	Tenants              []TenantMetrics `json:"tenants,omitempty"`
+	TenantSection
 
 	// Journal is the write-ahead-journal section; nil when journaling is
 	// off.
