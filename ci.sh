@@ -99,6 +99,15 @@ go test -race -timeout 15m -run '^TestCrashRecoverySoak$' ./internal/cluster
 # divergence fail under its own name.
 go test -race -run 'TestRef|TestCache' ./internal/field ./internal/ntt
 
+# Hash-path differential suite: the lane-based Poseidon permutation
+# against PermuteNaive, and the block-parallel proof-of-work grind
+# against the serial Clone loop it replaced (witness, tries and the
+# transcript after it) across worker counts, serial mode and sub-block
+# edges, plus the FRI grind node's serial-equivalent size, under the race
+# detector. The full -race run below repeats it; this step makes a grind
+# or permutation divergence fail under its own name.
+go test -race -run 'Grind|Permute' ./internal/poseidon ./internal/fri
+
 # Kernel trajectory regression check: with UNIZK_BENCH_ENFORCE=1 this
 # re-measures the tracked kernel registry (internal/bench/trajectory)
 # and fails on a >10% regression against the last committed
@@ -115,12 +124,14 @@ go test -timeout 20m -run '^TestTrajectoryRegression$' ./internal/bench/trajecto
 go test -race ./...
 
 # Fuzz the decode+verify boundary of each protocol, plus the worker
-# pool's chunking arithmetic and the proving-service request/response
-# codecs, for a fixed budget. -run='^$' skips unit tests so the whole
+# pool's chunking arithmetic, the Poseidon permutation against its naive
+# oracle, and the proving-service request/response codecs, for a fixed
+# budget. -run='^$' skips unit tests so the whole
 # budget goes to fuzzing.
 go test -run='^$' -fuzz='^FuzzPlonkUnmarshalVerify$' -fuzztime=10s ./internal/plonk
 go test -run='^$' -fuzz='^FuzzStarkUnmarshalVerify$' -fuzztime=10s ./internal/stark
 go test -run='^$' -fuzz='^FuzzForCoverage$' -fuzztime=10s ./internal/parallel
+go test -run='^$' -fuzz='^FuzzPermute$' -fuzztime=20s ./internal/poseidon
 go test -run='^$' -fuzz='^FuzzRequestRoundTrip$' -fuzztime=5s ./internal/jobs
 go test -run='^$' -fuzz='^FuzzResultRoundTrip$' -fuzztime=5s ./internal/jobs
 

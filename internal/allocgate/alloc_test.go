@@ -1,6 +1,7 @@
 package allocgate
 
 import (
+	"context"
 	"testing"
 
 	"unizk/internal/field"
@@ -77,6 +78,20 @@ func TestKernelAllocs(t *testing.T) {
 			st[i] = field.New(uint64(i))
 		}
 		pinZero(t, "poseidon.Permute", func() { st = poseidon.Permute(st) })
+
+		// The grind's search state is pooled: one warm-up call, then
+		// nothing per grind or per candidate.
+		ch := poseidon.NewChallenger()
+		for i := range 5 {
+			ch.Observe(field.New(uint64(i)))
+		}
+		grind := func() {
+			if _, _, err := ch.Grind(context.Background(), 8); err != nil {
+				t.Fatalf("grind: %v", err)
+			}
+		}
+		grind()
+		pinZero(t, "poseidon.Challenger.Grind", grind)
 
 		// 1<<10 stays below the NTT's parallel threshold, so the serial
 		// path runs even without SetSerial; the first call populates the
@@ -173,8 +188,8 @@ func TestFoldLayerAllocs(t *testing.T) {
 // change pushes a prover past its budget, either find the regression or
 // re-measure and justify the new pin in the commit.
 const (
-	plonkProofBudget = 1000 // measured ~670 on the fib-40 circuit after buffer recycling
-	starkProofBudget = 700  // measured ~477 on the 2^6-row fib AIR after buffer recycling
+	plonkProofBudget = 920 // measured ~614 on the fib-40 circuit with the pooled grind and reused challenger outputs
+	starkProofBudget = 670 // measured ~445 on the 2^6-row fib AIR with the pooled grind and reused challenger outputs
 )
 
 // TestPlonkProofAllocs pins the whole-proof allocation count of the

@@ -1,6 +1,7 @@
 package trajectory
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"unizk/internal/merkle"
 	"unizk/internal/ntt"
 	"unizk/internal/plonk"
+	"unizk/internal/poseidon"
 	"unizk/internal/stark"
 )
 
@@ -48,6 +50,10 @@ func Kernels() []Kernel {
 		)
 	}
 	ks = append(ks,
+		Kernel{Name: "poseidon/permute", Bench: benchPermute},
+		Kernel{Name: "poseidon/hash-no-pad/32", Bench: benchHashNoPad},
+		Kernel{Name: "merkle/two-to-one", Bench: benchTwoToOne},
+		Kernel{Name: "fri/grind/16-bit", Bench: benchGrind},
 		Kernel{Name: "merkle/commit/2^12", Bench: benchMerkleCommit},
 		Kernel{Name: "fri/fold/2^15", Bench: benchFRIFold},
 		Kernel{Name: "plonk/prove/fib-40", Bench: benchPlonkProve},
@@ -94,6 +100,62 @@ func benchNTT(b *testing.B, logN int, fn func([]field.Element)) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fn(data)
+	}
+}
+
+func benchPermute(b *testing.B) {
+	var s poseidon.State
+	for i := range s {
+		s[i] = field.New(uint64(i) * 0x9e37_79b9_7f4a_7c15)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s = poseidon.Permute(s) // dependent chain, as in a sponge
+	}
+	sinkElement = s[0]
+}
+
+func benchHashNoPad(b *testing.B) {
+	in := make([]field.Element, 32)
+	for i := range in {
+		in[i] = field.New(uint64(i) + 1)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkElement = poseidon.HashNoPad(in)[0]
+	}
+}
+
+func benchTwoToOne(b *testing.B) {
+	l := poseidon.HashOut{1, 2, 3, 4}
+	r := poseidon.HashOut{5, 6, 7, 8}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l = poseidon.TwoToOne(l, r)
+	}
+	sinkElement = l[0]
+}
+
+// grindTranscript is the fixed transcript of the fri/grind/16-bit
+// kernel: eleven observations leave three pending inputs, so the
+// witness lands mid-rate. Its 16-bit witness and tries are pinned in
+// TestGrindKernelTranscript.
+func grindTranscript() *poseidon.Challenger {
+	ch := poseidon.NewChallenger()
+	for i := uint64(0); i < 11; i++ {
+		ch.Observe(field.New(1000 + i))
+	}
+	return ch
+}
+
+func benchGrind(b *testing.B) {
+	ch := grindTranscript()
+	for i := 0; i < b.N; i++ {
+		w, _, err := ch.Grind(context.Background(), 16)
+		if err != nil {
+			b.Fatalf("grind: %v", err)
+		}
+		sinkElement = w
 	}
 }
 

@@ -1,6 +1,7 @@
 package trajectory
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -173,5 +174,18 @@ func TestTrajectoryRegression(t *testing.T) {
 	for _, d := range Regressions(deltas) {
 		t.Errorf("%s regressed: %.0f → %.0f ns/op (%+.1f%%), allocs %.0f → %.0f",
 			d.Kernel, d.OldNs, d.NewNs, d.Pct(), d.OldAllocs, d.NewAllocs)
+	}
+}
+
+// TestGrindKernelTranscript pins the fri/grind/16-bit kernel's work: a
+// change to the transcript or to the search would silently change what
+// the row measures.
+func TestGrindKernelTranscript(t *testing.T) {
+	w, tries, err := grindTranscript().Grind(context.Background(), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w != 34775 || tries != 34776 {
+		t.Fatalf("grind kernel transcript: witness %d, %d tries; pinned 34775, 34776", w, tries)
 	}
 }

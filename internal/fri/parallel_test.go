@@ -8,6 +8,7 @@ import (
 
 	"unizk/internal/field"
 	"unizk/internal/parallel"
+	"unizk/internal/trace"
 	"unizk/internal/wire"
 )
 
@@ -91,6 +92,38 @@ func TestProveSerialVsParallel(t *testing.T) {
 				t.Fatalf("logN=%d workers=%d: parallel proof rejected: %v", logN, workers, err)
 			}
 		}
+	}
+}
+
+// TestGrindNodeIsSerialEquivalent checks the grind's Hash node under every
+// worker count: it is the only Hash node, and its Size is witness+1, the
+// tries of a serial search, whatever the block search ran. The benchmark's
+// fri.grind_tries and its pins read this node.
+func TestGrindNodeIsSerialEquivalent(t *testing.T) {
+	prev := parallel.Workers()
+	defer func() { parallel.SetSerial(false); parallel.SetWorkers(prev) }()
+
+	f := newFixture(t, 31, 5)
+	f.cfg.ProofOfWorkBits = 10
+	var witness field.Element
+	for i, workers := range []int{0, 1, 2, 7, runtime.NumCPU()} {
+		parallel.SetSerial(workers == 0)
+		parallel.SetWorkers(max(workers, 1))
+		rec := trace.New()
+		proof := f.prove(rec)
+		var sizes []int
+		for _, n := range rec.Nodes() {
+			if n.Kind == trace.Hash {
+				sizes = append(sizes, n.Size)
+			}
+		}
+		if len(sizes) != 1 || sizes[0] != int(proof.PowWitness)+1 {
+			t.Fatalf("workers=%d: Hash node sizes %v, want [%d] (witness+1)", workers, sizes, proof.PowWitness+1)
+		}
+		if i > 0 && proof.PowWitness != witness {
+			t.Fatalf("workers=%d: witness %d, serial %d", workers, proof.PowWitness, witness)
+		}
+		witness = proof.PowWitness
 	}
 }
 

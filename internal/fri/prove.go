@@ -274,26 +274,15 @@ func ProveContext(ctx context.Context, oracles []*PolynomialBatch, groups []Poin
 
 	// Proof-of-work grinding (part of "Other Hash" in Table 1). The
 	// permutation count is only known after the search, so the kernel
-	// node is recorded with a measured duration. The search is serial on
-	// purpose: it must return the smallest witness the serial prover
-	// would find, and it is transcript-bound.
-	var witness field.Element
-	tries := 0
-	//unizklint:allow nodeterminism grind duration is telemetry for the kernel trace; the witness itself is found by deterministic search
+	// node is recorded with a measured duration. Grind scans candidate
+	// blocks across the pool and returns the smallest witness, the one a
+	// serial loop would find, with its serial-equivalent try count, so
+	// the proof and the recorded node size do not depend on the workers.
+	//unizklint:allow nodeterminism grind duration is telemetry for the kernel trace; the witness is the smallest hit whatever the schedule
 	grindStart := time.Now()
-	for wv := uint64(0); ; wv++ {
-		if wv&1023 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		tries++
-		c2 := ch.Clone()
-		c2.Observe(field.New(wv))
-		if c2.SampleBits(cfg.ProofOfWorkBits) == 0 {
-			witness = field.New(wv)
-			break
-		}
+	witness, tries, err := ch.Grind(ctx, cfg.ProofOfWorkBits)
+	if err != nil {
+		return nil, err
 	}
 	rec.RecordTimed(trace.Node{Kind: trace.Hash, Size: tries}, time.Since(grindStart))
 	ch.Observe(witness)

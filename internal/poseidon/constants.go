@@ -30,11 +30,18 @@ const (
 	HashOutLen = 4
 )
 
-// mdsCirc and mdsDiag define the MDS matrix: M[r][c] = circ[(c-r) mod 12],
-// plus diag[r] on the diagonal. These are plonky2's Goldilocks width-12
-// values.
-var mdsCirc = [Width]field.Element{17, 15, 41, 16, 2, 28, 13, 13, 39, 18, 34, 20}
-var mdsDiag = [Width]field.Element{8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+// The MDS matrix is M[r][c] = circ[(c-r) mod 12], plus diag[r] on the
+// diagonal; only diag[0] is non-zero. These are plonky2's Goldilocks
+// width-12 values, named so the unrolled mdsLayer and the tables below
+// share one source.
+const (
+	mds0, mds1, mds2, mds3, mds4, mds5   = 17, 15, 41, 16, 2, 28
+	mds6, mds7, mds8, mds9, mds10, mds11 = 13, 13, 39, 18, 34, 20
+	mdsD0                                = 8
+)
+
+var mdsCirc = [Width]field.Element{mds0, mds1, mds2, mds3, mds4, mds5, mds6, mds7, mds8, mds9, mds10, mds11}
+var mdsDiag = [Width]field.Element{mdsD0}
 
 // MDSMatrix returns the dense MDS matrix.
 func MDSMatrix() Matrix {

@@ -82,6 +82,9 @@ func deriveFastConstants() {
 			d = p.Mul(m)
 		} else {
 			fastInitMatrix = p
+			for i := range fastInitRows {
+				copy(fastInitRows[i][:], p[1+i][1:])
+			}
 		}
 	}
 

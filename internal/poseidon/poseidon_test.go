@@ -8,6 +8,13 @@ import (
 	"unizk/internal/field"
 )
 
+func toLanes(s State) (x lanes) {
+	for i, e := range s {
+		x[i] = uint64(e)
+	}
+	return x
+}
+
 func randState(rng *rand.Rand) State {
 	var s State
 	for i := range s {
@@ -86,10 +93,10 @@ func TestSparseApplyMatchesDense(t *testing.T) {
 		s := randState(rng)
 		dense := sp.Dense()
 		want := dense.MulVec(s[:])
-		got := s
+		got := toLanes(s)
 		sp.apply(&got)
 		for i := 0; i < Width; i++ {
-			if got[i] != want[i] {
+			if field.New(got[i]) != want[i] {
 				t.Fatalf("sparse apply differs from dense at %d", i)
 			}
 		}
@@ -129,10 +136,10 @@ func TestMDSMatrixMatchesLayer(t *testing.T) {
 	m := MDSMatrix()
 	s := randState(rng)
 	want := m.MulVec(s[:])
-	got := s
+	got := toLanes(s)
 	mdsLayer(&got)
 	for i := range got {
-		if got[i] != want[i] {
+		if field.New(got[i]) != want[i] {
 			t.Fatalf("mdsLayer differs from dense MDS at %d", i)
 		}
 	}
@@ -339,4 +346,65 @@ func BenchmarkHashNoPad135(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		HashNoPad(in)
 	}
+}
+
+// laneEdges are the values where the lane kernels' carry, borrow and
+// canonicalisation corrections fire: around 2^32, p and 2^64.
+var laneEdges = []uint64{
+	0, 1, epsilon, 1 << 32, 1<<32 + 1, 1 << 63,
+	field.Order - 1, field.Order, field.Order + 1, 1<<64 - 2, 1<<64 - 1,
+}
+
+// TestLaneArithmetic checks the non-canonical lane kernels against the
+// canonical field operations on every pair of edge values.
+func TestLaneArithmetic(t *testing.T) {
+	for _, a := range laneEdges {
+		for _, b := range laneEdges {
+			fa, fb := field.New(a), field.New(b)
+			if got := field.New(mulLane(a, b)); got != field.Mul(fa, fb) {
+				t.Fatalf("mulLane(%#x, %#x) = %#x", a, b, got)
+			}
+			if b < field.Order {
+				if got := field.New(addLane(a, b)); got != field.Add(fa, fb) {
+					t.Fatalf("addLane(%#x, %#x) = %#x", a, b, got)
+				}
+			}
+			if got := field.New(reduce128(a, b)); got != field.Reduce128(a, b) {
+				t.Fatalf("reduce128(%#x, %#x) = %#x", a, b, got)
+			}
+		}
+	}
+}
+
+// FuzzPermute checks Permute against PermuteNaive, and the lane rounds
+// on raw (possibly non-canonical) 64-bit lanes against the naive
+// permutation of their canonical values.
+func FuzzPermute(f *testing.F) {
+	edges := []uint64{0, field.Order - 1, 1<<32 - 1, 1 << 32, 1 << 63}
+	for k := range edges {
+		var s [Width]uint64
+		for i := range s {
+			s[i] = edges[(i+k)%len(edges)]
+		}
+		f.Add(s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7], s[8], s[9], s[10], s[11])
+	}
+	p := field.Order - 1
+	f.Add(p, p, p, p, p, p, p, p, p, p, p, p)
+	f.Fuzz(func(t *testing.T, a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11 uint64) {
+		raw := lanes{a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11}
+		var s State
+		for i, v := range raw {
+			s[i] = field.New(v)
+		}
+		want := PermuteNaive(s)
+		if got := Permute(s); got != want {
+			t.Fatalf("Permute(%v) = %v, PermuteNaive = %v", s, got, want)
+		}
+		permuteLanes(&raw)
+		for i, v := range raw {
+			if field.New(v) != want[i] {
+				t.Fatalf("permuteLanes lane %d = %#x, PermuteNaive = %v", i, v, want[i])
+			}
+		}
+	})
 }
