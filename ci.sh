@@ -99,14 +99,22 @@ go test -race -timeout 15m -run '^TestCrashRecoverySoak$' ./internal/cluster
 # divergence fail under its own name.
 go test -race -run 'TestRef|TestCache' ./internal/field ./internal/ntt
 
-# Hash-path differential suite: the lane-based Poseidon permutation
-# against PermuteNaive, and the block-parallel proof-of-work grind
-# against the serial Clone loop it replaced (witness, tries and the
-# transcript after it) across worker counts, serial mode and sub-block
-# edges, plus the FRI grind node's serial-equivalent size, under the race
-# detector. The full -race run below repeats it; this step makes a grind
+# Hash-path differential suite: the lane-based Poseidon permutation and
+# the batched eight-wide one against PermuteNaive, and the block-parallel
+# proof-of-work grind against the serial Clone loop it replaced
+# (witness, tries and the transcript after it) across worker counts,
+# serial mode, sub-block edges and batch positions, plus the FRI grind
+# node's serial-equivalent size, under the race detector. The full -race run below repeats it; this step makes a grind
 # or permutation divergence fail under its own name.
 go test -race -run 'Grind|Permute' ./internal/poseidon ./internal/fri
+
+# Portable hash path: on an AVX-512 host the batched permutation runs in
+# assembly, so this step builds with the standard purego tag to keep the
+# portable loop (the path on every other host) under the same
+# differential tests — the batch against PermuteNaive, batched Merkle
+# trees against the scalar reference tree, and the batched grind against
+# the serial loop — under the race detector.
+go test -tags purego -race -run 'Permute|Grind|Batch|Build' ./internal/poseidon ./internal/merkle ./internal/fri
 
 # Kernel trajectory regression check: with UNIZK_BENCH_ENFORCE=1 this
 # re-measures the tracked kernel registry (internal/bench/trajectory)
@@ -132,6 +140,7 @@ go test -run='^$' -fuzz='^FuzzPlonkUnmarshalVerify$' -fuzztime=10s ./internal/pl
 go test -run='^$' -fuzz='^FuzzStarkUnmarshalVerify$' -fuzztime=10s ./internal/stark
 go test -run='^$' -fuzz='^FuzzForCoverage$' -fuzztime=10s ./internal/parallel
 go test -run='^$' -fuzz='^FuzzPermute$' -fuzztime=20s ./internal/poseidon
+go test -run='^$' -fuzz='^FuzzPermuteX8$' -fuzztime=20s ./internal/poseidon
 go test -run='^$' -fuzz='^FuzzRequestRoundTrip$' -fuzztime=5s ./internal/jobs
 go test -run='^$' -fuzz='^FuzzResultRoundTrip$' -fuzztime=5s ./internal/jobs
 

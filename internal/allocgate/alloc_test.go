@@ -108,6 +108,20 @@ func TestKernelAllocs(t *testing.T) {
 		for i := range leaves {
 			leaves[i] = []field.Element{field.New(uint64(i)), field.New(uint64(i * i))}
 		}
+		// Batched hashing, as Build runs it: 64 leaves of 32 elements (4
+		// sponge blocks) and the 32 nodes above them, eight per call.
+		wide := make([][]field.Element, 64)
+		for i := range wide {
+			wide[i] = make([]field.Element, 32)
+			for j := range wide[i] {
+				wide[i][j] = field.New(uint64(i*32 + j))
+			}
+		}
+		digests := make([]poseidon.HashOut, len(wide))
+		pinZero(t, "poseidon.HashOrNoopBatch", func() { poseidon.HashOrNoopBatch(wide, digests) })
+		nodes := make([]poseidon.HashOut, len(digests)/2)
+		pinZero(t, "poseidon.TwoToOneBatch", func() { poseidon.TwoToOneBatch(digests, nodes) })
+
 		tree := merkle.Build(leaves, 1)
 		leaf, proof := tree.Open(13)
 		cap := tree.Cap()

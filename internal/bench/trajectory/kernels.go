@@ -51,10 +51,12 @@ func Kernels() []Kernel {
 	}
 	ks = append(ks,
 		Kernel{Name: "poseidon/permute", Bench: benchPermute},
+		Kernel{Name: "poseidon/permute-x8", Bench: benchPermuteX8},
 		Kernel{Name: "poseidon/hash-no-pad/32", Bench: benchHashNoPad},
 		Kernel{Name: "merkle/two-to-one", Bench: benchTwoToOne},
 		Kernel{Name: "fri/grind/16-bit", Bench: benchGrind},
-		Kernel{Name: "merkle/commit/2^12", Bench: benchMerkleCommit},
+		Kernel{Name: "merkle/commit/2^12", Bench: func(b *testing.B) { benchMerkleCommit(b, 4) }},
+		Kernel{Name: "merkle/commit/2^12x32", Bench: func(b *testing.B) { benchMerkleCommit(b, 32) }},
 		Kernel{Name: "fri/fold/2^15", Bench: benchFRIFold},
 		Kernel{Name: "plonk/prove/fib-40", Bench: benchPlonkProve},
 		Kernel{Name: "stark/prove/fib-2^10", Bench: benchStarkProve},
@@ -115,6 +117,24 @@ func benchPermute(b *testing.B) {
 	sinkElement = s[0]
 }
 
+// benchPermuteX8 reports ns per permutation of the batched path: each
+// TwoToOneBatch call is one eight-wide permutation call, and counts as
+// eight ops.
+func benchPermuteX8(b *testing.B) {
+	children := make([]poseidon.HashOut, 16)
+	for i := range children {
+		for j := range children[i] {
+			children[i][j] = field.New(uint64(i*4+j) * 0x9e37_79b9_7f4a_7c15)
+		}
+	}
+	out := make([]poseidon.HashOut, 8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i += 8 {
+		poseidon.TwoToOneBatch(children, out)
+	}
+	sinkElement = out[0][0]
+}
+
 func benchHashNoPad(b *testing.B) {
 	in := make([]field.Element, 32)
 	for i := range in {
@@ -159,14 +179,18 @@ func benchGrind(b *testing.B) {
 	}
 }
 
-func benchMerkleCommit(b *testing.B) {
+// benchMerkleCommit builds a 2^12-leaf tree of width-element leaves.
+// Leaves of at most four elements pass through HashOrNoop unhashed, so
+// width 4 measures the tree levels alone and width 32 (four sponge
+// blocks) adds leaf hashing.
+func benchMerkleCommit(b *testing.B, width int) {
 	const n = 1 << 12
-	flat := make([]field.Element, 4*n)
+	flat := make([]field.Element, width*n)
 	leaves := make([][]field.Element, n)
 	for i := range leaves {
-		row := flat[4*i : 4*i+4]
+		row := flat[width*i : width*(i+1)]
 		for j := range row {
-			row[j] = field.New(uint64(i*4 + j + 1))
+			row[j] = field.New(uint64(i*width + j + 1))
 		}
 		leaves[i] = row
 	}

@@ -7,8 +7,8 @@
 // Entries are appended by `unizk-bench -kernels`; the env-gated
 // regression test in this package re-measures the current tree and
 // compares against the last committed entry. Host classes — (GOARCH,
-// CPU count) — keep numbers from different machines out of each other's
-// baselines.
+// CPU count, active SIMD backend) — keep numbers from different machines
+// out of each other's baselines.
 package trajectory
 
 import (
@@ -19,6 +19,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"unizk/internal/poseidon"
 )
 
 // Result is one kernel's measurement.
@@ -36,6 +38,9 @@ type Entry struct {
 	GoVersion string `json:"go_version"`
 	GOARCH    string `json:"goarch"`
 	HostCPUs  int    `json:"host_cpus"`
+	// SIMD is the vector backend the hash kernels ran on (poseidon.SIMD),
+	// empty for the portable path.
+	SIMD string `json:"simd,omitempty"`
 	// Note is a free-form label for what changed, e.g. "PR 8 raw-speed pass".
 	Note    string   `json:"note,omitempty"`
 	Results []Result `json:"results"`
@@ -46,13 +51,19 @@ type File struct {
 	Entries []Entry `json:"entries"`
 }
 
-// HostClass returns the entry's host class key.
-func (e Entry) HostClass() string { return fmt.Sprintf("%s/%dcpu", e.GOARCH, e.HostCPUs) }
+// HostClass returns the entry's host class key, e.g. "amd64/2cpu" or
+// "amd64/2cpu/avx512": an entry measured on a SIMD backend never gates
+// a host without it, nor the reverse.
+func (e Entry) HostClass() string {
+	class := fmt.Sprintf("%s/%dcpu", e.GOARCH, e.HostCPUs)
+	if e.SIMD != "" {
+		class += "/" + e.SIMD
+	}
+	return class
+}
 
 // CurrentHostClass returns the host class of this process.
-func CurrentHostClass() string {
-	return fmt.Sprintf("%s/%dcpu", runtime.GOARCH, runtime.NumCPU())
-}
+func CurrentHostClass() string { return NewEntry("", "", nil).HostClass() }
 
 // Load reads a trajectory file; a missing file is an empty trajectory.
 func Load(path string) (*File, error) {
@@ -98,6 +109,7 @@ func NewEntry(timestamp, note string, results []Result) Entry {
 		GoVersion: runtime.Version(),
 		GOARCH:    runtime.GOARCH,
 		HostCPUs:  runtime.NumCPU(),
+		SIMD:      poseidon.SIMD(),
 		Note:      note,
 		Results:   results,
 	}

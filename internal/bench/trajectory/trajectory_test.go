@@ -2,9 +2,13 @@ package trajectory
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+
+	"unizk/internal/poseidon"
 )
 
 func res(name string, ns, allocs float64) Result {
@@ -19,11 +23,11 @@ func TestCompareFlagsRegressions(t *testing.T) {
 		res("gone", 50, 1),
 	}
 	cur := []Result{
-		res("a", 1200, 10),    // +20% and > floor: ns regression
-		res("b", 105000, 0),   // +5%: fine
-		res("tiny", 30, 0),    // +275% but under the 25ns floor: fine
-		res("fresh", 1, 0),    // new kernel: reported, not a regression
-		res("a2", 0, 0),       // placeholder to keep sort stable
+		res("a", 1200, 10),  // +20% and > floor: ns regression
+		res("b", 105000, 0), // +5%: fine
+		res("tiny", 30, 0),  // +275% but under the 25ns floor: fine
+		res("fresh", 1, 0),  // new kernel: reported, not a regression
+		res("a2", 0, 0),     // placeholder to keep sort stable
 	}
 	deltas := Compare(base, cur)
 	regs := Regressions(deltas)
@@ -43,8 +47,8 @@ func TestCompareFlagsRegressions(t *testing.T) {
 
 func TestCompareAllocRegression(t *testing.T) {
 	base := []Result{res("k", 1000, 4)}
-	fine := Compare(base, []Result{res("k", 1000, 5)})     // +1 alloc: within slack
-	bad := Compare(base, []Result{res("k", 1000, 6)})      // +50% and >1: regression
+	fine := Compare(base, []Result{res("k", 1000, 5)}) // +1 alloc: within slack
+	bad := Compare(base, []Result{res("k", 1000, 6)})  // +50% and >1: regression
 	zeroOK := Compare([]Result{res("z", 10, 0)}, []Result{res("z", 10, 1)})
 	if len(Regressions(fine)) != 0 {
 		t.Fatalf("one extra alloc should be slack: %+v", fine)
@@ -94,6 +98,27 @@ func TestFileRoundTripAndLastForHost(t *testing.T) {
 	}
 }
 
+// TestHostClass checks the class string, with and without a SIMD
+// backend, and that this process's class carries the backend the hash
+// kernels run on.
+func TestHostClass(t *testing.T) {
+	e := Entry{GOARCH: "amd64", HostCPUs: 2}
+	if got := e.HostClass(); got != "amd64/2cpu" {
+		t.Fatalf("portable class %q, want amd64/2cpu", got)
+	}
+	e.SIMD = "avx512"
+	if got := e.HostClass(); got != "amd64/2cpu/avx512" {
+		t.Fatalf("SIMD class %q, want amd64/2cpu/avx512", got)
+	}
+	want := fmt.Sprintf("%s/%dcpu", runtime.GOARCH, runtime.NumCPU())
+	if simd := poseidon.SIMD(); simd != "" {
+		want += "/" + simd
+	}
+	if got := CurrentHostClass(); got != want {
+		t.Fatalf("CurrentHostClass %q, want %q", got, want)
+	}
+}
+
 func TestKernelRegistry(t *testing.T) {
 	ks := Kernels()
 	if len(ks) < 10 {
@@ -112,7 +137,7 @@ func TestKernelRegistry(t *testing.T) {
 	for _, want := range []string{
 		"field/mul/4096", "field/inverse",
 		"ntt/forwardNN/2^12", "ntt/inverseNN/2^18", "ntt/cosetForwardNR/2^15",
-		"merkle/commit/2^12", "fri/fold/2^15",
+		"poseidon/permute-x8", "merkle/commit/2^12", "merkle/commit/2^12x32", "fri/fold/2^15",
 		"plonk/prove/fib-40", "stark/prove/fib-2^10",
 	} {
 		if !seen[want] {

@@ -2,6 +2,7 @@ package lint_test
 
 import (
 	"os"
+	"path/filepath"
 	"testing"
 
 	"unizk/internal/lint"
@@ -86,5 +87,34 @@ func TestRepoClean(t *testing.T) {
 	}
 	for _, d := range diags {
 		t.Errorf("%s", d.String())
+	}
+}
+
+// TestLoaderHonoursBuildConstraints loads a package whose two variants
+// declare the same function under opposite build tags, as a package with
+// an assembly backend and a purego fallback does: only the variant
+// `go build` compiles is type-checked.
+func TestLoaderHonoursBuildConstraints(t *testing.T) {
+	dir := t.TempDir()
+	for name, src := range map[string]string{
+		"go.mod":     "module tagged\n\ngo 1.22\n",
+		"fast.go":    "//go:build !purego\n\npackage tagged\n\nfunc f() int { return 1 }\n",
+		"generic.go": "//go:build purego\n\npackage tagged\n\nfunc f() int { return 2 }\n",
+		"use.go":     "package tagged\n\nvar X = f()\n",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l, err := lint.NewLoader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := l.Load("tagged")
+	if err != nil {
+		t.Fatalf("loading a package with build-tagged variants: %v", err)
+	}
+	if len(p.Files) != 2 {
+		t.Fatalf("type-checked %d files, want 2 (fast.go, use.go)", len(p.Files))
 	}
 }

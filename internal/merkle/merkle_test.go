@@ -1,10 +1,12 @@
 package merkle
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"unizk/internal/field"
+	"unizk/internal/ntt"
 	"unizk/internal/parallel"
 	"unizk/internal/poseidon"
 )
@@ -63,8 +65,61 @@ func TestVerifyRejectsWrongIndex(t *testing.T) {
 	tree := Build(randLeaves(rng, 32, 5), 0)
 	c := tree.Cap()
 	data, proof := tree.Open(7)
-	if Verify(data, 8, proof, c) == nil {
-		t.Fatal("wrong index accepted")
+	for _, index := range []int{8, -1, -8, math.MinInt} {
+		if Verify(data, index, proof, c) == nil {
+			t.Fatalf("wrong index %d accepted", index)
+		}
+	}
+}
+
+// scalarLevels is the reference tree: every leaf and node hashed one at
+// a time with the scalar HashOrNoop and TwoToOne.
+func scalarLevels(leaves [][]field.Element, capHeight int) [][]poseidon.HashOut {
+	level := make([]poseidon.HashOut, len(leaves))
+	for i, l := range leaves {
+		level[i] = poseidon.HashOrNoop(l)
+	}
+	levels := [][]poseidon.HashOut{level}
+	for len(level) > 1<<capHeight {
+		next := make([]poseidon.HashOut, len(level)/2)
+		for i := range next {
+			next[i] = poseidon.TwoToOne(level[2*i], level[2*i+1])
+		}
+		levels = append(levels, next)
+		level = next
+	}
+	return levels
+}
+
+// TestBuildMatchesScalarReference checks every digest of the batched
+// tree against the scalar reference: leaf widths that pass through,
+// fill one sponge block or spill into more; a ragged chunk; chunks
+// smaller than the eight-hash batch (4 leaves); and levels narrower than
+// eight just below caps of height 0..4.
+func TestBuildMatchesScalarReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for _, width := range []int{1, 4, 5, 8, 9, 16, 17, 32, 135} {
+		for _, n := range []int{4, 16, 256} {
+			for capHeight := 0; capHeight <= min(4, ntt.Log2(n)); capHeight++ {
+				leaves := randLeaves(rng, n, width)
+				if n == 256 {
+					leaves[70] = leaves[70][:width-1] // ragged chunk
+				}
+				want := scalarLevels(leaves, capHeight)
+				got := Build(leaves, capHeight)
+				if len(got.levels) != len(want) {
+					t.Fatalf("width=%d n=%d cap=%d: %d levels, want %d", width, n, capHeight, len(got.levels), len(want))
+				}
+				for l := range want {
+					for i := range want[l] {
+						if got.levels[l][i] != want[l][i] {
+							t.Fatalf("width=%d n=%d cap=%d: level %d digest %d differs from the scalar tree",
+								width, n, capHeight, l, i)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

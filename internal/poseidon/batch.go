@@ -1,0 +1,111 @@
+package poseidon
+
+import "unizk/internal/field"
+
+// lanesX8 is the state of eight independent permutations in
+// structure-of-arrays form: x[i][k] is lane i of state k, so one row is
+// one 512-bit vector. Lanes follow the lanes contract (any uint64
+// congruent to the element).
+type lanesX8 [Width][8]uint64
+
+// permuteX8Generic is permuteX8 as eight scalar permutations: the path
+// on hosts without the SIMD backend and under the purego build tag, and
+// the reference the backend is tested against.
+func permuteX8Generic(x *lanesX8) {
+	for k := range x[0] {
+		var s lanes
+		for i := range s {
+			s[i] = x[i][k]
+		}
+		permuteLanes(&s)
+		for i := range s {
+			x[i][k] = s[i]
+		}
+	}
+}
+
+// HashOrNoopBatch sets out[i] = HashOrNoop(leaves[i]) for every i. Eight
+// equal-length leaves share each permutation call (the VSA's many
+// concurrent leaf hashes, paper §5.3); a chunk of eight whose lengths
+// differ, and the tail after the last whole chunk, are hashed one at a
+// time. It panics unless len(out) == len(leaves).
+//
+//unizklint:hotpath
+func HashOrNoopBatch(leaves [][]field.Element, out []HashOut) {
+	if len(out) != len(leaves) {
+		panic("poseidon: HashOrNoopBatch: len(out) != len(leaves)")
+	}
+	n := len(leaves) &^ 7
+	for i := 0; i < n; i += 8 {
+		hashOrNoopX8((*[8][]field.Element)(leaves[i:]), (*[8]HashOut)(out[i:]))
+	}
+	for i := n; i < len(leaves); i++ {
+		out[i] = HashOrNoop(leaves[i])
+	}
+}
+
+// hashOrNoopX8 is HashOrNoopBatch on one chunk of eight leaves.
+//
+//unizklint:hotpath
+func hashOrNoopX8(rows *[8][]field.Element, out *[8]HashOut) {
+	w := len(rows[0])
+	ragged := false
+	for _, r := range rows {
+		ragged = ragged || len(r) != w
+	}
+	if ragged || w <= HashOutLen {
+		for k, r := range rows {
+			out[k] = HashOrNoop(r)
+		}
+		return
+	}
+	var x lanesX8
+	for off := 0; off < w; off += Rate {
+		for i := 0; i < Rate && off+i < w; i++ {
+			for k, r := range rows {
+				x[i][k] = uint64(r[off+i])
+			}
+		}
+		permuteX8(&x)
+	}
+	squeezeX8(&x, out)
+}
+
+// TwoToOneBatch sets out[i] = TwoToOne(children[2i], children[2i+1]) for
+// every i, eight compressions per permutation call, the tail after the
+// last whole chunk one at a time. It panics unless len(children) ==
+// 2·len(out).
+//
+//unizklint:hotpath
+func TwoToOneBatch(children []HashOut, out []HashOut) {
+	if len(children) != 2*len(out) {
+		panic("poseidon: TwoToOneBatch: len(children) != 2·len(out)")
+	}
+	n := len(out) &^ 7
+	for i := 0; i < n; i += 8 {
+		var x lanesX8
+		for k := range 8 {
+			l, r := &children[2*(i+k)], &children[2*(i+k)+1]
+			for j := range HashOutLen {
+				x[j][k] = uint64(l[j])
+				x[HashOutLen+j][k] = uint64(r[j])
+			}
+		}
+		permuteX8(&x)
+		squeezeX8(&x, (*[8]HashOut)(out[i:]))
+	}
+	for i := n; i < len(out); i++ {
+		out[i] = TwoToOne(children[2*i], children[2*i+1])
+	}
+}
+
+// squeezeX8 writes the canonical digest of each of the eight states.
+//
+//unizklint:hotpath
+func squeezeX8(x *lanesX8, out *[8]HashOut) {
+	for k := range out {
+		for j := range out[k] {
+			out[k][j] = field.New(x[j][k])
+		}
+	}
+}

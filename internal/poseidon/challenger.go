@@ -104,8 +104,9 @@ func (c *Challenger) duplex() {
 // lane L, tested on lane Rate-1 — exactly what Observe+SampleBits read,
 // including L == Rate-1, where Observe itself duplexes. Candidates are
 // independent, so the search scans them in blocks of grindSubBlocks
-// sub-blocks across the worker pool (the VSA's many concurrent
-// permutations, paper §5.2); the earliest sub-block with a hit decides,
+// sub-blocks across the worker pool, eight candidates per batched
+// permutation (the VSA's many concurrent permutations, paper §5.2); the
+// earliest sub-block with a hit decides, and within it the lowest hit,
 // so the result is the serial loop's. ctx is polled between sub-blocks.
 func (c *Challenger) Grind(ctx context.Context, bits int) (witness field.Element, tries int, err error) {
 	g := grindPool.Get().(*grindSearch)
@@ -173,20 +174,31 @@ func (g *grindSearch) scanSubBlocks(lo, hi int) {
 	}
 }
 
-// scanSubBlock scans sub-block j in candidate order and records its first
-// hit, unless a lower sub-block hits first.
+// scanSubBlock scans sub-block j in candidate order, eight consecutive
+// candidates per batched permutation, and records its first hit (the
+// lowest hit of the first batch with one), unless a lower sub-block hits
+// first. Sub-blocks are at least 64 candidates, a multiple of eight.
 //
 //unizklint:hotpath
 func (g *grindSearch) scanSubBlock(j int64) {
 	w := g.start + uint64(j)*g.size
-	for end := w + g.size; w < end && g.lowest.Load() > j; w++ {
-		s := g.base
-		s[g.lane] = w
-		permuteLanes(&s)
-		if uint64(field.New(s[Rate-1]))&g.mask != 0 {
+	for end := w + g.size; w < end && g.lowest.Load() > j; w += 8 {
+		var x lanesX8
+		for i, v := range g.base {
+			x[i] = [8]uint64{v, v, v, v, v, v, v, v}
+		}
+		for k := range x[g.lane] {
+			x[g.lane][k] = w + uint64(k)
+		}
+		permuteX8(&x)
+		k := 0
+		for k < 8 && uint64(field.New(x[Rate-1][k]))&g.mask != 0 {
+			k++
+		}
+		if k == 8 {
 			continue
 		}
-		g.hits[j] = w
+		g.hits[j] = w + uint64(k)
 		for {
 			cur := g.lowest.Load()
 			if cur <= j || g.lowest.CompareAndSwap(cur, j) {

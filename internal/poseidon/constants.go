@@ -81,4 +81,5 @@ func init() {
 		}
 	}
 	deriveFastConstants()
+	initX8()
 }

@@ -140,8 +140,10 @@ func TestGrindMatchesSerialLoop(t *testing.T) {
 }
 
 // TestGrindSubBlockEdges pins transcripts whose 8-bit witness is the
-// first or the last candidate of a 64-candidate sub-block, under every
-// scheduling, and two 16-bit grinds, the production width.
+// first or the last candidate of a 64-candidate sub-block, sits at each
+// of the eight positions of a batched permutation call, or falls in the
+// last batch of a sub-block, under every scheduling, and two 16-bit
+// grinds, the production width.
 func TestGrindSubBlockEdges(t *testing.T) {
 	if size := grindSubBlockSize(8); size != 64 {
 		t.Fatalf("8-bit sub-block size %d, the pinned seeds assume 64", size)
@@ -157,6 +159,13 @@ func TestGrindSubBlockEdges(t *testing.T) {
 		{seed: 144, pending: 0, witness: 128}, // first of sub-block 2
 		{seed: 391, pending: 7, witness: 191}, // last of sub-block 2
 		{seed: 146, pending: 2, witness: 831}, // last of sub-block 12
+		{seed: 16, pending: 0, witness: 273},  // batch position 1
+		{seed: 0, pending: 0, witness: 162},   // batch position 2
+		{seed: 6, pending: 6, witness: 299},   // batch position 3
+		{seed: 3, pending: 3, witness: 44},    // batch position 4
+		{seed: 9, pending: 1, witness: 13},    // batch position 5
+		{seed: 26, pending: 2, witness: 230},  // batch position 6
+		{seed: 7, pending: 7, witness: 444},   // position 4 of the last batch of sub-block 6
 	} {
 		newC := func() *Challenger { return grindTranscript(tc.seed, tc.pending) }
 		if w := checkGrind(t, newC, 8, grindModes()...); w != tc.witness {
