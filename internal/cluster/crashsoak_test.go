@@ -459,7 +459,9 @@ func TestCrashRecoverySoak(t *testing.T) {
 	life3 := spawnCrashCoord(t, dir, life1.addr, urls, seed+2, 3)
 	killGuard = life3
 	cl3 := serverclient.New(life3.url)
-	h3, err := cl3.Health(ctx)
+	// HealthAny, not Health: life 3 may answer before its first node
+	// probe lands, and that 503 "no_healthy_nodes" still carries the epoch.
+	h3, _, err := cl3.HealthAny(ctx)
 	if err != nil {
 		t.Fatalf("life 3 healthz after torn tail: %v", err)
 	}
