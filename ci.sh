@@ -113,8 +113,10 @@ go test -race -run 'Grind|Permute' ./internal/poseidon ./internal/fri
 # portable loop (the path on every other host) under the same
 # differential tests — the batch against PermuteNaive, batched Merkle
 # trees against the scalar reference tree, and the batched grind against
-# the serial loop — under the race detector.
-go test -tags purego -race -run 'Permute|Grind|Batch|Build' ./internal/poseidon ./internal/merkle ./internal/fri
+# the serial loop, batched Merkle-path verification against Verify and
+# the batched FRI verifier against its serial reference — under the race
+# detector.
+go test -tags purego -race -run 'Permute|Grind|Batch|Build|Verify' ./internal/poseidon ./internal/merkle ./internal/fri
 
 # Kernel trajectory regression check: with UNIZK_BENCH_ENFORCE=1 this
 # re-measures the tracked kernel registry (internal/bench/trajectory)
@@ -133,7 +135,8 @@ go test -race ./...
 
 # Fuzz the decode+verify boundary of each protocol, plus the worker
 # pool's chunking arithmetic, the Poseidon permutation against its naive
-# oracle, and the proving-service request/response codecs, for a fixed
+# oracle, batched Merkle-path verification against Verify, and the
+# proving-service request/response codecs, for a fixed
 # budget. -run='^$' skips unit tests so the whole
 # budget goes to fuzzing.
 go test -run='^$' -fuzz='^FuzzPlonkUnmarshalVerify$' -fuzztime=10s ./internal/plonk
@@ -141,6 +144,7 @@ go test -run='^$' -fuzz='^FuzzStarkUnmarshalVerify$' -fuzztime=10s ./internal/st
 go test -run='^$' -fuzz='^FuzzForCoverage$' -fuzztime=10s ./internal/parallel
 go test -run='^$' -fuzz='^FuzzPermute$' -fuzztime=20s ./internal/poseidon
 go test -run='^$' -fuzz='^FuzzPermuteX8$' -fuzztime=20s ./internal/poseidon
+go test -run='^$' -fuzz='^FuzzVerifyBatch$' -fuzztime=20s ./internal/merkle
 go test -run='^$' -fuzz='^FuzzRequestRoundTrip$' -fuzztime=5s ./internal/jobs
 go test -run='^$' -fuzz='^FuzzResultRoundTrip$' -fuzztime=5s ./internal/jobs
 

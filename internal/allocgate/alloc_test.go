@@ -2,6 +2,7 @@ package allocgate
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"unizk/internal/field"
@@ -130,6 +131,34 @@ func TestKernelAllocs(t *testing.T) {
 				t.Fatalf("verify: %v", err)
 			}
 		})
+
+		// VerifyBatch on a query phase's worth of openings: 28 rows of 135
+		// elements, three whole chunks and a tail of four.
+		rows := make([][]field.Element, 256)
+		for i := range rows {
+			rows[i] = make([]field.Element, 135)
+			for j := range rows[i] {
+				rows[i][j] = field.New(uint64(i*135 + j))
+			}
+		}
+		rowTree := merkle.Build(rows, 4)
+		ops := make([]merkle.Opening, 28)
+		for q := range ops {
+			idx := (q * 37) % len(rows)
+			l, p := rowTree.Open(idx)
+			ops[q] = merkle.Opening{Leaf: l, Index: idx, Proof: p}
+		}
+		ok := make([]bool, len(ops))
+		rowCap := rowTree.Cap()
+		// The one allocation is the pool closure, whatever the number of
+		// openings.
+		for _, n := range []int{9, 28} {
+			pinAtMost(t, fmt.Sprintf("merkle.VerifyBatch(%dx135)", n), 1, func() {
+				if err := merkle.VerifyBatch(rowCap, ops[:n], ok); err != nil || !ok[n-1] {
+					t.Fatalf("verify batch: %v", err)
+				}
+			})
+		}
 	})
 }
 

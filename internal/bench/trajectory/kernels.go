@@ -3,6 +3,7 @@ package trajectory
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 
 	"unizk/internal/field"
@@ -57,6 +58,8 @@ func Kernels() []Kernel {
 		Kernel{Name: "fri/grind/16-bit", Bench: benchGrind},
 		Kernel{Name: "merkle/commit/2^12", Bench: func(b *testing.B) { benchMerkleCommit(b, 4) }},
 		Kernel{Name: "merkle/commit/2^12x32", Bench: func(b *testing.B) { benchMerkleCommit(b, 32) }},
+		Kernel{Name: "merkle/verify/2^14x135", Bench: func(b *testing.B) { benchMerkleVerify(b, false) }},
+		Kernel{Name: "merkle/verify-batch/2^14x135", Bench: func(b *testing.B) { benchMerkleVerify(b, true) }},
 		Kernel{Name: "fri/fold/2^15", Bench: benchFRIFold},
 		Kernel{Name: "plonk/prove/fib-40", Bench: benchPlonkProve},
 		Kernel{Name: "stark/prove/fib-2^10", Bench: benchStarkProve},
@@ -198,6 +201,54 @@ func benchMerkleCommit(b *testing.B, width int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		merkle.Build(leaves, 4).Release()
+	}
+}
+
+// verifyOpenings is the merkle/verify rows' fixture, built once: 28
+// openings (PlonkyConfig's query count) of 135-element rows from a
+// 2^14-leaf tree with a height-4 cap.
+var verifyOpenings = sync.OnceValues(func() (merkle.Cap, []merkle.Opening) {
+	const n, width, queries = 1 << 14, 135, 28
+	flat := make([]field.Element, width*n)
+	leaves := make([][]field.Element, n)
+	for i := range leaves {
+		row := flat[width*i : width*(i+1)]
+		for j := range row {
+			row[j] = field.New(uint64(i*width+j) * 0x9e37_79b9_7f4a_7c15)
+		}
+		leaves[i] = row
+	}
+	tree := merkle.Build(leaves, 4)
+	ops := make([]merkle.Opening, queries)
+	for q := range ops {
+		idx := (q*0x9e37 + 11) % n
+		leaf, proof := tree.Open(idx)
+		ops[q] = merkle.Opening{Leaf: leaf, Index: idx, Proof: proof}
+	}
+	return tree.Cap(), ops
+})
+
+// benchMerkleVerify checks the fixture's openings one at a time with
+// Verify, or together with VerifyBatch, and reports ns per opening.
+func benchMerkleVerify(b *testing.B, batch bool) {
+	c, ops := verifyOpenings()
+	ok := make([]bool, len(ops))
+	b.ResetTimer()
+	for i := 0; i < b.N; i += len(ops) {
+		if batch {
+			if err := merkle.VerifyBatch(c, ops, ok); err != nil {
+				b.Fatal(err)
+			}
+		} else {
+			for k, op := range ops {
+				ok[k] = merkle.Verify(op.Leaf, op.Index, op.Proof, c) == nil
+			}
+		}
+		for k := range ok {
+			if !ok[k] {
+				b.Fatalf("opening %d rejected", k)
+			}
+		}
 	}
 }
 

@@ -137,7 +137,8 @@ func TestKernelRegistry(t *testing.T) {
 	for _, want := range []string{
 		"field/mul/4096", "field/inverse",
 		"ntt/forwardNN/2^12", "ntt/inverseNN/2^18", "ntt/cosetForwardNR/2^15",
-		"poseidon/permute-x8", "merkle/commit/2^12", "merkle/commit/2^12x32", "fri/fold/2^15",
+		"poseidon/permute-x8", "merkle/commit/2^12", "merkle/commit/2^12x32",
+		"merkle/verify/2^14x135", "merkle/verify-batch/2^14x135", "fri/fold/2^15",
 		"plonk/prove/fib-40", "stark/prove/fib-2^10",
 	} {
 		if !seen[want] {

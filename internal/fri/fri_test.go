@@ -238,6 +238,34 @@ func TestVerifyRejectsShapeErrors(t *testing.T) {
 	})
 }
 
+// TestShapeOKGatesBatching checks that the Merkle batches leave out a
+// query with any of the shape faults verifyQuery rejects, so a malformed
+// row or path is never hashed, and keep a well-formed one.
+func TestShapeOKGatesBatching(t *testing.T) {
+	f := newFixture(t, 31, 5)
+	proof := f.prove(nil)
+	logM := f.logN + f.cfg.RateBits
+	numLayers := len(proof.CommitPhaseCaps)
+	if !shapeOK(f.voracle, proof.QueryRounds[0], numLayers, logM, f.cfg) {
+		t.Fatal("honest query fails the shape gate")
+	}
+	for name, mutate := range map[string]func(r *QueryRound){
+		"row count":  func(r *QueryRound) { r.OracleRows = r.OracleRows[1:] },
+		"step count": func(r *QueryRound) { r.Steps = r.Steps[1:] },
+		"row width":  func(r *QueryRound) { r.OracleRows[1].Values = r.OracleRows[1].Values[1:] },
+		"row path":   func(r *QueryRound) { r.OracleRows[0].Proof.Siblings = r.OracleRows[0].Proof.Siblings[1:] },
+		"step path":  func(r *QueryRound) { r.Steps[numLayers-1].Proof.Siblings = nil },
+	} {
+		r := proof.QueryRounds[0]
+		r.OracleRows = append([]OracleRow(nil), r.OracleRows...)
+		r.Steps = append([]QueryStep(nil), r.Steps...)
+		mutate(&r)
+		if shapeOK(f.voracle, r, numLayers, logM, f.cfg) {
+			t.Errorf("%s: misshapen query passes the shape gate", name)
+		}
+	}
+}
+
 func TestSmallDomainNoFolding(t *testing.T) {
 	// When the committed domain is at or below the final-polynomial
 	// bound, FRI sends the polynomial directly with zero fold layers

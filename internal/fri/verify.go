@@ -127,20 +127,127 @@ func Verify(oracles []VerifierOracle, groups []PointGroup, opened OpenedValues,
 			ErrProofShape, len(proof.QueryRounds), cfg.NumQueries)
 	}
 
+	// The query indices depend on the transcript only, so all of them are
+	// sampled before any Merkle path is checked. The paths are then
+	// checked in batches, and the walk below replays the one-query-at-a-
+	// time checks in their order, looking up each path's verdict.
+	idxs := make([]int, len(proof.QueryRounds))
+	for q := range idxs {
+		idxs[q] = int(ch.SampleBits(logM))
+	}
+	paths, err := batchPaths(oracles, proof, idxs, logM, cfg)
+	if err != nil {
+		return fmt.Errorf("%w: merkle batch: %v", ErrProofInvalid, err)
+	}
+
 	w := field.PrimitiveRootOfUnity(logM)
 	for q, round := range proof.QueryRounds {
-		idx := int(ch.SampleBits(logM))
+		idx := idxs[q]
 		if err := verifyQuery(oracles, groups, opened, proof, round,
-			alpha, betas, idx, logM, w, cfg); err != nil {
+			alpha, betas, q, idx, logM, w, cfg, paths); err != nil {
 			return fmt.Errorf("query %d (index %d): %w", q, idx, err)
 		}
 	}
 	return nil
 }
 
+// rowSiblings is the path length of an opened row of oracle o.
+func rowSiblings(o VerifierOracle, logM int) int { return logM - capHeightOf(o.Cap) }
+
+// stepSiblings is the path length of an opened pair of fold layer t.
+func stepSiblings(cfg Config, logM, t int) int {
+	logHalf := logM - t - 1
+	return logHalf - layerCapHeight(cfg, 1<<logHalf)
+}
+
+// shapeOK reports whether a query round passes every shape check
+// verifyQuery makes: row and step counts, row widths and path lengths.
+func shapeOK(oracles []VerifierOracle, round QueryRound, numLayers, logM int, cfg Config) bool {
+	if len(round.OracleRows) != len(oracles) || len(round.Steps) != numLayers {
+		return false
+	}
+	for oi, row := range round.OracleRows {
+		if len(row.Values) != oracles[oi].NumPolys ||
+			len(row.Proof.Siblings) != rowSiblings(oracles[oi], logM) {
+			return false
+		}
+	}
+	for t, step := range round.Steps {
+		if len(step.Proof.Siblings) != stepSiblings(cfg, logM, t) {
+			return false
+		}
+	}
+	return true
+}
+
+// pathVerdicts holds the batched Merkle verdicts of a proof's query
+// phase. Batch b is oracle b, then fold layer b-len(oracles); lane[q] is
+// query q's opening in every batch, or -1 when the query failed a shape
+// check and was left out.
+type pathVerdicts struct {
+	lane []int
+	ok   [][]bool
+}
+
+// batchPaths checks every Merkle opening of the queries that pass their
+// shape checks, with one merkle.VerifyBatch call per oracle and one per
+// fold layer. Leaving out misshapen queries means a malformed proof
+// cannot make the verifier hash before the replay rejects its shape.
+func batchPaths(oracles []VerifierOracle, proof *Proof, idxs []int, logM int, cfg Config) (*pathVerdicts, error) {
+	numLayers := len(proof.CommitPhaseCaps)
+	pv := &pathVerdicts{lane: make([]int, len(idxs)), ok: make([][]bool, len(oracles)+numLayers)}
+	var qs []int
+	for q, round := range proof.QueryRounds {
+		pv.lane[q] = -1
+		if shapeOK(oracles, round, numLayers, logM, cfg) {
+			pv.lane[q] = len(qs)
+			qs = append(qs, q)
+		}
+	}
+	ops := make([]merkle.Opening, len(qs))
+	for oi, o := range oracles {
+		for j, q := range qs {
+			row := proof.QueryRounds[q].OracleRows[oi]
+			ops[j] = merkle.Opening{Leaf: row.Values, Index: idxs[q], Proof: row.Proof}
+		}
+		pv.ok[oi] = make([]bool, len(qs))
+		if err := merkle.VerifyBatch(o.Cap, ops, pv.ok[oi]); err != nil {
+			return nil, err
+		}
+	}
+	leaves := make([]field.Element, 4*len(qs))
+	for t, c := range proof.CommitPhaseCaps {
+		for j, q := range qs {
+			pair := proof.QueryRounds[q].Steps[t].Pair
+			leaf := leaves[4*j : 4*j+4]
+			leaf[0], leaf[1], leaf[2], leaf[3] = pair[0].A, pair[0].B, pair[1].A, pair[1].B
+			ops[j] = merkle.Opening{Leaf: leaf, Index: idxs[q] >> (t + 1),
+				Proof: proof.QueryRounds[q].Steps[t].Proof}
+		}
+		pv.ok[len(oracles)+t] = make([]bool, len(qs))
+		if err := merkle.VerifyBatch(c, ops, pv.ok[len(oracles)+t]); err != nil {
+			return nil, err
+		}
+	}
+	return pv, nil
+}
+
+// verify returns batch b's verdict on query q's opening as merkle.Verify
+// would, and calls merkle.Verify for a query the batches left out.
+func (pv *pathVerdicts) verify(q, b int, leaf []field.Element, index int, p merkle.Proof, c merkle.Cap) error {
+	lane := pv.lane[q]
+	if lane < 0 {
+		return merkle.Verify(leaf, index, p, c)
+	}
+	if !pv.ok[b][lane] {
+		return merkle.ErrInvalidProof
+	}
+	return nil
+}
+
 func verifyQuery(oracles []VerifierOracle, groups []PointGroup, opened OpenedValues,
 	proof *Proof, round QueryRound, alpha field.Ext, betas []field.Ext,
-	idx, logM int, w field.Element, cfg Config) error {
+	q, idx, logM int, w field.Element, cfg Config, paths *pathVerdicts) error {
 
 	if len(round.OracleRows) != len(oracles) {
 		return fmt.Errorf("%w: %d oracle rows, want %d",
@@ -157,12 +264,12 @@ func verifyQuery(oracles []VerifierOracle, groups []PointGroup, opened OpenedVal
 			return fmt.Errorf("%w: oracle %d row has %d values, want %d",
 				ErrProofShape, oi, len(row.Values), oracles[oi].NumPolys)
 		}
-		wantSiblings := logM - capHeightOf(oracles[oi].Cap)
+		wantSiblings := rowSiblings(oracles[oi], logM)
 		if len(row.Proof.Siblings) != wantSiblings {
 			return fmt.Errorf("%w: oracle %d proof length %d, want %d",
 				ErrProofShape, oi, len(row.Proof.Siblings), wantSiblings)
 		}
-		if err := merkle.Verify(row.Values, idx, row.Proof, oracles[oi].Cap); err != nil {
+		if err := paths.verify(q, oi, row.Values, idx, row.Proof, oracles[oi].Cap); err != nil {
 			return fmt.Errorf("%w: oracle %d row: %v", ErrProofInvalid, oi, err)
 		}
 	}
@@ -201,12 +308,12 @@ func verifyQuery(oracles []VerifierOracle, groups []PointGroup, opened OpenedVal
 		leaf := []field.Element{step.Pair[0].A, step.Pair[0].B,
 			step.Pair[1].A, step.Pair[1].B}
 		half := size / 2
-		wantSiblings := ntt.Log2(half) - layerCapHeight(cfg, half)
+		wantSiblings := stepSiblings(cfg, logM, t)
 		if len(step.Proof.Siblings) != wantSiblings {
 			return fmt.Errorf("%w: layer %d proof length %d, want %d",
 				ErrProofShape, t, len(step.Proof.Siblings), wantSiblings)
 		}
-		if err := merkle.Verify(leaf, k, step.Proof, proof.CommitPhaseCaps[t]); err != nil {
+		if err := paths.verify(q, len(oracles)+t, leaf, k, step.Proof, proof.CommitPhaseCaps[t]); err != nil {
 			return fmt.Errorf("%w: fold layer %d: %v", ErrProofInvalid, t, err)
 		}
 		// Fold: v' = [x·(a+b) + β·(a−b)] / (2x).

@@ -194,3 +194,81 @@ func Verify(leafData []field.Element, index int, proof Proof, c Cap) error {
 	}
 	return nil
 }
+
+// Opening is one leaf and its authentication path, as VerifyBatch takes
+// them.
+type Opening struct {
+	Leaf  []field.Element
+	Index int
+	Proof Proof
+}
+
+// VerifyBatch sets ok[i] to whether ops[i] authenticates against c, the
+// verdict Verify would give. The openings are split into chunks of eight
+// that run across the shared worker pool, and each chunk hashes its
+// leaves, then each path level, with one batched permutation call. ok
+// must be at least as long as ops. It returns the pool's error, which
+// with no cancellation can only be a recovered panic.
+func VerifyBatch(c Cap, ops []Opening, ok []bool) error {
+	return parallel.For(context.Background(), len(ops), 8, func(lo, hi int) {
+		verifyChunk(c, ops[lo:hi], ok[lo:hi])
+	})
+}
+
+// minSIMDLanes is the smallest chunk verifyChunk hashes with the batched
+// permutation.
+const minSIMDLanes = 4
+
+// verifyChunk is VerifyBatch on at most eight openings. A chunk whose
+// path lengths differ, which only a malformed proof produces, and a chunk
+// of fewer than minSIMDLanes, are checked one opening at a time with
+// Verify; leaves of differing widths HashOrNoopBatch itself hashes one at
+// a time. On the SIMD backend a chunk of minSIMDLanes or more runs as a
+// full eight-lane call, the idle lanes repeating the last live one: one
+// such call costs about three scalar permutations. On the portable loop
+// only the live lanes run, since each lane costs a permutation anyway.
+//
+//unizklint:hotpath
+func verifyChunk(c Cap, ops []Opening, ok []bool) {
+	n, depth := len(ops), len(ops[0].Proof.Siblings)
+	ragged := false
+	for _, op := range ops[1:] {
+		ragged = ragged || len(op.Proof.Siblings) != depth
+	}
+	if ragged || n < minSIMDLanes {
+		for k, op := range ops {
+			ok[k] = Verify(op.Leaf, op.Index, op.Proof, c) == nil
+		}
+		return
+	}
+	lanes := n
+	if poseidon.SIMD() != "" {
+		lanes = 8
+	}
+	var (
+		rows [8][]field.Element
+		h    [8]poseidon.HashOut
+		idx  [8]int
+		kids [16]poseidon.HashOut
+	)
+	for k := range lanes {
+		op := &ops[min(k, n-1)]
+		rows[k], idx[k] = op.Leaf, op.Index
+	}
+	poseidon.HashOrNoopBatch(rows[:lanes], h[:lanes])
+	for level := range depth {
+		for k := range lanes {
+			sib := ops[min(k, n-1)].Proof.Siblings[level]
+			if idx[k]&1 == 0 {
+				kids[2*k], kids[2*k+1] = h[k], sib
+			} else {
+				kids[2*k], kids[2*k+1] = sib, h[k]
+			}
+			idx[k] >>= 1
+		}
+		poseidon.TwoToOneBatch(kids[:2*lanes], h[:lanes])
+	}
+	for k, op := range ops {
+		ok[k] = op.Index >= 0 && idx[k] < len(c) && c[idx[k]] == h[k]
+	}
+}

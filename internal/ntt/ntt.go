@@ -13,6 +13,7 @@ package ntt
 
 import (
 	"context"
+	"math/bits"
 
 	"unizk/internal/field"
 	"unizk/internal/parallel"
@@ -42,16 +43,12 @@ func Log2(n int) int {
 	return log
 }
 
-// BitReverse returns x with its low `bits` bits reversed.
+// BitReverse returns x with its low nbits bits reversed; higher bits of x
+// are dropped. nbits must be in [0, 64]; for 0 the shift by 64 gives 0.
 //
 //unizklint:hotpath
-func BitReverse(x, bits int) int {
-	r := 0
-	for i := 0; i < bits; i++ {
-		r = (r << 1) | (x & 1)
-		x >>= 1
-	}
-	return r
+func BitReverse(x, nbits int) int {
+	return int(bits.Reverse64(uint64(x)) >> (64 - nbits))
 }
 
 // BitReversePermute reorders data in place into bit-reversed index order.

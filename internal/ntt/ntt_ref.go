@@ -16,6 +16,17 @@ import "unizk/internal/field"
 // The oracles are deliberately quadratic — correctness only, never to be
 // called from a proving path.
 
+// refBitReverse is the oracle for BitReverse: one bit per iteration, low
+// bit of x first.
+func refBitReverse(x, nbits int) int {
+	r := 0
+	for i := 0; i < nbits; i++ {
+		r = (r << 1) | (x & 1)
+		x >>= 1
+	}
+	return r
+}
+
 // refPowerTable returns w^0..w^(n-1) with every entry computed by an
 // independent field.Exp, not a running product.
 func refPowerTable(w field.Element, n int) []field.Element {

@@ -1,6 +1,7 @@
 package ntt
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -200,6 +201,27 @@ func TestRefMultiDim(t *testing.T) {
 							logN, logn, serial, i)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestRefBitReverse pins BitReverse to the one-bit-per-iteration loop for
+// every width 0..32, on edge values (zero, all ones, lone high and low
+// bits, values with bits above the width, negatives) and random values.
+func TestRefBitReverse(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	for nbits := 0; nbits <= 32; nbits++ {
+		xs := []int{0, 1, -1, 2, 1<<nbits - 1, 1 << nbits, 1<<nbits | 1, 0x5555_5555_5555, math.MaxInt, math.MinInt}
+		if nbits > 0 {
+			xs = append(xs, 1<<(nbits-1))
+		}
+		for range 64 {
+			xs = append(xs, int(rng.Uint64()))
+		}
+		for _, x := range xs {
+			if got, want := BitReverse(x, nbits), refBitReverse(x, nbits); got != want {
+				t.Fatalf("BitReverse(%#x, %d) = %#x, want %#x", x, nbits, got, want)
 			}
 		}
 	}

@@ -33,6 +33,7 @@ func permuteX8Generic(x *lanesX8) {
 //unizklint:hotpath
 func HashOrNoopBatch(leaves [][]field.Element, out []HashOut) {
 	if len(out) != len(leaves) {
+		//unizklint:allow prooferrflow both lengths come from the caller's fixed arrays, never from proof bytes
 		panic("poseidon: HashOrNoopBatch: len(out) != len(leaves)")
 	}
 	n := len(leaves) &^ 7
@@ -79,6 +80,7 @@ func hashOrNoopX8(rows *[8][]field.Element, out *[8]HashOut) {
 //unizklint:hotpath
 func TwoToOneBatch(children []HashOut, out []HashOut) {
 	if len(children) != 2*len(out) {
+		//unizklint:allow prooferrflow both lengths come from the caller's fixed arrays, never from proof bytes
 		panic("poseidon: TwoToOneBatch: len(children) != 2·len(out)")
 	}
 	n := len(out) &^ 7
