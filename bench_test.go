@@ -12,6 +12,7 @@
 package unizk_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -140,7 +141,9 @@ func BenchmarkNTT2e18(b *testing.B) {
 	scratch := make([]field.Element, len(vec))
 	benchSerialParallel(b, func() {
 		copy(scratch, vec)
-		ntt.ForwardNN(scratch)
+		if err := ntt.Transform(context.Background(), scratch, ntt.Spec{}); err != nil {
+			b.Fatal(err)
+		}
 	})
 }
 

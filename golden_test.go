@@ -1,6 +1,7 @@
 package unizk_test
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -34,18 +35,18 @@ type goldenVectors struct {
 	// produces — if any earlier cap, challenge, or fold differed, the
 	// grind would land elsewhere.
 	PlonkPowWitness uint64 `json:"plonk_pow_witness"`
-	// NTTSweep pins ForwardNN and InverseNN digests across the size range
-	// where the transform changes strategy: serial radix-2 at the bottom,
-	// cache-blocked parallel layers at the top. A schedule change that is
-	// not bit-identical at any size fails here.
+	// NTTSweep pins natural-order forward and inverse transform digests
+	// across the size range where the transform changes strategy: serial
+	// radix-2 at the bottom, cache-blocked parallel layers at the top. A
+	// schedule change that is not bit-identical at any size fails here.
 	NTTSweep []nttSweepEntry `json:"ntt_sweep"`
 }
 
 // nttSweepEntry pins one size of the forward/inverse NTT sweep.
 type nttSweepEntry struct {
 	LogN    int      `json:"log_n"`
-	Forward []uint64 `json:"forward"` // Poseidon digest of ForwardNN output
-	Inverse []uint64 `json:"inverse"` // Poseidon digest of InverseNN output
+	Forward []uint64 `json:"forward"` // Poseidon digest of the forward output
+	Inverse []uint64 `json:"inverse"` // Poseidon digest of the inverse output
 }
 
 // nttSweepRange is the pinned size range, 2^4 through 2^12: below the
@@ -56,6 +57,14 @@ const (
 )
 
 const goldenPath = "testdata/golden.json"
+
+// transform runs ntt.Transform in place, failing the test on error.
+func transform(t *testing.T, data []field.Element, s ntt.Spec) {
+	t.Helper()
+	if err := ntt.Transform(context.Background(), data, s); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // computeGolden produces the pinned values under the current execution
 // mode (serial or parallel — the point is that both agree).
@@ -68,7 +77,7 @@ func computeGolden(t *testing.T) goldenVectors {
 	for i := range vec {
 		vec[i] = field.New(rng.Uint64())
 	}
-	ntt.ForwardNN(vec)
+	transform(t, vec, ntt.Spec{})
 	digest := poseidon.HashNoPad(vec)
 
 	// Merkle: seeded 2^10 × 4 leaves, capHeight 2.
@@ -98,13 +107,13 @@ func computeGolden(t *testing.T) goldenVectors {
 			v[i] = field.New(sweepRng.Uint64())
 		}
 		fwd := append([]field.Element(nil), v...)
-		ntt.ForwardNN(fwd)
+		transform(t, fwd, ntt.Spec{})
 		inv := append([]field.Element(nil), v...)
-		ntt.InverseNN(inv)
+		transform(t, inv, ntt.Spec{Inverse: true})
 
 		// Round-trip sanity independent of the pinned digests.
 		back := append([]field.Element(nil), fwd...)
-		ntt.InverseNN(back)
+		transform(t, back, ntt.Spec{Inverse: true})
 		for i := range v {
 			if back[i] != v[i] {
 				t.Fatalf("NTT round-trip broke at 2^%d index %d", logN, i)

@@ -53,9 +53,9 @@ func pinAtMost(t *testing.T, name string, budget float64, fn func()) {
 }
 
 // TestKernelAllocs pins the leaf kernels annotated //unizklint:hotpath
-// at zero steady-state allocations: batch inversion uses pooled scratch,
-// NTTs use memoized twiddle tables, and Poseidon/Merkle work entirely in
-// value types.
+// at zero steady-state allocations: batch inversion uses pooled scratch
+// and Poseidon/Merkle work entirely in value types. The NTT pins live in
+// TestTwiddleCacheAllocs.
 func TestKernelAllocs(t *testing.T) {
 	serialRun(t, func() {
 		const n = 512
@@ -93,17 +93,6 @@ func TestKernelAllocs(t *testing.T) {
 		}
 		grind()
 		pinZero(t, "poseidon.Challenger.Grind", grind)
-
-		// 1<<10 stays below the NTT's parallel threshold, so the serial
-		// path runs even without SetSerial; the first call populates the
-		// twiddle cache.
-		data := make([]field.Element, 1<<10)
-		for i := range data {
-			data[i] = field.New(uint64(i * 7))
-		}
-		ntt.ForwardNN(data)
-		pinZero(t, "ntt.ForwardNN", func() { ntt.ForwardNN(data) })
-		pinZero(t, "ntt.InverseNN", func() { ntt.InverseNN(data) })
 
 		leaves := make([][]field.Element, 64)
 		for i := range leaves {
@@ -164,7 +153,8 @@ func TestKernelAllocs(t *testing.T) {
 
 // TestTwiddleCacheAllocs pins the table-cache hit paths: once a size's
 // tables are cached, transforms and coset scalings at that size must not
-// allocate — a regression here means a cache key stopped matching and
+// allocate (2^10 stays below the NTT's parallel threshold, so the serial
+// path runs even without SetSerial) — a regression here means a cache key stopped matching and
 // every proof is silently rebuilding tables.
 func TestTwiddleCacheAllocs(t *testing.T) {
 	serialRun(t, func() {
@@ -176,13 +166,40 @@ func TestTwiddleCacheAllocs(t *testing.T) {
 		}
 		shift := field.MultiplicativeGenerator
 
-		// Warm the coset power tables (shift and shift^-1) and the
-		// scratch pools, then pin the cache-hit steady state.
-		ntt.CosetForwardNN(data, shift)
-		ntt.CosetInverseNN(data, shift)
-		pinZero(t, "ntt.CosetForwardNN", func() { ntt.CosetForwardNN(data, shift) })
-		pinZero(t, "ntt.CosetInverseNN", func() { ntt.CosetInverseNN(data, shift) })
-		pinZero(t, "ntt.CosetForwardNR", func() { ntt.CosetForwardNR(data, shift) })
+		// Every Spec the provers run: warm its tables (the coset power
+		// tables for shift and shift^-1) once, then pin the cache-hit
+		// steady state.
+		ctx := context.Background()
+		for _, s := range []ntt.Spec{
+			{},                            // ForwardNN
+			{Inverse: true},               // interpolation (CommitValues, PI)
+			{Shift: shift},                // coset extension (plonk, stark)
+			{Shift: shift, OutBR: true},   // LDE (CommitCoeffs)
+			{Inverse: true, Shift: shift}, // quotient interpolation
+			{Inverse: true, Shift: shift, InBR: true}, // FRI final polynomial
+		} {
+			transform := func() {
+				if err := ntt.Transform(ctx, data, s); err != nil {
+					t.Fatalf("transform %+v: %v", s, err)
+				}
+			}
+			transform()
+			pinZero(t, fmt.Sprintf("ntt.Transform(%+v)", s), transform)
+		}
+
+		// Columns allocates the pool closure and its per-column error
+		// slots, whatever the number of columns.
+		cols := make([][]field.Element, 8)
+		for i := range cols {
+			cols[i] = make([]field.Element, 1<<logN)
+		}
+		for _, n := range []int{2, 8} {
+			pinAtMost(t, fmt.Sprintf("ntt.Columns(%d)", n), 2, func() {
+				if err := ntt.Columns(ctx, cols[:n], cols[:n], ntt.Spec{Shift: shift}); err != nil {
+					t.Fatalf("columns: %v", err)
+				}
+			})
+		}
 
 		// Cached domain-point and twiddle lookups themselves.
 		_ = ntt.CosetDomainBR(logN)

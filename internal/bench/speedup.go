@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -66,7 +67,7 @@ func MeasureSpeedups() []KernelSpeedup {
 	nttOnce := func() {
 		scratch := make([]field.Element, len(vec))
 		copy(scratch, vec)
-		ntt.ForwardNN(scratch)
+		parallel.Must(ntt.Transform(context.Background(), scratch, ntt.Spec{}))
 	}
 	merkleOnce := func() { merkle.Build(leaves, 4) }
 

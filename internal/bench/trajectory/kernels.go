@@ -40,15 +40,21 @@ func Kernels() []Kernel {
 		{Name: "field/mul/4096", Bench: benchFieldMul},
 		{Name: "field/inverse", Bench: benchFieldInverse},
 	}
+	// The row names keep the order-naming of the variants they track
+	// (first letter input order, second output order; N natural, R
+	// bit-reversed) so their history stays joined.
+	nttRows := []struct {
+		prefix string
+		spec   ntt.Spec
+	}{
+		{"ntt/forwardNN", ntt.Spec{}},
+		{"ntt/inverseNN", ntt.Spec{Inverse: true}},
+		{"ntt/cosetForwardNR", ntt.Spec{Shift: field.MultiplicativeGenerator, OutBR: true}},
+	}
 	for _, logN := range nttSizes {
-		logN := logN
-		ks = append(ks,
-			Kernel{Name: sizeName("ntt/forwardNN", logN), Bench: func(b *testing.B) { benchNTT(b, logN, ntt.ForwardNN) }},
-			Kernel{Name: sizeName("ntt/inverseNN", logN), Bench: func(b *testing.B) { benchNTT(b, logN, ntt.InverseNN) }},
-			Kernel{Name: sizeName("ntt/cosetForwardNR", logN), Bench: func(b *testing.B) {
-				benchNTT(b, logN, func(d []field.Element) { ntt.CosetForwardNR(d, field.MultiplicativeGenerator) })
-			}},
-		)
+		for _, row := range nttRows {
+			ks = append(ks, Kernel{Name: sizeName(row.prefix, logN), Bench: func(b *testing.B) { benchNTT(b, logN, row.spec) }})
+		}
 	}
 	ks = append(ks,
 		Kernel{Name: "poseidon/permute", Bench: benchPermute},
@@ -96,15 +102,20 @@ func benchFieldInverse(b *testing.B) {
 // sinkElement defeats dead-code elimination of pure field kernels.
 var sinkElement field.Element
 
-func benchNTT(b *testing.B, logN int, fn func([]field.Element)) {
+func benchNTT(b *testing.B, logN int, spec ntt.Spec) {
 	data := make([]field.Element, 1<<logN)
 	for i := range data {
 		data[i] = field.New(uint64(i)*0x9e3779b9 + 12345)
 	}
-	fn(data) // warm twiddle tables and pools
+	run := func() {
+		if err := ntt.Transform(context.Background(), data, spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run() // warm twiddle tables and pools
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fn(data)
+		run()
 	}
 }
 

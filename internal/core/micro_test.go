@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -27,7 +28,9 @@ func TestNTTPipelineValues(t *testing.T) {
 		in := randVec(rng, 1<<logN)
 		got, cycles := p.Run(in)
 		want := append([]field.Element(nil), in...)
-		ntt.ForwardNR(want)
+		if err := ntt.Transform(context.Background(), want, ntt.Spec{OutBR: true}); err != nil {
+			t.Fatal(err)
+		}
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("logN=%d: pipeline output %d mismatch", logN, i)
@@ -63,7 +66,9 @@ func TestVariableNTTViaFixedPipelines(t *testing.T) {
 		in := randVec(rng, 1<<logN)
 		got := RunVariableNTT(in, 5)
 		want := append([]field.Element(nil), in...)
-		ntt.ForwardNN(want)
+		if err := ntt.Transform(context.Background(), want, ntt.Spec{}); err != nil {
+			t.Fatal(err)
+		}
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("logN=%d: variable NTT mismatch at %d", logN, i)

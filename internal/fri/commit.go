@@ -73,36 +73,19 @@ func CommitValuesContext(ctx context.Context, values [][]field.Element,
 	n := len(values[0])
 	coeffs := make([][]field.Element, len(values))
 	coeffBufs := make([]*[]field.Element, len(values))
-	var err error
-	var inner parallel.FirstError
-	rec.NTT(n, len(values), true, false, false, func() {
-		// Per-column transforms are independent; each claims whole
-		// columns (grain 1) and the butterfly layers inside each column
-		// fan out further on the same pool. Columns come from the buffer
-		// pool and are owned by the batch (released with it).
-		err = parallel.For(ctx, len(values), 1, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				p := getBase(n)
-				c := *p
-				copy(c, values[i])
-				if e := ntt.InverseNNCtx(ctx, c); e != nil {
-					putBase(p)
-					inner.Set(e)
-					return
-				}
-				coeffs[i] = c
-				coeffBufs[i] = p
-			}
-		})
-	})
-	if err == nil {
-		err = inner.Err()
+	for i := range coeffBufs {
+		coeffBufs[i] = getBase(n)
+		coeffs[i] = *coeffBufs[i]
 	}
+	var err error
+	rec.NTT(n, len(values), true, false, false, func() {
+		// Columns come from the buffer pool and are owned by the batch
+		// (released with it).
+		err = ntt.Columns(ctx, coeffs, values, ntt.Spec{Inverse: true})
+	})
 	if err != nil {
 		for _, p := range coeffBufs {
-			if p != nil {
-				putBase(p)
-			}
+			putBase(p)
 		}
 		return nil, err
 	}
@@ -140,36 +123,20 @@ func CommitCoeffsContext(ctx context.Context, coeffs [][]field.Element,
 
 	lde := make([][]field.Element, len(coeffs))
 	owned := make([]*[]field.Element, 0, len(coeffs)+1)
-	ldeBufs := make([]*[]field.Element, len(coeffs))
+	for i := range lde {
+		p := getBase(m)
+		owned = append(owned, p)
+		lde[i] = *p
+	}
 	release := func() {
-		for _, p := range ldeBufs {
-			if p != nil {
-				putBase(p)
-			}
-		}
 		for _, p := range owned {
 			putBase(p)
 		}
 	}
 	var err error
-	var inner parallel.FirstError
 	rec.NTT(m, len(coeffs), false, true, true, func() {
-		err = parallel.For(ctx, len(coeffs), 1, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				p := getBase(m)
-				if lerr := ntt.LDEIntoCtx(ctx, *p, coeffs[i], field.MultiplicativeGenerator); lerr != nil {
-					putBase(p)
-					inner.Set(lerr)
-					return
-				}
-				lde[i] = *p
-				ldeBufs[i] = p
-			}
-		})
+		err = ntt.Columns(ctx, lde, coeffs, ntt.Spec{Shift: field.MultiplicativeGenerator, OutBR: true})
 	})
-	if err == nil {
-		err = inner.Err()
-	}
 	if err != nil {
 		release()
 		return nil, err
@@ -207,9 +174,6 @@ func CommitCoeffsContext(ctx context.Context, coeffs [][]field.Element,
 		return nil, err
 	}
 
-	for _, p := range ldeBufs {
-		owned = append(owned, p)
-	}
 	return &PolynomialBatch{
 		Coeffs:   coeffs,
 		LDE:      lde,

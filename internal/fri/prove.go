@@ -403,12 +403,8 @@ func extCosetInverseNN(ctx context.Context, values []field.Ext, shift field.Elem
 			as[i] = v.A
 			bs[i] = v.B
 		}
-		ntt.BitReversePermute(as)
-		ntt.BitReversePermute(bs)
-		if err = ntt.CosetInverseNNCtx(ctx, as, shift); err != nil {
-			return
-		}
-		if err = ntt.CosetInverseNNCtx(ctx, bs, shift); err != nil {
+		cols := [][]field.Element{as, bs}
+		if err = ntt.Columns(ctx, cols, cols, ntt.Spec{Inverse: true, Shift: shift, InBR: true}); err != nil {
 			return
 		}
 		for i := range out {

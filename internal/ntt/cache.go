@@ -197,16 +197,15 @@ func (c *tableCache) getOrBuild(key tableKey, build func() []field.Element) []fi
 
 // SetCacheLimit bounds the table cache at the given number of field
 // elements, evicting immediately if the current contents exceed it, and
-// returns the previous limit. Servers size this once at startup; tests
-// shrink it to exercise eviction.
+// returns the previous limit. Tests shrink it to exercise eviction.
 func SetCacheLimit(elems int) int { return cache.setLimit(elems) }
 
 // GetCacheStats returns a snapshot of the shared table cache counters.
 func GetCacheStats() CacheStats { return cache.snapshot() }
 
 // Preload builds and caches the forward and inverse twiddle tables for
-// size 2^logN. Servers call it at startup for their configured sizes so
-// the first proof does not pay table construction.
+// size 2^logN, so a later transform of that size does not pay table
+// construction.
 func Preload(logN int) {
 	rootTable(logN)
 	invRootTable(logN)
@@ -240,8 +239,8 @@ func buildRootTable(w field.Element, logN int) []field.Element {
 }
 
 // powerTable returns shift^0..shift^(n-1) for n = 2^logN — the coset
-// scaling table of CosetForwardNN/CosetInverseNN. The serial power walk
-// makes the table bit-identical to on-the-fly accumulation.
+// scaling table of a Transform whose Spec has a Shift. The serial power
+// walk makes the table bit-identical to on-the-fly accumulation.
 func powerTable(shift field.Element, logN int) []field.Element {
 	return cache.getOrBuild(tableKey{kind: kindPowers, logN: logN, shift: shift}, func() []field.Element {
 		n := 1 << logN

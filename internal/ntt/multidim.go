@@ -22,7 +22,7 @@ import (
 // index order. Transposes move 32×32 tiles — 8 KiB read plus 8 KiB
 // written, both L1-resident — so every step streams contiguous memory.
 // Field arithmetic is exact, so the result is the canonical transform,
-// bit-identical to ForwardNN/InverseNN.
+// bit-identical to ForwardNN.
 
 // tileDim is the transpose tile edge: a 32×32 tile of 8-byte elements is
 // 8 KiB, so source and destination tiles fit L1 together.
@@ -72,34 +72,22 @@ func MultiDimForwardNN(data []field.Element, dims []int) []field.Element {
 	checkDims(data, dims)
 	out := make([]field.Element, len(data))
 	copy(out, data)
-	multiDimInPlace(out, dims, false)
-	return out
-}
-
-// MultiDimInverseNN computes the natural-order inverse NTT via the same
-// decomposition.
-func MultiDimInverseNN(data []field.Element, dims []int) []field.Element {
-	checkDims(data, dims)
-	out := make([]field.Element, len(data))
-	copy(out, data)
-	multiDimInPlace(out, dims, true)
-	scale(out, field.Inverse(field.New(uint64(len(data)))))
+	multiDimInPlace(out, dims)
 	return out
 }
 
 // multiDimInPlace is the six-step core: it transforms data in place via
 // the first dimension split n1 × n2, recursing on the inner n2-sized
-// transforms with the remaining dimensions. The 1/n scaling of the
-// inverse direction is applied once at the top level, not here.
-func multiDimInPlace(data []field.Element, dims []int, inverse bool) {
+// transforms with the remaining dimensions.
+func multiDimInPlace(data []field.Element, dims []int) {
 	total := len(data)
 	if len(dims) == 1 {
-		smallNN(data, inverse)
+		smallNN(data)
 		return
 	}
 	n1 := dims[0]
 	n2 := total / n1
-	roots := tableFor(Log2(total), inverse)
+	roots := rootTable(Log2(total))
 
 	// Step 1: transpose the n2×n1 input (data[j2*n1+j1]) so each inner
 	// transform is the contiguous row cols[j1*n2 : (j1+1)*n2].
@@ -111,7 +99,7 @@ func multiDimInPlace(data []field.Element, dims []int, inverse bool) {
 	// streaming columns back to back; here rows fan across the pool.
 	parallel.Must(parallel.For(context.Background(), n1, 1, func(lo, hi int) {
 		for j1 := lo; j1 < hi; j1++ {
-			multiDimInPlace(cols[j1*n2:(j1+1)*n2], dims[1:], inverse)
+			multiDimInPlace(cols[j1*n2:(j1+1)*n2], dims[1:])
 		}
 	}))
 
@@ -126,7 +114,7 @@ func multiDimInPlace(data []field.Element, dims []int, inverse bool) {
 	// transpose buffer — again on contiguous rows.
 	parallel.Must(parallel.For(context.Background(), n2, 16, func(lo, hi int) {
 		for k2 := lo; k2 < hi; k2++ {
-			smallNN(rows[k2*n1:(k2+1)*n1], inverse)
+			smallNN(rows[k2*n1 : (k2+1)*n1])
 		}
 	}))
 
@@ -202,12 +190,11 @@ func twiddleBand(dst, src []field.Element, n1, n2 int, roots []field.Element, n,
 	}
 }
 
-// smallNN applies the direct size-n transform in natural order, without the
-// 1/n scaling for the inverse direction (applied once at the top level).
+// smallNN applies the direct size-n forward transform in natural order.
 //
 //unizklint:hotpath
-func smallNN(data []field.Element, inverse bool) {
-	difCore(data, tableFor(Log2(len(data)), inverse))
+func smallNN(data []field.Element) {
+	difCore(data, rootTable(Log2(len(data))))
 	BitReversePermute(data)
 }
 

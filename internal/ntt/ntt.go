@@ -1,14 +1,13 @@
 // Package ntt implements number theoretic transforms over the Goldilocks
-// field: forward and inverse transforms, natural- and bit-reversed-order
-// variants (NN, NR, RN), coset transforms, low degree extension, and the
-// SAM-style multi-dimensional decomposition that UniZK's hardware mapping
-// relies on (paper §5.1).
+// field and the SAM-style multi-dimensional decomposition that UniZK's
+// hardware mapping relies on (paper §5.1).
 //
-// Order naming follows the paper: the first letter is the input order and
-// the second the output order; N = natural, R = bit-reversed. For example
-// ForwardNR consumes coefficients in natural order and produces evaluations
-// in bit-reversed order, which is the variant FRI's low degree extension
-// uses (paper Fig. 1, step 2).
+// Every variant is one butterfly pipeline with a different twiddle or
+// scaling stage, so one entry point runs them all: Transform takes a Spec
+// selecting forward or inverse, the plain subgroup or a coset, and
+// natural or bit-reversed order on each side, and Columns runs one
+// Transform per column across the worker pool. Bit-reversed output is
+// what FRI's low degree extension uses (paper Fig. 1, step 2).
 package ntt
 
 import (
@@ -180,71 +179,6 @@ func difButterflies(data, roots []field.Element, base, j0, j1, half, step int) {
 	}
 }
 
-// ditCore runs decimation-in-time butterflies in place: bit-reversed-order
-// input, natural-order output.
-//
-//unizklint:hotpath
-func ditCore(data []field.Element, roots []field.Element) {
-	n := len(data)
-	for half := 1; half < n; half <<= 1 {
-		step := n / (2 * half)
-		for start := 0; start < n; start += 2 * half {
-			ditButterflies(data, roots, start, 0, half, half, step)
-		}
-	}
-}
-
-// ditCoreCtx is ditCore with cache-blocked leading layers (DIT runs its
-// short spans first, so the block pass leads and the pool-parallel long
-// layers follow from half = block size); see difCoreCtx.
-func ditCoreCtx(ctx context.Context, data []field.Element, inverse bool) error {
-	n := len(data)
-	if n < parallelMin {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		ditCore(data, tableFor(Log2(n), inverse))
-		return nil
-	}
-	bs := blockElems(n)
-	sub := tableFor(Log2(bs), inverse)
-	err := parallel.For(ctx, n/bs, 1, func(lo, hi int) {
-		for b := lo; b < hi; b++ {
-			ditCore(data[b*bs:(b+1)*bs], sub)
-		}
-	})
-	if err != nil {
-		return err
-	}
-	roots := tableFor(Log2(n), inverse)
-	for half := bs; half < n; half <<= 1 {
-		step := n / (2 * half)
-		h := half
-		err := parallel.For(ctx, n/2, butterflyGrain, func(lo, hi int) {
-			forButterflySpans(lo, hi, h, func(block, j0, j1 int) {
-				ditButterflies(data, roots, block*2*h, j0, j1, h, step)
-			})
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ditButterflies applies DIT butterflies j in [j0, j1) of the block at
-// base.
-//
-//unizklint:hotpath
-func ditButterflies(data, roots []field.Element, base, j0, j1, half, step int) {
-	for j := j0; j < j1; j++ {
-		a := data[base+j]
-		b := field.Mul(data[base+j+half], roots[j*step])
-		data[base+j] = field.Add(a, b)
-		data[base+j+half] = field.Sub(a, b)
-	}
-}
-
 // forButterflySpans maps a flat butterfly index range [lo, hi) — b
 // encodes (block, j) = (b/half, b%half) — onto maximal per-block spans,
 // so the inner loops pay one div/mod per block rather than per butterfly.
@@ -263,75 +197,95 @@ func forButterflySpans(lo, hi, half int, span func(block, j0, j1 int)) {
 	}
 }
 
-// ForwardNR transforms coefficients (natural order) to evaluations in
-// bit-reversed order, in place.
-func ForwardNR(data []field.Element) {
-	parallel.Must(ForwardNRCtx(context.Background(), data))
+// Spec selects one transform variant. The zero value is the forward
+// transform on the size-n subgroup H with natural order in and out.
+type Spec struct {
+	// Inverse interpolates evaluations back to coefficients, including
+	// the 1/n scaling; otherwise coefficients are evaluated.
+	Inverse bool
+	// Shift, when nonzero, moves the evaluation domain to the coset
+	// Shift·H. Zero selects H itself: 0 is never a valid coset shift.
+	Shift field.Element
+	// InBR and OutBR put the input and the output in bit-reversed index
+	// order; natural order otherwise.
+	InBR, OutBR bool
 }
 
-// ForwardNRCtx is ForwardNR with pool-parallel butterfly layers and
-// cooperative cancellation. On a non-nil error the data is partially
+// Transform runs the transform s selects on data in place, with
+// pool-parallel butterfly layers and cooperative cancellation. len(data)
+// must be a power of two. On a non-nil error the data is partially
 // transformed and must be discarded.
-func ForwardNRCtx(ctx context.Context, data []field.Element) error {
-	return difCoreCtx(ctx, data, false)
-}
-
-// ForwardNN transforms coefficients to evaluations, both in natural order.
-func ForwardNN(data []field.Element) {
-	parallel.Must(ForwardNNCtx(context.Background(), data))
-}
-
-// ForwardNNCtx is ForwardNN with parallel butterflies and cancellation.
-func ForwardNNCtx(ctx context.Context, data []field.Element) error {
-	if err := ForwardNRCtx(ctx, data); err != nil {
+//
+// The stages follow the paper's unit (§5.1, "NTT variants"): the coset
+// pre-scaling by shift^i, which the hardware maps onto the idle
+// inter-dimension twiddle PE, then the DIF butterflies (natural order
+// in, bit-reversed out), then for the inverse the N^-1 and shift^-i
+// scalings the last two PEs apply.
+func Transform(ctx context.Context, data []field.Element, s Spec) error {
+	if s.InBR {
+		BitReversePermute(data)
+	}
+	if !s.Inverse && s.Shift != 0 {
+		if err := scaleByPowersCtx(ctx, data, s.Shift); err != nil {
+			return err
+		}
+	}
+	if err := difCoreCtx(ctx, data, s.Inverse); err != nil {
 		return err
 	}
-	BitReversePermute(data)
+	if s.Inverse {
+		if err := scaleCtx(ctx, data, field.Inverse(field.New(uint64(len(data))))); err != nil {
+			return err
+		}
+	}
+	// The butterflies leave data bit-reversed; the inverse coset
+	// unscaling indexes natural-order coefficients.
+	unshift := s.Inverse && s.Shift != 0
+	if !s.OutBR || unshift {
+		BitReversePermute(data)
+	}
+	if unshift {
+		if err := scaleByPowersCtx(ctx, data, field.Inverse(s.Shift)); err != nil {
+			return err
+		}
+		if s.OutBR {
+			BitReversePermute(data)
+		}
+	}
 	return nil
 }
 
-// ForwardRN transforms coefficients given in bit-reversed order to
-// evaluations in natural order.
-func ForwardRN(data []field.Element) {
-	parallel.Must(ditCoreCtx(context.Background(), data, false))
-}
-
-// InverseNN transforms evaluations to coefficients, both in natural order.
-// This is the iNTT^NN used by FRI step 1 (paper Fig. 1).
-func InverseNN(data []field.Element) {
-	parallel.Must(InverseNNCtx(context.Background(), data))
-}
-
-// InverseNNCtx is InverseNN with parallel butterflies and cancellation.
-func InverseNNCtx(ctx context.Context, data []field.Element) error {
-	if err := InverseNRCtx(ctx, data); err != nil {
+// Columns transforms a batch of columns, one pool task per column: task
+// i copies src[i] into dst[i], clears the rest of dst[i] (so pooled,
+// dirty buffers zero-pad correctly) and runs Transform on it. The
+// butterfly layers inside a column fan out further on the same pool.
+// dst[i] may alias src[i] but must not be shorter. On error the first
+// failing column's error (or the pool's) is returned and dst must be
+// discarded.
+func Columns(ctx context.Context, dst, src [][]field.Element, s Spec) error {
+	if len(dst) != len(src) {
+		panic("ntt: Columns needs one destination per source column")
+	}
+	errs := make([]error, len(src))
+	err := parallel.For(ctx, len(src), 1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if len(dst[i]) < len(src[i]) {
+				panic("ntt: column destination shorter than its source")
+			}
+			n := copy(dst[i], src[i])
+			clear(dst[i][n:])
+			errs[i] = Transform(ctx, dst[i], s)
+		}
+	})
+	if err != nil {
 		return err
 	}
-	BitReversePermute(data)
+	for _, e := range errs {
+		if e != nil {
+			return e
+		}
+	}
 	return nil
-}
-
-// InverseNR transforms natural-order evaluations to bit-reversed-order
-// coefficients.
-func InverseNR(data []field.Element) {
-	parallel.Must(InverseNRCtx(context.Background(), data))
-}
-
-// InverseNRCtx is InverseNR with parallel butterflies and cancellation.
-func InverseNRCtx(ctx context.Context, data []field.Element) error {
-	n := len(data)
-	if err := difCoreCtx(ctx, data, true); err != nil {
-		return err
-	}
-	return scaleCtx(ctx, data, field.Inverse(field.New(uint64(n))))
-}
-
-// InverseRN transforms bit-reversed-order evaluations to natural-order
-// coefficients.
-func InverseRN(data []field.Element) {
-	n := len(data)
-	parallel.Must(ditCoreCtx(context.Background(), data, true))
-	scale(data, field.Inverse(field.New(uint64(n))))
 }
 
 //unizklint:hotpath
@@ -353,53 +307,6 @@ func scaleCtx(ctx context.Context, data []field.Element, c field.Element) error 
 			data[i] = field.Mul(data[i], c)
 		}
 	})
-}
-
-// CosetForwardNR evaluates the polynomial on the coset shift·H (H the
-// size-n subgroup), output bit-reversed: scale coefficient i by shift^i,
-// then transform. The paper maps the pre-scaling onto the idle
-// inter-dimension twiddle PE of the first DIT round (§5.1, "NTT variants").
-func CosetForwardNR(data []field.Element, shift field.Element) {
-	parallel.Must(CosetForwardNRCtx(context.Background(), data, shift))
-}
-
-// CosetForwardNRCtx is CosetForwardNR with parallel butterflies and
-// cancellation.
-func CosetForwardNRCtx(ctx context.Context, data []field.Element, shift field.Element) error {
-	if err := scaleByPowersCtx(ctx, data, shift); err != nil {
-		return err
-	}
-	return ForwardNRCtx(ctx, data)
-}
-
-// CosetForwardNN is CosetForwardNR with natural-order output.
-func CosetForwardNN(data []field.Element, shift field.Element) {
-	parallel.Must(CosetForwardNNCtx(context.Background(), data, shift))
-}
-
-// CosetForwardNNCtx is CosetForwardNN with parallel butterflies and
-// cancellation.
-func CosetForwardNNCtx(ctx context.Context, data []field.Element, shift field.Element) error {
-	if err := scaleByPowersCtx(ctx, data, shift); err != nil {
-		return err
-	}
-	return ForwardNNCtx(ctx, data)
-}
-
-// CosetInverseNN interpolates values on the coset shift·H back to
-// coefficients; the trailing shift^-i scaling is what the paper folds into
-// the last pipeline stage ("the last two PEs multiply with N^-1 g^-i").
-func CosetInverseNN(data []field.Element, shift field.Element) {
-	parallel.Must(CosetInverseNNCtx(context.Background(), data, shift))
-}
-
-// CosetInverseNNCtx is CosetInverseNN with parallel butterflies and
-// cancellation.
-func CosetInverseNNCtx(ctx context.Context, data []field.Element, shift field.Element) error {
-	if err := InverseNNCtx(ctx, data); err != nil {
-		return err
-	}
-	return scaleByPowersCtx(ctx, data, field.Inverse(shift))
 }
 
 //unizklint:hotpath
@@ -428,60 +335,19 @@ func scaleByPowersCtx(ctx context.Context, data []field.Element, c field.Element
 	})
 }
 
+// ForwardNN transforms coefficients to evaluations on H, both in natural
+// order: Transform with the zero Spec, for context-free callers.
+func ForwardNN(data []field.Element) {
+	parallel.Must(Transform(context.Background(), data, Spec{}))
+}
+
 // LDE performs the low degree extension of FRI step 2: the coefficient
 // vector is zero-padded by the blowup factor (k ≥ 8 in Plonky2, k = 2 in
 // Starky) and evaluated on the shifted coset of the larger subgroup, with
-// bit-reversed output order (NTT^NR). A fresh slice is returned.
+// bit-reversed output order. A fresh slice is returned.
 func LDE(coeffs []field.Element, blowupBits int, shift field.Element) []field.Element {
-	out, err := LDECtx(context.Background(), coeffs, blowupBits, shift)
-	parallel.Must(err)
-	return out
-}
-
-// LDECtx is LDE with parallel butterflies and cancellation.
-func LDECtx(ctx context.Context, coeffs []field.Element, blowupBits int, shift field.Element) ([]field.Element, error) {
-	n := len(coeffs)
-	out := make([]field.Element, n<<blowupBits)
+	out := make([]field.Element, len(coeffs)<<blowupBits)
 	copy(out, coeffs)
-	if err := CosetForwardNRCtx(ctx, out, shift); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// LDEIntoCtx is LDECtx writing into a caller-provided buffer whose
-// length (a power of two ≥ len(coeffs)) fixes the blowup. Callers feed
-// pooled buffers, so the padding region is cleared explicitly — pooled
-// memory is dirty where a fresh make is zero.
-func LDEIntoCtx(ctx context.Context, dst, coeffs []field.Element, shift field.Element) error {
-	if len(dst) < len(coeffs) {
-		panic("ntt: LDE destination shorter than coefficients")
-	}
-	n := copy(dst, coeffs)
-	clear(dst[n:])
-	return CosetForwardNRCtx(ctx, dst, shift)
-}
-
-// PolyMulNTT multiplies two coefficient vectors via NTT, returning a
-// product of length len(a)+len(b)-1 (trailing zeros trimmed to that size).
-func PolyMulNTT(a, b []field.Element) []field.Element {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	outLen := len(a) + len(b) - 1
-	n := 1
-	for n < outLen {
-		n <<= 1
-	}
-	fa := make([]field.Element, n)
-	fb := make([]field.Element, n)
-	copy(fa, a)
-	copy(fb, b)
-	ForwardNR(fa)
-	ForwardNR(fb)
-	for i := range fa {
-		fa[i] = field.Mul(fa[i], fb[i])
-	}
-	InverseRN(fa)
-	return fa[:outLen]
+	parallel.Must(Transform(context.Background(), out, Spec{Shift: shift, OutBR: true}))
+	return out
 }

@@ -7,8 +7,8 @@ import "unizk/internal/field"
 // field.Inverse — which are themselves differential-tested against the
 // math/big oracle in internal/field — and sharing nothing with the
 // butterfly cores, twiddle tables, cache blocking, or the table cache.
-// The differential tests in ref_test.go pin every optimized transform
-// variant bit-identical to these oracles, so a broken blocked schedule,
+// The differential tests in ref_test.go pin every Transform Spec and
+// Columns bit-identical to these oracles, so a broken blocked schedule,
 // stale cached table, or wrong fused twiddle cannot ship silently. Like
 // the field oracle this file is retained as a permanent non-test source
 // of truth for future raw-speed passes.
@@ -52,22 +52,22 @@ func refDFT(in []field.Element, w field.Element) []field.Element {
 	return out
 }
 
-// RefForwardNN is the oracle for ForwardNN: the defining DFT at the
+// RefForwardNN is the oracle for the zero Spec: the defining DFT at the
 // canonical primitive root.
 func RefForwardNN(in []field.Element) []field.Element {
 	return refDFT(in, field.PrimitiveRootOfUnity(Log2(len(in))))
 }
 
-// RefForwardNR is the oracle for ForwardNR: the natural-order transform
-// permuted into bit-reversed output order.
+// RefForwardNR is the oracle for Spec{OutBR: true}: the natural-order
+// transform permuted into bit-reversed output order.
 func RefForwardNR(in []field.Element) []field.Element {
 	out := RefForwardNN(in)
 	BitReversePermute(out)
 	return out
 }
 
-// RefInverseNN is the oracle for InverseNN: the DFT at w^-1 scaled by
-// n^-1.
+// RefInverseNN is the oracle for Spec{Inverse: true}: the DFT at w^-1
+// scaled by n^-1.
 func RefInverseNN(in []field.Element) []field.Element {
 	n := len(in)
 	w := field.PrimitiveRootOfUnity(Log2(n))
@@ -79,8 +79,8 @@ func RefInverseNN(in []field.Element) []field.Element {
 	return out
 }
 
-// RefCosetForwardNN is the oracle for CosetForwardNN: scale coefficient
-// j by shift^j, then transform.
+// RefCosetForwardNN is the oracle for Spec{Shift: shift}: scale
+// coefficient j by shift^j, then transform.
 func RefCosetForwardNN(in []field.Element, shift field.Element) []field.Element {
 	scaled := make([]field.Element, len(in))
 	for j := range in {
@@ -89,8 +89,8 @@ func RefCosetForwardNN(in []field.Element, shift field.Element) []field.Element 
 	return RefForwardNN(scaled)
 }
 
-// RefCosetInverseNN is the oracle for CosetInverseNN: inverse transform,
-// then scale coefficient k by shift^-k.
+// RefCosetInverseNN is the oracle for Spec{Inverse: true, Shift: shift}:
+// inverse transform, then scale coefficient k by shift^-k.
 func RefCosetInverseNN(in []field.Element, shift field.Element) []field.Element {
 	out := RefInverseNN(in)
 	sinv := field.Inverse(shift)

@@ -1,6 +1,7 @@
 package ntt
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -19,6 +20,14 @@ func clone(v []field.Element) []field.Element {
 	out := make([]field.Element, len(v))
 	copy(out, v)
 	return out
+}
+
+// transform runs Transform in place, failing the test on error.
+func transform(t testing.TB, data []field.Element, s Spec) {
+	t.Helper()
+	if err := Transform(context.Background(), data, s); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // evalPoly evaluates the polynomial with the given coefficients at x
@@ -56,7 +65,7 @@ func TestForwardNROrder(t *testing.T) {
 	nn := clone(coeffs)
 	ForwardNN(nn)
 	nr := clone(coeffs)
-	ForwardNR(nr)
+	transform(t, nr, Spec{OutBR: true})
 	bits := Log2(n)
 	for i := 0; i < n; i++ {
 		if nr[i] != nn[BitReverse(i, bits)] {
@@ -73,7 +82,7 @@ func TestForwardRN(t *testing.T) {
 	ForwardNN(want)
 	got := clone(coeffs)
 	BitReversePermute(got)
-	ForwardRN(got)
+	transform(t, got, Spec{InBR: true})
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("RN mismatch at %d", i)
@@ -81,36 +90,25 @@ func TestForwardRN(t *testing.T) {
 	}
 }
 
+// TestRoundTrips inverts every forward Spec with the inverse Spec that
+// reads the forward output order and writes the forward input order.
 func TestRoundTrips(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, logN := range []int{0, 1, 4, 7, 10} {
 		n := 1 << logN
 		orig := randVec(rng, n)
-
-		v := clone(orig)
-		ForwardNN(v)
-		InverseNN(v)
-		for i := range v {
-			if v[i] != orig[i] {
-				t.Fatalf("logN=%d: ForwardNN/InverseNN not identity", logN)
+		for _, fwd := range allSpecs() {
+			if fwd.Inverse {
+				continue
 			}
-		}
-
-		v = clone(orig)
-		ForwardNR(v)
-		InverseRN(v)
-		for i := range v {
-			if v[i] != orig[i] {
-				t.Fatalf("logN=%d: ForwardNR/InverseRN not identity", logN)
-			}
-		}
-
-		v = clone(orig)
-		InverseNR(v)
-		ForwardRN(v)
-		for i := range v {
-			if v[i] != orig[i] {
-				t.Fatalf("logN=%d: InverseNR/ForwardRN not identity", logN)
+			inv := Spec{Inverse: true, Shift: fwd.Shift, InBR: fwd.OutBR, OutBR: fwd.InBR}
+			v := clone(orig)
+			transform(t, v, fwd)
+			transform(t, v, inv)
+			for i := range v {
+				if v[i] != orig[i] {
+					t.Fatalf("logN=%d: %+v then %+v not identity", logN, fwd, inv)
+				}
 			}
 		}
 	}
@@ -123,7 +121,7 @@ func TestCosetTransforms(t *testing.T) {
 	coeffs := randVec(rng, n)
 
 	evals := clone(coeffs)
-	CosetForwardNN(evals, g)
+	transform(t, evals, Spec{Shift: g})
 	w := field.PrimitiveRootOfUnity(Log2(n))
 	x := g
 	for i := 0; i < n; i++ {
@@ -134,7 +132,7 @@ func TestCosetTransforms(t *testing.T) {
 	}
 
 	back := clone(evals)
-	CosetInverseNN(back, g)
+	transform(t, back, Spec{Inverse: true, Shift: g})
 	for i := range back {
 		if back[i] != coeffs[i] {
 			t.Fatalf("coset round trip failed at %d", i)
@@ -148,9 +146,9 @@ func TestCosetForwardNROrder(t *testing.T) {
 	g := field.MultiplicativeGenerator
 	coeffs := randVec(rng, n)
 	nn := clone(coeffs)
-	CosetForwardNN(nn, g)
+	transform(t, nn, Spec{Shift: g})
 	nr := clone(coeffs)
-	CosetForwardNR(nr, g)
+	transform(t, nr, Spec{Shift: g, OutBR: true})
 	bits := Log2(n)
 	for i := range nr {
 		if nr[i] != nn[BitReverse(i, bits)] {
@@ -179,33 +177,38 @@ func TestLDE(t *testing.T) {
 	}
 }
 
+// TestPolyMulNTT multiplies polynomials by the convolution theorem,
+// pairing a bit-reversed-output forward Transform with a
+// bit-reversed-input inverse, against schoolbook multiplication.
 func TestPolyMulNTT(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 20; trial++ {
 		la, lb := 1+rng.Intn(20), 1+rng.Intn(20)
 		a, b := randVec(rng, la), randVec(rng, lb)
-		got := PolyMulNTT(a, b)
-		// Schoolbook reference.
-		want := make([]field.Element, la+lb-1)
+		n := 1
+		for n < la+lb-1 {
+			n <<= 1
+		}
+		want := make([]field.Element, n) // zero above degree la+lb-2
 		for i := range a {
 			for j := range b {
 				want[i+j] = field.Add(want[i+j], field.Mul(a[i], b[j]))
 			}
 		}
-		if len(got) != len(want) {
-			t.Fatalf("length %d, want %d", len(got), len(want))
+		fa, fb := make([]field.Element, n), make([]field.Element, n)
+		copy(fa, a)
+		copy(fb, b)
+		transform(t, fa, Spec{OutBR: true})
+		transform(t, fb, Spec{OutBR: true})
+		for i := range fa {
+			fa[i] = field.Mul(fa[i], fb[i])
 		}
-		for i := range want {
-			if got[i] != want[i] {
+		transform(t, fa, Spec{Inverse: true, InBR: true})
+		for i := range fa {
+			if fa[i] != want[i] {
 				t.Fatalf("trial %d: coeff %d mismatch", trial, i)
 			}
 		}
-	}
-}
-
-func TestPolyMulEmpty(t *testing.T) {
-	if PolyMulNTT(nil, []field.Element{1}) != nil {
-		t.Error("expected nil for empty operand")
 	}
 }
 
@@ -290,8 +293,8 @@ func TestMultiDimInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	dims := []int{8, 8, 8}
 	data := randVec(rng, 512)
-	evals := MultiDimForwardNN(data, dims)
-	back := MultiDimInverseNN(evals, dims)
+	back := MultiDimForwardNN(data, dims)
+	transform(t, back, Spec{Inverse: true})
 	for i := range data {
 		if back[i] != data[i] {
 			t.Fatalf("multi-dim inverse round trip failed at %d", i)
@@ -313,7 +316,7 @@ func BenchmarkForwardNR4096(b *testing.B) {
 	data := randVec(rng, 4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ForwardNR(data)
+		transform(b, data, Spec{OutBR: true})
 	}
 }
 
@@ -322,6 +325,6 @@ func BenchmarkForwardNR65536(b *testing.B) {
 	data := randVec(rng, 65536)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ForwardNR(data)
+		transform(b, data, Spec{OutBR: true})
 	}
 }

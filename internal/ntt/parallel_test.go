@@ -1,6 +1,7 @@
 package ntt
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -19,47 +20,34 @@ func workerSweep() []int {
 // the parallel butterfly path are each exercised.
 var diffSizes = []int{1 << 4, 1 << 6, 1 << 8, 1 << 10, 1 << 11, 1 << 12}
 
-// inPlaceTransforms are the kernels taking one vector in place.
-var inPlaceTransforms = []struct {
-	name string
-	fn   func([]field.Element)
-}{
-	{"ForwardNR", ForwardNR},
-	{"ForwardNN", ForwardNN},
-	{"ForwardRN", ForwardRN},
-	{"InverseNN", InverseNN},
-	{"InverseNR", InverseNR},
-	{"InverseRN", InverseRN},
-	{"CosetForwardNR", func(d []field.Element) { CosetForwardNR(d, field.MultiplicativeGenerator) }},
-	{"CosetForwardNN", func(d []field.Element) { CosetForwardNN(d, field.MultiplicativeGenerator) }},
-	{"CosetInverseNN", func(d []field.Element) { CosetInverseNN(d, field.MultiplicativeGenerator) }},
-}
-
-// TestTransformsSerialVsParallel is the NTT differential test: every
-// transform, across sizes and worker counts, must be byte-identical to
-// the forced-serial execution.
+// TestTransformsSerialVsParallel is the NTT differential test without
+// the oracle: every Spec, across sizes and worker counts, must be
+// byte-identical to the forced-serial execution.
 func TestTransformsSerialVsParallel(t *testing.T) {
-	prev := parallel.Workers()
-	defer func() { parallel.SetSerial(false); parallel.SetWorkers(prev) }()
-
-	for _, tc := range inPlaceTransforms {
+	restoreParallel(t)
+	ctx := context.Background()
+	for _, s := range allSpecs() {
 		for _, n := range diffSizes {
 			rng := rand.New(rand.NewSource(int64(n)))
 			input := randVec(rng, n)
 
 			parallel.SetSerial(true)
-			ref := append([]field.Element(nil), input...)
-			tc.fn(ref)
+			ref := clone(input)
+			if err := Transform(ctx, ref, s); err != nil {
+				t.Fatalf("%+v n=%d serial: %v", s, n, err)
+			}
 			parallel.SetSerial(false)
 
 			for _, workers := range workerSweep() {
 				parallel.SetWorkers(workers)
-				got := append([]field.Element(nil), input...)
-				tc.fn(got)
+				got := clone(input)
+				if err := Transform(ctx, got, s); err != nil {
+					t.Fatalf("%+v n=%d workers=%d: %v", s, n, workers, err)
+				}
 				for i := range ref {
 					if got[i] != ref[i] {
-						t.Fatalf("%s n=%d workers=%d: index %d differs from serial",
-							tc.name, n, workers, i)
+						t.Fatalf("%+v n=%d workers=%d: index %d differs from serial",
+							s, n, workers, i)
 					}
 				}
 			}
@@ -105,22 +93,15 @@ func TestMultiDimSerialVsParallel(t *testing.T) {
 		dims := HardwareDims(logN, 3)
 
 		parallel.SetSerial(true)
-		refF := MultiDimForwardNN(append([]field.Element(nil), input...), dims)
-		refI := MultiDimInverseNN(append([]field.Element(nil), refF...), dims)
+		ref := MultiDimForwardNN(input, dims)
 		parallel.SetSerial(false)
 
 		for _, workers := range workerSweep() {
 			parallel.SetWorkers(workers)
-			gotF := MultiDimForwardNN(append([]field.Element(nil), input...), dims)
-			for i := range refF {
-				if gotF[i] != refF[i] {
+			got := MultiDimForwardNN(input, dims)
+			for i := range ref {
+				if got[i] != ref[i] {
 					t.Fatalf("MultiDimForwardNN logN=%d workers=%d: index %d differs", logN, workers, i)
-				}
-			}
-			gotI := MultiDimInverseNN(append([]field.Element(nil), gotF...), dims)
-			for i := range refI {
-				if gotI[i] != refI[i] {
-					t.Fatalf("MultiDimInverseNN logN=%d workers=%d: index %d differs", logN, workers, i)
 				}
 			}
 		}

@@ -1,28 +1,32 @@
 package ntt
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"unizk/internal/field"
 	"unizk/internal/parallel"
 )
 
-// Differential layer: every optimized transform against the O(n²) DFT
-// oracles in ntt_ref.go, over edge vectors and fuzzed inputs, in forced
-// serial mode and through the worker pool. Sizes straddle parallelMin
-// and the cache-block threshold so the serial cores, the pool-parallel
-// layers, and the blocked tail/head passes are all pinned to the oracle.
+// Differential layer: every Transform Spec and Columns against the
+// O(n²) DFT oracles in ntt_ref.go, over edge vectors and fuzzed inputs,
+// in forced serial mode and through the worker pool at every count of
+// workerSweep. Sizes run up to twice parallelMin so the serial core, the
+// pool-parallel layers and the cache-blocked tail pass are all pinned to
+// the oracle.
 
-// oracleSizes is the full-matrix grid; oracle cost is quadratic, so the
-// largest sizes get a reduced sweep below.
-var oracleSizes = []int{1, 2, 4, 16, 64, 256, 1 << 10}
-
-// blockedSizes exercise the cache-blocked difCoreCtx/ditCoreCtx paths
-// (n ≥ parallelMin), where the trailing layers run per-block over the
-// canonical sub-table.
-var blockedSizes = []int{1 << 11, 1 << 12}
+// refMaxLog is the largest transform size the sweep checks; oracle cost
+// is quadratic, so sizes above refEdgeMaxLog get a random vector only.
+const (
+	refMaxLog     = 12
+	refEdgeMaxLog = 10
+)
 
 // refEdgeVectors are adversarial size-n inputs: zeros, ones, a lone
 // impulse at the last slot, everything saturated at p-1, and a seeded
@@ -40,65 +44,57 @@ func refEdgeVectors(rng *rand.Rand, n int) [][]field.Element {
 	return [][]field.Element{zeros, ones, impulse, sat, randVec(rng, n)}
 }
 
-// refTransformCases pairs each in-place kernel with its oracle.
-var refTransformCases = []struct {
-	name   string
-	fn     func([]field.Element)
-	oracle func([]field.Element) []field.Element
-}{
-	{"ForwardNN", ForwardNN, RefForwardNN},
-	{"ForwardNR", ForwardNR, RefForwardNR},
-	{"ForwardRN", ForwardRN, func(in []field.Element) []field.Element {
-		nat := clone(in)
-		BitReversePermute(nat) // RN input is bit-reversed: recover natural order
-		return RefForwardNN(nat)
-	}},
-	{"InverseNN", InverseNN, RefInverseNN},
-	{"InverseNR", InverseNR, func(in []field.Element) []field.Element {
-		out := RefInverseNN(in)
-		BitReversePermute(out)
-		return out
-	}},
-	{"InverseRN", InverseRN, func(in []field.Element) []field.Element {
-		nat := clone(in)
-		BitReversePermute(nat)
-		return RefInverseNN(nat)
-	}},
-	{"CosetForwardNN", func(d []field.Element) { CosetForwardNN(d, field.MultiplicativeGenerator) },
-		func(in []field.Element) []field.Element {
-			return RefCosetForwardNN(in, field.MultiplicativeGenerator)
-		}},
-	{"CosetForwardNR", func(d []field.Element) { CosetForwardNR(d, field.MultiplicativeGenerator) },
-		func(in []field.Element) []field.Element {
-			out := RefCosetForwardNN(in, field.MultiplicativeGenerator)
-			BitReversePermute(out)
-			return out
-		}},
-	{"CosetInverseNN", func(d []field.Element) { CosetInverseNN(d, field.MultiplicativeGenerator) },
-		func(in []field.Element) []field.Element {
-			return RefCosetInverseNN(in, field.MultiplicativeGenerator)
-		}},
-}
-
-// runRefCase checks one kernel against its oracle on one input, in
-// forced-serial mode and through the pool at a couple of worker counts.
-func runRefCase(t *testing.T, name string, fn func([]field.Element), want, input []field.Element, n int) {
-	t.Helper()
-	check := func(mode string) {
-		got := clone(input)
-		fn(got)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s n=%d %s: index %d = %#x, want %#x", name, n, mode, i, got[i], want[i])
+// allSpecs is every Spec: forward or inverse, subgroup or coset, and
+// natural or bit-reversed order on each side.
+func allSpecs() []Spec {
+	var specs []Spec
+	for _, inverse := range []bool{false, true} {
+		for _, shift := range []field.Element{0, field.MultiplicativeGenerator} {
+			for _, inBR := range []bool{false, true} {
+				for _, outBR := range []bool{false, true} {
+					specs = append(specs, Spec{Inverse: inverse, Shift: shift, InBR: inBR, OutBR: outBR})
+				}
 			}
 		}
 	}
+	return specs
+}
+
+// refTransform is the oracle for Transform(s): undo a bit-reversed input
+// order, apply the defining (coset) DFT, and permute the output if s asks
+// for bit-reversed order.
+func refTransform(in []field.Element, s Spec) []field.Element {
+	x := clone(in)
+	if s.InBR {
+		BitReversePermute(x)
+	}
+	var out []field.Element
+	switch {
+	case !s.Inverse && s.Shift == 0:
+		out = RefForwardNN(x)
+	case !s.Inverse:
+		out = RefCosetForwardNN(x, s.Shift)
+	case s.Shift == 0:
+		out = RefInverseNN(x)
+	default:
+		out = RefCosetInverseNN(x, s.Shift)
+	}
+	if s.OutBR {
+		BitReversePermute(out)
+	}
+	return out
+}
+
+// eachMode runs check in forced-serial mode and then through the pool at
+// every worker count of workerSweep.
+func eachMode(t *testing.T, check func(mode string)) {
+	t.Helper()
 	parallel.SetSerial(true)
 	check("serial")
 	parallel.SetSerial(false)
-	for _, workers := range []int{2, 7} {
+	for _, workers := range workerSweep() {
 		parallel.SetWorkers(workers)
-		check("parallel")
+		check(fmt.Sprintf("workers=%d", workers))
 	}
 }
 
@@ -111,40 +107,172 @@ func restoreParallel(t *testing.T) {
 	})
 }
 
-// TestRefTransforms is the full oracle matrix at small-to-medium sizes.
+// TestRefTransforms is the oracle sweep over edge and fuzzed vectors:
+// all 16 Specs × sizes 2^0..2^10 × {serial, 1, 2, 7, NumCPU} workers.
 func TestRefTransforms(t *testing.T) {
+	refSweep(t, 0, refEdgeMaxLog)
+}
+
+// TestRefTransformsBlocked continues the sweep at the sizes where the
+// butterflies run on the pool and the cache-blocked tail pass
+// (2^11..2^12, random vector only; 2^11 alone under -short).
+func TestRefTransformsBlocked(t *testing.T) {
+	maxLog := refMaxLog
+	if testing.Short() {
+		maxLog = refEdgeMaxLog + 1
+	}
+	refSweep(t, refEdgeMaxLog+1, maxLog)
+}
+
+// refSweep checks Transform against refTransform for every Spec, every
+// size 2^minLog..2^maxLog, and every mode of eachMode.
+func refSweep(t *testing.T, minLog, maxLog int) {
+	t.Helper()
 	restoreParallel(t)
-	for _, n := range oracleSizes {
+	ctx := context.Background()
+	for logN := minLog; logN <= maxLog; logN++ {
+		n := 1 << logN
 		rng := rand.New(rand.NewSource(int64(n) * 7919))
 		vectors := refEdgeVectors(rng, n)
-		if testing.Short() && n > 256 {
+		if logN > refEdgeMaxLog || (testing.Short() && n > 256) {
 			vectors = vectors[len(vectors)-1:] // random vector only
 		}
-		for vi, input := range vectors {
-			for _, tc := range refTransformCases {
-				want := tc.oracle(input)
-				runRefCase(t, tc.name, tc.fn, want, input, n)
-				_ = vi
+		for _, input := range vectors {
+			for _, s := range allSpecs() {
+				want := refTransform(input, s)
+				eachMode(t, func(mode string) {
+					got := clone(input)
+					if err := Transform(ctx, got, s); err != nil {
+						t.Fatalf("%+v n=%d %s: %v", s, n, mode, err)
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("%+v n=%d %s: index %d = %#x, want %#x", s, n, mode, i, got[i], want[i])
+						}
+					}
+				})
 			}
 		}
 	}
 }
 
-// TestRefTransformsBlocked pins the cache-blocked core paths (sizes at
-// and above parallelMin) to the oracle on a random vector.
-func TestRefTransformsBlocked(t *testing.T) {
-	if testing.Short() {
-		t.Skip("quadratic oracle at blocked sizes")
-	}
+// TestRefColumns feeds ragged source columns into garbage-filled
+// destinations of mixed sizes: a column whose padding Columns failed to
+// clear, or that ran the wrong Spec, differs from the zero-padded oracle.
+// The 2^11 column runs its butterflies on the pool from inside a pool
+// task.
+func TestRefColumns(t *testing.T) {
 	restoreParallel(t)
-	for _, n := range blockedSizes {
-		rng := rand.New(rand.NewSource(int64(n) * 104729))
-		input := randVec(rng, n)
-		for _, tc := range refTransformCases {
-			want := tc.oracle(input)
-			runRefCase(t, tc.name, tc.fn, want, input, n)
-		}
+	rng := rand.New(rand.NewSource(977))
+	shape := []struct{ srcLen, dstLen int }{{0, 1}, {1, 1}, {3, 16}, {16, 16}, {40, 64}, {5, 1 << 11}}
+	src := make([][]field.Element, len(shape))
+	padded := make([][]field.Element, len(shape))
+	for i, sh := range shape {
+		src[i] = randVec(rng, sh.srcLen)
+		padded[i] = make([]field.Element, sh.dstLen)
+		copy(padded[i], src[i])
 	}
+	for _, s := range allSpecs() {
+		want := make([][]field.Element, len(shape))
+		for i := range shape {
+			want[i] = refTransform(padded[i], s)
+		}
+		eachMode(t, func(mode string) {
+			dst := make([][]field.Element, len(shape))
+			for i, sh := range shape {
+				dst[i] = randVec(rng, sh.dstLen)
+			}
+			if err := Columns(context.Background(), dst, src, s); err != nil {
+				t.Fatalf("%+v %s: %v", s, mode, err)
+			}
+			for i := range want {
+				for j := range want[i] {
+					if dst[i][j] != want[i][j] {
+						t.Fatalf("%+v %s: column %d (src %d, dst %d) index %d differs",
+							s, mode, i, shape[i].srcLen, shape[i].dstLen, j)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestRefColumnsAlias runs Columns with every dst[i] aliasing src[i].
+func TestRefColumnsAlias(t *testing.T) {
+	restoreParallel(t)
+	rng := rand.New(rand.NewSource(978))
+	inputs := [][]field.Element{randVec(rng, 1), randVec(rng, 64), randVec(rng, 1<<11)}
+	for _, s := range allSpecs() {
+		want := make([][]field.Element, len(inputs))
+		for i, in := range inputs {
+			want[i] = refTransform(in, s)
+		}
+		eachMode(t, func(mode string) {
+			cols := make([][]field.Element, len(inputs))
+			for i, in := range inputs {
+				cols[i] = clone(in)
+			}
+			if err := Columns(context.Background(), cols, cols, s); err != nil {
+				t.Fatalf("%+v %s: %v", s, mode, err)
+			}
+			for i := range want {
+				for j := range want[i] {
+					if cols[i][j] != want[i][j] {
+						t.Fatalf("%+v %s: aliased column %d index %d differs", s, mode, i, j)
+					}
+				}
+			}
+		})
+	}
+}
+
+// countdownCtx reports cancellation from its left-th Err poll on, so a
+// test can cancel at a fixed point inside a run instead of racing a
+// timer.
+type countdownCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestRefColumnsCancel cancels Columns before it starts and part-way
+// through: it must return the context's error and leave no goroutine
+// behind.
+func TestRefColumnsCancel(t *testing.T) {
+	restoreParallel(t)
+	rng := rand.New(rand.NewSource(979))
+	cols := make([][]field.Element, 16)
+	for i := range cols {
+		cols[i] = randVec(rng, 1<<12)
+	}
+	pre, cancel := context.WithCancel(context.Background())
+	cancel()
+	eachMode(t, func(mode string) {
+		before := runtime.NumGoroutine()
+		for _, polls := range []int64{0, 1, 5, 40} {
+			ctx := context.Context(pre)
+			if polls > 0 {
+				c := &countdownCtx{Context: context.Background()}
+				c.left.Store(polls)
+				ctx = c
+			}
+			if err := Columns(ctx, cols, cols, Spec{Shift: field.MultiplicativeGenerator}); err == nil || err != ctx.Err() {
+				t.Fatalf("%s, cancelled after %d polls: err = %v, want context.Canceled", mode, polls, err)
+			}
+		}
+		for i := 0; runtime.NumGoroutine() > before; i++ {
+			if i == 100 {
+				t.Fatalf("%s: goroutines: %d before, %d after", mode, before, runtime.NumGoroutine())
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	})
 }
 
 // TestRefLDE pins the allocating LDE kernel, whose zero-padded coset
@@ -156,7 +284,7 @@ func TestRefLDE(t *testing.T) {
 		coeffs := randVec(rng, n)
 		for _, blowup := range []int{1, 2, 3} {
 			want := RefLDE(coeffs, blowup, field.MultiplicativeGenerator)
-			check := func(mode string) {
+			eachMode(t, func(mode string) {
 				got := LDE(coeffs, blowup, field.MultiplicativeGenerator)
 				for i := range want {
 					if got[i] != want[i] {
@@ -164,40 +292,28 @@ func TestRefLDE(t *testing.T) {
 							n, blowup, mode, i, got[i], want[i])
 					}
 				}
-			}
-			parallel.SetSerial(true)
-			check("serial")
-			parallel.SetSerial(false)
-			parallel.SetWorkers(2)
-			check("parallel")
+			})
 		}
 	}
 }
 
 // TestRefMultiDim pins the six-step decomposition — tiled transposes,
-// fused twiddles, pooled scratch — to the oracle across pipeline widths
-// and both directions.
+// fused twiddles, pooled scratch — to the oracle across pipeline widths.
 func TestRefMultiDim(t *testing.T) {
 	restoreParallel(t)
 	for _, logN := range []int{0, 1, 3, 5, 8, 10} {
 		n := 1 << logN
 		rng := rand.New(rand.NewSource(int64(logN) + 101))
 		input := randVec(rng, n)
-		wantF := RefForwardNN(input)
-		wantI := RefInverseNN(input)
+		want := RefForwardNN(input)
 		for _, logn := range []int{1, 3, 5} {
 			dims := HardwareDims(logN, logn)
 			for _, serial := range []bool{true, false} {
 				parallel.SetSerial(serial)
-				gotF := MultiDimForwardNN(input, dims)
-				gotI := MultiDimInverseNN(input, dims)
-				for i := range wantF {
-					if gotF[i] != wantF[i] {
+				got := MultiDimForwardNN(input, dims)
+				for i := range want {
+					if got[i] != want[i] {
 						t.Fatalf("MultiDimForwardNN logN=%d logn=%d serial=%v: index %d differs",
-							logN, logn, serial, i)
-					}
-					if gotI[i] != wantI[i] {
-						t.Fatalf("MultiDimInverseNN logN=%d logn=%d serial=%v: index %d differs",
 							logN, logn, serial, i)
 					}
 				}

@@ -276,38 +276,8 @@ func For(ctx context.Context, n, grain int, fn func(lo, hi int)) error {
 	return Default().For(ctx, n, grain, fn)
 }
 
-// FirstError collects the first non-nil error observed by concurrent
-// chunks — the idiom for nested kernels (an outer For whose chunks call
-// context-aware inner kernels). Which racing error wins is not
-// deterministic, but errors only arise on cancellation or panic, where
-// the output is discarded anyway.
-type FirstError struct {
-	mu sync.Mutex
-	//unizklint:guardedby mu
-	err error
-}
-
-// Set records err if it is the first non-nil error.
-func (f *FirstError) Set(err error) {
-	if err == nil {
-		return
-	}
-	f.mu.Lock()
-	if f.err == nil {
-		f.err = err
-	}
-	f.mu.Unlock()
-}
-
-// Err returns the recorded error, if any.
-func (f *FirstError) Err() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.err
-}
-
 // Must re-panics a *PanicError and panics on any other non-nil error.
-// It is the adapter for legacy context-free entry points (ntt.ForwardNR,
+// It is the adapter for context-free entry points (ntt.ForwardNN,
 // merkle.Build, …) whose For calls run under context.Background() and
 // therefore can only fail by panic.
 func Must(err error) {

@@ -322,61 +322,36 @@ func (c *Circuit) computeQuotient(ctx context.Context,
 	shift := field.MultiplicativeGenerator
 
 	numPolys := c.NumCols + c.Reps + 8*c.Reps + 1
-	wiresD := make([][]field.Element, c.NumCols)
-	zD := make([][]field.Element, c.Reps)
-	selD := make([][]field.Element, 5*c.Reps)
-	sigD := make([][]field.Element, 3*c.Reps)
-	var piD []field.Element
 	var err error
-	var inner parallel.FirstError
 	rec.NTT(n, 1, true, false, false, func() {
 		piCoeffs := make([]field.Element, n)
 		copy(piCoeffs, pi)
-		err = ntt.InverseNNCtx(ctx, piCoeffs)
+		err = ntt.Transform(ctx, piCoeffs, ntt.Spec{Inverse: true})
 		pi = piCoeffs
 	})
 	if err != nil {
 		return nil, err
 	}
-	rec.NTT(d, numPolys, false, true, false, func() {
-		// Flatten all coset extensions into one job list: (source
-		// coefficients, destination slot). Each job claims a whole column.
-		type cosetJob struct {
-			src []field.Element
-			dst *[]field.Element
-		}
-		jobs := make([]cosetJob, 0, numPolys)
-		for col := 0; col < c.NumCols; col++ {
-			jobs = append(jobs, cosetJob{wiresBatch.Coeffs[col], &wiresD[col]})
-		}
-		for j := 0; j < c.Reps; j++ {
-			jobs = append(jobs, cosetJob{zBatch.Coeffs[j], &zD[j]})
-		}
-		for i := 0; i < 5*c.Reps; i++ {
-			jobs = append(jobs, cosetJob{c.constants.Coeffs[i], &selD[i]})
-		}
-		for i := 0; i < 3*c.Reps; i++ {
-			jobs = append(jobs, cosetJob{c.constants.Coeffs[5*c.Reps+i], &sigD[i]})
-		}
-		jobs = append(jobs, cosetJob{pi, &piD})
-		err = parallel.For(ctx, len(jobs), 1, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				out := make([]field.Element, d)
-				copy(out, jobs[i].src)
-				if e := ntt.CosetForwardNNCtx(ctx, out, shift); e != nil {
-					inner.Set(e)
-					return
-				}
-				*jobs[i].dst = out
-			}
-		})
-	})
-	if err == nil {
-		err = inner.Err()
+	// All coset extensions run as one column batch, laid out as wires,
+	// Z columns, selectors, sigmas (constants holds 5+3 per rep), PI.
+	src := make([][]field.Element, 0, numPolys)
+	src = append(src, wiresBatch.Coeffs[:c.NumCols]...)
+	src = append(src, zBatch.Coeffs[:c.Reps]...)
+	src = append(src, c.constants.Coeffs[:8*c.Reps]...)
+	src = append(src, pi)
+	ext := make([][]field.Element, numPolys)
+	for i := range ext {
+		ext[i] = make([]field.Element, d)
 	}
+	rec.NTT(d, numPolys, false, true, false, func() {
+		err = ntt.Columns(ctx, ext, src, ntt.Spec{Shift: shift})
+	})
 	if err != nil {
 		return nil, err
 	}
+	sel := c.NumCols + c.Reps // first selector column
+	wiresD, zD := ext[:c.NumCols], ext[c.NumCols:sel]
+	selD, sigD, piD := ext[sel:sel+5*c.Reps], ext[sel+5*c.Reps:sel+8*c.Reps], ext[sel+8*c.Reps]
 
 	// Constraint evaluation — the "gate constraint evaluation" vector
 	// kernel the paper highlights for data reuse (§5.4).
@@ -483,7 +458,7 @@ func (c *Circuit) computeQuotient(ctx context.Context,
 	rec.NTT(d, 1, true, true, false, func() {
 		tCoeffs = make([]field.Element, d)
 		copy(tCoeffs, t)
-		err = ntt.CosetInverseNNCtx(ctx, tCoeffs, shift)
+		err = ntt.Transform(ctx, tCoeffs, ntt.Spec{Inverse: true, Shift: shift})
 	})
 	if err != nil {
 		return nil, err

@@ -238,24 +238,13 @@ func (s *Stark) computeQuotient(ctx context.Context, traceBatch *fri.PolynomialB
 	shift := field.MultiplicativeGenerator
 
 	cols := make([][]field.Element, s.Width)
-	var err error
-	var inner parallel.FirstError
-	rec.NTT(d, s.Width, false, true, false, func() {
-		err = parallel.For(ctx, s.Width, 1, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				e := make([]field.Element, d)
-				copy(e, traceBatch.Coeffs[i])
-				if cerr := ntt.CosetForwardNNCtx(ctx, e, shift); cerr != nil {
-					inner.Set(cerr)
-					return
-				}
-				cols[i] = e
-			}
-		})
-	})
-	if err == nil {
-		err = inner.Err()
+	for i := range cols {
+		cols[i] = make([]field.Element, d)
 	}
+	var err error
+	rec.NTT(d, s.Width, false, true, false, func() {
+		err = ntt.Columns(ctx, cols, traceBatch.Coeffs[:s.Width], ntt.Spec{Shift: shift})
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -346,7 +335,7 @@ func (s *Stark) computeQuotient(ctx context.Context, traceBatch *fri.PolynomialB
 	rec.NTT(d, 1, true, true, false, func() {
 		tCoeffs = make([]field.Element, d)
 		copy(tCoeffs, t)
-		err = ntt.CosetInverseNNCtx(ctx, tCoeffs, shift)
+		err = ntt.Transform(ctx, tCoeffs, ntt.Spec{Inverse: true, Shift: shift})
 	})
 	if err != nil {
 		return nil, err
