@@ -108,15 +108,17 @@ go test -race -run 'TestRef|TestCache' ./internal/field ./internal/ntt
 # or permutation divergence fail under its own name.
 go test -race -run 'Grind|Permute' ./internal/poseidon ./internal/fri
 
-# Portable hash path: on an AVX-512 host the batched permutation runs in
-# assembly, so this step builds with the standard purego tag to keep the
-# portable loop (the path on every other host) under the same
-# differential tests — the batch against PermuteNaive, batched Merkle
-# trees against the scalar reference tree, and the batched grind against
-# the serial loop, batched Merkle-path verification against Verify and
-# the batched FRI verifier against its serial reference — under the race
-# detector.
-go test -tags purego -race -run 'Permute|Grind|Batch|Build|Verify' ./internal/poseidon ./internal/merkle ./internal/fri
+# Portable hash and NTT path: on an AVX-512 host the batched permutation
+# and the NTT butterflies and scalings run in assembly, so this step
+# builds with the standard purego tag to keep the portable loops (the
+# path on every other host) under the same differential tests — the
+# batch against PermuteNaive, batched Merkle trees against the scalar
+# reference tree, and the batched grind against the serial loop,
+# batched Merkle-path verification against Verify, the batched FRI
+# verifier against its serial reference, every NTT Spec against the
+# O(n^2) DFT and the plonk quotient against its re-extending
+# reference — under the race detector.
+go test -tags purego -race -run 'Permute|Grind|Batch|Build|Verify|Ref|Quotient|Butterflies|Scale' ./internal/poseidon ./internal/merkle ./internal/fri ./internal/ntt ./internal/plonk
 
 # Kernel trajectory regression check: with UNIZK_BENCH_ENFORCE=1 this
 # re-measures the tracked kernel registry (internal/bench/trajectory)
@@ -135,7 +137,8 @@ go test -race ./...
 
 # Fuzz the decode+verify boundary of each protocol, plus the worker
 # pool's chunking arithmetic, the Poseidon permutation against its naive
-# oracle, batched Merkle-path verification against Verify, and the
+# oracle, the eight-lane NTT butterflies against the scalar loop,
+# batched Merkle-path verification against Verify, and the
 # proving-service request/response codecs, for a fixed
 # budget. -run='^$' skips unit tests so the whole
 # budget goes to fuzzing.
@@ -144,6 +147,7 @@ go test -run='^$' -fuzz='^FuzzStarkUnmarshalVerify$' -fuzztime=10s ./internal/st
 go test -run='^$' -fuzz='^FuzzForCoverage$' -fuzztime=10s ./internal/parallel
 go test -run='^$' -fuzz='^FuzzPermute$' -fuzztime=20s ./internal/poseidon
 go test -run='^$' -fuzz='^FuzzPermuteX8$' -fuzztime=20s ./internal/poseidon
+go test -run='^$' -fuzz='^FuzzDIFButterfliesX8$' -fuzztime=20s ./internal/ntt
 go test -run='^$' -fuzz='^FuzzVerifyBatch$' -fuzztime=20s ./internal/merkle
 go test -run='^$' -fuzz='^FuzzRequestRoundTrip$' -fuzztime=5s ./internal/jobs
 go test -run='^$' -fuzz='^FuzzResultRoundTrip$' -fuzztime=5s ./internal/jobs

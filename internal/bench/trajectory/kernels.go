@@ -13,6 +13,7 @@ import (
 	"unizk/internal/plonk"
 	"unizk/internal/poseidon"
 	"unizk/internal/stark"
+	"unizk/internal/workloads"
 )
 
 // Kernel is one tracked benchmark: a stable name (the trajectory's join
@@ -57,6 +58,7 @@ func Kernels() []Kernel {
 		}
 	}
 	ks = append(ks,
+		Kernel{Name: "ntt/lde/2^11x48-rate3", Bench: benchLDEColumns},
 		Kernel{Name: "poseidon/permute", Bench: benchPermute},
 		Kernel{Name: "poseidon/permute-x8", Bench: benchPermuteX8},
 		Kernel{Name: "poseidon/hash-no-pad/32", Bench: benchHashNoPad},
@@ -67,6 +69,7 @@ func Kernels() []Kernel {
 		Kernel{Name: "merkle/verify/2^14x135", Bench: func(b *testing.B) { benchMerkleVerify(b, false) }},
 		Kernel{Name: "merkle/verify-batch/2^14x135", Bench: func(b *testing.B) { benchMerkleVerify(b, true) }},
 		Kernel{Name: "fri/fold/2^15", Bench: benchFRIFold},
+		Kernel{Name: "plonk/quotient/mvm-2^11", Bench: benchPlonkQuotient},
 		Kernel{Name: "plonk/prove/fib-40", Bench: benchPlonkProve},
 		Kernel{Name: "stark/prove/fib-2^10", Bench: benchStarkProve},
 	)
@@ -116,6 +119,60 @@ func benchNTT(b *testing.B, logN int, spec ntt.Spec) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run()
+	}
+}
+
+// benchLDEColumns is the LDE of plonk's wires commitment on an MVM 2^11
+// proof: 48 columns of 2^11 coefficients extended by the rate-3 blowup
+// onto the coset, bit-reversed, through ntt.Columns.
+func benchLDEColumns(b *testing.B) {
+	const n, cols, rateBits = 1 << 11, 48, 3
+	src := make([][]field.Element, cols)
+	dst := make([][]field.Element, cols)
+	for i := range src {
+		src[i] = make([]field.Element, n)
+		for j := range src[i] {
+			src[i][j] = field.New(uint64(i*n+j)*0x9e3779b9 + 12345)
+		}
+		dst[i] = make([]field.Element, n<<rateBits)
+	}
+	spec := ntt.Spec{Shift: field.MultiplicativeGenerator, OutBR: true}
+	run := func() {
+		if err := ntt.Columns(context.Background(), dst, src, spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run() // warm twiddle tables and pools
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
+// benchPlonkQuotient reruns the quotient phase of a PlonkyConfig proof
+// of the MVM workload at 2^11 rows.
+func benchPlonkQuotient(b *testing.B) {
+	wl, err := workloads.ByName("MVM")
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, w, _, err := wl.Build(11, fri.PlonkyConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	quotient, err := c.QuotientKernel(w)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := quotient(ctx); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := quotient(ctx); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -38,8 +38,9 @@ type Entry struct {
 	GoVersion string `json:"go_version"`
 	GOARCH    string `json:"goarch"`
 	HostCPUs  int    `json:"host_cpus"`
-	// SIMD is the vector backend the hash kernels ran on (poseidon.SIMD),
-	// empty for the portable path.
+	// SIMD is the vector backend the hash and NTT kernels ran on
+	// (poseidon.SIMD, which reads field.AVX512), empty for the portable
+	// path.
 	SIMD string `json:"simd,omitempty"`
 	// Note is a free-form label for what changed, e.g. "PR 8 raw-speed pass".
 	Note    string   `json:"note,omitempty"`

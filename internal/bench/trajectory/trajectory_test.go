@@ -136,10 +136,10 @@ func TestKernelRegistry(t *testing.T) {
 	}
 	for _, want := range []string{
 		"field/mul/4096", "field/inverse",
-		"ntt/forwardNN/2^12", "ntt/inverseNN/2^18", "ntt/cosetForwardNR/2^15",
+		"ntt/forwardNN/2^12", "ntt/inverseNN/2^18", "ntt/cosetForwardNR/2^15", "ntt/lde/2^11x48-rate3",
 		"poseidon/permute-x8", "merkle/commit/2^12", "merkle/commit/2^12x32",
 		"merkle/verify/2^14x135", "merkle/verify-batch/2^14x135", "fri/fold/2^15",
-		"plonk/prove/fib-40", "stark/prove/fib-2^10",
+		"plonk/quotient/mvm-2^11", "plonk/prove/fib-40", "stark/prove/fib-2^10",
 	} {
 		if !seen[want] {
 			t.Fatalf("tracked kernel %q missing from registry", want)

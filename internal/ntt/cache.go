@@ -55,8 +55,9 @@ type CacheStats struct {
 }
 
 // DefaultCacheElems bounds the cache at 2^23 field elements (64 MiB):
-// enough for the root, coset, and domain tables of a 2^21-point LDE
-// domain with room for several smaller sizes, small next to the
+// enough for the per-layer root tables of both directions (about 2^21
+// elements each, shared by every smaller size), the coset power table
+// and the domain table of a 2^21-point LDE domain, small next to the
 // per-proof working set it accelerates.
 const DefaultCacheElems = 1 << 23
 
@@ -203,12 +204,14 @@ func SetCacheLimit(elems int) int { return cache.setLimit(elems) }
 // GetCacheStats returns a snapshot of the shared table cache counters.
 func GetCacheStats() CacheStats { return cache.snapshot() }
 
-// Preload builds and caches the forward and inverse twiddle tables for
-// size 2^logN, so a later transform of that size does not pay table
-// construction.
+// Preload builds and caches the forward and inverse twiddle tables that
+// a size-2^logN transform reads, one per butterfly layer span 2^1..2^logN,
+// so a later transform of that size does not pay table construction.
 func Preload(logN int) {
-	rootTable(logN)
-	invRootTable(logN)
+	for l := 1; l <= logN; l++ {
+		rootTable(l)
+		invRootTable(l)
+	}
 }
 
 // rootTable returns the cached half-table w^0..w^(n/2-1) for the

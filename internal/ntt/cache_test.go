@@ -176,15 +176,17 @@ func TestCacheLimitShrink(t *testing.T) {
 }
 
 // TestPreload warms both directions so a server's first proof skips
-// table construction.
+// table construction: a forward and an inverse transform of the
+// preloaded size miss no table.
 func TestPreload(t *testing.T) {
 	flushCache(t)
 	SetCacheLimit(0)
 	SetCacheLimit(DefaultCacheElems)
 	Preload(11)
 	m := GetCacheStats().Misses
-	_ = rootTable(11)
-	_ = invRootTable(11)
+	data := make([]field.Element, 1<<11)
+	transform(t, data, Spec{})
+	transform(t, data, Spec{Inverse: true})
 	if got := GetCacheStats().Misses; got != m {
 		t.Fatalf("Preload did not warm tables (misses %d -> %d)", m, got)
 	}

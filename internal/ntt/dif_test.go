@@ -1,0 +1,107 @@
+package ntt
+
+import (
+	"math/rand"
+	"os"
+	"strings"
+	"testing"
+
+	"unizk/internal/field"
+)
+
+// laneEdges are canonical values at the carry and borrow boundaries of
+// the lane arithmetic.
+var laneEdges = []field.Element{0, 1, 2, 0xffffffff, 1 << 32, 1<<32 + 1, 1 << 63,
+	field.Element(field.Order - 2), field.Element(field.Order - 1)}
+
+// laneVec returns n canonical elements, about a quarter of them drawn
+// from laneEdges.
+func laneVec(rng *rand.Rand, n int) []field.Element {
+	v := make([]field.Element, n)
+	for i := range v {
+		if rng.Intn(4) == 0 {
+			v[i] = laneEdges[rng.Intn(len(laneEdges))]
+		} else {
+			v[i] = field.New(rng.Uint64())
+		}
+	}
+	return v
+}
+
+// FuzzDIFButterfliesX8 runs one span of a DIF layer, half in
+// {8, 16, ..., 2^12}, through butterflies (the eight-lane kernel where
+// the host has one, then the scalar tail) and through
+// butterfliesGeneric, on random canonical data at a ragged base and
+// span, and requires identical results.
+func FuzzDIFButterfliesX8(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint16(0), uint16(0), uint16(0))
+	f.Add(int64(2), uint8(9), uint16(3), uint16(5), uint16(2047))
+	f.Add(int64(3), uint8(4), uint16(13), uint16(1), uint16(130))
+	f.Fuzz(func(t *testing.T, seed int64, logHalf uint8, base, j0, span uint16) {
+		half := 8 << (logHalf % 10)
+		lo := int(j0) % half
+		hi := lo + int(span)%(half-lo+1)
+		rng := rand.New(rand.NewSource(seed))
+		data := laneVec(rng, int(base)%64+2*half)
+		roots := laneVec(rng, half)
+		b := int(base) % 64
+
+		want := clone(data)
+		butterfliesGeneric(want[b+lo:b+hi], want[b+half+lo:b+half+hi], roots[lo:hi])
+		butterflies(data[b+lo:b+hi], data[b+half+lo:b+half+hi], roots[lo:hi])
+		for i := range want {
+			if data[i] != want[i] {
+				t.Fatalf("half=%d base=%d span [%d,%d): index %d = %#x, want %#x",
+					half, b, lo, hi, i, data[i], want[i])
+			}
+		}
+	})
+}
+
+// TestScaleKernels checks scale and scaleByTable, which take the
+// eight-lane multiply where the host has one, against field.Mul at every
+// length up to 40 so each tail length runs.
+func TestScaleKernels(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for n := 0; n <= 40; n++ {
+		data, table := laneVec(rng, n), laneVec(rng, n)
+		c := laneEdges[n%len(laneEdges)]
+		got := clone(data)
+		scale(got, c)
+		for i := range data {
+			if want := field.Mul(data[i], c); got[i] != want {
+				t.Fatalf("scale n=%d index %d = %#x, want %#x", n, i, got[i], want)
+			}
+		}
+		got = clone(data)
+		scaleByTable(got, table)
+		for i := range data {
+			if want := field.Mul(data[i], table[i]); got[i] != want {
+				t.Fatalf("scaleByTable n=%d index %d = %#x, want %#x", n, i, got[i], want)
+			}
+		}
+	}
+}
+
+// TestLaneMacrosMatch fails when the lane-arithmetic block copied into
+// dif_amd64.s drifts from its source in internal/poseidon: the copy
+// exists only because Go's build cache does not track a header included
+// from another package's directory.
+func TestLaneMacrosMatch(t *testing.T) {
+	block := func(path string) string {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := string(src)
+		i := strings.Index(s, "#define EPS Z31")
+		j := strings.Index(s, "// END lane arithmetic.")
+		if i < 0 || j < i {
+			t.Fatalf("%s: lane arithmetic block not found", path)
+		}
+		return s[i:j]
+	}
+	if block("dif_amd64.s") != block("../poseidon/x8_amd64.s") {
+		t.Fatal("dif_amd64.s lane arithmetic differs from internal/poseidon/x8_amd64.s")
+	}
+}

@@ -112,70 +112,113 @@ func blockElems(n int) int {
 
 // difCore runs decimation-in-frequency butterflies in place: natural-order
 // input, bit-reversed-order output. This is the dataflow UniZK maps onto
-// the MDC pipeline (paper Fig. 4a). roots must be the (inverse) root table
-// of size len(data)/2.
+// the MDC pipeline (paper Fig. 4a). Each layer reads the (inverse) root
+// table of its own span 2·half at step 1, so the twiddles of a run of
+// butterflies are contiguous, as an eight-lane load needs.
 //
 //unizklint:hotpath
-func difCore(data []field.Element, roots []field.Element) {
+func difCore(data []field.Element, inverse bool) {
 	n := len(data)
 	for half := n / 2; half >= 1; half >>= 1 {
-		step := n / (2 * half) // twiddle stride into the size-n table
-		for start := 0; start < n; start += 2 * half {
-			difButterflies(data, roots, start, 0, half, half, step)
+		if half == 4 {
+			difLast3(data, tableFor(3, inverse), tableFor(2, inverse)[1])
+			return
 		}
+		roots := tableFor(Log2(2*half), inverse)
+		for base := 0; base < n; base += 2 * half {
+			butterflies(data[base:base+half], data[base+half:base+2*half], roots)
+		}
+	}
+}
+
+// difLast3 runs the last three DIF layers (half 4, 2, 1) on each block of
+// eight in one pass, with the block in registers. w8 is the size-8 root
+// table and w4 the size-4 root; the butterflies whose twiddle is 1 skip
+// the multiply, which leaves five multiplies per block instead of twelve.
+//
+//unizklint:hotpath
+func difLast3(data, w8 []field.Element, w4 field.Element) {
+	w81, w82, w83 := w8[1], w8[2], w8[3]
+	for base := 0; base+8 <= len(data); base += 8 {
+		x := (*[8]field.Element)(data[base : base+8])
+		// half = 4
+		a0, b0 := field.Add(x[0], x[4]), field.Sub(x[0], x[4])
+		a1, b1 := field.Add(x[1], x[5]), field.Mul(field.Sub(x[1], x[5]), w81)
+		a2, b2 := field.Add(x[2], x[6]), field.Mul(field.Sub(x[2], x[6]), w82)
+		a3, b3 := field.Add(x[3], x[7]), field.Mul(field.Sub(x[3], x[7]), w83)
+		// half = 2
+		c0, c2 := field.Add(a0, a2), field.Sub(a0, a2)
+		c1, c3 := field.Add(a1, a3), field.Mul(field.Sub(a1, a3), w4)
+		d0, d2 := field.Add(b0, b2), field.Sub(b0, b2)
+		d1, d3 := field.Add(b1, b3), field.Mul(field.Sub(b1, b3), w4)
+		// half = 1
+		x[0], x[1] = field.Add(c0, c1), field.Sub(c0, c1)
+		x[2], x[3] = field.Add(c2, c3), field.Sub(c2, c3)
+		x[4], x[5] = field.Add(d0, d1), field.Sub(d0, d1)
+		x[6], x[7] = field.Add(d2, d3), field.Sub(d2, d3)
 	}
 }
 
 // difCoreCtx is difCore with the early (long-span) butterfly layers
 // fanned across the worker pool and the trailing layers cache-blocked:
 // once spans fit a cache block, each block is an independent smaller DIF
-// transform over the canonical table of the block size, run serially
-// while the block stays cache-resident, with blocks fanned across the
-// pool. Butterflies within a layer touch disjoint index pairs and blocks
-// are disjoint slices, so the result is bit-identical to the serial
-// core; layers are separated by the For barrier, preserving the
-// layer-order data dependence.
+// transform, run serially while the block stays cache-resident, with
+// blocks fanned across the pool. Butterflies within a layer touch
+// disjoint index pairs and blocks are disjoint slices, so the result is
+// bit-identical to the serial core; layers are separated by the For
+// barrier, preserving the layer-order data dependence.
 func difCoreCtx(ctx context.Context, data []field.Element, inverse bool) error {
 	n := len(data)
 	if n < parallelMin {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		difCore(data, tableFor(Log2(n), inverse))
+		difCore(data, inverse)
 		return nil
 	}
-	roots := tableFor(Log2(n), inverse)
 	bs := blockElems(n)
 	for half := n / 2; 2*half > bs; half >>= 1 {
-		step := n / (2 * half)
+		roots := tableFor(Log2(2*half), inverse)
 		h := half
 		err := parallel.For(ctx, n/2, butterflyGrain, func(lo, hi int) {
 			forButterflySpans(lo, hi, h, func(block, j0, j1 int) {
-				difButterflies(data, roots, block*2*h, j0, j1, h, step)
+				base := block * 2 * h
+				butterflies(data[base+j0:base+j1], data[base+h+j0:base+h+j1], roots[j0:j1])
 			})
 		})
 		if err != nil {
 			return err
 		}
 	}
-	sub := tableFor(Log2(bs), inverse)
 	return parallel.For(ctx, n/bs, 1, func(lo, hi int) {
 		for b := lo; b < hi; b++ {
-			difCore(data[b*bs:(b+1)*bs], sub)
+			difCore(data[b*bs:(b+1)*bs], inverse)
 		}
 	})
 }
 
-// difButterflies applies DIF butterflies j in [j0, j1) of the block at
-// base: the pair (base+j, base+j+half) with twiddle roots[j*step].
+// butterflies applies the DIF butterfly to every pair (x[j], y[j]) with
+// twiddle w[j]: x[j], y[j] = x[j]+y[j], (x[j]-y[j])·w[j]. Runs of eight
+// go to the vector kernel where there is one; the rest take the scalar
+// loop of butterfliesGeneric.
 //
 //unizklint:hotpath
-func difButterflies(data, roots []field.Element, base, j0, j1, half, step int) {
-	for j := j0; j < j1; j++ {
-		a := data[base+j]
-		b := data[base+j+half]
-		data[base+j] = field.Add(a, b)
-		data[base+j+half] = field.Mul(field.Sub(a, b), roots[j*step])
+func butterflies(x, y, w []field.Element) {
+	k := butterfliesX8(x, y, w)
+	butterfliesGeneric(x[k:], y[k:len(x)], w[k:len(x)])
+}
+
+// butterfliesGeneric is butterflies one pair at a time: the path for
+// short runs and hosts without the vector kernel, and the reference the
+// kernel is tested against.
+//
+//unizklint:hotpath
+func butterfliesGeneric(x, y, w []field.Element) {
+	y, w = y[:len(x)], w[:len(x)]
+	for j, a := range x {
+		b := y[j]
+		x[j] = field.Add(a, b)
+		y[j] = field.Mul(field.Sub(a, b), w[j])
 	}
 }
 
@@ -288,9 +331,11 @@ func Columns(ctx context.Context, dst, src [][]field.Element, s Spec) error {
 	return nil
 }
 
+// scale sets data[i] = data[i]·c.
+//
 //unizklint:hotpath
 func scale(data []field.Element, c field.Element) {
-	for i := range data {
+	for i := mulConstX8(data, c); i < len(data); i++ {
 		data[i] = field.Mul(data[i], c)
 	}
 }
@@ -303,15 +348,16 @@ func scaleCtx(ctx context.Context, data []field.Element, c field.Element) error 
 		return nil
 	}
 	return parallel.For(ctx, len(data), 1<<10, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			data[i] = field.Mul(data[i], c)
-		}
+		scale(data[lo:hi], c)
 	})
 }
 
+// scaleByTable sets data[i] = data[i]·table[i].
+//
 //unizklint:hotpath
 func scaleByTable(data, table []field.Element) {
-	for i := range data {
+	table = table[:len(data)]
+	for i := mulX8(data, table); i < len(data); i++ {
 		data[i] = field.Mul(data[i], table[i])
 	}
 }

@@ -61,10 +61,14 @@ func (b *Builder) Build(cfg fri.Config) *Circuit { return b.BuildWide(cfg, 1) }
 // over all 3·reps columns, and commits the constant polynomials (offline
 // preprocessing, §2.2). Gates are packed column-major — gate g lands in
 // row g mod N, repetition g div N — so the public-input gates stay in
-// repetition 0 of the first rows.
+// repetition 0 of the first rows. cfg.RateBits must be at least 2: the
+// quotient is evaluated on the first 4N points of the committed LDEs.
 func (b *Builder) BuildWide(cfg fri.Config, reps int) *Circuit {
 	if reps < 1 {
 		panic("plonk: reps must be at least 1")
+	}
+	if cfg.RateBits < 2 {
+		panic("plonk: RateBits must be at least 2: the degree-4 quotient's 4N coset must lie inside the committed LDE")
 	}
 	gates := len(b.qL)
 	n := minRows

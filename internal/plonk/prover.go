@@ -73,26 +73,10 @@ func (c *Circuit) ProveContext(ctx context.Context, w *Witness, rec *trace.Recor
 		return nil, err
 	}
 
-	// Wire materialization reads the witness map (concurrent reads only;
-	// generators have already run) and writes disjoint columns.
 	n := c.N
-	wires := make([][]field.Element, c.NumCols)
-	if err := parallel.For(ctx, c.NumCols, 1, func(lo, hi int) {
-		for col := lo; col < hi; col++ {
-			wires[col] = make([]field.Element, n)
-			for r := 0; r < n; r++ {
-				wires[col][r] = c.wireValue(w, col, r)
-			}
-		}
-	}); err != nil {
+	wires, pub, pi, err := c.wireColumns(ctx, w)
+	if err != nil {
 		return nil, err
-	}
-
-	pub := make([]field.Element, c.NumPublic)
-	pi := make([]field.Element, n)
-	for i, t := range c.pubTargets {
-		pub[i] = w.Get(t)
-		pi[i] = field.Neg(pub[i])
 	}
 
 	// Sanity check every gate constraint before doing any expensive work.
@@ -214,6 +198,81 @@ func (c *Circuit) ProveContext(ctx context.Context, w *Witness, rec *trace.Recor
 	return proof, nil
 }
 
+// wireColumns materializes the witness: the wire columns, the public
+// inputs, and the PI column (their negations on the first rows). It
+// reads the witness map (concurrent reads only; generators have already
+// run) and writes disjoint columns.
+func (c *Circuit) wireColumns(ctx context.Context, w *Witness) (wires [][]field.Element, pub, pi []field.Element, err error) {
+	n := c.N
+	wires = make([][]field.Element, c.NumCols)
+	if err := parallel.For(ctx, c.NumCols, 1, func(lo, hi int) {
+		for col := lo; col < hi; col++ {
+			wires[col] = make([]field.Element, n)
+			for r := 0; r < n; r++ {
+				wires[col][r] = c.wireValue(w, col, r)
+			}
+		}
+	}); err != nil {
+		return nil, nil, nil, err
+	}
+	pub = make([]field.Element, c.NumPublic)
+	pi = make([]field.Element, n)
+	for i, t := range c.pubTargets {
+		pub[i] = w.Get(t)
+		pi[i] = field.Neg(pub[i])
+	}
+	return wires, pub, pi, nil
+}
+
+// commitForQuotient runs the generators and the prover's steps up to the
+// quotient — wire materialization, the wires commitment, the grand
+// product and its commitment — with the given β and γ in place of
+// transcript challenges, and returns what computeQuotient reads besides
+// the challenges.
+func (c *Circuit) commitForQuotient(ctx context.Context, w *Witness, beta, gamma field.Element) (
+	wiresBatch, zBatch *fri.PolynomialBatch, pi []field.Element, err error) {
+
+	for _, gen := range c.generators {
+		gen(w)
+	}
+	if err := w.Err(); err != nil {
+		return nil, nil, nil, err
+	}
+	wires, _, pi, err := c.wireColumns(ctx, w)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	wiresBatch, err = fri.CommitValuesContext(ctx, wires, c.cfg.RateBits, c.cfg.CapHeight, nil)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	zPolys, err := c.computeZs(ctx, wires, beta, gamma, nil)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	zBatch, err = fri.CommitValuesContext(ctx, zPolys, c.cfg.RateBits, c.cfg.CapHeight, nil)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return wiresBatch, zBatch, pi, nil
+}
+
+// QuotientKernel prepares a proof of w up to its quotient phase, with
+// fixed challenges, and returns a function that reruns only that phase.
+// The kernel trajectory (internal/bench/trajectory) uses it to time the
+// quotient apart from the rest of the prover.
+func (c *Circuit) QuotientKernel(w *Witness) (func(context.Context) error, error) {
+	beta, gamma, alpha := field.New(0x9e3779b9), field.New(0x7f4a7c15), field.New(0x2545f491)
+	wiresBatch, zBatch, pi, err := c.commitForQuotient(context.Background(), w, beta, gamma)
+	if err != nil {
+		return nil, err
+	}
+	return func(ctx context.Context) error {
+		_, err := c.computeQuotient(ctx, wiresBatch, zBatch, pi, beta, gamma, alpha, nil)
+		return err
+	}, nil
+}
+
 // computeZs builds the grand product Z = π_0 and the chained partial
 // products π_1..π_{R-1}: the accumulator walks the slots row-major, one
 // 3-column group at a time (Equations 1-2 of §5.4 with group-sized
@@ -308,9 +367,15 @@ func (c *Circuit) groupFactors(ctx context.Context, wires [][]field.Element,
 // g·H_4N, divides by Z_H pointwise, and interpolates the quotient,
 // returning its degree-N chunks. The α powers cover, in order: the R gate
 // constraints, the R permutation-chain constraints, and the Z boundary.
-// Every stage is data-parallel: the per-column coset NTTs are independent
-// jobs, and the per-point constraint evaluation restarts its α walk at
-// every j, so points split cleanly into chunks.
+//
+// The constraints are evaluated on committed LDE points, as in Plonky2:
+// with RateBits ≥ 2 the first 4N entries of every committed LDE are the
+// g·H_4N evaluations in bit-reversed order, since
+// g·ω_M^br_M(i) = g·ω_4N^br_4N(i) for i < 4N. So the wires, Z and
+// constant columns are read where they were committed, only the PI
+// column is extended, and the loop runs over bit-reversed index i of the
+// natural point br(i). The per-point evaluation restarts its α walk at
+// every i, so points split cleanly into chunks.
 func (c *Circuit) computeQuotient(ctx context.Context,
 	wiresBatch, zBatch *fri.PolynomialBatch,
 	pi []field.Element, beta, gamma, alpha field.Element,
@@ -321,72 +386,48 @@ func (c *Circuit) computeQuotient(ctx context.Context,
 	logD := c.LogN + 2
 	shift := field.MultiplicativeGenerator
 
-	numPolys := c.NumCols + c.Reps + 8*c.Reps + 1
+	piD := make([]field.Element, d)
+	copy(piD, pi)
 	var err error
 	rec.NTT(n, 1, true, false, false, func() {
-		piCoeffs := make([]field.Element, n)
-		copy(piCoeffs, pi)
-		err = ntt.Transform(ctx, piCoeffs, ntt.Spec{Inverse: true})
-		pi = piCoeffs
+		err = ntt.Transform(ctx, piD[:n], ntt.Spec{Inverse: true})
 	})
 	if err != nil {
 		return nil, err
 	}
-	// All coset extensions run as one column batch, laid out as wires,
-	// Z columns, selectors, sigmas (constants holds 5+3 per rep), PI.
-	src := make([][]field.Element, 0, numPolys)
-	src = append(src, wiresBatch.Coeffs[:c.NumCols]...)
-	src = append(src, zBatch.Coeffs[:c.Reps]...)
-	src = append(src, c.constants.Coeffs[:8*c.Reps]...)
-	src = append(src, pi)
-	ext := make([][]field.Element, numPolys)
-	for i := range ext {
-		ext[i] = make([]field.Element, d)
-	}
-	rec.NTT(d, numPolys, false, true, false, func() {
-		err = ntt.Columns(ctx, ext, src, ntt.Spec{Shift: shift})
+	rec.NTT(d, 1, false, true, true, func() {
+		err = ntt.Transform(ctx, piD, ntt.Spec{Shift: shift, OutBR: true})
 	})
 	if err != nil {
 		return nil, err
 	}
-	sel := c.NumCols + c.Reps // first selector column
-	wiresD, zD := ext[:c.NumCols], ext[c.NumCols:sel]
-	selD, sigD, piD := ext[sel:sel+5*c.Reps], ext[sel+5*c.Reps:sel+8*c.Reps], ext[sel+8*c.Reps]
+	wiresD, zD := wiresBatch.LDE[:c.NumCols], zBatch.LDE[:c.Reps]
+	selD, sigD := c.constants.LDE[:5*c.Reps], c.constants.LDE[5*c.Reps:8*c.Reps]
+	numPolys := c.NumCols + c.Reps + 8*c.Reps + 1
 
 	// Constraint evaluation — the "gate constraint evaluation" vector
 	// kernel the paper highlights for data reuse (§5.4).
 	t := make([]field.Element, d)
 	rec.VecOp(d, numPolys, 30*c.Reps+12, func() {
-		w := field.PrimitiveRootOfUnity(logD)
+		xs := ntt.CosetDomainBR(logD)
 		rot := d / n // Z(g·x) is Z's coset evaluation rotated by D/N
-
-		xs := make([]field.Element, d)
-		err = parallel.For(ctx, d, quotGrain, func(lo, hi int) {
-			x := field.Mul(shift, field.Exp(w, uint64(lo)))
-			for j := lo; j < hi; j++ {
-				xs[j] = x
-				x = field.Mul(x, w)
-			}
-		})
-		if err != nil {
-			return
-		}
-		sN := field.Exp(shift, uint64(n))
-		i4 := field.Exp(w, uint64(n))
+		// x^N on the point of natural index j is g^N·ω_4^j: it depends
+		// on j mod 4 only.
 		var xn [4]field.Element
-		acc := sN
-		for j := 0; j < 4; j++ {
+		w4 := field.PrimitiveRootOfUnity(2)
+		acc := field.Exp(shift, uint64(n))
+		for j := range xn {
 			xn[j] = acc
-			acc = field.Mul(acc, i4)
+			acc = field.Mul(acc, w4)
 		}
 
 		zhInv := make([]field.Element, d)
 		l1Den := make([]field.Element, d)
 		nElem := field.New(uint64(n))
 		err = parallel.For(ctx, d, quotGrain, func(lo, hi int) {
-			for j := lo; j < hi; j++ {
-				zhInv[j] = field.Sub(xn[j%4], field.One)
-				l1Den[j] = field.Mul(nElem, field.Sub(xs[j], field.One))
+			for i := lo; i < hi; i++ {
+				zhInv[i] = field.Sub(xn[ntt.BitReverse(i, logD)%4], field.One)
+				l1Den[i] = field.Mul(nElem, field.Sub(xs[i], field.One))
 			}
 		})
 		if err != nil {
@@ -402,18 +443,19 @@ func (c *Circuit) computeQuotient(ctx context.Context,
 		// The α accumulator restarts at every point, so points are fully
 		// independent and the loop fans out over the pool.
 		err = parallel.For(ctx, d, quotGrain, func(lo, hi int) {
-			for j := lo; j < hi; j++ {
+			for i := lo; i < hi; i++ {
+				j := ntt.BitReverse(i, logD)
 				zh := field.Sub(xn[j%4], field.One)
 				a := field.One
 				var sum field.Element
 
 				// Gate constraints, one per repetition.
 				for rep := 0; rep < c.Reps; rep++ {
-					gate := gateEval(selD[5*rep][j], selD[5*rep+1][j],
-						selD[5*rep+2][j], selD[5*rep+3][j], selD[5*rep+4][j],
-						wiresD[3*rep][j], wiresD[3*rep+1][j], wiresD[3*rep+2][j])
+					gate := gateEval(selD[5*rep][i], selD[5*rep+1][i],
+						selD[5*rep+2][i], selD[5*rep+3][i], selD[5*rep+4][i],
+						wiresD[3*rep][i], wiresD[3*rep+1][i], wiresD[3*rep+2][i])
 					if rep == 0 {
-						gate = field.Add(gate, piD[j])
+						gate = field.Add(gate, piD[i])
 					}
 					sum = field.Add(sum, field.Mul(a, gate))
 					a = field.Mul(a, alpha)
@@ -424,29 +466,29 @@ func (c *Circuit) computeQuotient(ctx context.Context,
 					fAcc, gAcc := field.One, field.One
 					for k := 0; k < groupCols; k++ {
 						col := groupCols*grp + k
-						id := field.Mul(c.ks[col], xs[j])
-						fAcc = field.Mul(fAcc, field.Add(field.Add(wiresD[col][j],
+						id := field.Mul(c.ks[col], xs[i])
+						fAcc = field.Mul(fAcc, field.Add(field.Add(wiresD[col][i],
 							field.Mul(beta, id)), gamma))
-						gAcc = field.Mul(gAcc, field.Add(field.Add(wiresD[col][j],
-							field.Mul(beta, sigD[col][j])), gamma))
+						gAcc = field.Mul(gAcc, field.Add(field.Add(wiresD[col][i],
+							field.Mul(beta, sigD[col][i])), gamma))
 					}
 					var next field.Element
 					if grp == c.Reps-1 {
-						next = zD[0][(j+rot)%d]
+						next = zD[0][ntt.BitReverse((j+rot)%d, logD)]
 					} else {
-						next = zD[grp+1][j]
+						next = zD[grp+1][i]
 					}
-					perm := field.Sub(field.Mul(next, gAcc), field.Mul(zD[grp][j], fAcc))
+					perm := field.Sub(field.Mul(next, gAcc), field.Mul(zD[grp][i], fAcc))
 					sum = field.Add(sum, field.Mul(a, perm))
 					a = field.Mul(a, alpha)
 				}
 
 				// Boundary: L1·(Z − 1).
-				l1 := field.Mul(zh, l1Den[j])
-				bound := field.Mul(l1, field.Sub(zD[0][j], field.One))
+				l1 := field.Mul(zh, l1Den[i])
+				bound := field.Mul(l1, field.Sub(zD[0][i], field.One))
 				sum = field.Add(sum, field.Mul(a, bound))
 
-				t[j] = field.Mul(sum, zhInv[j])
+				t[i] = field.Mul(sum, zhInv[i])
 			}
 		})
 	})
@@ -454,16 +496,13 @@ func (c *Circuit) computeQuotient(ctx context.Context,
 		return nil, err
 	}
 
-	var tCoeffs []field.Element
-	rec.NTT(d, 1, true, true, false, func() {
-		tCoeffs = make([]field.Element, d)
-		copy(tCoeffs, t)
-		err = ntt.Transform(ctx, tCoeffs, ntt.Spec{Inverse: true, Shift: shift})
+	rec.NTT(d, 1, true, true, true, func() {
+		err = ntt.Transform(ctx, t, ntt.Spec{Inverse: true, Shift: shift, InBR: true})
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, cc := range tCoeffs[quotientChunks*n:] {
+	for _, cc := range t[quotientChunks*n:] {
 		if cc != 0 {
 			return nil, fmt.Errorf("plonk: quotient degree exceeds bound — constraint system bug")
 		}
@@ -471,7 +510,7 @@ func (c *Circuit) computeQuotient(ctx context.Context,
 
 	chunks := make([][]field.Element, quotientChunks)
 	for i := range chunks {
-		chunks[i] = tCoeffs[i*n : (i+1)*n]
+		chunks[i] = t[i*n : (i+1)*n]
 	}
 	return chunks, nil
 }

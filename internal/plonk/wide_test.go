@@ -133,6 +133,19 @@ func TestBuildWideRejectsBadReps(t *testing.T) {
 	b.BuildWide(fri.TestConfig(), 0)
 }
 
+func TestBuildWideRejectsLowRate(t *testing.T) {
+	b := NewBuilder()
+	b.AddVirtual()
+	cfg := fri.TestConfig()
+	cfg.RateBits = 1
+	defer func() {
+		if recover() == nil {
+			t.Fatal("RateBits=1 should panic")
+		}
+	}()
+	b.BuildWide(cfg, 1)
+}
+
 func TestProofSerializationRoundTrip(t *testing.T) {
 	c, w, pub := wideFib(t, 60, 3)
 	proof, err := c.Prove(w, nil)

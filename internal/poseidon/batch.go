@@ -8,6 +8,15 @@ import "unizk/internal/field"
 // congruent to the element).
 type lanesX8 [Width][8]uint64
 
+// SIMD names the vector backend behind the batched permutation, or is
+// empty when the portable loop runs.
+func SIMD() string {
+	if field.AVX512 {
+		return "avx512"
+	}
+	return ""
+}
+
 // permuteX8Generic is permuteX8 as eight scalar permutations: the path
 // on hosts without the SIMD backend and under the purego build tag, and
 // the reference the backend is tested against.

@@ -4,27 +4,15 @@ package poseidon
 
 import "unizk/internal/field"
 
-// useAVX512 is set once, from CPUID, by initX8.
-var useAVX512 bool
-
 // permuteX8 runs eight independent permutations in place.
 //
 //unizklint:hotpath
 func permuteX8(x *lanesX8) {
-	if useAVX512 {
+	if field.AVX512 {
 		permuteX8AVX512(x)
 		return
 	}
 	permuteX8Generic(x)
-}
-
-// SIMD names the vector backend behind the batched permutation, or is
-// empty when the portable loop runs.
-func SIMD() string {
-	if useAVX512 {
-		return "avx512"
-	}
-	return ""
 }
 
 // permuteX8AVX512 is the AVX-512F permutation of x8_amd64.s, walking
@@ -32,26 +20,6 @@ func SIMD() string {
 //
 //go:noescape
 func permuteX8AVX512(x *lanesX8)
-
-func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-func xgetbv() (eax, edx uint32)
-
-// hasAVX512F reports whether the CPU has AVX-512F and the OS saves the
-// opmask and ZMM registers (XCR0 bits 1, 2, 5, 6 and 7).
-func hasAVX512F() bool {
-	maxLeaf, _, _, _ := cpuid(0, 0)
-	if maxLeaf < 7 {
-		return false
-	}
-	if _, _, ecx, _ := cpuid(1, 0); ecx&(1<<27) == 0 { // OSXSAVE
-		return false
-	}
-	if xcr0, _ := xgetbv(); xcr0&0xe6 != 0xe6 {
-		return false
-	}
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&(1<<16) != 0
-}
 
 // Layout of x8Table, in uint64 entries, in the order the assembly walks
 // it. A constant that is added is stored whole; a constant that
@@ -75,9 +43,8 @@ const (
 // x8Table holds every constant of Permute in the walk order above.
 var x8Table [x8Len]uint64
 
-// initX8 builds x8Table from the round and fast-form constants and picks
-// the backend. It runs from the package init, after those constants
-// exist.
+// initX8 builds x8Table from the round and fast-form constants. It runs
+// from the package init, after those constants exist.
 func initX8() {
 	t := x8Table[:0]
 	add := func(rc *[Width]field.Element) {
@@ -119,5 +86,4 @@ func initX8() {
 	if len(t) != x8Len {
 		panic("poseidon: x8Table layout mismatch")
 	}
-	useAVX512 = hasAVX512F()
 }

@@ -27,17 +27,10 @@
 // halves, and each carry or borrow is a VPCMPUQ mask feeding a masked
 // add or subtract of epsilon.
 
-#define EPS Z31
 #define ONES Z30
 #define P2 Z12
 #define P3 Z13
 #define P4 Z14
-#define T0 Z15
-#define T1 Z16
-#define T2 Z17
-#define T3 Z18
-#define T4 Z19
-#define T5 Z20
 #define S0H Z21
 #define DOT Z22
 #define W0 Z23
@@ -49,6 +42,16 @@
 #define TP Z12
 #define TQ Z13
 #define XH Z14
+
+// BEGIN lane arithmetic. internal/ntt/dif_amd64.s carries a copy of
+// this block; TestLaneMacrosMatch in internal/ntt fails if they differ.
+#define EPS Z31
+#define T0 Z15
+#define T1 Z16
+#define T2 Z17
+#define T3 Z18
+#define T4 Z19
+#define T5 Z20
 
 // REDUCE sets D to a lane congruent to hi·2^64 + lo, as reduce128 does:
 // 2^64 = epsilon and 2^96 = -1 (mod p). Clobbers hi, lo, T0, K1.
@@ -89,6 +92,7 @@
 	VPMULUDQ T1, T0, T5;         \
 	PROD(T2, T3, T4, T5, T3);    \
 	REDUCE(T5, T4, D)
+// END lane arithmetic.
 
 // SQR sets D = a·a, sharing the cross product. Clobbers T0-T5, K1.
 #define SQR(a, D) \
@@ -425,23 +429,4 @@ done:
 	VMOVDQU64 Z10, 640(DI)
 	VMOVDQU64 Z11, 704(DI)
 	VZEROUPPER
-	RET
-
-// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL eaxArg+0(FP), AX
-	MOVL ecxArg+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
-	RET
-
-// func xgetbv() (eax, edx uint32)
-TEXT ·xgetbv(SB), NOSPLIT, $0-8
-	MOVL $0, CX
-	XGETBV
-	MOVL AX, eax+0(FP)
-	MOVL DX, edx+4(FP)
 	RET
