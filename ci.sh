@@ -116,9 +116,12 @@ go test -race -run 'Grind|Permute' ./internal/poseidon ./internal/fri
 # reference tree, and the batched grind against the serial loop,
 # batched Merkle-path verification against Verify, the batched FRI
 # verifier against its serial reference, every NTT Spec against the
-# O(n^2) DFT and the plonk quotient against its re-extending
-# reference — under the race detector.
-go test -tags purego -race -run 'Permute|Grind|Batch|Build|Verify|Ref|Quotient|Butterflies|Scale' ./internal/poseidon ./internal/merkle ./internal/fri ./internal/ntt ./internal/plonk
+# O(n^2) DFT, the plonk quotient against its re-extending reference,
+# the FRI coefficient-form combine against the pointwise one, the
+# compiled stark constraint program against the expression trees and
+# the tiled stark quotient against its per-point reference — under the
+# race detector.
+go test -tags purego -race -run 'Permute|Grind|Batch|Build|Verify|Ref|Quotient|Butterflies|Scale|Combine|Program' ./internal/poseidon ./internal/merkle ./internal/fri ./internal/ntt ./internal/plonk ./internal/stark
 
 # Kernel trajectory regression check: with UNIZK_BENCH_ENFORCE=1 this
 # re-measures the tracked kernel registry (internal/bench/trajectory)
@@ -138,7 +141,8 @@ go test -race ./...
 # Fuzz the decode+verify boundary of each protocol, plus the worker
 # pool's chunking arithmetic, the Poseidon permutation against its naive
 # oracle, the eight-lane NTT butterflies against the scalar loop,
-# batched Merkle-path verification against Verify, and the
+# batched Merkle-path verification against Verify, the compiled stark
+# constraint program against the expression trees, and the
 # proving-service request/response codecs, for a fixed
 # budget. -run='^$' skips unit tests so the whole
 # budget goes to fuzzing.
@@ -149,6 +153,7 @@ go test -run='^$' -fuzz='^FuzzPermute$' -fuzztime=20s ./internal/poseidon
 go test -run='^$' -fuzz='^FuzzPermuteX8$' -fuzztime=20s ./internal/poseidon
 go test -run='^$' -fuzz='^FuzzDIFButterfliesX8$' -fuzztime=20s ./internal/ntt
 go test -run='^$' -fuzz='^FuzzVerifyBatch$' -fuzztime=20s ./internal/merkle
+go test -run='^$' -fuzz='^FuzzConstraintProgram$' -fuzztime=20s ./internal/stark
 go test -run='^$' -fuzz='^FuzzRequestRoundTrip$' -fuzztime=5s ./internal/jobs
 go test -run='^$' -fuzz='^FuzzResultRoundTrip$' -fuzztime=5s ./internal/jobs
 

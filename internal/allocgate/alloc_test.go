@@ -67,13 +67,6 @@ func TestKernelAllocs(t *testing.T) {
 		field.BatchInverse(xs) // warm the scratch pool
 		pinZero(t, "field.BatchInverse", func() { field.BatchInverse(xs) })
 
-		es := make([]field.Ext, n)
-		for i := range es {
-			es[i] = field.NewExt(uint64(i+3), uint64(i+5))
-		}
-		field.ExtBatchInverse(es)
-		pinZero(t, "field.ExtBatchInverse", func() { field.ExtBatchInverse(es) })
-
 		var st poseidon.State
 		for i := range st {
 			st[i] = field.New(uint64(i))

@@ -69,7 +69,9 @@ func Kernels() []Kernel {
 		Kernel{Name: "merkle/verify/2^14x135", Bench: func(b *testing.B) { benchMerkleVerify(b, false) }},
 		Kernel{Name: "merkle/verify-batch/2^14x135", Bench: func(b *testing.B) { benchMerkleVerify(b, true) }},
 		Kernel{Name: "fri/fold/2^15", Bench: benchFRIFold},
+		Kernel{Name: "fri/combine/2^14", Bench: benchFRICombine},
 		Kernel{Name: "plonk/quotient/mvm-2^11", Bench: benchPlonkQuotient},
+		Kernel{Name: "stark/quotient/sha-2^12", Bench: benchStarkQuotient},
 		Kernel{Name: "plonk/prove/fib-40", Bench: benchPlonkProve},
 		Kernel{Name: "stark/prove/fib-2^10", Bench: benchStarkProve},
 	)
@@ -173,6 +175,76 @@ func benchPlonkQuotient(b *testing.B) {
 		if err := quotient(ctx); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// benchStarkQuotient reruns the quotient phase of a StarkyConfig proof
+// of the SHA-256 AIR at 2^12 rows.
+func benchStarkQuotient(b *testing.B) {
+	wl, err := workloads.StarkByName("SHA-256")
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, cols, err := wl.Build(12, fri.StarkyConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	quotient, err := s.QuotientKernel(cols)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := quotient(ctx); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := quotient(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// combineFixture is the fri/combine row's fixture, built once: the
+// openings of a PlonkyConfig proof of MVM at 2^11 rows — 128 constant,
+// 48 wire, 16 Z and 3 quotient polynomials at rate 3, all opened at ζ
+// and the Z polynomials again at g·ζ, 211 in all.
+var combineFixture = sync.OnceValues(func() ([]*fri.PolynomialBatch, []fri.PointGroup) {
+	const logN, rateBits = 11, 3
+	n := 1 << logN
+	var oracles []*fri.PolynomialBatch
+	for i, k := range []int{128, 48, 16, 3} {
+		coeffs := make([][]field.Element, k)
+		for p := range coeffs {
+			coeffs[p] = make([]field.Element, n)
+			for j := range coeffs[p] {
+				coeffs[p][j] = field.New(uint64((i*256+p)*n+j)*0x9e37_79b9_7f4a_7c15 + 1)
+			}
+		}
+		oracles = append(oracles, fri.CommitCoeffs(coeffs, rateBits, 4, nil))
+	}
+	zeta := field.NewExt(0x1234_5678_9abc_def0, 0x0fed_cba9_8765_4321)
+	return oracles, []fri.PointGroup{
+		{Point: zeta, Oracles: []int{0, 1, 2, 3}},
+		{Point: field.ExtScalarMul(field.PrimitiveRootOfUnity(logN), zeta), Oracles: []int{2}},
+	}
+})
+
+// benchFRICombine times the combination of all openings into FRI's
+// layer 0 on the fixture.
+func benchFRICombine(b *testing.B) {
+	oracles, groups := combineFixture()
+	opened := make(fri.OpenedValues, len(groups))
+	for gi, g := range groups {
+		for _, oi := range g.Oracles {
+			opened[gi] = append(opened[gi], oracles[oi].EvalAll(g.Point, nil))
+		}
+	}
+	alpha := field.NewExt(0x2545_f491, 0x7f4a_7c15)
+	_ = fri.Combine(oracles, groups, opened, alpha)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = fri.Combine(oracles, groups, opened, alpha)
 	}
 }
 

@@ -103,37 +103,3 @@ func ExtExp(base Ext, exp uint64) Ext {
 //
 //unizklint:hotpath
 func ExtMulAdd(a, b, c Ext) Ext { return ExtAdd(ExtMul(a, b), c) }
-
-// ExtBatchInverse inverts every element of xs in place using Montgomery's
-// trick. Zero entries stay zero.
-//
-//unizklint:hotpath
-func ExtBatchInverse(xs []Ext) {
-	n := len(xs)
-	if n == 0 {
-		return
-	}
-	sp := extScratchFor(n)
-	prefix := (*sp)[:n]
-	acc := ExtOne
-	for i, x := range xs {
-		if !x.IsZero() {
-			acc = ExtMul(acc, x)
-		}
-		prefix[i] = acc
-	}
-	inv := ExtInverse(acc)
-	for i := n - 1; i >= 0; i-- {
-		if xs[i].IsZero() {
-			continue
-		}
-		before := ExtOne
-		if i > 0 {
-			before = prefix[i-1]
-		}
-		thisInv := ExtMul(inv, before)
-		inv = ExtMul(inv, xs[i])
-		xs[i] = thisInv
-	}
-	putExtScratch(sp)
-}

@@ -123,30 +123,6 @@ func BenchmarkExtMul(b *testing.B) {
 	_ = x
 }
 
-func TestExtBatchInverse(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 20; trial++ {
-		n := rng.Intn(40)
-		xs := make([]Ext, n)
-		want := make([]Ext, n)
-		for i := range xs {
-			if rng.Intn(5) == 0 {
-				xs[i] = ExtZero
-			} else {
-				xs[i] = randExt(rng)
-			}
-			want[i] = ExtInverse(xs[i])
-		}
-		ExtBatchInverse(xs)
-		for i := range xs {
-			if xs[i] != want[i] {
-				t.Fatalf("trial %d idx %d mismatch", trial, i)
-			}
-		}
-	}
-	ExtBatchInverse(nil) // must not panic
-}
-
 func TestExtConstructorsAndNeg(t *testing.T) {
 	e := NewExt(Order+3, 5) // canonicalizes
 	if e.A != 3 || e.B != 5 {

@@ -25,14 +25,3 @@ func BatchInverseCtx(ctx context.Context, xs []Element) error {
 		BatchInverse(xs[lo:hi])
 	})
 }
-
-// ExtBatchInverseCtx is the extension-field analogue of BatchInverseCtx.
-func ExtBatchInverseCtx(ctx context.Context, xs []Ext) error {
-	if len(xs) < 2*batchInvGrain {
-		ExtBatchInverse(xs)
-		return nil
-	}
-	return parallel.For(ctx, len(xs), batchInvGrain, func(lo, hi int) {
-		ExtBatchInverse(xs[lo:hi])
-	})
-}

@@ -187,29 +187,6 @@ func TestRefBatchInverse(t *testing.T) {
 				}
 			})
 		}
-
-		// Extension-field batch against per-element oracle inversion.
-		es := make([]Ext, n)
-		for i := range es {
-			es[i] = Ext{New(rng.Uint64()), New(rng.Uint64())}
-		}
-		for i := 0; i < n; i += 13 {
-			es[i] = ExtZero
-		}
-		wantExt := make([]Ext, n)
-		for i, e := range es {
-			wantExt[i] = RefExtInverse(e)
-		}
-		gotExt := make([]Ext, n)
-		copy(gotExt, es)
-		if err := ExtBatchInverseCtx(context.Background(), gotExt); err != nil {
-			t.Fatal(err)
-		}
-		for i := range gotExt {
-			if gotExt[i] != wantExt[i] {
-				t.Fatalf("ExtBatchInverse n=%d: index %d = %v, want %v", n, i, gotExt[i], wantExt[i])
-			}
-		}
 	}
 }
 

@@ -2,7 +2,7 @@ package field
 
 import "sync"
 
-// Pooled scratch for the batch-inversion kernels. Montgomery's trick
+// Pooled scratch for the batch-inversion kernel. Montgomery's trick
 // needs an O(n) prefix-product array; pooling it keeps the steady-state
 // prove loop allocation-free — the hotalloc analyzer enforces this
 // statically on the annotated kernels, and internal/allocgate pins it
@@ -11,8 +11,6 @@ import "sync"
 // chunked callers in parinv.go (each chunk checks out its own buffer).
 
 var elemScratch = sync.Pool{New: func() any { s := make([]Element, 0, 1<<10); return &s }}
-
-var extScratch = sync.Pool{New: func() any { s := make([]Ext, 0, 1<<10); return &s }}
 
 // elemScratchFor returns a pooled buffer with capacity ≥ n; return it
 // with putElemScratch. Contents are unspecified.
@@ -25,14 +23,3 @@ func elemScratchFor(n int) *[]Element {
 }
 
 func putElemScratch(p *[]Element) { elemScratch.Put(p) }
-
-// extScratchFor is elemScratchFor for extension-field elements.
-func extScratchFor(n int) *[]Ext {
-	p := extScratch.Get().(*[]Ext)
-	if cap(*p) < n {
-		*p = make([]Ext, n)
-	}
-	return p
-}
-
-func putExtScratch(p *[]Ext) { extScratch.Put(p) }

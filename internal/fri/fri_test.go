@@ -1,12 +1,14 @@
 package fri
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
 
 	"unizk/internal/field"
 	"unizk/internal/ntt"
+	"unizk/internal/parallel"
 	"unizk/internal/poly"
 	"unizk/internal/poseidon"
 	"unizk/internal/trace"
@@ -343,6 +345,40 @@ func TestDomainPointsOrder(t *testing.T) {
 			t.Fatalf("domain point %d wrong", j)
 		}
 	}
+}
+
+// domainPoints is domainPointsCtx under a background context.
+func domainPoints(logM int) []field.Element {
+	out, err := domainPointsCtx(context.Background(), logM)
+	parallel.Must(err)
+	return out
+}
+
+// domainPointsCtx returns x_j = g·w^{BitReverse(j)} for the size-2^logM
+// LDE domain, indexed in the committed (bit-reversed) order. Both the
+// power walk and the bit-reversed gather are chunked across the pool.
+func domainPointsCtx(ctx context.Context, logM int) ([]field.Element, error) {
+	m := 1 << logM
+	w := field.PrimitiveRootOfUnity(logM)
+	pow := make([]field.Element, m)
+	if err := parallel.For(ctx, m, vecGrain, func(lo, hi int) {
+		acc := field.Mul(field.MultiplicativeGenerator, field.Exp(w, uint64(lo)))
+		for t := lo; t < hi; t++ {
+			pow[t] = acc
+			acc = field.Mul(acc, w)
+		}
+	}); err != nil {
+		return nil, err
+	}
+	out := make([]field.Element, m)
+	if err := parallel.For(ctx, m, vecGrain, func(lo, hi int) {
+		for j := lo; j < hi; j++ {
+			out[j] = pow[ntt.BitReverse(j, logM)]
+		}
+	}); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 func BenchmarkProve(b *testing.B) {

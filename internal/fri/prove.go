@@ -12,8 +12,8 @@ import (
 	"unizk/internal/trace"
 )
 
-// vecGrain is the chunk size for element-wise vector kernels (combine,
-// fold, domain-point generation).
+// vecGrain is the chunk size for element-wise vector kernels (the
+// combine's reduce and packing, fold).
 const vecGrain = 1 << 10
 
 // PointGroup names one opening point and the oracles (by index into the
@@ -119,75 +119,8 @@ func ProveContext(ctx context.Context, oracles []*PolynomialBatch, groups []Poin
 	logM := ntt.Log2(m)
 
 	alpha := ch.SampleExt()
-
-	// Combine all openings into the single quotient polynomial
-	//   F(X) = Σ_g (B_g(X) - y_g) / (X - z_g),
-	// B_g = Σ α^c · p_i with one fresh power of α per (group, poly),
-	// evaluated pointwise on the LDE domain. This is element-wise vector
-	// work — the "Poly" kernel class of the paper — parallelized per
-	// domain point: every chunk owns a disjoint range of j, and the α
-	// powers are precomputed serially so each b[j] accumulates its polys
-	// in exactly the serial order.
-	fp := getExtZero(m) // f accumulates, so it must start zeroed
-	f := *fp
-	totalPolys := 0
-	for _, g := range groups {
-		for _, oi := range g.Oracles {
-			totalPolys += oracles[oi].NumPolys()
-		}
-	}
-	var err error
-	bp, diffp := getExt(m), getExt(m)
-	rec.VecOp(m, totalPolys, 4, func() {
-		// xs[j] = g·w^rev(j), matching LDE order — the shared read-only
-		// domain vector cached across jobs.
-		xs := ntt.CosetDomainBR(logM)
-		pows := make([]field.Ext, totalPolys)
-		acc := field.ExtOne
-		for i := range pows {
-			pows[i] = acc
-			acc = field.ExtMul(acc, alpha)
-		}
-		b := *bp
-		diff := *diffp
-		off := 0
-		for gi, g := range groups {
-			// Flatten the group's polynomials and α powers, and fold the
-			// opened values into y, in the transcript's (oracle, poly)
-			// order.
-			var ldes [][]field.Element
-			var gpows []field.Ext
-			y := field.ExtZero
-			k := off
-			for ki, oi := range g.Oracles {
-				for pi, lde := range oracles[oi].LDE {
-					ldes = append(ldes, lde)
-					gpows = append(gpows, pows[k])
-					y = field.ExtAdd(y, field.ExtMul(pows[k], opened[gi][ki][pi]))
-					k++
-				}
-			}
-			off = k
-			point := g.Point
-			if err = parallel.For(ctx, m, vecGrain, func(lo, hi int) {
-				combineRange(lo, hi, ldes, gpows, xs, point, b, diff)
-			}); err != nil {
-				return
-			}
-			if err = field.ExtBatchInverseCtx(ctx, diff); err != nil {
-				return
-			}
-			if err = parallel.For(ctx, m, vecGrain, func(lo, hi int) {
-				accumulateQuotientRange(lo, hi, f, b, diff, y)
-			}); err != nil {
-				return
-			}
-		}
-	})
-	putExt(bp)
-	putExt(diffp)
+	fp, err := combine(ctx, oracles, groups, opened, alpha, rec)
 	if err != nil {
-		putExt(fp)
 		return nil, err
 	}
 
@@ -197,7 +130,7 @@ func ProveContext(ctx context.Context, oracles []*PolynomialBatch, groups []Poin
 	// buffers are pooled and released once the final polynomial is
 	// recovered; leaf arenas and trees live until the query phase has
 	// copied everything it opens.
-	layer := f
+	layer := *fp
 	layerBufs := []*[]field.Ext{fp}
 	shift := field.MultiplicativeGenerator
 	finalSize := 1 << (cfg.FinalPolyBits + cfg.RateBits)
@@ -351,41 +284,6 @@ func ProveContext(ctx context.Context, oracles []*PolynomialBatch, groups []Poin
 	}, nil
 }
 
-// domainPoints is domainPointsCtx under a background context, for tests
-// and non-cancellable callers.
-func domainPoints(logM int) []field.Element {
-	out, err := domainPointsCtx(context.Background(), logM)
-	parallel.Must(err)
-	return out
-}
-
-// domainPointsCtx returns x_j = g·w^{BitReverse(j)} for the size-2^logM
-// LDE domain, indexed in the committed (bit-reversed) order. Both the
-// power walk and the bit-reversed gather are chunked across the pool.
-func domainPointsCtx(ctx context.Context, logM int) ([]field.Element, error) {
-	m := 1 << logM
-	w := field.PrimitiveRootOfUnity(logM)
-	pow := make([]field.Element, m)
-	if err := parallel.For(ctx, m, vecGrain, func(lo, hi int) {
-		acc := field.Mul(field.MultiplicativeGenerator, field.Exp(w, uint64(lo)))
-		for t := lo; t < hi; t++ {
-			pow[t] = acc
-			acc = field.Mul(acc, w)
-		}
-	}); err != nil {
-		return nil, err
-	}
-	out := make([]field.Element, m)
-	if err := parallel.For(ctx, m, vecGrain, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			out[j] = pow[ntt.BitReverse(j, logM)]
-		}
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // extCosetInverseNN interpolates bit-reversed-order extension values on
 // the coset shift·H back to natural-order coefficients, component-wise.
 func extCosetInverseNN(ctx context.Context, values []field.Ext, shift field.Element,
@@ -415,36 +313,6 @@ func extCosetInverseNN(ctx context.Context, values []field.Ext, shift field.Elem
 		return nil, err
 	}
 	return out, nil
-}
-
-// combineRange is the α-combination inner loop: for each point j of the
-// chunk it evaluates the batched column combination Σ α^k·lde_k[j] and
-// the (x_j - point) denominators the batch inversion consumes. The
-// parallel.For orchestrator above owns the chunking and the scratch
-// slices; this leaf does pure field arithmetic.
-//
-//unizklint:hotpath
-func combineRange(lo, hi int, ldes [][]field.Element, gpows []field.Ext,
-	xs []field.Element, point field.Ext, b, diff []field.Ext) {
-	for j := lo; j < hi; j++ {
-		bj := field.ExtZero
-		for p := range ldes {
-			bj = field.ExtAdd(bj, field.ExtScalarMul(ldes[p][j], gpows[p]))
-		}
-		b[j] = bj
-		diff[j] = field.ExtSub(field.FromBase(xs[j]), point)
-	}
-}
-
-// accumulateQuotientRange adds the group's opening quotient
-// (b(x) - y) / (x - point) into the running combined polynomial f.
-//
-//unizklint:hotpath
-func accumulateQuotientRange(lo, hi int, f, b, diff []field.Ext, y field.Ext) {
-	for j := lo; j < hi; j++ {
-		f[j] = field.ExtAdd(f[j],
-			field.ExtMul(field.ExtSub(b[j], y), diff[j]))
-	}
 }
 
 // foldLayerCtx is one arity-2 commit-phase fold: layer (length 2h, the

@@ -45,11 +45,3 @@ func getExt(n int) *[]field.Ext {
 }
 
 func putExt(p *[]field.Ext) { extPool.Put(p) }
-
-// getExtZero is getExt with the buffer cleared, for accumulators that
-// rely on make's zeroing.
-func getExtZero(n int) *[]field.Ext {
-	p := getExt(n)
-	clear(*p)
-	return p
-}

@@ -412,28 +412,25 @@ func (c *Circuit) computeQuotient(ctx context.Context,
 		xs := ntt.CosetDomainBR(logD)
 		rot := d / n // Z(g·x) is Z's coset evaluation rotated by D/N
 		// x^N on the point of natural index j is g^N·ω_4^j: it depends
-		// on j mod 4 only.
-		var xn [4]field.Element
+		// on j mod 4 only, so Z_H takes four values and four inversions
+		// cover them.
+		var xn, zhInv [4]field.Element
 		w4 := field.PrimitiveRootOfUnity(2)
 		acc := field.Exp(shift, uint64(n))
 		for j := range xn {
 			xn[j] = acc
+			zhInv[j] = field.Inverse(field.Sub(acc, field.One))
 			acc = field.Mul(acc, w4)
 		}
 
-		zhInv := make([]field.Element, d)
 		l1Den := make([]field.Element, d)
 		nElem := field.New(uint64(n))
 		err = parallel.For(ctx, d, quotGrain, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				zhInv[i] = field.Sub(xn[ntt.BitReverse(i, logD)%4], field.One)
 				l1Den[i] = field.Mul(nElem, field.Sub(xs[i], field.One))
 			}
 		})
 		if err != nil {
-			return
-		}
-		if err = field.BatchInverseCtx(ctx, zhInv); err != nil {
 			return
 		}
 		if err = field.BatchInverseCtx(ctx, l1Den); err != nil {
@@ -488,7 +485,7 @@ func (c *Circuit) computeQuotient(ctx context.Context,
 				bound := field.Mul(l1, field.Sub(zD[0][i], field.One))
 				sum = field.Add(sum, field.Mul(a, bound))
 
-				t[i] = field.Mul(sum, zhInv[i])
+				t[i] = field.Mul(sum, zhInv[j%4])
 			}
 		})
 	})

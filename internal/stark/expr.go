@@ -9,8 +9,9 @@ package stark
 import "unizk/internal/field"
 
 // Expr is a constraint expression over the current row's columns (Col) and
-// the next row's columns (Next). The same AST is evaluated by the prover
-// over base-field vectors and by the verifier at an extension point.
+// the next row's columns (Next). New compiles an AIR's expressions into one
+// register program, which the prover runs over base-field tiles and the
+// verifier at an extension point.
 type Expr struct {
 	op   opKind
 	a, b *Expr
@@ -74,53 +75,4 @@ func (e *Expr) MaxCol() int {
 	default:
 		return max(e.a.MaxCol(), e.b.MaxCol())
 	}
-}
-
-// EvalBase evaluates the expression given base-field row views.
-func (e *Expr) EvalBase(local, next func(col int) field.Element) field.Element {
-	switch e.op {
-	case opCol:
-		return local(e.col)
-	case opNext:
-		return next(e.col)
-	case opConst:
-		return e.val
-	case opAdd:
-		return field.Add(e.a.EvalBase(local, next), e.b.EvalBase(local, next))
-	case opSub:
-		return field.Sub(e.a.EvalBase(local, next), e.b.EvalBase(local, next))
-	case opMul:
-		return field.Mul(e.a.EvalBase(local, next), e.b.EvalBase(local, next))
-	default:
-		panic("stark: unknown expression op")
-	}
-}
-
-// EvalExt evaluates the expression over extension-field rows (the
-// verifier's view at the out-of-domain point ζ).
-func (e *Expr) EvalExt(local, next []field.Ext) field.Ext {
-	switch e.op {
-	case opCol:
-		return local[e.col]
-	case opNext:
-		return next[e.col]
-	case opConst:
-		return field.FromBase(e.val)
-	case opAdd:
-		return field.ExtAdd(e.a.EvalExt(local, next), e.b.EvalExt(local, next))
-	case opSub:
-		return field.ExtSub(e.a.EvalExt(local, next), e.b.EvalExt(local, next))
-	case opMul:
-		return field.ExtMul(e.a.EvalExt(local, next), e.b.EvalExt(local, next))
-	default:
-		//unizklint:allow prooferrflow the op tag is built by the AIR constructors in this package, never decoded from proof bytes
-		panic("stark: unknown expression op")
-	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -47,6 +47,9 @@ type Stark struct {
 	AIR
 	N, LogN int
 	cfg     fri.Config
+	// prog is every constraint compiled once (see constraints); prover
+	// and verifier both run it.
+	prog *program
 }
 
 // Proof is a Starky proof.
@@ -82,7 +85,20 @@ func New(air AIR, logN int, cfg fri.Config) (*Stark, error) {
 	if logN < 2 {
 		return nil, errors.New("stark: trace must have at least 4 rows")
 	}
-	return &Stark{AIR: air, N: 1 << logN, LogN: logN, cfg: cfg}, nil
+	return &Stark{AIR: air, N: 1 << logN, LogN: logN, cfg: cfg, prog: compile(constraints(air))}, nil
+}
+
+// constraints lists every constraint of the AIR as an expression, in α
+// order: the transitions, then col − v for each first-row and each
+// last-row boundary.
+func constraints(air AIR) []*Expr {
+	exprs := append([]*Expr(nil), air.Transitions...)
+	for _, bs := range [][]Boundary{air.FirstRow, air.LastRow} {
+		for _, b := range bs {
+			exprs = append(exprs, Sub(Col(b.Col), Const(b.Value)))
+		}
+	}
+	return exprs
 }
 
 // transcript seeds the challenger with the instance description so proofs
@@ -129,15 +145,8 @@ func (s *Stark) ProveContext(ctx context.Context, columns [][]field.Element,
 	}
 
 	// Sanity check constraints before committing anything.
-	local := func(r int) func(int) field.Element {
-		return func(c int) field.Element { return columns[c][r] }
-	}
-	for r := 0; r < n-1; r++ {
-		for i, tr := range s.Transitions {
-			if tr.EvalBase(local(r), local(r+1)) != 0 {
-				return nil, fmt.Errorf("stark: transition %d violated at row %d", i, r)
-			}
-		}
+	if r, i, ok := s.firstViolation(columns); !ok {
+		return nil, fmt.Errorf("stark: transition %d violated at row %d", i, r)
 	}
 	for _, b := range s.FirstRow {
 		if columns[b.Col][0] != b.Value {
@@ -227,14 +236,14 @@ func (s *Stark) ProveContext(ctx context.Context, columns [][]field.Element,
 //	     + Σ_k α^... (col(x) − v)/(x − g^{N−1})  [last row]
 //
 // on the coset g·H_{4N} and interpolates it into degree-N chunks.
-// Per-column coset NTTs fan out as whole-column jobs; the per-point loop
-// restarts its α walk at every j, so points split into pool chunks.
+// Per-column coset NTTs fan out as whole-column jobs; the points split
+// into pool chunks, and each chunk runs the compiled constraint program
+// tile by tile.
 func (s *Stark) computeQuotient(ctx context.Context, traceBatch *fri.PolynomialBatch,
 	alpha field.Element, rec *trace.Recorder) ([][]field.Element, error) {
 
 	n := s.N
 	d := 4 * n
-	logD := s.LogN + 2
 	shift := field.MultiplicativeGenerator
 
 	cols := make([][]field.Element, s.Width)
@@ -251,80 +260,14 @@ func (s *Stark) computeQuotient(ctx context.Context, traceBatch *fri.PolynomialB
 
 	t := make([]field.Element, d)
 	rec.VecOp(d, s.Width, 4*(len(s.Transitions)+len(s.FirstRow)+len(s.LastRow)+2), func() {
-		w := field.PrimitiveRootOfUnity(logD)
-		rot := d / n
-		gLast := field.Exp(field.PrimitiveRootOfUnity(s.LogN), uint64(n-1))
-
-		xs := make([]field.Element, d)
+		var q *quotientTerms
+		if q, err = s.newQuotientTerms(ctx, cols, alpha); err != nil {
+			return
+		}
 		err = parallel.For(ctx, d, quotGrain, func(lo, hi int) {
-			x := field.Mul(shift, field.Exp(w, uint64(lo)))
-			for j := lo; j < hi; j++ {
-				xs[j] = x
-				x = field.Mul(x, w)
-			}
-		})
-		if err != nil {
-			return
-		}
-		sN := field.Exp(shift, uint64(n))
-		i4 := field.Exp(w, uint64(n))
-		var xn [4]field.Element
-		acc := sN
-		for j := 0; j < 4; j++ {
-			xn[j] = acc
-			acc = field.Mul(acc, i4)
-		}
-
-		zhInv := make([]field.Element, d)
-		firstInv := make([]field.Element, d)
-		lastInv := make([]field.Element, d)
-		err = parallel.For(ctx, d, quotGrain, func(lo, hi int) {
-			for j := lo; j < hi; j++ {
-				zhInv[j] = field.Sub(xn[j%4], field.One)
-				firstInv[j] = field.Sub(xs[j], field.One)
-				lastInv[j] = field.Sub(xs[j], gLast)
-			}
-		})
-		if err != nil {
-			return
-		}
-		if err = field.BatchInverseCtx(ctx, zhInv); err != nil {
-			return
-		}
-		if err = field.BatchInverseCtx(ctx, firstInv); err != nil {
-			return
-		}
-		if err = field.BatchInverseCtx(ctx, lastInv); err != nil {
-			return
-		}
-
-		err = parallel.For(ctx, d, quotGrain, func(lo, hi int) {
-			for j := lo; j < hi; j++ {
-				localFn := func(c int) field.Element { return cols[c][j] }
-				nextFn := func(c int) field.Element { return cols[c][(j+rot)%d] }
-
-				a := field.One
-				var sum field.Element
-				// Transition constraints vanish on H \ {g^{N-1}}:
-				// divisor Z_H(x)/(x − g^{N−1}).
-				transDiv := field.Mul(field.Sub(xs[j], gLast), zhInv[j])
-				for _, tr := range s.Transitions {
-					v := tr.EvalBase(localFn, nextFn)
-					sum = field.Add(sum, field.Mul(a, field.Mul(v, transDiv)))
-					a = field.Mul(a, alpha)
-				}
-				for _, b := range s.FirstRow {
-					v := field.Sub(cols[b.Col][j], b.Value)
-					sum = field.Add(sum, field.Mul(a, field.Mul(v, firstInv[j])))
-					a = field.Mul(a, alpha)
-				}
-				for _, b := range s.LastRow {
-					v := field.Sub(cols[b.Col][j], b.Value)
-					sum = field.Add(sum, field.Mul(a, field.Mul(v, lastInv[j])))
-					a = field.Mul(a, alpha)
-				}
-				t[j] = sum
-			}
+			rf := s.prog.getRegs()
+			q.tiles(rf, lo, hi, t[lo:hi])
+			s.prog.putRegs(rf)
 		})
 	})
 	if err != nil {
@@ -350,6 +293,125 @@ func (s *Stark) computeQuotient(ctx context.Context, traceBatch *fri.PolynomialB
 		chunks[i] = tCoeffs[i*n : (i+1)*n]
 	}
 	return chunks, nil
+}
+
+// newQuotientTerms precomputes the quotient's per-point divisors and its
+// α powers on the coset columns cols.
+func (s *Stark) newQuotientTerms(ctx context.Context, cols [][]field.Element,
+	alpha field.Element) (*quotientTerms, error) {
+
+	n := s.N
+	d := 4 * n
+	shift := field.MultiplicativeGenerator
+	w := field.PrimitiveRootOfUnity(s.LogN + 2)
+	firstAt := len(s.Transitions)
+	q := &quotientTerms{
+		prog:   s.prog,
+		cols:   cols,
+		rot:    d / n,
+		bounds: [4]int{0, firstAt, firstAt + len(s.FirstRow), len(s.prog.outs)},
+		gLast:  field.Exp(field.PrimitiveRootOfUnity(s.LogN), uint64(n-1)),
+	}
+
+	q.xs = make([]field.Element, d)
+	err := parallel.For(ctx, d, quotGrain, func(lo, hi int) {
+		x := field.Mul(shift, field.Exp(w, uint64(lo)))
+		for j := lo; j < hi; j++ {
+			q.xs[j] = x
+			x = field.Mul(x, w)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	// x^N on the point of index j is g^N·ω_4^j: it depends on j mod 4
+	// only, so Z_H takes four values on the coset and four inversions
+	// cover them.
+	xn := field.Exp(shift, uint64(n))
+	i4 := field.Exp(w, uint64(n))
+	for k := range q.zhInv {
+		q.zhInv[k] = field.Inverse(field.Sub(xn, field.One))
+		xn = field.Mul(xn, i4)
+	}
+
+	q.firstInv = make([]field.Element, d)
+	q.lastInv = make([]field.Element, d)
+	err = parallel.For(ctx, d, quotGrain, func(lo, hi int) {
+		for j := lo; j < hi; j++ {
+			q.firstInv[j] = field.Sub(q.xs[j], field.One)
+			q.lastInv[j] = field.Sub(q.xs[j], q.gLast)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := field.BatchInverseCtx(ctx, q.firstInv); err != nil {
+		return nil, err
+	}
+	if err := field.BatchInverseCtx(ctx, q.lastInv); err != nil {
+		return nil, err
+	}
+
+	q.pows = make([]field.Element, len(s.prog.outs))
+	a := field.One
+	for i := range q.pows {
+		q.pows[i] = a
+		a = field.Mul(a, alpha)
+	}
+	return q, nil
+}
+
+// quotientTerms holds what the quotient needs beyond the program's
+// constraint values. The α-combination is factored by divisor,
+//
+//	t = transDiv·Σ α^i·c_i + firstInv·Σ α^k·(col_k − v_k) + lastInv·Σ α^k·(col_k − v_k),
+//
+// so each term costs one MulAdd over the tile. Transition constraints
+// vanish on H \ {g^{N−1}}, so their divisor is
+// transDiv = Z_H(x)/(x − g^{N−1}).
+type quotientTerms struct {
+	prog *program
+	pows []field.Element // α^i for constraint i
+	cols [][]field.Element
+	rot  int // next-row offset on the coset
+	// bounds splits the constraints by divisor: [bounds[g], bounds[g+1])
+	// are the transitions, first-row and last-row boundaries for g = 0,
+	// 1, 2.
+	bounds   [4]int
+	xs       []field.Element
+	firstInv []field.Element
+	lastInv  []field.Element
+	zhInv    [4]field.Element // 1/Z_H on points j ≡ 0..3 mod 4
+	gLast    field.Element
+}
+
+// tiles writes t[0:hi−lo] for points [lo, hi), one tile at a time: the
+// program's run, then the α-combination term by term over the tile.
+//
+//unizklint:hotpath
+func (q *quotientTerms) tiles(rf *regFile, lo, hi int, t []field.Element) {
+	for t0 := lo; t0 < hi; t0 += tile {
+		t1 := min(t0+tile, hi)
+		n := t1 - t0
+		q.prog.run(rf, q.cols, q.rot, t0, t1)
+		for g := range rf.acc {
+			acc := rf.acc[g][:n]
+			clear(acc)
+			for i := q.bounds[g]; i < q.bounds[g+1]; i++ {
+				pw := q.pows[i]
+				for k, v := range q.prog.out(rf, i)[:n] {
+					acc[k] = field.MulAdd(pw, v, acc[k])
+				}
+			}
+		}
+		at, af, al := rf.acc[0][:n], rf.acc[1][:n], rf.acc[2][:n]
+		for k := 0; k < n; k++ {
+			j := t0 + k
+			transDiv := field.Mul(field.Sub(q.xs[j], q.gLast), q.zhInv[j%4])
+			t[j-lo] = field.MulAdd(transDiv, at[k],
+				field.MulAdd(q.firstInv[j], af[k], field.Mul(q.lastInv[j], al[k])))
+		}
+	}
 }
 
 // ErrInvalidProof is the umbrella error wrapped by every verification
@@ -420,21 +482,18 @@ func (s *Stark) Verify(proof *Proof) (err error) {
 	sum := field.ExtZero
 	transDiv := field.ExtMul(
 		field.ExtSub(zeta, field.FromBase(gLast)), field.ExtInverse(zh))
-	for _, tr := range s.Transitions {
-		v := tr.EvalExt(proof.TraceOpen, proof.TraceNextOpen)
-		sum = field.ExtAdd(sum, field.ExtMul(a, field.ExtMul(v, transDiv)))
-		a = field.ExtMul(a, field.FromBase(alpha))
-	}
 	firstInv := field.ExtInverse(field.ExtSub(zeta, field.ExtOne))
-	for _, b := range s.FirstRow {
-		v := field.ExtSub(proof.TraceOpen[b.Col], field.FromBase(b.Value))
-		sum = field.ExtAdd(sum, field.ExtMul(a, field.ExtMul(v, firstInv)))
-		a = field.ExtMul(a, field.FromBase(alpha))
-	}
 	lastInv := field.ExtInverse(field.ExtSub(zeta, field.FromBase(gLast)))
-	for _, b := range s.LastRow {
-		v := field.ExtSub(proof.TraceOpen[b.Col], field.FromBase(b.Value))
-		sum = field.ExtAdd(sum, field.ExtMul(a, field.ExtMul(v, lastInv)))
+	firstAt := len(s.Transitions)
+	lastAt := firstAt + len(s.FirstRow)
+	for i, v := range s.prog.evalExt(proof.TraceOpen, proof.TraceNextOpen) {
+		div := transDiv
+		if i >= lastAt {
+			div = lastInv
+		} else if i >= firstAt {
+			div = firstInv
+		}
+		sum = field.ExtAdd(sum, field.ExtMul(a, field.ExtMul(v, div)))
 		a = field.ExtMul(a, field.FromBase(alpha))
 	}
 
@@ -480,4 +539,41 @@ func observeOpenings(ch *poseidon.Challenger, groups ...[]field.Ext) {
 			ch.ObserveExt(v)
 		}
 	}
+}
+
+// firstViolation runs the constraint program over the trace's adjacent
+// row pairs (r, r+1), r < N−1, and returns the first row, and the first
+// transition on it, that does not vanish; ok is true if none. The
+// boundary constraints, which hold on one row only, are not checked.
+func (s *Stark) firstViolation(columns [][]field.Element) (row, tr int, ok bool) {
+	rf := s.prog.getRegs()
+	defer s.prog.putRegs(rf)
+	for lo := 0; lo < s.N-1; lo += tile {
+		hi := min(lo+tile, s.N-1)
+		s.prog.run(rf, columns, 1, lo, hi)
+		for k := 0; k < hi-lo; k++ {
+			for i := range s.Transitions {
+				if s.prog.out(rf, i)[k] != 0 {
+					return lo + k, i, false
+				}
+			}
+		}
+	}
+	return 0, 0, true
+}
+
+// QuotientKernel commits columns and returns a function that reruns only
+// the quotient phase, with a fixed α. The kernel trajectory
+// (internal/bench/trajectory) uses it to time the quotient apart from
+// the rest of the prover.
+func (s *Stark) QuotientKernel(columns [][]field.Element) (func(context.Context) error, error) {
+	traceBatch, err := fri.CommitValuesContext(context.Background(), columns, s.cfg.RateBits, s.cfg.CapHeight, nil)
+	if err != nil {
+		return nil, err
+	}
+	alpha := field.New(0x2545f491)
+	return func(ctx context.Context) error {
+		_, err := s.computeQuotient(ctx, traceBatch, alpha, nil)
+		return err
+	}, nil
 }
