@@ -92,8 +92,8 @@ go test -race -timeout 10m -run '^TestClusterCacheSoak$' ./internal/cluster
 go test -race -timeout 15m -run '^TestCrashRecoverySoak$' ./internal/cluster
 
 # Kernel differential suite: the optimized field and NTT kernels against
-# their retained naive reference oracles (internal/field/goldilocks_ref.go's big.Int
-# arithmetic, internal/ntt/ntt_ref.go's O(n^2) DFT) over fuzzed inputs
+# their retained naive reference oracles (internal/field/goldilocks_ref_test.go's big.Int
+# arithmetic, internal/ntt/ntt_ref_test.go's O(n^2) DFT) over fuzzed inputs
 # and edge vectors, serial and parallel, under the race detector. The
 # full -race run below repeats it; this step makes an arithmetic
 # divergence fail under its own name.
@@ -118,10 +118,11 @@ go test -race -run 'Grind|Permute' ./internal/poseidon ./internal/fri
 # verifier against its serial reference, every NTT Spec against the
 # O(n^2) DFT, the plonk quotient against its re-extending reference,
 # the FRI coefficient-form combine against the pointwise one, the
-# compiled stark constraint program against the expression trees and
-# the tiled stark quotient against its per-point reference — under the
-# race detector.
-go test -tags purego -race -run 'Permute|Grind|Batch|Build|Verify|Ref|Quotient|Butterflies|Scale|Combine|Program' ./internal/poseidon ./internal/merkle ./internal/fri ./internal/ntt ./internal/plonk ./internal/stark
+# compiled constraint program against the expression trees (both coset
+# orders, challenges, all four divisor classes), the tiled stark
+# quotient against its per-point reference and plonk's compiled
+# ζ check against the hand-written one — under the race detector.
+go test -tags purego -race -run 'Permute|Grind|Batch|Build|Verify|Ref|Quotient|Butterflies|Scale|Combine|Program|Constraint' ./internal/poseidon ./internal/merkle ./internal/fri ./internal/ntt ./internal/constraint ./internal/plonk ./internal/stark
 
 # Kernel trajectory regression check: with UNIZK_BENCH_ENFORCE=1 this
 # re-measures the tracked kernel registry (internal/bench/trajectory)
@@ -141,7 +142,7 @@ go test -race ./...
 # Fuzz the decode+verify boundary of each protocol, plus the worker
 # pool's chunking arithmetic, the Poseidon permutation against its naive
 # oracle, the eight-lane NTT butterflies against the scalar loop,
-# batched Merkle-path verification against Verify, the compiled stark
+# batched Merkle-path verification against Verify, the compiled
 # constraint program against the expression trees, and the
 # proving-service request/response codecs, for a fixed
 # budget. -run='^$' skips unit tests so the whole
@@ -153,7 +154,7 @@ go test -run='^$' -fuzz='^FuzzPermute$' -fuzztime=20s ./internal/poseidon
 go test -run='^$' -fuzz='^FuzzPermuteX8$' -fuzztime=20s ./internal/poseidon
 go test -run='^$' -fuzz='^FuzzDIFButterfliesX8$' -fuzztime=20s ./internal/ntt
 go test -run='^$' -fuzz='^FuzzVerifyBatch$' -fuzztime=20s ./internal/merkle
-go test -run='^$' -fuzz='^FuzzConstraintProgram$' -fuzztime=20s ./internal/stark
+go test -run='^$' -fuzz='^FuzzConstraintProgram$' -fuzztime=20s ./internal/constraint
 go test -run='^$' -fuzz='^FuzzRequestRoundTrip$' -fuzztime=5s ./internal/jobs
 go test -run='^$' -fuzz='^FuzzResultRoundTrip$' -fuzztime=5s ./internal/jobs
 

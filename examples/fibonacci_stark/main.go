@@ -9,6 +9,7 @@ import (
 	"log"
 	"time"
 
+	"unizk/internal/constraint"
 	"unizk/internal/core"
 	"unizk/internal/field"
 	"unizk/internal/fri"
@@ -30,9 +31,9 @@ func main() {
 	}
 	air := stark.AIR{
 		Width: 2,
-		Transitions: []*stark.Expr{
-			stark.Sub(stark.Next(0), stark.Col(1)),
-			stark.Sub(stark.Next(1), stark.Add(stark.Col(0), stark.Col(1))),
+		Transitions: []*constraint.Expr{
+			constraint.Sub(constraint.Next(0), constraint.Col(1)),
+			constraint.Sub(constraint.Next(1), constraint.Add(constraint.Col(0), constraint.Col(1))),
 		},
 		FirstRow: []stark.Boundary{{Col: 0, Value: 0}, {Col: 1, Value: 1}},
 		LastRow:  []stark.Boundary{{Col: 1, Value: x1[n-1]}},

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"unizk/internal/constraint"
 	"unizk/internal/field"
 	"unizk/internal/fri"
 	"unizk/internal/merkle"
@@ -242,7 +243,7 @@ func TestFoldLayerAllocs(t *testing.T) {
 // re-measure and justify the new pin in the commit.
 const (
 	plonkProofBudget = 885 // measured ~590 on the fib-40 circuit with the quotient read from the committed LDEs
-	starkProofBudget = 670 // measured ~445 on the 2^6-row fib AIR with the pooled grind and reused challenger outputs
+	starkProofBudget = 669 // measured ~446 on the 2^6-row fib AIR with the quotient state pooled per constraint program
 )
 
 // TestPlonkProofAllocs pins the whole-proof allocation count of the
@@ -301,9 +302,9 @@ func TestStarkProofAllocs(t *testing.T) {
 		}
 		air := stark.AIR{
 			Width: 2,
-			Transitions: []*stark.Expr{
-				stark.Sub(stark.Next(0), stark.Col(1)),
-				stark.Sub(stark.Next(1), stark.Add(stark.Col(0), stark.Col(1))),
+			Transitions: []*constraint.Expr{
+				constraint.Sub(constraint.Next(0), constraint.Col(1)),
+				constraint.Sub(constraint.Next(1), constraint.Add(constraint.Col(0), constraint.Col(1))),
 			},
 			FirstRow: []stark.Boundary{{Col: 0, Value: 0}, {Col: 1, Value: 1}},
 			LastRow:  []stark.Boundary{{Col: 1, Value: c1[n-1]}},

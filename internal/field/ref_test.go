@@ -9,7 +9,7 @@ import (
 )
 
 // Differential layer: the optimized Goldilocks kernels against the
-// math/big oracles in goldilocks_ref.go. Edge values cover every branch
+// math/big oracles in goldilocks_ref_test.go. Edge values cover every branch
 // of the single-branch reduction (carry taken / not taken, canonical
 // boundary), and the fuzzed sweep walks the full 64-bit input space with
 // a fixed seed so failures reproduce.

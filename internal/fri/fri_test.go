@@ -117,7 +117,7 @@ func newFixture(t *testing.T, seed int64, logN int) *friFixture {
 func (f *friFixture) challenger() *poseidon.Challenger {
 	ch := poseidon.NewChallenger()
 	for _, o := range f.oracles {
-		observeCap(ch, o.Cap())
+		ch.ObserveCap(o.Cap())
 	}
 	for _, g := range f.opened {
 		for _, vals := range g {
@@ -283,7 +283,7 @@ func TestSmallDomainNoFolding(t *testing.T) {
 
 	mkCh := func() *poseidon.Challenger {
 		ch := poseidon.NewChallenger()
-		observeCap(ch, b.Cap())
+		ch.ObserveCap(b.Cap())
 		for _, v := range opened[0][0] {
 			ch.ObserveExt(v)
 		}
@@ -392,7 +392,7 @@ func BenchmarkProve(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ch := poseidon.NewChallenger()
-		observeCap(ch, batch.Cap())
+		ch.ObserveCap(batch.Cap())
 		Prove([]*PolynomialBatch{batch}, groups, opened, ch, cfg, nil)
 	}
 }

@@ -60,13 +60,6 @@ type QueryStep struct {
 	Proof merkle.Proof
 }
 
-// observeCap absorbs a Merkle cap into the Fiat–Shamir transcript.
-func observeCap(ch *poseidon.Challenger, c merkle.Cap) {
-	for _, h := range c {
-		ch.ObserveHash(h)
-	}
-}
-
 // layerCapHeight clamps the configured cap height to the layer size.
 func layerCapHeight(cfg Config, numLeaves int) int {
 	h := cfg.CapHeight
@@ -169,7 +162,7 @@ func ProveContext(ctx context.Context, oracles []*PolynomialBatch, groups []Poin
 		}
 		trees = append(trees, tree)
 		caps = append(caps, tree.Cap())
-		observeCap(ch, tree.Cap())
+		ch.ObserveCap(tree.Cap())
 		beta := ch.SampleExt()
 
 		nextp := getExt(half)
@@ -201,9 +194,7 @@ func ProveContext(ctx context.Context, oracles []*PolynomialBatch, groups []Poin
 			panic("fri: combined polynomial is not low degree — outer protocol bug")
 		}
 	}
-	for _, c := range finalPoly {
-		ch.ObserveExt(c)
-	}
+	ch.ObserveExts(finalPoly)
 
 	// Proof-of-work grinding (part of "Other Hash" in Table 1). The
 	// permutation count is only known after the search, so the kernel

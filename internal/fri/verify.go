@@ -104,7 +104,7 @@ func Verify(oracles []VerifierOracle, groups []PointGroup, opened OpenedValues,
 			return fmt.Errorf("%w: layer %d cap size %d, want %d",
 				ErrProofShape, t, len(proof.CommitPhaseCaps[t]), wantCap)
 		}
-		observeCap(ch, proof.CommitPhaseCaps[t])
+		ch.ObserveCap(proof.CommitPhaseCaps[t])
 		betas[t] = ch.SampleExt()
 		layerSize >>= 1
 	}
@@ -113,9 +113,7 @@ func Verify(oracles []VerifierOracle, groups []PointGroup, opened OpenedValues,
 		return fmt.Errorf("%w: final polynomial has %d coefficients, want %d",
 			ErrProofShape, len(proof.FinalPoly), finalSize>>cfg.RateBits)
 	}
-	for _, c := range proof.FinalPoly {
-		ch.ObserveExt(c)
-	}
+	ch.ObserveExts(proof.FinalPoly)
 
 	ch.Observe(proof.PowWitness)
 	if ch.SampleBits(cfg.ProofOfWorkBits) != 0 {

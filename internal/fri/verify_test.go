@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"unizk/internal/constraint"
 	"unizk/internal/field"
 	"unizk/internal/fri"
 	"unizk/internal/merkle"
@@ -83,7 +84,7 @@ func refVerify(oracles []fri.VerifierOracle, groups []fri.PointGroup, opened fri
 			return fmt.Errorf("%w: layer %d cap size %d, want %d",
 				fri.ErrProofShape, t, len(proof.CommitPhaseCaps[t]), wantCap)
 		}
-		observeCap(ch, proof.CommitPhaseCaps[t])
+		ch.ObserveCap(proof.CommitPhaseCaps[t])
 		betas[t] = ch.SampleExt()
 		layerSize >>= 1
 	}
@@ -212,20 +213,6 @@ func refLayerCapHeight(cfg fri.Config, numLeaves int) int {
 	return ntt.Log2(fri.CapSize(cfg, ntt.Log2(numLeaves)))
 }
 
-func observeCap(ch *poseidon.Challenger, c merkle.Cap) {
-	for _, h := range c {
-		ch.ObserveHash(h)
-	}
-}
-
-func observeExts(ch *poseidon.Challenger, groups ...[]field.Ext) {
-	for _, g := range groups {
-		for _, v := range g {
-			ch.ObserveExt(v)
-		}
-	}
-}
-
 // friInstance is the FRI half of an honest proof: fri.Verify's arguments
 // as the outer protocol's verifier passes them, with a fresh copy of its
 // transcript per call.
@@ -271,16 +258,16 @@ func plonkInstance(t *testing.T, cfg fri.Config, steps int) friInstance {
 	var zeta field.Ext
 	transcript := func() *poseidon.Challenger {
 		ch := poseidon.NewChallenger()
-		observeCap(ch, vk.ConstantsCap)
+		ch.ObserveCap(vk.ConstantsCap)
 		ch.ObserveSlice(pub)
-		observeCap(ch, proof.WiresCap)
+		ch.ObserveCap(proof.WiresCap)
 		ch.Sample()
 		ch.Sample()
-		observeCap(ch, proof.ZCap)
+		ch.ObserveCap(proof.ZCap)
 		ch.Sample()
-		observeCap(ch, proof.QuotientCap)
+		ch.ObserveCap(proof.QuotientCap)
 		zeta = ch.SampleExt()
-		observeExts(ch, proof.ConstantsOpen, proof.WiresOpen,
+		ch.ObserveExts(proof.ConstantsOpen, proof.WiresOpen,
 			proof.ZsOpen, proof.QuotientOpen, proof.ZsNextOpen)
 		return ch
 	}
@@ -322,9 +309,9 @@ func starkInstance(t *testing.T, cfg fri.Config, logN int) friInstance {
 	}
 	air := stark.AIR{
 		Width: 2,
-		Transitions: []*stark.Expr{
-			stark.Sub(stark.Next(0), stark.Col(1)),
-			stark.Sub(stark.Next(1), stark.Add(stark.Col(0), stark.Col(1))),
+		Transitions: []*constraint.Expr{
+			constraint.Sub(constraint.Next(0), constraint.Col(1)),
+			constraint.Sub(constraint.Next(1), constraint.Add(constraint.Col(0), constraint.Col(1))),
 		},
 		FirstRow: []stark.Boundary{{Col: 0, Value: 0}, {Col: 1, Value: 1}},
 		LastRow:  []stark.Boundary{{Col: 1, Value: c1[n-1]}},
@@ -353,11 +340,11 @@ func starkInstance(t *testing.T, cfg fri.Config, logN int) friInstance {
 				ch.Observe(b.Value)
 			}
 		}
-		observeCap(ch, proof.TraceCap)
+		ch.ObserveCap(proof.TraceCap)
 		ch.Sample()
-		observeCap(ch, proof.QuotientCap)
+		ch.ObserveCap(proof.QuotientCap)
 		zeta = ch.SampleExt()
-		observeExts(ch, proof.TraceOpen, proof.TraceNextOpen, proof.QuotientOpen)
+		ch.ObserveExts(proof.TraceOpen, proof.TraceNextOpen, proof.QuotientOpen)
 		return ch
 	}
 	transcript()

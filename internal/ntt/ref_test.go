@@ -15,7 +15,7 @@ import (
 )
 
 // Differential layer: every Transform Spec and Columns against the
-// O(n²) DFT oracles in ntt_ref.go, over edge vectors and fuzzed inputs,
+// O(n²) DFT oracles in ntt_ref_test.go, over edge vectors and fuzzed inputs,
 // in forced serial mode and through the worker pool at every count of
 // workerSweep. Sizes run up to twice parallelMin so the serial core, the
 // pool-parallel layers and the cache-blocked tail pass are all pinned to

@@ -1,6 +1,7 @@
 package plonk
 
 import (
+	"unizk/internal/constraint"
 	"unizk/internal/field"
 	"unizk/internal/fri"
 	"unizk/internal/merkle"
@@ -32,10 +33,18 @@ type Circuit struct {
 	sigmaVals [][]field.Element
 	// ks are the coset representatives distinguishing the wire columns.
 	ks []field.Element
+	// rowPoints[r] is w^r, row r's point of H.
+	rowPoints []field.Element
 
 	// constants is the committed batch: 5·Reps selectors then 3·Reps
 	// sigma polynomials.
 	constants *fri.PolynomialBatch
+
+	// prog is every constraint compiled once (see constraints): the
+	// quotient and the verifier run it. gateProg is the gates alone, which
+	// the prover's sanity check runs on the trace, and factorProg the
+	// permutation argument's group products, which build Z.
+	prog, gateProg, factorProg *constraint.Program
 
 	roots      map[Target]Target
 	generators []func(*Witness)
@@ -49,8 +58,9 @@ type VerificationKey struct {
 	LogN         int
 	Reps         int
 	NumPublic    int
-	Ks           []field.Element
 	Cfg          fri.Config
+
+	prog *constraint.Program
 }
 
 // Build compiles with one gate per row (Reps = 1).
@@ -139,6 +149,7 @@ func (b *Builder) BuildWide(cfg fri.Config, reps int) *Circuit {
 	slotValue := func(t Target) field.Element {
 		return field.Mul(c.ks[physCol(t)], pow[physRow(t)])
 	}
+	c.rowPoints = pow
 	c.sigmaVals = make([][]field.Element, numCols)
 	for col := 0; col < numCols; col++ {
 		c.sigmaVals[col] = make([]field.Element, n)
@@ -160,6 +171,11 @@ func (b *Builder) BuildWide(cfg fri.Config, reps int) *Circuit {
 	constPolys = append(constPolys, c.selectors...)
 	constPolys = append(constPolys, c.sigmaVals...)
 	c.constants = fri.CommitValues(constPolys, cfg.RateBits, cfg.CapHeight, nil)
+
+	cs, factors := constraints(reps, c.LogN, c.ks)
+	c.prog = constraint.Compile(c.LogN, cs)
+	c.gateProg = constraint.Compile(c.LogN, cs[:reps])
+	c.factorProg = constraint.Compile(c.LogN, factors)
 	return c
 }
 
@@ -190,8 +206,8 @@ func (c *Circuit) VerificationKey() VerificationKey {
 		LogN:         c.LogN,
 		Reps:         c.Reps,
 		NumPublic:    c.NumPublic,
-		Ks:           c.ks,
 		Cfg:          c.cfg,
+		prog:         c.prog,
 	}
 }
 

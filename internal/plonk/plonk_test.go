@@ -107,6 +107,18 @@ func TestVerifyRejectsTamperedProof(t *testing.T) {
 	}
 
 	p = fresh()
+	p.ConstantsOpen[2] = field.ExtAdd(p.ConstantsOpen[2], field.ExtOne)
+	if Verify(vk, pub, p) == nil {
+		t.Fatal("tampered constants opening accepted")
+	}
+
+	p = fresh()
+	p.ZsNextOpen[0] = field.ExtAdd(p.ZsNextOpen[0], field.ExtOne)
+	if Verify(vk, pub, p) == nil {
+		t.Fatal("tampered next-row Z opening accepted")
+	}
+
+	p = fresh()
 	p.QuotientOpen[0] = field.ExtAdd(p.QuotientOpen[0], field.ExtOne)
 	if Verify(vk, pub, p) == nil {
 		t.Fatal("tampered quotient opening accepted")

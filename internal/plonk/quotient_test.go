@@ -5,12 +5,17 @@ import (
 	"fmt"
 	"testing"
 
+	"unizk/internal/constraint"
 	"unizk/internal/field"
 	"unizk/internal/fri"
+	"unizk/internal/merkle"
 	"unizk/internal/ntt"
 	"unizk/internal/parallel"
 	"unizk/internal/trace"
 )
+
+// quotGrain is the chunk size of refQuotient's per-point loops.
+const quotGrain = 1 << 9
 
 // refQuotient is the reference for computeQuotient: it re-extends every
 // column it reads onto the coset g·H_4N with a fresh coset NTT, evaluates
@@ -169,17 +174,26 @@ func (c *Circuit) refQuotient(ctx context.Context,
 	if err != nil {
 		return nil, err
 	}
-	for _, cc := range tCoeffs[quotientChunks*n:] {
+	for _, cc := range tCoeffs[constraint.QuotientChunks*n:] {
 		if cc != 0 {
 			return nil, fmt.Errorf("plonk: quotient degree exceeds bound — constraint system bug")
 		}
 	}
 
-	chunks := make([][]field.Element, quotientChunks)
+	chunks := make([][]field.Element, constraint.QuotientChunks)
 	for i := range chunks {
 		chunks[i] = tCoeffs[i*n : (i+1)*n]
 	}
 	return chunks, nil
+}
+
+// gateEval computes qL·a + qR·b + qM·a·b + qO·c + qC.
+func gateEval(ql, qr, qm, qo, qc, a, b, cv field.Element) field.Element {
+	v := field.Mul(ql, a)
+	v = field.MulAdd(qr, b, v)
+	v = field.MulAdd(qm, field.Mul(a, b), v)
+	v = field.MulAdd(qo, cv, v)
+	return field.Add(v, qc)
 }
 
 // quotientCircuit builds a Fibonacci chain with exactly 2^logN rows at
@@ -215,15 +229,17 @@ func TestQuotientMatchesReference(t *testing.T) {
 				name := fmt.Sprintf("rate%d/reps%d/2^%d", cfg.RateBits, reps, logN)
 				c, w := quotientCircuit(t, cfg, logN, reps)
 				beta, gamma, alpha := field.New(0x1234567), field.New(0xdeadbeef), field.New(uint64(logN*reps+5))
-				wiresBatch, zBatch, pi, err := c.commitForQuotient(ctx, w, beta, gamma)
+				tr, err := c.commitTrace(ctx, w, nil, func([]field.Element, merkle.Cap) (field.Element, field.Element) {
+					return beta, gamma
+				})
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				got, err := c.computeQuotient(ctx, wiresBatch, zBatch, pi, beta, gamma, alpha, nil)
+				got, err := c.computeQuotient(ctx, tr, alpha, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				want, err := c.refQuotient(ctx, wiresBatch, zBatch, pi, beta, gamma, alpha, nil)
+				want, err := c.refQuotient(ctx, tr.wires, tr.zs, tr.pi, beta, gamma, alpha, nil)
 				if err != nil {
 					t.Fatalf("%s: reference: %v", name, err)
 				}

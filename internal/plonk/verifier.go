@@ -3,7 +3,9 @@ package plonk
 import (
 	"errors"
 	"fmt"
+	"slices"
 
+	"unizk/internal/constraint"
 	"unizk/internal/field"
 	"unizk/internal/fri"
 	"unizk/internal/poseidon"
@@ -26,16 +28,14 @@ var (
 // into must have exactly the size the verification key dictates.
 func validateShape(vk VerificationKey, pub []field.Element, proof *Proof) error {
 	reps := vk.Reps
-	numCols := 3 * reps
 	if proof == nil {
 		return fmt.Errorf("%w: nil proof", ErrMalformedProof)
 	}
 	if proof.FRI == nil {
 		return fmt.Errorf("%w: missing FRI proof", ErrMalformedProof)
 	}
-	if len(vk.Ks) != numCols {
-		return fmt.Errorf("%w: verification key has %d coset shifts, want %d",
-			ErrMalformedProof, len(vk.Ks), numCols)
+	if vk.prog == nil {
+		return fmt.Errorf("%w: verification key carries no constraint program", ErrMalformedProof)
 	}
 	if len(pub) != vk.NumPublic {
 		return fmt.Errorf("%w: %d public inputs, want %d",
@@ -65,10 +65,10 @@ func validateShape(vk VerificationKey, pub []field.Element, proof *Proof) error 
 		want int
 	}{
 		{"constants openings", len(proof.ConstantsOpen), 8 * reps},
-		{"wires openings", len(proof.WiresOpen), numCols},
+		{"wires openings", len(proof.WiresOpen), 3 * reps},
 		{"Z openings", len(proof.ZsOpen), reps},
 		{"next-row Z openings", len(proof.ZsNextOpen), reps},
-		{"quotient openings", len(proof.QuotientOpen), quotientChunks},
+		{"quotient openings", len(proof.QuotientOpen), constraint.QuotientChunks},
 	} {
 		if o.n != o.want {
 			return fmt.Errorf("%w: %d %s, want %d",
@@ -90,32 +90,70 @@ func Verify(vk VerificationKey, pub []field.Element, proof *Proof) (err error) {
 		return err
 	}
 	reps := vk.Reps
-	numCols := 3 * reps
 	for i := range pub {
 		if proof.PublicInputs[i] != pub[i] {
 			return fmt.Errorf("%w: public input %d mismatch", ErrProofRejected, i)
 		}
 	}
 
-	n := uint64(1) << vk.LogN
+	ch, cs := replay(vk, pub, proof)
+	if err := checkConstraints(vk, pub, proof, cs); err != nil {
+		return err
+	}
 
-	// Replay the transcript.
+	// --- FRI opening proof. ---
+	oracles := []fri.VerifierOracle{
+		{Cap: vk.ConstantsCap, NumPolys: 8 * reps},
+		{Cap: proof.WiresCap, NumPolys: 3 * reps},
+		{Cap: proof.ZCap, NumPolys: reps},
+		{Cap: proof.QuotientCap, NumPolys: constraint.QuotientChunks},
+	}
+	groups := []fri.PointGroup{
+		{Point: cs.zeta, Oracles: []int{0, 1, 2, 3}},
+		{Point: field.ExtScalarMul(field.PrimitiveRootOfUnity(vk.LogN), cs.zeta), Oracles: []int{2}},
+	}
+	opened := fri.OpenedValues{
+		{proof.ConstantsOpen, proof.WiresOpen, proof.ZsOpen, proof.QuotientOpen},
+		{proof.ZsNextOpen},
+	}
+	if err := fri.Verify(oracles, groups, opened, proof.FRI, ch, vk.Cfg, vk.LogN); err != nil {
+		// %w preserves the fri error's taxonomy class (shape vs. crypto).
+		return fmt.Errorf("%w: %w", ErrInvalidProof, err)
+	}
+	return nil
+}
+
+// challenges are the transcript's draws up to ζ.
+type challenges struct {
+	beta, gamma, alpha field.Element
+	zeta               field.Ext
+}
+
+// replay replays the transcript through the openings and returns it with
+// the challenges drawn on the way.
+func replay(vk VerificationKey, pub []field.Element, proof *Proof) (*poseidon.Challenger, challenges) {
+	var cs challenges
 	ch := poseidon.NewChallenger()
-	observeCap(ch, vk.ConstantsCap)
+	ch.ObserveCap(vk.ConstantsCap)
 	ch.ObserveSlice(pub)
-	observeCap(ch, proof.WiresCap)
-	beta := ch.Sample()
-	gamma := ch.Sample()
-	observeCap(ch, proof.ZCap)
-	alpha := ch.Sample()
-	observeCap(ch, proof.QuotientCap)
-	zeta := ch.SampleExt()
-	g := field.PrimitiveRootOfUnity(vk.LogN)
-	zetaNext := field.ExtScalarMul(g, zeta)
-	observeOpenings(ch, proof.ConstantsOpen, proof.WiresOpen,
+	ch.ObserveCap(proof.WiresCap)
+	cs.beta = ch.Sample()
+	cs.gamma = ch.Sample()
+	ch.ObserveCap(proof.ZCap)
+	cs.alpha = ch.Sample()
+	ch.ObserveCap(proof.QuotientCap)
+	cs.zeta = ch.SampleExt()
+	ch.ObserveExts(proof.ConstantsOpen, proof.WiresOpen,
 		proof.ZsOpen, proof.QuotientOpen, proof.ZsNextOpen)
+	return ch, cs
+}
 
-	// --- Constraint equation at ζ. ---
+// checkConstraints checks the constraint equation at ζ: the compiled
+// program's Σ α^i·c_i(ζ)·div_i(ζ) over the openings, the public-input
+// polynomial and ζ itself must equal the quotient's recombined chunks.
+func checkConstraints(vk VerificationKey, pub []field.Element, proof *Proof, cs challenges) error {
+	n := uint64(1) << vk.LogN
+	zeta := cs.zeta
 	zhZeta := field.ExtSub(field.ExtExp(zeta, n), field.ExtOne)
 	if zhZeta.IsZero() {
 		return fmt.Errorf("%w: ζ lies on the evaluation domain", ErrProofRejected)
@@ -124,6 +162,7 @@ func Verify(vk VerificationKey, pub []field.Element, proof *Proof) (err error) {
 	// PI(ζ) = Σ_i (−pub_i)·L_i(ζ),  L_i(ζ) = w^i·Z_H(ζ) / (N·(ζ − w^i)).
 	piZeta := field.ExtZero
 	wPow := field.One
+	g := field.PrimitiveRootOfUnity(vk.LogN)
 	nInv := field.Inverse(field.New(n))
 	for _, p := range pub {
 		den := field.ExtSub(zeta, field.FromBase(wPow))
@@ -133,86 +172,13 @@ func Verify(vk VerificationKey, pub []field.Element, proof *Proof) (err error) {
 		wPow = field.Mul(wPow, g)
 	}
 
-	co := proof.ConstantsOpen
-	wo := proof.WiresOpen
-	aPow := field.ExtOne
-	lhs := field.ExtZero
-
-	// Gate constraints, one per repetition.
-	for rep := 0; rep < reps; rep++ {
-		gate := field.ExtMul(co[5*rep], wo[3*rep])
-		gate = field.ExtAdd(gate, field.ExtMul(co[5*rep+1], wo[3*rep+1]))
-		gate = field.ExtAdd(gate, field.ExtMul(co[5*rep+2],
-			field.ExtMul(wo[3*rep], wo[3*rep+1])))
-		gate = field.ExtAdd(gate, field.ExtMul(co[5*rep+3], wo[3*rep+2]))
-		gate = field.ExtAdd(gate, co[5*rep+4])
-		if rep == 0 {
-			gate = field.ExtAdd(gate, piZeta)
-		}
-		lhs = field.ExtAdd(lhs, field.ExtMul(aPow, gate))
-		aPow = field.ExtMul(aPow, field.FromBase(alpha))
-	}
-
-	// Permutation chain: π_{g+1}·gg_g − π_g·fg_g, with π_R = Z(g·ζ).
-	for grp := 0; grp < reps; grp++ {
-		fAcc := field.ExtOne
-		gAcc := field.ExtOne
-		for k := 0; k < groupCols; k++ {
-			col := groupCols*grp + k
-			id := field.ExtScalarMul(field.Mul(beta, vk.Ks[col]), zeta)
-			fAcc = field.ExtMul(fAcc, field.ExtAdd(field.ExtAdd(wo[col], id),
-				field.FromBase(gamma)))
-			sig := field.ExtScalarMul(beta, co[5*reps+col])
-			gAcc = field.ExtMul(gAcc, field.ExtAdd(field.ExtAdd(wo[col], sig),
-				field.FromBase(gamma)))
-		}
-		next := proof.ZsNextOpen[0]
-		if grp < reps-1 {
-			next = proof.ZsOpen[grp+1]
-		}
-		perm := field.ExtSub(field.ExtMul(next, gAcc),
-			field.ExtMul(proof.ZsOpen[grp], fAcc))
-		lhs = field.ExtAdd(lhs, field.ExtMul(aPow, perm))
-		aPow = field.ExtMul(aPow, field.FromBase(alpha))
-	}
-
-	// Boundary: L1·(Z − 1).
-	l1Den := field.ExtScalarMul(field.New(n), field.ExtSub(zeta, field.ExtOne))
-	l1 := field.ExtMul(zhZeta, field.ExtInverse(l1Den))
-	bound := field.ExtMul(l1, field.ExtSub(proof.ZsOpen[0], field.ExtOne))
-	lhs = field.ExtAdd(lhs, field.ExtMul(aPow, bound))
-
-	tZeta := field.ExtZero
-	zetaN := field.ExtExp(zeta, n)
-	pow := field.ExtOne
-	for _, tc := range proof.QuotientOpen {
-		tZeta = field.ExtAdd(tZeta, field.ExtMul(pow, tc))
-		pow = field.ExtMul(pow, zetaN)
-	}
-	rhs := field.ExtMul(zhZeta, tZeta)
-
-	if lhs != rhs {
+	l := layout{vk.Reps}
+	local := slices.Concat(proof.ConstantsOpen, proof.WiresOpen, proof.ZsOpen, []field.Ext{piZeta, zeta})
+	next := make([]field.Ext, l.width())
+	copy(next[l.z(0):], proof.ZsNextOpen)
+	sum := vk.prog.EvalExt(local, next, []field.Element{cs.beta, cs.gamma}, cs.alpha, zeta)
+	if sum != vk.prog.QuotientAt(proof.QuotientOpen, zeta) {
 		return fmt.Errorf("%w: constraint equation fails at ζ", ErrProofRejected)
-	}
-
-	// --- FRI opening proof. ---
-	oracles := []fri.VerifierOracle{
-		{Cap: vk.ConstantsCap, NumPolys: 8 * reps},
-		{Cap: proof.WiresCap, NumPolys: numCols},
-		{Cap: proof.ZCap, NumPolys: reps},
-		{Cap: proof.QuotientCap, NumPolys: quotientChunks},
-	}
-	groups := []fri.PointGroup{
-		{Point: zeta, Oracles: []int{0, 1, 2, 3}},
-		{Point: zetaNext, Oracles: []int{2}},
-	}
-	opened := fri.OpenedValues{
-		{proof.ConstantsOpen, proof.WiresOpen, proof.ZsOpen, proof.QuotientOpen},
-		{proof.ZsNextOpen},
-	}
-	if err := fri.Verify(oracles, groups, opened, proof.FRI, ch, vk.Cfg, vk.LogN); err != nil {
-		// %w preserves the fri error's taxonomy class (shape vs. crypto).
-		return fmt.Errorf("%w: %w", ErrInvalidProof, err)
 	}
 	return nil
 }

@@ -45,10 +45,26 @@ func (c *Challenger) ObserveSlice(es []field.Element) {
 // ObserveHash absorbs a digest.
 func (c *Challenger) ObserveHash(h HashOut) { c.ObserveSlice(h[:]) }
 
+// ObserveCap absorbs digests in order, such as a Merkle cap.
+func (c *Challenger) ObserveCap(hs []HashOut) {
+	for _, h := range hs {
+		c.ObserveHash(h)
+	}
+}
+
 // ObserveExt absorbs an extension-field element.
 func (c *Challenger) ObserveExt(e field.Ext) {
 	c.Observe(e.A)
 	c.Observe(e.B)
+}
+
+// ObserveExts absorbs extension-field elements, slice by slice.
+func (c *Challenger) ObserveExts(groups ...[]field.Ext) {
+	for _, g := range groups {
+		for _, v := range g {
+			c.ObserveExt(v)
+		}
+	}
 }
 
 // Sample squeezes one base-field challenge.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"unizk/internal/constraint"
 	"unizk/internal/field"
 	"unizk/internal/fri"
 	"unizk/internal/trace"
@@ -23,9 +24,9 @@ func fibAIR(logN int) (*Stark, [][]field.Element, field.Element) {
 	result := c1[n-1]
 	air := AIR{
 		Width: 2,
-		Transitions: []*Expr{
-			Sub(Next(0), Col(1)),
-			Sub(Next(1), Add(Col(0), Col(1))),
+		Transitions: []*constraint.Expr{
+			constraint.Sub(constraint.Next(0), constraint.Col(1)),
+			constraint.Sub(constraint.Next(1), constraint.Add(constraint.Col(0), constraint.Col(1))),
 		},
 		FirstRow: []Boundary{{Col: 0, Value: 0}, {Col: 1, Value: 1}},
 		LastRow:  []Boundary{{Col: 1, Value: result}},
@@ -139,8 +140,8 @@ func TestHigherDegreeConstraint(t *testing.T) {
 	}
 	air := AIR{
 		Width: 1,
-		Transitions: []*Expr{
-			Sub(Next(0), Add(Mul(Col(0), Col(0)), Const(field.One))),
+		Transitions: []*constraint.Expr{
+			constraint.Sub(constraint.Next(0), constraint.Add(constraint.Mul(constraint.Col(0), constraint.Col(0)), constraint.Const(field.One))),
 		},
 		FirstRow: []Boundary{{Col: 0, Value: field.New(2)}},
 		LastRow:  []Boundary{{Col: 0, Value: c[n-1]}},
@@ -159,11 +160,11 @@ func TestHigherDegreeConstraint(t *testing.T) {
 }
 
 func TestNewRejectsBadAIR(t *testing.T) {
-	deg5 := Mul(Col(0), Mul(Col(0), Mul(Col(0), Mul(Col(0), Col(0)))))
+	deg5 := constraint.Mul(constraint.Col(0), constraint.Mul(constraint.Col(0), constraint.Mul(constraint.Col(0), constraint.Mul(constraint.Col(0), constraint.Col(0)))))
 	cases := []AIR{
 		{Width: 0},
-		{Width: 1, Transitions: []*Expr{deg5}},
-		{Width: 1, Transitions: []*Expr{Sub(Next(3), Col(0))}},
+		{Width: 1, Transitions: []*constraint.Expr{deg5}},
+		{Width: 1, Transitions: []*constraint.Expr{constraint.Sub(constraint.Next(3), constraint.Col(0))}},
 		{Width: 1, FirstRow: []Boundary{{Col: 2}}},
 	}
 	for i, air := range cases {
@@ -177,7 +178,7 @@ func TestNewRejectsBadAIR(t *testing.T) {
 }
 
 func TestExprDegreeAndMaxCol(t *testing.T) {
-	e := Add(Mul(Col(2), Next(4)), Const(field.One))
+	e := constraint.Add(constraint.Mul(constraint.Col(2), constraint.Next(4)), constraint.Const(field.One))
 	if e.Degree() != 2 {
 		t.Errorf("degree = %d, want 2", e.Degree())
 	}
@@ -220,9 +221,9 @@ func TestStarkyBlowupConfig(t *testing.T) {
 		}
 		air := AIR{
 			Width: 2,
-			Transitions: []*Expr{
-				Sub(Next(0), Col(1)),
-				Sub(Next(1), Add(Col(0), Col(1))),
+			Transitions: []*constraint.Expr{
+				constraint.Sub(constraint.Next(0), constraint.Col(1)),
+				constraint.Sub(constraint.Next(1), constraint.Add(constraint.Col(0), constraint.Col(1))),
 			},
 			FirstRow: []Boundary{{Col: 0, Value: 0}, {Col: 1, Value: 1}},
 			LastRow:  []Boundary{{Col: 1, Value: c1[n-1]}},

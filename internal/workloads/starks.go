@@ -3,6 +3,7 @@ package workloads
 import (
 	"fmt"
 
+	"unizk/internal/constraint"
 	"unizk/internal/field"
 	"unizk/internal/fri"
 	"unizk/internal/stark"
@@ -50,9 +51,9 @@ func BuildFactorialStark(logN int, cfg fri.Config) (*stark.Stark, [][]field.Elem
 	}
 	air := stark.AIR{
 		Width: 2,
-		Transitions: []*stark.Expr{
-			stark.Sub(stark.Next(0), stark.Add(stark.Col(0), stark.Const(field.One))),
-			stark.Sub(stark.Next(1), stark.Mul(stark.Col(1), stark.Next(0))),
+		Transitions: []*constraint.Expr{
+			constraint.Sub(constraint.Next(0), constraint.Add(constraint.Col(0), constraint.Const(field.One))),
+			constraint.Sub(constraint.Next(1), constraint.Mul(constraint.Col(1), constraint.Next(0))),
 		},
 		FirstRow: []stark.Boundary{{Col: 0, Value: field.One}, {Col: 1, Value: field.One}},
 		LastRow:  []stark.Boundary{{Col: 1, Value: acc[n-1]}},
@@ -76,9 +77,9 @@ func BuildFibonacciStark(logN int, cfg fri.Config) (*stark.Stark, [][]field.Elem
 	}
 	air := stark.AIR{
 		Width: 2,
-		Transitions: []*stark.Expr{
-			stark.Sub(stark.Next(0), stark.Col(1)),
-			stark.Sub(stark.Next(1), stark.Add(stark.Col(0), stark.Col(1))),
+		Transitions: []*constraint.Expr{
+			constraint.Sub(constraint.Next(0), constraint.Col(1)),
+			constraint.Sub(constraint.Next(1), constraint.Add(constraint.Col(0), constraint.Col(1))),
 		},
 		FirstRow: []stark.Boundary{{Col: 0, Value: 0}, {Col: 1, Value: 1}},
 		LastRow:  []stark.Boundary{{Col: 1, Value: c1[n-1]}},
@@ -122,13 +123,13 @@ func buildBooleanRoundStark(logN int, cfg fri.Config, width int, iv uint64) (*st
 		}
 	}
 
-	var transitions []*stark.Expr
+	var transitions []*constraint.Expr
 	var firstRow []stark.Boundary
 	for i := 0; i < width; i++ {
-		a, b := stark.Col(i), stark.Col((i+1)%width)
-		x := stark.Sub(stark.Add(a, b),
-			stark.Mul(stark.Const(field.Two), stark.Mul(a, b)))
-		transitions = append(transitions, stark.Sub(stark.Next(i), x))
+		a, b := constraint.Col(i), constraint.Col((i+1)%width)
+		x := constraint.Sub(constraint.Add(a, b),
+			constraint.Mul(constraint.Const(field.Two), constraint.Mul(a, b)))
+		transitions = append(transitions, constraint.Sub(constraint.Next(i), x))
 		firstRow = append(firstRow, stark.Boundary{Col: i, Value: cols[i][0]})
 	}
 	air := stark.AIR{
