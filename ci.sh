@@ -120,9 +120,10 @@ go test -race -run 'Grind|Permute' ./internal/poseidon ./internal/fri
 # the FRI coefficient-form combine against the pointwise one, the
 # compiled constraint program against the expression trees (both coset
 # orders, challenges, all four divisor classes), the tiled stark
-# quotient against its per-point reference and plonk's compiled
-# ζ check against the hand-written one — under the race detector.
-go test -tags purego -race -run 'Permute|Grind|Batch|Build|Verify|Ref|Quotient|Butterflies|Scale|Combine|Program|Constraint' ./internal/poseidon ./internal/merkle ./internal/fri ./internal/ntt ./internal/constraint ./internal/plonk ./internal/stark
+# quotient against its per-point reference, plonk's compiled ζ check
+# against the hand-written one, and the dense plonk witness against the
+# map-backed one and its clones — under the race detector.
+go test -tags purego -race -run 'Permute|Grind|Batch|Build|Verify|Ref|Quotient|Butterflies|Scale|Combine|Program|Constraint|Witness' ./internal/poseidon ./internal/merkle ./internal/fri ./internal/ntt ./internal/constraint ./internal/plonk ./internal/stark
 
 # Kernel trajectory regression check: with UNIZK_BENCH_ENFORCE=1 this
 # re-measures the tracked kernel registry (internal/bench/trajectory)
@@ -143,7 +144,8 @@ go test -race ./...
 # pool's chunking arithmetic, the Poseidon permutation against its naive
 # oracle, the eight-lane NTT butterflies against the scalar loop,
 # batched Merkle-path verification against Verify, the compiled
-# constraint program against the expression trees, and the
+# constraint program against the expression trees, the dense plonk
+# witness against the map-backed one, and the
 # proving-service request/response codecs, for a fixed
 # budget. -run='^$' skips unit tests so the whole
 # budget goes to fuzzing.
@@ -155,6 +157,7 @@ go test -run='^$' -fuzz='^FuzzPermuteX8$' -fuzztime=20s ./internal/poseidon
 go test -run='^$' -fuzz='^FuzzDIFButterfliesX8$' -fuzztime=20s ./internal/ntt
 go test -run='^$' -fuzz='^FuzzVerifyBatch$' -fuzztime=20s ./internal/merkle
 go test -run='^$' -fuzz='^FuzzConstraintProgram$' -fuzztime=20s ./internal/constraint
+go test -run='^$' -fuzz='^FuzzWitness$' -fuzztime=20s ./internal/plonk
 go test -run='^$' -fuzz='^FuzzRequestRoundTrip$' -fuzztime=5s ./internal/jobs
 go test -run='^$' -fuzz='^FuzzResultRoundTrip$' -fuzztime=5s ./internal/jobs
 

@@ -72,6 +72,7 @@ func Kernels() []Kernel {
 		Kernel{Name: "fri/fold/2^15", Bench: benchFRIFold},
 		Kernel{Name: "fri/combine/2^14", Bench: benchFRICombine},
 		Kernel{Name: "plonk/quotient/mvm-2^11", Bench: benchPlonkQuotient},
+		Kernel{Name: "witness/mvm-2^11", Bench: benchPlonkWitness},
 		Kernel{Name: "stark/quotient/sha-2^12", Bench: benchStarkQuotient},
 		Kernel{Name: "plonk/prove/fib-40", Bench: benchPlonkProve},
 		Kernel{Name: "stark/prove/fib-2^10", Bench: benchStarkProve},
@@ -174,6 +175,31 @@ func benchPlonkQuotient(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := quotient(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchPlonkWitness times the witness phase of a proof of the MVM
+// workload at 2^11 rows: cloning the compiled witness, running the
+// generators and materializing the wire columns.
+func benchPlonkWitness(b *testing.B) {
+	wl, err := workloads.ByName("MVM")
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, w, _, err := wl.Build(11, fri.PlonkyConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	witness := c.WitnessKernel(w)
+	ctx := context.Background()
+	if err := witness(ctx); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := witness(ctx); err != nil {
 			b.Fatal(err)
 		}
 	}

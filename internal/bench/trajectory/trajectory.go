@@ -28,6 +28,10 @@ type Result struct {
 	Kernel      string  `json:"kernel"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
+	// MaxNsPerOp is the slowest of the repeats NsPerOp is the minimum
+	// of, so an entry carries its own spread; zero in entries recorded
+	// before it existed.
+	MaxNsPerOp float64 `json:"max_ns_per_op,omitempty"`
 }
 
 // Entry is one appended trajectory point: a full kernel sweep on one
@@ -117,15 +121,16 @@ func NewEntry(timestamp, note string, results []Result) Entry {
 }
 
 // measureRepeats is how many independent testing.Benchmark samples each
-// kernel gets; the recorded value is the minimum. Wall-clock noise on a
-// shared host is strictly additive (scheduler preemption, cache
-// pollution), so min-of-N is the low-variance estimator of the kernel's
-// true cost — single samples jitter far past the 10% gate.
+// kernel gets; the recorded value is the minimum, and the maximum is
+// kept beside it as the spread. Wall-clock noise on a shared host is
+// strictly additive (scheduler preemption, cache pollution), so min-of-N
+// is the low-variance estimator of the kernel's true cost — single
+// samples jitter far past the 10% gate.
 const measureRepeats = 3
 
 // MeasureAll runs every registered kernel under testing.Benchmark,
-// measureRepeats times each, and returns the per-kernel minima in
-// registry order. Benchtime is the stdlib default.
+// measureRepeats times each, and returns the per-kernel minima (with
+// their maxima) in registry order. Benchtime is the stdlib default.
 func MeasureAll() []Result {
 	kernels := Kernels()
 	out := make([]Result, 0, len(kernels))
@@ -158,6 +163,7 @@ func measureMin(k Kernel, reps int) Result {
 		if rep == 0 || ns < best.NsPerOp {
 			best.NsPerOp = ns
 		}
+		best.MaxNsPerOp = max(best.MaxNsPerOp, ns)
 		if rep == 0 || allocs < best.AllocsPerOp {
 			best.AllocsPerOp = allocs
 		}
@@ -179,6 +185,7 @@ const (
 type Delta struct {
 	Kernel               string
 	OldNs, NewNs         float64
+	NewMaxNs             float64 // the candidate's slowest repeat, 0 if unrecorded
 	OldAllocs, NewAllocs float64
 	// Missing is true when the kernel exists in only one entry (renamed
 	// or newly added) — reported, never a regression.
@@ -208,12 +215,12 @@ func Compare(baseline, candidate []Result) []Delta {
 		seen[r.Kernel] = true
 		o, ok := old[r.Kernel]
 		if !ok {
-			deltas = append(deltas, Delta{Kernel: r.Kernel, NewNs: r.NsPerOp, NewAllocs: r.AllocsPerOp, Missing: true})
+			deltas = append(deltas, Delta{Kernel: r.Kernel, NewNs: r.NsPerOp, NewMaxNs: r.MaxNsPerOp, NewAllocs: r.AllocsPerOp, Missing: true})
 			continue
 		}
 		d := Delta{
 			Kernel: r.Kernel,
-			OldNs:  o.NsPerOp, NewNs: r.NsPerOp,
+			OldNs:  o.NsPerOp, NewNs: r.NsPerOp, NewMaxNs: r.MaxNsPerOp,
 			OldAllocs: o.AllocsPerOp, NewAllocs: r.AllocsPerOp,
 		}
 		d.NsRegress = r.NsPerOp > o.NsPerOp*nsRegressRatio && r.NsPerOp-o.NsPerOp > nsRegressFloorNs
@@ -241,25 +248,30 @@ func Regressions(deltas []Delta) []Delta {
 }
 
 // FormatDeltas renders a benchstat-style table: kernel, old→new ns/op,
-// percent change, allocs, and a regression marker.
+// the new sweep's slowest repeat, percent change, allocs, and a
+// regression marker.
 func FormatDeltas(deltas []Delta) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-28s %14s %14s %8s %16s\n", "kernel", "old ns/op", "new ns/op", "delta", "allocs old→new")
+	fmt.Fprintf(&b, "%-28s %14s %14s %14s %8s %16s\n", "kernel", "old ns/op", "new ns/op", "new max", "delta", "allocs old→new")
 	for _, d := range deltas {
+		newMax := "—"
+		if d.NewMaxNs > 0 {
+			newMax = fmt.Sprintf("%.0f", d.NewMaxNs)
+		}
 		if d.Missing {
 			side := "new"
 			if d.NewNs == 0 {
 				side = "gone"
 			}
-			fmt.Fprintf(&b, "%-28s %14s %14.0f %8s %16s\n", d.Kernel, "—", d.NewNs, side, "")
+			fmt.Fprintf(&b, "%-28s %14s %14.0f %14s %8s %16s\n", d.Kernel, "—", d.NewNs, newMax, side, "")
 			continue
 		}
 		mark := ""
 		if d.NsRegress || d.AlRegress {
 			mark = "  REGRESSION"
 		}
-		fmt.Fprintf(&b, "%-28s %14.0f %14.0f %+7.1f%% %9.0f→%-6.0f%s\n",
-			d.Kernel, d.OldNs, d.NewNs, d.Pct(), d.OldAllocs, d.NewAllocs, mark)
+		fmt.Fprintf(&b, "%-28s %14.0f %14.0f %14s %+7.1f%% %9.0f→%-6.0f%s\n",
+			d.Kernel, d.OldNs, d.NewNs, newMax, d.Pct(), d.OldAllocs, d.NewAllocs, mark)
 	}
 	return b.String()
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"unizk/internal/poseidon"
@@ -58,6 +59,23 @@ func TestCompareAllocRegression(t *testing.T) {
 	}
 	if len(Regressions(zeroOK)) != 0 {
 		t.Fatalf("0→1 allocs is within the +1 slack: %+v", zeroOK)
+	}
+}
+
+// TestFormatDeltasPrintsMax checks that the candidate's slowest repeat
+// reaches the table, and that a result recorded without one prints a
+// dash rather than a zero.
+func TestFormatDeltasPrintsMax(t *testing.T) {
+	spread := res("k", 1000, 0)
+	spread.MaxNsPerOp = 1234
+	out := FormatDeltas(Compare([]Result{res("k", 990, 0), res("old", 5, 0)}, []Result{spread, res("old", 5, 0)}))
+	if !strings.Contains(out, " 1234 ") {
+		t.Fatalf("max ns/op missing from the table:\n%s", out)
+	}
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "old ") && !strings.Contains(line, "—") {
+			t.Fatalf("unrecorded max should print a dash: %q", line)
+		}
 	}
 }
 
@@ -140,7 +158,7 @@ func TestKernelRegistry(t *testing.T) {
 		"poseidon/permute-x8", "merkle/commit/2^12", "merkle/commit/2^12x32",
 		"merkle/verify/2^14x135", "merkle/verify-batch/2^14x135", "fri/fold/2^15",
 		"plonk/quotient/mvm-2^11", "plonk/prove/fib-40", "stark/prove/fib-2^10",
-		"fri/combine/2^14", "stark/quotient/sha-2^12",
+		"fri/combine/2^14", "stark/quotient/sha-2^12", "witness/mvm-2^11",
 	} {
 		if !seen[want] {
 			t.Fatalf("tracked kernel %q missing from registry", want)
@@ -193,6 +211,7 @@ func TestTrajectoryRegression(t *testing.T) {
 			if again.AllocsPerOp < cur[i].AllocsPerOp {
 				cur[i].AllocsPerOp = again.AllocsPerOp
 			}
+			cur[i].MaxNsPerOp = max(cur[i].MaxNsPerOp, again.MaxNsPerOp)
 		}
 		deltas = Compare(base.Results, cur)
 	}

@@ -299,9 +299,10 @@ func decodeTrace(payload []byte, s *stark.Stark) ([][]field.Element, error) {
 // compiled for the same (kind, workload, logRows) triple; req is
 // validated the same way Compile validates it. The expensive frozen
 // artifacts are shared — the plonk circuit (read-only during proving:
-// find() walks a frozen union-find) and the stark AIR — while anything
-// proving mutates is private to the derived job: the plonk witness is
-// cloned (generators write into its value map), and a stark payload is
+// the witness reads its frozen copy-class table) and the stark AIR —
+// while anything proving mutates is private to the derived job: the
+// plonk witness is cloned (generators write into its value slice; the
+// clone is never pooled or handed back), and a stark payload is
 // decoded fresh so the base job's generated trace is never aliased by a
 // payload-overridden request. The derived job proves bit-identically to
 // a Compile of the same request.

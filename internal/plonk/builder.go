@@ -10,6 +10,7 @@ package plonk
 
 import (
 	"fmt"
+	"slices"
 
 	"unizk/internal/field"
 )
@@ -30,8 +31,9 @@ type Builder struct {
 	qL, qR, qM, qO, qC []field.Element
 
 	// parent is a union-find over wire slots implementing copy
-	// constraints; slot id = col·rows + row is resolved at build time.
-	parent map[Target]Target
+	// constraints, indexed by slot id Row·3 + Col; addRow grows it by one
+	// row of singletons, and BuildWide resolves it into dense classes.
+	parent []int32
 
 	// pubTargets are the a-slots of the public input rows (which must be
 	// the first rows, so the verifier's PI polynomial evaluation matches).
@@ -42,9 +44,7 @@ type Builder struct {
 }
 
 // NewBuilder returns an empty circuit builder.
-func NewBuilder() *Builder {
-	return &Builder{parent: make(map[Target]Target)}
-}
+func NewBuilder() *Builder { return &Builder{} }
 
 // NumRows returns the number of gate rows added so far.
 func (b *Builder) NumRows() int { return len(b.qL) }
@@ -55,6 +55,9 @@ func (b *Builder) addRow(ql, qr, qm, qo, qc field.Element) int {
 	b.qM = append(b.qM, qm)
 	b.qO = append(b.qO, qo)
 	b.qC = append(b.qC, qc)
+	for i := 0; i < numWires; i++ {
+		b.parent = append(b.parent, int32(len(b.parent)))
+	}
 	return len(b.qL) - 1
 }
 
@@ -62,21 +65,35 @@ func slotA(row int) Target { return Target{Row: row, Col: 0} }
 func slotB(row int) Target { return Target{Row: row, Col: 1} }
 func slotC(row int) Target { return Target{Row: row, Col: 2} }
 
-// find returns the union-find representative of t.
-func (b *Builder) find(t Target) Target {
-	p, ok := b.parent[t]
-	if !ok {
-		return t
+// slot returns t's slot id, Row·3 + Col, and whether t is one of the
+// first rows·3 slots.
+func (t Target) slot(rows int) (int, bool) {
+	if uint(t.Col) >= numWires || uint(t.Row) >= uint(rows) {
+		return 0, false
 	}
-	root := b.find(p)
-	b.parent[t] = root
-	return root
+	return t.Row*numWires + t.Col, true
+}
+
+// root returns the union-find representative of slot s, halving the
+// path as it walks.
+func (b *Builder) root(s int32) int32 {
+	for b.parent[s] != s {
+		b.parent[s] = b.parent[b.parent[s]]
+		s = b.parent[s]
+	}
+	return s
 }
 
 // Connect adds a copy constraint between two targets: they must carry the
-// same value, enforced by the permutation argument.
+// same value, enforced by the permutation argument. Both must be slots of
+// rows already added.
 func (b *Builder) Connect(x, y Target) {
-	rx, ry := b.find(x), b.find(y)
+	sx, okx := x.slot(len(b.qL))
+	sy, oky := y.slot(len(b.qL))
+	if !okx || !oky {
+		panic(fmt.Sprintf("plonk: Connect(%v, %v): target outside the %d rows added", x, y, len(b.qL)))
+	}
+	rx, ry := b.root(int32(sx)), b.root(int32(sy))
 	if rx != ry {
 		b.parent[rx] = ry
 	}
@@ -190,28 +207,42 @@ func (b *Builder) AssertBool(x Target) {
 	b.Connect(slotC(row), x)
 }
 
-// Witness assigns values to wire slots. Values are stored per union-find
-// representative so copy-constrained slots are automatically consistent.
+// Witness assigns values to wire slots. It holds one value per copy
+// class, indexed by the class table BuildWide resolved, so
+// copy-constrained slots are consistent by construction and a read is two
+// slice loads.
 type Witness struct {
 	circuit *Circuit
-	values  map[Target]field.Element
-	err     error
+	// values[k] is copy class k's value, zero until set; set is the
+	// bitmap of the classes assigned so far.
+	values []field.Element
+	set    []uint64
+	err    error
 }
 
 // Set assigns a value to the target (and its whole copy class). A
 // conflicting assignment for the same class — e.g. a claimed public output
 // that disagrees with the value the circuit computes — is recorded and
-// reported by Err and by Prove; the first value wins.
+// reported by Err and by Prove; the first value wins. So is a target
+// outside the circuit's N·Reps rows.
 func (w *Witness) Set(t Target, v field.Element) {
-	root := w.circuit.find(t)
-	if old, ok := w.values[root]; ok {
-		if old != v && w.err == nil {
+	k, ok := w.circuit.classOf(t)
+	if !ok {
+		if w.err == nil {
+			w.err = fmt.Errorf("plonk: witness target %v outside the circuit's %d rows", t, w.circuit.N*w.circuit.Reps)
+		}
+		return
+	}
+	word, bit := k/64, uint64(1)<<(k%64)
+	if w.set[word]&bit != 0 {
+		if old := w.values[k]; old != v && w.err == nil {
 			w.err = fmt.Errorf("plonk: conflicting witness values for %v: %d vs %d",
 				t, old, v)
 		}
 		return
 	}
-	w.values[root] = v
+	w.set[word] |= bit
+	w.values[k] = v
 }
 
 // Err reports the first witness assignment conflict, if any.
@@ -219,18 +250,18 @@ func (w *Witness) Err() error { return w.err }
 
 // Clone returns an independent copy of the witness sharing the (frozen)
 // circuit. Proving mutates the witness — ProveContext runs the circuit's
-// generators, which write computed values into the map — so a compiled
+// generators, which write computed values into it — so a compiled
 // witness that will be proven more than once, or concurrently, must be
-// cloned per prove.
+// cloned per prove. The copy is two slices; nothing is pooled or shared.
 func (w *Witness) Clone() *Witness {
-	values := make(map[Target]field.Element, len(w.values))
-	for t, v := range w.values {
-		values[t] = v
-	}
-	return &Witness{circuit: w.circuit, values: values, err: w.err}
+	return &Witness{circuit: w.circuit, values: slices.Clone(w.values), set: slices.Clone(w.set), err: w.err}
 }
 
-// Get returns the target's value (zero if unset).
+// Get returns the target's value (zero if unset or outside the circuit).
 func (w *Witness) Get(t Target) field.Element {
-	return w.values[w.circuit.find(t)]
+	k, ok := w.circuit.classOf(t)
+	if !ok {
+		return field.Zero
+	}
+	return w.values[k]
 }

@@ -46,7 +46,11 @@ type Circuit struct {
 	// permutation argument's group products, which build Z.
 	prog, gateProg, factorProg *constraint.Program
 
-	roots      map[Target]Target
+	// class[Row·3 + Col] is the dense copy-class index of each of the
+	// 3·N·Reps slots; numClasses is their count. Padding slots are
+	// singleton classes.
+	class      []int32
+	numClasses int
 	generators []func(*Witness)
 	pubTargets []Target
 	cfg        fri.Config
@@ -67,9 +71,10 @@ type VerificationKey struct {
 func (b *Builder) Build(cfg fri.Config) *Circuit { return b.BuildWide(cfg, 1) }
 
 // BuildWide compiles the circuit with reps gates per physical row: it pads
-// to a power of two, freezes the copy constraints into the σ permutation
-// over all 3·reps columns, and commits the constant polynomials (offline
-// preprocessing, §2.2). Gates are packed column-major — gate g lands in
+// to a power of two, resolves every copy class to a dense index (the
+// table the witness reads through), freezes the copy constraints into the
+// σ permutation over all 3·reps columns, and commits the constant
+// polynomials (offline preprocessing, §2.2). Gates are packed column-major — gate g lands in
 // row g mod N, repetition g div N — so the public-input gates stay in
 // repetition 0 of the first rows. cfg.RateBits must be at least 2: the
 // quotient is evaluated on the first 4N points of the committed LDEs.
@@ -93,7 +98,6 @@ func (b *Builder) BuildWide(cfg fri.Config, reps int) *Circuit {
 		Reps:       reps,
 		NumCols:    numCols,
 		NumPublic:  len(b.pubTargets),
-		roots:      make(map[Target]Target),
 		generators: b.generators,
 		pubTargets: b.pubTargets,
 		cfg:        cfg,
@@ -120,21 +124,25 @@ func (b *Builder) BuildWide(cfg fri.Config, reps int) *Circuit {
 		}
 	}
 
-	// Freeze the union-find and collect the copy classes in deterministic
-	// order.
-	classes := make(map[Target][]Target)
-	var order []Target
-	for g := 0; g < gates; g++ {
-		for col := 0; col < 3; col++ {
-			t := Target{Row: g, Col: col}
-			root := b.find(t)
-			c.roots[t] = root
-			if len(classes[root]) == 0 {
-				order = append(order, root)
-			}
-			classes[root] = append(classes[root], t)
+	// Resolve the union-find into dense class indices, numbered in the
+	// order the classes first appear among the gate slots; padding slots
+	// follow as singletons. first[k] is class k's first slot.
+	gateSlots, slots := numWires*gates, numWires*n*reps
+	c.class = make([]int32, slots)
+	rootClass := make([]int32, gateSlots) // class index + 1, 0 if unseen
+	var first []int32
+	for s := range int32(gateSlots) {
+		root := b.root(s)
+		if rootClass[root] == 0 {
+			first = append(first, s)
+			rootClass[root] = int32(len(first))
 		}
+		c.class[s] = rootClass[root] - 1
 	}
+	for s := gateSlots; s < slots; s++ {
+		c.class[s] = int32(len(first) + s - gateSlots)
+	}
+	c.numClasses = len(first) + slots - gateSlots
 
 	// σ starts as the identity permutation over the physical slots...
 	w := field.PrimitiveRootOfUnity(c.LogN)
@@ -144,10 +152,12 @@ func (b *Builder) BuildWide(cfg fri.Config, reps int) *Circuit {
 		pow[r] = acc
 		acc = field.Mul(acc, w)
 	}
-	physCol := func(t Target) int { return 3*(t.Row/n) + t.Col }
-	physRow := func(t Target) int { return t.Row % n }
-	slotValue := func(t Target) field.Element {
-		return field.Mul(c.ks[physCol(t)], pow[physRow(t)])
+	// Slot s is gate row s/3 and wire s%3, which lands in physical
+	// column 3·rep + wire of row (s/3) mod N.
+	physCol := func(s int32) int { return numWires*(int(s)/numWires/n) + int(s)%numWires }
+	physRow := func(s int32) int { return int(s) / numWires % n }
+	slotValue := func(s int32) field.Element {
+		return field.Mul(c.ks[physCol(s)], pow[physRow(s)])
 	}
 	c.rowPoints = pow
 	c.sigmaVals = make([][]field.Element, numCols)
@@ -157,13 +167,19 @@ func (b *Builder) BuildWide(cfg fri.Config, reps int) *Circuit {
 			c.sigmaVals[col][r] = field.Mul(c.ks[col], pow[r])
 		}
 	}
-	// ...and each copy class becomes one cycle.
-	for _, root := range order {
-		members := classes[root]
-		for i, t := range members {
-			next := members[(i+1)%len(members)]
-			c.sigmaVals[physCol(t)][physRow(t)] = slotValue(next)
+	// ...and each copy class becomes one cycle through its slots in slot
+	// order: a slot maps to the next slot of its class, the last to the
+	// first. last[k] is the latest slot of class k seen so far.
+	last := make([]int32, len(first))
+	for s := range int32(gateSlots) {
+		k := c.class[s]
+		if s != first[k] {
+			c.sigmaVals[physCol(last[k])][physRow(last[k])] = slotValue(s)
 		}
+		last[k] = s
+	}
+	for k, s := range last {
+		c.sigmaVals[physCol(s)][physRow(s)] = slotValue(first[k])
 	}
 
 	// Commit the constants oracle (preprocessing; not proving work).
@@ -179,24 +195,24 @@ func (b *Builder) BuildWide(cfg fri.Config, reps int) *Circuit {
 	return c
 }
 
-// find returns the frozen copy-class representative of t.
-func (c *Circuit) find(t Target) Target {
-	if root, ok := c.roots[t]; ok {
-		return root
+// classOf returns t's copy-class index, and false for a target outside
+// the circuit's N·Reps rows.
+func (c *Circuit) classOf(t Target) (int, bool) {
+	s, ok := t.slot(c.N * c.Reps)
+	if !ok {
+		return 0, false
 	}
-	return t
-}
-
-// wireValue reads the physical wire column col at row r from the witness.
-func (c *Circuit) wireValue(w *Witness, col, row int) field.Element {
-	rep := col / 3
-	return w.Get(Target{Row: rep*c.N + row, Col: col % 3})
+	return int(c.class[s]), true
 }
 
 // NewWitness returns an empty witness for the circuit. The caller sets
 // public and private inputs; Prove runs the generators.
 func (c *Circuit) NewWitness() *Witness {
-	return &Witness{circuit: c, values: make(map[Target]field.Element)}
+	return &Witness{
+		circuit: c,
+		values:  make([]field.Element, c.numClasses),
+		set:     make([]uint64, (c.numClasses+63)/64),
+	}
 }
 
 // VerificationKey returns the verifier's data.

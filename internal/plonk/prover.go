@@ -141,18 +141,22 @@ func (c *Circuit) ProveContext(ctx context.Context, w *Witness, rec *trace.Recor
 }
 
 // wireColumns materializes the witness: the wire columns, the public
-// inputs, and the PI column (their negations on the first rows). It
-// reads the witness map (concurrent reads only; generators have already
-// run) and writes disjoint columns.
+// inputs, and the PI column (their negations on the first rows). Each
+// column is a gather of the class values through the class table
+// (concurrent reads only; generators have already run) into its own
+// slice.
 func (c *Circuit) wireColumns(ctx context.Context, w *Witness) (wires [][]field.Element, pub, pi []field.Element, err error) {
 	n := c.N
 	wires = make([][]field.Element, c.NumCols)
 	if err := parallel.For(ctx, c.NumCols, 1, func(lo, hi int) {
 		for col := lo; col < hi; col++ {
-			wires[col] = make([]field.Element, n)
-			for r := 0; r < n; r++ {
-				wires[col][r] = c.wireValue(w, col, r)
+			// Column 3·rep + wire holds slots (rep·N + r)·3 + wire.
+			class := c.class[numWires*n*(col/numWires)+col%numWires:]
+			column := make([]field.Element, n)
+			for r := range column {
+				column[r] = w.values[class[numWires*r]]
 			}
+			wires[col] = column
 		}
 	}); err != nil {
 		return nil, nil, nil, err
@@ -164,6 +168,18 @@ func (c *Circuit) wireColumns(ctx context.Context, w *Witness) (wires [][]field.
 		pi[i] = field.Neg(pub[i])
 	}
 	return wires, pub, pi, nil
+}
+
+// generate runs the circuit's generators on w and materializes the
+// witness (see wireColumns).
+func (c *Circuit) generate(ctx context.Context, w *Witness) (wires [][]field.Element, pub, pi []field.Element, err error) {
+	for _, gen := range c.generators {
+		gen(w)
+	}
+	if err := w.Err(); err != nil {
+		return nil, nil, nil, err
+	}
+	return c.wireColumns(ctx, w)
 }
 
 // committed is the prover's state once the grand product is committed:
@@ -181,13 +197,7 @@ type committed struct {
 func (c *Circuit) commitTrace(ctx context.Context, w *Witness, rec *trace.Recorder,
 	draw func(pub []field.Element, wiresCap merkle.Cap) (beta, gamma field.Element)) (*committed, error) {
 
-	for _, gen := range c.generators {
-		gen(w)
-	}
-	if err := w.Err(); err != nil {
-		return nil, err
-	}
-	wires, pub, pi, err := c.wireColumns(ctx, w)
+	wires, pub, pi, err := c.generate(ctx, w)
 	if err != nil {
 		return nil, err
 	}
@@ -226,6 +236,17 @@ func (c *Circuit) QuotientKernel(w *Witness) (func(context.Context) error, error
 		_, err := c.computeQuotient(ctx, tr, field.New(0x2545f491), nil)
 		return err
 	}, nil
+}
+
+// WitnessKernel returns a function that clones w, runs the generators on
+// the clone and materializes its wire columns: the witness phase of a
+// proof, which the kernel trajectory (internal/bench/trajectory) times
+// apart from the rest of the prover. w itself is never written.
+func (c *Circuit) WitnessKernel(w *Witness) func(context.Context) error {
+	return func(ctx context.Context) error {
+		_, _, _, err := c.generate(ctx, w.Clone())
+		return err
+	}
 }
 
 // computeZs builds the grand product Z = π_0 and the chained partial

@@ -58,7 +58,8 @@ func TestWideCircuitFewerRows(t *testing.T) {
 func TestWideCircuitRejectsBadWitness(t *testing.T) {
 	c, w, _ := wideFib(t, 50, 4)
 	// Override the public output with a wrong claim.
-	w.values[c.find(c.pubTargets[0])] = field.New(12345)
+	k, _ := c.classOf(c.pubTargets[0])
+	w.values[k] = field.New(12345)
 	if _, err := c.Prove(w, nil); err == nil {
 		t.Fatal("wide prover accepted wrong claim")
 	}

@@ -52,42 +52,71 @@ func TestRegistryBitIdenticalToDirect(t *testing.T) {
 
 // TestRegistryConcurrentPlonkReuse is the witness-cloning race check:
 // many derived plonk jobs from one shared base prove concurrently under
-// -race. Each derived job clones the witness, so the generator writes
-// that proving performs never touch shared state.
+// -race, on circuits of one, four and wide (MVM) gates per row. Each
+// derived job clones the witness, so the generator writes that proving
+// performs never touch shared state: after the derived jobs, the shared
+// base itself proves, and one derived job proves a second time, and
+// every proof is byte-equal to jobs.Execute's.
 func TestRegistryConcurrentPlonkReuse(t *testing.T) {
-	r := NewRegistry(0)
-	req := &jobs.Request{Kind: jobs.KindPlonk, Workload: "Fibonacci", LogRows: 5}
-	direct, err := jobs.Execute(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const provers = 4
-	var wg sync.WaitGroup
-	errs := make([]error, provers)
-	for i := 0; i < provers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			j, err := r.JobFor(req)
+	ctx := context.Background()
+	for _, req := range []*jobs.Request{
+		{Kind: jobs.KindPlonk, Workload: "Fibonacci", LogRows: 5},
+		{Kind: jobs.KindPlonk, Workload: "MVM", LogRows: 4},
+		{Kind: jobs.KindPlonk, Workload: "Image Crop", LogRows: 5},
+	} {
+		t.Run(req.Workload, func(t *testing.T) {
+			r := NewRegistry(0)
+			direct, err := jobs.Execute(ctx, req)
 			if err != nil {
-				errs[i] = err
-				return
+				t.Fatal(err)
 			}
-			res, err := j.Prove(context.Background())
-			if err != nil {
-				errs[i] = err
-				return
+			const provers = 4
+			var wg sync.WaitGroup
+			derived := make([]*jobs.Job, provers)
+			errs := make([]error, provers)
+			for i := 0; i < provers; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					j, err := r.JobFor(req)
+					if err != nil {
+						errs[i] = err
+						return
+					}
+					derived[i] = j
+					res, err := j.Prove(ctx)
+					if err != nil {
+						errs[i] = err
+						return
+					}
+					if !bytes.Equal(res.Proof, direct.Proof) {
+						errs[i] = errors.New("concurrent derived proof differs from direct prove")
+					}
+				}(i)
 			}
-			if !bytes.Equal(res.Proof, direct.Proof) {
-				errs[i] = errors.New("concurrent derived proof differs from direct prove")
+			wg.Wait()
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("prover %d: %v", i, err)
+				}
 			}
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("prover %d: %v", i, err)
-		}
+
+			r.mu.Lock()
+			base := r.entries[CircuitKey{Kind: req.Kind, Workload: req.Workload, LogRows: req.LogRows}].base
+			r.mu.Unlock()
+			for _, again := range []struct {
+				name string
+				job  *jobs.Job
+			}{{"shared base", base}, {"derived job, second prove", derived[0]}} {
+				res, err := again.job.Prove(ctx)
+				if err != nil {
+					t.Fatalf("%s: %v", again.name, err)
+				}
+				if !bytes.Equal(res.Proof, direct.Proof) {
+					t.Fatalf("%s: proof differs from direct prove", again.name)
+				}
+			}
+		})
 	}
 }
 
