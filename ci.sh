@@ -100,13 +100,14 @@ go test -race -timeout 15m -run '^TestCrashRecoverySoak$' ./internal/cluster
 go test -race -run 'TestRef|TestCache' ./internal/field ./internal/ntt
 
 # Hash-path differential suite: the lane-based Poseidon permutation and
-# the batched eight-wide one against PermuteNaive, and the block-parallel
+# the batched eight-wide one against PermuteNaive, the eight-wide
+# kernel's MDS layer alone against the dense matrix, and the block-parallel
 # proof-of-work grind against the serial Clone loop it replaced
 # (witness, tries and the transcript after it) across worker counts,
 # serial mode, sub-block edges and batch positions, plus the FRI grind
 # node's serial-equivalent size, under the race detector. The full -race run below repeats it; this step makes a grind
 # or permutation divergence fail under its own name.
-go test -race -run 'Grind|Permute' ./internal/poseidon ./internal/fri
+go test -race -run 'Grind|Permute|MDS' ./internal/poseidon ./internal/fri
 
 # Portable hash and NTT path: on an AVX-512 host the batched permutation
 # and the NTT butterflies and scalings run in assembly, so this step

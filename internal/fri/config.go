@@ -31,8 +31,12 @@ type Config struct {
 }
 
 // PlonkyConfig mirrors Plonky2's standard recursion-friendly configuration
-// (blowup 8, 28 queries, 16-bit grinding — about 100 bits of conjectured
-// security, the setting used for every paper workload).
+// (blowup 8, 28 queries, 16-bit grinding), the setting used for every
+// paper workload. Its 28·3 + 16 = 100 bits of conjectured security are
+// FRI's alone. A proof's soundness is also bounded by the PIOP: plonk
+// and stark draw β, γ and α as single base-field samples, whose error is
+// about degree/|F|, roughly 47 bits at 2^17 permutation slots (see the
+// FRI and PIOP parameters entry in ROADMAP.md).
 func PlonkyConfig() Config {
 	return Config{
 		RateBits:        3,

@@ -10,10 +10,11 @@ import (
 
 // x8Edges are raw lane values where the vector carry, borrow and
 // reduction masks fire: around 2^32, p and 2^64, including
-// non-canonical representatives.
+// non-canonical representatives, and limbs at their extremes.
 var x8Edges = []uint64{
 	0, 1, epsilon, 1 << 32, 1<<32 + 1, 1 << 63,
 	field.Order - 1, field.Order, field.Order + 1, 1<<64 - 2, 1<<64 - 1,
+	0xffffffff00000000,
 }
 
 // checkX8 runs permuteX8 on x and compares every state with

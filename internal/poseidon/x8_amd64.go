@@ -21,69 +21,45 @@ func permuteX8(x *lanesX8) {
 //go:noescape
 func permuteX8AVX512(x *lanesX8)
 
-// Layout of x8Table, in uint64 entries, in the order the assembly walks
-// it. A constant that is added is stored whole; a constant that
-// multiplies an arbitrary lane is stored as its low and high 32-bit
-// halves, so VPMULUDQ with an embedded broadcast multiplies by each half
-// straight from memory.
-const (
-	x8PartialLen = 1 + 2 + 4*(Width-1) // scalar constant, M00, Row, Col
-	x8Full1      = 0
-	x8First      = x8Full1 + HalfFullRounds*Width
-	x8PreRows    = x8First + Width
-	x8Partial    = x8PreRows + (Width-1)*2*(Width-1)
-	x8Full2      = x8Partial + PartialRounds*x8PartialLen
-	x8MDS        = x8Full2 + HalfFullRounds*Width // pre-rotated rows
-	x8Len        = x8MDS + Width*Width
+// mdsX8AVX512 applies the kernel's MDS layer alone, for tests.
+//
+//go:noescape
+func mdsX8AVX512(x *lanesX8)
 
-	// x8MDSOffset is x8MDS in bytes, for the assembly (go_asm.h).
-	x8MDSOffset = 8 * x8MDS
-)
+// x8Table holds the constants the assembly adds, in walk order: the first
+// full rounds' vectors, one lane-0 scalar per partial round, then the last
+// full rounds' vectors. The kernel runs the partial rounds in textbook
+// form (constant, S-box on lane 0, MDS), where only lane 0 of a round's
+// constant must be added before the S-box; lanes 1..11 commute with it,
+// so initX8 pushes them forward through the MDS matrix into the next
+// round's constant, and the last partial round's into the first of the
+// final full rounds.
+var x8Table [FullRounds*Width + PartialRounds]uint64
 
-// x8Table holds every constant of Permute in the walk order above.
-var x8Table [x8Len]uint64
-
-// initX8 builds x8Table from the round and fast-form constants. It runs
-// from the package init, after those constants exist.
+// initX8 builds x8Table from the round constants. It runs from the
+// package init, after those constants exist.
 func initX8() {
-	t := x8Table[:0]
-	add := func(rc *[Width]field.Element) {
-		for _, c := range rc {
-			t = append(t, uint64(c))
-		}
-	}
-	mul := func(c field.Element) { t = append(t, uint64(c)&epsilon, uint64(c)>>32) }
-
-	for r := 0; r < HalfFullRounds; r++ {
-		add(&roundConstants[r])
-	}
-	add(&fastFirstConstant)
-	for i := range fastInitRows {
-		for _, c := range fastInitRows[i] {
-			mul(c)
-		}
-	}
-	for p := range fastSparse {
-		sp := &fastSparse[p]
-		t = append(t, uint64(fastScalarConstants[p]))
-		mul(sp.M00)
-		for _, c := range sp.Row {
-			mul(c)
-		}
-		for _, c := range sp.Col {
-			mul(c)
-		}
-	}
-	for r := HalfFullRounds + PartialRounds; r < FullRounds+PartialRounds; r++ {
-		add(&roundConstants[r])
-	}
 	m := MDSMatrix()
-	for r := range m {
-		for _, c := range m[r] {
-			t = append(t, uint64(c))
+	t := x8Table[:0]
+	// owed is what the previous partial round still adds to the state:
+	// M times lanes 1..11 of its constant.
+	owed := make([]field.Element, Width)
+	for r, rc := range roundConstants {
+		for i := range rc {
+			rc[i] = field.Add(rc[i], owed[i])
 		}
+		if r < HalfFullRounds || r >= HalfFullRounds+PartialRounds {
+			for _, c := range rc {
+				t = append(t, uint64(c))
+			}
+			clear(owed)
+			continue
+		}
+		t = append(t, uint64(rc[0]))
+		rc[0] = 0
+		owed = m.MulVec(rc[:])
 	}
-	if len(t) != x8Len {
+	if len(t) != len(x8Table) {
 		panic("poseidon: x8Table layout mismatch")
 	}
 }

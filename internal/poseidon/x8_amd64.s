@@ -5,43 +5,36 @@
 
 // Eight Poseidon permutations at once, in structure-of-arrays form: zmm
 // register Zi holds lane i of all eight states. The rounds are those of
-// permuteLanes (full rounds, pre-partial round, sparse partial rounds,
-// full rounds) on the same "any uint64 representative" lane contract,
-// with the constants read from x8Table through R8, which walks the
-// table in round order. Only AVX-512F instructions are used.
+// PermuteNaive (full rounds, textbook partial rounds, full rounds) on the
+// "any uint64 representative" lane contract of permuteLanes, with the
+// constants read from x8Table through R8, which walks the table in round
+// order. Only AVX-512F instructions are used.
 //
 // Register roles:
-//   Z0-Z11   the state
-//   Z12-Z14  S-box powers; dot-product temporaries
+//   Z0-Z11   the state; low 32-bit limbs and rows in the MDS layer
+//   Z12-Z14  S-box powers
 //   Z15-Z20  T0-T5, multiply and reduce temporaries
-//   Z21      high halves of lane 0 (partial rounds)
-//   Z22      a dot product's result
-//   Z23-Z28  dot-product accumulators
-//   Z12-Z23  high halves of the state, Z24-Z28 sums and temporaries
-//            (MDS layer only)
-//   Z30      all ones
+//   Z12-Z23  high 32-bit limbs and rows (MDS layer only)
+//   Z24-Z29  convolution temporaries (MDS layer only)
+//   Z30      eight times the first limb, the diagonal (MDS layer only)
 //   Z31      epsilon = 2^32 - 1 = 2^64 mod p
 //   K7       0x5555: the low dword of every qword
 //
 // A 64x64-bit product is four VPMULUDQ (32x32 -> 64) on the 32-bit
 // halves, and each carry or borrow is a VPCMPUQ mask feeding a masked
-// add or subtract of epsilon.
+// add or subtract of epsilon. The MDS layer multiplies nothing but its
+// twelve reductions.
 
-#define ONES Z30
 #define P2 Z12
 #define P3 Z13
 #define P4 Z14
-#define S0H Z21
-#define DOT Z22
-#define W0 Z23
-#define H0 Z24
-#define W1 Z25
-#define H1 Z26
-#define W2 Z27
-#define H2 Z28
-#define TP Z12
-#define TQ Z13
-#define XH Z14
+#define DIAG Z30
+#define CA Z24
+#define CB Z25
+#define CC Z26
+#define CD Z27
+#define CE Z28
+#define CF Z29
 
 // BEGIN lane arithmetic. internal/ntt/dif_amd64.s carries a copy of
 // this block; TestLaneMacrosMatch in internal/ntt fails if they differ.
@@ -121,117 +114,230 @@
 	ADDC(x, off); \
 	SBOX(x)
 
-// MDSTERM adds entry off(R9) times the low (l) and high (h) halves of one
-// input lane to the row's two sums. The entries are at most 25, so the
-// sums stay below 2^41.
-#define MDSTERM(off, l, h) \
-	VPMULUDQ.BCST off(R9), l, Z26; \
-	VPADDQ        Z26, Z24, Z24;   \
-	VPMULUDQ.BCST off(R9), h, Z27; \
-	VPADDQ        Z27, Z25, Z25
+// The MDS layer is the limb split of mdsLayer, with each 12-point
+// circulant product of limbs computed exactly in the frequency domain,
+// as plonky2's mds_multiply_freq does: a 4-point real FFT over each of
+// the blocks (0,3,6,9), (1,4,7,10) and (2,5,8,11), then the products by
+// the circulant's spectrum, three-point cyclic products whose constants
+// are small signed powers of two (the 1/4 of the inverse transforms
+// folded in), then the inverse FFTs. All of it is adds, subtracts and
+// shifts on signed 64-bit integers: limbs below 2^32 keep every
+// intermediate below 2^41 in magnitude, and the outputs are the exact
+// non-negative row sums, below 264·2^32 < 2^41.
 
-// ZERODOT clears the dot-product accumulators.
-#define ZERODOT \
-	VPXORQ W0, W0, W0; \
-	VPXORQ H0, H0, H0; \
-	VPXORQ W1, W1, W1; \
-	VPXORQ H1, H1, H1; \
-	VPXORQ W2, W2, W2; \
-	VPXORQ H2, H2, H2
+// FFT4 transforms (x0, x1, x2, x3) in place into x0 = y2, x1 = y0,
+// x2 = r and x3 = n, where the spectrum is y0, y1 = (r, -n), y2.
+// Clobbers CF.
+#define FFT4(x0, x1, x2, x3) \
+	VPADDQ x2, x0, CF; \
+	VPSUBQ x2, x0, x2; \
+	VPADDQ x3, x1, x0; \
+	VPSUBQ x3, x1, x3; \
+	VPADDQ x0, CF, x1; \
+	VPSUBQ x0, CF, x0
 
-// TERM accumulates c·x for lane x and the constant c whose 32-bit halves
-// are at off(R8) and off+8(R8). The partial products ll, lh+hl and hh
-// weigh 2^0, 2^32 and 2^64; each is summed whole into W (wrapping) and
-// by its high half into H, so W - H<<32 recovers the exact sum of low
-// halves later. Twelve terms keep every exact sum below 2^64.
-#define TERM(off, x) \
-	VPSRLQ        $32, x, XH;         \
-	VPMULUDQ.BCST off(R8), x, TP;     \
-	VPMULUDQ.BCST off+8(R8), XH, TQ;  \
-	VPADDQ        TP, W0, W0;         \
-	VPSRLQ        $32, TP, TP;        \
-	VPADDQ        TP, H0, H0;         \
-	VPADDQ        TQ, W2, W2;         \
-	VPSRLQ        $32, TQ, TQ;        \
-	VPADDQ        TQ, H2, H2;         \
-	VPMULUDQ.BCST off(R8), XH, TP;    \
-	VPMULUDQ.BCST off+8(R8), x, TQ;   \
-	VPADDQ        TP, W1, W1;         \
-	VPSRLQ        $32, TP, TP;        \
-	VPADDQ        TP, H1, H1;         \
-	VPADDQ        TQ, W1, W1;         \
-	VPSRLQ        $32, TQ, TQ;        \
-	VPADDQ        TQ, H1, H1
+// IFFT4 is the inverse transform of the spectrum y0, y1 = (re, im) and
+// y2 = -neg, written to d0..d3. d0 and d1 must hold none of the inputs;
+// d3 must not be re.
+#define IFFT4(y0, neg, re, im, d0, d1, d2, d3) \
+	VPSUBQ neg, y0, d0; \
+	VPADDQ neg, y0, d1; \
+	VPADDQ im, d1, d3;  \
+	VPSUBQ im, d1, d1;  \
+	VPSUBQ re, d0, d2;  \
+	VPADDQ re, d0, d0
 
-// COMBINE reduces the accumulators to one lane D. With L = W - H<<32 the
-// exact low-half sums, the dot product is
-//   L0 + (H0+L1)·2^32 + (H1+L2)·2^64 + H2·2^96
-// = lo + hi·2^64 - H2 (mod p), where A = H0 + L1 + L0>>32,
-// lo = A<<32 | L0&epsilon and hi = A>>32 + H1 + L2. H2 < 2^36, so a
-// borrow leaves at least 2^64 - 2^36 and subtracting epsilon cannot
-// underflow. Clobbers the accumulators, T0, T1, K1.
-#define COMBINE(D) \
-	VPSLLQ    $32, H0, T1;    \
-	VPSUBQ    T1, W0, W0;     \
-	VPSLLQ    $32, H1, T1;    \
-	VPSUBQ    T1, W1, W1;     \
-	VPSLLQ    $32, H2, T1;    \
-	VPSUBQ    T1, W2, W2;     \
-	VPADDQ    W1, H0, H0;     \
-	VPADDQ    W2, H1, H1;     \
-	VPSRLQ    $32, W0, T1;    \
-	VPADDQ    T1, H0, H0;     \
-	VPSLLQ    $32, H0, T1;    \
-	VPBLENDMD W0, T1, K7, T1; \
-	VPSRLQ    $32, H0, H0;    \
-	VPADDQ    H1, H0, H0;     \
-	REDUCE(H0, T1, D);        \
-	VPCMPUQ   $1, H2, D, K1;  \
-	VPSUBQ    H2, D, D;       \
-	VPSUBQ    EPS, D, K1, D
+// CONV multiplies the limbs a0..a11 in place by the MDS circulant,
+// without the diagonal. After the FFTs, a6..a8 and a9..a11 hold the
+// complex bins (r, n) of the three blocks. Their products by the
+// spectrum [(2,-1), (-4,1), (16,1)] land in CA..CE and a8; the real bins
+// y0, in a3..a5, are multiplied by [16, 32, 16] into a6, a7, a11; and
+// the real bins y2, in a0..a2, by [-1, -8, 2], negated, into a9, a10,
+// a3. Clobbers CA-CF.
+#define CONV(a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11) \
+	FFT4(a0, a3, a6, a9);  \
+	FFT4(a1, a4, a7, a10); \
+	FFT4(a2, a5, a8, a11); \
+	/* 2r0 - n0 + r1 - 16n1 + r2 + 4n2 */ \
+	VPSLLQ $1, a6, CA;     \
+	VPSUBQ a9, CA, CA;     \
+	VPADDQ a7, CA, CA;     \
+	VPSLLQ $4, a10, CF;    \
+	VPSUBQ CF, CA, CA;     \
+	VPADDQ a8, CA, CA;     \
+	VPSLLQ $2, a11, CF;    \
+	VPADDQ CF, CA, CA;     \
+	/* -r0 - 2n0 - 16r1 - n1 + 4r2 - n2 */ \
+	VPSLLQ $2, a8, CB;     \
+	VPSUBQ a6, CB, CB;     \
+	VPSLLQ $1, a9, CF;     \
+	VPSUBQ CF, CB, CB;     \
+	VPSLLQ $4, a7, CF;     \
+	VPSUBQ CF, CB, CB;     \
+	VPSUBQ a10, CB, CB;    \
+	VPSUBQ a11, CB, CB;    \
+	/* -4r0 + n0 + 2r1 - n1 + r2 - 16n2 */ \
+	VPSLLQ $1, a7, CC;     \
+	VPADDQ a9, CC, CC;     \
+	VPSLLQ $2, a6, CF;     \
+	VPSUBQ CF, CC, CC;     \
+	VPSUBQ a10, CC, CC;    \
+	VPADDQ a8, CC, CC;     \
+	VPSLLQ $4, a11, CF;    \
+	VPSUBQ CF, CC, CC;     \
+	/* r0 + 4n0 - r1 - 2n1 - 16r2 - n2 */ \
+	VPSLLQ $2, a9, CD;     \
+	VPADDQ a6, CD, CD;     \
+	VPSUBQ a7, CD, CD;     \
+	VPSLLQ $1, a10, CF;    \
+	VPSUBQ CF, CD, CD;     \
+	VPSLLQ $4, a8, CF;     \
+	VPSUBQ CF, CD, CD;     \
+	VPSUBQ a11, CD, CD;    \
+	/* 16r0 + n0 - 4r1 + n1 + 2r2 - n2 */ \
+	VPSLLQ $4, a6, CE;     \
+	VPADDQ a9, CE, CE;     \
+	VPSLLQ $2, a7, CF;     \
+	VPSUBQ CF, CE, CE;     \
+	VPADDQ a10, CE, CE;    \
+	VPSLLQ $1, a8, CF;     \
+	VPADDQ CF, CE, CE;     \
+	VPSUBQ a11, CE, CE;    \
+	/* r0 - 16n0 + r1 + 4n1 - r2 - 2n2 */ \
+	VPSUBQ a8, a6, a8;     \
+	VPADDQ a7, a8, a8;     \
+	VPSLLQ $4, a9, CF;     \
+	VPSUBQ CF, a8, a8;     \
+	VPSLLQ $2, a10, CF;    \
+	VPADDQ CF, a8, a8;     \
+	VPSLLQ $1, a11, CF;    \
+	VPSUBQ CF, a8, a8;     \
+	/* 16(S + y0_2), 16(S + y0_0), 16(S + y0_1) with S the sum */ \
+	VPADDQ a4, a3, CF;     \
+	VPADDQ a5, CF, CF;     \
+	VPADDQ a5, CF, a6;     \
+	VPSLLQ $4, a6, a6;     \
+	VPADDQ a3, CF, a7;     \
+	VPSLLQ $4, a7, a7;     \
+	VPADDQ a4, CF, a11;    \
+	VPSLLQ $4, a11, a11;   \
+	/* y2_0 + 2y2_1 - 8y2_2, 8y2_0 + y2_1 + 2y2_2, -2y2_0 + 8y2_1 + y2_2 */ \
+	VPSLLQ $1, a1, a9;     \
+	VPADDQ a0, a9, a9;     \
+	VPSLLQ $3, a2, CF;     \
+	VPSUBQ CF, a9, a9;     \
+	VPSLLQ $3, a0, a10;    \
+	VPADDQ a1, a10, a10;   \
+	VPSLLQ $1, a2, CF;     \
+	VPADDQ CF, a10, a10;   \
+	VPSLLQ $3, a1, a3;     \
+	VPADDQ a2, a3, a3;     \
+	VPSLLQ $1, a0, CF;     \
+	VPSUBQ CF, a3, a3;     \
+	IFFT4(a11, a3, CE, a8, a2, a5, a8, a11); \
+	IFFT4(a6, a9, CA, CB, a0, a3, a6, a9);   \
+	IFFT4(a7, a10, CC, CD, a1, a4, a7, a10)
 
-// MULADD sets x = x + c·s0 for the constant c whose halves are at off(R8)
-// and off+8(R8), with s0 in Z0 and its high halves in S0H: one 128-bit
-// product, x added into the low word, one reduction. hi ≤ 2^64 - 2, so
-// the carry into it cannot overflow. Clobbers T0-T5, K1.
-#define MULADD(x, off) \
-	VPMULUDQ.BCST off(R8), Z0, T2;    \
-	VPMULUDQ.BCST off(R8), S0H, T3;   \
-	VPMULUDQ.BCST off+8(R8), Z0, T4;  \
-	VPMULUDQ.BCST off+8(R8), S0H, T5; \
-	PROD(T2, T3, T4, T5, T3);         \
-	VPADDQ        x, T4, T4;          \
-	VPCMPUQ       $1, x, T4, K1;      \
-	VPSUBQ        ONES, T5, K1, T5;   \
-	REDUCE(T5, T4, x)
+// JOIN sets l to a lane congruent to l + h·2^32 for l, h < 2^41: first
+// l += (h>>32)·epsilon, which stays below 2^42, then l += h<<32, whose
+// wrap leaves less than 2^42, room for the epsilon it owes. Clobbers h,
+// CA, K1.
+#define JOIN(l, h) \
+	VPSRLQ   $32, h, CA;     \
+	VPMULUDQ EPS, CA, CA;    \
+	VPADDQ   CA, l, l;       \
+	VPSLLQ   $32, h, h;      \
+	VPADDQ   h, l, l;        \
+	VPCMPUQ  $1, h, l, K1;   \
+	VPADDQ   EPS, l, K1, l
+
+// MDS multiplies the state Z0-Z11 by the MDS matrix: the circulant on
+// the high and the low limbs, the diagonal 8·s0 added to row 0 of both,
+// and each row's limbs joined. Clobbers Z12-Z30, K1.
+#define MDS \
+	VPSRLQ $32, Z0, Z12;  \
+	VPSRLQ $32, Z1, Z13;  \
+	VPSRLQ $32, Z2, Z14;  \
+	VPSRLQ $32, Z3, Z15;  \
+	VPSRLQ $32, Z4, Z16;  \
+	VPSRLQ $32, Z5, Z17;  \
+	VPSRLQ $32, Z6, Z18;  \
+	VPSRLQ $32, Z7, Z19;  \
+	VPSRLQ $32, Z8, Z20;  \
+	VPSRLQ $32, Z9, Z21;  \
+	VPSRLQ $32, Z10, Z22; \
+	VPSRLQ $32, Z11, Z23; \
+	VPSLLQ $3, Z12, DIAG; \
+	CONV(Z12, Z13, Z14, Z15, Z16, Z17, Z18, Z19, Z20, Z21, Z22, Z23); \
+	VPADDQ DIAG, Z12, Z12; \
+	VPANDQ EPS, Z0, Z0;   \
+	VPANDQ EPS, Z1, Z1;   \
+	VPANDQ EPS, Z2, Z2;   \
+	VPANDQ EPS, Z3, Z3;   \
+	VPANDQ EPS, Z4, Z4;   \
+	VPANDQ EPS, Z5, Z5;   \
+	VPANDQ EPS, Z6, Z6;   \
+	VPANDQ EPS, Z7, Z7;   \
+	VPANDQ EPS, Z8, Z8;   \
+	VPANDQ EPS, Z9, Z9;   \
+	VPANDQ EPS, Z10, Z10; \
+	VPANDQ EPS, Z11, Z11; \
+	VPSLLQ $3, Z0, DIAG;  \
+	CONV(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11); \
+	VPADDQ DIAG, Z0, Z0;  \
+	JOIN(Z0, Z12);        \
+	JOIN(Z1, Z13);        \
+	JOIN(Z2, Z14);        \
+	JOIN(Z3, Z15);        \
+	JOIN(Z4, Z16);        \
+	JOIN(Z5, Z17);        \
+	JOIN(Z6, Z18);        \
+	JOIN(Z7, Z19);        \
+	JOIN(Z8, Z20);        \
+	JOIN(Z9, Z21);        \
+	JOIN(Z10, Z22);       \
+	JOIN(Z11, Z23)
+
+#define LOAD \
+	VMOVDQU64 0(DI), Z0;    \
+	VMOVDQU64 64(DI), Z1;   \
+	VMOVDQU64 128(DI), Z2;  \
+	VMOVDQU64 192(DI), Z3;  \
+	VMOVDQU64 256(DI), Z4;  \
+	VMOVDQU64 320(DI), Z5;  \
+	VMOVDQU64 384(DI), Z6;  \
+	VMOVDQU64 448(DI), Z7;  \
+	VMOVDQU64 512(DI), Z8;  \
+	VMOVDQU64 576(DI), Z9;  \
+	VMOVDQU64 640(DI), Z10; \
+	VMOVDQU64 704(DI), Z11
+
+#define STORE \
+	VMOVDQU64 Z0, 0(DI);    \
+	VMOVDQU64 Z1, 64(DI);   \
+	VMOVDQU64 Z2, 128(DI);  \
+	VMOVDQU64 Z3, 192(DI);  \
+	VMOVDQU64 Z4, 256(DI);  \
+	VMOVDQU64 Z5, 320(DI);  \
+	VMOVDQU64 Z6, 384(DI);  \
+	VMOVDQU64 Z7, 448(DI);  \
+	VMOVDQU64 Z8, 512(DI);  \
+	VMOVDQU64 Z9, 576(DI);  \
+	VMOVDQU64 Z10, 640(DI); \
+	VMOVDQU64 Z11, 704(DI)
+
+#define SETEPS \
+	MOVQ         $0xffffffff, AX; \
+	VPBROADCASTQ AX, EPS
 
 // func permuteX8AVX512(x *lanesX8)
-//
-// The frame holds the twelve rows a matrix layer writes before they
-// replace the state.
-TEXT ·permuteX8AVX512(SB), NOSPLIT, $768-8
+TEXT ·permuteX8AVX512(SB), NOSPLIT, $0-8
 	MOVQ x+0(FP), DI
 	LEAQ ·x8Table(SB), R8
-	LEAQ const_x8MDSOffset(R8), R11
-
-	MOVQ         $0xffffffff, AX
-	VPBROADCASTQ AX, EPS
-	VPTERNLOGD   $0xff, ONES, ONES, ONES
-	MOVL         $0x5555, AX
-	KMOVW        AX, K7
-
-	VMOVDQU64 0(DI), Z0
-	VMOVDQU64 64(DI), Z1
-	VMOVDQU64 128(DI), Z2
-	VMOVDQU64 192(DI), Z3
-	VMOVDQU64 256(DI), Z4
-	VMOVDQU64 320(DI), Z5
-	VMOVDQU64 384(DI), Z6
-	VMOVDQU64 448(DI), Z7
-	VMOVDQU64 512(DI), Z8
-	VMOVDQU64 576(DI), Z9
-	VMOVDQU64 640(DI), Z10
-	VMOVDQU64 704(DI), Z11
+	SETEPS
+	MOVL  $0x5555, AX
+	KMOVW AX, K7
+	LOAD
 
 	XORQ BX, BX // 0 for the first half of the full rounds, 1 for the second
 	MOVQ $const_HalfFullRounds, CX
@@ -249,72 +355,7 @@ full:
 	FULL(Z9, 72)
 	FULL(Z10, 80)
 	FULL(Z11, 88)
-
-	// MDS layer: the limb split of mdsLayer, one row per iteration with
-	// the row's entries at R9, each row reduced once (mdsRow).
-	VPSRLQ $32, Z0, Z12
-	VPSRLQ $32, Z1, Z13
-	VPSRLQ $32, Z2, Z14
-	VPSRLQ $32, Z3, Z15
-	VPSRLQ $32, Z4, Z16
-	VPSRLQ $32, Z5, Z17
-	VPSRLQ $32, Z6, Z18
-	VPSRLQ $32, Z7, Z19
-	VPSRLQ $32, Z8, Z20
-	VPSRLQ $32, Z9, Z21
-	VPSRLQ $32, Z10, Z22
-	VPSRLQ $32, Z11, Z23
-	MOVQ   R11, R9
-	MOVQ   SP, R10
-	MOVQ   $const_Width, DX
-
-mdsrow:
-	VPMULUDQ.BCST 0(R9), Z0, Z24
-	VPMULUDQ.BCST 0(R9), Z12, Z25
-	MDSTERM(8, Z1, Z13)
-	MDSTERM(16, Z2, Z14)
-	MDSTERM(24, Z3, Z15)
-	MDSTERM(32, Z4, Z16)
-	MDSTERM(40, Z5, Z17)
-	MDSTERM(48, Z6, Z18)
-	MDSTERM(56, Z7, Z19)
-	MDSTERM(64, Z8, Z20)
-	MDSTERM(72, Z9, Z21)
-	MDSTERM(80, Z10, Z22)
-	MDSTERM(88, Z11, Z23)
-
-	// sl + sh·2^32 with sl, sh < 2^41: low = sl + sh<<32 and
-	// hi = sh>>32, then low + hi·epsilon. At most one of the two adds
-	// carries, and either wrap leaves room for epsilon.
-	VPSLLQ   $32, Z25, Z26
-	VPADDQ   Z26, Z24, Z26
-	VPCMPUQ  $1, Z24, Z26, K1
-	VPSRLQ   $32, Z25, Z25
-	VPMULUDQ EPS, Z25, Z25
-	VPADDQ   Z25, Z26, Z28
-	VPCMPUQ  $1, Z25, Z28, K2
-	VPADDQ   EPS, Z28, K1, Z28
-	VPADDQ   EPS, Z28, K2, Z28
-	VMOVDQU64 Z28, (R10)
-
-	ADDQ $(8*const_Width), R9
-	ADDQ $64, R10
-	DECQ DX
-	JNZ  mdsrow
-
-	VMOVDQU64 0(SP), Z0
-	VMOVDQU64 64(SP), Z1
-	VMOVDQU64 128(SP), Z2
-	VMOVDQU64 192(SP), Z3
-	VMOVDQU64 256(SP), Z4
-	VMOVDQU64 320(SP), Z5
-	VMOVDQU64 384(SP), Z6
-	VMOVDQU64 448(SP), Z7
-	VMOVDQU64 512(SP), Z8
-	VMOVDQU64 576(SP), Z9
-	VMOVDQU64 640(SP), Z10
-	VMOVDQU64 704(SP), Z11
-
+	MDS
 	ADDQ $(8*const_Width), R8
 	DECQ CX
 	JNZ  full
@@ -322,93 +363,15 @@ mdsrow:
 	JNZ   done
 	MOVQ  $1, BX
 
-	// Pre-partial round: the first constant vector, then the dense
-	// 11x11 block of the initial matrix, one row per iteration.
-	ADDC(Z0, 0)
-	ADDC(Z1, 8)
-	ADDC(Z2, 16)
-	ADDC(Z3, 24)
-	ADDC(Z4, 32)
-	ADDC(Z5, 40)
-	ADDC(Z6, 48)
-	ADDC(Z7, 56)
-	ADDC(Z8, 64)
-	ADDC(Z9, 72)
-	ADDC(Z10, 80)
-	ADDC(Z11, 88)
-	ADDQ $(8*const_Width), R8
-	MOVQ SP, R10
-	MOVQ $(const_Width-1), DX
-
-prerow:
-	ZERODOT
-	TERM(0, Z1)
-	TERM(16, Z2)
-	TERM(32, Z3)
-	TERM(48, Z4)
-	TERM(64, Z5)
-	TERM(80, Z6)
-	TERM(96, Z7)
-	TERM(112, Z8)
-	TERM(128, Z9)
-	TERM(144, Z10)
-	TERM(160, Z11)
-	COMBINE(DOT)
-	VMOVDQU64 DOT, (R10)
-	ADDQ $(16*(const_Width-1)), R8
-	ADDQ $64, R10
-	DECQ DX
-	JNZ  prerow
-
-	VMOVDQU64 0(SP), Z1
-	VMOVDQU64 64(SP), Z2
-	VMOVDQU64 128(SP), Z3
-	VMOVDQU64 192(SP), Z4
-	VMOVDQU64 256(SP), Z5
-	VMOVDQU64 320(SP), Z6
-	VMOVDQU64 384(SP), Z7
-	VMOVDQU64 448(SP), Z8
-	VMOVDQU64 512(SP), Z9
-	VMOVDQU64 576(SP), Z10
-	VMOVDQU64 640(SP), Z11
-
-	// Partial rounds: S-box and scalar constant on lane 0, then the
-	// sparse matrix: lane 0 becomes M00·s0 + Row·s[1:], and each other
-	// lane i gains Col[i-1]·s0. The record is the scalar constant, M00,
-	// Row and Col.
+	// Partial rounds: lane 0's constant (the other lanes' are folded
+	// forward into later constants by initX8), S-box on lane 0, MDS.
 	MOVQ $const_PartialRounds, CX
 
 partial:
-	SBOX(Z0)
 	ADDC(Z0, 0)
-	ZERODOT
-	TERM(8, Z0)
-	TERM(24, Z1)
-	TERM(40, Z2)
-	TERM(56, Z3)
-	TERM(72, Z4)
-	TERM(88, Z5)
-	TERM(104, Z6)
-	TERM(120, Z7)
-	TERM(136, Z8)
-	TERM(152, Z9)
-	TERM(168, Z10)
-	TERM(184, Z11)
-	COMBINE(DOT)
-	VPSRLQ $32, Z0, S0H
-	MULADD(Z1, 200)
-	MULADD(Z2, 216)
-	MULADD(Z3, 232)
-	MULADD(Z4, 248)
-	MULADD(Z5, 264)
-	MULADD(Z6, 280)
-	MULADD(Z7, 296)
-	MULADD(Z8, 312)
-	MULADD(Z9, 328)
-	MULADD(Z10, 344)
-	MULADD(Z11, 360)
-	VMOVDQA64 DOT, Z0
-	ADDQ $(8*const_x8PartialLen), R8
+	SBOX(Z0)
+	MDS
+	ADDQ $8, R8
 	DECQ CX
 	JNZ  partial
 
@@ -416,17 +379,16 @@ partial:
 	JMP  full
 
 done:
-	VMOVDQU64 Z0, 0(DI)
-	VMOVDQU64 Z1, 64(DI)
-	VMOVDQU64 Z2, 128(DI)
-	VMOVDQU64 Z3, 192(DI)
-	VMOVDQU64 Z4, 256(DI)
-	VMOVDQU64 Z5, 320(DI)
-	VMOVDQU64 Z6, 384(DI)
-	VMOVDQU64 Z7, 448(DI)
-	VMOVDQU64 Z8, 512(DI)
-	VMOVDQU64 Z9, 576(DI)
-	VMOVDQU64 Z10, 640(DI)
-	VMOVDQU64 Z11, 704(DI)
+	STORE
+	VZEROUPPER
+	RET
+
+// func mdsX8AVX512(x *lanesX8)
+TEXT ·mdsX8AVX512(SB), NOSPLIT, $0-8
+	MOVQ x+0(FP), DI
+	SETEPS
+	LOAD
+	MDS
+	STORE
 	VZEROUPPER
 	RET
