@@ -94,10 +94,11 @@ go test -race -timeout 15m -run '^TestCrashRecoverySoak$' ./internal/cluster
 # Kernel differential suite: the optimized field and NTT kernels against
 # their retained naive reference oracles (internal/field/goldilocks_ref_test.go's big.Int
 # arithmetic, internal/ntt/ntt_ref_test.go's O(n^2) DFT) over fuzzed inputs
-# and edge vectors, serial and parallel, under the race detector. The
+# and edge vectors, serial and parallel, and the field slice layer's
+# FuzzVec seeds against the scalar ops, under the race detector. The
 # full -race run below repeats it; this step makes an arithmetic
 # divergence fail under its own name.
-go test -race -run 'TestRef|TestCache' ./internal/field ./internal/ntt
+go test -race -run 'TestRef|TestCache|Vec' ./internal/field ./internal/ntt
 
 # Hash-path differential suite: the lane-based Poseidon permutation and
 # the batched eight-wide one against PermuteNaive, the eight-wide
@@ -110,10 +111,12 @@ go test -race -run 'TestRef|TestCache' ./internal/field ./internal/ntt
 go test -race -run 'Grind|Permute|MDS' ./internal/poseidon ./internal/fri
 
 # Portable hash and NTT path: on an AVX-512 host the batched permutation
-# and the NTT butterflies and scalings run in assembly, so this step
+# and the field slice layer (NTT butterflies and scalings, the constraint
+# program, the quotient and FRI's reduce) run in assembly, so this step
 # builds with the standard purego tag to keep the portable loops (the
 # path on every other host) under the same differential tests — the
-# batch against PermuteNaive, batched Merkle trees against the scalar
+# slice kernels against the scalar ops, EvalAll against Horner's rule,
+# the batch against PermuteNaive, batched Merkle trees against the scalar
 # reference tree, and the batched grind against the serial loop,
 # batched Merkle-path verification against Verify, the batched FRI
 # verifier against its serial reference, every NTT Spec against the
@@ -124,7 +127,7 @@ go test -race -run 'Grind|Permute|MDS' ./internal/poseidon ./internal/fri
 # quotient against its per-point reference, plonk's compiled ζ check
 # against the hand-written one, and the dense plonk witness against the
 # map-backed one and its clones — under the race detector.
-go test -tags purego -race -run 'Permute|Grind|Batch|Build|Verify|Ref|Quotient|Butterflies|Scale|Combine|Program|Constraint|Witness' ./internal/poseidon ./internal/merkle ./internal/fri ./internal/ntt ./internal/constraint ./internal/plonk ./internal/stark
+go test -tags purego -race -run 'Permute|Grind|Batch|Build|Verify|Ref|Quotient|Butterflies|Scale|Combine|Program|Constraint|Witness|Vec|EvalAll' ./internal/field ./internal/poseidon ./internal/merkle ./internal/fri ./internal/ntt ./internal/constraint ./internal/plonk ./internal/stark
 
 # Kernel trajectory regression check: with UNIZK_BENCH_ENFORCE=1 this
 # re-measures the tracked kernel registry (internal/bench/trajectory)
@@ -143,7 +146,8 @@ go test -race ./...
 
 # Fuzz the decode+verify boundary of each protocol, plus the worker
 # pool's chunking arithmetic, the Poseidon permutation against its naive
-# oracle, the eight-lane NTT butterflies against the scalar loop,
+# oracle, the eight-lane NTT butterflies against the scalar loop, every
+# kernel of the field slice layer against the scalar field ops,
 # batched Merkle-path verification against Verify, the compiled
 # constraint program against the expression trees, the dense plonk
 # witness against the map-backed one, and the
@@ -156,6 +160,7 @@ go test -run='^$' -fuzz='^FuzzForCoverage$' -fuzztime=10s ./internal/parallel
 go test -run='^$' -fuzz='^FuzzPermute$' -fuzztime=20s ./internal/poseidon
 go test -run='^$' -fuzz='^FuzzPermuteX8$' -fuzztime=20s ./internal/poseidon
 go test -run='^$' -fuzz='^FuzzDIFButterfliesX8$' -fuzztime=20s ./internal/ntt
+go test -run='^$' -fuzz='^FuzzVec$' -fuzztime=20s ./internal/field
 go test -run='^$' -fuzz='^FuzzVerifyBatch$' -fuzztime=20s ./internal/merkle
 go test -run='^$' -fuzz='^FuzzConstraintProgram$' -fuzztime=20s ./internal/constraint
 go test -run='^$' -fuzz='^FuzzWitness$' -fuzztime=20s ./internal/plonk

@@ -145,6 +145,26 @@ func TestKernelAllocs(t *testing.T) {
 	})
 }
 
+// TestVecAllocs pins the field slice layer at zero allocations, at a
+// length with both eight-lane runs and a scalar tail.
+func TestVecAllocs(t *testing.T) {
+	serialRun(t, func() {
+		const n = 67
+		a, b, c, dst := make([]field.Element, n), make([]field.Element, n), make([]field.Element, n), make([]field.Element, n)
+		for i := range a {
+			a[i], b[i], c[i] = field.New(uint64(i+1)), field.New(uint64(3*i+2)), field.New(uint64(7*i+5))
+		}
+		s := field.New(0x9e37_79b9_7f4a_7c15)
+		pinZero(t, "field.AddVec", func() { field.AddVec(dst, a, b) })
+		pinZero(t, "field.SubVec", func() { field.SubVec(dst, a, b) })
+		pinZero(t, "field.MulVec", func() { field.MulVec(dst, a, b) })
+		pinZero(t, "field.MulAddVec", func() { field.MulAddVec(dst, a, b, c) })
+		pinZero(t, "field.ScaleVec", func() { field.ScaleVec(dst, s, a) })
+		pinZero(t, "field.ScaleAddVec", func() { field.ScaleAddVec(dst, s, a) })
+		pinZero(t, "field.ButterflyVec", func() { field.ButterflyVec(dst, b, c) })
+	})
+}
+
 // TestTwiddleCacheAllocs pins the table-cache hit paths: once a size's
 // tables are cached, transforms and coset scalings at that size must not
 // allocate (2^10 stays below the NTT's parallel threshold, so the serial

@@ -41,6 +41,7 @@ func Kernels() []Kernel {
 	ks := []Kernel{
 		{Name: "field/mul/4096", Bench: benchFieldMul},
 		{Name: "field/inverse", Bench: benchFieldInverse},
+		{Name: "field/mul-vec/4096", Bench: benchFieldMulVec},
 	}
 	// The row names keep the order-naming of the variants they track
 	// (first letter input order, second output order; N natural, R
@@ -71,6 +72,7 @@ func Kernels() []Kernel {
 		Kernel{Name: "merkle/verify-batch/2^14x135", Bench: func(b *testing.B) { benchMerkleVerify(b, true) }},
 		Kernel{Name: "fri/fold/2^15", Bench: benchFRIFold},
 		Kernel{Name: "fri/combine/2^14", Bench: benchFRICombine},
+		Kernel{Name: "fri/eval-all/mvm-2^11", Bench: benchFRIEvalAll},
 		Kernel{Name: "plonk/quotient/mvm-2^11", Bench: benchPlonkQuotient},
 		Kernel{Name: "witness/mvm-2^11", Bench: benchPlonkWitness},
 		Kernel{Name: "stark/quotient/sha-2^12", Bench: benchStarkQuotient},
@@ -95,6 +97,22 @@ func benchFieldMul(b *testing.B) {
 		}
 		sinkElement = acc
 	}
+}
+
+// benchFieldMulVec multiplies two mulBatch-element vectors element-wise
+// through the slice layer: independent products, the throughput
+// counterpart of field/mul's dependent chain.
+func benchFieldMulVec(b *testing.B) {
+	x, y, out := make([]field.Element, mulBatch), make([]field.Element, mulBatch), make([]field.Element, mulBatch)
+	for i := range x {
+		x[i] = field.New(uint64(i) * 0x9e37_79b9_7f4a_7c15)
+		y[i] = field.New(uint64(i)*0x0fed_cba9_8765_4321 + 1)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		field.MulVec(out, x, y)
+	}
+	sinkElement = out[0]
 }
 
 func benchFieldInverse(b *testing.B) {
@@ -272,6 +290,24 @@ func benchFRICombine(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = fri.Combine(oracles, groups, opened, alpha)
+	}
+}
+
+// benchFRIEvalAll times the prover's openings on the fri/combine
+// fixture: every oracle evaluated at each point it is opened at.
+func benchFRIEvalAll(b *testing.B) {
+	oracles, groups := combineFixture()
+	open := func() {
+		for _, g := range groups {
+			for _, oi := range g.Oracles {
+				_ = oracles[oi].EvalAll(g.Point, nil)
+			}
+		}
+	}
+	open()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		open()
 	}
 }
 

@@ -159,6 +159,7 @@ func TestKernelRegistry(t *testing.T) {
 		"merkle/verify/2^14x135", "merkle/verify-batch/2^14x135", "fri/fold/2^15",
 		"plonk/quotient/mvm-2^11", "plonk/prove/fib-40", "stark/prove/fib-2^10",
 		"fri/combine/2^14", "stark/quotient/sha-2^12", "witness/mvm-2^11",
+		"field/mul-vec/4096", "fri/eval-all/mvm-2^11",
 	} {
 		if !seen[want] {
 			t.Fatalf("tracked kernel %q missing from registry", want)

@@ -171,20 +171,14 @@ func (p *Program) run(rf *regFile, src *source, lo, hi int) {
 			rf.r[i] = row
 		default:
 			dst := rf.row(i, n)
-			a, b := rf.r[nd.a][:n], rf.r[nd.b][:n]
+			a, b := rf.r[nd.a], rf.r[nd.b]
 			switch nd.op {
 			case opAdd:
-				for k := range dst {
-					dst[k] = field.Add(a[k], b[k])
-				}
+				field.AddVec(dst, a, b)
 			case opSub:
-				for k := range dst {
-					dst[k] = field.Sub(a[k], b[k])
-				}
+				field.SubVec(dst, a, b)
 			default:
-				for k := range dst {
-					dst[k] = field.Mul(a[k], b[k])
-				}
+				field.MulVec(dst, a, b)
 			}
 			rf.r[i] = dst
 		}

@@ -195,14 +195,9 @@ func (q *quotient) tiles(rf *regFile, lo, hi int, t []field.Element) {
 			acc := accBuf[:len(out)]
 			clear(acc)
 			for _, i := range idx {
-				pw := q.pows[i]
-				for k, v := range p.out(rf, i)[:len(out)] {
-					acc[k] = field.MulAdd(pw, v, acc[k])
-				}
+				field.ScaleAddVec(acc, q.pows[i], p.out(rf, i))
 			}
-			for k, dv := range q.div[cl][t0:t1] {
-				out[k] = field.MulAdd(dv, acc[k], out[k])
-			}
+			field.MulAddVec(out, q.div[cl][t0:t1], acc, out)
 		}
 	}
 }

@@ -4,7 +4,8 @@ package field
 
 // AVX512 reports whether the CPU has AVX-512F and the OS saves the opmask
 // and ZMM registers. It is read once, from CPUID, at package init; the
-// eight-lane kernels of poseidon and ntt run when it is set.
+// eight-lane kernels of poseidon and of the slice layer (vec.go) run when
+// it is set.
 var AVX512 = hasAVX512F()
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)

@@ -1,0 +1,270 @@
+//go:build !purego
+
+#include "textflag.h"
+
+// The eight-lane slice kernels behind vec.go: one Goldilocks element per
+// qword lane of a zmm register, eight elements per iteration. Each runs
+// the leading multiple of eight of len(dst) elements, or none without
+// AVX-512F, and returns how many it ran. Only AVX-512F instructions are
+// used, and none before the field.AVX512 check. Inputs are canonical,
+// and every stored lane is canonical: CANON takes the final step of
+// reduce128 that the poseidon kernels, whose lanes may hold any
+// representative, leave out. Each iteration loads all its operands
+// before it stores, so dst may be one of the operands.
+//
+// Register roles:
+//   Z0-Z4    operands and results
+//   Z15-Z20  T0-T5, multiply and reduce temporaries
+//   Z31      epsilon = 2^32 - 1 = 2^64 mod p
+//   K7       0x5555: the low dword of every qword
+//   BX       the element index, CX the count
+
+// BEGIN lane arithmetic. Shared with internal/poseidon/x8_amd64.s;
+// TestLaneMacrosMatch fails if the two blocks differ.
+#define EPS Z31
+#define T0 Z15
+#define T1 Z16
+#define T2 Z17
+#define T3 Z18
+#define T4 Z19
+#define T5 Z20
+
+// REDUCE sets D to a lane congruent to hi·2^64 + lo, as reduce128 does:
+// 2^64 = epsilon and 2^96 = -1 (mod p). Clobbers hi, lo, T0, K1.
+#define REDUCE(hi, lo, D) \
+	VPSRLQ   $32, hi, T0;     \
+	VPCMPUQ  $1, T0, lo, K1;  \
+	VPSUBQ   T0, lo, lo;      \
+	VPSUBQ   EPS, lo, K1, lo; \
+	VPMULUDQ EPS, hi, hi;     \
+	VPADDQ   hi, lo, D;       \
+	VPCMPUQ  $1, hi, D, K1;   \
+	VPADDQ   EPS, D, K1, D
+
+// PROD assembles the 128-bit product from its four 32x32 partial
+// products ll, lh, hl, hh without carries: mid = lh + ll>>32 and
+// mid2 = hl + mid&epsilon both fit in 64 bits. It leaves the high word
+// in hh and the low word in hl; mid names the register for mid, which
+// may be lh. Clobbers mid and T0.
+#define PROD(ll, lh, hl, hh, mid) \
+	VPSRLQ    $32, ll, T0;    \
+	VPADDQ    T0, lh, mid;    \
+	VPANDQ    EPS, mid, T0;   \
+	VPADDQ    T0, hl, hl;     \
+	VPSRLQ    $32, mid, mid;  \
+	VPADDQ    mid, hh, hh;    \
+	VPSRLQ    $32, hl, T0;    \
+	VPADDQ    T0, hh, hh;     \
+	VPSLLQ    $32, hl, hl;    \
+	VPBLENDMD ll, hl, K7, hl
+
+// MUL sets D = a·b. D may be a or b. Clobbers T0-T5, K1.
+#define MUL(a, b, D) \
+	VPSRLQ   $32, a, T0;         \
+	VPSRLQ   $32, b, T1;         \
+	VPMULUDQ b, a, T2;           \
+	VPMULUDQ T1, a, T3;          \
+	VPMULUDQ b, T0, T4;          \
+	VPMULUDQ T1, T0, T5;         \
+	PROD(T2, T3, T4, T5, T3);    \
+	REDUCE(T5, T4, D)
+// END lane arithmetic.
+
+// CANON maps a lane below 2^64 to its canonical value below p: x + epsilon
+// wraps exactly when x >= p, and then the wrapped sum x - p is the
+// smaller of the two. Clobbers T0.
+#define CANON(x) \
+	VPADDQ  EPS, x, T0; \
+	VPMINUQ T0, x, x
+
+// ADD sets D = a + b, canonical. D may be b but not a. On a carry the
+// wrapped sum plus epsilon is below p. Clobbers T0, K2.
+#define ADD(a, b, D) \
+	VPADDQ  b, a, D;       \
+	VPCMPUQ $1, a, D, K2;  \
+	VPADDQ  EPS, D, K2, D; \
+	CANON(D)
+
+// SUB sets D = a - b, canonical. D may be a or b. On a borrow,
+// subtracting epsilon from the wrapped difference adds p. Clobbers K2.
+#define SUB(a, b, D) \
+	VPCMPUQ $1, b, a, K2; \
+	VPSUBQ  b, a, D;      \
+	VPSUBQ  EPS, D, K2, D
+
+// MULC sets D = a·b, canonical. D may be a or b. Clobbers T0-T5, K1.
+#define MULC(a, b, D) \
+	MUL(a, b, D); \
+	CANON(D)
+
+// LANES sets CX to n rounded down to a multiple of eight, or to zero
+// when field.AVX512 is false, and sets ZF when CX is zero.
+#define LANES(n) \
+	MOVQ    n, CX;           \
+	ANDQ    $-8, CX;         \
+	MOVBQZX ·AVX512(SB), AX; \
+	NEGQ    AX;              \
+	ANDQ    AX, CX
+
+// SETUP loads the constants every kernel needs and zeroes the index.
+#define SETUP \
+	MOVQ         $0xffffffff, AX; \
+	VPBROADCASTQ AX, EPS;         \
+	MOVL         $0x5555, AX;     \
+	KMOVW        AX, K7;          \
+	XORQ         BX, BX
+
+// NEXT advances the index by one iteration and loops to label while
+// elements remain.
+#define NEXT(label) \
+	ADDQ $8, BX;   \
+	CMPQ BX, CX;   \
+	JLT  label;    \
+	VZEROUPPER
+
+// func addVecX8(dst, a, b []Element) int
+TEXT ·addVecX8(SB), NOSPLIT, $0-80
+	MOVQ dst_base+0(FP), DI
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), DX
+	LANES(dst_len+8(FP))
+	JZ   done
+	SETUP
+
+add:
+	VMOVDQU64 (SI)(BX*8), Z0
+	VMOVDQU64 (DX)(BX*8), Z1
+	ADD(Z0, Z1, Z1)
+	VMOVDQU64 Z1, (DI)(BX*8)
+	NEXT(add)
+
+done:
+	MOVQ CX, ret+72(FP)
+	RET
+
+// func subVecX8(dst, a, b []Element) int
+TEXT ·subVecX8(SB), NOSPLIT, $0-80
+	MOVQ dst_base+0(FP), DI
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), DX
+	LANES(dst_len+8(FP))
+	JZ   done
+	SETUP
+
+sub:
+	VMOVDQU64 (SI)(BX*8), Z0
+	VMOVDQU64 (DX)(BX*8), Z1
+	SUB(Z0, Z1, Z1)
+	VMOVDQU64 Z1, (DI)(BX*8)
+	NEXT(sub)
+
+done:
+	MOVQ CX, ret+72(FP)
+	RET
+
+// func mulVecX8(dst, a, b []Element) int
+TEXT ·mulVecX8(SB), NOSPLIT, $0-80
+	MOVQ dst_base+0(FP), DI
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), DX
+	LANES(dst_len+8(FP))
+	JZ   done
+	SETUP
+
+mul:
+	VMOVDQU64 (SI)(BX*8), Z0
+	VMOVDQU64 (DX)(BX*8), Z1
+	MULC(Z0, Z1, Z1)
+	VMOVDQU64 Z1, (DI)(BX*8)
+	NEXT(mul)
+
+done:
+	MOVQ CX, ret+72(FP)
+	RET
+
+// func mulAddVecX8(dst, a, b, c []Element) int
+TEXT ·mulAddVecX8(SB), NOSPLIT, $0-104
+	MOVQ dst_base+0(FP), DI
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), DX
+	MOVQ c_base+72(FP), R8
+	LANES(dst_len+8(FP))
+	JZ   done
+	SETUP
+
+muladd:
+	VMOVDQU64 (SI)(BX*8), Z0
+	VMOVDQU64 (DX)(BX*8), Z1
+	VMOVDQU64 (R8)(BX*8), Z2
+	MULC(Z0, Z1, Z1)
+	ADD(Z1, Z2, Z2)
+	VMOVDQU64 Z2, (DI)(BX*8)
+	NEXT(muladd)
+
+done:
+	MOVQ CX, ret+96(FP)
+	RET
+
+// func scaleVecX8(dst []Element, c Element, a []Element) int
+TEXT ·scaleVecX8(SB), NOSPLIT, $0-64
+	MOVQ dst_base+0(FP), DI
+	MOVQ a_base+32(FP), SI
+	LANES(dst_len+8(FP))
+	JZ   done
+	SETUP
+	VPBROADCASTQ c+24(FP), Z2
+
+scale:
+	VMOVDQU64 (SI)(BX*8), Z0
+	MULC(Z0, Z2, Z0)
+	VMOVDQU64 Z0, (DI)(BX*8)
+	NEXT(scale)
+
+done:
+	MOVQ CX, ret+56(FP)
+	RET
+
+// func scaleAddVecX8(dst []Element, c Element, a []Element) int
+TEXT ·scaleAddVecX8(SB), NOSPLIT, $0-64
+	MOVQ dst_base+0(FP), DI
+	MOVQ a_base+32(FP), SI
+	LANES(dst_len+8(FP))
+	JZ   done
+	SETUP
+	VPBROADCASTQ c+24(FP), Z2
+
+scaleadd:
+	VMOVDQU64 (SI)(BX*8), Z0
+	VMOVDQU64 (DI)(BX*8), Z1
+	MULC(Z0, Z2, Z0)
+	ADD(Z0, Z1, Z1)
+	VMOVDQU64 Z1, (DI)(BX*8)
+	NEXT(scaleadd)
+
+done:
+	MOVQ CX, ret+56(FP)
+	RET
+
+// func butterflyVecX8(x, y, w []Element) int
+TEXT ·butterflyVecX8(SB), NOSPLIT, $0-80
+	MOVQ x_base+0(FP), DI
+	MOVQ y_base+24(FP), SI
+	MOVQ w_base+48(FP), DX
+	LANES(x_len+8(FP))
+	JZ   done
+	SETUP
+
+butterfly:
+	VMOVDQU64 (DI)(BX*8), Z0
+	VMOVDQU64 (SI)(BX*8), Z1
+	VMOVDQU64 (DX)(BX*8), Z2
+	ADD(Z0, Z1, Z3)
+	SUB(Z0, Z1, Z4)
+	MULC(Z4, Z2, Z4)
+	VMOVDQU64 Z3, (DI)(BX*8)
+	VMOVDQU64 Z4, (SI)(BX*8)
+	NEXT(butterfly)
+
+done:
+	MOVQ CX, ret+72(FP)
+	RET

@@ -48,9 +48,10 @@ func combine(ctx context.Context, oracles []*PolynomialBatch, groups []PointGrou
 	fa, fb := *fap, *fbp
 	clear(fa)
 	clear(fb)
-	bp := getExt(n)
-	defer putExt(bp)
-	b := *bp
+	bap, bbp := getBase(n), getBase(n)
+	defer putBase(bap)
+	defer putBase(bbp)
+	ba, bb := *bap, *bbp
 	var err error
 	rec.VecOp(n, totalPolys, 4, func() {
 		pows := make([]field.Ext, totalPolys)
@@ -77,12 +78,12 @@ func combine(ctx context.Context, oracles []*PolynomialBatch, groups []PointGrou
 			}
 			off = k
 			if err = parallel.For(ctx, n, vecGrain, func(lo, hi int) {
-				reduceRange(lo, hi, coeffs, gpows, b)
+				reduceRange(lo, hi, coeffs, gpows, ba, bb)
 			}); err != nil {
 				return
 			}
-			b[0] = field.ExtSub(b[0], y)
-			if !divideByLinear(b, g.Point, fa, fb) {
+			ba[0], bb[0] = field.Sub(ba[0], y.A), field.Sub(bb[0], y.B)
+			if !divideByLinear(ba, bb, g.Point, fa, fb) {
 				panic("fri: combined polynomial is not low degree — outer protocol bug")
 			}
 		}
@@ -121,33 +122,35 @@ func Combine(oracles []*PolynomialBatch, groups []PointGroup, opened OpenedValue
 	return *fp
 }
 
-// reduceRange sets b[j] = Σ_p pows[p]·coeffs[p][j] for j in [lo, hi),
-// one polynomial at a time so the chunk of b stays in cache.
+// reduceRange sets B[j] = Σ_p pows[p]·coeffs[p][j] for j in [lo, hi),
+// B = ba + bb·X kept as its two base components: a base coefficient
+// times an extension power is two scalar×vector multiply-adds. It runs
+// one polynomial at a time so the chunk of B stays in cache.
 //
 //unizklint:hotpath
-func reduceRange(lo, hi int, coeffs [][]field.Element, pows []field.Ext, b []field.Ext) {
-	b = b[lo:hi]
-	clear(b)
+func reduceRange(lo, hi int, coeffs [][]field.Element, pows []field.Ext, ba, bb []field.Element) {
+	ba, bb = ba[lo:hi], bb[lo:hi]
+	clear(ba)
+	clear(bb)
 	for p, c := range coeffs {
-		pw := pows[p]
-		for j, v := range c[lo:hi] {
-			b[j] = field.Ext{A: field.MulAdd(v, pw.A, b[j].A), B: field.MulAdd(v, pw.B, b[j].B)}
-		}
+		field.ScaleAddVec(ba, pows[p].A, c[lo:hi])
+		field.ScaleAddVec(bb, pows[p].B, c[lo:hi])
 	}
 }
 
-// divideByLinear divides b(X) by (X − z) with synthetic division, adds
-// the quotient's coefficients into F = fa + fb·X component-wise, and
-// reports whether the remainder is zero. The quotient has degree
-// len(b) − 2, so F's top coefficient is left as it was.
+// divideByLinear divides B(X) = ba + bb·X by (X − z) with synthetic
+// division, adds the quotient's coefficients into F = fa + fb·X
+// component-wise, and reports whether the remainder is zero. The
+// quotient has degree len(ba) − 2, so F's top coefficient is left as it
+// was.
 //
 //unizklint:hotpath
-func divideByLinear(b []field.Ext, z field.Ext, fa, fb []field.Element) bool {
+func divideByLinear(ba, bb []field.Element, z field.Ext, fa, fb []field.Element) bool {
 	q := field.ExtZero // q_{i−1} = b_i + z·q_i, from q_{n−1} = 0
-	for i := len(b) - 1; i > 0; i-- {
-		q = field.ExtAdd(b[i], field.ExtMul(z, q))
+	for i := len(ba) - 1; i > 0; i-- {
+		q = field.ExtAdd(field.Ext{A: ba[i], B: bb[i]}, field.ExtMul(z, q))
 		fa[i-1] = field.Add(fa[i-1], q.A)
 		fb[i-1] = field.Add(fb[i-1], q.B)
 	}
-	return field.ExtAdd(b[0], field.ExtMul(z, q)).IsZero()
+	return field.ExtAdd(field.Ext{A: ba[0], B: bb[0]}, field.ExtMul(z, q)).IsZero()
 }

@@ -7,7 +7,6 @@ import (
 	"unizk/internal/merkle"
 	"unizk/internal/ntt"
 	"unizk/internal/parallel"
-	"unizk/internal/poly"
 	"unizk/internal/trace"
 )
 
@@ -198,16 +197,34 @@ func (b *PolynomialBatch) EvalAll(x field.Ext, rec *trace.Recorder) []field.Ext 
 	return out
 }
 
-// EvalAllContext is EvalAll with the per-polynomial Horner evaluations
-// fanned across the pool (each polynomial's evaluation stays serial — it
-// is one long dependence chain).
+// EvalAllContext is EvalAll as dot products: the powers x^0..x^(N−1) are
+// built once per call (N extension multiplies), as their two base
+// components in pooled scratch, and each polynomial's value is two
+// field.Dot calls against them, with the polynomials fanned across the
+// pool. Horner's rule in the extension pays five reduced multiplies per
+// coefficient; the dot products pay two unreduced ones and one reduction
+// per component.
 func (b *PolynomialBatch) EvalAllContext(ctx context.Context, x field.Ext, rec *trace.Recorder) ([]field.Ext, error) {
 	out := make([]field.Ext, len(b.Coeffs))
+	n := 0
+	for _, c := range b.Coeffs {
+		n = max(n, len(c))
+	}
+	pap, pbp := getBase(n), getBase(n)
+	defer putBase(pap)
+	defer putBase(pbp)
+	pa, pb := *pap, *pbp
 	var err error
 	rec.VecOp(b.N, len(b.Coeffs), 2, func() {
+		p := field.ExtOne
+		for i := range pa {
+			pa[i], pb[i] = p.A, p.B
+			p = field.ExtMul(p, x)
+		}
 		err = parallel.For(ctx, len(b.Coeffs), 1, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				out[i] = poly.EvalExt(b.Coeffs[i], x)
+				c := b.Coeffs[i]
+				out[i] = field.Ext{A: field.Dot(c, pa[:len(c)]), B: field.Dot(c, pb[:len(c)])}
 			}
 		})
 	})

@@ -66,8 +66,44 @@ func TestEvalAllMatchesCoeffs(t *testing.T) {
 	z := field.Ext{A: field.New(rng.Uint64()), B: field.New(rng.Uint64())}
 	got := b.EvalAll(z, nil)
 	for i := range got {
-		if got[i] != poly.EvalExt(b.Coeffs[i], z) {
+		if got[i] != hornerExt(b.Coeffs[i], z) {
 			t.Fatalf("EvalAll poly %d mismatch", i)
+		}
+	}
+}
+
+// hornerExt evaluates a base-field coefficient vector at an extension
+// point by Horner's rule in the extension, the oracle for EvalAll.
+func hornerExt(coeffs []field.Element, x field.Ext) field.Ext {
+	var acc field.Ext
+	for i := len(coeffs) - 1; i >= 0; i-- {
+		acc = field.ExtAdd(field.ExtMul(acc, x), field.FromBase(coeffs[i]))
+	}
+	return acc
+}
+
+// TestEvalAllMatchesHorner checks EvalAll's dot products against Horner's
+// rule on ragged coefficient vectors, empty and constant ones included,
+// at points in the base field and off it.
+func TestEvalAllMatchesHorner(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	lens := []int{0, 1, 2, 7, 8, 9, 1000, 2053}
+	b := &PolynomialBatch{N: lens[len(lens)-1]}
+	for _, n := range lens {
+		b.Coeffs = append(b.Coeffs, randValues(rng, 1, n)[0])
+	}
+	for _, z := range []field.Ext{
+		field.FromBase(field.New(rng.Uint64())),
+		field.ExtZero,
+		field.ExtOne,
+		{A: field.New(rng.Uint64()), B: field.New(rng.Uint64())},
+		{A: 0, B: field.Element(field.Order - 1)},
+	} {
+		got := b.EvalAll(z, nil)
+		for i, c := range b.Coeffs {
+			if want := hornerExt(c, z); got[i] != want {
+				t.Fatalf("z=%v len %d: EvalAll = %v, want %v", z, len(c), got[i], want)
+			}
 		}
 	}
 }

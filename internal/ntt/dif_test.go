@@ -2,8 +2,6 @@ package ntt
 
 import (
 	"math/rand"
-	"os"
-	"strings"
 	"testing"
 
 	"unizk/internal/field"
@@ -28,9 +26,19 @@ func laneVec(rng *rand.Rand, n int) []field.Element {
 	return v
 }
 
+// butterfliesGeneric is the DIF butterfly one pair at a time, the
+// reference for the slice kernel the transforms run.
+func butterfliesGeneric(x, y, w []field.Element) {
+	for j, a := range x {
+		b := y[j]
+		x[j] = field.Add(a, b)
+		y[j] = field.Mul(field.Sub(a, b), w[j])
+	}
+}
+
 // FuzzDIFButterfliesX8 runs one span of a DIF layer, half in
-// {8, 16, ..., 2^12}, through butterflies (the eight-lane kernel where
-// the host has one, then the scalar tail) and through
+// {8, 16, ..., 2^12}, through field.ButterflyVec (the eight-lane kernel
+// where the host has one, then the scalar tail) and through
 // butterfliesGeneric, on random canonical data at a ragged base and
 // span, and requires identical results.
 func FuzzDIFButterfliesX8(f *testing.F) {
@@ -48,7 +56,7 @@ func FuzzDIFButterfliesX8(f *testing.F) {
 
 		want := clone(data)
 		butterfliesGeneric(want[b+lo:b+hi], want[b+half+lo:b+half+hi], roots[lo:hi])
-		butterflies(data[b+lo:b+hi], data[b+half+lo:b+half+hi], roots[lo:hi])
+		field.ButterflyVec(data[b+lo:b+hi], data[b+half+lo:b+half+hi], roots[lo:hi])
 		for i := range want {
 			if data[i] != want[i] {
 				t.Fatalf("half=%d base=%d span [%d,%d): index %d = %#x, want %#x",
@@ -80,28 +88,5 @@ func TestScaleKernels(t *testing.T) {
 				t.Fatalf("scaleByTable n=%d index %d = %#x, want %#x", n, i, got[i], want)
 			}
 		}
-	}
-}
-
-// TestLaneMacrosMatch fails when the lane-arithmetic block copied into
-// dif_amd64.s drifts from its source in internal/poseidon: the copy
-// exists only because Go's build cache does not track a header included
-// from another package's directory.
-func TestLaneMacrosMatch(t *testing.T) {
-	block := func(path string) string {
-		src, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := string(src)
-		i := strings.Index(s, "#define EPS Z31")
-		j := strings.Index(s, "// END lane arithmetic.")
-		if i < 0 || j < i {
-			t.Fatalf("%s: lane arithmetic block not found", path)
-		}
-		return s[i:j]
-	}
-	if block("dif_amd64.s") != block("../poseidon/x8_amd64.s") {
-		t.Fatal("dif_amd64.s lane arithmetic differs from internal/poseidon/x8_amd64.s")
 	}
 }

@@ -126,7 +126,7 @@ func difCore(data []field.Element, inverse bool) {
 		}
 		roots := tableFor(Log2(2*half), inverse)
 		for base := 0; base < n; base += 2 * half {
-			butterflies(data[base:base+half], data[base+half:base+2*half], roots)
+			field.ButterflyVec(data[base:base+half], data[base+half:base+2*half], roots)
 		}
 	}
 }
@@ -183,7 +183,7 @@ func difCoreCtx(ctx context.Context, data []field.Element, inverse bool) error {
 		err := parallel.For(ctx, n/2, butterflyGrain, func(lo, hi int) {
 			forButterflySpans(lo, hi, h, func(block, j0, j1 int) {
 				base := block * 2 * h
-				butterflies(data[base+j0:base+j1], data[base+h+j0:base+h+j1], roots[j0:j1])
+				field.ButterflyVec(data[base+j0:base+j1], data[base+h+j0:base+h+j1], roots[j0:j1])
 			})
 		})
 		if err != nil {
@@ -195,31 +195,6 @@ func difCoreCtx(ctx context.Context, data []field.Element, inverse bool) error {
 			difCore(data[b*bs:(b+1)*bs], inverse)
 		}
 	})
-}
-
-// butterflies applies the DIF butterfly to every pair (x[j], y[j]) with
-// twiddle w[j]: x[j], y[j] = x[j]+y[j], (x[j]-y[j])·w[j]. Runs of eight
-// go to the vector kernel where there is one; the rest take the scalar
-// loop of butterfliesGeneric.
-//
-//unizklint:hotpath
-func butterflies(x, y, w []field.Element) {
-	k := butterfliesX8(x, y, w)
-	butterfliesGeneric(x[k:], y[k:len(x)], w[k:len(x)])
-}
-
-// butterfliesGeneric is butterflies one pair at a time: the path for
-// short runs and hosts without the vector kernel, and the reference the
-// kernel is tested against.
-//
-//unizklint:hotpath
-func butterfliesGeneric(x, y, w []field.Element) {
-	y, w = y[:len(x)], w[:len(x)]
-	for j, a := range x {
-		b := y[j]
-		x[j] = field.Add(a, b)
-		y[j] = field.Mul(field.Sub(a, b), w[j])
-	}
 }
 
 // forButterflySpans maps a flat butterfly index range [lo, hi) — b
@@ -334,11 +309,7 @@ func Columns(ctx context.Context, dst, src [][]field.Element, s Spec) error {
 // scale sets data[i] = data[i]·c.
 //
 //unizklint:hotpath
-func scale(data []field.Element, c field.Element) {
-	for i := mulConstX8(data, c); i < len(data); i++ {
-		data[i] = field.Mul(data[i], c)
-	}
-}
+func scale(data []field.Element, c field.Element) { field.ScaleVec(data, c, data) }
 
 // scaleCtx is scale fanned across the pool; each chunk owns a disjoint
 // index range.
@@ -355,12 +326,7 @@ func scaleCtx(ctx context.Context, data []field.Element, c field.Element) error 
 // scaleByTable sets data[i] = data[i]·table[i].
 //
 //unizklint:hotpath
-func scaleByTable(data, table []field.Element) {
-	table = table[:len(data)]
-	for i := mulX8(data, table); i < len(data); i++ {
-		data[i] = field.Mul(data[i], table[i])
-	}
-}
+func scaleByTable(data, table []field.Element) { field.MulVec(data, data, table) }
 
 // scaleByPowersCtx multiplies data[i] by c^i using the cached power
 // table for c: one multiply per element instead of two, and repeated

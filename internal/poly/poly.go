@@ -15,15 +15,6 @@ func Eval(coeffs []field.Element, x field.Element) field.Element {
 	return acc
 }
 
-// EvalExt evaluates a base-field coefficient vector at an extension point.
-func EvalExt(coeffs []field.Element, x field.Ext) field.Ext {
-	var acc field.Ext
-	for i := len(coeffs) - 1; i >= 0; i-- {
-		acc = field.ExtAdd(field.ExtMul(acc, x), field.FromBase(coeffs[i]))
-	}
-	return acc
-}
-
 // EvalExtCoeffs evaluates an extension-field coefficient vector at an
 // extension point.
 func EvalExtCoeffs(coeffs []field.Ext, x field.Ext) field.Ext {

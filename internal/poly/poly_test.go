@@ -8,6 +8,16 @@ import (
 	"unizk/internal/field"
 )
 
+// EvalExt evaluates a base-field coefficient vector at an extension
+// point by Horner's rule in the extension.
+func EvalExt(coeffs []field.Element, x field.Ext) field.Ext {
+	var acc field.Ext
+	for i := len(coeffs) - 1; i >= 0; i-- {
+		acc = field.ExtAdd(field.ExtMul(acc, x), field.FromBase(coeffs[i]))
+	}
+	return acc
+}
+
 func randVec(rng *rand.Rand, n int) []field.Element {
 	v := make([]field.Element, n)
 	for i := range v {

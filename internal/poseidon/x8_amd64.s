@@ -36,8 +36,8 @@
 #define CE Z28
 #define CF Z29
 
-// BEGIN lane arithmetic. internal/ntt/dif_amd64.s carries a copy of
-// this block; TestLaneMacrosMatch in internal/ntt fails if they differ.
+// BEGIN lane arithmetic. internal/field/vec_amd64.s carries a copy of
+// this block; TestLaneMacrosMatch in internal/field fails if they differ.
 #define EPS Z31
 #define T0 Z15
 #define T1 Z16
