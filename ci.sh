@@ -110,6 +110,17 @@ go test -race -run 'TestRef|TestCache|Vec' ./internal/field ./internal/ntt
 # or permutation divergence fail under its own name.
 go test -race -run 'Grind|Permute|MDS' ./internal/poseidon ./internal/fri
 
+# Verifier differential suite: the FRI verifier's parallel query loop
+# against its serial reference on tampered plonk and stark proofs at one,
+# two and seven workers and in serial mode (faults on both sides of a
+# chunk edge, twice in one chunk, in the last partial chunk), a panic in
+# a query chunk classified as CatchPanic classifies it, batched Merkle-path
+# verification against Verify, and the plonk and stark verifiers' own
+# rejection tests, under the race detector. The full -race run below
+# repeats it; this step makes a verifier divergence fail under its own
+# name.
+go test -race -run 'Verify' ./internal/fri ./internal/merkle ./internal/plonk ./internal/stark
+
 # Portable hash and NTT path: on an AVX-512 host the batched permutation
 # and the field slice layer (NTT butterflies and scalings, the constraint
 # program, the quotient and FRI's reduce) run in assembly, so this step

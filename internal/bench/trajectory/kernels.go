@@ -9,6 +9,7 @@ import (
 	"unizk/internal/constraint"
 	"unizk/internal/field"
 	"unizk/internal/fri"
+	"unizk/internal/jobs"
 	"unizk/internal/merkle"
 	"unizk/internal/ntt"
 	"unizk/internal/plonk"
@@ -76,6 +77,8 @@ func Kernels() []Kernel {
 		Kernel{Name: "plonk/quotient/mvm-2^11", Bench: benchPlonkQuotient},
 		Kernel{Name: "witness/mvm-2^11", Bench: benchPlonkWitness},
 		Kernel{Name: "stark/quotient/sha-2^12", Bench: benchStarkQuotient},
+		Kernel{Name: "plonk/verify/mvm-2^11", Bench: func(b *testing.B) { benchVerify(b, plonkVerifyCase) }},
+		Kernel{Name: "stark/verify/sha-2^12", Bench: func(b *testing.B) { benchVerify(b, starkVerifyCase) }},
 		Kernel{Name: "plonk/prove/fib-40", Bench: benchPlonkProve},
 		Kernel{Name: "stark/prove/fib-2^10", Bench: benchStarkProve},
 	)
@@ -245,6 +248,54 @@ func benchStarkQuotient(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := quotient(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// verifyCase is a verify row's fixture: a compiled job and the
+// wire-encoded result of one proof of it.
+type verifyCase struct {
+	job *jobs.Job
+	raw []byte
+}
+
+// proveOnce compiles and proves req on first use, as the repository
+// benchmark's prove-merkle workload does.
+func proveOnce(req jobs.Request) func() (verifyCase, error) {
+	return sync.OnceValues(func() (verifyCase, error) {
+		j, err := jobs.Compile(&req)
+		if err != nil {
+			return verifyCase{}, err
+		}
+		res, err := j.Prove(context.Background())
+		if err != nil {
+			return verifyCase{}, err
+		}
+		raw, err := res.MarshalBinary()
+		return verifyCase{job: j, raw: raw}, err
+	})
+}
+
+var (
+	plonkVerifyCase = proveOnce(jobs.Request{Kind: jobs.KindPlonk, Workload: "MVM", LogRows: 11})
+	starkVerifyCase = proveOnce(jobs.Request{Kind: jobs.KindStark, Workload: "SHA-256", LogRows: 12})
+)
+
+// benchVerify times what the repository benchmark's verify times on one
+// fixed proof: decoding the wire-encoded result, then Job.Check.
+func benchVerify(b *testing.B, fixture func() (verifyCase, error)) {
+	vc, err := fixture()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var res jobs.Result
+		if err := res.UnmarshalBinary(vc.raw); err != nil {
+			b.Fatal(err)
+		}
+		if err := vc.job.Check(&res); err != nil {
 			b.Fatal(err)
 		}
 	}

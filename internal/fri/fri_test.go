@@ -11,6 +11,7 @@ import (
 	"unizk/internal/parallel"
 	"unizk/internal/poly"
 	"unizk/internal/poseidon"
+	"unizk/internal/prooferr"
 	"unizk/internal/trace"
 )
 
@@ -300,6 +301,45 @@ func TestShapeOKGatesBatching(t *testing.T) {
 		mutate(&r)
 		if shapeOK(f.voracle, r, numLayers, logM, f.cfg) {
 			t.Errorf("%s: misshapen query passes the shape gate", name)
+		}
+	}
+}
+
+// TestVerifyQueryChunkPanicIsClassified checks that a panic inside a chunk of
+// the query loop reaches the caller as prooferr.CatchPanic reports one on
+// the calling goroutine, with the pool at one, two and seven workers and
+// in serial mode. The phase's one point group names an oracle the phase
+// lacks, which Verify's shape checks never let through, so every query's
+// combine step indexes past its rows.
+func TestVerifyQueryChunkPanicIsClassified(t *testing.T) {
+	prev := parallel.Workers()
+	defer func() { parallel.SetSerial(false); parallel.SetWorkers(prev) }()
+
+	const n = 20 // two full chunks and a partial one
+	qp := &queryPhase{
+		groups: []PointGroup{{Oracles: []int{0}}},
+		proof:  &Proof{QueryRounds: make([]QueryRound, n)},
+		idxs:   make([]int, n),
+		w:      field.One,
+	}
+	want := func() (err error) {
+		defer prooferr.CatchPanic(&err, "fri")
+		var rows []OracleRow
+		_ = rows[0].Values
+		return nil
+	}()
+	for _, m := range []struct {
+		workers int
+		serial  bool
+	}{{1, false}, {2, false}, {7, false}, {prev, true}} {
+		parallel.SetWorkers(m.workers)
+		parallel.SetSerial(m.serial)
+		err := qp.run()
+		if err == nil || err.Error() != want.Error() {
+			t.Fatalf("workers=%d serial=%v: got %v, want %v", m.workers, m.serial, err, want)
+		}
+		if !errors.Is(err, prooferr.ErrPanicRecovered) || prooferr.Class(err) != "malformed" {
+			t.Fatalf("workers=%d serial=%v: %v is not a classified recovered panic", m.workers, m.serial, err)
 		}
 	}
 }

@@ -1,11 +1,14 @@
 package fri
 
 import (
+	"context"
+	"errors"
 	"fmt"
 
 	"unizk/internal/field"
 	"unizk/internal/merkle"
 	"unizk/internal/ntt"
+	"unizk/internal/parallel"
 	"unizk/internal/poly"
 	"unizk/internal/poseidon"
 	"unizk/internal/prooferr"
@@ -126,24 +129,87 @@ func Verify(oracles []VerifierOracle, groups []PointGroup, opened OpenedValues,
 	}
 
 	// The query indices depend on the transcript only, so all of them are
-	// sampled before any Merkle path is checked. The paths are then
-	// checked in batches, and the walk below replays the one-query-at-a-
-	// time checks in their order, looking up each path's verdict.
-	idxs := make([]int, len(proof.QueryRounds))
-	for q := range idxs {
-		idxs[q] = int(ch.SampleBits(logM))
+	// sampled before any query is checked.
+	qp := &queryPhase{oracles: oracles, groups: groups, proof: proof, betas: betas,
+		idxs: make([]int, len(proof.QueryRounds)), logM: logM, w: field.PrimitiveRootOfUnity(logM), cfg: cfg}
+	qp.powA, qp.powB, qp.ys = openingTables(groups, opened, alpha)
+	for q := range qp.idxs {
+		qp.idxs[q] = int(ch.SampleBits(logM))
 	}
-	paths, err := batchPaths(oracles, proof, idxs, logM, cfg)
-	if err != nil {
-		return fmt.Errorf("%w: merkle batch: %v", ErrProofInvalid, err)
-	}
+	return qp.run()
+}
 
-	w := field.PrimitiveRootOfUnity(logM)
-	for q, round := range proof.QueryRounds {
-		idx := idxs[q]
-		if err := verifyQuery(oracles, groups, opened, proof, round,
-			alpha, betas, q, idx, logM, w, cfg, paths); err != nil {
-			return fmt.Errorf("query %d (index %d): %w", q, idx, err)
+// run checks the queries in chunks of queryGrain across the worker pool,
+// each chunk stopping at its first failure, and returns the lowest-indexed
+// failure: the one a one-query-at-a-time verifier would return.
+func (qp *queryPhase) run() error {
+	fails := make([]error, (len(qp.idxs)+queryGrain-1)/queryGrain)
+	err := parallel.For(context.Background(), len(qp.idxs), queryGrain, func(lo, hi int) {
+		fails[lo/queryGrain] = qp.check(lo, hi)
+	})
+	for _, f := range fails {
+		if err == nil {
+			err = f
+		}
+	}
+	// A panic in a chunk, or in a chunk's merkle.VerifyBatch, comes back
+	// as a *parallel.PanicError: report it as CatchPanic reports one.
+	var pe *parallel.PanicError
+	if errors.As(err, &pe) {
+		return prooferr.Recovered("fri", pe.Value)
+	}
+	return err
+}
+
+// queryGrain is the number of queries one chunk of the query loop checks:
+// one batched permutation call covers a chunk's openings of one oracle or
+// one fold layer.
+const queryGrain = 8
+
+// queryPhase is what every chunk of the query loop reads: the oracles,
+// the opening tables, the fold challenges and the sampled query indices.
+type queryPhase struct {
+	oracles    []VerifierOracle
+	groups     []PointGroup
+	proof      *Proof
+	powA, powB []field.Element // see openingTables
+	ys         []field.Ext
+	betas      []field.Ext
+	idxs       []int
+	logM       int
+	w          field.Element // the LDE domain's generator
+	cfg        Config
+}
+
+// openingTables returns α^0, α^1, … split into their base and ω parts,
+// one power per opened value in the order a query combines its rows
+// (group by group, oracle by oracle), and each group's Σ α^k·y_k over its
+// opened values y_k, which is the same for every query.
+func openingTables(groups []PointGroup, opened OpenedValues, alpha field.Ext) (powA, powB []field.Element, ys []field.Ext) {
+	ys = make([]field.Ext, len(groups))
+	pow := field.ExtOne
+	for gi := range groups {
+		for _, vals := range opened[gi] {
+			for _, y := range vals {
+				powA, powB = append(powA, pow.A), append(powB, pow.B)
+				ys[gi] = field.ExtAdd(ys[gi], field.ExtMul(pow, y))
+				pow = field.ExtMul(pow, alpha)
+			}
+		}
+	}
+	return powA, powB, ys
+}
+
+// check verifies queries [lo, hi): their Merkle paths in batches, then
+// each query's checks in query order. It returns the first failure.
+func (qp *queryPhase) check(lo, hi int) error {
+	paths, err := qp.batchPaths(lo, hi)
+	if err != nil {
+		return err
+	}
+	for q := lo; q < hi; q++ {
+		if err := qp.verifyQuery(q, paths); err != nil {
+			return fmt.Errorf("query %d (index %d): %w", q, qp.idxs[q], err)
 		}
 	}
 	return nil
@@ -178,52 +244,55 @@ func shapeOK(oracles []VerifierOracle, round QueryRound, numLayers, logM int, cf
 	return true
 }
 
-// pathVerdicts holds the batched Merkle verdicts of a proof's query
-// phase. Batch b is oracle b, then fold layer b-len(oracles); lane[q] is
-// query q's opening in every batch, or -1 when the query failed a shape
-// check and was left out.
+// pathVerdicts holds the batched Merkle verdicts of one chunk of queries
+// starting at query lo. Batch b is oracle b, then fold layer
+// b-len(oracles); lane[q-lo] is query q's opening in every batch, or -1
+// when the query failed a shape check and was left out.
 type pathVerdicts struct {
-	lane []int
-	ok   [][]bool
+	lo   int
+	lane [queryGrain]int
+	ok   [][queryGrain]bool
 }
 
-// batchPaths checks every Merkle opening of the queries that pass their
-// shape checks, with one merkle.VerifyBatch call per oracle and one per
-// fold layer. Leaving out misshapen queries means a malformed proof
-// cannot make the verifier hash before the replay rejects its shape.
-func batchPaths(oracles []VerifierOracle, proof *Proof, idxs []int, logM int, cfg Config) (*pathVerdicts, error) {
-	numLayers := len(proof.CommitPhaseCaps)
-	pv := &pathVerdicts{lane: make([]int, len(idxs)), ok: make([][]bool, len(oracles)+numLayers)}
-	var qs []int
-	for q, round := range proof.QueryRounds {
-		pv.lane[q] = -1
-		if shapeOK(oracles, round, numLayers, logM, cfg) {
-			pv.lane[q] = len(qs)
-			qs = append(qs, q)
+// batchPaths checks every Merkle opening of the queries in [lo, hi) that
+// pass their shape checks, with one merkle.VerifyBatch call per oracle
+// and one per fold layer. Leaving out misshapen queries means a malformed
+// proof cannot make the verifier hash before the walk rejects its shape.
+// It returns merkle.VerifyBatch's error, a recovered panic.
+func (qp *queryPhase) batchPaths(lo, hi int) (*pathVerdicts, error) {
+	proof := qp.proof
+	pv := &pathVerdicts{lo: lo, ok: make([][queryGrain]bool, len(qp.oracles)+len(proof.CommitPhaseCaps))}
+	var (
+		qs     [queryGrain]int
+		ops    [queryGrain]merkle.Opening
+		leaves [4 * queryGrain]field.Element
+	)
+	n := 0
+	for q := lo; q < hi; q++ {
+		pv.lane[q-lo] = -1
+		if shapeOK(qp.oracles, proof.QueryRounds[q], len(proof.CommitPhaseCaps), qp.logM, qp.cfg) {
+			pv.lane[q-lo] = n
+			qs[n] = q
+			n++
 		}
 	}
-	ops := make([]merkle.Opening, len(qs))
-	for oi, o := range oracles {
-		for j, q := range qs {
+	for oi, o := range qp.oracles {
+		for j, q := range qs[:n] {
 			row := proof.QueryRounds[q].OracleRows[oi]
-			ops[j] = merkle.Opening{Leaf: row.Values, Index: idxs[q], Proof: row.Proof}
+			ops[j] = merkle.Opening{Leaf: row.Values, Index: qp.idxs[q], Proof: row.Proof}
 		}
-		pv.ok[oi] = make([]bool, len(qs))
-		if err := merkle.VerifyBatch(o.Cap, ops, pv.ok[oi]); err != nil {
+		if err := merkle.VerifyBatch(o.Cap, ops[:n], pv.ok[oi][:]); err != nil {
 			return nil, err
 		}
 	}
-	leaves := make([]field.Element, 4*len(qs))
 	for t, c := range proof.CommitPhaseCaps {
-		for j, q := range qs {
-			pair := proof.QueryRounds[q].Steps[t].Pair
+		for j, q := range qs[:n] {
+			step := proof.QueryRounds[q].Steps[t]
 			leaf := leaves[4*j : 4*j+4]
-			leaf[0], leaf[1], leaf[2], leaf[3] = pair[0].A, pair[0].B, pair[1].A, pair[1].B
-			ops[j] = merkle.Opening{Leaf: leaf, Index: idxs[q] >> (t + 1),
-				Proof: proof.QueryRounds[q].Steps[t].Proof}
+			leaf[0], leaf[1], leaf[2], leaf[3] = step.Pair[0].A, step.Pair[0].B, step.Pair[1].A, step.Pair[1].B
+			ops[j] = merkle.Opening{Leaf: leaf, Index: qp.idxs[q] >> (t + 1), Proof: step.Proof}
 		}
-		pv.ok[len(oracles)+t] = make([]bool, len(qs))
-		if err := merkle.VerifyBatch(c, ops, pv.ok[len(oracles)+t]); err != nil {
+		if err := merkle.VerifyBatch(c, ops[:n], pv.ok[len(qp.oracles)+t][:]); err != nil {
 			return nil, err
 		}
 	}
@@ -233,7 +302,7 @@ func batchPaths(oracles []VerifierOracle, proof *Proof, idxs []int, logM int, cf
 // verify returns batch b's verdict on query q's opening as merkle.Verify
 // would, and calls merkle.Verify for a query the batches left out.
 func (pv *pathVerdicts) verify(q, b int, leaf []field.Element, index int, p merkle.Proof, c merkle.Cap) error {
-	lane := pv.lane[q]
+	lane := pv.lane[q-pv.lo]
 	if lane < 0 {
 		return merkle.Verify(leaf, index, p, c)
 	}
@@ -243,17 +312,19 @@ func (pv *pathVerdicts) verify(q, b int, leaf []field.Element, index int, p merk
 	return nil
 }
 
-func verifyQuery(oracles []VerifierOracle, groups []PointGroup, opened OpenedValues,
-	proof *Proof, round QueryRound, alpha field.Ext, betas []field.Ext,
-	q, idx, logM int, w field.Element, cfg Config, paths *pathVerdicts) error {
+// halfOne is 1/2, which turns 1/x into 1/(2x) in the fold.
+var halfOne = field.Inverse(field.New(2))
 
+func (qp *queryPhase) verifyQuery(q int, paths *pathVerdicts) error {
+	oracles, proof, idx, logM := qp.oracles, qp.proof, qp.idxs[q], qp.logM
+	round := proof.QueryRounds[q]
 	if len(round.OracleRows) != len(oracles) {
 		return fmt.Errorf("%w: %d oracle rows, want %d",
 			ErrProofShape, len(round.OracleRows), len(oracles))
 	}
-	if len(round.Steps) != len(betas) {
+	if len(round.Steps) != len(qp.betas) {
 		return fmt.Errorf("%w: %d fold steps, want %d",
-			ErrProofShape, len(round.Steps), len(betas))
+			ErrProofShape, len(round.Steps), len(qp.betas))
 	}
 
 	// Authenticate the oracle rows.
@@ -272,67 +343,64 @@ func verifyQuery(oracles []VerifierOracle, groups []PointGroup, opened OpenedVal
 		}
 	}
 
-	// Recompute the combined value F(x_idx) from the authenticated rows.
+	// Recompute the combined value F(x) at the query's point x from the
+	// authenticated rows.
 	x := field.Mul(field.MultiplicativeGenerator,
-		field.Exp(w, uint64(ntt.BitReverse(idx, logM))))
+		field.Exp(qp.w, uint64(ntt.BitReverse(idx, logM))))
 	v := field.ExtZero
-	alphaPow := field.ExtOne
-	for gi, g := range groups {
+	k := 0
+	for gi, g := range qp.groups {
+		// b = Σ α^k·r_k over the group's row values, as two dot products.
 		b := field.ExtZero
-		y := field.ExtZero
-		for ki, oi := range g.Oracles {
-			for pi, rv := range round.OracleRows[oi].Values {
-				b = field.ExtAdd(b, field.ExtScalarMul(rv, alphaPow))
-				y = field.ExtAdd(y, field.ExtMul(alphaPow, opened[gi][ki][pi]))
-				alphaPow = field.ExtMul(alphaPow, alpha)
-			}
+		for _, oi := range g.Oracles {
+			row := round.OracleRows[oi].Values
+			b.A = field.Add(b.A, field.Dot(row, qp.powA[k:k+len(row)]))
+			b.B = field.Add(b.B, field.Dot(row, qp.powB[k:k+len(row)]))
+			k += len(row)
 		}
 		diff := field.ExtSub(field.FromBase(x), g.Point)
 		if diff.IsZero() {
 			return fmt.Errorf("%w: opening point lies on the LDE domain", ErrProofInvalid)
 		}
-		v = field.ExtAdd(v, field.ExtMul(field.ExtSub(b, y), field.ExtInverse(diff)))
+		v = field.ExtAdd(v, field.ExtMul(field.ExtSub(b, qp.ys[gi]), field.ExtInverse(diff)))
 	}
 
-	// Walk the fold layers.
+	// Walk the fold layers. At every layer the query's pair sits at the
+	// points (x_k, −x_k), x_k being the query's point x at an even index
+	// and −x at an odd one, and the next layer's point is x²: so x and 1/x
+	// are squared from layer to layer.
+	xInv := field.Inverse(x)
 	i := idx
-	size := 1 << logM
-	shift := field.MultiplicativeGenerator
 	for t, step := range round.Steps {
-		k := i >> 1
 		if step.Pair[i&1] != v {
 			return fmt.Errorf("%w: fold layer %d value mismatch", ErrProofInvalid, t)
 		}
-		leaf := []field.Element{step.Pair[0].A, step.Pair[0].B,
-			step.Pair[1].A, step.Pair[1].B}
-		half := size / 2
-		wantSiblings := stepSiblings(cfg, logM, t)
+		leaf := [4]field.Element{step.Pair[0].A, step.Pair[0].B, step.Pair[1].A, step.Pair[1].B}
+		wantSiblings := stepSiblings(qp.cfg, logM, t)
 		if len(step.Proof.Siblings) != wantSiblings {
 			return fmt.Errorf("%w: layer %d proof length %d, want %d",
 				ErrProofShape, t, len(step.Proof.Siblings), wantSiblings)
 		}
-		if err := paths.verify(q, len(oracles)+t, leaf, k, step.Proof, proof.CommitPhaseCaps[t]); err != nil {
+		if err := paths.verify(q, len(oracles)+t, leaf[:], i>>1, step.Proof, proof.CommitPhaseCaps[t]); err != nil {
 			return fmt.Errorf("%w: fold layer %d: %v", ErrProofInvalid, t, err)
 		}
-		// Fold: v' = [x·(a+b) + β·(a−b)] / (2x).
-		wl := field.PrimitiveRootOfUnity(ntt.Log2(size))
-		xk := field.Mul(shift, field.Exp(wl, uint64(ntt.BitReverse(k, ntt.Log2(size)-1))))
+		// Fold: v' = [x_k·(a+b) + β·(a−b)] / (2x_k).
+		xk, inv2xk := x, field.Mul(xInv, halfOne)
+		if i&1 == 1 {
+			xk, inv2xk = field.Neg(xk), field.Neg(inv2xk)
+		}
 		a, bv := step.Pair[0], step.Pair[1]
 		num := field.ExtAdd(
 			field.ExtScalarMul(xk, field.ExtAdd(a, bv)),
-			field.ExtMul(betas[t], field.ExtSub(a, bv)))
-		v = field.ExtScalarMul(field.Inverse(field.Double(xk)), num)
+			field.ExtMul(qp.betas[t], field.ExtSub(a, bv)))
+		v = field.ExtScalarMul(inv2xk, num)
 
-		i = k
-		size = half
-		shift = field.Square(shift)
+		i >>= 1
+		x, xInv = field.Square(x), field.Square(xInv)
 	}
 
 	// The folded value must match the final polynomial.
-	wf := field.PrimitiveRootOfUnity(ntt.Log2(size))
-	xf := field.Mul(shift, field.Exp(wf, uint64(ntt.BitReverse(i, ntt.Log2(size)))))
-	want := poly.EvalExtCoeffs(proof.FinalPoly, field.FromBase(xf))
-	if v != want {
+	if v != poly.EvalExtCoeffs(proof.FinalPoly, field.FromBase(x)) {
 		return fmt.Errorf("%w: final polynomial mismatch", ErrProofInvalid)
 	}
 	return nil

@@ -10,6 +10,7 @@ import (
 	"unizk/internal/fri"
 	"unizk/internal/merkle"
 	"unizk/internal/ntt"
+	"unizk/internal/parallel"
 	"unizk/internal/plonk"
 	"unizk/internal/poly"
 	"unizk/internal/poseidon"
@@ -18,9 +19,10 @@ import (
 )
 
 // refVerify is the FRI verifier as it was before the Merkle paths were
-// batched: each query samples its index, then checks its rows and fold
-// steps one merkle.Verify at a time. fri.Verify must return exactly its
-// error on every proof.
+// batched and the queries split into chunks: each query samples its
+// index, then checks its rows and fold steps one merkle.Verify at a time,
+// and computes every fold point with Exp and Inverse. fri.Verify must
+// return exactly its error on every proof.
 func refVerify(oracles []fri.VerifierOracle, groups []fri.PointGroup, opened fri.OpenedValues,
 	proof *fri.Proof, ch *poseidon.Challenger, cfg fri.Config, logN int) (err error) {
 
@@ -405,9 +407,12 @@ type tamper struct {
 // tampers returns the changes the error-identity test applies: every part
 // of the proof, in the first and last oracle and layer, in early and late
 // queries, and pairs of faults in different queries (or in one query) in
-// both orders, so "first failing check wins" is pinned.
+// both orders, so "first failing check wins" is pinned. The verifier
+// checks queries in chunks of eight, so faults also sit on either side of
+// the first chunk edge, twice inside one chunk, and in the last query,
+// which ends the last (for 28 and 84 queries, partial) chunk.
 func tampers(numOracles, numLayers, numQueries int) []tamper {
-	early, late := 1, numQueries-2
+	early, late, last := 1, numQueries-2, numQueries-1
 	lastO, lastL := numOracles-1, numLayers-1
 	rowValue := func(q, oi int) func(*fri.Proof) {
 		return func(p *fri.Proof) {
@@ -474,6 +479,16 @@ func tampers(numOracles, numLayers, numQueries int) []tamper {
 		{"row value early, path length late", both(rowValue(early, 0), rowPath(late, lastO))},
 		{"path length early, row value late", both(rowPath(early, lastO), rowValue(late, 0))},
 		{"row sibling and row width in one query", both(rowSibling(early, 0), rowWidth(early, lastO))},
+		{"row sibling, last query", rowSibling(last, lastO)},
+		{"row width, last query", rowWidth(last, 0)},
+		{"row sibling and path length in one chunk", both(rowSibling(2, 0), rowPath(5, lastO))},
+		{"path length and row value in one chunk", both(rowPath(2, 0), rowValue(5, lastO))},
+	}
+	if numQueries > 8 {
+		ts = append(ts,
+			tamper{"row value before the chunk edge, path length after", both(rowValue(7, 0), rowPath(8, 0))},
+			tamper{"path length before the chunk edge, row sibling after", both(rowPath(7, lastO), rowSibling(8, lastO))},
+		)
 	}
 	if numLayers == 0 {
 		return ts
@@ -500,6 +515,8 @@ func tampers(numOracles, numLayers, numQueries int) []tamper {
 		tamper{"step sibling early, fold pair late", both(stepSibling(early, 0), foldPair(late, 0, 0))},
 		tamper{"fold pair early, step path late", both(foldPair(early, lastL, 1), stepPath(late, lastL))},
 		tamper{"step path early, row sibling late", both(stepPath(early, lastL), rowSibling(late, lastO))},
+		tamper{"fold pair, last query", foldPair(last, lastL, 0)},
+		tamper{"step sibling and fold pair in one chunk", both(stepSibling(3, 0), foldPair(6, lastL, 1))},
 	)
 }
 
@@ -517,10 +534,20 @@ func errClass(err error) string {
 }
 
 // TestVerifyMatchesSerialReference tampers with honest plonk and stark
-// proofs and checks that fri.Verify, which batches every Merkle path of
-// the query phase, returns the serial reference's exact error string and
-// class on each, and accepts the honest proofs as it does.
+// proofs and checks that fri.Verify, which checks its queries in chunks
+// across the worker pool and batches each chunk's Merkle paths, returns
+// the serial reference's exact error string and class on each, and
+// accepts the honest proofs as it does, with the pool at one, two and
+// seven workers and in serial mode.
 func TestVerifyMatchesSerialReference(t *testing.T) {
+	prev := parallel.Workers()
+	defer func() { parallel.SetSerial(false); parallel.SetWorkers(prev) }()
+	modes := []struct {
+		name    string
+		workers int
+		serial  bool
+	}{{"workers=1", 1, false}, {"workers=2", 2, false}, {"workers=7", 7, false}, {"serial", prev, true}}
+
 	plonky := fri.PlonkyConfig()
 	plonky.ProofOfWorkBits = 8
 	starky := fri.StarkyConfig()
@@ -532,24 +559,28 @@ func TestVerifyMatchesSerialReference(t *testing.T) {
 		starkInstance(t, starky, 8),
 	}
 	for _, in := range instances {
-		verify := func(p *fri.Proof) (got, want error) {
-			got = fri.Verify(in.oracles, in.groups, in.opened, p, in.transcript(), in.cfg, in.logN)
-			want = refVerify(in.oracles, in.groups, in.opened, p, in.transcript(), in.cfg, in.logN)
-			return got, want
+		check := func(what string, p *fri.Proof, want error) {
+			for _, m := range modes {
+				parallel.SetWorkers(m.workers)
+				parallel.SetSerial(m.serial)
+				got := fri.Verify(in.oracles, in.groups, in.opened, p, in.transcript(), in.cfg, in.logN)
+				if (got == nil) != (want == nil) || got != nil && (got.Error() != want.Error() || errClass(got) != errClass(want)) {
+					t.Errorf("%s: %s, %s:\n got  %s %v\n want %s %v", in.name, what, m.name, errClass(got), got, errClass(want), want)
+				}
+			}
 		}
-		if got, want := verify(in.proof); got != nil || want != nil {
-			t.Fatalf("%s: honest proof: fri.Verify %v, reference %v", in.name, got, want)
+		if want := refVerify(in.oracles, in.groups, in.opened, in.proof, in.transcript(), in.cfg, in.logN); want != nil {
+			t.Fatalf("%s: the reference rejects the honest proof: %v", in.name, want)
 		}
+		check("honest proof", in.proof, nil)
 		for _, tc := range tampers(len(in.oracles), len(in.proof.CommitPhaseCaps), len(in.proof.QueryRounds)) {
 			p := cloneProof(in.proof)
 			tc.fn(p)
-			got, want := verify(p)
+			want := refVerify(in.oracles, in.groups, in.opened, p, in.transcript(), in.cfg, in.logN)
 			if want == nil {
 				t.Fatalf("%s: %s: the reference accepts the tampered proof", in.name, tc.name)
 			}
-			if got == nil || got.Error() != want.Error() || errClass(got) != errClass(want) {
-				t.Errorf("%s: %s:\n got  %s %v\n want %s %v", in.name, tc.name, errClass(got), got, errClass(want), want)
-			}
+			check(tc.name, p, want)
 		}
 	}
 }

@@ -61,8 +61,10 @@ type Proof struct {
 // hashGrain is the number of Poseidon hashes per worker chunk: a
 // multiple of the eight hashes one batched permutation call computes,
 // large enough that chunk claiming is noise next to the chunk's eight
-// calls (about 1µs per permutation on the AVX-512 backend, 3-4µs
-// portable), small enough to load-balance mid-size levels.
+// calls, small enough to load-balance mid-size levels. On 2-core
+// AVX-512 hosts BenchmarkPermuteX8 measured 3.2µs per call at 3.9 GHz
+// and 6.0µs at 2.1 GHz, 0.4 to 0.75µs per permutation; the portable
+// loop, 38µs per call at 2.1 GHz, costs about 5µs per permutation.
 const hashGrain = 64
 
 // Build constructs a tree over the given leaves. The number of leaves must
@@ -217,16 +219,19 @@ func VerifyBatch(c Cap, ops []Opening, ok []bool) error {
 
 // minSIMDLanes is the smallest chunk verifyChunk hashes with the batched
 // permutation.
-const minSIMDLanes = 4
+const minSIMDLanes = 2
 
 // verifyChunk is VerifyBatch on at most eight openings. A chunk whose
 // path lengths differ, which only a malformed proof produces, and a chunk
 // of fewer than minSIMDLanes, are checked one opening at a time with
 // Verify; leaves of differing widths HashOrNoopBatch itself hashes one at
 // a time. On the SIMD backend a chunk of minSIMDLanes or more runs as a
-// full eight-lane call, the idle lanes repeating the last live one: one
-// such call costs about three scalar permutations. On the portable loop
-// only the live lanes run, since each lane costs a permutation anyway.
+// full eight-lane call, the idle lanes repeating the last live one. One
+// such call costs 1.3 to 1.7 scalar permutations (BenchmarkPermuteX8
+// against BenchmarkPermute on 2-core AVX-512 hosts: 3.2 against 1.94µs
+// at 3.9 GHz, 6.0 against 4.5µs at 2.1 GHz), so two live lanes already
+// come out ahead. On the portable loop only the live lanes run, since
+// each lane costs a permutation anyway.
 //
 //unizklint:hotpath
 func verifyChunk(c Cap, ops []Opening, ok []bool) {

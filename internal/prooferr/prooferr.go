@@ -47,8 +47,15 @@ var ErrPanicRecovered = errors.New("panic during verification")
 // a structural check is missing.
 func CatchPanic(errp *error, scope string) {
 	if r := recover(); r != nil {
-		*errp = fmt.Errorf("%s: %w (%v): %w", scope, ErrPanicRecovered, r, ErrMalformedProof)
+		*errp = Recovered(scope, r)
 	}
+}
+
+// Recovered is the error CatchPanic reports for the panic value r. A
+// Verify that recovers a panic elsewhere, as the worker pool does in its
+// chunks, reports it with Recovered so it reads and classifies the same.
+func Recovered(scope string, r any) error {
+	return fmt.Errorf("%s: %w (%v): %w", scope, ErrPanicRecovered, r, ErrMalformedProof)
 }
 
 // Class returns a short human-readable label for an error's taxonomy
