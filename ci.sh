@@ -171,6 +171,11 @@ go test -run='^$' -fuzz='^FuzzForCoverage$' -fuzztime=10s ./internal/parallel
 go test -run='^$' -fuzz='^FuzzPermute$' -fuzztime=20s ./internal/poseidon
 go test -run='^$' -fuzz='^FuzzPermuteX8$' -fuzztime=20s ./internal/poseidon
 go test -run='^$' -fuzz='^FuzzDIFButterfliesX8$' -fuzztime=20s ./internal/ntt
+# Commit path fuzz: the NTT's last three layers on eight lanes against
+# the scalar butterflies, and Merkle leaves hashed straight from columns
+# against HashOrNoopBatch over the transposed rows.
+go test -run='^$' -fuzz='^FuzzDIF8Vec$' -fuzztime=20s ./internal/ntt
+go test -run='^$' -fuzz='^FuzzHashColumnsBatch$' -fuzztime=20s ./internal/poseidon
 go test -run='^$' -fuzz='^FuzzVec$' -fuzztime=20s ./internal/field
 go test -run='^$' -fuzz='^FuzzVerifyBatch$' -fuzztime=20s ./internal/merkle
 go test -run='^$' -fuzz='^FuzzConstraintProgram$' -fuzztime=20s ./internal/constraint

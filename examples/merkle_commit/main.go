@@ -1,6 +1,6 @@
 // Merkle commitment walkthrough: the three FRI commitment steps of paper
 // Fig. 1 right — iNTT^NN to coefficients, low degree extension with
-// NTT^NR on the coset, Merkle tree over index-major rows — followed by a
+// NTT^NR on the coset, Merkle tree over the LDE's rows — followed by a
 // leaf audit (the verifier querying a random leaf and checking the
 // authentication path, §2.2).
 package main
@@ -44,7 +44,7 @@ func main() {
 	// The verifier queries a random leaf; the prover answers with the
 	// row values and the authentication path from leaf to cap.
 	index := rng.Intn(batch.Tree.NumLeaves())
-	row, proof := batch.Tree.Open(index)
+	row, proof := batch.Row(index), batch.Tree.Open(index)
 	fmt.Printf("opened leaf %d: %d values, %d path siblings\n",
 		index, len(row), len(proof.Siblings))
 

@@ -103,11 +103,21 @@ func TestKernelAllocs(t *testing.T) {
 		}
 		digests := make([]poseidon.HashOut, len(wide))
 		pinZero(t, "poseidon.HashOrNoopBatch", func() { poseidon.HashOrNoopBatch(wide, digests) })
+		// The same leaves column-major, as a commitment hashes its LDE:
+		// two whole chunks and a scalar tail of three.
+		cols := make([][]field.Element, 32)
+		for i := range cols {
+			cols[i] = make([]field.Element, len(wide))
+			for j, row := range wide {
+				cols[i][j] = row[i]
+			}
+		}
+		pinZero(t, "poseidon.HashColumnsBatch", func() { poseidon.HashColumnsBatch(cols, 0, 19, digests[:19]) })
 		nodes := make([]poseidon.HashOut, len(digests)/2)
 		pinZero(t, "poseidon.TwoToOneBatch", func() { poseidon.TwoToOneBatch(digests, nodes) })
 
 		tree := merkle.Build(leaves, 1)
-		leaf, proof := tree.Open(13)
+		leaf, proof := leaves[13], tree.Open(13)
 		cap := tree.Cap()
 		pinZero(t, "merkle.Verify", func() {
 			if err := merkle.Verify(leaf, 13, proof, cap); err != nil {
@@ -128,8 +138,7 @@ func TestKernelAllocs(t *testing.T) {
 		ops := make([]merkle.Opening, 28)
 		for q := range ops {
 			idx := (q * 37) % len(rows)
-			l, p := rowTree.Open(idx)
-			ops[q] = merkle.Opening{Leaf: l, Index: idx, Proof: p}
+			ops[q] = merkle.Opening{Leaf: rows[idx], Index: idx, Proof: rowTree.Open(idx)}
 		}
 		ok := make([]bool, len(ops))
 		rowCap := rowTree.Cap()

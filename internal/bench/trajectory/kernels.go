@@ -62,6 +62,7 @@ func Kernels() []Kernel {
 	}
 	ks = append(ks,
 		Kernel{Name: "ntt/lde/2^11x48-rate3", Bench: benchLDEColumns},
+		Kernel{Name: "fri/commit/2^11x48-rate3", Bench: benchFRICommit},
 		Kernel{Name: "poseidon/permute", Bench: benchPermute},
 		Kernel{Name: "poseidon/permute-x8", Bench: benchPermuteX8},
 		Kernel{Name: "poseidon/hash-no-pad/32", Bench: benchHashNoPad},
@@ -147,25 +148,57 @@ func benchNTT(b *testing.B, logN int, spec ntt.Spec) {
 	}
 }
 
+// wiresN, wiresCols and wiresRateBits are the shape of plonk's wires commitment on an MVM 2^11
+// proof: 48 columns of 2^11 coefficients at the rate-3 blowup.
+const wiresN, wiresCols, wiresRateBits = 1 << 11, 48, 3
+
+// wiresCoeffs returns fixed coefficient columns of the wires shape.
+func wiresCoeffs() [][]field.Element {
+	src := make([][]field.Element, wiresCols)
+	for i := range src {
+		src[i] = make([]field.Element, wiresN)
+		for j := range src[i] {
+			src[i][j] = field.New(uint64(i*wiresN+j)*0x9e3779b9 + 12345)
+		}
+	}
+	return src
+}
+
 // benchLDEColumns is the LDE of plonk's wires commitment on an MVM 2^11
 // proof: 48 columns of 2^11 coefficients extended by the rate-3 blowup
 // onto the coset, bit-reversed, through ntt.Columns.
 func benchLDEColumns(b *testing.B) {
-	const n, cols, rateBits = 1 << 11, 48, 3
-	src := make([][]field.Element, cols)
-	dst := make([][]field.Element, cols)
-	for i := range src {
-		src[i] = make([]field.Element, n)
-		for j := range src[i] {
-			src[i][j] = field.New(uint64(i*n+j)*0x9e3779b9 + 12345)
-		}
-		dst[i] = make([]field.Element, n<<rateBits)
+	src := wiresCoeffs()
+	dst := make([][]field.Element, wiresCols)
+	for i := range dst {
+		dst[i] = make([]field.Element, wiresN<<wiresRateBits)
 	}
 	spec := ntt.Spec{Shift: field.MultiplicativeGenerator, OutBR: true}
 	run := func() {
 		if err := ntt.Columns(context.Background(), dst, src, spec); err != nil {
 			b.Fatal(err)
 		}
+	}
+	run() // warm twiddle tables and pools
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
+// benchFRICommit is plonk's wires commitment on an MVM 2^11 proof end to
+// end, through fri.CommitCoeffsContext with a height-4 cap: the LDE of
+// the 48 columns, the Merkle leaf hashes over the LDE's rows and the
+// tree. The batch's pooled buffers are released after each commit, as
+// a prover does after each proof.
+func benchFRICommit(b *testing.B) {
+	coeffs := wiresCoeffs()
+	run := func() {
+		batch, err := fri.CommitCoeffsContext(context.Background(), coeffs, wiresRateBits, 4, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		batch.Release()
 	}
 	run() // warm twiddle tables and pools
 	b.ResetTimer()
@@ -476,8 +509,7 @@ var verifyOpenings = sync.OnceValues(func() (merkle.Cap, []merkle.Opening) {
 	ops := make([]merkle.Opening, queries)
 	for q := range ops {
 		idx := (q*0x9e37 + 11) % n
-		leaf, proof := tree.Open(idx)
-		ops[q] = merkle.Opening{Leaf: leaf, Index: idx, Proof: proof}
+		ops[q] = merkle.Opening{Leaf: leaves[idx], Index: idx, Proof: tree.Open(idx)}
 	}
 	return tree.Cap(), ops
 })

@@ -160,7 +160,7 @@ func TestKernelRegistry(t *testing.T) {
 		"plonk/quotient/mvm-2^11", "plonk/prove/fib-40", "stark/prove/fib-2^10",
 		"fri/combine/2^14", "stark/quotient/sha-2^12", "witness/mvm-2^11",
 		"field/mul-vec/4096", "fri/eval-all/mvm-2^11",
-		"plonk/verify/mvm-2^11", "stark/verify/sha-2^12",
+		"plonk/verify/mvm-2^11", "stark/verify/sha-2^12", "fri/commit/2^11x48-rate3",
 	} {
 		if !seen[want] {
 			t.Fatalf("tracked kernel %q missing from registry", want)

@@ -28,3 +28,8 @@ func scaleAddVecX8(dst []Element, c Element, a []Element) int
 
 //go:noescape
 func butterflyVecX8(x, y, w []Element) int
+
+// dif8VecX8 runs DIF8Vec on the leading multiple of 64 elements.
+//
+//go:noescape
+func dif8VecX8(data []Element, w1, w2, w3 Element) int

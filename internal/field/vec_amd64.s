@@ -268,3 +268,117 @@ butterfly:
 done:
 	MOVQ CX, ret+72(FP)
 	RET
+
+// TRANSPOSE8 transposes the 8x8 qword matrix whose rows are r0..r7 into
+// columns c0..c7: lane j of ci is lane i of rj. It unpacks qword pairs
+// within 128-bit lanes, then gathers 128-bit lanes twice; r0..r7 are
+// clobbered.
+#define TRANSPOSE8(r0, r1, r2, r3, r4, r5, r6, r7, c0, c1, c2, c3, c4, c5, c6, c7) \
+	VPUNPCKLQDQ r1, r0, c0;         \
+	VPUNPCKHQDQ r1, r0, c1;         \
+	VPUNPCKLQDQ r3, r2, c2;         \
+	VPUNPCKHQDQ r3, r2, c3;         \
+	VPUNPCKLQDQ r5, r4, c4;         \
+	VPUNPCKHQDQ r5, r4, c5;         \
+	VPUNPCKLQDQ r7, r6, c6;         \
+	VPUNPCKHQDQ r7, r6, c7;         \
+	VSHUFI64X2  $0x88, c2, c0, r0;  \
+	VSHUFI64X2  $0xdd, c2, c0, r1;  \
+	VSHUFI64X2  $0x88, c3, c1, r2;  \
+	VSHUFI64X2  $0xdd, c3, c1, r3;  \
+	VSHUFI64X2  $0x88, c6, c4, r4;  \
+	VSHUFI64X2  $0xdd, c6, c4, r5;  \
+	VSHUFI64X2  $0x88, c7, c5, r6;  \
+	VSHUFI64X2  $0xdd, c7, c5, r7;  \
+	VSHUFI64X2  $0x88, r4, r0, c0;  \
+	VSHUFI64X2  $0xdd, r4, r0, c4;  \
+	VSHUFI64X2  $0x88, r5, r1, c2;  \
+	VSHUFI64X2  $0xdd, r5, r1, c6;  \
+	VSHUFI64X2  $0x88, r6, r2, c1;  \
+	VSHUFI64X2  $0xdd, r6, r2, c5;  \
+	VSHUFI64X2  $0x88, r7, r3, c3;  \
+	VSHUFI64X2  $0xdd, r7, r3, c7
+
+// func dif8VecX8(data []Element, w1, w2, w3 Element) int
+//
+// Each iteration loads eight blocks of eight as the rows Z0-Z7,
+// transposes them so that Z8-Z14, Z25 hold element k of every block,
+// runs the three layers on the eight blocks at once with the broadcast
+// twiddles Z21-Z23 (w2 is also the span-4 root), and transposes back.
+TEXT ·dif8VecX8(SB), NOSPLIT, $0-56
+	MOVQ    data_base+0(FP), DI
+	MOVQ    data_len+8(FP), CX
+	ANDQ    $-64, CX
+	MOVBQZX ·AVX512(SB), AX
+	NEGQ    AX
+	ANDQ    AX, CX
+	JZ      done
+	SETUP
+	VPBROADCASTQ w1+24(FP), Z21
+	VPBROADCASTQ w2+32(FP), Z22
+	VPBROADCASTQ w3+40(FP), Z23
+
+dif8:
+	VMOVDQU64 (DI)(BX*8), Z0
+	VMOVDQU64 64(DI)(BX*8), Z1
+	VMOVDQU64 128(DI)(BX*8), Z2
+	VMOVDQU64 192(DI)(BX*8), Z3
+	VMOVDQU64 256(DI)(BX*8), Z4
+	VMOVDQU64 320(DI)(BX*8), Z5
+	VMOVDQU64 384(DI)(BX*8), Z6
+	VMOVDQU64 448(DI)(BX*8), Z7
+	TRANSPOSE8(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z25)
+
+	// Span 8: a_k = x_k + x_{k+4} in Z0-Z3, b_k = (x_k - x_{k+4})·w^k
+	// in Z4-Z7.
+	ADD(Z8, Z12, Z0)
+	SUB(Z8, Z12, Z4)
+	ADD(Z9, Z13, Z1)
+	SUB(Z9, Z13, Z5)
+	MULC(Z5, Z21, Z5)
+	ADD(Z10, Z14, Z2)
+	SUB(Z10, Z14, Z6)
+	MULC(Z6, Z22, Z6)
+	ADD(Z11, Z25, Z3)
+	SUB(Z11, Z25, Z7)
+	MULC(Z7, Z23, Z7)
+
+	// Span 4: c in Z8-Z11 from a, d in Z12-Z14, Z25 from b.
+	ADD(Z0, Z2, Z8)
+	SUB(Z0, Z2, Z10)
+	ADD(Z1, Z3, Z9)
+	SUB(Z1, Z3, Z11)
+	MULC(Z11, Z22, Z11)
+	ADD(Z4, Z6, Z12)
+	SUB(Z4, Z6, Z14)
+	ADD(Z5, Z7, Z13)
+	SUB(Z5, Z7, Z25)
+	MULC(Z25, Z22, Z25)
+
+	// Span 2.
+	ADD(Z8, Z9, Z0)
+	SUB(Z8, Z9, Z1)
+	ADD(Z10, Z11, Z2)
+	SUB(Z10, Z11, Z3)
+	ADD(Z12, Z13, Z4)
+	SUB(Z12, Z13, Z5)
+	ADD(Z14, Z25, Z6)
+	SUB(Z14, Z25, Z7)
+
+	TRANSPOSE8(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z25)
+	VMOVDQU64 Z8, (DI)(BX*8)
+	VMOVDQU64 Z9, 64(DI)(BX*8)
+	VMOVDQU64 Z10, 128(DI)(BX*8)
+	VMOVDQU64 Z11, 192(DI)(BX*8)
+	VMOVDQU64 Z12, 256(DI)(BX*8)
+	VMOVDQU64 Z13, 320(DI)(BX*8)
+	VMOVDQU64 Z14, 384(DI)(BX*8)
+	VMOVDQU64 Z25, 448(DI)(BX*8)
+	ADDQ $64, BX
+	CMPQ BX, CX
+	JLT  dif8
+	VZEROUPPER
+
+done:
+	MOVQ CX, ret+48(FP)
+	RET

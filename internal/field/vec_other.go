@@ -17,3 +17,5 @@ func scaleVecX8(dst []Element, c Element, a []Element) int { return 0 }
 func scaleAddVecX8(dst []Element, c Element, a []Element) int { return 0 }
 
 func butterflyVecX8(x, y, w []Element) int { return 0 }
+
+func dif8VecX8(data []Element, w1, w2, w3 Element) int { return 0 }

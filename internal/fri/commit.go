@@ -12,31 +12,42 @@ import (
 
 // PolynomialBatch is a committed batch of polynomials: coefficients, their
 // low degree extension on the coset g·H (bit-reversed order), and the
-// Merkle tree over index-major rows. It corresponds to one "oracle" of the
-// protocol and one Wires/Z/Quotient commitment node in the paper's
-// computation graph (Fig. 7).
+// Merkle tree whose leaf j is row j of the LDE, one value per polynomial.
+// It corresponds to one "oracle" of the protocol and one
+// Wires/Z/Quotient commitment node in the paper's computation graph
+// (Fig. 7).
 type PolynomialBatch struct {
 	// Coeffs[i] is polynomial i's coefficient vector, length N.
 	Coeffs [][]field.Element
 	// LDE[i] is polynomial i's evaluations on g·H_M, M = N << RateBits,
 	// in bit-reversed order (polynomial-major layout).
 	LDE [][]field.Element
-	// Tree commits to the index-major rows of LDE.
+	// Tree commits to the rows of LDE (see Row).
 	Tree *merkle.Tree
 
 	N        int
 	RateBits int
 
-	// owned are the pooled buffers backing LDE, the leaf arena, and (for
+	// owned are the pooled buffers backing LDE and (for
 	// CommitValues-built batches) Coeffs; Release returns them.
 	owned []*[]field.Element
 }
 
-// Release returns the batch's pooled buffers — LDE columns, the
-// index-major leaf arena, owned coefficient vectors, and the Merkle
-// digest levels — to their pools. The caller asserts the batch is dead:
-// nothing that escaped into a Proof references them (opened rows are
-// copied out of the tree by the query phase), and coefficient vectors
+// Row returns a fresh copy of LDE row j, the data of Merkle leaf j:
+// LDE[i][j] for every polynomial i.
+func (b *PolynomialBatch) Row(j int) []field.Element {
+	row := make([]field.Element, len(b.LDE))
+	for i, col := range b.LDE {
+		row[i] = col[j]
+	}
+	return row
+}
+
+// Release returns the batch's pooled buffers — LDE columns, owned
+// coefficient vectors, and the Merkle digest levels — to their pools.
+// The caller asserts the batch is dead: nothing that escaped into a
+// Proof references them (the query phase copies the rows it opens out
+// of the LDE), and coefficient vectors
 // supplied by the caller (CommitCoeffs) are never pooled, only dropped.
 // Safe to call more than once; never releasing keeps the old
 // garbage-collected behavior.
@@ -64,8 +75,8 @@ func CommitValues(values [][]field.Element, rateBits, capHeight int, rec *trace.
 }
 
 // CommitValuesContext is CommitValues with cooperative cancellation
-// threaded through every parallel kernel (per-column iNTTs, LDEs, the
-// transpose, and the Merkle tree).
+// threaded through every parallel kernel (per-column iNTTs, LDEs, and
+// the Merkle tree).
 func CommitValuesContext(ctx context.Context, values [][]field.Element,
 	rateBits, capHeight int, rec *trace.Recorder) (*PolynomialBatch, error) {
 
@@ -121,7 +132,7 @@ func CommitCoeffsContext(ctx context.Context, coeffs [][]field.Element,
 	m := n << rateBits
 
 	lde := make([][]field.Element, len(coeffs))
-	owned := make([]*[]field.Element, 0, len(coeffs)+1)
+	owned := make([]*[]field.Element, 0, len(coeffs))
 	for i := range lde {
 		p := getBase(m)
 		owned = append(owned, p)
@@ -141,32 +152,15 @@ func CommitCoeffsContext(ctx context.Context, coeffs [][]field.Element,
 		return nil, err
 	}
 
-	// Transpose to index-major rows — on UniZK this layout change is
-	// handled implicitly by the global transpose buffer (§4, §5.1). Rows
-	// are disjoint slices of one flat pooled arena, written per-chunk.
-	leaves := make([][]field.Element, m)
-	flatp := getBase(m * len(coeffs))
-	owned = append(owned, flatp)
-	rec.TransposeOp(m*len(coeffs), func() {
-		flat := *flatp
-		err = parallel.For(ctx, m, 1<<9, func(lo, hi int) {
-			for j := lo; j < hi; j++ {
-				row := flat[j*len(coeffs) : (j+1)*len(coeffs)]
-				for i := range coeffs {
-					row[i] = lde[i][j]
-				}
-				leaves[j] = row
-			}
-		})
-	})
-	if err != nil {
-		release()
-		return nil, err
-	}
-
+	// The Merkle leaves are the LDE's rows, hashed straight from the
+	// columns: on UniZK this layout change is handled implicitly by the
+	// global transpose buffer (§4, §5.1), and here it costs nothing
+	// either. The transpose node stays in the kernel graph, with no CPU
+	// work in it, so the simulator still models the hardware's pass.
+	rec.TransposeOp(m*len(coeffs), func() {})
 	var tree *merkle.Tree
 	rec.Merkle(m, len(coeffs), func() {
-		tree, err = merkle.BuildContext(ctx, leaves, capHeight)
+		tree, err = merkle.BuildColumnsContext(ctx, lde, capHeight)
 	})
 	if err != nil {
 		release()

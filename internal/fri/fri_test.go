@@ -60,6 +60,47 @@ func TestCommitLDEMatchesEvaluation(t *testing.T) {
 	}
 }
 
+// TestCommitBatchOwnsOnlyColumns checks that a committed batch holds no
+// row-major copy of its LDE: it owns exactly its LDE columns, plus its
+// coefficient vectors when CommitValues interpolated them, and each Row
+// reads its leaf from the columns.
+func TestCommitBatchOwnsOnlyColumns(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	const numPolys, n, rateBits = 5, 64, 2
+	values := randValues(rng, numPolys, n)
+	for _, tc := range []struct {
+		name  string
+		batch *PolynomialBatch
+	}{
+		{"CommitCoeffs", CommitCoeffs(values, rateBits, 1, nil)},
+		{"CommitValues", CommitValues(values, rateBits, 1, nil)},
+	} {
+		b := tc.batch
+		owned := append([][]field.Element(nil), b.LDE...)
+		if tc.name == "CommitValues" {
+			owned = append(owned, b.Coeffs...)
+		}
+		if len(b.owned) != len(owned) {
+			t.Fatalf("%s: batch owns %d buffers, want %d (LDE columns and coefficients only)",
+				tc.name, len(b.owned), len(owned))
+		}
+		for k, p := range b.owned {
+			if len(*p) != len(owned[k]) || &(*p)[0] != &owned[k][0] {
+				t.Fatalf("%s: owned buffer %d is not LDE column or coefficient vector %d", tc.name, k, k)
+			}
+		}
+		for j := range n << rateBits {
+			row := b.Row(j)
+			for i, col := range b.LDE {
+				if row[i] != col[j] {
+					t.Fatalf("%s: Row(%d)[%d] = %v, want %v", tc.name, j, i, row[i], col[j])
+				}
+			}
+		}
+		b.Release()
+	}
+}
+
 func TestEvalAllMatchesCoeffs(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	cfg := TestConfig()

@@ -231,22 +231,19 @@ func ProveContext(ctx context.Context, oracles []*PolynomialBatch, groups []Poin
 			idx := indices[q]
 			var round QueryRound
 			for _, o := range oracles {
-				values, mp := o.Tree.Open(idx)
-				// Copy the opened row: the tree's leaf arena is pooled
-				// and must not escape into the proof.
 				round.OracleRows = append(round.OracleRows,
-					OracleRow{Values: append([]field.Element(nil), values...), Proof: mp})
+					OracleRow{Values: o.Row(idx), Proof: o.Tree.Open(idx)})
 			}
 			i := idx
-			for _, tree := range trees {
+			for l, tree := range trees {
 				k := i >> 1
-				leaf, mp := tree.Open(k)
+				leaf := (*foldArenas[l])[4*k : 4*k+4]
 				round.Steps = append(round.Steps, QueryStep{
 					Pair: [2]field.Ext{
 						{A: leaf[0], B: leaf[1]},
 						{A: leaf[2], B: leaf[3]},
 					},
-					Proof: mp,
+					Proof: tree.Open(k),
 				})
 				i = k
 			}

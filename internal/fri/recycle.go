@@ -8,13 +8,14 @@ import (
 
 // Buffer recycling for the proving pipeline. A proving server runs the
 // same circuit shapes proof after proof, so the large per-proof vectors
-// — per-polynomial LDE columns, index-major leaf arenas, combine/fold
+// — per-polynomial LDE columns, fold-layer leaf arenas, combine/fold
 // scratch — cycle through sync.Pools instead of being remade. Checkout
 // is capacity-checked, contents are unspecified (every user overwrites
 // or explicitly clears its buffer), and a buffer re-enters a pool only
 // when its owner can prove nothing escaping into a Proof still
-// references it: opened query rows are copied out of the trees before
-// release, and final-polynomial coefficients live in a fresh slice.
+// references it: opened query rows and fold pairs are copied out of the
+// LDE columns and fold arenas before release, and final-polynomial
+// coefficients live in a fresh slice.
 
 var (
 	basePool = sync.Pool{New: func() any { s := make([]field.Element, 0, 1<<12); return &s }}

@@ -38,11 +38,10 @@ func getLevel(n int) *[]poseidon.HashOut {
 	return p
 }
 
-// Tree is a Poseidon Merkle tree over a fixed set of leaves.
+// Tree is a Poseidon Merkle tree over a fixed set of leaves. It keeps
+// the digests only: the leaf data stays with the caller, who opens a
+// leaf by reading it from there.
 type Tree struct {
-	// Leaves are the committed vectors, index-major: Leaves[i] is the data
-	// of leaf i (one "row" across all committed polynomials in FRI).
-	Leaves [][]field.Element
 	// levels[0] is the leaf digests; levels[k] has len(levels[k-1])/2
 	// digests; the last level is the cap.
 	levels    [][]poseidon.HashOut
@@ -67,12 +66,12 @@ type Proof struct {
 // loop, 38µs per call at 2.1 GHz, costs about 5µs per permutation.
 const hashGrain = 64
 
-// Build constructs a tree over the given leaves. The number of leaves must
-// be a power of two and at least 2^capHeight. Leaf hashing and each tree
-// level are fanned across the shared worker pool in chunks, and each chunk
-// hashes eight leaves or nodes per batched permutation: the software
-// analogue of the paper's "hash computations at the same tree level are
-// independent".
+// Build constructs a tree over the given leaves, leaf i being the row
+// leaves[i]. The number of leaves must be a power of two and at least
+// 2^capHeight. Leaf hashing and each tree level are fanned across the
+// shared worker pool in chunks, and each chunk hashes eight leaves or
+// nodes per batched permutation: the software analogue of the paper's
+// "hash computations at the same tree level are independent".
 func Build(leaves [][]field.Element, capHeight int) *Tree {
 	t, err := BuildContext(context.Background(), leaves, capHeight)
 	parallel.Must(err)
@@ -84,20 +83,36 @@ func Build(leaves [][]field.Element, capHeight int) *Tree {
 // a large tree mid-level. On a non-nil error the partial tree is
 // discarded.
 func BuildContext(ctx context.Context, leaves [][]field.Element, capHeight int) (*Tree, error) {
-	n := len(leaves)
+	return build(ctx, len(leaves), capHeight, func(lo, hi int, out []poseidon.HashOut) {
+		poseidon.HashOrNoopBatch(leaves[lo:hi], out)
+	})
+}
+
+// BuildColumnsContext is BuildContext over column-major data: leaf i is
+// the row cols[0][i], cols[1][i], ..., hashed straight from the columns
+// (poseidon.HashColumnsBatch), so no row is ever gathered. Every column
+// must have the same power-of-two length, the number of leaves.
+func BuildColumnsContext(ctx context.Context, cols [][]field.Element, capHeight int) (*Tree, error) {
+	return build(ctx, len(cols[0]), capHeight, func(lo, hi int, out []poseidon.HashOut) {
+		poseidon.HashColumnsBatch(cols, lo, hi, out)
+	})
+}
+
+// build hashes n leaves with hashLeaves, which sets out to the digests of
+// leaves lo..hi-1, then compresses level by level up to the cap.
+func build(ctx context.Context, n, capHeight int, hashLeaves func(lo, hi int, out []poseidon.HashOut)) (*Tree, error) {
 	logN := ntt.Log2(n) // panics on non-power-of-two, a programming error
 	if capHeight < 0 || capHeight > logN {
 		panic("merkle: cap height out of range")
 	}
-	t := &Tree{Leaves: leaves, capHeight: capHeight}
+	t := &Tree{capHeight: capHeight}
 
 	dp := getLevel(n)
 	digests := *dp
 	err := parallel.For(ctx, n, hashGrain, func(lo, hi int) {
-		poseidon.HashOrNoopBatch(leaves[lo:hi], digests[lo:hi])
+		hashLeaves(lo, hi, digests[lo:hi])
 	})
 	if err != nil {
-		t.Release()
 		levelPool.Put(dp)
 		return nil, err
 	}
@@ -125,17 +140,15 @@ func BuildContext(ctx context.Context, leaves [][]field.Element, capHeight int) 
 
 // Release returns the tree's digest levels to the shared pool. The
 // caller asserts the tree is dead: no slice previously obtained from it
-// may be read afterwards, except data copied out (Cap copies; Open's
-// sibling paths are copies, but its leaf slice is t.Leaves[i] itself and
-// must be copied by the caller before Release). Safe to call more than
-// once; the zero use after Build is simply garbage collection as before.
+// may be read afterwards, except data copied out (Cap copies, and so
+// do Open's sibling paths). Safe to call more than once; the zero use
+// after Build is simply garbage collection as before.
 func (t *Tree) Release() {
 	for _, p := range t.levelBufs {
 		levelPool.Put(p)
 	}
 	t.levelBufs = nil
 	t.levels = nil
-	t.Leaves = nil
 }
 
 // Cap returns the tree's commitment.
@@ -153,11 +166,11 @@ func (t *Tree) Root() poseidon.HashOut {
 }
 
 // NumLeaves returns the number of leaves.
-func (t *Tree) NumLeaves() int { return len(t.Leaves) }
+func (t *Tree) NumLeaves() int { return len(t.levels[0]) }
 
-// Open returns the leaf data and authentication path for the given index.
-func (t *Tree) Open(index int) ([]field.Element, Proof) {
-	if index < 0 || index >= len(t.Leaves) {
+// Open returns the authentication path of the leaf at the given index.
+func (t *Tree) Open(index int) Proof {
+	if index < 0 || index >= t.NumLeaves() {
 		panic("merkle: leaf index out of range")
 	}
 	var siblings []poseidon.HashOut
@@ -166,7 +179,7 @@ func (t *Tree) Open(index int) ([]field.Element, Proof) {
 		siblings = append(siblings, level[i^1])
 		i >>= 1
 	}
-	return t.Leaves[index], Proof{Siblings: siblings}
+	return Proof{Siblings: siblings}
 }
 
 // ErrInvalidProof is returned when an authentication path does not lead to

@@ -1,8 +1,10 @@
 package merkle
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"unizk/internal/field"
@@ -39,8 +41,7 @@ func TestBuildAndVerify(t *testing.T) {
 			t.Fatalf("cap size %d, want %d", len(c), 1<<tc.capH)
 		}
 		for i := 0; i < tc.n; i++ {
-			data, proof := tree.Open(i)
-			if err := Verify(data, i, proof, c); err != nil {
+			if err := Verify(leaves[i], i, tree.Open(i), c); err != nil {
 				t.Fatalf("n=%d capH=%d: valid proof rejected for leaf %d: %v",
 					tc.n, tc.capH, i, err)
 			}
@@ -50,9 +51,10 @@ func TestBuildAndVerify(t *testing.T) {
 
 func TestVerifyRejectsTamperedLeaf(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	tree := Build(randLeaves(rng, 32, 5), 0)
+	leaves := randLeaves(rng, 32, 5)
+	tree := Build(leaves, 0)
 	c := tree.Cap()
-	data, proof := tree.Open(7)
+	data, proof := leaves[7], tree.Open(7)
 	bad := append([]field.Element(nil), data...)
 	bad[2] = field.Add(bad[2], field.One)
 	if Verify(bad, 7, proof, c) == nil {
@@ -62,9 +64,10 @@ func TestVerifyRejectsTamperedLeaf(t *testing.T) {
 
 func TestVerifyRejectsWrongIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	tree := Build(randLeaves(rng, 32, 5), 0)
+	leaves := randLeaves(rng, 32, 5)
+	tree := Build(leaves, 0)
 	c := tree.Cap()
-	data, proof := tree.Open(7)
+	data, proof := leaves[7], tree.Open(7)
 	for _, index := range []int{8, -1, -8, math.MinInt} {
 		if Verify(data, index, proof, c) == nil {
 			t.Fatalf("wrong index %d accepted", index)
@@ -125,9 +128,10 @@ func TestBuildMatchesScalarReference(t *testing.T) {
 
 func TestVerifyRejectsTamperedPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	tree := Build(randLeaves(rng, 32, 5), 1)
+	leaves := randLeaves(rng, 32, 5)
+	tree := Build(leaves, 1)
 	c := tree.Cap()
-	data, proof := tree.Open(13)
+	data, proof := leaves[13], tree.Open(13)
 	proof.Siblings[1][0] = field.Add(proof.Siblings[1][0], field.One)
 	if Verify(data, 13, proof, c) == nil {
 		t.Fatal("tampered sibling accepted")
@@ -136,8 +140,8 @@ func TestVerifyRejectsTamperedPath(t *testing.T) {
 
 func TestVerifyRejectsWrongCap(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	tree := Build(randLeaves(rng, 16, 3), 0)
-	data, proof := tree.Open(0)
+	leaves := randLeaves(rng, 16, 3)
+	data, proof := leaves[0], Build(leaves, 0).Open(0)
 	other := Build(randLeaves(rng, 16, 3), 0)
 	if Verify(data, 0, proof, other.Cap()) == nil {
 		t.Fatal("proof accepted against unrelated cap")
@@ -160,7 +164,7 @@ func TestRootMatchesManualCompression(t *testing.T) {
 func TestProofLength(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	tree := Build(randLeaves(rng, 64, 2), 2)
-	_, proof := tree.Open(0)
+	proof := tree.Open(0)
 	if len(proof.Siblings) != 4 { // log2(64) - capHeight
 		t.Fatalf("proof length %d, want 4", len(proof.Siblings))
 	}
@@ -203,8 +207,7 @@ func TestLargeParallelBuildConsistent(t *testing.T) {
 	tree := Build(leaves, 3)
 	c := tree.Cap()
 	for _, i := range []int{0, 1, 511, 512, 1023} {
-		data, proof := tree.Open(i)
-		if err := Verify(data, i, proof, c); err != nil {
+		if err := Verify(leaves[i], i, tree.Open(i), c); err != nil {
 			t.Fatalf("leaf %d: %v", i, err)
 		}
 	}
@@ -261,4 +264,48 @@ func TestOpenPanicsOutOfRange(t *testing.T) {
 		}
 	}()
 	tree.Open(8)
+}
+
+// TestBuildColumnsMatchesRows builds each tree twice, from rows with
+// BuildContext and from the same data column-major with
+// BuildColumnsContext, and requires equal caps and equal paths for every
+// leaf, across no-op and hashed widths, cap heights and the pool.
+func TestBuildColumnsMatchesRows(t *testing.T) {
+	prev := parallel.Workers()
+	defer parallel.SetWorkers(prev)
+	rng := rand.New(rand.NewSource(14))
+	ctx := context.Background()
+	for _, tc := range []struct{ n, width, capH, workers int }{
+		{2, 1, 0, 1},
+		{8, 4, 1, 1},
+		{16, 5, 0, 2},
+		{64, 48, 2, 2},
+		{1024, 9, 3, 7},
+	} {
+		parallel.SetWorkers(tc.workers)
+		rows := randLeaves(rng, tc.n, tc.width)
+		cols := make([][]field.Element, tc.width)
+		for i := range cols {
+			cols[i] = make([]field.Element, tc.n)
+			for j, row := range rows {
+				cols[i][j] = row[i]
+			}
+		}
+		want, err := BuildContext(ctx, rows, tc.capH)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := BuildColumnsContext(ctx, cols, tc.capH)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Cap(), want.Cap()) {
+			t.Fatalf("n=%d width=%d: caps differ", tc.n, tc.width)
+		}
+		for i := range tc.n {
+			if !slices.Equal(got.Open(i).Siblings, want.Open(i).Siblings) {
+				t.Fatalf("n=%d width=%d: leaf %d: paths differ", tc.n, tc.width, i)
+			}
+		}
+	}
 }

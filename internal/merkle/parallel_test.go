@@ -38,8 +38,7 @@ func TestBuildSerialVsParallel(t *testing.T) {
 				}
 			}
 			for _, idx := range openAt {
-				_, refProof := ref.Open(idx)
-				_, gotProof := got.Open(idx)
+				refProof, gotProof := ref.Open(idx), got.Open(idx)
 				if len(refProof.Siblings) != len(gotProof.Siblings) {
 					t.Fatalf("logN=%d workers=%d leaf %d: proof lengths differ", logN, workers, idx)
 				}

@@ -91,15 +91,15 @@ func TestVerifyBatchMatchesVerify(t *testing.T) {
 	sizes := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 28}
 	for _, width := range []int{1, 4, 5, 32, 135} {
 		for capHeight := 0; capHeight <= 4; capHeight++ {
-			tree := Build(randLeaves(rng, numLeaves, width), capHeight)
+			leaves := randLeaves(rng, numLeaves, width)
+			tree := Build(leaves, capHeight)
 			c := tree.Cap()
 			for _, size := range sizes {
 				valid := make([]Opening, size)
 				mixed := make([]Opening, size)
 				for i := range valid {
 					idx := rng.Intn(numLeaves)
-					leaf, proof := tree.Open(idx)
-					valid[i] = Opening{Leaf: leaf, Index: idx, Proof: proof}
+					valid[i] = Opening{Leaf: leaves[idx], Index: idx, Proof: tree.Open(idx)}
 					mixed[i] = valid[i]
 					mutateOpening(&mixed[i], numLeaves, byte(rng.Intn(numFaults)), byte(rng.Intn(256)))
 				}
@@ -126,13 +126,15 @@ func FuzzVerifyBatch(f *testing.F) {
 	const numLeaves = 32
 	rng := rand.New(rand.NewSource(24))
 	type fixture struct {
-		tree *Tree
-		cap  Cap
+		leaves [][]field.Element
+		tree   *Tree
+		cap    Cap
 	}
 	var fixtures []fixture
 	for i, width := range []int{1, 5, 32, 135} {
-		tree := Build(randLeaves(rng, numLeaves, width), i)
-		fixtures = append(fixtures, fixture{tree, tree.Cap()})
+		leaves := randLeaves(rng, numLeaves, width)
+		tree := Build(leaves, i)
+		fixtures = append(fixtures, fixture{leaves, tree, tree.Cap()})
 	}
 	f.Add([]byte{0, 1, 0, 0, 2, 0, 0, 3, 0, 0})
 	f.Add([]byte{2, 5, 6, 7, 9, 1, 3, 31, 7, 2, 30, 0, 0, 4, 5, 5, 8, 3, 200, 1, 1, 4})
@@ -147,8 +149,7 @@ func FuzzVerifyBatch(f *testing.F) {
 		for i := range ops {
 			b := raw[3*i : 3*i+3]
 			idx := int(b[0]) % numLeaves
-			leaf, proof := fx.tree.Open(idx)
-			ops[i] = Opening{Leaf: leaf, Index: idx, Proof: proof}
+			ops[i] = Opening{Leaf: fx.leaves[idx], Index: idx, Proof: fx.tree.Open(idx)}
 			mutateOpening(&ops[i], numLeaves, b[1], b[2])
 		}
 		checkBatch(t, "fuzz", fx.cap, ops)

@@ -25,10 +25,11 @@ import (
 type tableKind uint8
 
 const (
-	kindRoots    tableKind = iota // w^0..w^(n/2-1), forward
-	kindInvRoots                  // forward table for w^-1
-	kindPowers                    // shift^0..shift^(n-1), coset scaling
-	kindDomain                    // g·w^BitReverse(j), LDE domain points
+	kindRoots     tableKind = iota // w^0..w^(n/2-1), forward
+	kindLayers                     // every butterfly layer's roots, forward
+	kindInvLayers                  // every butterfly layer's roots, inverse
+	kindPowers                     // shift^0..shift^(n-1), coset scaling
+	kindDomain                     // g·w^BitReverse(j), LDE domain points
 )
 
 // tableKey identifies one cached table. shift is zero except for
@@ -55,10 +56,9 @@ type CacheStats struct {
 }
 
 // DefaultCacheElems bounds the cache at 2^23 field elements (64 MiB):
-// enough for the per-layer root tables of both directions (about 2^21
-// elements each, shared by every smaller size), the coset power table
-// and the domain table of a 2^21-point LDE domain, small next to the
-// per-proof working set it accelerates.
+// enough for the layer tables of both directions (2^21 elements each),
+// the coset power table and the domain table of a 2^21-point LDE
+// domain, small next to the per-proof working set it accelerates.
 const DefaultCacheElems = 1 << 23
 
 // tableCache is the process-wide bounded cache.
@@ -204,14 +204,12 @@ func SetCacheLimit(elems int) int { return cache.setLimit(elems) }
 // GetCacheStats returns a snapshot of the shared table cache counters.
 func GetCacheStats() CacheStats { return cache.snapshot() }
 
-// Preload builds and caches the forward and inverse twiddle tables that
-// a size-2^logN transform reads, one per butterfly layer span 2^1..2^logN,
-// so a later transform of that size does not pay table construction.
+// Preload builds and caches the forward and inverse layer tables that a
+// size-2^logN transform reads, so a later transform of that size does
+// not pay table construction.
 func Preload(logN int) {
-	for l := 1; l <= logN; l++ {
-		rootTable(l)
-		invRootTable(l)
-	}
+	layerTable(logN, false)
+	layerTable(logN, true)
 }
 
 // rootTable returns the cached half-table w^0..w^(n/2-1) for the
@@ -222,11 +220,32 @@ func rootTable(logN int) []field.Element {
 	})
 }
 
-// invRootTable is rootTable for w^-1.
-func invRootTable(logN int) []field.Element {
-	return cache.getOrBuild(tableKey{kind: kindInvRoots, logN: logN}, func() []field.Element {
-		return buildRootTable(field.Inverse(field.PrimitiveRootOfUnity(logN)), logN)
+// layerTable returns the cached roots of every butterfly layer of a
+// size-2^logN transform in one flat table: the roots w^0..w^(2^(l-1)-1)
+// of span 2^l, w its primitive root (inverted for the inverse
+// transform), sit at offset 2^(l-1)-1. A transform fetches it once, so
+// its layers and cache blocks take no further lock.
+func layerTable(logN int, inverse bool) []field.Element {
+	kind := kindLayers
+	if inverse {
+		kind = kindInvLayers
+	}
+	return cache.getOrBuild(tableKey{kind: kind, logN: logN}, func() []field.Element {
+		flat := make([]field.Element, 1<<logN-1)
+		for l := 1; l <= logN; l++ {
+			w := field.PrimitiveRootOfUnity(l)
+			if inverse {
+				w = field.Inverse(w)
+			}
+			copy(flat[1<<(l-1)-1:], buildRootTable(w, l))
+		}
+		return flat
 	})
+}
+
+// spanRoots returns the roots of span 2·half from a layer table.
+func spanRoots(layers []field.Element, half int) []field.Element {
+	return layers[half-1 : 2*half-1]
 }
 
 func buildRootTable(w field.Element, logN int) []field.Element {

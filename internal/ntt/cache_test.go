@@ -39,12 +39,13 @@ func TestCacheConcurrentAccess(t *testing.T) {
 				// Vary sizes so goroutines mix hits and misses.
 				logN := 6 + (g+i)%6
 				rt := rootTable(logN)
-				it := invRootTable(logN)
-				if len(rt) != 1<<(logN-1) || len(it) != len(rt) {
+				lt, it := layerTable(logN, false), layerTable(logN, true)
+				if len(rt) != 1<<(logN-1) || len(lt) != 1<<logN-1 || len(it) != len(lt) {
 					errs <- "root table length"
 					return
 				}
-				if rt[0] != field.One || field.Mul(rt[1], it[1]) != field.One {
+				top := spanRoots(lt, 1<<(logN-1))
+				if rt[0] != field.One || top[1] != rt[1] || field.Mul(lt[2], it[2]) != field.One {
 					errs <- "root table contents"
 					return
 				}

@@ -90,3 +90,59 @@ func TestScaleKernels(t *testing.T) {
 		}
 	}
 }
+
+// dif8Generic is the last three DIF layers one block of eight at a time,
+// as three rounds of butterfliesGeneric: the reference for
+// field.DIF8Vec. w is the span-8 root table; w[2] is the span-4 root.
+func dif8Generic(data, w []field.Element) {
+	for base := 0; base+8 <= len(data); base += 8 {
+		x := data[base : base+8]
+		butterfliesGeneric(x[0:4], x[4:8], w[0:4])
+		for _, h := range []int{0, 4} {
+			butterfliesGeneric(x[h:h+2], x[h+2:h+4], []field.Element{field.One, w[2]})
+		}
+		for h := 0; h < 8; h += 2 {
+			butterfliesGeneric(x[h:h+1], x[h+1:h+2], []field.Element{field.One})
+		}
+	}
+}
+
+// checkDIF8Vec runs field.DIF8Vec and dif8Generic on the same n random
+// canonical elements with the forward or inverse span-8 roots and
+// requires identical results.
+func checkDIF8Vec(t *testing.T, rng *rand.Rand, n int, inverse bool) {
+	t.Helper()
+	data := laneVec(rng, n)
+	w := spanRoots(layerTable(3, inverse), 4)
+	want := clone(data)
+	dif8Generic(want, w)
+	field.DIF8Vec(data, w)
+	for i := range want {
+		if data[i] != want[i] {
+			t.Fatalf("n=%d inverse=%v: index %d = %#x, want %#x", n, inverse, i, data[i], want[i])
+		}
+	}
+}
+
+// TestDIF8Vec checks the last-three-layers kernel against the scalar
+// butterflies at whole runs of 64 (64, 128, 1024), below one run (8, 56)
+// and with a scalar tail after whole runs (72, 120), forward and inverse.
+func TestDIF8Vec(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, n := range []int{0, 8, 56, 64, 72, 120, 128, 1024} {
+		for _, inverse := range []bool{false, true} {
+			checkDIF8Vec(t, rng, n, inverse)
+		}
+	}
+}
+
+// FuzzDIF8Vec is TestDIF8Vec on random lengths: up to 160 blocks of
+// eight, so every tail after zero to twenty whole runs of 64 occurs.
+func FuzzDIF8Vec(f *testing.F) {
+	f.Add(int64(1), uint8(8), false)
+	f.Add(int64(2), uint8(9), true)
+	f.Add(int64(3), uint8(128), false)
+	f.Fuzz(func(t *testing.T, seed int64, blocks uint8, inverse bool) {
+		checkDIF8Vec(t, rand.New(rand.NewSource(seed)), 8*(int(blocks)%161), inverse)
+	})
+}

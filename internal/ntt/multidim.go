@@ -194,7 +194,7 @@ func twiddleBand(dst, src []field.Element, n1, n2 int, roots []field.Element, n,
 //
 //unizklint:hotpath
 func smallNN(data []field.Element) {
-	difCore(data, false)
+	difCore(data, layerTable(Log2(len(data)), false))
 	BitReversePermute(data)
 }
 

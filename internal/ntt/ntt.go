@@ -18,15 +18,6 @@ import (
 	"unizk/internal/parallel"
 )
 
-// tableFor returns the cached twiddle half-table for the requested
-// direction; see cache.go for the bounded cache the tables live in.
-func tableFor(logN int, inverse bool) []field.Element {
-	if inverse {
-		return invRootTable(logN)
-	}
-	return rootTable(logN)
-}
-
 // Log2 returns log2(n) for a power of two n, panicking otherwise. Transform
 // sizes are structural parameters, so a non-power-of-two is a programming
 // error rather than a runtime condition.
@@ -112,50 +103,24 @@ func blockElems(n int) int {
 
 // difCore runs decimation-in-frequency butterflies in place: natural-order
 // input, bit-reversed-order output. This is the dataflow UniZK maps onto
-// the MDC pipeline (paper Fig. 4a). Each layer reads the (inverse) root
-// table of its own span 2·half at step 1, so the twiddles of a run of
-// butterflies are contiguous, as an eight-lane load needs.
+// the MDC pipeline (paper Fig. 4a). layers is the transform's layer
+// table (layerTable), so the twiddles of a run of butterflies are
+// contiguous, as an eight-lane load needs; a cache block reads the
+// prefix of its transform's table that its own size needs. The last
+// three layers run together on each block of eight.
 //
 //unizklint:hotpath
-func difCore(data []field.Element, inverse bool) {
+func difCore(data, layers []field.Element) {
 	n := len(data)
 	for half := n / 2; half >= 1; half >>= 1 {
 		if half == 4 {
-			difLast3(data, tableFor(3, inverse), tableFor(2, inverse)[1])
+			field.DIF8Vec(data, spanRoots(layers, 4))
 			return
 		}
-		roots := tableFor(Log2(2*half), inverse)
+		roots := spanRoots(layers, half)
 		for base := 0; base < n; base += 2 * half {
 			field.ButterflyVec(data[base:base+half], data[base+half:base+2*half], roots)
 		}
-	}
-}
-
-// difLast3 runs the last three DIF layers (half 4, 2, 1) on each block of
-// eight in one pass, with the block in registers. w8 is the size-8 root
-// table and w4 the size-4 root; the butterflies whose twiddle is 1 skip
-// the multiply, which leaves five multiplies per block instead of twelve.
-//
-//unizklint:hotpath
-func difLast3(data, w8 []field.Element, w4 field.Element) {
-	w81, w82, w83 := w8[1], w8[2], w8[3]
-	for base := 0; base+8 <= len(data); base += 8 {
-		x := (*[8]field.Element)(data[base : base+8])
-		// half = 4
-		a0, b0 := field.Add(x[0], x[4]), field.Sub(x[0], x[4])
-		a1, b1 := field.Add(x[1], x[5]), field.Mul(field.Sub(x[1], x[5]), w81)
-		a2, b2 := field.Add(x[2], x[6]), field.Mul(field.Sub(x[2], x[6]), w82)
-		a3, b3 := field.Add(x[3], x[7]), field.Mul(field.Sub(x[3], x[7]), w83)
-		// half = 2
-		c0, c2 := field.Add(a0, a2), field.Sub(a0, a2)
-		c1, c3 := field.Add(a1, a3), field.Mul(field.Sub(a1, a3), w4)
-		d0, d2 := field.Add(b0, b2), field.Sub(b0, b2)
-		d1, d3 := field.Add(b1, b3), field.Mul(field.Sub(b1, b3), w4)
-		// half = 1
-		x[0], x[1] = field.Add(c0, c1), field.Sub(c0, c1)
-		x[2], x[3] = field.Add(c2, c3), field.Sub(c2, c3)
-		x[4], x[5] = field.Add(d0, d1), field.Sub(d0, d1)
-		x[6], x[7] = field.Add(d2, d3), field.Sub(d2, d3)
 	}
 }
 
@@ -169,16 +134,17 @@ func difLast3(data, w8 []field.Element, w4 field.Element) {
 // barrier, preserving the layer-order data dependence.
 func difCoreCtx(ctx context.Context, data []field.Element, inverse bool) error {
 	n := len(data)
+	layers := layerTable(Log2(n), inverse)
 	if n < parallelMin {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		difCore(data, inverse)
+		difCore(data, layers)
 		return nil
 	}
 	bs := blockElems(n)
 	for half := n / 2; 2*half > bs; half >>= 1 {
-		roots := tableFor(Log2(2*half), inverse)
+		roots := spanRoots(layers, half)
 		h := half
 		err := parallel.For(ctx, n/2, butterflyGrain, func(lo, hi int) {
 			forButterflySpans(lo, hi, h, func(block, j0, j1 int) {
@@ -192,7 +158,7 @@ func difCoreCtx(ctx context.Context, data []field.Element, inverse bool) error {
 	}
 	return parallel.For(ctx, n/bs, 1, func(lo, hi int) {
 		for b := lo; b < hi; b++ {
-			difCore(data[b*bs:(b+1)*bs], inverse)
+			difCore(data[b*bs:(b+1)*bs], layers)
 		}
 	})
 }
@@ -244,7 +210,7 @@ func Transform(ctx context.Context, data []field.Element, s Spec) error {
 		BitReversePermute(data)
 	}
 	if !s.Inverse && s.Shift != 0 {
-		if err := scaleByPowersCtx(ctx, data, s.Shift); err != nil {
+		if err := scaleByPowersCtx(ctx, data, powerTable(s.Shift, Log2(len(data)))); err != nil {
 			return err
 		}
 	}
@@ -263,7 +229,7 @@ func Transform(ctx context.Context, data []field.Element, s Spec) error {
 		BitReversePermute(data)
 	}
 	if unshift {
-		if err := scaleByPowersCtx(ctx, data, field.Inverse(s.Shift)); err != nil {
+		if err := scaleByPowersCtx(ctx, data, powerTable(field.Inverse(s.Shift), Log2(len(data)))); err != nil {
 			return err
 		}
 		if s.OutBR {
@@ -275,7 +241,9 @@ func Transform(ctx context.Context, data []field.Element, s Spec) error {
 
 // Columns transforms a batch of columns, one pool task per column: task
 // i copies src[i] into dst[i], clears the rest of dst[i] (so pooled,
-// dirty buffers zero-pad correctly) and runs Transform on it. The
+// dirty buffers zero-pad correctly) and runs Transform on it. A forward
+// coset transform of a zero-padded column scales only the source prefix
+// by the shift's powers, since the padding stays zero. The
 // butterfly layers inside a column fan out further on the same pool.
 // dst[i] may alias src[i] but must not be shorter. On error the first
 // failing column's error (or the pool's) is returned and dst must be
@@ -292,7 +260,14 @@ func Columns(ctx context.Context, dst, src [][]field.Element, s Spec) error {
 			}
 			n := copy(dst[i], src[i])
 			clear(dst[i][n:])
-			errs[i] = Transform(ctx, dst[i], s)
+			spec := s
+			if n < len(dst[i]) && !s.Inverse && s.Shift != 0 && !s.InBR {
+				spec.Shift = 0
+				if errs[i] = scaleByPowersCtx(ctx, dst[i][:n], powerTable(s.Shift, Log2(len(dst[i])))); errs[i] != nil {
+					continue
+				}
+			}
+			errs[i] = Transform(ctx, dst[i], spec)
 		}
 	})
 	if err != nil {
@@ -328,13 +303,12 @@ func scaleCtx(ctx context.Context, data []field.Element, c field.Element) error 
 //unizklint:hotpath
 func scaleByTable(data, table []field.Element) { field.MulVec(data, data, table) }
 
-// scaleByPowersCtx multiplies data[i] by c^i using the cached power
-// table for c: one multiply per element instead of two, and repeated
+// scaleByPowersCtx multiplies data[i] by table[i], a cached power table
+// (powerTable): one multiply per element instead of two, and repeated
 // cosets (every LDE in a proof uses the same shift) reuse the table
 // across jobs for free. The table is built by the same serial power walk
 // the in-line accumulation used, so results are bit-identical.
-func scaleByPowersCtx(ctx context.Context, data []field.Element, c field.Element) error {
-	table := powerTable(c, Log2(len(data)))
+func scaleByPowersCtx(ctx context.Context, data, table []field.Element) error {
 	if len(data) < parallelMin {
 		if err := ctx.Err(); err != nil {
 			return err

@@ -132,7 +132,7 @@ func (c *Circuit) ProveContext(ctx context.Context, w *Witness, rec *trace.Recor
 	}
 	// The per-proof batches are dead once their caps are copied into the
 	// proof (the FRI query phase copied every opened row): their pooled
-	// LDE columns, leaf arenas, and digest levels go back for the next
+	// LDE columns and digest levels go back for the next
 	// proof. The constants batch is circuit-lifetime and stays.
 	wiresBatch.Release()
 	zBatch.Release()

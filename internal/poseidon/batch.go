@@ -81,6 +81,56 @@ func hashOrNoopX8(rows *[8][]field.Element, out *[8]HashOut) {
 	squeezeX8(&x, out)
 }
 
+// HashColumnsBatch sets out[j-lo] = HashOrNoop(row j) for every j in
+// [lo, hi), where row j is cols[0][j], cols[1][j], ...: the leaves of a
+// Merkle tree over column-major data, hashed without gathering a row.
+// Eight consecutive leaves share each permutation call, and lane i of
+// their state is the contiguous run cols[off+i][k:k+8]. Widths of at most
+// HashOutLen are the no-op digest, and the leaves after the last whole
+// chunk are hashed one at a time; nothing allocates. out must hold hi-lo
+// digests and every column at least hi elements.
+//
+//unizklint:hotpath
+func HashColumnsBatch(cols [][]field.Element, lo, hi int, out []HashOut) {
+	out = out[:hi-lo]
+	w := len(cols)
+	if w <= HashOutLen {
+		for j := lo; j < hi; j++ {
+			var h HashOut
+			for i, c := range cols {
+				h[i] = c[j]
+			}
+			out[j-lo] = h
+		}
+		return
+	}
+	n := lo + (hi-lo)&^7
+	for k := lo; k < n; k += 8 {
+		var x lanesX8
+		for off := 0; off < w; off += Rate {
+			for i := 0; i < Rate && off+i < w; i++ {
+				for l, v := range (*[8]field.Element)(cols[off+i][k : k+8]) {
+					x[i][l] = uint64(v)
+				}
+			}
+			permuteX8(&x)
+		}
+		squeezeX8(&x, (*[8]HashOut)(out[k-lo:]))
+	}
+	for j := n; j < hi; j++ {
+		var s lanes
+		for off := 0; off < w; off += Rate {
+			for i := 0; i < Rate && off+i < w; i++ {
+				s[i] = uint64(cols[off+i][j])
+			}
+			permuteLanes(&s)
+		}
+		for i := range out[j-lo] {
+			out[j-lo][i] = field.New(s[i])
+		}
+	}
+}
+
 // TwoToOneBatch sets out[i] = TwoToOne(children[2i], children[2i+1]) for
 // every i, eight compressions per permutation call, the tail after the
 // last whole chunk one at a time. It panics unless len(children) ==

@@ -148,3 +148,60 @@ func BenchmarkPermuteX8(b *testing.B) {
 		permuteX8(&x)
 	}
 }
+
+// checkHashColumnsBatch hashes leaves lo..hi-1 of width random columns
+// of length hi with HashColumnsBatch, and requires the digests
+// HashOrNoopBatch gives the transposed rows.
+func checkHashColumnsBatch(t *testing.T, rng *rand.Rand, width, lo, hi int) {
+	t.Helper()
+	cols := make([][]field.Element, width)
+	for i := range cols {
+		cols[i] = make([]field.Element, hi)
+		for j := range cols[i] {
+			cols[i][j] = field.New(rng.Uint64())
+		}
+	}
+	rows := make([][]field.Element, hi-lo)
+	for j := range rows {
+		rows[j] = make([]field.Element, width)
+		for i, c := range cols {
+			rows[j][i] = c[lo+j]
+		}
+	}
+	want := make([]HashOut, len(rows))
+	HashOrNoopBatch(rows, want)
+	got := make([]HashOut, len(rows))
+	HashColumnsBatch(cols, lo, hi, got)
+	for j := range want {
+		if got[j] != want[j] {
+			t.Fatalf("width=%d leaves [%d,%d): leaf %d = %v, want %v", width, lo, hi, lo+j, got[j], want[j])
+		}
+	}
+}
+
+// TestHashColumnsBatch covers every no-op width (0 to 4), one to two
+// sponge blocks and a partial last block (5 to 17), plonk's wires width
+// 48, and leaf counts 1 to 33, so every tail after zero to four whole
+// chunks occurs, from a zero and a ragged first leaf.
+func TestHashColumnsBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, width := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 48} {
+		for n := 1; n <= 33; n++ {
+			for _, lo := range []int{0, 3} {
+				checkHashColumnsBatch(t, rng, width, lo, lo+n)
+			}
+		}
+	}
+}
+
+// FuzzHashColumnsBatch is TestHashColumnsBatch on random widths up to
+// 64, leaf counts up to 80 and first leaves up to 15.
+func FuzzHashColumnsBatch(f *testing.F) {
+	f.Add(int64(1), uint8(5), uint8(8), uint8(0))
+	f.Add(int64(2), uint8(48), uint8(33), uint8(7))
+	f.Add(int64(3), uint8(3), uint8(17), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, width, n, lo uint8) {
+		l := int(lo) % 16
+		checkHashColumnsBatch(t, rand.New(rand.NewSource(seed)), int(width)%65, l, l+int(n)%81)
+	})
+}

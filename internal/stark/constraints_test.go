@@ -54,20 +54,40 @@ func (s *Stark) refQuotient(ctx context.Context, traceBatch *fri.PolynomialBatch
 	return chunks, nil
 }
 
-// QuotientAndReference commits columns and returns computeQuotient's and
-// refQuotient's chunks for the same α, for the cross-package test over
-// the workload AIRs.
-func (s *Stark) QuotientAndReference(columns [][]field.Element, alpha field.Element) (got, want [][]field.Element, err error) {
+// naturalQuotient is computeQuotient's natural-order form: every column
+// re-extended onto the whole coset g·H_4N, points in natural order. The
+// bit-reversed quotient must match it bit for bit.
+func (s *Stark) naturalQuotient(ctx context.Context, traceBatch *fri.PolynomialBatch,
+	alpha field.Element) ([][]field.Element, error) {
+
+	cols := make([][]field.Element, s.Width)
+	for i := range cols {
+		cols[i] = make([]field.Element, 4*s.N)
+	}
+	err := ntt.Columns(ctx, cols, traceBatch.Coeffs[:s.Width], ntt.Spec{Shift: field.MultiplicativeGenerator})
+	if err != nil {
+		return nil, err
+	}
+	return s.prog.Quotient(ctx, constraint.Natural(cols), nil, alpha, nil)
+}
+
+// QuotientAndReference commits columns and returns computeQuotient's,
+// naturalQuotient's and refQuotient's chunks for the same α, for the
+// cross-package test over the workload AIRs.
+func (s *Stark) QuotientAndReference(columns [][]field.Element, alpha field.Element) (got, natural, want [][]field.Element, err error) {
 	ctx := context.Background()
 	traceBatch, err := fri.CommitValuesContext(ctx, columns, s.cfg.RateBits, s.cfg.CapHeight, nil)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if got, err = s.computeQuotient(ctx, traceBatch, alpha, nil); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
+	}
+	if natural, err = s.naturalQuotient(ctx, traceBatch, alpha); err != nil {
+		return nil, nil, nil, err
 	}
 	want, err = s.refQuotient(ctx, traceBatch, alpha)
-	return got, want, err
+	return got, natural, want, err
 }
 
 // extEval evaluates one expression over extension-field rows.

@@ -225,29 +225,44 @@ func (s *Stark) ProveContext(ctx context.Context, columns [][]field.Element,
 	return proof, nil
 }
 
-// computeQuotient extends the trace columns onto the coset g·H_4N, one
-// whole-column job per column, and runs the quotient driver on them in
-// natural order:
+// computeQuotient evaluates the trace columns on the coset g·H_4N in
+// bit-reversed order and runs the quotient driver on them:
 //
 //	t(x) = Σ_i α^i trans_i(x)·(x − g^{N−1})/Z_H(x)
 //	     + Σ_j α^... (col(x) − v)/(x − 1)  [first row]
 //	     + Σ_k α^... (col(x) − v)/(x − g^{N−1})  [last row]
+//
+// The committed LDE holds the first M = N·2^RateBits points of that
+// order, so they are copied. In bit-reversed order the points M..2M-1
+// of g·H_4N are the coset g·ω_2M·H_M, itself in bit-reversed order, so
+// while M < 4N one coset transform per column fills the next M points
+// and M doubles: at Starky's rate 1 that is one size-2N transform, half
+// the extension, where the whole coset would take a size-4N one.
 func (s *Stark) computeQuotient(ctx context.Context, traceBatch *fri.PolynomialBatch,
 	alpha field.Element, rec *trace.Recorder) ([][]field.Element, error) {
 
 	d := 4 * s.N
+	m := min(len(traceBatch.LDE[0]), d)
 	cols := make([][]field.Element, s.Width)
 	for i := range cols {
 		cols[i] = make([]field.Element, d)
+		copy(cols[i], traceBatch.LDE[i][:m])
 	}
+	next := make([][]field.Element, s.Width)
 	var err error
-	rec.NTT(d, s.Width, false, true, false, func() {
-		err = ntt.Columns(ctx, cols, traceBatch.Coeffs[:s.Width], ntt.Spec{Shift: field.MultiplicativeGenerator})
-	})
+	for ; m < d && err == nil; m *= 2 {
+		for i, c := range cols {
+			next[i] = c[m : 2*m]
+		}
+		shift := field.Mul(field.MultiplicativeGenerator, field.PrimitiveRootOfUnity(ntt.Log2(2*m)))
+		rec.NTT(m, s.Width, false, true, true, func() {
+			err = ntt.Columns(ctx, next, traceBatch.Coeffs[:s.Width], ntt.Spec{Shift: shift, OutBR: true})
+		})
+	}
 	if err != nil {
 		return nil, err
 	}
-	return s.prog.Quotient(ctx, constraint.Natural(cols), nil, alpha, rec)
+	return s.prog.Quotient(ctx, constraint.BitReversed(cols), nil, alpha, rec)
 }
 
 // ErrInvalidProof is the umbrella error wrapped by every verification
