@@ -226,3 +226,14 @@ smoke() {
 }
 smoke unizk-server -queue 8 -inflight 1
 smoke unizk-cluster -spawn 2
+
+# Negative case: a staleness bound that does not exceed the probe
+# interval plus a probe timeout would eject a node on its first failed
+# probe, so the coordinator must refuse to start (exit non-zero, naming
+# both fields) rather than serve. The timeout keeps a regression from hanging CI.
+if timeout 60 "$SMOKE_DIR/unizk-cluster" -addr 127.0.0.1:0 -spawn 1 -probe 1s -stale 1s \
+	>"$SMOKE_DIR/stale.log" 2>&1; then
+	cat "$SMOKE_DIR/stale.log"
+	exit 1
+fi
+grep -q 'StaleAfter (1s) must exceed Config.ProbeInterval (1s)' "$SMOKE_DIR/stale.log"

@@ -16,6 +16,7 @@ import (
 	"syscall"
 	"time"
 
+	"unizk/internal/jobcore"
 	"unizk/internal/journal"
 	"unizk/internal/tenant"
 )
@@ -33,22 +34,16 @@ type Tier struct {
 	JournalHelp string
 }
 
-// Flags holds the parsed values of the shared flags.
+// Flags holds the parsed values of the shared flags: the listen/drain
+// loop's, and the service config both tiers embed.
 type Flags struct {
 	tier Tier
 
-	Addr          *string
-	Portfile      *string
-	JobTimeout    *time.Duration
-	Drain         *time.Duration
-	CacheEntries  *int
-	CacheTTL      *time.Duration
-	CacheVerify   *bool
-	JournalDir    *string
-	SnapshotEvery *int
-
-	fsync   *string
-	tenants tenantFlags
+	addr, portfile string
+	drain          time.Duration
+	opt            jobcore.Options
+	fsync          string
+	tenants        tenantFlags
 }
 
 // tenantFlags collects repeatable -tenant specs
@@ -68,32 +63,33 @@ func (f *tenantFlags) Set(spec string) error {
 
 // Register defines the shared flags on fs.
 func Register(fs *flag.FlagSet, t Tier) *Flags {
-	f := &Flags{
-		tier:          t,
-		Addr:          fs.String("addr", t.Addr, t.AddrHelp),
-		Portfile:      fs.String("portfile", "", "write the bound address to this file once listening (for scripts)"),
-		JobTimeout:    fs.Duration("job-timeout", 5*time.Minute, "default per-job deadline, measured from admission"),
-		Drain:         fs.Duration("drain", t.Drain, t.DrainHelp),
-		CacheEntries:  fs.Int("cache", 0, t.CacheHelp),
-		CacheTTL:      fs.Duration("cache-ttl", 0, "cached proof lifetime (0 = proofcache default)"),
-		CacheVerify:   fs.Bool("cache-verify", false, "verify each proof before caching it (verify-on-insert)"),
-		JournalDir:    fs.String("journal", "", t.JournalHelp),
-		SnapshotEvery: fs.Int("snapshot-every", 0, "journal records between snapshot compactions (0 = journal default, negative = never)"),
-		fsync:         fs.String("fsync", "batch", "journal fsync policy: always, batch, or off"),
-	}
+	f := &Flags{tier: t}
+	fs.StringVar(&f.addr, "addr", t.Addr, t.AddrHelp)
+	fs.StringVar(&f.portfile, "portfile", "", "write the bound address to this file once listening (for scripts)")
+	fs.DurationVar(&f.opt.DefaultTimeout, "job-timeout", 5*time.Minute, "default per-job deadline, measured from admission")
+	fs.DurationVar(&f.drain, "drain", t.Drain, t.DrainHelp)
+	fs.IntVar(&f.opt.CacheEntries, "cache", 0, t.CacheHelp)
+	fs.DurationVar(&f.opt.CacheTTL, "cache-ttl", 0, "cached proof lifetime (0 = proofcache default)")
+	fs.BoolVar(&f.opt.CacheVerify, "cache-verify", false, "verify each proof before caching it (verify-on-insert)")
+	fs.StringVar(&f.opt.JournalDir, "journal", "", t.JournalHelp)
+	fs.IntVar(&f.opt.SnapshotEvery, "snapshot-every", 0, "journal records between snapshot compactions (0 = journal default, negative = never)")
+	fs.StringVar(&f.fsync, "fsync", "batch", "journal fsync policy: always, batch, or off")
 	fs.Var(&f.tenants, "tenant", "tenant spec name:key[:class=N][:rate=R][:burst=B][:inflight=M] (repeatable)")
 	return f
 }
 
-// Resolve turns the -fsync and -tenant values into what the tier
-// configs take; the registry is nil when no -tenant was given.
-func (f *Flags) Resolve() (journal.Policy, *tenant.Registry, error) {
-	fsync, err := journal.ParsePolicy(*f.fsync)
-	if err != nil || len(f.tenants) == 0 {
-		return fsync, nil, err
+// Options is the service config both tiers embed, built from the shared
+// flags; the tenant registry is nil when no -tenant was given.
+func (f *Flags) Options() (jobcore.Options, error) {
+	o := f.opt
+	var err error
+	if o.JournalFsync, err = journal.ParsePolicy(f.fsync); err != nil {
+		return o, err
 	}
-	reg, err := tenant.NewRegistry(f.tenants...)
-	return fsync, reg, err
+	if len(f.tenants) > 0 {
+		o.Tenants, err = tenant.NewRegistry(f.tenants...)
+	}
+	return o, err
 }
 
 // Fatal reports err under the program name and exits 1.
@@ -109,13 +105,13 @@ func (f *Flags) Fatal(err error) {
 // started. detail is appended to the "listening on" line.
 func (f *Flags) Serve(h http.Handler, detail string, shutdown func(context.Context) error, after func(context.Context)) error {
 	name := f.tier.Name
-	ln, err := net.Listen("tcp", *f.Addr)
+	ln, err := net.Listen("tcp", f.addr)
 	if err != nil {
 		return err
 	}
 	bound := ln.Addr().String()
-	if *f.Portfile != "" {
-		if err := os.WriteFile(*f.Portfile, []byte(bound+"\n"), 0o644); err != nil {
+	if f.portfile != "" {
+		if err := os.WriteFile(f.portfile, []byte(bound+"\n"), 0o644); err != nil {
 			ln.Close()
 			return err
 		}
@@ -131,14 +127,14 @@ func (f *Flags) Serve(h http.Handler, detail string, shutdown func(context.Conte
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	select {
 	case sig := <-sigCh:
-		fmt.Printf("%s: %v, draining (up to %v)\n", name, sig, *f.Drain)
+		fmt.Printf("%s: %v, draining (up to %v)\n", name, sig, f.drain)
 	case err := <-serveErr:
 		return err
 	}
 
 	// Drain the jobs first so queued ones are rejected and in-flight
 	// proofs finish, then close the HTTP listener.
-	dctx, cancel := context.WithTimeout(context.Background(), *f.Drain)
+	dctx, cancel := context.WithTimeout(context.Background(), f.drain)
 	defer cancel()
 	forced := shutdown(dctx)
 	if err := hs.Shutdown(dctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {

@@ -101,7 +101,7 @@ func spawnLocal(n int) ([]*localNode, []string, error) {
 }
 
 func run(o options) error {
-	fsync, tenants, err := o.Resolve()
+	opt, err := o.Options()
 	if err != nil {
 		return err
 	}
@@ -127,17 +127,10 @@ func run(o options) error {
 	}
 
 	coord, err := cluster.New(cluster.Config{
-		Nodes:          urls,
-		ProbeInterval:  *o.probe,
-		StaleAfter:     *o.stale,
-		DefaultTimeout: *o.JobTimeout,
-		CacheEntries:   *o.CacheEntries,
-		CacheTTL:       *o.CacheTTL,
-		CacheVerify:    *o.CacheVerify,
-		Tenants:        tenants,
-		JournalDir:     *o.JournalDir,
-		JournalFsync:   fsync,
-		SnapshotEvery:  *o.SnapshotEvery,
+		Options:       opt,
+		Nodes:         urls,
+		ProbeInterval: *o.probe,
+		StaleAfter:    *o.stale,
 	})
 	if err != nil {
 		return err

@@ -66,27 +66,19 @@ func main() {
 }
 
 func run(o options) error {
-	fsync, tenants, err := o.Resolve()
+	opt, err := o.Options()
 	if err != nil {
 		return err
 	}
+	opt.IdempotencyTTL, opt.MaxIdempotencyKeys = *o.idemTTL, *o.idemKeys
 	if *o.workers > 0 {
 		parallel.SetWorkers(*o.workers)
 	}
 	s, err := server.NewDurable(server.Config{
-		QueueCap:           *o.queueCap,
-		MaxInFlight:        *o.inflight,
-		RegistryCircuits:   *o.registry,
-		DefaultTimeout:     *o.JobTimeout,
-		IdempotencyTTL:     *o.idemTTL,
-		MaxIdempotencyKeys: *o.idemKeys,
-		CacheEntries:       *o.CacheEntries,
-		CacheTTL:           *o.CacheTTL,
-		CacheVerify:        *o.CacheVerify,
-		Tenants:            tenants,
-		JournalDir:         *o.JournalDir,
-		JournalFsync:       fsync,
-		SnapshotEvery:      *o.SnapshotEvery,
+		Options:          opt,
+		QueueCap:         *o.queueCap,
+		MaxInFlight:      *o.inflight,
+		RegistryCircuits: *o.registry,
 	})
 	if err != nil {
 		return err

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"unizk/internal/faultinject/netchaos"
+	"unizk/internal/jobcore"
 	"unizk/internal/jobs"
 	"unizk/internal/server"
 	"unizk/internal/serverclient"
@@ -90,22 +91,17 @@ func TestClusterCacheSoak(t *testing.T) {
 
 	linkChaos := chaosFor(100)
 	innerRT := &http.Transport{}
-	coord, err := New(Config{
-		Nodes:                urls,
-		ProbeInterval:        25 * time.Millisecond,
-		StaleAfter:           time.Second,
-		PollInterval:         10 * time.Millisecond,
-		RecoverTimeout:       300 * time.Millisecond,
-		NodeFailureThreshold: 4,
-		NodeOpenTimeout:      50 * time.Millisecond,
-		NodeMaxAttempts:      4,
-		NodeBaseDelay:        5 * time.Millisecond,
-		NodeMaxDelay:         100 * time.Millisecond,
-		Seed:                 seed,
-		Transport:            linkChaos.WrapTransport(innerRT),
-		CacheEntries:         64,
-		CacheVerify:          true,
-		Tenants:              reg,
+	coord, err := startFast(Config{
+		Nodes:         urls,
+		ProbeInterval: 25 * time.Millisecond,
+		StaleAfter:    time.Second,
+		Seed:          seed,
+		Transport:     linkChaos.WrapTransport(innerRT),
+		Options: jobcore.Options{
+			CacheEntries: 64,
+			CacheVerify:  true,
+			Tenants:      reg,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

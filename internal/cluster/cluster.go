@@ -27,12 +27,14 @@
 // failover still dedups onto the original cluster job, whose retained
 // result replays even when the node that proved it is gone. The
 // coordinator refuses with 503 + Retry-After only when every node is
-// ejected/unprobed or the cluster is saturated (Config.PendingCap).
+// ejected/unprobed or the cluster is saturated (64 pending jobs per
+// node).
 package cluster
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -41,7 +43,6 @@ import (
 	"unizk/internal/jobcore"
 	"unizk/internal/journal"
 	"unizk/internal/serverclient"
-	"unizk/internal/tenant"
 )
 
 // Rejection sentinels for cluster admission. Both map to a retryable
@@ -51,8 +52,8 @@ var (
 	// ErrNoHealthyNodes rejects work while every node is ejected,
 	// draining, or has never answered a probe.
 	ErrNoHealthyNodes = errors.New("cluster: no healthy prover nodes")
-	// ErrSaturated rejects work while the coordinator carries
-	// Config.PendingCap unfinished jobs.
+	// ErrSaturated rejects work while the coordinator carries its
+	// pending cap of unfinished jobs (64 per node).
 	ErrSaturated = errors.New("cluster: saturated, retry later")
 )
 
@@ -68,61 +69,25 @@ func statusForCluster(err error) (int, string) {
 	return jobcore.StatusFor(err)
 }
 
-// Config sizes the coordinator. The zero value of every field except
-// Nodes has a usable default. The fields from MaxRetained through
-// SnapshotEvery are the jobcore.Options fields of the same name,
-// documented and defaulted there; they are enforced once at the cluster
-// edge (nodes behind it see only the coordinator's own submissions).
+// Config sizes the coordinator. Every field except Nodes has a usable
+// zero value. The embedded jobcore.Options is the service config both
+// tiers share, enforced once at the cluster edge (nodes behind it see
+// only the coordinator's own submissions). The coordinator's other
+// timings are fixed (withDefaults).
 type Config struct {
+	jobcore.Options
 	// Nodes lists the base URLs of the prover nodes, e.g.
 	// "http://127.0.0.1:8427". At least one is required.
 	Nodes []string
-
 	// ProbeInterval is the health/load probe cadence per node (250ms).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe exchange. Default 1s.
-	ProbeTimeout time.Duration
 	// StaleAfter is how long a node's probes may keep failing before it
-	// is ejected and its in-flight jobs are re-dispatched. It must
-	// comfortably exceed ProbeInterval; ejection is deliberately
-	// conservative because re-dispatching a job whose node is merely
-	// slow risks proving it twice. Default 3s.
+	// is ejected and its in-flight jobs are re-dispatched (3s). New
+	// refuses a StaleAfter that does not exceed ProbeInterval plus one
+	// probe timeout, and it should do so comfortably: ejection is
+	// deliberately conservative because re-dispatching a job whose node
+	// is merely slow risks proving it twice.
 	StaleAfter time.Duration
-	// PollInterval paces result polling for dispatched jobs (25ms).
-	PollInterval time.Duration
-	// SaturationBackoff is how long a node that refused a submit with
-	// queue-full backpressure is skipped by placement. Default 250ms.
-	SaturationBackoff time.Duration
-	// RecoverTimeout bounds the last-chance result fetch from a node
-	// just declared lost, before its job is re-dispatched. Default 2s.
-	RecoverTimeout time.Duration
-	// PendingCap bounds queued+dispatched cluster jobs; beyond it submits
-	// are refused with 503 (ErrSaturated). Default 64 × len(Nodes).
-	PendingCap int
-
-	MaxRetained        int
-	DefaultTimeout     time.Duration
-	MaxTimeout         time.Duration
-	RetryAfter         time.Duration
-	MaxBodyBytes       int64
-	IdempotencyTTL     time.Duration
-	MaxIdempotencyKeys int
-	CacheEntries       int
-	CacheTTL           time.Duration
-	CacheVerify        bool
-	Tenants            *tenant.Registry
-
-	// Node-client tuning: each node handle gets its own breaker/retry
-	// stack built from these; zero values use the serverclient defaults.
-	NodeFailureThreshold int
-	NodeOpenTimeout      time.Duration
-	NodeMaxAttempts      int
-	NodeBaseDelay        time.Duration
-	NodeMaxDelay         time.Duration
-
-	JournalDir    string
-	JournalFsync  journal.Policy
-	SnapshotEvery int
 
 	// Seed fixes the node clients' retry jitter for deterministic
 	// soaks; 0 seeds from the wall clock.
@@ -132,35 +97,60 @@ type Config struct {
 	Transport http.RoundTripper
 }
 
-func (c Config) withDefaults() Config {
-	jobcore.Default(&c.ProbeInterval, 250*time.Millisecond)
-	jobcore.Default(&c.ProbeTimeout, time.Second)
-	jobcore.Default(&c.StaleAfter, 3*time.Second)
-	jobcore.Default(&c.PollInterval, 25*time.Millisecond)
-	jobcore.Default(&c.SaturationBackoff, 250*time.Millisecond)
-	jobcore.Default(&c.RecoverTimeout, 2*time.Second)
-	jobcore.Default(&c.PendingCap, 64*len(c.Nodes))
-	return c
+// The coordinator's fixed timings. Each node client's breaker threshold
+// and attempt count stay at the serverclient defaults (5 and 4).
+const (
+	// pollInterval paces result polling and ambiguous-submit retries.
+	pollInterval = 25 * time.Millisecond
+	// saturationBackoff is how long placement skips a node that refused
+	// a submit with queue-full backpressure.
+	saturationBackoff = 250 * time.Millisecond
+	// recoverTimeout bounds the last-chance result fetch from a node just
+	// declared lost, before its job is re-dispatched.
+	recoverTimeout = 2 * time.Second
+	// maxProbeTimeout bounds one probe exchange; a short StaleAfter
+	// lowers it to a third of the staleness window.
+	maxProbeTimeout = time.Second
+	// pendingPerNode is the pending cap's share per node.
+	pendingPerNode = 64
+	// breakerOpen, retryBase and retryMax tune each node client's
+	// breaker and retry policy.
+	breakerOpen = 2 * time.Second
+	retryBase   = 50 * time.Millisecond
+	retryMax    = 2 * time.Second
+)
+
+// settings is a Config with every timing and bound filled in. Tests
+// lower the fixed ones through start.
+type settings struct {
+	Config
+	pollInterval      time.Duration
+	saturationBackoff time.Duration
+	recoverTimeout    time.Duration
+	probeTimeout      time.Duration
+	// pendingCap bounds queued+dispatched cluster jobs; beyond it submits
+	// are refused with 503 (ErrSaturated).
+	pendingCap                       int
+	breakerOpen, retryBase, retryMax time.Duration
 }
 
-func (c Config) options() jobcore.Options {
-	return jobcore.Options{
-		IDPrefix:           "c",
-		DefaultTimeout:     c.DefaultTimeout,
-		MaxTimeout:         c.MaxTimeout,
-		RetryAfter:         c.RetryAfter,
-		MaxBodyBytes:       c.MaxBodyBytes,
-		MaxRetained:        c.MaxRetained,
-		IdempotencyTTL:     c.IdempotencyTTL,
-		MaxIdempotencyKeys: c.MaxIdempotencyKeys,
-		CacheEntries:       c.CacheEntries,
-		CacheTTL:           c.CacheTTL,
-		CacheVerify:        c.CacheVerify,
-		Tenants:            c.Tenants,
-		JournalDir:         c.JournalDir,
-		JournalFsync:       c.JournalFsync,
-		SnapshotEvery:      c.SnapshotEvery,
-		Classify:           statusForCluster,
+// withDefaults fills in the probe cadence, the staleness bound and the
+// fixed timings (TestShippingSettings pins them). The probe timeout is
+// capped by a third of StaleAfter, so a short staleness window still
+// fits timed-out probes.
+func (c Config) withDefaults() settings {
+	jobcore.Default(&c.ProbeInterval, 250*time.Millisecond)
+	jobcore.Default(&c.StaleAfter, 3*time.Second)
+	return settings{
+		Config:            c,
+		pollInterval:      pollInterval,
+		saturationBackoff: saturationBackoff,
+		recoverTimeout:    recoverTimeout,
+		probeTimeout:      min(c.StaleAfter/3, maxProbeTimeout),
+		pendingCap:        pendingPerNode * len(c.Nodes),
+		breakerOpen:       breakerOpen,
+		retryBase:         retryBase,
+		retryMax:          retryMax,
 	}
 }
 
@@ -177,10 +167,22 @@ func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, errors.New("cluster: Config.Nodes is empty")
 	}
-	cfg = cfg.withDefaults()
-	x := &remote{core: jobcore.New(cfg.options()), cfg: cfg}
-	for i, u := range cfg.Nodes {
-		x.nodes = append(x.nodes, newNode(u, i, cfg))
+	s := cfg.withDefaults()
+	if s.StaleAfter <= s.ProbeInterval+s.probeTimeout {
+		// A probe that times out reports about ProbeInterval+probeTimeout
+		// after the last success, so one transient failure would already
+		// be stale and eject the node.
+		return nil, fmt.Errorf("cluster: Config.StaleAfter (%v) must exceed Config.ProbeInterval (%v) plus the probe timeout (%v)",
+			s.StaleAfter, s.ProbeInterval, s.probeTimeout)
+	}
+	return start(s)
+}
+
+// start runs a coordinator on filled-in settings.
+func start(s settings) (*Coordinator, error) {
+	x := &remote{core: jobcore.New("c", statusForCluster, s.Options), cfg: s}
+	for i, u := range s.Nodes {
+		x.nodes = append(x.nodes, newNode(u, i, s))
 	}
 	if err := x.core.Open(x); err != nil {
 		return nil, err
@@ -221,12 +223,12 @@ func (c *Coordinator) WaitReady(ctx context.Context) error {
 // watcher goroutine per started job drives it (dispatch.go).
 type remote struct {
 	core  *jobcore.Core
-	cfg   Config
+	cfg   settings
 	nodes []*node
 	met   metrics
 
 	// active counts started jobs that have not finished; Start refuses
-	// fresh jobs beyond Config.PendingCap.
+	// fresh jobs beyond the pending cap.
 	active   atomic.Int64
 	probers  sync.WaitGroup
 	watchers sync.WaitGroup
@@ -237,7 +239,7 @@ type remote struct {
 // and the completion provenance surfaced on status.
 type placement struct {
 	// restored marks a job admitted in an earlier life and replayed from
-	// the journal: PendingCap does not apply to it again.
+	// the journal: the pending cap does not apply to it again.
 	restored bool
 
 	mu sync.Mutex
@@ -290,10 +292,10 @@ func (x *remote) Prepare(j *jobcore.Job, rec *journal.JobRecord) error {
 }
 
 // Start hands the job to a watcher goroutine, unless the coordinator is
-// already carrying Config.PendingCap jobs.
+// already carrying its pending cap of jobs.
 func (x *remote) Start(j *jobcore.Job) error {
 	p := j.Exec.(*placement)
-	if x.active.Add(1) > int64(x.cfg.PendingCap) && !p.restored {
+	if x.active.Add(1) > int64(x.cfg.pendingCap) && !p.restored {
 		x.active.Add(-1)
 		x.met.rejectedSaturated.Add(1)
 		return ErrSaturated

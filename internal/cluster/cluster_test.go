@@ -74,31 +74,46 @@ func restartTestNode(t *testing.T, addr string, cfg server.Config) *testNode {
 	}
 }
 
-// fastConfig is the test coordinator tuning: millisecond probe cadence
-// and quick node-client failure detection so failover scenarios run in
-// test time.
+// fastConfig is the test coordinator config: a millisecond probe
+// cadence and a short staleness bound.
 func fastConfig(urls ...string) Config {
 	return Config{
-		Nodes:                urls,
-		ProbeInterval:        20 * time.Millisecond,
-		StaleAfter:           400 * time.Millisecond,
-		PollInterval:         10 * time.Millisecond,
-		RecoverTimeout:       300 * time.Millisecond,
-		NodeFailureThreshold: 3,
-		NodeOpenTimeout:      50 * time.Millisecond,
-		NodeMaxAttempts:      3,
-		NodeBaseDelay:        5 * time.Millisecond,
-		NodeMaxDelay:         50 * time.Millisecond,
-		Seed:                 20250807,
+		Nodes:         urls,
+		ProbeInterval: 20 * time.Millisecond,
+		StaleAfter:    400 * time.Millisecond,
+		Seed:          20250807,
 	}
 }
 
+// fast lowers the coordinator's fixed timings to test scale — result
+// polling, last-chance recovery and the node clients' breaker and retry
+// delays — so failover scenarios run in test time.
+func fast(cfg Config) settings {
+	s := cfg.withDefaults()
+	s.pollInterval = 10 * time.Millisecond
+	s.recoverTimeout = 300 * time.Millisecond
+	s.breakerOpen = 50 * time.Millisecond
+	s.retryBase = 5 * time.Millisecond
+	s.retryMax = 100 * time.Millisecond
+	return s
+}
+
+// startFast starts a coordinator on fast(cfg).
+func startFast(cfg Config) (*Coordinator, error) { return start(fast(cfg)) }
+
 func startCluster(t *testing.T, cfg Config) (*Coordinator, *serverclient.Client, string) {
 	t.Helper()
-	c, err := New(cfg)
+	c, err := startFast(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return serveCluster(t, c)
+}
+
+// serveCluster fronts a running coordinator with an HTTP server; cleanup
+// drains both.
+func serveCluster(t *testing.T, c *Coordinator) (*Coordinator, *serverclient.Client, string) {
+	t.Helper()
 	ts := httptest.NewServer(c.Handler())
 	t.Cleanup(func() {
 		sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -368,14 +383,19 @@ func TestClusterSaturated503(t *testing.T) {
 	n := startTestNode(t, server.Config{MaxInFlight: 1})
 	t.Cleanup(n.kill)
 
-	cfg := fastConfig(n.url)
-	cfg.PendingCap = 2
-	coord, cl, _ := startCluster(t, cfg)
+	// The pending cap is 64 per node; lower it here so two jobs fill it.
+	s := fast(fastConfig(n.url))
+	s.pendingCap = 2
+	c, err := start(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, cl, _ := serveCluster(t, c)
 	waitHealthy(t, coord, 1)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
-	// Two slow jobs fill PendingCap on the single-slot node.
+	// Two slow jobs fill the pending cap on the single-slot node.
 	var ids []string
 	for i := 0; i < 2; i++ {
 		id, err := cl.Submit(ctx, &jobs.Request{
@@ -386,7 +406,7 @@ func TestClusterSaturated503(t *testing.T) {
 		ids = append(ids, id)
 	}
 
-	_, err := cl.Submit(ctx, &jobs.Request{
+	_, err = cl.Submit(ctx, &jobs.Request{
 		Kind: jobs.KindStark, Workload: "Factorial", LogRows: 5}, serverclient.Options{})
 	var ae *serverclient.APIError
 	if !errors.As(err, &ae) {

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"unizk/internal/faultinject/netchaos"
+	"unizk/internal/jobcore"
 	"unizk/internal/jobs"
 	"unizk/internal/server"
 	"unizk/internal/serverclient"
@@ -58,20 +59,13 @@ func crashCoordMain() {
 		TruncateProb: 0.05,
 		BlipProb:     0.05,
 	})
-	coord, err := New(Config{
-		Nodes:                nodes,
-		ProbeInterval:        25 * time.Millisecond,
-		StaleAfter:           time.Second,
-		PollInterval:         10 * time.Millisecond,
-		RecoverTimeout:       300 * time.Millisecond,
-		NodeFailureThreshold: 4,
-		NodeOpenTimeout:      50 * time.Millisecond,
-		NodeMaxAttempts:      4,
-		NodeBaseDelay:        5 * time.Millisecond,
-		NodeMaxDelay:         100 * time.Millisecond,
-		Seed:                 seed,
-		Transport:            linkChaos.WrapTransport(&http.Transport{}),
-		JournalDir:           dir,
+	coord, err := startFast(Config{
+		Nodes:         nodes,
+		ProbeInterval: 25 * time.Millisecond,
+		StaleAfter:    time.Second,
+		Seed:          seed,
+		Transport:     linkChaos.WrapTransport(&http.Transport{}),
+		Options:       jobcore.Options{JournalDir: dir},
 	})
 	if err != nil {
 		fail(err)

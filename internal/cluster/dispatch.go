@@ -61,7 +61,7 @@ func (x *remote) watch(j *jobcore.Job, p *placement) {
 		x.cancelRemote(p)
 		err = cerr
 	}
-	// Free the PendingCap slot before waiters are released, so a client
+	// Free the pending-cap slot before waiters are released, so a client
 	// that saw its job finish can always submit the next one.
 	x.active.Add(-1)
 	x.core.Finish(j, res, err)
@@ -179,7 +179,7 @@ func (x *remote) submitTo(j *jobcore.Job, n *node, gen int64) (string, error) {
 			return reply.ID, nil
 		}
 		if refusedBeforeAdmission(err) {
-			n.markSaturated(x.cfg.SaturationBackoff)
+			n.markSaturated(x.cfg.saturationBackoff)
 			return "", errNodeBusy
 		}
 		if terminalSubmitError(err) {
@@ -191,7 +191,7 @@ func (x *remote) submitTo(j *jobcore.Job, n *node, gen int64) (string, error) {
 		if n.lostSince(gen) {
 			return "", errNodeLost
 		}
-		if !sleepCtx(ctx, x.cfg.PollInterval) {
+		if !sleepCtx(ctx, x.cfg.pollInterval) {
 			return "", ctx.Err()
 		}
 	}
@@ -256,7 +256,7 @@ func (x *remote) awaitResult(j *jobcore.Job, p *placement, n *node, gen int64, r
 			// already counted; the cluster job inherits the outcome.
 			return nil, err
 		}
-		if !sleepCtx(ctx, x.cfg.PollInterval) {
+		if !sleepCtx(ctx, x.cfg.pollInterval) {
 			return nil, ctx.Err()
 		}
 	}
@@ -307,7 +307,7 @@ func classifyAwait(err error) int {
 // from a node that was just declared lost: if it was ejected spuriously
 // and the proof completed, this salvages it instead of re-proving.
 func (x *remote) tryRecover(j *jobcore.Job, n *node, remoteID string) (*jobs.Result, bool) {
-	rctx, cancel := context.WithTimeout(j.Context(), x.cfg.RecoverTimeout)
+	rctx, cancel := context.WithTimeout(j.Context(), x.cfg.recoverTimeout)
 	defer cancel()
 	res, err := n.client.Result(rctx, remoteID)
 	if err != nil {

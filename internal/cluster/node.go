@@ -46,25 +46,21 @@ type node struct {
 	saturatedUntil time.Time
 }
 
-func newNode(baseURL string, index int, cfg Config) *node {
-	br := &serverclient.Breaker{
-		FailureThreshold: cfg.NodeFailureThreshold,
-		OpenTimeout:      cfg.NodeOpenTimeout,
-	}
+func newNode(baseURL string, index int, s settings) *node {
+	br := &serverclient.Breaker{OpenTimeout: s.breakerOpen}
 	rp := &serverclient.RetryPolicy{
-		MaxAttempts: cfg.NodeMaxAttempts,
-		BaseDelay:   cfg.NodeBaseDelay,
-		MaxDelay:    cfg.NodeMaxDelay,
+		BaseDelay: s.retryBase,
+		MaxDelay:  s.retryMax,
 		// Per-node seeds derive from the cluster seed so soaks are
 		// reproducible but nodes do not retry in lockstep.
-		Seed: cfg.Seed + int64(index)*7919,
+		Seed: s.Seed + int64(index)*7919,
 	}
-	if cfg.Seed == 0 {
+	if s.Seed == 0 {
 		rp.Seed = 0
 	}
 	hc := http.DefaultClient
-	if cfg.Transport != nil {
-		hc = &http.Client{Transport: cfg.Transport}
+	if s.Transport != nil {
+		hc = &http.Client{Transport: s.Transport}
 	}
 	return &node{
 		url:     baseURL,
@@ -74,7 +70,7 @@ func newNode(baseURL string, index int, cfg Config) *node {
 		client: &serverclient.Client{
 			BaseURL:      baseURL,
 			HTTPClient:   hc,
-			PollInterval: cfg.PollInterval,
+			PollInterval: s.pollInterval,
 			Retry:        rp,
 			Breaker:      br,
 		},
@@ -174,7 +170,7 @@ func (x *remote) probeLoop(n *node) {
 // under already reflects a restart (the identity compare-and-set below
 // runs under n.mu, so concurrent probes count one epoch change once).
 func (x *remote) probe(n *node) {
-	pctx, cancel := context.WithTimeout(x.core.Base(), x.cfg.ProbeTimeout)
+	pctx, cancel := context.WithTimeout(x.core.Base(), x.cfg.probeTimeout)
 	defer cancel()
 
 	h, status, err := n.client.HealthAny(pctx)

@@ -97,22 +97,15 @@ func TestClusterChaosSoak(t *testing.T) {
 
 	linkChaos := chaosFor(100)
 	innerRT := &http.Transport{}
-	coord, err := New(Config{
+	coord, err := startFast(Config{
 		Nodes:         urls,
 		ProbeInterval: 25 * time.Millisecond,
 		// Conservative staleness: the planned outage (downFor) is well
 		// under StaleAfter, so the kill must be caught by the epoch
 		// change, and chaos alone must never eject a live node.
-		StaleAfter:           time.Second,
-		PollInterval:         10 * time.Millisecond,
-		RecoverTimeout:       300 * time.Millisecond,
-		NodeFailureThreshold: 4,
-		NodeOpenTimeout:      50 * time.Millisecond,
-		NodeMaxAttempts:      4,
-		NodeBaseDelay:        5 * time.Millisecond,
-		NodeMaxDelay:         100 * time.Millisecond,
-		Seed:                 seed,
-		Transport:            linkChaos.WrapTransport(innerRT),
+		StaleAfter: time.Second,
+		Seed:       seed,
+		Transport:  linkChaos.WrapTransport(innerRT),
 	})
 	if err != nil {
 		t.Fatal(err)

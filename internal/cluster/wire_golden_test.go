@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"unizk/internal/jobcore"
 	"unizk/internal/jobs"
 	"unizk/internal/server"
 	"unizk/internal/serverclient"
@@ -50,7 +51,8 @@ func TestWireKeysGolden(t *testing.T) {
 				return ""
 			}
 
-			s, err := server.NewDurable(server.Config{CacheEntries: cacheEntries, JournalDir: dir()})
+			s, err := server.NewDurable(server.Config{
+				Options: jobcore.Options{CacheEntries: cacheEntries, JournalDir: dir()}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,7 +65,7 @@ func TestWireKeysGolden(t *testing.T) {
 			n := startTestNode(t, server.Config{})
 			cfg := fastConfig(n.url)
 			cfg.CacheEntries, cfg.JournalDir = cacheEntries, dir()
-			coord, err := New(cfg)
+			coord, err := startFast(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"unizk/internal/jobcore"
 	"unizk/internal/jobs"
 	"unizk/internal/server"
 	"unizk/internal/serverclient"
@@ -75,11 +76,13 @@ func TestCacheSoak(t *testing.T) {
 	}
 
 	s := server.New(server.Config{
-		QueueCap:     64,
-		MaxInFlight:  4,
-		CacheEntries: 64,
-		CacheVerify:  true,
-		Tenants:      reg,
+		QueueCap:    64,
+		MaxInFlight: 4,
+		Options: jobcore.Options{
+			CacheEntries: 64,
+			CacheVerify:  true,
+			Tenants:      reg,
+		},
 	})
 	ts := httptest.NewUnstartedServer(s.Handler())
 	ts.Listener = chaos.WrapListener(ts.Listener)

@@ -75,7 +75,7 @@ func (c *Core) Admit(req *jobs.Request, priority int, timeout time.Duration, tn 
 		}
 	}
 	j := &Job{
-		ID:       fmt.Sprintf("%s%08d", c.opt.IDPrefix, c.nextID.Add(1)),
+		ID:       fmt.Sprintf("%s%08d", c.idPrefix, c.nextID.Add(1)),
 		Req:      req,
 		Priority: priority,
 		done:     make(chan struct{}),
@@ -118,7 +118,7 @@ func (c *Core) Admit(req *jobs.Request, priority int, timeout time.Duration, tn 
 	j.slotHeld = true
 	if err := c.exec.Prepare(j, nil); err != nil {
 		c.abandon(j)
-		if code, _ := c.opt.Classify(err); !Retryable(code) {
+		if code, _ := c.classify(err); !Retryable(code) {
 			// The request, not capacity, is at fault (unknown workload, bad
 			// payload shape); capacity refusals are the executor's to count.
 			c.met.rejectedInvalid.Add(1)
@@ -126,8 +126,8 @@ func (c *Core) Admit(req *jobs.Request, priority int, timeout time.Duration, tn 
 		return nil, AdmitFresh, err
 	}
 	switch {
-	case timeout > c.opt.MaxTimeout:
-		timeout = c.opt.MaxTimeout
+	case timeout > maxTimeout:
+		timeout = maxTimeout
 	case timeout <= 0:
 		timeout = c.opt.DefaultTimeout
 	}
@@ -341,7 +341,7 @@ func (c *Core) retire(j *Job) {
 	c.mu.Lock()
 	c.pending--
 	c.finishedList = append(c.finishedList, j.ID)
-	for len(c.finishedList) > c.opt.MaxRetained {
+	for len(c.finishedList) > c.opt.maxRetained {
 		evict := c.finishedList[0]
 		c.finishedList = c.finishedList[1:]
 		if old, ok := c.jobsByID[evict]; ok {

@@ -18,7 +18,7 @@ import (
 )
 
 // errNoCapacity is the fake executor's refusal, given its own wire class
-// through Options.Classify the way a tier layers its classes.
+// through New's classify argument, the way a tier layers its classes.
 var errNoCapacity = errors.New("fake: no capacity")
 
 func classifyFake(err error) (int, string) {
@@ -137,9 +137,7 @@ func holdUntil(gate <-chan struct{}) func(*Job) {
 // front-end. Cleanup drains it.
 func newTestCore(t *testing.T, opt Options, f *fakeExec) (*Core, *serverclient.Client) {
 	t.Helper()
-	opt.IDPrefix = "t"
-	opt.Classify = classifyFake
-	c := New(opt)
+	c := New("t", classifyFake, opt)
 	f.core = c
 	if err := c.Open(f); err != nil {
 		t.Fatalf("Open: %v", err)

@@ -9,7 +9,7 @@
 //	GET  /metrics              counters and latency quantiles (JSON)
 //
 // Submit options ride as query parameters: ?timeout=30s bounds the job
-// (capped by Options.MaxTimeout), ?priority=N biases queues (higher
+// (capped at 30m), ?priority=N biases queues (higher
 // first, FIFO within a level).
 package jobcore
 
@@ -45,7 +45,7 @@ func (c *Core) buildMux() *http.ServeMux {
 // on retryable rejections. Tenant-limit rejections carry their own
 // (token refill time, or the quota estimate) and name the tenant.
 func (c *Core) writeError(w http.ResponseWriter, err error) {
-	status, class := c.opt.Classify(err)
+	status, class := c.classify(err)
 	body := serverclient.ErrorBody{Error: err.Error(), Class: class}
 	var limit *tenant.LimitError
 	switch {
@@ -75,6 +75,12 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v) // the status line is already committed
 }
 
+// errBodyTooLong refuses a submit body past jobs.MaxRequestBytes in the
+// class Validate gives an oversize payload; a declared length past the
+// cap is refused before the body is read.
+var errBodyTooLong = fmt.Errorf("request body exceeds %d bytes: %w: %w",
+	jobs.MaxRequestBytes, jobs.ErrRefused, prooferr.ErrProofRejected)
+
 // decodeSubmit authenticates the request — Authorization: Bearer <key>
 // takes precedence over X-API-Key, absence of both is anonymous — and
 // reads the submit body and options.
@@ -90,8 +96,15 @@ func (c *Core) decodeSubmit(r *http.Request) (tn *tenant.Tenant, req *jobs.Reque
 	bad := func(what, v string) error {
 		return fmt.Errorf("bad %s %q: %w: %w", what, v, jobs.ErrBadRequest, prooferr.ErrMalformedProof)
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, c.opt.MaxBodyBytes))
-	if err != nil {
+	if r.ContentLength > jobs.MaxRequestBytes {
+		return nil, nil, 0, 0, errBodyTooLong
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, jobs.MaxRequestBytes))
+	var tooLong *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLong):
+		return nil, nil, 0, 0, errBodyTooLong
+	case err != nil:
 		return nil, nil, 0, 0, fmt.Errorf("reading request body: %v: %w: %w",
 			err, jobs.ErrBadRequest, prooferr.ErrMalformedProof)
 	}
@@ -223,7 +236,7 @@ func (c *Core) statusJSON(j *Job) Status {
 		ProveMS:     v.run.Milliseconds(),
 	}, Node: at.Node, NodeID: at.NodeID, Redispatches: at.Redispatches}
 	if v.err != nil {
-		code, class := c.opt.Classify(v.err)
+		code, class := c.classify(v.err)
 		st.Error = v.err.Error()
 		st.Class = class
 		st.Retryable = Retryable(code)

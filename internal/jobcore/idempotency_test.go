@@ -218,7 +218,7 @@ func TestIdempotencyEviction(t *testing.T) {
 		t.Fatalf("retained key resubmit = %+v, want dedup onto %s", r3, ids["k3"])
 	}
 
-	_, c = newTestCore(t, Options{MaxRetained: 1}, &fakeExec{})
+	_, c = newTestCore(t, Options{maxRetained: 1}, &fakeExec{})
 	old, err := c.SubmitDetail(ctx, mk("old"), serverclient.Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -40,22 +40,14 @@ import (
 // retryable: another replica, or this one restarted, can take the job.
 var ErrDraining = errors.New("server draining, retry later")
 
-// Options sizes the core. Every field except IDPrefix has a usable zero
-// value; the defaults are applied here and nowhere else.
+// Options sizes the core. It is the one service config: server.Config
+// and cluster.Config embed it, and cmd/internal/serving fills it from
+// the flags both binaries share. Every field has a usable zero value;
+// the defaults are applied here and nowhere else.
 type Options struct {
-	// IDPrefix starts every job id ("j" → j00000001).
-	IDPrefix string
 	// DefaultTimeout applies to jobs that request no deadline (default
-	// 5m, negative means none); MaxTimeout caps requested ones (30m).
+	// 5m, negative means none); requested ones are capped at maxTimeout.
 	DefaultTimeout time.Duration
-	MaxTimeout     time.Duration
-	// RetryAfter is the floor of the computed Retry-After hint (1s).
-	RetryAfter time.Duration
-	// MaxBodyBytes bounds request bodies. Default 1<<26.
-	MaxBodyBytes int64
-	// MaxRetained bounds finished-job records kept for status/result
-	// queries and idempotent replays, oldest evicted first (1024).
-	MaxRetained int
 	// IdempotencyTTL and MaxIdempotencyKeys bound the idempotency index
 	// (10m, 4096).
 	IdempotencyTTL     time.Duration
@@ -78,24 +70,28 @@ type Options struct {
 	JournalDir    string
 	JournalFsync  journal.Policy
 	SnapshotEvery int
-	// Classify maps an error to its wire status and class; nil means
-	// StatusFor. A tier layers its own refusal classes over StatusFor.
-	Classify func(error) (int, string)
+
+	// maxRetained bounds finished-job records kept for status/result
+	// queries and idempotent replays, oldest evicted first (1024). Only
+	// this package's tests lower it.
+	maxRetained int
 }
+
+// Fixed service limits: maxTimeout caps a job's requested deadline and
+// retryAfterFloor is the least Retry-After hint. Request bodies are
+// capped at jobs.MaxRequestBytes.
+const (
+	maxTimeout      = 30 * time.Minute
+	retryAfterFloor = time.Second
+)
 
 func (o Options) withDefaults() Options {
 	if o.DefaultTimeout == 0 {
 		o.DefaultTimeout = 5 * time.Minute
 	}
-	Default(&o.MaxTimeout, 30*time.Minute)
-	Default(&o.RetryAfter, time.Second)
-	Default(&o.MaxBodyBytes, 1<<26)
-	Default(&o.MaxRetained, 1024)
+	Default(&o.maxRetained, 1024)
 	Default(&o.IdempotencyTTL, 10*time.Minute)
 	Default(&o.MaxIdempotencyKeys, 4096)
-	if o.Classify == nil {
-		o.Classify = StatusFor
-	}
 	if o.Tenants == nil {
 		// NewRegistry without configs cannot fail: it only synthesizes
 		// the unlimited default tenant.
@@ -153,11 +149,13 @@ type Executor interface {
 
 // Core is the lifecycle core: New, Open(executor), Handler, Shutdown.
 type Core struct {
-	opt   Options
-	exec  Executor
-	mux   *http.ServeMux
-	cache *proofcache.Cache // nil when disabled
-	met   counters
+	opt      Options
+	idPrefix string
+	classify func(error) (int, string)
+	exec     Executor
+	mux      *http.ServeMux
+	cache    *proofcache.Cache // nil when disabled
+	met      counters
 
 	base      context.Context
 	cancelAll context.CancelFunc
@@ -195,12 +193,16 @@ type Core struct {
 }
 
 // New builds an idle core: no journal is open and nothing is admitted
-// until Open attaches the executor.
-func New(opt Options) *Core {
+// until Open attaches the executor. idPrefix starts every job id
+// ("j" → j00000001); classify maps an error to its wire status and
+// class — StatusFor, or a tier's own refusal classes layered over it.
+func New(idPrefix string, classify func(error) (int, string), opt Options) *Core {
 	opt = opt.withDefaults()
 	base, cancel := context.WithCancel(context.Background())
 	c := &Core{
 		opt:       opt,
+		idPrefix:  idPrefix,
+		classify:  classify,
 		base:      base,
 		cancelAll: cancel,
 		settled:   make(chan struct{}, 1),
@@ -322,7 +324,7 @@ func (c *Core) Shutdown(ctx context.Context) error {
 // retryAfterSeconds is the backpressure hint for 429/503 replies: the
 // larger of the floor and the executor's backlog estimate, in [1, 60].
 func (c *Core) retryAfterSeconds() int {
-	return min(ceilSeconds(max(c.opt.RetryAfter, c.exec.Backlog())), 60)
+	return min(ceilSeconds(max(retryAfterFloor, c.exec.Backlog())), 60)
 }
 
 // cacheCheck returns the verify-on-insert hook for a flight leader, nil

@@ -117,7 +117,7 @@ func (c *Core) journalTerminal(j *Job, state State, res *jobs.Result, jerr error
 		jerr = fmt.Errorf("result for %s unmarshalable: %w", id, err)
 		state = StateFailed
 	}
-	code, class := c.opt.Classify(jerr)
+	code, class := c.classify(jerr)
 	_ = c.jnl.Append(&journal.Record{
 		Type:   journal.TypeCanceled,
 		ID:     id,
@@ -152,7 +152,7 @@ func (c *Core) recover() ([]*Job, error) {
 			continue
 		}
 		var seq int64
-		if _, err := fmt.Sscanf(jr.ID, c.opt.IDPrefix+"%d", &seq); err == nil && seq > maxID {
+		if _, err := fmt.Sscanf(jr.ID, c.idPrefix+"%d", &seq); err == nil && seq > maxID {
 			maxID = seq
 		}
 		if jr.Terminal && jr.Class == journal.ClassSuperseded {
@@ -356,7 +356,7 @@ func (c *Core) captureState() *journal.State {
 			jr.Failed = j.state == StateFailed
 			jr.Canceled = j.state == StateCanceled
 			if j.err != nil {
-				code, class := c.opt.Classify(j.err)
+				code, class := c.classify(j.err)
 				jr.Class, jr.Code, jr.Msg = class, int64(code), j.err.Error()
 			}
 		}

@@ -18,8 +18,9 @@ const StatusClientClosedRequest = 499
 
 // StatusFor maps an error to (HTTP status, error class) — the one place
 // internal error classes become wire-visible. Every handler, the job
-// status document and the journal go through it (via Options.Classify);
-// the class is the machine-readable label in JSON bodies:
+// status document and the journal go through it (via the classify
+// function New takes); the class is the machine-readable label in JSON
+// bodies:
 //
 //	nil                      → 200 ""
 //	journal-replayed outcome → the status/class it was acknowledged with

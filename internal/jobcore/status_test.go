@@ -1,10 +1,14 @@
 package jobcore
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"unizk/internal/jobqueue"
@@ -12,6 +16,7 @@ import (
 	"unizk/internal/prooferr"
 	"unizk/internal/serverclient"
 	"unizk/internal/tenant"
+	"unizk/internal/wire"
 )
 
 // TestStatusFor pins every mapping from the internal error taxonomy to
@@ -65,7 +70,8 @@ func TestStatusFor(t *testing.T) {
 // TestStatusTableEndToEnd drives each scripted executor outcome through
 // the HTTP API and checks the status line, the error body, and the job
 // status document agree with the table — including a tier class layered
-// in through Options.Classify and the Retry-After on retryable refusals.
+// in through New's classify argument and the Retry-After on retryable
+// refusals.
 func TestStatusTableEndToEnd(t *testing.T) {
 	gate := make(chan struct{})
 	defer close(gate)
@@ -118,7 +124,7 @@ func TestStatusTableEndToEnd(t *testing.T) {
 		t.Fatalf("deadline prove = %v, want 504 deadline", err)
 	}
 
-	// refuse → the tier's own class via Classify, with a Retry-After.
+	// refuse → the tier's own class via classify, with a Retry-After.
 	_, err = c.Submit(ctx, script("refuse"), serverclient.Options{})
 	if !errors.As(err, &ae) || ae.StatusCode != 503 || ae.Class != "no_capacity" || ae.RetryAfter <= 0 {
 		t.Fatalf("refused submit = %v, want 503 no_capacity with Retry-After", err)
@@ -131,5 +137,53 @@ func TestStatusTableEndToEnd(t *testing.T) {
 	}
 	if _, err := c.Status(ctx, "nope"); !errors.As(err, &ae) || ae.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown id = %v, want 404", err)
+	}
+}
+
+// zeros is an endless reader of zero bytes, so a test can send a
+// 100 MiB body without holding it.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
+}
+
+// TestBodyCap pins the submit body cap to jobs.MaxRequestBytes: a body
+// one byte past it, with or without a declared length, is refused in the class Validate gives an oversize
+// payload (422 rejected, not 400 malformed), and a stark payload past
+// the old 1<<26 body cap but under jobs.MaxPayload is admitted.
+func TestBodyCap(t *testing.T) {
+	core, _ := newTestCore(t, Options{}, &fakeExec{})
+	post := func(body io.Reader, n int64) (int, serverclient.ErrorBody) {
+		req := httptest.NewRequest(http.MethodPost, "/v1/jobs", body)
+		req.ContentLength = n
+		rec := httptest.NewRecorder()
+		core.Handler().ServeHTTP(rec, req)
+		var eb serverclient.ErrorBody
+		_ = json.Unmarshal(rec.Body.Bytes(), &eb)
+		return rec.Code, eb
+	}
+
+	// Declared, the over-cap length is refused before the read; with no
+	// declared length (-1) the read itself overruns the cap.
+	over := int64(jobs.MaxRequestBytes + 1)
+	for _, declared := range []int64{over, -1} {
+		if code, eb := post(io.LimitReader(zeros{}, over), declared); code != http.StatusUnprocessableEntity || eb.Class != "rejected" {
+			t.Fatalf("%d-byte body, declared length %d = %d %q, want 422 rejected", over, declared, code, eb.Class)
+		}
+	}
+
+	const payload = 1<<26 + 1
+	var head wire.Writer
+	head.Uvarint(uint64(jobs.KindStark))
+	head.Str("complete")
+	head.Uvarint(5)
+	head.Len(payload)
+	tail := []byte{0} // the empty idempotency key
+	n := int64(len(head.Bytes()) + payload + len(tail))
+	body := io.MultiReader(bytes.NewReader(head.Bytes()), io.LimitReader(zeros{}, payload), bytes.NewReader(tail))
+	if code, eb := post(body, n); code != http.StatusAccepted {
+		t.Fatalf("stark payload of %d bytes = %d %q (%s), want 202", payload, code, eb.Class, eb.Error)
 	}
 }

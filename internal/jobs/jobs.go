@@ -17,6 +17,7 @@ package jobs
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -84,12 +85,17 @@ var (
 // a single job (2^20 rows is the paper's full-scale operating point);
 // MaxPayload and MaxWorkloadName bound attacker-controlled allocations
 // before the wire layer's own caps kick in. MaxIdempotencyKey bounds the
-// client-chosen retry-deduplication key.
+// client-chosen retry-deduplication key. MaxRequestBytes bounds a whole
+// encoded Request: MaxPayload plus the envelope around it (two uvarints,
+// three length prefixes, and the workload name and key at their limits),
+// so the service refuses a body as too long only when no valid request
+// could be that long.
 const (
 	MaxLogRows        = 20
 	MaxPayload        = 1 << 27
 	MaxWorkloadName   = 128
 	MaxIdempotencyKey = 128
+	MaxRequestBytes   = MaxPayload + MaxWorkloadName + MaxIdempotencyKey + 5*binary.MaxVarintLen64
 )
 
 // Request is one proof job: which proof system, which workload, how many

@@ -32,14 +32,13 @@ import (
 	"unizk/internal/parallel"
 	"unizk/internal/proofcache"
 	"unizk/internal/serverclient"
-	"unizk/internal/tenant"
 )
 
-// Config sizes the service. The zero value is usable. QueueCap,
-// MaxInFlight and RegistryCircuits configure the local executor; every
-// other field is the jobcore.Options field of the same name, documented
-// and defaulted there.
+// Config sizes the service. The zero value is usable. The embedded
+// jobcore.Options is the service config both tiers share; the three
+// fields of its own configure the local executor.
 type Config struct {
+	jobcore.Options
 	// QueueCap bounds the number of queued-but-unstarted jobs; pushes
 	// beyond it fail fast with 429 + Retry-After. Default 64.
 	QueueCap int
@@ -53,44 +52,9 @@ type Config struct {
 	// subsequent admit derives from the stored base. 0 disables it.
 	RegistryCircuits int
 
-	DefaultTimeout     time.Duration
-	MaxTimeout         time.Duration
-	RetryAfter         time.Duration
-	MaxBodyBytes       int64
-	MaxRetained        int
-	IdempotencyTTL     time.Duration
-	MaxIdempotencyKeys int
-	CacheEntries       int
-	CacheTTL           time.Duration
-	CacheVerify        bool
-	Tenants            *tenant.Registry
-	JournalDir         string
-	JournalFsync       journal.Policy
-	SnapshotEvery      int
-
 	// testHookRunning, when set by in-package tests, runs after a job
 	// transitions to running and before its prover starts.
 	testHookRunning func(*jobcore.Job)
-}
-
-func (c Config) options() jobcore.Options {
-	return jobcore.Options{
-		IDPrefix:           "j",
-		DefaultTimeout:     c.DefaultTimeout,
-		MaxTimeout:         c.MaxTimeout,
-		RetryAfter:         c.RetryAfter,
-		MaxBodyBytes:       c.MaxBodyBytes,
-		MaxRetained:        c.MaxRetained,
-		IdempotencyTTL:     c.IdempotencyTTL,
-		MaxIdempotencyKeys: c.MaxIdempotencyKeys,
-		CacheEntries:       c.CacheEntries,
-		CacheTTL:           c.CacheTTL,
-		CacheVerify:        c.CacheVerify,
-		Tenants:            c.Tenants,
-		JournalDir:         c.JournalDir,
-		JournalFsync:       c.JournalFsync,
-		SnapshotEvery:      c.SnapshotEvery,
-	}
 }
 
 // Server is the proving service. Construct with New; it is ready (and
@@ -119,7 +83,7 @@ func NewDurable(cfg Config) (*Server, error) {
 	jobcore.Default(&cfg.QueueCap, 64)
 	jobcore.Default(&cfg.MaxInFlight, 2)
 	x := &local{
-		core:    jobcore.New(cfg.options()),
+		core:    jobcore.New("j", jobcore.StatusFor, cfg.Options),
 		cfg:     cfg,
 		queue:   jobqueue.New[*jobcore.Job](cfg.QueueCap),
 		nodeID:  newNodeID(),

@@ -21,7 +21,7 @@ import (
 // prover invocations and bit-identical proof bytes.
 func TestProofCacheHit(t *testing.T) {
 	s, c := newTestServer(t, Config{QueueCap: 8, MaxInFlight: 2,
-		CacheEntries: 16, RegistryCircuits: 8})
+		RegistryCircuits: 8, Options: jobcore.Options{CacheEntries: 16}})
 	ctx := context.Background()
 
 	mk := func(key string) *jobs.Request {
@@ -85,7 +85,7 @@ func TestProofCacheHit(t *testing.T) {
 func TestProofCacheCoalescing(t *testing.T) {
 	gate := make(chan struct{})
 	s, c := newTestServer(t, Config{QueueCap: 16, MaxInFlight: 2,
-		CacheEntries: 16,
+		Options: jobcore.Options{CacheEntries: 16},
 		testHookRunning: func(j *jobcore.Job) {
 			select {
 			case <-gate:
@@ -162,7 +162,7 @@ func TestProofCacheCoalescing(t *testing.T) {
 func TestCacheFailureNotCached(t *testing.T) {
 	gate := make(chan struct{})
 	s, c := newTestServer(t, Config{QueueCap: 8, MaxInFlight: 1,
-		CacheEntries: 16,
+		Options: jobcore.Options{CacheEntries: 16},
 		testHookRunning: func(j *jobcore.Job) {
 			select {
 			case <-gate:
@@ -214,7 +214,8 @@ func TestTenantAuthAndLimits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, c := newTestServer(t, Config{QueueCap: 8, MaxInFlight: 2, Tenants: reg})
+	s, c := newTestServer(t, Config{QueueCap: 8, MaxInFlight: 2,
+		Options: jobcore.Options{Tenants: reg}})
 	ctx := context.Background()
 	req := &jobs.Request{Kind: jobs.KindPlonk, Workload: "Fibonacci", LogRows: 5}
 
@@ -297,7 +298,8 @@ func TestTenantInFlightQuota(t *testing.T) {
 		t.Fatal(err)
 	}
 	gate := make(chan struct{})
-	_, c := newTestServer(t, Config{QueueCap: 8, MaxInFlight: 2, Tenants: reg,
+	_, c := newTestServer(t, Config{QueueCap: 8, MaxInFlight: 2,
+		Options: jobcore.Options{Tenants: reg},
 		testHookRunning: func(j *jobcore.Job) {
 			select {
 			case <-gate:

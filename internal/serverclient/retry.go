@@ -81,10 +81,6 @@ const (
 	DefaultMaxDelay    = 2 * time.Second
 )
 
-// DefaultRetryPolicy returns a policy with all defaults: 4 attempts,
-// 50ms base, 2s cap, no elapsed budget.
-func DefaultRetryPolicy() *RetryPolicy { return &RetryPolicy{} }
-
 func (p *RetryPolicy) maxAttempts() int {
 	if p.MaxAttempts < 1 {
 		return DefaultMaxAttempts
