@@ -149,6 +149,12 @@ go test -tags purego -race -run 'Permute|Grind|Batch|Build|Verify|Ref|Quotient|B
 # Record a new trajectory entry with `go run ./cmd/unizk-bench -kernels`.
 go test -timeout 20m -run '^TestTrajectoryRegression$' ./internal/bench/trajectory
 
+# Bench registries: run one iteration of every tracked kernel and every
+# paper report (Table 1 … Ablation), so a benchmark body that no longer
+# runs — or a report the registry stopped covering — fails here instead
+# of compiling silently under the test run.
+go test -run '^$' -bench 'Kernels|Reports' -benchtime 1x .
+
 # The race detector is a hard gate: every parallel kernel (NTT butterfly
 # layers, Merkle levels, FRI fold/queries, quotient evaluation) runs under
 # it via the differential serial-vs-parallel tests, which sweep worker

@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -44,13 +45,26 @@ func main() {
 		return
 	}
 
+	if ids := bench.IDs(); *only != "" && !slices.Contains(ids, *only) {
+		fmt.Fprintf(os.Stderr, "unizk-bench: -only %q names no report; reports: %s\n", *only, strings.Join(ids, ", "))
+		os.Exit(2)
+	}
+
 	opts := bench.DefaultOptions()
 	opts.LogRows = *rows
 	opts.StarkLogN = *starkN
 	runner := bench.NewRunner(opts)
 
 	start := time.Now()
-	reports, err := runner.All()
+	var reports []bench.Report
+	var err error
+	if *only == "" {
+		reports, err = runner.All()
+	} else {
+		var rep bench.Report
+		rep, err = runner.Generate(*only)
+		reports = []bench.Report{rep}
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "unizk-bench:", err)
 		os.Exit(1)
@@ -60,9 +74,6 @@ func main() {
 	fmt.Fprintf(&b, "UniZK experiment reproduction — 2^%d Plonk rows, 2^%d Starky rows (%.1fs total)\n\n",
 		*rows, *starkN, time.Since(start).Seconds())
 	for _, rep := range reports {
-		if *only != "" && rep.ID != *only {
-			continue
-		}
 		fmt.Fprintf(&b, "== %s: %s ==\n\n%s\n", rep.ID, rep.Title, rep.Text)
 	}
 	fmt.Print(b.String())

@@ -16,12 +16,14 @@ import (
 	"bytes"
 	"encoding"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
 	"unizk/internal/core"
 	"unizk/internal/fri"
 	"unizk/internal/plonk"
+	"unizk/internal/stark"
 	"unizk/internal/trace"
 	"unizk/internal/workloads"
 )
@@ -60,44 +62,80 @@ func DefaultOptions() Options {
 
 // Report is one regenerated table or figure.
 type Report struct {
-	ID    string // e.g. "Table 3"
+	ID    string // e.g. "Table 3"; set from the registry
 	Title string
 	Text  string // rendered table
+}
+
+// reports is the paper's evaluation (§7) in paper order, then the
+// ablation study: every consumer — All, unizk-bench -only and the
+// Reports benchmark — iterates this one list.
+var reports = []struct {
+	id  string
+	gen func(*Runner) (Report, error)
+}{
+	{"Table 1", (*Runner).table1},
+	{"Table 2", (*Runner).table2},
+	{"Table 3", (*Runner).table3},
+	{"Figure 8", (*Runner).figure8},
+	{"Figure 9", (*Runner).figure9},
+	{"Table 4", (*Runner).table4},
+	{"Figure 10", (*Runner).figure10},
+	{"Table 5", (*Runner).table5},
+	{"Table 6", (*Runner).table6},
+	{"Ablation", (*Runner).ablation},
+}
+
+// IDs returns the report IDs in paper order.
+func IDs() []string {
+	ids := make([]string, len(reports))
+	for i, rep := range reports {
+		ids[i] = rep.id
+	}
+	return ids
+}
+
+// Generate runs the one generator of the report with the given ID, so
+// only the proofs that report reads are made.
+func (r *Runner) Generate(id string) (Report, error) {
+	for _, rep := range reports {
+		if rep.id == id {
+			out, err := rep.gen(r)
+			out.ID = id
+			return out, err
+		}
+	}
+	return Report{}, fmt.Errorf("bench: no report %q", id)
+}
+
+// All runs every generator in paper order.
+func (r *Runner) All() ([]Report, error) {
+	out := make([]Report, len(reports))
+	for i, rep := range reports {
+		var err error
+		if out[i], err = r.Generate(rep.id); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // Runner memoizes workload runs so the generators share proving work.
 type Runner struct {
 	Opts Options
 
-	mu        sync.Mutex
-	plonkRuns map[string]*Run
-	starkRuns map[string]*StarkRun
+	mu   sync.Mutex
+	runs map[string]*Run
 }
 
 // NewRunner returns a runner for the given options.
 func NewRunner(opts Options) *Runner {
-	return &Runner{
-		Opts:      opts,
-		plonkRuns: make(map[string]*Run),
-		starkRuns: make(map[string]*StarkRun),
-	}
+	return &Runner{Opts: opts, runs: make(map[string]*Run)}
 }
 
-// Run is one measured Plonky2 proof generation.
+// Run is one measured proof generation, Plonky2 or Starky, with the
+// simulated UniZK result for its kernel graph.
 type Run struct {
-	Name      string
-	LogRows   int
-	CPUTotal  time.Duration
-	CPUTimes  [trace.NumKinds]time.Duration
-	Nodes     []trace.Node
-	ProofSize int
-	Sim       *core.Result
-}
-
-// StarkRun is one measured Starky base proof.
-type StarkRun struct {
-	Name      string
-	LogN      int
 	CPUTotal  time.Duration
 	CPUTimes  [trace.NumKinds]time.Duration
 	Nodes     []trace.Node
@@ -117,104 +155,85 @@ func (r *Runner) PlonkRecursive() (*Run, error) {
 }
 
 func (r *Runner) plonkAt(name string, logRows int) (*Run, error) {
-	key := fmt.Sprintf("%s@%d", name, logRows)
-	r.mu.Lock()
-	if run, ok := r.plonkRuns[key]; ok {
-		r.mu.Unlock()
-		return run, nil
-	}
-	r.mu.Unlock()
-
-	var w workloads.Workload
-	if name == "Recursive" {
-		w = workloads.RecursionWorkload()
-	} else {
-		var err error
-		w, err = workloads.ByName(name)
-		if err != nil {
-			return nil, err
+	return r.memo(fmt.Sprintf("%s@%d", name, logRows), func() (*Run, error) {
+		w := workloads.RecursionWorkload()
+		if name != "Recursive" {
+			var err error
+			if w, err = workloads.ByName(name); err != nil {
+				return nil, err
+			}
 		}
-	}
-	circuit, wit, pub, err := w.Build(logRows, r.Opts.PlonkCfg)
-	if err != nil {
-		return nil, fmt.Errorf("bench: build %s: %w", name, err)
-	}
-	rec := trace.New()
-	start := time.Now()
-	proof, err := circuit.Prove(wit, rec)
-	elapsed := time.Since(start)
-	if err != nil {
-		return nil, fmt.Errorf("bench: prove %s: %w", name, err)
-	}
-	if err := plonk.Verify(circuit.VerificationKey(), pub, proof); err != nil {
-		return nil, fmt.Errorf("bench: verify %s: %w", name, err)
-	}
-
-	run := &Run{
-		Name:      name,
-		LogRows:   logRows,
-		CPUTotal:  elapsed,
-		CPUTimes:  rec.CPUTime(),
-		Nodes:     rec.Nodes(),
-		ProofSize: proofSize(proof),
-		Sim:       core.Simulate(rec.Nodes(), r.Opts.Chip),
-	}
-	r.mu.Lock()
-	r.plonkRuns[key] = run
-	r.mu.Unlock()
-	return run, nil
+		circuit, wit, pub, err := w.Build(logRows, r.Opts.PlonkCfg)
+		if err != nil {
+			return nil, fmt.Errorf("build: %w", err)
+		}
+		return measure(r.Opts.Chip,
+			func(rec *trace.Recorder) (*plonk.Proof, error) { return circuit.Prove(wit, rec) },
+			func(p *plonk.Proof) error { return plonk.Verify(circuit.VerificationKey(), pub, p) })
+	})
 }
 
 // Stark returns the memoized Starky base-proof run for a workload.
-func (r *Runner) Stark(name string) (*StarkRun, error) {
+func (r *Runner) Stark(name string) (*Run, error) {
+	return r.memo("stark "+name, func() (*Run, error) {
+		w, err := workloads.StarkByName(name)
+		if err != nil {
+			return nil, err
+		}
+		s, cols, err := w.Build(r.Opts.StarkLogN, r.Opts.StarkCfg)
+		if err != nil {
+			return nil, fmt.Errorf("build: %w", err)
+		}
+		return measure(r.Opts.Chip,
+			func(rec *trace.Recorder) (*stark.Proof, error) { return s.Prove(cols, rec) },
+			s.Verify)
+	})
+}
+
+// memo returns the run recorded under key, measuring it on first use.
+func (r *Runner) memo(key string, newRun func() (*Run, error)) (*Run, error) {
 	r.mu.Lock()
-	if run, ok := r.starkRuns[name]; ok {
-		r.mu.Unlock()
+	run, ok := r.runs[key]
+	r.mu.Unlock()
+	if ok {
 		return run, nil
 	}
-	r.mu.Unlock()
-
-	w, err := workloads.StarkByName(name)
+	run, err := newRun()
 	if err != nil {
-		return nil, err
-	}
-	s, cols, err := w.Build(r.Opts.StarkLogN, r.Opts.StarkCfg)
-	if err != nil {
-		return nil, fmt.Errorf("bench: build stark %s: %w", name, err)
-	}
-	rec := trace.New()
-	start := time.Now()
-	proof, err := s.Prove(cols, rec)
-	elapsed := time.Since(start)
-	if err != nil {
-		return nil, fmt.Errorf("bench: prove stark %s: %w", name, err)
-	}
-	if err := s.Verify(proof); err != nil {
-		return nil, fmt.Errorf("bench: verify stark %s: %w", name, err)
-	}
-
-	run := &StarkRun{
-		Name:      name,
-		LogN:      r.Opts.StarkLogN,
-		CPUTotal:  elapsed,
-		CPUTimes:  rec.CPUTime(),
-		Nodes:     rec.Nodes(),
-		ProofSize: proofSize(proof),
-		Sim:       core.Simulate(rec.Nodes(), r.Opts.Chip),
+		return nil, fmt.Errorf("bench: %s: %w", key, err)
 	}
 	r.mu.Lock()
-	r.starkRuns[name] = run
+	r.runs[key] = run
 	r.mu.Unlock()
 	return run, nil
 }
 
-// proofSize returns the wire-format size of a proof.
-func proofSize(p encoding.BinaryMarshaler) int {
-	data, err := p.MarshalBinary()
+// measure proves once under a kernel recorder, verifies the proof, and
+// returns its times, kernel graph and wire size with the simulated
+// UniZK result for that graph.
+func measure[P encoding.BinaryMarshaler](chip core.Config, prove func(*trace.Recorder) (P, error), verify func(P) error) (*Run, error) {
+	rec := trace.New()
+	start := time.Now()
+	proof, err := prove(rec)
+	elapsed := time.Since(start)
 	if err != nil {
-		return 0
+		return nil, fmt.Errorf("prove: %w", err)
 	}
-	return len(data)
+	if err := verify(proof); err != nil {
+		return nil, fmt.Errorf("verify: %w", err)
+	}
+	data, err := proof.MarshalBinary()
+	if err != nil {
+		return nil, fmt.Errorf("encode proof: %w", err)
+	}
+	nodes := rec.Nodes()
+	return &Run{
+		CPUTotal:  elapsed,
+		CPUTimes:  rec.CPUTime(),
+		Nodes:     nodes,
+		ProofSize: len(data),
+		Sim:       core.Simulate(nodes, chip),
+	}, nil
 }
 
 // cpuClassSeconds maps measured kernel times onto the simulator's three
@@ -260,21 +279,13 @@ func (t *table) String() string {
 	writeRow(t.header)
 	sep := make([]string, len(t.header))
 	for i := range sep {
-		sep[i] = dashes(widths[i])
+		sep[i] = strings.Repeat("-", widths[i])
 	}
 	writeRow(sep)
 	for _, r := range t.rows {
 		writeRow(r)
 	}
 	return b.String()
-}
-
-func dashes(n int) string {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = '-'
-	}
-	return string(b)
 }
 
 func pct(x float64) string   { return fmt.Sprintf("%.1f%%", 100*x) }

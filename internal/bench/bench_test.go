@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -19,6 +20,10 @@ func tinyOptions() Options {
 	}
 }
 
+// paperOrder is the evaluation's report list (§7), then the ablation.
+var paperOrder = []string{"Table 1", "Table 2", "Table 3", "Figure 8",
+	"Figure 9", "Table 4", "Figure 10", "Table 5", "Table 6", "Ablation"}
+
 func TestAllReportsGenerate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
@@ -28,18 +33,37 @@ func TestAllReportsGenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reports) != 11 {
-		t.Fatalf("got %d reports, want 11", len(reports))
+	if !slices.Equal(IDs(), paperOrder) {
+		t.Fatalf("IDs() = %q, want %q", IDs(), paperOrder)
 	}
-	wantIDs := []string{"Table 1", "Table 2", "Table 3", "Figure 8",
-		"Figure 9", "Table 4", "Figure 10", "Table 5", "Table 6", "Ablation",
-		"Speedup"}
+	if len(reports) != len(paperOrder) {
+		t.Fatalf("got %d reports, want %d", len(reports), len(paperOrder))
+	}
 	for i, rep := range reports {
-		if rep.ID != wantIDs[i] {
-			t.Errorf("report %d: ID %q, want %q", i, rep.ID, wantIDs[i])
+		if rep.ID != paperOrder[i] {
+			t.Errorf("report %d: ID %q, want %q", i, rep.ID, paperOrder[i])
 		}
 		if !strings.Contains(rep.Text, "---") || len(rep.Text) < 50 {
 			t.Errorf("%s: implausibly small body", rep.ID)
+		}
+	}
+}
+
+func TestGenerateLookup(t *testing.T) {
+	r := NewRunner(tinyOptions())
+	rep, err := r.Generate("Table 2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.ID != "Table 2" {
+		t.Fatalf("Generate(%q) returned report %q", "Table 2", rep.ID)
+	}
+	if len(r.runs) != 0 {
+		t.Fatalf("Table 2 is simulator-only, but %d proofs were made", len(r.runs))
+	}
+	for _, id := range []string{"Speedup", "", "table 2", "Table 2 "} {
+		if _, err := r.Generate(id); err == nil {
+			t.Errorf("Generate(%q) succeeded, want an unknown-report error", id)
 		}
 	}
 }

@@ -6,9 +6,9 @@ import (
 	"unizk/internal/core"
 )
 
-// Figure8 reproduces the UniZK execution-time breakdown by kernel type:
+// figure8 reproduces the UniZK execution-time breakdown by kernel type:
 // after acceleration the element-wise polynomial kernels dominate (§7.1).
-func (r *Runner) Figure8() (Report, error) {
+func (r *Runner) figure8() (Report, error) {
 	t := &table{header: []string{"Application", "NTT", "Poly", "Hash"}}
 	for _, name := range table3Workloads {
 		run, err := r.Plonk(name)
@@ -22,15 +22,14 @@ func (r *Runner) Figure8() (Report, error) {
 			pct(fr[core.ClassHash]))
 	}
 	return Report{
-		ID:    "Figure 8",
 		Title: "UniZK execution time breakdown by kernel type",
 		Text:  t.String(),
 	}, nil
 }
 
-// Figure9 reproduces the per-kernel-type speedups of UniZK over the CPU:
+// figure9 reproduces the per-kernel-type speedups of UniZK over the CPU:
 // hash > NTT > poly (paper: 92x-191x for NTT/hash, 20x-92x for poly).
-func (r *Runner) Figure9() (Report, error) {
+func (r *Runner) figure9() (Report, error) {
 	t := &table{header: []string{"Application", "NTT", "Poly", "Hash"}}
 	for _, name := range table3Workloads {
 		run, err := r.Plonk(name)
@@ -50,7 +49,6 @@ func (r *Runner) Figure9() (Report, error) {
 		t.add(row...)
 	}
 	return Report{
-		ID:    "Figure 9",
 		Title: "Speedups by kernel type, UniZK over the CPU baseline",
 		Text:  t.String(),
 	}, nil
@@ -59,10 +57,10 @@ func (r *Runner) Figure9() (Report, error) {
 // figure10Sweep holds the Figure 10 axis values relative to the default.
 var figure10Sweep = []float64{0.25, 0.5, 1, 2, 4}
 
-// Figure10 reproduces the design space exploration on MVM: normalized
+// figure10 reproduces the design space exploration on MVM: normalized
 // performance as the scratchpad size, VSA count and memory bandwidth are
 // scaled around the default configuration.
-func (r *Runner) Figure10() (Report, error) {
+func (r *Runner) figure10() (Report, error) {
 	run, err := r.Plonk("MVM")
 	if err != nil {
 		return Report{}, err
@@ -107,17 +105,16 @@ func (r *Runner) Figure10() (Report, error) {
 	})
 
 	return Report{
-		ID:    "Figure 10",
 		Title: "Design space exploration on MVM (performance normalized to the default config)",
 		Text:  t.String(),
 	}, nil
 }
 
-// Ablations quantifies the §4 hardware features by disabling each and
+// ablation quantifies the §4 hardware features by disabling each and
 // re-simulating the Fibonacci trace — the design-choice experiments
 // DESIGN.md §4 calls out (not a paper table; the paper asserts these
 // features qualitatively).
-func (r *Runner) Ablations() (Report, error) {
+func (r *Runner) ablation() (Report, error) {
 	run, err := r.Plonk("Fibonacci")
 	if err != nil {
 		return Report{}, err
@@ -151,26 +148,7 @@ func (r *Runner) Ablations() (Report, error) {
 			classRatio(res, core.ClassHash))
 	}
 	return Report{
-		ID:    "Ablation",
 		Title: "Contribution of individual hardware features (Fibonacci trace)",
 		Text:  t.String(),
 	}, nil
-}
-
-// All runs every generator in paper order, plus the ablation study.
-func (r *Runner) All() ([]Report, error) {
-	gens := []func() (Report, error){
-		r.Table1, r.Table2, r.Table3, r.Figure8, r.Figure9,
-		r.Table4, r.Figure10, r.Table5, r.Table6, r.Ablations,
-		r.Speedup,
-	}
-	var out []Report
-	for _, g := range gens {
-		rep, err := g()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rep)
-	}
-	return out, nil
 }

@@ -24,8 +24,8 @@ var paperTable1 = map[string][5]float64{
 	"MVM":        {13.7, 15.9, 65.7, 0.1, 4.6},
 }
 
-// Table1 reproduces the CPU proof-generation time breakdown.
-func (r *Runner) Table1() (Report, error) {
+// table1 reproduces the CPU proof-generation time breakdown.
+func (r *Runner) table1() (Report, error) {
 	t := &table{header: []string{"Application", "Time",
 		"Poly", "NTT", "Merkle", "OtherHash", "Transform",
 		"(paper: Poly/NTT/Merkle)"}}
@@ -53,7 +53,6 @@ func (r *Runner) Table1() (Report, error) {
 			fmt.Sprintf("%.0f%%/%.0f%%/%.0f%%", p[0], p[1], p[2]))
 	}
 	return Report{
-		ID:    "Table 1",
 		Title: fmt.Sprintf("Plonky2 proof generation time breakdown (CPU, 2^%d rows)", r.Opts.LogRows),
 		Text:  t.String(),
 	}, nil
@@ -69,8 +68,8 @@ var paperTable2 = map[string][2]float64{
 	"Total":                    {57.8, 96.4},
 }
 
-// Table2 reproduces the area and power breakdown.
-func (r *Runner) Table2() (Report, error) {
+// table2 reproduces the area and power breakdown.
+func (r *Runner) table2() (Report, error) {
 	t := &table{header: []string{"Component", "Area (mm^2)", "Power (W)",
 		"Paper area", "Paper power"}}
 	for _, row := range core.AreaPowerBreakdown(r.Opts.Chip) {
@@ -82,7 +81,6 @@ func (r *Runner) Table2() (Report, error) {
 			fmt.Sprintf("%.1f", p[1]))
 	}
 	return Report{
-		ID:    "Table 2",
 		Title: "Area and power breakdown of UniZK",
 		Text:  t.String(),
 	}, nil
@@ -98,8 +96,8 @@ var paperTable3 = map[string][2]float64{
 	"MVM":        {1.2, 124},
 }
 
-// Table3 reproduces the end-to-end CPU/GPU/UniZK comparison.
-func (r *Runner) Table3() (Report, error) {
+// table3 reproduces the end-to-end CPU/GPU/UniZK comparison.
+func (r *Runner) table3() (Report, error) {
 	t := &table{header: []string{"Application", "CPU", "GPU", "GPU-speedup",
 		"UniZK", "UniZK-speedup", "(paper GPU/UniZK)"}}
 	for _, name := range table3Workloads {
@@ -116,7 +114,6 @@ func (r *Runner) Table3() (Report, error) {
 			fmt.Sprintf("%.1fx/%.0fx", p[0], p[1]))
 	}
 	return Report{
-		ID: "Table 3",
 		Title: fmt.Sprintf("Overall performance, CPU vs GPU model vs simulated UniZK (Plonky2, 2^%d rows)",
 			r.Opts.LogRows),
 		Text: t.String(),
@@ -134,8 +131,8 @@ var paperTable4 = map[string][6]float64{
 	"MVM":        {53.0, 4.8, 24.5, 5.9, 21.7, 95.3},
 }
 
-// Table4 reproduces the memory and VSA utilization breakdown.
-func (r *Runner) Table4() (Report, error) {
+// table4 reproduces the memory and VSA utilization breakdown.
+func (r *Runner) table4() (Report, error) {
 	t := &table{header: []string{"Application",
 		"NTT-Mem", "NTT-VSA", "Poly-Mem", "Poly-VSA", "Hash-Mem", "Hash-VSA",
 		"(paper NTT/Poly/Hash mem,VSA)"}}
@@ -154,7 +151,6 @@ func (r *Runner) Table4() (Report, error) {
 				p[0], p[1], p[2], p[3], p[4], p[5]))
 	}
 	return Report{
-		ID:    "Table 4",
 		Title: "Memory and VSA utilization breakdown in UniZK",
 		Text:  t.String(),
 	}, nil
@@ -163,8 +159,8 @@ func (r *Runner) Table4() (Report, error) {
 // table5Apps are the Starky-capable applications (paper §7.4).
 var table5Apps = []string{"Factorial", "Fibonacci", "SHA-256"}
 
-// Table5 reproduces the Starky + Plonky2 two-stage comparison.
-func (r *Runner) Table5() (Report, error) {
+// table5 reproduces the Starky + Plonky2 two-stage comparison.
+func (r *Runner) table5() (Report, error) {
 	t := &table{header: []string{"Application", "Stage", "CPU",
 		"UniZK", "Speedup", "Proof size"}}
 	rec, err := r.PlonkRecursive()
@@ -186,15 +182,14 @@ func (r *Runner) Table5() (Report, error) {
 			fmtKB(rec.ProofSize))
 	}
 	return Report{
-		ID: "Table 5",
 		Title: fmt.Sprintf("Starky (2^%d rows) + Plonky2 recursion: CPU vs simulated UniZK",
 			r.Opts.StarkLogN),
 		Text: t.String(),
 	}, nil
 }
 
-// Table6 reproduces the comparison against PipeZK/Groth16.
-func (r *Runner) Table6() (Report, error) {
+// table6 reproduces the comparison against PipeZK/Groth16.
+func (r *Runner) table6() (Report, error) {
 	t := &table{header: []string{"Application", "Groth16-CPU(cited)",
 		"Starky+Plonky2-CPU", "PipeZK(cited)", "UniZK",
 		"PipeZK-speedup", "UniZK-speedup"}}
@@ -229,7 +224,6 @@ func (r *Runner) Table6() (Report, error) {
 		}
 	}
 	return Report{
-		ID:    "Table 6",
 		Title: "UniZK (Starky+Plonky2) vs PipeZK (Groth16), single block",
 		Text:  t.String() + blockThroughputLine,
 	}, nil

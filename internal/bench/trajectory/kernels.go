@@ -6,15 +6,12 @@ import (
 	"sync"
 	"testing"
 
-	"unizk/internal/constraint"
 	"unizk/internal/field"
 	"unizk/internal/fri"
 	"unizk/internal/jobs"
 	"unizk/internal/merkle"
 	"unizk/internal/ntt"
-	"unizk/internal/plonk"
 	"unizk/internal/poseidon"
-	"unizk/internal/stark"
 	"unizk/internal/workloads"
 )
 
@@ -37,7 +34,8 @@ var nttSizes = []int{12, 15, 18}
 
 // Kernels returns the tracked kernel registry in recording order. The
 // set mirrors the paper's kernel classes: field arithmetic, the NTT
-// variants, Merkle commitment, FRI folding, and the end-to-end provers.
+// variants, Merkle commitment, FRI folding, and the provers' quotient,
+// witness and verify phases (whole proofs are benchmark/'s to time).
 func Kernels() []Kernel {
 	ks := []Kernel{
 		{Name: "field/mul/4096", Bench: benchFieldMul},
@@ -80,8 +78,6 @@ func Kernels() []Kernel {
 		Kernel{Name: "stark/quotient/sha-2^12", Bench: benchStarkQuotient},
 		Kernel{Name: "plonk/verify/mvm-2^11", Bench: func(b *testing.B) { benchVerify(b, plonkVerifyCase) }},
 		Kernel{Name: "stark/verify/sha-2^12", Bench: func(b *testing.B) { benchVerify(b, starkVerifyCase) }},
-		Kernel{Name: "plonk/prove/fib-40", Bench: benchPlonkProve},
-		Kernel{Name: "stark/prove/fib-2^10", Bench: benchStarkProve},
 	)
 	return ks
 }
@@ -549,76 +545,5 @@ func benchFRIFold(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = fri.FoldLayer(layer, beta, shift)
-	}
-}
-
-func benchPlonkProve(b *testing.B) {
-	bld := plonk.NewBuilder()
-	f0 := bld.AddPublicInput()
-	f1 := bld.AddPublicInput()
-	result := bld.AddPublicInput()
-	prev, cur := f0, f1
-	for i := 2; i <= 40; i++ {
-		prev, cur = cur, bld.Add(prev, cur)
-	}
-	bld.AssertEqual(cur, result)
-	c := bld.Build(fri.TestConfig())
-
-	want := field.Zero
-	{
-		x, y := field.Zero, field.One
-		for i := 2; i <= 40; i++ {
-			x, y = y, field.Add(x, y)
-		}
-		want = y
-	}
-	prove := func() {
-		w := c.NewWitness()
-		w.Set(f0, field.New(0))
-		w.Set(f1, field.New(1))
-		w.Set(result, want)
-		if _, err := c.Prove(w, nil); err != nil {
-			b.Fatalf("prove: %v", err)
-		}
-	}
-	prove()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		prove()
-	}
-}
-
-func benchStarkProve(b *testing.B) {
-	const logN = 10
-	n := 1 << logN
-	c0 := make([]field.Element, n)
-	c1 := make([]field.Element, n)
-	c0[0], c1[0] = field.Zero, field.One
-	for r := 1; r < n; r++ {
-		c0[r] = c1[r-1]
-		c1[r] = field.Add(c0[r-1], c1[r-1])
-	}
-	air := stark.AIR{
-		Width: 2,
-		Transitions: []*constraint.Expr{
-			constraint.Sub(constraint.Next(0), constraint.Col(1)),
-			constraint.Sub(constraint.Next(1), constraint.Add(constraint.Col(0), constraint.Col(1))),
-		},
-		FirstRow: []stark.Boundary{{Col: 0, Value: 0}, {Col: 1, Value: 1}},
-		LastRow:  []stark.Boundary{{Col: 1, Value: c1[n-1]}},
-	}
-	s, err := stark.New(air, logN, fri.TestConfig())
-	if err != nil {
-		b.Fatalf("new: %v", err)
-	}
-	cols := [][]field.Element{c0, c1}
-	if _, err := s.Prove(cols, nil); err != nil {
-		b.Fatalf("prove: %v", err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Prove(cols, nil); err != nil {
-			b.Fatalf("prove: %v", err)
-		}
 	}
 }

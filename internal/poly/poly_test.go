@@ -3,7 +3,6 @@ package poly
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"unizk/internal/field"
 )
@@ -60,56 +59,6 @@ func TestEvalExtCoeffs(t *testing.T) {
 	}
 }
 
-func TestVectorOps(t *testing.T) {
-	f := func(raw1, raw2 [6]uint64) bool {
-		a := make([]field.Element, 6)
-		b := make([]field.Element, 6)
-		for i := 0; i < 6; i++ {
-			a[i], b[i] = field.New(raw1[i]), field.New(raw2[i])
-		}
-		sum, diff, prod := Add(a, b), Sub(a, b), Mul(a, b)
-		for i := 0; i < 6; i++ {
-			if sum[i] != field.Add(a[i], b[i]) ||
-				diff[i] != field.Sub(a[i], b[i]) ||
-				prod[i] != field.Mul(a[i], b[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on length mismatch")
-		}
-	}()
-	Add(make([]field.Element, 3), make([]field.Element, 4))
-}
-
-func TestScalarOps(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := randVec(rng, 9)
-	c := field.New(rng.Uint64())
-	sm := ScalarMul(c, a)
-	as := AddScalar(a, c)
-	for i := range a {
-		if sm[i] != field.Mul(c, a[i]) || as[i] != field.Add(a[i], c) {
-			t.Fatal("scalar op mismatch")
-		}
-	}
-	k := Constant(c, 4)
-	for _, v := range k {
-		if v != c {
-			t.Fatal("Constant wrong")
-		}
-	}
-}
-
 func TestChunkAndPartialProducts(t *testing.T) {
 	// The paper's running example: h[i] = chunk products, PP = prefix
 	// products (Equations 1-2).
@@ -159,17 +108,5 @@ func TestZeroPolyEval(t *testing.T) {
 	off := field.FromBase(field.Mul(field.MultiplicativeGenerator, field.Exp(w, 5)))
 	if ZeroPolyEval(n, off).IsZero() {
 		t.Fatal("Z_H should not vanish on the coset")
-	}
-}
-
-func TestDegree(t *testing.T) {
-	if Degree(nil) != -1 {
-		t.Fatal("degree of empty should be -1")
-	}
-	if Degree([]field.Element{0, 0}) != -1 {
-		t.Fatal("degree of zero poly should be -1")
-	}
-	if Degree([]field.Element{5, 0, 3, 0}) != 2 {
-		t.Fatal("degree with trailing zeros wrong")
 	}
 }
