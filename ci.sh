@@ -45,6 +45,14 @@ fi
 # skip themselves under -race, so the full -race run below stays green).
 go test -timeout 5m ./internal/allocgate
 
+# Job-lifecycle core race gate: internal/jobcore driven by a scripted
+# fake executor (admission rollback, status table, idempotency,
+# long-poll/SSE, journal recovery) and the proof cache's admission and
+# eviction under concurrent Begin/Complete/Abort/Put, under the race
+# detector. The full -race run below repeats it; this step makes a
+# lifecycle or cache regression fail under its own name.
+go test -race ./internal/jobcore ./internal/proofcache
+
 # Chaos soak (fixed seed, small circuits): concurrent clients drive real
 # proof jobs through injected connection resets, truncated responses,
 # and 503 blips, retrying under idempotency keys. The gate asserts

@@ -291,8 +291,12 @@ func (c *Core) Finish(j *Job, res *jobs.Result, err error) {
 	if err == nil && j.cacheLeader {
 		// With verify-on-insert, a proof that fails its own verifier fails
 		// the job (and is never cached) instead of fanning out to every
-		// coalesced waiter.
-		if cerr := c.cache.Complete(j.cacheKey, j.ID, res, c.cacheCheck(j)); cerr != nil {
+		// coalesced waiter. The cache weighs the result by the job's run
+		// (dispatch to now), the time status reports as prove_ms.
+		j.mu.Lock()
+		run := time.Since(j.started)
+		j.mu.Unlock()
+		if cerr := c.cache.Complete(j.cacheKey, j.ID, res, run, c.cacheCheck(j)); cerr != nil {
 			res, err = nil, cerr
 		}
 	}

@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"unizk/internal/jobqueue"
+	"unizk/internal/jobs"
 	"unizk/internal/journal"
+	"unizk/internal/serverclient"
 	"unizk/internal/tenant"
 )
 
@@ -258,5 +260,37 @@ func TestShutdown(t *testing.T) {
 	}
 	if _, _, err := c.Admit(script("complete"), 0, 0, nil); !errors.Is(err, ErrDraining) {
 		t.Fatalf("submit after drain = %v, want ErrDraining", err)
+	}
+}
+
+// TestCacheWeighsLeaderByRunTime: a leader's Finish hands the cache the
+// job's run time, so in a one-entry cache a slow prove displaces a fast
+// one of equal popularity. Were the cost lost (zero for both), the slow
+// newcomer would be worth no more than the resident and be declined.
+func TestCacheWeighsLeaderByRunTime(t *testing.T) {
+	const slowRun = 50 * time.Millisecond
+	f := &fakeExec{hold: func(j *Job) {
+		if j.Req.LogRows == 6 {
+			time.Sleep(slowRun)
+		}
+	}}
+	c, cl := newTestCore(t, Options{CacheEntries: 1}, f)
+	ctx := context.Background()
+	fast, slow := script("complete"), script("complete")
+	slow.LogRows = 6
+	for _, req := range []*jobs.Request{fast, slow} {
+		if _, err := cl.Prove(ctx, req, serverclient.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := c.cache.Stats()
+	if st.Evicted != 1 || st.Declined != 0 || st.Entries != 1 {
+		t.Fatalf("cache stats = %+v, want the slow proof to evict the fast one", st)
+	}
+	if r, err := cl.SubmitDetail(ctx, slow, serverclient.Options{}); err != nil || !r.Cached {
+		t.Fatalf("resubmitted slow content = (%+v, %v), want a cache hit", r, err)
+	}
+	if n := f.executions.Load(); n != 2 {
+		t.Fatalf("executions = %d, want 2", n)
 	}
 }

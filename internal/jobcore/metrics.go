@@ -82,6 +82,7 @@ func (c *Core) Shared() Shared {
 			CacheMisses:         cs.Misses,
 			CacheCoalesced:      cs.Coalesced,
 			CacheEvicted:        cs.Evicted,
+			CacheDeclined:       cs.Declined,
 			CacheExpired:        cs.Expired,
 			CacheInserted:       cs.Inserted,
 			CacheVerifyRejected: cs.VerifyRejected,

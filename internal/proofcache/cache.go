@@ -19,8 +19,8 @@
 package proofcache
 
 import (
-	"container/list"
 	"crypto/sha256"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,11 +51,18 @@ const (
 	DefaultTTL        = 30 * time.Minute
 )
 
+// freqWindow is TinyLFU's reset interval in multiples of MaxEntries:
+// after freqWindow·MaxEntries counted lookups every request count
+// halves and zero counts are dropped, so old popularity fades and the
+// count map never holds more than 2·freqWindow·MaxEntries keys.
+const freqWindow = 10
+
 // Config bounds the cache. The zero value gets DefaultMaxEntries and
 // DefaultTTL; a nil *Cache (not a zero Config) is how callers disable
 // caching entirely.
 type Config struct {
-	// MaxEntries bounds the number of retained results (LRU beyond it).
+	// MaxEntries bounds the number of retained results. A full cache
+	// keeps the results worth most to keep (see Complete).
 	MaxEntries int
 	// TTL bounds entry age; expired entries are dropped on lookup.
 	TTL time.Duration
@@ -66,10 +73,10 @@ type Config struct {
 }
 
 type entry struct {
-	key     Key
 	res     *jobs.Result
 	expires time.Time
-	elem    *list.Element
+	cost    time.Duration // run time of the prove that made it; 0 from Put
+	used    uint64        // access sequence number: lower = less recent
 }
 
 // flight is one in-progress prove for a key: the leader's job plus the
@@ -88,9 +95,13 @@ type Cache struct {
 	//unizklint:guardedby mu
 	entries map[Key]*entry
 	//unizklint:guardedby mu
-	lru *list.List // front = most recently used; values are *entry
-	//unizklint:guardedby mu
 	flights map[Key]*flight
+	//unizklint:guardedby mu
+	freq map[Key]int // recent Begin count per key, resident or not
+	//unizklint:guardedby mu
+	counted int // Begins since the counts last halved
+	//unizklint:guardedby mu
+	seq uint64 // last access sequence number handed out
 	//unizklint:guardedby mu
 	now func() time.Time // test hook; nil means time.Now
 
@@ -98,6 +109,7 @@ type Cache struct {
 	misses         atomic.Int64
 	coalesced      atomic.Int64
 	evicted        atomic.Int64
+	declined       atomic.Int64
 	inserted       atomic.Int64
 	expired        atomic.Int64
 	verifyRejected atomic.Int64
@@ -114,8 +126,8 @@ func New(cfg Config) *Cache {
 	return &Cache{
 		cfg:     cfg,
 		entries: make(map[Key]*entry),
-		lru:     list.New(),
 		flights: make(map[Key]*flight),
+		freq:    make(map[Key]int),
 	}
 }
 
@@ -127,8 +139,42 @@ func (c *Cache) clock() time.Time {
 	return time.Now()
 }
 
-// lookupLocked resolves key to a live cached result, expiring and
-// evicting as a side effect.
+//unizklint:holds c.mu
+func (c *Cache) touchLocked(e *entry) {
+	c.seq++
+	e.used = c.seq
+}
+
+// countLocked records one request for key, halving every count at the
+// end of each window.
+//
+//unizklint:holds c.mu
+func (c *Cache) countLocked(key Key) {
+	c.freq[key]++
+	c.counted++
+	if c.counted < freqWindow*c.cfg.MaxEntries {
+		return
+	}
+	c.counted = 0
+	for k, n := range c.freq {
+		if n /= 2; n == 0 {
+			delete(c.freq, k)
+		} else {
+			c.freq[k] = n
+		}
+	}
+}
+
+// worthLocked is what keeping a result for key saves: its recent request
+// count times the run time of the prove that would have to be redone.
+//
+//unizklint:holds c.mu
+func (c *Cache) worthLocked(key Key, cost time.Duration) float64 {
+	return float64(c.freq[key]) * float64(cost)
+}
+
+// lookupLocked resolves key to a live cached result, expiring as a side
+// effect.
 //
 //unizklint:holds c.mu
 func (c *Cache) lookupLocked(key Key) *jobs.Result {
@@ -137,37 +183,59 @@ func (c *Cache) lookupLocked(key Key) *jobs.Result {
 		return nil
 	}
 	if !e.expires.After(c.clock()) {
-		c.removeLocked(e)
+		delete(c.entries, key)
 		c.expired.Add(1)
 		return nil
 	}
-	c.lru.MoveToFront(e.elem)
+	c.touchLocked(e)
 	return e.res
 }
 
+// victimLocked returns the resident key worth least, ties going to the
+// least recently accessed entry. The scan is linear, but it runs only
+// when a finished prove meets a full cache.
+//
 //unizklint:holds c.mu
-func (c *Cache) removeLocked(e *entry) {
-	delete(c.entries, e.key)
-	c.lru.Remove(e.elem)
+func (c *Cache) victimLocked() (victim Key, worth float64) {
+	worth, used := math.Inf(1), uint64(math.MaxUint64)
+	for k, e := range c.entries {
+		if w := c.worthLocked(k, e.cost); w < worth || (w == worth && e.used < used) {
+			victim, worth, used = k, w, e.used
+		}
+	}
+	return victim, worth
 }
 
-// Get returns the cached result for key, if present and unexpired,
-// bumping its LRU position. Counts a hit or a miss.
-func (c *Cache) Get(key Key) (*jobs.Result, bool) {
-	c.mu.Lock()
-	res := c.lookupLocked(key)
-	c.mu.Unlock()
-	if res == nil {
-		c.misses.Add(1)
-		return nil, false
+// insertLocked stores res under key, refreshing an entry already there.
+// A full cache evicts its victim only for a newcomer worth strictly more
+// and otherwise declines the newcomer, unless force is set.
+//
+//unizklint:holds c.mu
+func (c *Cache) insertLocked(key Key, res *jobs.Result, cost time.Duration, force bool) {
+	expires := c.clock().Add(c.cfg.TTL)
+	if e, ok := c.entries[key]; ok {
+		e.res, e.expires, e.cost = res, expires, max(e.cost, cost)
+		c.touchLocked(e)
+		return
 	}
-	c.hits.Add(1)
-	return res, true
+	if len(c.entries) >= c.cfg.MaxEntries {
+		victim, worth := c.victimLocked()
+		if !force && c.worthLocked(key, cost) <= worth {
+			c.declined.Add(1)
+			return
+		}
+		delete(c.entries, victim)
+		c.evicted.Add(1)
+	}
+	e := &entry{res: res, expires: expires, cost: cost}
+	c.touchLocked(e)
+	c.entries[key] = e
+	c.inserted.Add(1)
 }
 
 // Begin resolves key at admission time, atomically with respect to
-// concurrent submitters of the same content. Exactly one of three
-// outcomes:
+// concurrent submitters of the same content. Every call counts one
+// request for key, whatever its outcome. Exactly one of three outcomes:
 //
 //   - res != nil: cache hit — the proof already exists, serve it.
 //   - leaderID != "": an identical request is proving right now; the
@@ -178,6 +246,7 @@ func (c *Cache) Get(key Key) (*jobs.Result, bool) {
 func (c *Cache) Begin(key Key, jobID string) (res *jobs.Result, leaderID string, leader bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.countLocked(key)
 	if res := c.lookupLocked(key); res != nil {
 		c.hits.Add(1)
 		return res, "", false
@@ -207,14 +276,21 @@ func (c *Cache) Flight(key Key) (leaderID string, ok bool) {
 	return f.leaderID, true
 }
 
-// Complete finishes a leader's flight with a successful result. If the
-// cache was built with Verify, check is invoked (outside the lock) and a
-// failing result is counted, not inserted, and its error returned — the
-// flight is still cleared so a later request can re-prove. check may be
-// nil to skip verification even under Verify. Complete by a jobID that
-// is not the key's current leader is a no-op (the flight was aborted and
+// Complete finishes a leader's flight with a successful result that
+// took cost (the prove's run time) to produce. If the cache was built
+// with Verify, check is invoked (outside the lock) and a failing result
+// is counted, not inserted, and its error returned — the flight is
+// still cleared so a later request can re-prove. check may be nil to
+// skip verification even under Verify. Complete by a jobID that is not
+// the key's current leader is a no-op (the flight was aborted and
 // reclaimed, or never existed).
-func (c *Cache) Complete(key Key, jobID string, res *jobs.Result, check func(*jobs.Result) error) error {
+//
+// Which results stay: a result is worth its key's recent request count
+// times its cost. A full cache evicts its least-worth entry (ties: the
+// least recently accessed) only for a result worth strictly more, and
+// otherwise declines the result, which is still returned to the leader
+// and its followers.
+func (c *Cache) Complete(key Key, jobID string, res *jobs.Result, cost time.Duration, check func(*jobs.Result) error) error {
 	if c.cfg.Verify && check != nil {
 		if err := check(res); err != nil {
 			c.verifyRejected.Add(1)
@@ -228,52 +304,20 @@ func (c *Cache) Complete(key Key, jobID string, res *jobs.Result, check func(*jo
 		return nil
 	}
 	delete(c.flights, key)
-	if e, ok := c.entries[key]; ok {
-		// A racing insert (e.g. a replicated coordinator writing the same
-		// content) already landed; refresh rather than duplicate.
-		e.res = res
-		e.expires = c.clock().Add(c.cfg.TTL)
-		c.lru.MoveToFront(e.elem)
-		return nil
-	}
-	e := &entry{key: key, res: res, expires: c.clock().Add(c.cfg.TTL)}
-	e.elem = c.lru.PushFront(e)
-	c.entries[key] = e
-	c.inserted.Add(1)
-	for len(c.entries) > c.cfg.MaxEntries {
-		back := c.lru.Back()
-		if back == nil {
-			break
-		}
-		c.removeLocked(back.Value.(*entry))
-		c.evicted.Add(1)
-	}
+	// A racing insert (e.g. a replicated coordinator writing the same
+	// content) may already have landed; insertLocked refreshes it.
+	c.insertLocked(key, res, cost, false)
 	return nil
 }
 
-// Put inserts a result directly, without a flight — how a cluster
-// coordinator seeds its cache from a node's completed job.
+// Put inserts a result directly, without a flight — how a caller seeds
+// the cache with a result it already holds. It always inserts; with no
+// measured cost the entry is worth nothing, so it is the first to go
+// when the cache is full.
 func (c *Cache) Put(key Key, res *jobs.Result) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok {
-		e.res = res
-		e.expires = c.clock().Add(c.cfg.TTL)
-		c.lru.MoveToFront(e.elem)
-		return
-	}
-	e := &entry{key: key, res: res, expires: c.clock().Add(c.cfg.TTL)}
-	e.elem = c.lru.PushFront(e)
-	c.entries[key] = e
-	c.inserted.Add(1)
-	for len(c.entries) > c.cfg.MaxEntries {
-		back := c.lru.Back()
-		if back == nil {
-			break
-		}
-		c.removeLocked(back.Value.(*entry))
-		c.evicted.Add(1)
-	}
+	c.insertLocked(key, res, 0, true)
 }
 
 // Abort clears a leader's flight without inserting anything — the prove
@@ -296,6 +340,7 @@ type Stats struct {
 	Misses         int64
 	Coalesced      int64
 	Evicted        int64
+	Declined       int64 // results a full cache chose not to keep
 	Expired        int64
 	Inserted       int64
 	VerifyRejected int64
@@ -313,6 +358,7 @@ func (c *Cache) Stats() Stats {
 		Misses:         c.misses.Load(),
 		Coalesced:      c.coalesced.Load(),
 		Evicted:        c.evicted.Load(),
+		Declined:       c.declined.Load(),
 		Expired:        c.expired.Load(),
 		Inserted:       c.inserted.Load(),
 		VerifyRejected: c.verifyRejected.Load(),

@@ -105,12 +105,14 @@ type IdempotencyMetrics struct {
 // CacheMetrics holds the proof-cache counters (internal/proofcache),
 // all zero when the cache is disabled. CacheHits counts submits served
 // a stored proof; CacheCoalesced counts submits attached to an
-// in-flight identical prove.
+// in-flight identical prove; CacheDeclined counts finished proofs a full
+// cache chose not to keep.
 type CacheMetrics struct {
 	CacheHits           int64 `json:"cache_hits,omitempty"`
 	CacheMisses         int64 `json:"cache_misses,omitempty"`
 	CacheCoalesced      int64 `json:"cache_coalesced,omitempty"`
 	CacheEvicted        int64 `json:"cache_evicted,omitempty"`
+	CacheDeclined       int64 `json:"cache_declined,omitempty"`
 	CacheExpired        int64 `json:"cache_expired,omitempty"`
 	CacheInserted       int64 `json:"cache_inserted,omitempty"`
 	CacheVerifyRejected int64 `json:"cache_verify_rejected,omitempty"`
