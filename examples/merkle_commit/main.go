@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -35,7 +36,10 @@ func main() {
 	}
 
 	// Steps 1-3 of FRI commitment.
-	batch := fri.CommitValues(values, rateBits, capH, nil)
+	batch, err := fri.CommitValues(context.Background(), values, rateBits, capH, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
 	cap := batch.Cap()
 	fmt.Printf("committed %d polynomials of degree < %d\n", numPolys, n)
 	fmt.Printf("LDE domain: %d points (blowup %d), Merkle cap: %d digests\n",

@@ -231,23 +231,6 @@ func TestTwiddleCacheAllocs(t *testing.T) {
 	})
 }
 
-// TestMultiDimAllocs pins the six-step decomposition's steady state: the
-// transpose/twiddle scratch cycles through the package pool, so repeated
-// transforms of one shape allocate only the returned output slice.
-func TestMultiDimAllocs(t *testing.T) {
-	serialRun(t, func() {
-		const logN = 10
-		data := make([]field.Element, 1<<logN)
-		for i := range data {
-			data[i] = field.New(uint64(i*31 + 1))
-		}
-		dims := ntt.HardwareDims(logN, 5)
-		_ = ntt.MultiDimForwardNN(data, dims) // warm scratch pool + tables
-		// One output slice (+ header) per call is inherent to the API.
-		pinAtMost(t, "ntt.MultiDimForwardNN", 3, func() { _ = ntt.MultiDimForwardNN(data, dims) })
-	})
-}
-
 // TestFoldLayerAllocs pins the standalone FRI fold kernel: pooled
 // xPow/inv2x scratch means the only steady-state allocation is the
 // returned half-size layer.

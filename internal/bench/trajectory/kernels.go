@@ -11,6 +11,7 @@ import (
 	"unizk/internal/jobs"
 	"unizk/internal/merkle"
 	"unizk/internal/ntt"
+	"unizk/internal/parallel"
 	"unizk/internal/poseidon"
 	"unizk/internal/workloads"
 )
@@ -183,14 +184,14 @@ func benchLDEColumns(b *testing.B) {
 }
 
 // benchFRICommit is plonk's wires commitment on an MVM 2^11 proof end to
-// end, through fri.CommitCoeffsContext with a height-4 cap: the LDE of
+// end, through fri.CommitCoeffs with a height-4 cap: the LDE of
 // the 48 columns, the Merkle leaf hashes over the LDE's rows and the
 // tree. The batch's pooled buffers are released after each commit, as
 // a prover does after each proof.
 func benchFRICommit(b *testing.B) {
 	coeffs := wiresCoeffs()
 	run := func() {
-		batch, err := fri.CommitCoeffsContext(context.Background(), coeffs, wiresRateBits, 4, nil)
+		batch, err := fri.CommitCoeffs(context.Background(), coeffs, wiresRateBits, 4, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -346,7 +347,9 @@ var combineFixture = sync.OnceValues(func() ([]*fri.PolynomialBatch, []fri.Point
 				coeffs[p][j] = field.New(uint64((i*256+p)*n+j)*0x9e37_79b9_7f4a_7c15 + 1)
 			}
 		}
-		oracles = append(oracles, fri.CommitCoeffs(coeffs, rateBits, 4, nil))
+		batch, err := fri.CommitCoeffs(context.Background(), coeffs, rateBits, 4, nil)
+		parallel.Must(err)
+		oracles = append(oracles, batch)
 	}
 	zeta := field.NewExt(0x1234_5678_9abc_def0, 0x0fed_cba9_8765_4321)
 	return oracles, []fri.PointGroup{
@@ -358,18 +361,28 @@ var combineFixture = sync.OnceValues(func() ([]*fri.PolynomialBatch, []fri.Point
 // benchFRICombine times the combination of all openings into FRI's
 // layer 0 on the fixture.
 func benchFRICombine(b *testing.B) {
+	ctx := context.Background()
 	oracles, groups := combineFixture()
 	opened := make(fri.OpenedValues, len(groups))
 	for gi, g := range groups {
 		for _, oi := range g.Oracles {
-			opened[gi] = append(opened[gi], oracles[oi].EvalAll(g.Point, nil))
+			v, err := oracles[oi].EvalAll(ctx, g.Point, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			opened[gi] = append(opened[gi], v)
 		}
 	}
 	alpha := field.NewExt(0x2545_f491, 0x7f4a_7c15)
-	_ = fri.Combine(oracles, groups, opened, alpha)
+	run := func() {
+		if _, err := fri.Combine(ctx, oracles, groups, opened, alpha); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = fri.Combine(oracles, groups, opened, alpha)
+		run()
 	}
 }
 
@@ -380,7 +393,9 @@ func benchFRIEvalAll(b *testing.B) {
 	open := func() {
 		for _, g := range groups {
 			for _, oi := range g.Oracles {
-				_ = oracles[oi].EvalAll(g.Point, nil)
+				if _, err := oracles[oi].EvalAll(context.Background(), g.Point, nil); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	}

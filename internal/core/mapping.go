@@ -78,7 +78,7 @@ func mapNode(n trace.Node, cfg Config) kernelCost {
 // buffer) with ArrayDim pipelines per half-array at 2 elements/cycle each.
 func mapNTT(n trace.Node, cfg Config) kernelCost {
 	size := int64(n.Size)
-	batch := int64(max64(1, int64(n.Batch)))
+	batch := max(1, int64(n.Batch))
 	total := size * batch
 	logSize := ceilLog2(size)
 
@@ -156,7 +156,7 @@ func mapHash(n trace.Node, cfg Config) kernelCost {
 // are laid out in level order for sequential traffic.
 func mapMerkle(n trace.Node, cfg Config) kernelCost {
 	leaves := int64(n.Size)
-	width := int64(max64(1, int64(n.Batch)))
+	width := max(1, int64(n.Batch))
 
 	permsPerLeaf := (width + 7) / 8
 	if width <= 4 {
@@ -208,8 +208,8 @@ func permCycles(perms int64, cfg Config) int64 {
 // folding) behave sequentially.
 func mapVecOp(n trace.Node, cfg Config) kernelCost {
 	length := int64(n.Size)
-	operands := int64(max64(1, int64(n.Batch)))
-	ops := int64(max64(1, int64(n.Ops)))
+	operands := max(1, int64(n.Batch))
+	ops := max(1, int64(n.Ops))
 
 	// Two of the three functional units sustained per PE per cycle.
 	opsPerCycle := int64(2 * cfg.TotalPEs())
@@ -294,11 +294,4 @@ func ceilLog2(n int64) int {
 		l++
 	}
 	return l
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -106,12 +106,62 @@ func (p *NTTPipeline) runStage(s int, in []field.Element) []field.Element {
 	return out
 }
 
-// RunVariableNTT runs a size-2^logN transform decomposed into fixed
-// pipeline-size dimensions (§5.1's SAM decomposition) using the functional
-// multi-dimensional kernel, returning natural-order output — this is the
-// end-to-end check that the hardware's variable-length strategy computes
-// the true transform.
+// HardwareDims splits a size-2^logN transform into dimensions of at most
+// 2^logn each, the way the accelerator's fixed pipelines require: full
+// pipeline-size dimensions first, the remainder last, so the product is
+// exact.
+func HardwareDims(logN, logn int) []int {
+	if logn <= 0 {
+		panic("core: pipeline size must be positive")
+	}
+	if logN == 0 {
+		return []int{1}
+	}
+	var dims []int
+	for rem := logN; rem > 0; rem -= logn {
+		dims = append(dims, 1<<min(rem, logn))
+	}
+	return dims
+}
+
+// RunVariableNTT runs a size-2^logN forward transform the way §5.1 maps
+// a variable length onto fixed size-2^pipelineLogN pipelines (SAM),
+// returning natural-order output. Every fixed-size transform streams
+// through an NTTPipeline, the inter-dimension twiddles come from the
+// TwiddleGenerator, and every layout change goes through a b = 16
+// TransposeBuffer; the result is the true transform.
 func RunVariableNTT(input []field.Element, pipelineLogN int) []field.Element {
-	dims := ntt.HardwareDims(ntt.Log2(len(input)), pipelineLogN)
-	return ntt.MultiDimForwardNN(input, dims)
+	return runDims(input, HardwareDims(ntt.Log2(len(input)), pipelineLogN))
+}
+
+// runDims transforms x as n = n1·n2 with n1 = dims[0] one pipeline and
+// the size-n2 inner transforms decomposed by dims[1:]. Input index
+// j1 + n1·j2, output index k2 + n2·k1:
+//
+//	X[k2 + n2·k1] = Σ_j1 w_n1^(j1·k1) · w_n^(j1·k2) · Σ_j2 x[j1 + n1·j2] · w_n2^(j2·k2)
+func runDims(x []field.Element, dims []int) []field.Element {
+	if len(dims) == 1 {
+		out, _ := NewNTTPipeline(ntt.Log2(len(x))).Run(x)
+		ntt.BitReversePermute(out)
+		return out
+	}
+	n1, n2 := dims[0], len(x)/dims[0]
+	tb := NewTransposeBuffer(16)
+	// Row j1 of cols holds x[j1 + n1·j2] for every j2: one inner transform.
+	cols := tb.Transpose(x, n2, n1)
+	seeds := NewTwiddleGenerator(field.PrimitiveRootOfUnity(ntt.Log2(len(x))), 1)
+	for j1 := 0; j1 < n1; j1++ {
+		row := runDims(cols[j1*n2:(j1+1)*n2], dims[1:])
+		tw := NewTwiddleGenerator(seeds.Next()[0], 1).Generate(n2) // w_n^(j1·k2)
+		for k2, v := range row {
+			cols[j1*n2+k2] = field.Mul(v, tw[k2])
+		}
+	}
+	// Row k2 of rows holds the twiddled inner outputs for every j1: one
+	// outer transform on the pipeline.
+	rows := tb.Transpose(cols, n1, n2)
+	for k2 := 0; k2 < n2; k2++ {
+		copy(rows[k2*n1:], runDims(rows[k2*n1:(k2+1)*n1], dims[:1]))
+	}
+	return tb.Transpose(rows, n2, n1)
 }

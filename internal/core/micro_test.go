@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"unizk/internal/field"
@@ -58,21 +59,43 @@ func TestNTTPipelineRegisterBudget(t *testing.T) {
 	}
 }
 
-// TestVariableNTTViaFixedPipelines: the SAM-style decomposition into
-// pipeline-sized dimensions computes the true variable-length transform.
+// TestVariableNTTViaFixedPipelines: the SAM decomposition into
+// pipeline-sized dimensions computes the true variable-length transform,
+// bit for bit, including lengths that are not a power of the pipeline
+// size.
 func TestVariableNTTViaFixedPipelines(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for _, logN := range []int{5, 9, 12} { // 512 = the paper's Fig. 4b example
-		in := randVec(rng, 1<<logN)
-		got := RunVariableNTT(in, 5)
-		want := append([]field.Element(nil), in...)
-		if err := ntt.Transform(context.Background(), want, ntt.Spec{}); err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("logN=%d: variable NTT mismatch at %d", logN, i)
+	for _, logn := range []int{1, 3, 5} {
+		for logN := 0; logN <= 12; logN++ { // 2^9 = the paper's Fig. 4b example
+			in := randVec(rng, 1<<logN)
+			got := RunVariableNTT(in, logn)
+			want := append([]field.Element(nil), in...)
+			if err := ntt.Transform(context.Background(), want, ntt.Spec{}); err != nil {
+				t.Fatal(err)
 			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("logN=%d logn=%d: variable NTT mismatch at %d", logN, logn, i)
+				}
+			}
+		}
+	}
+}
+
+func TestHardwareDims(t *testing.T) {
+	cases := []struct {
+		logN, logn int
+		want       []int
+	}{
+		{9, 3, []int{8, 8, 8}},    // the paper's Fig. 4b example: 512 = 8×8×8
+		{10, 5, []int{32, 32}},    // two full pipelines
+		{12, 5, []int{32, 32, 4}}, // remainder dimension
+		{3, 5, []int{8}},
+		{0, 5, []int{1}},
+	}
+	for _, c := range cases {
+		if got := HardwareDims(c.logN, c.logn); !slices.Equal(got, c.want) {
+			t.Fatalf("HardwareDims(%d,%d) = %v, want %v", c.logN, c.logn, got, c.want)
 		}
 	}
 }

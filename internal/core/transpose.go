@@ -88,10 +88,3 @@ func BitReverseLocalShuffle(data []field.Element, innerBits int) []field.Element
 	}
 	return out
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -39,11 +39,6 @@ func ExtAdd(x, y Ext) Ext { return Ext{Add(x.A, y.A), Add(x.B, y.B)} }
 //unizklint:hotpath
 func ExtSub(x, y Ext) Ext { return Ext{Sub(x.A, y.A), Sub(x.B, y.B)} }
 
-// ExtNeg returns -x.
-//
-//unizklint:hotpath
-func ExtNeg(x Ext) Ext { return Ext{Neg(x.A), Neg(x.B)} }
-
 // ExtMul returns x * y:
 //
 //	(a + bX)(c + dX) = (ac + W·bd) + (ad + bc)X.
@@ -81,9 +76,6 @@ func ExtInverse(x Ext) Ext {
 	return Ext{Mul(x.A, ninv), Mul(Neg(x.B), ninv)}
 }
 
-// ExtDiv returns x / y (zero if y == 0).
-func ExtDiv(x, y Ext) Ext { return ExtMul(x, ExtInverse(y)) }
-
 // ExtExp returns base^exp.
 //
 //unizklint:hotpath
@@ -98,8 +90,3 @@ func ExtExp(base Ext, exp uint64) Ext {
 	}
 	return result
 }
-
-// ExtMulAdd returns a*b + c.
-//
-//unizklint:hotpath
-func ExtMulAdd(a, b, c Ext) Ext { return ExtAdd(ExtMul(a, b), c) }

@@ -8,7 +8,11 @@
 // equality is plain ==.
 package field
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"unizk/internal/parallel"
+)
 
 // Order is the Goldilocks prime p = 2^64 - 2^32 + 1.
 const Order uint64 = 0xFFFFFFFF00000001
@@ -231,6 +235,13 @@ var pow2Gen = func() Element {
 	return Exp(MultiplicativeGenerator, epsilon)
 }()
 
+// inverseScratch pools BatchInverse's O(n) prefix-product array, so the
+// steady-state prove loop allocates nothing: the hotalloc analyzer
+// enforces this statically on the annotated kernels, and
+// internal/allocgate pins it at runtime with testing.AllocsPerRun. The
+// concurrent chunked callers in parinv.go each check out their own.
+var inverseScratch parallel.Scratch[Element]
+
 // BatchInverse inverts every element of xs in place using Montgomery's
 // trick (one inversion + 3(n-1) multiplications). Zero entries stay zero.
 //
@@ -242,8 +253,8 @@ func BatchInverse(xs []Element) {
 	}
 	// prefix[i] = product of non-zero xs[0..i]; pooled so the steady
 	// state allocates nothing.
-	sp := elemScratchFor(n)
-	prefix := (*sp)[:n]
+	sp := inverseScratch.Get(n)
+	prefix := *sp
 	acc := One
 	for i, x := range xs {
 		if x != 0 {
@@ -264,5 +275,5 @@ func BatchInverse(xs []Element) {
 		inv = Mul(inv, xs[i])
 		xs[i] = thisInv
 	}
-	putElemScratch(sp)
+	inverseScratch.Put(sp)
 }

@@ -23,7 +23,7 @@ import (
 // with the pointwise combination at every LDE point; it costs 1/2^rate of
 // the pointwise work and no inversions. A nonzero remainder means an
 // opened value is wrong, which panics as the final-polynomial degree
-// check would. The returned buffer is pooled (putExt).
+// check would. The returned buffer is pooled (extBufs.Put).
 //
 // The reduce is element-wise vector work, the "Poly" kernel class of the
 // paper, split over disjoint coefficient ranges; the division is one
@@ -42,15 +42,15 @@ func combine(ctx context.Context, oracles []*PolynomialBatch, groups []PointGrou
 
 	// F's two base components: coefficients in [:n], zero-padded, then
 	// their LDE in place.
-	fap, fbp := getBase(m), getBase(m)
-	defer putBase(fap)
-	defer putBase(fbp)
+	fap, fbp := baseBufs.Get(m), baseBufs.Get(m)
+	defer baseBufs.Put(fap)
+	defer baseBufs.Put(fbp)
 	fa, fb := *fap, *fbp
 	clear(fa)
 	clear(fb)
-	bap, bbp := getBase(n), getBase(n)
-	defer putBase(bap)
-	defer putBase(bbp)
+	bap, bbp := baseBufs.Get(n), baseBufs.Get(n)
+	defer baseBufs.Put(bap)
+	defer baseBufs.Put(bbp)
 	ba, bb := *bap, *bbp
 	var err error
 	rec.VecOp(n, totalPolys, 4, func() {
@@ -92,7 +92,7 @@ func combine(ctx context.Context, oracles []*PolynomialBatch, groups []PointGrou
 		return nil, err
 	}
 
-	fp := getExt(m)
+	fp := extBufs.Get(m)
 	rec.NTT(m, 2, false, true, true, func() {
 		cols := [][]field.Element{fa, fb}
 		if err = ntt.Columns(ctx, cols, cols, ntt.Spec{Shift: field.MultiplicativeGenerator, OutBR: true}); err != nil {
@@ -106,7 +106,7 @@ func combine(ctx context.Context, oracles []*PolynomialBatch, groups []PointGrou
 		})
 	})
 	if err != nil {
-		putExt(fp)
+		extBufs.Put(fp)
 		return nil, err
 	}
 	return fp, nil
@@ -116,10 +116,12 @@ func combine(ctx context.Context, oracles []*PolynomialBatch, groups []PointGrou
 // benchmarks and differential tests: it returns layer 0 for the given α
 // without touching a transcript. Prove's combine uses the identical code
 // path.
-func Combine(oracles []*PolynomialBatch, groups []PointGroup, opened OpenedValues, alpha field.Ext) []field.Ext {
-	fp, err := combine(context.Background(), oracles, groups, opened, alpha, nil)
-	parallel.Must(err)
-	return *fp
+func Combine(ctx context.Context, oracles []*PolynomialBatch, groups []PointGroup, opened OpenedValues, alpha field.Ext) ([]field.Ext, error) {
+	fp, err := combine(ctx, oracles, groups, opened, alpha, nil)
+	if err != nil {
+		return nil, err
+	}
+	return *fp, nil
 }
 
 // reduceRange sets B[j] = Σ_p pows[p]·coeffs[p][j] for j in [lo, hi),

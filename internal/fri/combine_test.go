@@ -1,6 +1,7 @@
 package fri
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -52,7 +53,7 @@ func combineFixture(seed int64, logN, rateBits, numGroups int) ([]*PolynomialBat
 	n := 1 << logN
 	var oracles []*PolynomialBatch
 	for _, k := range []int{3, 2, 4} {
-		oracles = append(oracles, CommitValues(randValues(rng, k, n), rateBits, 0, nil))
+		oracles = append(oracles, must(CommitValues(context.Background(), randValues(rng, k, n), rateBits, 0, nil)))
 	}
 	members := [][]int{{0, 1, 2}, {1}, {0, 2}}
 	var groups []PointGroup
@@ -62,7 +63,7 @@ func combineFixture(seed int64, logN, rateBits, numGroups int) ([]*PolynomialBat
 		groups = append(groups, PointGroup{Point: z, Oracles: members[g]})
 		var vals [][]field.Ext
 		for _, oi := range members[g] {
-			vals = append(vals, oracles[oi].EvalAll(z, nil))
+			vals = append(vals, must(oracles[oi].EvalAll(context.Background(), z, nil)))
 		}
 		opened = append(opened, vals)
 	}
@@ -86,7 +87,7 @@ func TestCombineMatchesReference(t *testing.T) {
 				for _, workers := range []int{0, 1, 2, 7, runtime.NumCPU()} {
 					parallel.SetSerial(workers == 0)
 					parallel.SetWorkers(max(workers, 1))
-					got := Combine(oracles, groups, opened, alpha)
+					got := must(Combine(context.Background(), oracles, groups, opened, alpha))
 					if len(got) != len(want) {
 						t.Fatalf("%s workers=%d: %d points, want %d", name, workers, len(got), len(want))
 					}

@@ -53,7 +53,7 @@ func (b *PolynomialBatch) Row(j int) []field.Element {
 // garbage-collected behavior.
 func (b *PolynomialBatch) Release() {
 	for _, p := range b.owned {
-		putBase(p)
+		baseBufs.Put(p)
 	}
 	b.owned = nil
 	b.Coeffs = nil
@@ -67,24 +67,16 @@ func (b *PolynomialBatch) Release() {
 // CommitValues commits polynomials given by their evaluations over the
 // size-N subgroup in natural order. This is the full FRI commitment flow
 // of paper Fig. 1 right: iNTT^NN (step 1), LDE with coset NTT^NR (step 2),
-// Merkle tree construction (step 3).
-func CommitValues(values [][]field.Element, rateBits, capHeight int, rec *trace.Recorder) *PolynomialBatch {
-	b, err := CommitValuesContext(context.Background(), values, rateBits, capHeight, rec)
-	parallel.Must(err)
-	return b
-}
-
-// CommitValuesContext is CommitValues with cooperative cancellation
-// threaded through every parallel kernel (per-column iNTTs, LDEs, and
-// the Merkle tree).
-func CommitValuesContext(ctx context.Context, values [][]field.Element,
+// Merkle tree construction (step 3). Cancellation reaches every parallel
+// kernel (per-column iNTTs, LDEs, and the Merkle tree).
+func CommitValues(ctx context.Context, values [][]field.Element,
 	rateBits, capHeight int, rec *trace.Recorder) (*PolynomialBatch, error) {
 
 	n := len(values[0])
 	coeffs := make([][]field.Element, len(values))
 	coeffBufs := make([]*[]field.Element, len(values))
 	for i := range coeffBufs {
-		coeffBufs[i] = getBase(n)
+		coeffBufs[i] = baseBufs.Get(n)
 		coeffs[i] = *coeffBufs[i]
 	}
 	var err error
@@ -95,14 +87,14 @@ func CommitValuesContext(ctx context.Context, values [][]field.Element,
 	})
 	if err != nil {
 		for _, p := range coeffBufs {
-			putBase(p)
+			baseBufs.Put(p)
 		}
 		return nil, err
 	}
-	b, err := CommitCoeffsContext(ctx, coeffs, rateBits, capHeight, rec)
+	b, err := CommitCoeffs(ctx, coeffs, rateBits, capHeight, rec)
 	if err != nil {
 		for _, p := range coeffBufs {
-			putBase(p)
+			baseBufs.Put(p)
 		}
 		return nil, err
 	}
@@ -111,16 +103,8 @@ func CommitValuesContext(ctx context.Context, values [][]field.Element,
 }
 
 // CommitCoeffs commits polynomials given by coefficient vectors of equal
-// power-of-two length.
-func CommitCoeffs(coeffs [][]field.Element, rateBits, capHeight int, rec *trace.Recorder) *PolynomialBatch {
-	b, err := CommitCoeffsContext(context.Background(), coeffs, rateBits, capHeight, rec)
-	parallel.Must(err)
-	return b
-}
-
-// CommitCoeffsContext is CommitCoeffs with cooperative cancellation; see
-// CommitValuesContext.
-func CommitCoeffsContext(ctx context.Context, coeffs [][]field.Element,
+// power-of-two length; see CommitValues.
+func CommitCoeffs(ctx context.Context, coeffs [][]field.Element,
 	rateBits, capHeight int, rec *trace.Recorder) (*PolynomialBatch, error) {
 
 	n := len(coeffs[0])
@@ -134,13 +118,13 @@ func CommitCoeffsContext(ctx context.Context, coeffs [][]field.Element,
 	lde := make([][]field.Element, len(coeffs))
 	owned := make([]*[]field.Element, 0, len(coeffs))
 	for i := range lde {
-		p := getBase(m)
+		p := baseBufs.Get(m)
 		owned = append(owned, p)
 		lde[i] = *p
 	}
 	release := func() {
 		for _, p := range owned {
-			putBase(p)
+			baseBufs.Put(p)
 		}
 	}
 	var err error
@@ -184,29 +168,22 @@ func (b *PolynomialBatch) Cap() merkle.Cap { return b.Tree.Cap() }
 func (b *PolynomialBatch) NumPolys() int { return len(b.Coeffs) }
 
 // EvalAll evaluates every polynomial of the batch at an extension point;
-// these are the opened values ("Prove Openings" in paper Fig. 7).
-func (b *PolynomialBatch) EvalAll(x field.Ext, rec *trace.Recorder) []field.Ext {
-	out, err := b.EvalAllContext(context.Background(), x, rec)
-	parallel.Must(err)
-	return out
-}
-
-// EvalAllContext is EvalAll as dot products: the powers x^0..x^(N−1) are
-// built once per call (N extension multiplies), as their two base
-// components in pooled scratch, and each polynomial's value is two
-// field.Dot calls against them, with the polynomials fanned across the
-// pool. Horner's rule in the extension pays five reduced multiplies per
-// coefficient; the dot products pay two unreduced ones and one reduction
-// per component.
-func (b *PolynomialBatch) EvalAllContext(ctx context.Context, x field.Ext, rec *trace.Recorder) ([]field.Ext, error) {
+// these are the opened values ("Prove Openings" in paper Fig. 7). It
+// works as dot products: the powers x^0..x^(N−1) are built once per call
+// (N extension multiplies), as their two base components in pooled
+// scratch, and each polynomial's value is two field.Dot calls against
+// them, with the polynomials fanned across the pool. Horner's rule in the
+// extension pays five reduced multiplies per coefficient; the dot
+// products pay two unreduced ones and one reduction per component.
+func (b *PolynomialBatch) EvalAll(ctx context.Context, x field.Ext, rec *trace.Recorder) ([]field.Ext, error) {
 	out := make([]field.Ext, len(b.Coeffs))
 	n := 0
 	for _, c := range b.Coeffs {
 		n = max(n, len(c))
 	}
-	pap, pbp := getBase(n), getBase(n)
-	defer putBase(pap)
-	defer putBase(pbp)
+	pap, pbp := baseBufs.Get(n), baseBufs.Get(n)
+	defer baseBufs.Put(pap)
+	defer baseBufs.Put(pbp)
 	pa, pb := *pap, *pbp
 	var err error
 	rec.VecOp(b.N, len(b.Coeffs), 2, func() {

@@ -31,7 +31,7 @@ func TestCommitLDEMatchesEvaluation(t *testing.T) {
 	cfg := TestConfig()
 	n := 16
 	values := randValues(rng, 3, n)
-	b := CommitValues(values, cfg.RateBits, cfg.CapHeight, nil)
+	b := must(CommitValues(context.Background(), values, cfg.RateBits, cfg.CapHeight, nil))
 
 	// The committed coefficients interpolate the input values.
 	w := field.PrimitiveRootOfUnity(ntt.Log2(n))
@@ -72,8 +72,8 @@ func TestCommitBatchOwnsOnlyColumns(t *testing.T) {
 		name  string
 		batch *PolynomialBatch
 	}{
-		{"CommitCoeffs", CommitCoeffs(values, rateBits, 1, nil)},
-		{"CommitValues", CommitValues(values, rateBits, 1, nil)},
+		{"CommitCoeffs", must(CommitCoeffs(context.Background(), values, rateBits, 1, nil))},
+		{"CommitValues", must(CommitValues(context.Background(), values, rateBits, 1, nil))},
 	} {
 		b := tc.batch
 		owned := append([][]field.Element(nil), b.LDE...)
@@ -104,9 +104,9 @@ func TestCommitBatchOwnsOnlyColumns(t *testing.T) {
 func TestEvalAllMatchesCoeffs(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	cfg := TestConfig()
-	b := CommitValues(randValues(rng, 2, 8), cfg.RateBits, cfg.CapHeight, nil)
+	b := must(CommitValues(context.Background(), randValues(rng, 2, 8), cfg.RateBits, cfg.CapHeight, nil))
 	z := field.Ext{A: field.New(rng.Uint64()), B: field.New(rng.Uint64())}
-	got := b.EvalAll(z, nil)
+	got := must(b.EvalAll(context.Background(), z, nil))
 	for i := range got {
 		if got[i] != hornerExt(b.Coeffs[i], z) {
 			t.Fatalf("EvalAll poly %d mismatch", i)
@@ -141,7 +141,7 @@ func TestEvalAllMatchesHorner(t *testing.T) {
 		{A: field.New(rng.Uint64()), B: field.New(rng.Uint64())},
 		{A: 0, B: field.Element(field.Order - 1)},
 	} {
-		got := b.EvalAll(z, nil)
+		got := must(b.EvalAll(context.Background(), z, nil))
 		for i, c := range b.Coeffs {
 			if want := hornerExt(c, z); got[i] != want {
 				t.Fatalf("z=%v len %d: EvalAll = %v, want %v", z, len(c), got[i], want)
@@ -166,8 +166,8 @@ func newFixture(t *testing.T, seed int64, logN int) *friFixture {
 	rng := rand.New(rand.NewSource(seed))
 	cfg := TestConfig()
 	n := 1 << logN
-	b1 := CommitValues(randValues(rng, 3, n), cfg.RateBits, cfg.CapHeight, nil)
-	b2 := CommitValues(randValues(rng, 2, n), cfg.RateBits, cfg.CapHeight, nil)
+	b1 := must(CommitValues(context.Background(), randValues(rng, 3, n), cfg.RateBits, cfg.CapHeight, nil))
+	b2 := must(CommitValues(context.Background(), randValues(rng, 2, n), cfg.RateBits, cfg.CapHeight, nil))
 	zeta := field.Ext{A: field.New(rng.Uint64()), B: field.New(rng.Uint64())}
 	g := field.PrimitiveRootOfUnity(logN)
 	gzeta := field.ExtScalarMul(g, zeta)
@@ -176,8 +176,8 @@ func newFixture(t *testing.T, seed int64, logN int) *friFixture {
 		{Point: gzeta, Oracles: []int{1}},
 	}
 	opened := OpenedValues{
-		{b1.EvalAll(zeta, nil), b2.EvalAll(zeta, nil)},
-		{b2.EvalAll(gzeta, nil)},
+		{must(b1.EvalAll(context.Background(), zeta, nil)), must(b2.EvalAll(context.Background(), zeta, nil))},
+		{must(b2.EvalAll(context.Background(), gzeta, nil))},
 	}
 	return &friFixture{
 		oracles: []*PolynomialBatch{b1, b2},
@@ -208,7 +208,7 @@ func (f *friFixture) challenger() *poseidon.Challenger {
 }
 
 func (f *friFixture) prove(rec *trace.Recorder) *Proof {
-	return Prove(f.oracles, f.groups, f.opened, f.challenger(), f.cfg, rec)
+	return must(Prove(context.Background(), f.oracles, f.groups, f.opened, f.challenger(), f.cfg, rec))
 }
 
 func (f *friFixture) verify(proof *Proof) error {
@@ -393,10 +393,10 @@ func TestSmallDomainNoFolding(t *testing.T) {
 	cfg := PlonkyConfig() // FinalPolyBits 5 vs a degree-8 polynomial
 	cfg.ProofOfWorkBits = 4
 	logN := 3
-	b := CommitValues(randValues(rng, 2, 1<<logN), cfg.RateBits, cfg.CapHeight, nil)
+	b := must(CommitValues(context.Background(), randValues(rng, 2, 1<<logN), cfg.RateBits, cfg.CapHeight, nil))
 	zeta := field.Ext{A: field.New(rng.Uint64()), B: field.New(rng.Uint64())}
 	groups := []PointGroup{{Point: zeta, Oracles: []int{0}}}
-	opened := OpenedValues{{b.EvalAll(zeta, nil)}}
+	opened := OpenedValues{{must(b.EvalAll(context.Background(), zeta, nil))}}
 
 	mkCh := func() *poseidon.Challenger {
 		ch := poseidon.NewChallenger()
@@ -406,7 +406,7 @@ func TestSmallDomainNoFolding(t *testing.T) {
 		}
 		return ch
 	}
-	proof := Prove([]*PolynomialBatch{b}, groups, opened, mkCh(), cfg, nil)
+	proof := must(Prove(context.Background(), []*PolynomialBatch{b}, groups, opened, mkCh(), cfg, nil))
 	if len(proof.CommitPhaseCaps) != 0 {
 		t.Fatalf("expected 0 fold layers, got %d", len(proof.CommitPhaseCaps))
 	}
@@ -438,7 +438,7 @@ func TestProveRecordsKernels(t *testing.T) {
 	rec := trace.New()
 	// Re-commit through the recorder to capture the commitment kernels.
 	rng := rand.New(rand.NewSource(20))
-	CommitValues(randValues(rng, 2, 32), f.cfg.RateBits, f.cfg.CapHeight, rec)
+	must(CommitValues(context.Background(), randValues(rng, 2, 32), f.cfg.RateBits, f.cfg.CapHeight, rec))
 	f.prove(rec)
 	counts := map[trace.Kind]int{}
 	for _, n := range rec.Nodes() {
@@ -502,14 +502,22 @@ func BenchmarkProve(b *testing.B) {
 	rng := rand.New(rand.NewSource(21))
 	cfg := TestConfig()
 	logN := 8
-	batch := CommitValues(randValues(rng, 4, 1<<logN), cfg.RateBits, cfg.CapHeight, nil)
+	batch := must(CommitValues(context.Background(), randValues(rng, 4, 1<<logN), cfg.RateBits, cfg.CapHeight, nil))
 	zeta := field.Ext{A: field.New(rng.Uint64()), B: field.New(rng.Uint64())}
 	groups := []PointGroup{{Point: zeta, Oracles: []int{0}}}
-	opened := OpenedValues{{batch.EvalAll(zeta, nil)}}
+	opened := OpenedValues{{must(batch.EvalAll(context.Background(), zeta, nil))}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ch := poseidon.NewChallenger()
 		ch.ObserveCap(batch.Cap())
-		Prove([]*PolynomialBatch{batch}, groups, opened, ch, cfg, nil)
+		must(Prove(context.Background(), []*PolynomialBatch{batch}, groups, opened, ch, cfg, nil))
 	}
+}
+
+// must unwraps a stage result that a background context cannot cancel.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

@@ -2,6 +2,7 @@ package fri
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -33,12 +34,12 @@ func TestCommitSerialVsParallel(t *testing.T) {
 		values := randValues(rng, 3, n)
 
 		parallel.SetSerial(true)
-		ref := CommitValues(values, cfg.RateBits, cfg.CapHeight, nil)
+		ref := must(CommitValues(context.Background(), values, cfg.RateBits, cfg.CapHeight, nil))
 		parallel.SetSerial(false)
 
 		for _, workers := range []int{1, 2, 7, runtime.NumCPU()} {
 			parallel.SetWorkers(workers)
-			got := CommitValues(values, cfg.RateBits, cfg.CapHeight, nil)
+			got := must(CommitValues(context.Background(), values, cfg.RateBits, cfg.CapHeight, nil))
 			for i := range ref.Coeffs {
 				for j := range ref.Coeffs[i] {
 					if got.Coeffs[i][j] != ref.Coeffs[i][j] {
@@ -73,7 +74,7 @@ func TestProveSerialVsParallel(t *testing.T) {
 		parallel.SetSerial(true)
 		f := newFixture(t, int64(100+logN), logN)
 		refCh := f.challenger()
-		refProof := Prove(f.oracles, f.groups, f.opened, refCh, f.cfg, nil)
+		refProof := must(Prove(context.Background(), f.oracles, f.groups, f.opened, refCh, f.cfg, nil))
 		refBytes := encodeProof(t, refProof)
 		refState := refCh.Sample()
 		parallel.SetSerial(false)
@@ -81,7 +82,7 @@ func TestProveSerialVsParallel(t *testing.T) {
 		for _, workers := range []int{1, 2, 7, runtime.NumCPU()} {
 			parallel.SetWorkers(workers)
 			ch := f.challenger()
-			proof := Prove(f.oracles, f.groups, f.opened, ch, f.cfg, nil)
+			proof := must(Prove(context.Background(), f.oracles, f.groups, f.opened, ch, f.cfg, nil))
 			if got := encodeProof(t, proof); !bytes.Equal(got, refBytes) {
 				t.Fatalf("logN=%d workers=%d: proof bytes differ from serial", logN, workers)
 			}
@@ -134,16 +135,16 @@ func TestEvalAllSerialVsParallel(t *testing.T) {
 
 	cfg := TestConfig()
 	rng := rand.New(rand.NewSource(42))
-	b := CommitValues(randValues(rng, 7, 1<<10), cfg.RateBits, cfg.CapHeight, nil)
+	b := must(CommitValues(context.Background(), randValues(rng, 7, 1<<10), cfg.RateBits, cfg.CapHeight, nil))
 	zeta := field.Ext{A: field.New(rng.Uint64()), B: field.New(rng.Uint64())}
 
 	parallel.SetSerial(true)
-	ref := b.EvalAll(zeta, nil)
+	ref := must(b.EvalAll(context.Background(), zeta, nil))
 	parallel.SetSerial(false)
 
 	for _, workers := range []int{1, 2, 7, runtime.NumCPU()} {
 		parallel.SetWorkers(workers)
-		got := b.EvalAll(zeta, nil)
+		got := must(b.EvalAll(context.Background(), zeta, nil))
 		for i := range ref {
 			if got[i] != ref[i] {
 				t.Fatalf("workers=%d: opening %d differs from serial", workers, i)

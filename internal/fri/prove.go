@@ -73,29 +73,19 @@ func layerCapHeight(cfg Config, numLeaves int) int {
 // given point groups. The challenger must have already observed the oracle
 // caps and the opened values (the outer protocol's transcript); Prove and
 // Verify then perform identical transcript operations.
-func Prove(oracles []*PolynomialBatch, groups []PointGroup, opened OpenedValues,
-	ch *poseidon.Challenger, cfg Config, rec *trace.Recorder) *Proof {
-	proof, err := ProveContext(context.Background(), oracles, groups, opened, ch, cfg, rec)
-	if err != nil {
-		// A background context never cancels; any error here is a bug.
-		panic("fri: ProveContext failed without cancellation: " + err.Error())
-	}
-	return proof
-}
-
-// ProveContext is Prove with cooperative cancellation: the context is
-// checked between the combine, commit-phase, grinding, and query phases,
-// it propagates into every parallel.For chunk loop of the combine, fold,
-// Merkle, and opening kernels, and it is polled periodically inside the
-// proof-of-work search (the one unbounded loop), so servers can impose
-// timeouts on long proofs. On cancellation it returns ctx.Err() and
-// leaves no shared state (twiddle/root caches, challenger clones)
-// half-written.
+//
+// The context is checked between the combine, commit-phase, grinding,
+// and query phases, it propagates into every parallel.For chunk loop of
+// the combine, fold, Merkle, and opening kernels, and it is polled
+// periodically inside the proof-of-work search (the one unbounded loop),
+// so servers can impose timeouts on long proofs. On cancellation it
+// returns ctx.Err() and leaves no shared state (twiddle/root caches,
+// challenger clones) half-written.
 //
 // Every parallel kernel writes disjoint index ranges, so the proof —
 // and the Fiat–Shamir transcript it commits to — is bit-identical to a
 // serial run (enforced by TestFRIProveSerialParallel).
-func ProveContext(ctx context.Context, oracles []*PolynomialBatch, groups []PointGroup,
+func Prove(ctx context.Context, oracles []*PolynomialBatch, groups []PointGroup,
 	opened OpenedValues, ch *poseidon.Challenger, cfg Config, rec *trace.Recorder) (*Proof, error) {
 
 	if err := ctx.Err(); err != nil {
@@ -139,7 +129,7 @@ func ProveContext(ctx context.Context, oracles []*PolynomialBatch, groups []Poin
 		// flat[4k:4k+4], so the whole layer's leaves are two allocations
 		// (header + pooled arena) instead of one per pair.
 		leaves := make([][]field.Element, half)
-		flatp := getBase(4 * half)
+		flatp := baseBufs.Get(4 * half)
 		foldArenas = append(foldArenas, flatp)
 		var tree *merkle.Tree
 		rec.Merkle(half, 4, func() {
@@ -165,7 +155,7 @@ func ProveContext(ctx context.Context, oracles []*PolynomialBatch, groups []Poin
 		ch.ObserveCap(tree.Cap())
 		beta := ch.SampleExt()
 
-		nextp := getExt(half)
+		nextp := extBufs.Get(half)
 		next := *nextp
 		layerBufs = append(layerBufs, nextp)
 		rec.VecOp(half, 2, 6, func() {
@@ -183,7 +173,7 @@ func ProveContext(ctx context.Context, oracles []*PolynomialBatch, groups []Poin
 	// extension splits into two base transforms).
 	finalCoeffs, err := extCosetInverseNN(ctx, layer, shift, rec)
 	for _, p := range layerBufs {
-		putExt(p)
+		extBufs.Put(p)
 	}
 	if err != nil {
 		return nil, err
@@ -261,7 +251,7 @@ func ProveContext(ctx context.Context, oracles []*PolynomialBatch, groups []Poin
 		tree.Release()
 	}
 	for _, p := range foldArenas {
-		putBase(p)
+		baseBufs.Put(p)
 	}
 
 	return &Proof{
@@ -281,9 +271,9 @@ func extCosetInverseNN(ctx context.Context, values []field.Ext, shift field.Elem
 	out := make([]field.Ext, n)
 	var err error
 	rec.NTT(n, 2, true, true, true, func() {
-		asp, bsp := getBase(n), getBase(n)
-		defer putBase(asp)
-		defer putBase(bsp)
+		asp, bsp := baseBufs.Get(n), baseBufs.Get(n)
+		defer baseBufs.Put(asp)
+		defer baseBufs.Put(bsp)
 		as, bs := *asp, *bsp
 		for i, v := range values {
 			as[i] = v.A
@@ -319,9 +309,9 @@ func foldLayerCtx(ctx context.Context, layer, next []field.Ext, beta field.Ext, 
 	}
 	logLayer := ntt.Log2(len(layer))
 	w := field.PrimitiveRootOfUnity(logLayer)
-	xPowp, inv2xp := getBase(half), getBase(half)
-	defer putBase(xPowp)
-	defer putBase(inv2xp)
+	xPowp, inv2xp := baseBufs.Get(half), baseBufs.Get(half)
+	defer baseBufs.Put(xPowp)
+	defer baseBufs.Put(inv2xp)
 	xPow := *xPowp
 	if err := parallel.For(ctx, half, vecGrain, func(lo, hi int) {
 		acc := field.Mul(shift, field.Exp(w, uint64(lo)))

@@ -11,7 +11,6 @@ package merkle
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"unizk/internal/field"
 	"unizk/internal/ntt"
@@ -20,23 +19,12 @@ import (
 	"unizk/internal/prooferr"
 )
 
-// levelPool recycles per-level digest buffers across trees: a proving
+// digestBufs recycles per-level digest buffers across trees: a proving
 // server builds and discards trees of the same few shapes for every
 // proof, so steady-state tree construction allocates nothing. Buffers
 // re-enter the pool only through Tree.Release, whose caller asserts no
 // outstanding references to the tree's digests.
-var levelPool = sync.Pool{New: func() any { s := make([]poseidon.HashOut, 0, 1<<10); return &s }}
-
-// getLevel returns a pooled digest buffer of exactly n entries, contents
-// unspecified (every builder fully overwrites it).
-func getLevel(n int) *[]poseidon.HashOut {
-	p := levelPool.Get().(*[]poseidon.HashOut)
-	if cap(*p) < n {
-		*p = make([]poseidon.HashOut, n)
-	}
-	*p = (*p)[:n]
-	return p
-}
+var digestBufs parallel.Scratch[poseidon.HashOut]
 
 // Tree is a Poseidon Merkle tree over a fixed set of leaves. It keeps
 // the digests only: the leaf data stays with the caller, who opens a
@@ -107,27 +95,27 @@ func build(ctx context.Context, n, capHeight int, hashLeaves func(lo, hi int, ou
 	}
 	t := &Tree{capHeight: capHeight}
 
-	dp := getLevel(n)
+	dp := digestBufs.Get(n)
 	digests := *dp
 	err := parallel.For(ctx, n, hashGrain, func(lo, hi int) {
 		hashLeaves(lo, hi, digests[lo:hi])
 	})
 	if err != nil {
-		levelPool.Put(dp)
+		digestBufs.Put(dp)
 		return nil, err
 	}
 	t.levels = append(t.levels, digests)
 	t.levelBufs = append(t.levelBufs, dp)
 
 	for len(digests) > 1<<capHeight {
-		np := getLevel(len(digests) / 2)
+		np := digestBufs.Get(len(digests) / 2)
 		next := *np
 		prev := digests
 		err := parallel.For(ctx, len(next), hashGrain, func(lo, hi int) {
 			poseidon.TwoToOneBatch(prev[2*lo:2*hi], next[lo:hi])
 		})
 		if err != nil {
-			levelPool.Put(np)
+			digestBufs.Put(np)
 			t.Release()
 			return nil, err
 		}
@@ -145,7 +133,7 @@ func build(ctx context.Context, n, capHeight int, hashLeaves func(lo, hi int, ou
 // after Build is simply garbage collection as before.
 func (t *Tree) Release() {
 	for _, p := range t.levelBufs {
-		levelPool.Put(p)
+		digestBufs.Put(p)
 	}
 	t.levelBufs = nil
 	t.levels = nil
@@ -155,14 +143,6 @@ func (t *Tree) Release() {
 func (t *Tree) Cap() Cap {
 	top := t.levels[len(t.levels)-1]
 	return append(Cap(nil), top...)
-}
-
-// Root returns the single root digest (only valid for capHeight 0 trees).
-func (t *Tree) Root() poseidon.HashOut {
-	if t.capHeight != 0 {
-		panic("merkle: Root called on a tree with a non-trivial cap")
-	}
-	return t.levels[len(t.levels)-1][0]
 }
 
 // NumLeaves returns the number of leaves.

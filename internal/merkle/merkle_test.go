@@ -156,7 +156,7 @@ func TestRootMatchesManualCompression(t *testing.T) {
 	l2 := poseidon.HashOrNoop(leaves[2])
 	l3 := poseidon.HashOrNoop(leaves[3])
 	want := poseidon.TwoToOne(poseidon.TwoToOne(l0, l1), poseidon.TwoToOne(l2, l3))
-	if tree.Root() != want {
+	if tree.Cap()[0] != want {
 		t.Fatal("root does not match manual compression")
 	}
 }
@@ -168,17 +168,6 @@ func TestProofLength(t *testing.T) {
 	if len(proof.Siblings) != 4 { // log2(64) - capHeight
 		t.Fatalf("proof length %d, want 4", len(proof.Siblings))
 	}
-}
-
-func TestRootPanicsWithCap(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	tree := Build(randLeaves(rng, 8, 1), 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Root on capped tree should panic")
-		}
-	}()
-	tree.Root()
 }
 
 func TestBuildPanicsOnBadInputs(t *testing.T) {

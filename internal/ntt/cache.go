@@ -25,8 +25,7 @@ import (
 type tableKind uint8
 
 const (
-	kindRoots     tableKind = iota // w^0..w^(n/2-1), forward
-	kindLayers                     // every butterfly layer's roots, forward
+	kindLayers    tableKind = iota // every butterfly layer's roots, forward
 	kindInvLayers                  // every butterfly layer's roots, inverse
 	kindPowers                     // shift^0..shift^(n-1), coset scaling
 	kindDomain                     // g·w^BitReverse(j), LDE domain points
@@ -116,33 +115,31 @@ func (c *tableCache) publish(key tableKey, table []field.Element) []field.Elemen
 		return table
 	}
 	c.tick++
-	c.entries[key] = &tableEntry{table: table, tick: c.tick}
+	e := &tableEntry{table: table, tick: c.tick}
+	c.entries[key] = e
 	c.elems += len(table)
-	c.evictLocked(key)
+	c.evictLocked(e)
 	return table
 }
 
-// evictLocked drops least-recently-used entries (never keep, the entry
-// that triggered the sweep) until the element total fits the limit.
+// evictLocked drops least-recently-used entries, never keep (the entry
+// that triggered the sweep, or nil), until the element total fits the
+// limit.
 //
 //unizklint:holds c.mu
-func (c *tableCache) evictLocked(keep tableKey) {
-	for c.elems > c.limit && len(c.entries) > 1 {
+func (c *tableCache) evictLocked(keep *tableEntry) {
+	for c.elems > c.limit {
 		var victim tableKey
-		var victimTick uint64
-		found := false
+		var oldest *tableEntry
 		for k, e := range c.entries {
-			if k == keep {
-				continue
-			}
-			if !found || e.tick < victimTick {
-				victim, victimTick, found = k, e.tick, true
+			if e != keep && (oldest == nil || e.tick < oldest.tick) {
+				victim, oldest = k, e
 			}
 		}
-		if !found {
+		if oldest == nil {
 			return
 		}
-		c.elems -= len(c.entries[victim].table)
+		c.elems -= len(oldest.table)
 		delete(c.entries, victim)
 		c.evictions++
 	}
@@ -155,21 +152,7 @@ func (c *tableCache) setLimit(elems int) int {
 	defer c.mu.Unlock()
 	prev := c.limit
 	c.limit = elems
-	// Evict with a zero key: no real table uses logN 0 with kindRoots
-	// shifted, so every entry is a candidate.
-	for c.elems > c.limit && len(c.entries) > 0 {
-		var victim tableKey
-		var victimTick uint64
-		found := false
-		for k, e := range c.entries {
-			if !found || e.tick < victimTick {
-				victim, victimTick, found = k, e.tick, true
-			}
-		}
-		c.elems -= len(c.entries[victim].table)
-		delete(c.entries, victim)
-		c.evictions++
-	}
+	c.evictLocked(nil)
 	return prev
 }
 
@@ -210,14 +193,6 @@ func GetCacheStats() CacheStats { return cache.snapshot() }
 func Preload(logN int) {
 	layerTable(logN, false)
 	layerTable(logN, true)
-}
-
-// rootTable returns the cached half-table w^0..w^(n/2-1) for the
-// primitive 2^logN-th root of unity w.
-func rootTable(logN int) []field.Element {
-	return cache.getOrBuild(tableKey{kind: kindRoots, logN: logN}, func() []field.Element {
-		return buildRootTable(field.PrimitiveRootOfUnity(logN), logN)
-	})
 }
 
 // layerTable returns the cached roots of every butterfly layer of a

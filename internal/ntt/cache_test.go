@@ -23,7 +23,7 @@ func flushCache(t *testing.T) int {
 // published slice would fail the spot checks).
 func TestCacheConcurrentAccess(t *testing.T) {
 	flushCache(t)
-	wantRoot := append([]field.Element(nil), rootTable(10)...)
+	wantLayers := append([]field.Element(nil), layerTable(10, false)...)
 	wantPow := append([]field.Element(nil), powerTable(field.MultiplicativeGenerator, 8)...)
 	wantDom := append([]field.Element(nil), CosetDomainBR(9)...)
 
@@ -38,21 +38,21 @@ func TestCacheConcurrentAccess(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				// Vary sizes so goroutines mix hits and misses.
 				logN := 6 + (g+i)%6
-				rt := rootTable(logN)
+				dt := CosetDomainBR(logN)
 				lt, it := layerTable(logN, false), layerTable(logN, true)
-				if len(rt) != 1<<(logN-1) || len(lt) != 1<<logN-1 || len(it) != len(lt) {
-					errs <- "root table length"
+				if len(dt) != 1<<logN || len(lt) != 1<<logN-1 || len(it) != len(lt) {
+					errs <- "table length"
 					return
 				}
 				top := spanRoots(lt, 1<<(logN-1))
-				if rt[0] != field.One || top[1] != rt[1] || field.Mul(lt[2], it[2]) != field.One {
-					errs <- "root table contents"
+				if dt[0] != field.MultiplicativeGenerator || top[0] != field.One || field.Mul(lt[2], it[2]) != field.One {
+					errs <- "table contents"
 					return
 				}
-				got := rootTable(10)
-				for j := 0; j < len(wantRoot); j += 97 {
-					if got[j] != wantRoot[j] {
-						errs <- "rootTable(10) diverged"
+				got := layerTable(10, false)
+				for j := 0; j < len(wantLayers); j += 97 {
+					if got[j] != wantLayers[j] {
+						errs <- "layerTable(10) diverged"
 						return
 					}
 				}
@@ -128,7 +128,7 @@ func TestCacheEviction(t *testing.T) {
 
 	// A table larger than the entire limit is served but never cached.
 	e := GetCacheStats().Entries
-	big := rootTable(10) // 512 elems > 256 limit
+	big := CosetDomainBR(9) // 512 elems > 256 limit
 	if len(big) != 512 {
 		t.Fatalf("oversized table length %d", len(big))
 	}
@@ -153,9 +153,9 @@ func TestCacheLimitShrink(t *testing.T) {
 	flushCache(t)
 	SetCacheLimit(0)
 	SetCacheLimit(1 << 12)
-	_ = rootTable(8)
-	_ = rootTable(9)
-	_ = rootTable(10)
+	_ = CosetDomainBR(7)
+	_ = CosetDomainBR(8)
+	_ = CosetDomainBR(9)
 	if s := GetCacheStats(); s.Entries != 3 {
 		t.Fatalf("setup: %+v", s)
 	}
@@ -166,13 +166,13 @@ func TestCacheLimitShrink(t *testing.T) {
 	if s.Elems > 300 {
 		t.Fatalf("shrink did not evict: %+v", s)
 	}
-	// The most recently used table (logN=10, 512 elems) exceeds the new
+	// The most recently used table (logM=9, 512 elems) exceeds the new
 	// limit on its own, so everything must be gone except entries that
 	// fit; verify the survivor set respects the bound and lookups still
 	// return correct tables.
-	rt := rootTable(8)
-	if rt[0] != field.One || len(rt) != 128 {
-		t.Fatal("rootTable(8) wrong after shrink")
+	dt := CosetDomainBR(7)
+	if dt[0] != field.MultiplicativeGenerator || len(dt) != 128 {
+		t.Fatal("CosetDomainBR(7) wrong after shrink")
 	}
 }
 

@@ -1,6 +1,7 @@
-// Package ntt implements number theoretic transforms over the Goldilocks
-// field and the SAM-style multi-dimensional decomposition that UniZK's
-// hardware mapping relies on (paper §5.1).
+// Package ntt implements the prover's number theoretic transforms over
+// the Goldilocks field. The accelerator's SAM decomposition of a
+// variable-length transform onto fixed-size pipelines (paper §5.1) is
+// modelled in internal/core, which checks it against Transform.
 //
 // Every variant is one butterfly pipeline with a different twiddle or
 // scaling stage, so one entry point runs them all: Transform takes a Spec

@@ -239,78 +239,6 @@ func TestLog2Panics(t *testing.T) {
 	}
 }
 
-func TestHardwareDims(t *testing.T) {
-	cases := []struct {
-		logN, logn int
-		want       []int
-	}{
-		{9, 3, []int{8, 8, 8}},    // the paper's Fig. 4b example: 512 = 8×8×8
-		{10, 5, []int{32, 32}},    // two full pipelines
-		{12, 5, []int{32, 32, 4}}, // remainder dimension
-		{3, 5, []int{8}},
-		{0, 5, []int{1}},
-	}
-	for _, c := range cases {
-		got := HardwareDims(c.logN, c.logn)
-		if len(got) != len(c.want) {
-			t.Fatalf("HardwareDims(%d,%d) = %v, want %v", c.logN, c.logn, got, c.want)
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Fatalf("HardwareDims(%d,%d) = %v, want %v", c.logN, c.logn, got, c.want)
-			}
-		}
-	}
-}
-
-func TestMultiDimMatchesDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	cases := [][]int{
-		{8, 8, 8}, // paper Fig. 4b: size-512 as 3D size-8
-		{32, 32},  // hardware n=2^5 pipelines
-		{4, 2},
-		{2, 4, 8, 2},
-		{64},
-	}
-	for _, dims := range cases {
-		n := 1
-		for _, d := range dims {
-			n *= d
-		}
-		data := randVec(rng, n)
-		want := clone(data)
-		ForwardNN(want)
-		got := MultiDimForwardNN(data, dims)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("dims %v: mismatch at %d", dims, i)
-			}
-		}
-	}
-}
-
-func TestMultiDimInverse(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	dims := []int{8, 8, 8}
-	data := randVec(rng, 512)
-	back := MultiDimForwardNN(data, dims)
-	transform(t, back, Spec{Inverse: true})
-	for i := range data {
-		if back[i] != data[i] {
-			t.Fatalf("multi-dim inverse round trip failed at %d", i)
-		}
-	}
-}
-
-func TestMultiDimBadDimsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for mismatched dims")
-		}
-	}()
-	MultiDimForwardNN(make([]field.Element, 16), []int{4, 8})
-}
-
 func BenchmarkForwardNR4096(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	data := randVec(rng, 4096)

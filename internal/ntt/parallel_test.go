@@ -79,31 +79,3 @@ func TestLDESerialVsParallel(t *testing.T) {
 		}
 	}
 }
-
-// TestMultiDimSerialVsParallel covers the SAM-style multi-dimensional
-// decomposition, whose inner and outer dimension loops both fan out.
-func TestMultiDimSerialVsParallel(t *testing.T) {
-	prev := parallel.Workers()
-	defer func() { parallel.SetSerial(false); parallel.SetWorkers(prev) }()
-
-	for _, logN := range []int{4, 6, 8, 10, 12} {
-		n := 1 << logN
-		rng := rand.New(rand.NewSource(int64(logN)))
-		input := randVec(rng, n)
-		dims := HardwareDims(logN, 3)
-
-		parallel.SetSerial(true)
-		ref := MultiDimForwardNN(input, dims)
-		parallel.SetSerial(false)
-
-		for _, workers := range workerSweep() {
-			parallel.SetWorkers(workers)
-			got := MultiDimForwardNN(input, dims)
-			for i := range ref {
-				if got[i] != ref[i] {
-					t.Fatalf("MultiDimForwardNN logN=%d workers=%d: index %d differs", logN, workers, i)
-				}
-			}
-		}
-	}
-}

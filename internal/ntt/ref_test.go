@@ -297,31 +297,6 @@ func TestRefLDE(t *testing.T) {
 	}
 }
 
-// TestRefMultiDim pins the six-step decomposition — tiled transposes,
-// fused twiddles, pooled scratch — to the oracle across pipeline widths.
-func TestRefMultiDim(t *testing.T) {
-	restoreParallel(t)
-	for _, logN := range []int{0, 1, 3, 5, 8, 10} {
-		n := 1 << logN
-		rng := rand.New(rand.NewSource(int64(logN) + 101))
-		input := randVec(rng, n)
-		want := RefForwardNN(input)
-		for _, logn := range []int{1, 3, 5} {
-			dims := HardwareDims(logN, logn)
-			for _, serial := range []bool{true, false} {
-				parallel.SetSerial(serial)
-				got := MultiDimForwardNN(input, dims)
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("MultiDimForwardNN logN=%d logn=%d serial=%v: index %d differs",
-							logN, logn, serial, i)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestRefBitReverse pins BitReverse to the one-bit-per-iteration loop for
 // every width 0..32, on edge values (zero, all ones, lone high and low
 // bits, values with bits above the width, negatives) and random values.

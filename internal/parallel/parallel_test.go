@@ -224,3 +224,17 @@ func TestForZeroAndNegativeN(t *testing.T) {
 		}
 	}
 }
+
+// TestScratchGetLength checks that a checked-out buffer has exactly the
+// requested length, whether the pool hands back a smaller, larger or no
+// previous buffer.
+func TestScratchGetLength(t *testing.T) {
+	var s Scratch[int]
+	for _, n := range []int{0, 5, 1, 64, 3} {
+		p := s.Get(n)
+		if len(*p) != n {
+			t.Fatalf("Get(%d) has length %d", n, len(*p))
+		}
+		s.Put(p)
+	}
+}

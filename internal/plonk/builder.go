@@ -112,9 +112,6 @@ func (b *Builder) AddPublicInput() Target {
 	return t
 }
 
-// NumPublicInputs returns the number of public inputs.
-func (b *Builder) NumPublicInputs() int { return len(b.pubTargets) }
-
 // AddVirtual returns a fresh unconstrained target (an a-slot of a new row
 // with all-zero selectors), typically used for private inputs.
 func (b *Builder) AddVirtual() Target {

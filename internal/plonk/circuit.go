@@ -1,10 +1,13 @@
 package plonk
 
 import (
+	"context"
+
 	"unizk/internal/constraint"
 	"unizk/internal/field"
 	"unizk/internal/fri"
 	"unizk/internal/merkle"
+	"unizk/internal/parallel"
 )
 
 // minRows is the minimum padded circuit size; small circuits are padded up
@@ -186,7 +189,9 @@ func (b *Builder) BuildWide(cfg fri.Config, reps int) *Circuit {
 	constPolys := make([][]field.Element, 0, 8*reps)
 	constPolys = append(constPolys, c.selectors...)
 	constPolys = append(constPolys, c.sigmaVals...)
-	c.constants = fri.CommitValues(constPolys, cfg.RateBits, cfg.CapHeight, nil)
+	var err error
+	c.constants, err = fri.CommitValues(context.Background(), constPolys, cfg.RateBits, cfg.CapHeight, nil)
+	parallel.Must(err)
 
 	cs, factors := constraints(reps, c.LogN, c.ks)
 	c.prog = constraint.Compile(c.LogN, cs)

@@ -78,7 +78,7 @@ func (c *Circuit) ProveContext(ctx context.Context, w *Witness, rec *trace.Recor
 	if err != nil {
 		return nil, err
 	}
-	quotBatch, err := fri.CommitCoeffsContext(ctx, tChunks, c.cfg.RateBits, c.cfg.CapHeight, rec)
+	quotBatch, err := fri.CommitCoeffs(ctx, tChunks, c.cfg.RateBits, c.cfg.CapHeight, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -94,7 +94,7 @@ func (c *Circuit) ProveContext(ctx context.Context, w *Witness, rec *trace.Recor
 			return nil
 		}
 		var v []field.Ext
-		v, err = b.EvalAllContext(ctx, z, rec)
+		v, err = b.EvalAll(ctx, z, rec)
 		return v
 	}
 	constOpen, wiresOpen, zsOpen := open(c.constants, zeta), open(wiresBatch, zeta), open(zBatch, zeta)
@@ -113,7 +113,7 @@ func (c *Circuit) ProveContext(ctx context.Context, w *Witness, rec *trace.Recor
 		{constOpen, wiresOpen, zsOpen, quotOpen},
 		{zsNextOpen},
 	}
-	friProof, err := fri.ProveContext(ctx, oracles, groups, opened, ch, c.cfg, rec)
+	friProof, err := fri.Prove(ctx, oracles, groups, opened, ch, c.cfg, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -207,7 +207,7 @@ func (c *Circuit) commitTrace(ctx context.Context, w *Witness, rec *trace.Record
 		return nil, fmt.Errorf("plonk: gate constraint violated at row %d rep %d", row, rep)
 	}
 	tr := &committed{pub: pub, pi: pi}
-	if tr.wires, err = fri.CommitValuesContext(ctx, wires, c.cfg.RateBits, c.cfg.CapHeight, rec); err != nil {
+	if tr.wires, err = fri.CommitValues(ctx, wires, c.cfg.RateBits, c.cfg.CapHeight, rec); err != nil {
 		return nil, err
 	}
 	tr.beta, tr.gamma = draw(pub, tr.wires.Cap())
@@ -215,7 +215,7 @@ func (c *Circuit) commitTrace(ctx context.Context, w *Witness, rec *trace.Record
 	if err != nil {
 		return nil, err
 	}
-	if tr.zs, err = fri.CommitValuesContext(ctx, zPolys, c.cfg.RateBits, c.cfg.CapHeight, rec); err != nil {
+	if tr.zs, err = fri.CommitValues(ctx, zPolys, c.cfg.RateBits, c.cfg.CapHeight, rec); err != nil {
 		return nil, err
 	}
 	return tr, nil

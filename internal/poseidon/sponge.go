@@ -6,10 +6,6 @@ import "unizk/internal/field"
 // and the commitment type of the proof systems.
 type HashOut [HashOutLen]field.Element
 
-// Elements returns the digest as a slice (for observation by the
-// Fiat–Shamir challenger and for serialization).
-func (h HashOut) Elements() []field.Element { return h[:] }
-
 // HashNoPad absorbs the inputs with the overwrite-mode sponge used by
 // Plonky2 (rate 8, capacity 4) and returns the first 4 output elements.
 // This is the leaf-hash method of the paper's Merkle construction ("we pop

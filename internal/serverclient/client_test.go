@@ -103,6 +103,24 @@ func TestTransportClassification(t *testing.T) {
 	}
 }
 
+// TestStreamStatusSnapshotReadError: a JSON snapshot reply whose body
+// breaks mid-read is a transport fault of the stream, not a decode error.
+func TestStreamStatusSnapshotReadError(t *testing.T) {
+	c := New("http://server.invalid")
+	c.HTTPClient = &http.Client{Transport: roundTripFunc(func(*http.Request) (*http.Response, error) {
+		return &http.Response{
+			StatusCode: http.StatusOK,
+			Body:       &truncatingBody{data: `{"id":"j0001","state":"do`, err: errors.New("connection reset by peer")},
+			Header:     http.Header{"Content-Type": {"application/json"}},
+		}, nil
+	})}
+	_, err := c.StreamStatus(context.Background(), "j0001", nil)
+	var te *TransportError
+	if !errors.As(err, &te) || te.Op != "stream status" {
+		t.Fatalf("error = %v, want *TransportError with Op %q", err, "stream status")
+	}
+}
+
 // TestTerminalErrorsNotRetryable pins the other side: decoded API
 // rejections and the caller's own context expiry must not be classified
 // as transport faults.

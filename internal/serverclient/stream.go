@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"time"
@@ -50,6 +51,10 @@ func (c *Client) StatusWait(ctx context.Context, id string, wait time.Duration) 
 	return st, nil
 }
 
+// maxSnapshotBytes bounds the non-stream replies StreamStatus reads: an
+// error document or a JSON status snapshot.
+const maxSnapshotBytes = 1 << 20
+
 // StreamStatus consumes the job's SSE status stream, invoking fn (when
 // non-nil) on every status event, and returns the terminal status. Any
 // failure to establish or read the stream comes back as a
@@ -73,12 +78,12 @@ func (c *Client) StreamStatus(ctx context.Context, id string, fn func(*JobStatus
 	if resp.StatusCode != http.StatusOK {
 		// Decode the error body through the standard path so 404s and
 		// quota rejections keep their classes.
-		data, _ := readAllCapped(resp)
+		data, _ := io.ReadAll(io.LimitReader(resp.Body, maxSnapshotBytes))
 		return nil, apiError(resp, data)
 	}
 	if !strings.Contains(resp.Header.Get("Content-Type"), "text/event-stream") {
 		// A JSON snapshot (degraded server): one event, maybe terminal.
-		data, rerr := readAllCapped(resp)
+		data, rerr := io.ReadAll(io.LimitReader(resp.Body, maxSnapshotBytes))
 		if rerr != nil {
 			return nil, transportErr(ctx, "stream status", rerr)
 		}
@@ -124,22 +129,6 @@ func (c *Client) StreamStatus(ctx context.Context, id string, fn func(*JobStatus
 	}
 	// Stream ended without a terminal event: the server went away.
 	return last, &TransportError{Op: "read status stream", Err: errors.New("stream ended before job settled")}
-}
-
-// readAllCapped drains a response body with a sane bound; SSE error
-// paths only need the JSON error document.
-func readAllCapped(resp *http.Response) ([]byte, error) {
-	buf := make([]byte, 0, 512)
-	rd := bufio.NewReader(resp.Body)
-	tmp := make([]byte, 4096)
-	for len(buf) < 1<<20 {
-		n, err := rd.Read(tmp)
-		buf = append(buf, tmp[:n]...)
-		if err != nil {
-			break
-		}
-	}
-	return buf, nil
 }
 
 // WaitStream waits for a job by consuming its SSE status stream, then

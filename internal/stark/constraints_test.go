@@ -76,7 +76,7 @@ func (s *Stark) naturalQuotient(ctx context.Context, traceBatch *fri.PolynomialB
 // cross-package test over the workload AIRs.
 func (s *Stark) QuotientAndReference(columns [][]field.Element, alpha field.Element) (got, natural, want [][]field.Element, err error) {
 	ctx := context.Background()
-	traceBatch, err := fri.CommitValuesContext(ctx, columns, s.cfg.RateBits, s.cfg.CapHeight, nil)
+	traceBatch, err := fri.CommitValues(ctx, columns, s.cfg.RateBits, s.cfg.CapHeight, nil)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -160,7 +160,7 @@ func (s *Stark) ProveContext(ctx context.Context, columns [][]field.Element,
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	traceBatch, err := fri.CommitValuesContext(ctx, columns, s.cfg.RateBits, s.cfg.CapHeight, rec)
+	traceBatch, err := fri.CommitValues(ctx, columns, s.cfg.RateBits, s.cfg.CapHeight, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -171,7 +171,7 @@ func (s *Stark) ProveContext(ctx context.Context, columns [][]field.Element,
 	if err != nil {
 		return nil, err
 	}
-	quotBatch, err := fri.CommitCoeffsContext(ctx, tChunks, s.cfg.RateBits, s.cfg.CapHeight, rec)
+	quotBatch, err := fri.CommitCoeffs(ctx, tChunks, s.cfg.RateBits, s.cfg.CapHeight, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -181,15 +181,15 @@ func (s *Stark) ProveContext(ctx context.Context, columns [][]field.Element,
 	g := field.PrimitiveRootOfUnity(s.LogN)
 	zetaNext := field.ExtScalarMul(g, zeta)
 
-	traceOpen, err := traceBatch.EvalAllContext(ctx, zeta, rec)
+	traceOpen, err := traceBatch.EvalAll(ctx, zeta, rec)
 	if err != nil {
 		return nil, err
 	}
-	traceNextOpen, err := traceBatch.EvalAllContext(ctx, zetaNext, rec)
+	traceNextOpen, err := traceBatch.EvalAll(ctx, zetaNext, rec)
 	if err != nil {
 		return nil, err
 	}
-	quotOpen, err := quotBatch.EvalAllContext(ctx, zeta, rec)
+	quotOpen, err := quotBatch.EvalAll(ctx, zeta, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -204,7 +204,7 @@ func (s *Stark) ProveContext(ctx context.Context, columns [][]field.Element,
 		{traceOpen, quotOpen},
 		{traceNextOpen},
 	}
-	friProof, err := fri.ProveContext(ctx, oracles, groups, opened, ch, s.cfg, rec)
+	friProof, err := fri.Prove(ctx, oracles, groups, opened, ch, s.cfg, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -355,7 +355,7 @@ func (s *Stark) Verify(proof *Proof) (err error) {
 // (internal/bench/trajectory) uses it to time the quotient apart from
 // the rest of the prover.
 func (s *Stark) QuotientKernel(columns [][]field.Element) (func(context.Context) error, error) {
-	traceBatch, err := fri.CommitValuesContext(context.Background(), columns, s.cfg.RateBits, s.cfg.CapHeight, nil)
+	traceBatch, err := fri.CommitValues(context.Background(), columns, s.cfg.RateBits, s.cfg.CapHeight, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -173,30 +173,3 @@ func (r *Recorder) CPUTime() [NumKinds]time.Duration {
 	defer r.mu.Unlock()
 	return r.cpuTime
 }
-
-// TotalCPUTime returns the sum over kinds.
-func (r *Recorder) TotalCPUTime() time.Duration {
-	var total time.Duration
-	for _, d := range r.CPUTime() {
-		total += d
-	}
-	return total
-}
-
-// Merge appends another recorder's nodes and times into r (used to combine
-// the Starky base stage and the Plonky2 recursive stage for Table 5).
-func (r *Recorder) Merge(other *Recorder) {
-	if r == nil || other == nil {
-		return
-	}
-	other.mu.Lock()
-	nodes := append([]Node(nil), other.nodes...)
-	times := other.cpuTime
-	other.mu.Unlock()
-	r.mu.Lock()
-	r.nodes = append(r.nodes, nodes...)
-	for k := range times {
-		r.cpuTime[k] += times[k]
-	}
-	r.mu.Unlock()
-}

@@ -16,9 +16,6 @@ func TestNilRecorderRuns(t *testing.T) {
 	if r.Nodes() != nil {
 		t.Fatal("nil recorder must return nil nodes")
 	}
-	if r.TotalCPUTime() != 0 {
-		t.Fatal("nil recorder must report zero time")
-	}
 }
 
 func TestRecordsNodesAndTime(t *testing.T) {
@@ -45,9 +42,6 @@ func TestRecordsNodesAndTime(t *testing.T) {
 	if times[NTT] < time.Millisecond {
 		t.Fatalf("NTT time %v, want >= 1ms", times[NTT])
 	}
-	if r.TotalCPUTime() < times[NTT] {
-		t.Fatal("total < component")
-	}
 }
 
 func TestConcurrentRecording(t *testing.T) {
@@ -64,18 +58,6 @@ func TestConcurrentRecording(t *testing.T) {
 	if got := len(r.Nodes()); got != 50 {
 		t.Fatalf("got %d nodes, want 50", got)
 	}
-}
-
-func TestMerge(t *testing.T) {
-	a, b := New(), New()
-	a.Hashes(1, func() {})
-	b.Merkle(4, 1, func() {})
-	b.Hashes(2, func() {})
-	a.Merge(b)
-	if got := len(a.Nodes()); got != 3 {
-		t.Fatalf("merged nodes = %d, want 3", got)
-	}
-	a.Merge(nil) // must not panic
 }
 
 func TestKindString(t *testing.T) {
