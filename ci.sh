@@ -47,11 +47,12 @@ go test -timeout 5m ./internal/allocgate
 
 # Job-lifecycle core race gate: internal/jobcore driven by a scripted
 # fake executor (admission rollback, status table, idempotency,
-# long-poll/SSE, journal recovery) and the proof cache's admission and
-# eviction under concurrent Begin/Complete/Abort/Put, under the race
+# long-poll/SSE, journal recovery), the proof cache's admission and
+# eviction under concurrent Begin/Complete/Abort/Put, and the journal's
+# known-result set shared by concurrent appenders, under the race
 # detector. The full -race run below repeats it; this step makes a
-# lifecycle or cache regression fail under its own name.
-go test -race ./internal/jobcore ./internal/proofcache
+# lifecycle, cache or journal regression fail under its own name.
+go test -race ./internal/jobcore ./internal/proofcache ./internal/journal
 
 # Chaos soak (fixed seed, small circuits): concurrent clients drive real
 # proof jobs through injected connection resets, truncated responses,

@@ -87,6 +87,7 @@ func runLocal(ctx context.Context, req *jobs.Request) {
 	j, err := jobs.Compile(req)
 	exitOn(err, compileExitCode(err))
 	fmt.Println(j.Describe())
+	fmt.Printf("soundness: %d bits\n", j.SecurityBits())
 
 	start := time.Now()
 	res, err := j.Prove(ctx)

@@ -374,8 +374,9 @@ func benchFRICombine(b *testing.B) {
 		}
 	}
 	alpha := field.NewExt(0x2545_f491, 0x7f4a_7c15)
+	layer0 := make([]field.Ext, oracles[0].N<<oracles[0].RateBits)
 	run := func() {
-		if _, err := fri.Combine(ctx, oracles, groups, opened, alpha); err != nil {
+		if err := fri.Combine(ctx, layer0, oracles, groups, opened, alpha); err != nil {
 			b.Fatal(err)
 		}
 	}

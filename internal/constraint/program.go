@@ -88,6 +88,9 @@ type regFile struct {
 	r   [][]field.Element
 }
 
+// Len is the number of constraints: how many terms α combines.
+func (p *Program) Len() int { return len(p.outs) }
+
 func (p *Program) newRegFile() *regFile {
 	rf := &regFile{
 		buf: make([]field.Element, len(p.code)*tile),

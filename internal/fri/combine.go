@@ -2,6 +2,7 @@ package fri
 
 import (
 	"context"
+	"fmt"
 
 	"unizk/internal/field"
 	"unizk/internal/ntt"
@@ -113,15 +114,21 @@ func combine(ctx context.Context, oracles []*PolynomialBatch, groups []PointGrou
 }
 
 // Combine runs the opening combination as a standalone kernel, for
-// benchmarks and differential tests: it returns layer 0 for the given α
+// benchmarks and differential tests: it writes layer 0 for the given α
+// into dst, which holds the N·2^RateBits points of the oracles' LDE,
 // without touching a transcript. Prove's combine uses the identical code
-// path.
-func Combine(ctx context.Context, oracles []*PolynomialBatch, groups []PointGroup, opened OpenedValues, alpha field.Ext) ([]field.Ext, error) {
+// path, and its pooled buffer goes back to the pool here as there.
+func Combine(ctx context.Context, dst []field.Ext, oracles []*PolynomialBatch, groups []PointGroup, opened OpenedValues, alpha field.Ext) error {
+	if m := oracles[0].N << oracles[0].RateBits; len(dst) != m {
+		return fmt.Errorf("fri: Combine into %d points, want %d", len(dst), m)
+	}
 	fp, err := combine(ctx, oracles, groups, opened, alpha, nil)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return *fp, nil
+	copy(dst, *fp)
+	extBufs.Put(fp)
+	return nil
 }
 
 // reduceRange sets B[j] = Σ_p pows[p]·coeffs[p][j] for j in [lo, hi),

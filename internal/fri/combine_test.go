@@ -87,9 +87,9 @@ func TestCombineMatchesReference(t *testing.T) {
 				for _, workers := range []int{0, 1, 2, 7, runtime.NumCPU()} {
 					parallel.SetSerial(workers == 0)
 					parallel.SetWorkers(max(workers, 1))
-					got := must(Combine(context.Background(), oracles, groups, opened, alpha))
-					if len(got) != len(want) {
-						t.Fatalf("%s workers=%d: %d points, want %d", name, workers, len(got), len(want))
+					got := make([]field.Ext, len(want))
+					if err := Combine(context.Background(), got, oracles, groups, opened, alpha); err != nil {
+						t.Fatalf("%s workers=%d: %v", name, workers, err)
 					}
 					for j := range want {
 						if got[j] != want[j] {

@@ -15,6 +15,8 @@
 // paper's NTT^NR variant exists to produce (§5.1, "NTT variants").
 package fri
 
+import "math"
+
 // Config collects the FRI parameters.
 type Config struct {
 	// RateBits is the log2 of the blowup factor k: 3 for Plonky2's
@@ -34,9 +36,9 @@ type Config struct {
 // (blowup 8, 28 queries, 16-bit grinding), the setting used for every
 // paper workload. Its 28·3 + 16 = 100 bits of conjectured security are
 // FRI's alone. A proof's soundness is also bounded by the PIOP: plonk
-// and stark draw β, γ and α as single base-field samples, whose error is
-// about degree/|F|, roughly 47 bits at 2^17 permutation slots (see the
-// FRI and PIOP parameters entry in ROADMAP.md).
+// and stark draw β, γ and α as single base-field samples, so a plonk
+// circuit reaches about 47 bits at MVM 2^11's 3·2^15 permutation slots
+// (ProofSecurityBits; plonk.Circuit.SecurityBits).
 func PlonkyConfig() Config {
 	return Config{
 		RateBits:        3,
@@ -45,6 +47,35 @@ func PlonkyConfig() Config {
 		ProofOfWorkBits: 16,
 		FinalPolyBits:   5,
 	}
+}
+
+// SecurityBits is FRI's conjectured soundness in bits: RateBits per
+// query, plus the proof-of-work grind.
+func (c Config) SecurityBits() int {
+	return c.RateBits*c.NumQueries + c.ProofOfWorkBits
+}
+
+// ProofSecurityBits bounds the soundness of a proof that commits with c
+// by the PIOP's challenges too. It is the minimum of four terms, in
+// bits, with |F| ≈ 2^64:
+//
+//   - FRI's term, c.SecurityBits();
+//   - log2(|F| / slots) for the permutation argument, whose β and γ are
+//     single base-field samples (slots = 0: no permutation argument);
+//   - log2(|F| / constraints) for α, one base-field sample combining
+//     that many constraints;
+//   - log2(|F|² / (degree·N)) for ζ, an extension-field sample checking
+//     an identity of degree degree·N, N = 2^logN.
+func (c Config) ProofSecurityBits(slots, constraints, degree, logN int) int {
+	const logF = 64
+	bits := c.SecurityBits()
+	if slots > 0 {
+		bits = min(bits, int(logF-math.Log2(float64(slots))))
+	}
+	if constraints > 1 {
+		bits = min(bits, int(logF-math.Log2(float64(constraints))))
+	}
+	return min(bits, int(2*logF-math.Log2(float64(degree))-float64(logN)))
 }
 
 // StarkyConfig mirrors Starky's configuration: blowup factor 2 (paper

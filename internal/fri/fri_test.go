@@ -521,3 +521,23 @@ func must[T any](v T, err error) T {
 	}
 	return v
 }
+
+// TestProofSecurityBitsTerms checks that each of the four terms binds
+// when it is the smallest.
+func TestProofSecurityBitsTerms(t *testing.T) {
+	cfg := PlonkyConfig() // FRI: 3·28 + 16 = 100
+	for _, tc := range []struct {
+		name                             string
+		slots, constraints, degree, logN int
+		want                             int
+	}{
+		{"fri", 0, 1, 4, 10, 100},
+		{"permutation", 1 << 20, 1, 4, 10, 44},
+		{"alpha", 0, 1 << 10, 4, 10, 54},
+		{"zeta", 0, 1, 4, 30, 96},
+	} {
+		if got := cfg.ProofSecurityBits(tc.slots, tc.constraints, tc.degree, tc.logN); got != tc.want {
+			t.Errorf("%s: %d bits, want %d", tc.name, got, tc.want)
+		}
+	}
+}

@@ -145,15 +145,20 @@ func (c *Core) Admit(req *jobs.Request, priority int, timeout time.Duration, tn 
 // admitCached mints an already-done job for a proof-cache hit, so every
 // surface — status, proof fetch, sync prove, waiters, idempotent
 // replays — serves it through the normal lifecycle, with no execution.
-func (c *Core) admitCached(j *Job, res *jobs.Result, fp fingerprint) (*Job, AdmitHow, error) {
+// The hit reuses the cached encoding: register journals it as one
+// record naming the result, and replies write the same bytes.
+func (c *Core) admitCached(j *Job, res *jobs.Encoded, fp fingerprint) (*Job, AdmitHow, error) {
 	// Counted here, not via AcquireSlot: a cached serve claims no slot
 	// but is still a submission the tenant had accepted.
 	j.owner.RecordAdmit()
+	j.mu.Lock()
+	j.state, j.res = StateDone, res
+	j.mu.Unlock()
 	if existing, err := c.register(j, fp, 0); err != nil || existing != nil {
 		return existing, AdmitDeduped, err
 	}
 	c.met.submitted.Add(1)
-	c.Finish(j, res, nil)
+	c.met.countTerminal(StateDone, nil)
 	return j, AdmitCached, nil
 }
 
@@ -187,7 +192,9 @@ func (c *Core) abandon(j *Job) {
 
 // register stamps the job's deadline and submission time, makes the
 // admission durable — nothing is acknowledged before that — and
-// publishes the job; if it cannot, the job is abandoned. The key is
+// publishes the job; if it cannot, the job is abandoned. A job minted
+// done (a cache hit) is finished here: one journal record admits and
+// commits it, and it is published straight into the retained set. The key is
 // rechecked under the lock: a concurrent duplicate may have registered
 // it meanwhile, exactly one of the racing submits admits, and the loser
 // gets the winner's job back. A submit that passed the drain gate just
@@ -198,12 +205,21 @@ func (c *Core) register(j *Job, fp fingerprint, timeout time.Duration) (existing
 	j.ctx, j.cancel = c.jobContext(timeout)
 	j.mu.Lock()
 	j.submitted = time.Now()
+	done := j.state == StateDone
+	if done {
+		j.finished = j.submitted
+		j.cancel()
+		close(j.done)
+	}
 	j.mu.Unlock()
 	c.snapMu.RLock()
 	defer c.snapMu.RUnlock()
 	if err := c.journalAdmitted(j); err != nil {
 		c.abandon(j)
 		return nil, err
+	}
+	if c.admitted != nil {
+		c.admitted(j)
 	}
 	key := j.Req.IdempotencyKey
 	c.mu.Lock()
@@ -228,7 +244,11 @@ func (c *Core) register(j *Job, fp fingerprint, timeout time.Duration) (existing
 		c.idemInsertLocked(key, fp, j.ID)
 	}
 	c.jobsByID[j.ID] = j
-	c.pending++
+	if done {
+		c.retireLocked(j.ID)
+	} else {
+		c.pending++
+	}
 	c.mu.Unlock()
 	if key != "" {
 		c.journalIdem(key, fp, j.ID)
@@ -288,6 +308,12 @@ func (c *Core) Dispatch(j *Job, node string) time.Duration {
 // call it for every job they started; the core calls it for cache hits
 // and for restored jobs the executor refused.
 func (c *Core) Finish(j *Job, res *jobs.Result, err error) {
+	var enc *jobs.Encoded
+	if err == nil {
+		// Encoded and hashed once: the cache, the journal and every reply
+		// share these bytes.
+		enc = jobs.Encode(res)
+	}
 	if err == nil && j.cacheLeader {
 		// With verify-on-insert, a proof that fails its own verifier fails
 		// the job (and is never cached) instead of fanning out to every
@@ -296,8 +322,8 @@ func (c *Core) Finish(j *Job, res *jobs.Result, err error) {
 		j.mu.Lock()
 		run := time.Since(j.started)
 		j.mu.Unlock()
-		if cerr := c.cache.Complete(j.cacheKey, j.ID, res, run, c.cacheCheck(j)); cerr != nil {
-			res, err = nil, cerr
+		if cerr := c.cache.Complete(j.cacheKey, j.ID, enc, run, c.cacheCheck(j)); cerr != nil {
+			enc, err = nil, cerr
 		}
 	}
 	c.snapMu.RLock()
@@ -308,7 +334,7 @@ func (c *Core) Finish(j *Job, res *jobs.Result, err error) {
 		return
 	}
 	j.finished = time.Now()
-	j.res, j.err = res, err
+	j.res, j.err = enc, err
 	switch {
 	case err == nil:
 		j.state = StateDone
@@ -321,7 +347,7 @@ func (c *Core) Finish(j *Job, res *jobs.Result, err error) {
 	j.mu.Unlock()
 	// Durable before close(j.done) releases waiters: an acknowledged
 	// outcome survives a crash.
-	c.journalTerminal(j, state, res, err)
+	c.journalTerminal(j, state, enc, err)
 	c.snapMu.RUnlock()
 
 	c.met.countTerminal(state, err)
@@ -344,7 +370,14 @@ func (c *Core) Finish(j *Job, res *jobs.Result, err error) {
 func (c *Core) retire(j *Job) {
 	c.mu.Lock()
 	c.pending--
-	c.finishedList = append(c.finishedList, j.ID)
+	c.retireLocked(j.ID)
+	c.mu.Unlock()
+	c.poke()
+}
+
+//unizklint:holds c.mu
+func (c *Core) retireLocked(id string) {
+	c.finishedList = append(c.finishedList, id)
 	for len(c.finishedList) > c.opt.maxRetained {
 		evict := c.finishedList[0]
 		c.finishedList = c.finishedList[1:]
@@ -353,6 +386,4 @@ func (c *Core) retire(j *Job) {
 			delete(c.jobsByID, evict)
 		}
 	}
-	c.mu.Unlock()
-	c.poke()
 }

@@ -36,6 +36,7 @@ func classifyFake(err error) (int, string) {
 //	fail      finish with a classified (422) prover error
 //	hang      run until the job's context ends, finish with its error
 //	refuse    Prepare refuses the submit before admission
+//	big       complete, with a proof padded to 2^LogRows bytes
 //
 // hold, when set, runs after Dispatch and before the script — the
 // handle tests use to keep a job running. prepareHook runs inside
@@ -73,8 +74,11 @@ func (f *fakeExec) Start(j *Job) error {
 }
 
 func fakeProof(req *jobs.Request) *jobs.Result {
-	return &jobs.Result{Kind: req.Kind,
-		Proof: []byte(fmt.Sprintf("proof/%s/%s/%d", req.Kind, req.Workload, req.LogRows))}
+	proof := []byte(fmt.Sprintf("proof/%s/%s/%d", req.Kind, req.Workload, req.LogRows))
+	if req.Workload == "big" {
+		proof = append(proof, make([]byte, 1<<req.LogRows)...)
+	}
+	return &jobs.Result{Kind: req.Kind, Proof: proof}
 }
 
 func (f *fakeExec) run(j *Job) {

@@ -197,16 +197,12 @@ func (c *Core) writeResult(w http.ResponseWriter, j *Job) {
 		writeJSON(w, http.StatusAccepted, c.statusJSON(j))
 		return
 	}
-	raw, err := []byte(nil), v.err
-	if v.state == StateDone {
-		raw, err = v.res.MarshalBinary()
-	}
-	if err != nil {
-		c.writeError(w, err)
+	if v.state != StateDone {
+		c.writeError(w, v.err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = w.Write(raw)
+	_, _ = w.Write(v.res.Raw)
 }
 
 // Status is the JSON body of GET /v1/jobs/{id}: serverclient.JobStatus

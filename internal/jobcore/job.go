@@ -67,7 +67,7 @@ type Job struct {
 	//unizklint:guardedby mu
 	state State
 	//unizklint:guardedby mu
-	res *jobs.Result
+	res *jobs.Encoded
 	//unizklint:guardedby mu
 	err error
 	//unizklint:guardedby mu
@@ -92,7 +92,7 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 type view struct {
 	state          State
 	err            error
-	res            *jobs.Result
+	res            *jobs.Encoded
 	queueWait, run time.Duration
 }
 

@@ -172,6 +172,10 @@ type Core struct {
 	recoveredJobs        int64
 	recoveryRedispatches int64
 
+	// admitted, when set, runs after a job's admission is durable and
+	// before the job is published: the test hook for journal-before-ack.
+	admitted func(*Job)
+
 	snapMu sync.RWMutex
 
 	mu sync.Mutex

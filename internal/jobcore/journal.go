@@ -10,6 +10,7 @@ package jobcore
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"sort"
 	"time"
@@ -31,7 +32,9 @@ func (e *replayedError) Error() string { return e.msg }
 
 // journalAdmitted makes the admission durable. A failure here fails the
 // admission: the client must never hold an acknowledgment the journal
-// cannot replay.
+// cannot replay. A job minted done (a cache hit) is admitted and
+// committed by one committed record, which the journal writes as a
+// committed-ref when the result's bytes are already on disk.
 func (c *Core) journalAdmitted(j *Job) error {
 	if c.jnl == nil {
 		return nil
@@ -41,9 +44,9 @@ func (c *Core) journalAdmitted(j *Job) error {
 		return err
 	}
 	j.mu.Lock()
-	submitted := j.submitted
+	submitted, res := j.submitted, j.res
 	j.mu.Unlock()
-	return c.jnl.Append(&journal.Record{
+	rec := &journal.Record{
 		Type:      journal.TypeAdmitted,
 		ID:        j.ID,
 		Req:       raw,
@@ -51,7 +54,13 @@ func (c *Core) journalAdmitted(j *Job) error {
 		TimeoutNS: int64(j.Timeout),
 		Tenant:    j.owner.Name(),
 		TimeNS:    submitted.UnixNano(),
-	})
+	}
+	if res != nil {
+		at := c.exec.Attribution(j)
+		rec.Type, rec.Result, rec.Sum = journal.TypeCommitted, res.Raw, res.Sum
+		rec.Node, rec.NodeID = at.Node, at.NodeID
+	}
+	return c.jnl.Append(rec)
 }
 
 // journalSuperseded marks a job whose Admitted record became durable
@@ -92,35 +101,29 @@ func (c *Core) journalDispatched(id, node string) {
 }
 
 // journalTerminal records the terminal outcome before waiters are
-// released.
-func (c *Core) journalTerminal(j *Job, state State, res *jobs.Result, jerr error) {
+// released. A result is named by its digest; the journal writes its
+// bytes only when they are not on disk yet.
+func (c *Core) journalTerminal(j *Job, state State, res *jobs.Encoded, jerr error) {
 	if c.jnl == nil {
 		return
 	}
-	id := j.ID
 	if state == StateDone {
 		at := c.exec.Attribution(j)
-		raw, err := res.MarshalBinary()
-		if err == nil {
-			_ = c.jnl.Append(&journal.Record{
-				Type:   journal.TypeCommitted,
-				ID:     id,
-				Result: raw,
-				Node:   at.Node,
-				NodeID: at.NodeID,
-				TimeNS: time.Now().UnixNano(),
-			})
-			return
-		}
-		// A result that cannot round-trip cannot be replayed; record the
-		// job as failed so a recovered process is honest about it.
-		jerr = fmt.Errorf("result for %s unmarshalable: %w", id, err)
-		state = StateFailed
+		_ = c.jnl.Append(&journal.Record{
+			Type:   journal.TypeCommitted,
+			ID:     j.ID,
+			Result: res.Raw,
+			Sum:    res.Sum,
+			Node:   at.Node,
+			NodeID: at.NodeID,
+			TimeNS: time.Now().UnixNano(),
+		})
+		return
 	}
 	code, class := c.classify(jerr)
 	_ = c.jnl.Append(&journal.Record{
 		Type:   journal.TypeCanceled,
-		ID:     id,
+		ID:     j.ID,
 		Class:  class,
 		Msg:    jerr.Error(),
 		Failed: state == StateFailed,
@@ -146,6 +149,8 @@ func (c *Core) recover() ([]*Job, error) {
 	now := time.Now()
 	var maxID int64
 	var resume []*Job
+	// Jobs that committed the same result share one decoded copy.
+	results := make(map[[32]byte]*jobs.Encoded)
 	for _, id := range st.Order {
 		jr := st.Jobs[id]
 		if jr == nil {
@@ -176,7 +181,7 @@ func (c *Core) recover() ([]*Job, error) {
 		}
 		perr := c.exec.Prepare(j, jr)
 		c.mu.Lock()
-		c.restoreJobLocked(j, jr, now)
+		c.restoreJobLocked(j, jr, now, results)
 		c.mu.Unlock()
 		switch {
 		case jr.Terminal:
@@ -206,7 +211,7 @@ func (c *Core) recover() ([]*Job, error) {
 // deliberately not journaled; the next identical submit re-primes).
 //
 //unizklint:holds c.mu
-func (c *Core) restoreJobLocked(j *Job, jr *journal.JobRecord, now time.Time) {
+func (c *Core) restoreJobLocked(j *Job, jr *journal.JobRecord, now time.Time, results map[[32]byte]*jobs.Encoded) {
 	// Not yet published, but the guarded fields keep their discipline;
 	// c.mu → j.mu matches captureState.
 	j.mu.Lock()
@@ -247,11 +252,10 @@ func (c *Core) restoreJobLocked(j *Job, jr *journal.JobRecord, now time.Time) {
 	case jr.Failed:
 		j.state, j.err = StateFailed, replayedErr(jr)
 	default:
-		j.res = new(jobs.Result)
-		if err := j.res.UnmarshalBinary(jr.Result); err == nil {
-			j.state = StateDone
+		if res, err := replayedResult(jr, results); err == nil {
+			j.state, j.res = StateDone, res
 		} else {
-			j.state, j.res = StateFailed, nil
+			j.state = StateFailed
 			j.err = fmt.Errorf("replayed result for %s unreadable: %w", jr.ID, err)
 		}
 	}
@@ -260,6 +264,25 @@ func (c *Core) restoreJobLocked(j *Job, jr *journal.JobRecord, now time.Time) {
 	// restored terminal job must present it closed or they hang forever.
 	close(j.done)
 	c.finishedList = append(c.finishedList, jr.ID)
+}
+
+// replayedResult decodes a replayed job's result, once per distinct
+// result: memo maps digests to the results already decoded.
+func replayedResult(jr *journal.JobRecord, memo map[[32]byte]*jobs.Encoded) (*jobs.Encoded, error) {
+	sum := jr.ResultSum
+	if sum == ([32]byte{}) {
+		sum = sha256.Sum256(jr.Result)
+	}
+	if res, ok := memo[sum]; ok {
+		return res, nil
+	}
+	res := new(jobs.Result)
+	if err := res.UnmarshalBinary(jr.Result); err != nil {
+		return nil, err
+	}
+	enc := &jobs.Encoded{Result: res, Raw: jr.Result, Sum: sum}
+	memo[sum] = enc
+	return enc, nil
 }
 
 // replayedErr rebuilds a journaled terminal error. Lifecycle classes
@@ -348,10 +371,10 @@ func (c *Core) captureState() *journal.State {
 		}
 		switch j.state {
 		case StateDone:
+			// The encoding made at finish, shared: the snapshot image
+			// stores each distinct result once.
 			jr.DoneNode, jr.DoneNodeID = at.Node, at.NodeID
-			if raw, err := j.res.MarshalBinary(); err == nil {
-				jr.Result = raw
-			}
+			jr.Result, jr.ResultSum = j.res.Raw, j.res.Sum
 		case StateFailed, StateCanceled:
 			jr.Failed = j.state == StateFailed
 			jr.Canceled = j.state == StateCanceled

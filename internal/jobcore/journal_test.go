@@ -6,10 +6,13 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"unizk/internal/jobs"
 	"unizk/internal/journal"
 	"unizk/internal/serverclient"
 )
@@ -254,4 +257,100 @@ func TestJournalMetricsShape(t *testing.T) {
 	if jm := off.Shared().Journal; jm != nil {
 		t.Fatalf("journaling off but the journal section is %+v", jm)
 	}
+}
+
+// provedOnce admits req as a fresh job, waits for it to finish and
+// returns it: the proof is then cached and its bytes journaled.
+func provedOnce(t *testing.T, c *Core, req *jobs.Request) *Job {
+	t.Helper()
+	j, how, err := c.Admit(req, 0, 0, nil)
+	if err != nil || how != AdmitFresh {
+		t.Fatalf("first admit = (%v, %v), want a fresh job", how, err)
+	}
+	<-j.Done()
+	if state, err := j.Outcome(); state != StateDone {
+		t.Fatalf("first job ended %v: %v", state, err)
+	}
+	return j
+}
+
+// TestCacheHitJournalsOneRecord checks that a proof-cache hit costs one
+// journal record, written as a ref to the bytes its leader committed,
+// and that the hit is invisible — to Lookup and so to every route —
+// until that record is durable.
+func TestCacheHitJournalsOneRecord(t *testing.T) {
+	dir := t.TempDir()
+	c, _ := newTestCore(t, Options{JournalDir: dir, JournalFsync: journal.FsyncAlways, CacheEntries: 4}, &fakeExec{})
+	req := script("complete")
+	leader := provedOnce(t, c, req)
+
+	before := c.jnl.Stats()
+	var hooked atomic.Int64
+	c.admitted = func(j *Job) {
+		hooked.Add(1)
+		if _, ok := c.Lookup(j.ID); ok {
+			t.Errorf("hit %s visible before its record was durable", j.ID)
+		}
+		if st := c.jnl.Stats(); st.RecordsAppended != before.RecordsAppended+1 || st.Fsyncs <= before.Fsyncs {
+			t.Errorf("hit %s published before its record was synced: %+v", j.ID, st)
+		}
+	}
+	hit, how, err := c.Admit(req, 0, 0, nil)
+	c.admitted = nil
+	if err != nil || how != AdmitCached || hooked.Load() != 1 {
+		t.Fatalf("second admit = (%v, %v), hook ran %d times; want one cache hit", how, err, hooked.Load())
+	}
+	after := c.jnl.Stats()
+	if n := after.RecordsAppended - before.RecordsAppended; n != 1 {
+		t.Fatalf("cache hit appended %d records, want 1", n)
+	}
+	if after.ResultsShared != before.ResultsShared+1 {
+		t.Fatalf("cache hit wrote the proof again: results shared %d -> %d", before.ResultsShared, after.ResultsShared)
+	}
+	if state, _ := hit.Outcome(); state != StateDone {
+		t.Fatalf("hit state = %v, want done", state)
+	}
+	shutdown(t, c)
+
+	// Both jobs come back from the one copy of the bytes.
+	_, cl2 := newTestCore(t, Options{JournalDir: dir, CacheEntries: 4}, &fakeExec{})
+	for _, id := range []string{leader.ID, hit.ID} {
+		res, err := cl2.Result(context.Background(), id)
+		if err != nil || !bytes.Equal(res.Proof, fakeProof(req).Proof) {
+			t.Fatalf("replayed %s = (%v, %v), want the leader's proof", id, res, err)
+		}
+	}
+}
+
+// TestCacheHitBytesFlat checks that a cache hit copies no proof bytes:
+// what a hit allocates does not grow with the size of the proof it
+// serves.
+func TestCacheHitBytesFlat(t *testing.T) {
+	perHit := func(logRows int) float64 {
+		c, _ := newTestCore(t, Options{JournalDir: t.TempDir(), JournalFsync: journal.FsyncOff, CacheEntries: 4}, &fakeExec{})
+		req := script("big")
+		req.LogRows = logRows
+		provedOnce(t, c, req)
+		if _, how, err := c.Admit(req, 0, 0, nil); err != nil || how != AdmitCached {
+			t.Fatalf("warm-up admit = (%v, %v), want a cache hit", how, err)
+		}
+		const hits = 200
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < hits; i++ {
+			if _, how, err := c.Admit(req, 0, 0, nil); err != nil || how != AdmitCached {
+				t.Fatalf("admit = (%v, %v), want a cache hit", how, err)
+			}
+		}
+		runtime.ReadMemStats(&m1)
+		shutdown(t, c)
+		return float64(m1.TotalAlloc-m0.TotalAlloc) / hits
+	}
+	small, large := perHit(8), perHit(20)
+	// 2^20 - 2^8 bytes more proof; one copy of it per hit would add ~1 MiB.
+	if large > small+32<<10 {
+		t.Fatalf("a cache hit allocates %.0f B with a 1 MiB proof against %.0f B with a 256 B one", large, small)
+	}
+	t.Logf("bytes per cache hit: %.0f (256 B proof), %.0f (1 MiB proof)", small, large)
 }

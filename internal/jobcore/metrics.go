@@ -98,6 +98,8 @@ func (c *Core) Shared() Shared {
 		sh.Journal = &serverclient.JournalMetrics{
 			Epoch:                c.epoch,
 			RecordsAppended:      st.RecordsAppended,
+			BytesAppended:        st.BytesAppended,
+			ResultsShared:        st.ResultsShared,
 			RecordsReplayed:      st.RecordsReplayed,
 			AppendErrors:         st.AppendErrors,
 			Fsyncs:               st.Fsyncs,

@@ -17,6 +17,7 @@ package jobs
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -211,6 +212,25 @@ func (res *Result) MarshalBinary() ([]byte, error) {
 	return w.Bytes(), nil
 }
 
+// Encoded is a result together with its wire encoding and the SHA-256
+// of that encoding. It is made once, when the result is produced, and
+// then shared read-only: the proof cache keeps it, the journal names the
+// result by Sum, and every HTTP reply writes Raw.
+type Encoded struct {
+	*Result
+	Raw []byte
+	Sum [sha256.Size]byte
+}
+
+// Encode encodes and hashes res once.
+func Encode(res *Result) *Encoded {
+	var w wire.Writer
+	w.Grow(len(res.Proof) + 8*len(res.Public) + 3*binary.MaxVarintLen64)
+	res.EncodeTo(&w)
+	raw := w.Bytes()
+	return &Encoded{Result: res, Raw: raw, Sum: sha256.Sum256(raw)}
+}
+
 // UnmarshalBinary deserializes a result.
 func (res *Result) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data)
@@ -356,6 +376,15 @@ func (j *Job) Describe() string {
 		return fmt.Sprintf("trace: %s, %d rows (2^%d), width %d",
 			j.req.Workload, j.stark.N, j.stark.LogN, j.stark.Width)
 	}
+}
+
+// SecurityBits is the compiled proof's soundness in bits, FRI and PIOP
+// terms together.
+func (j *Job) SecurityBits() int {
+	if j.req.Kind == KindPlonk {
+		return j.circuit.SecurityBits()
+	}
+	return j.stark.SecurityBits()
 }
 
 // Request returns the request the job was compiled from.

@@ -240,3 +240,34 @@ func TestCheckRejectsTamperedResult(t *testing.T) {
 		t.Fatalf("tampered result: %v, want a classified rejection", err)
 	}
 }
+
+// TestSecurityBitsPinned pins the soundness the shipped configurations
+// reach today, so a change that lowers it fails here instead of going
+// unnoticed. Plonk is held by its permutation argument's single
+// base-field β and γ, stark by α; FRI alone would give 100 bits.
+func TestSecurityBitsPinned(t *testing.T) {
+	if p, s := fri.PlonkyConfig().SecurityBits(), fri.StarkyConfig().SecurityBits(); p != 100 || s != 100 {
+		t.Fatalf("FRI terms = %d (plonky), %d (starky), want 100 and 100", p, s)
+	}
+	for _, tc := range []struct {
+		kind     Kind
+		workload string
+		logRows  int
+		want     int
+	}{
+		{KindPlonk, "MVM", 11, 47},
+		{KindPlonk, "MVM", 8, 50},
+		{KindPlonk, "Fibonacci", 11, 48},
+		{KindPlonk, "Fibonacci", 8, 51},
+		{KindStark, "Fibonacci", 11, 61},
+		{KindStark, "SHA-256", 8, 57},
+	} {
+		j, err := Compile(&Request{Kind: tc.kind, Workload: tc.workload, LogRows: tc.logRows})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := j.SecurityBits(); got != tc.want {
+			t.Errorf("%v %s 2^%d: %d security bits, want %d", tc.kind, tc.workload, tc.logRows, got, tc.want)
+		}
+	}
+}

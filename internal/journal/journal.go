@@ -26,6 +26,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"unizk/internal/wire"
 )
 
 // Fsync policies. The zero value is FsyncBatch: group commit — an
@@ -154,6 +156,12 @@ type Journal struct {
 	sinceSnapshot int
 	//unizklint:guardedby mu
 	lastSnapshot time.Time
+	// known holds the digests of the results whose bytes are in the
+	// chain: written by a committed record since the last snapshot, or
+	// held in its image. A committed record whose Sum is known is written
+	// as a committed-ref.
+	//unizklint:guardedby mu
+	known map[[32]byte]struct{}
 }
 
 // Open prepares dir as a journal directory. No segment is read or
@@ -232,51 +240,116 @@ func (j *Journal) listSegments() ([]segFile, error) {
 	return segs, nil
 }
 
+// frameOf encodes rec as one frame: the header, then the payload,
+// encoded in place.
+func frameOf(rec *Record) ([]byte, error) {
+	var w wire.Writer
+	w.Grow(frameHeader + len(rec.Req) + len(rec.Result) + len(rec.State) + 128)
+	w.U64(0) // header, filled in below
+	if err := rec.EncodeTo(&w); err != nil {
+		return nil, err
+	}
+	frame := w.Bytes()
+	payload := frame[frameHeader:]
+	if len(payload) > maxRecord {
+		return nil, fmt.Errorf("journal: record payload %d bytes exceeds limit", len(payload))
+	}
+	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, castagnoli))
+	return frame, nil
+}
+
 // Append journals one record: frame, write, and make durable per the
 // fsync policy. It returns only after the record has reached the
 // kernel (any policy) and satisfied the policy's durability bar.
+//
+// A TypeCommitted record with a non-zero Sum whose bytes are already in
+// the chain is written as a TypeCommittedRef. The choice is made under
+// the journal's lock, where the write happens, so a ref always follows
+// its bytes in the file: any durable prefix that holds the ref holds
+// them too.
 func (j *Journal) Append(rec *Record) error {
-	payload, err := rec.MarshalBinary()
-	if err != nil {
-		j.st.appendErrors.Add(1)
-		return err
-	}
-	if len(payload) > maxRecord {
-		j.st.appendErrors.Add(1)
-		return fmt.Errorf("journal: record payload %d bytes exceeds limit", len(payload))
-	}
-	frame := make([]byte, frameHeader+len(payload))
-	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, castagnoli))
-	copy(frame[frameHeader:], payload)
-
-	j.mu.Lock()
-	if j.closed {
-		j.mu.Unlock()
-		return ErrClosed
-	}
-	if !j.replayed {
-		j.mu.Unlock()
-		return errNotReplayed
-	}
-	if j.size > 0 && j.size+int64(len(frame)) > j.opts.SegmentBytes {
-		if err := j.rotateLocked(); err != nil {
+	shareable := rec.Type == TypeCommitted && rec.Sum != ([32]byte{})
+	ref := shareable && j.isKnown(rec.Sum)
+	for {
+		enc := rec
+		if ref {
+			r := *rec
+			r.Type, r.Result = TypeCommittedRef, nil
+			enc = &r
+		}
+		frame, err := frameOf(enc)
+		if err != nil {
+			j.st.appendErrors.Add(1)
+			return err
+		}
+		j.mu.Lock()
+		if j.closed {
+			j.mu.Unlock()
+			return ErrClosed
+		}
+		if !j.replayed {
+			j.mu.Unlock()
+			return errNotReplayed
+		}
+		if _, ok := j.known[rec.Sum]; ref && !ok {
+			// A snapshot dropped the bytes since the check: write them.
+			j.mu.Unlock()
+			ref = false
+			continue
+		}
+		seq, err := j.writeLocked(frame)
+		if err != nil {
 			j.mu.Unlock()
 			j.st.appendErrors.Add(1)
 			return err
 		}
+		switch {
+		case ref:
+			j.st.resultsShared.Add(1)
+		case shareable:
+			j.known[rec.Sum] = struct{}{}
+		}
+		return j.awaitLocked(seq)
+	}
+}
+
+// isKnown reports whether the bytes of the result with digest sum are in
+// the chain.
+func (j *Journal) isKnown(sum [32]byte) bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	_, ok := j.known[sum]
+	return ok
+}
+
+// writeLocked writes one frame to the active segment, rotating first
+// when the frame would overflow it, and returns the frame's sequence
+// number.
+//
+//unizklint:holds j.mu
+func (j *Journal) writeLocked(frame []byte) (int64, error) {
+	if j.size > 0 && j.size+int64(len(frame)) > j.opts.SegmentBytes {
+		if err := j.rotateLocked(); err != nil {
+			return 0, err
+		}
 	}
 	if _, err := j.f.Write(frame); err != nil {
-		j.mu.Unlock()
-		j.st.appendErrors.Add(1)
-		return fmt.Errorf("journal: %w", err)
+		return 0, fmt.Errorf("journal: %w", err)
 	}
 	j.size += int64(len(frame))
 	j.writeSeq++
-	mySeq := j.writeSeq
 	j.sinceSnapshot++
 	j.st.recordsAppended.Add(1)
+	j.st.bytesAppended.Add(int64(len(frame)))
+	return j.writeSeq, nil
+}
 
+// awaitLocked makes the frame with sequence number seq durable per the
+// fsync policy, and releases j.mu.
+//
+//unizklint:holds j.mu
+func (j *Journal) awaitLocked(seq int64) error {
 	switch j.opts.Fsync {
 	case FsyncOff:
 		j.mu.Unlock()
@@ -287,8 +360,8 @@ func (j *Journal) Append(rec *Record) error {
 		start := time.Now()
 		err := j.f.Sync()
 		j.st.observeFsync(time.Since(start))
-		if err == nil && mySeq > j.syncedSeq {
-			j.syncedSeq = mySeq
+		if err == nil && seq > j.syncedSeq {
+			j.syncedSeq = seq
 		}
 		j.mu.Unlock()
 		if err != nil {
@@ -301,13 +374,13 @@ func (j *Journal) Append(rec *Record) error {
 		case j.syncReq <- struct{}{}:
 		default:
 			// A nudge is already pending; the syncer will observe a
-			// writeSeq >= mySeq when it runs.
+			// writeSeq >= seq when it runs.
 		}
-		for j.syncedSeq < mySeq && j.syncErr == nil && !j.closed {
+		for j.syncedSeq < seq && j.syncErr == nil && !j.closed {
 			j.syncCond.Wait()
 		}
 		err := j.syncErr
-		closedEarly := j.closed && j.syncedSeq < mySeq && err == nil
+		closedEarly := j.closed && j.syncedSeq < seq && err == nil
 		j.mu.Unlock()
 		if err != nil {
 			j.st.appendErrors.Add(1)
@@ -361,15 +434,11 @@ func (j *Journal) SnapshotDue() bool {
 // consistent with every Append that has returned (the coordinator's
 // snapshot barrier does this by excluding appenders while capturing).
 func (j *Journal) WriteSnapshot(st *State) error {
-	rec := &Record{Type: TypeSnapshot, State: EncodeState(st)}
-	payload, err := rec.MarshalBinary()
+	image, sums := encodeState(st)
+	frame, err := frameOf(&Record{Type: TypeSnapshot, State: image})
 	if err != nil {
 		return err
 	}
-	frame := make([]byte, frameHeader+len(payload))
-	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, castagnoli))
-	copy(frame[frameHeader:], payload)
 
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -410,7 +479,12 @@ func (j *Journal) WriteSnapshot(st *State) error {
 	j.syncedSeq = j.writeSeq
 	j.sinceSnapshot = 0
 	j.lastSnapshot = time.Now()
+	j.known = make(map[[32]byte]struct{}, len(sums))
+	for _, sum := range sums {
+		j.known[sum] = struct{}{}
+	}
 	j.st.recordsAppended.Add(1)
+	j.st.bytesAppended.Add(int64(len(frame)))
 	j.st.snapshots.Add(1)
 	j.syncCond.Broadcast()
 	oldF.Close()

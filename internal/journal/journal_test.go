@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -34,7 +35,26 @@ func sampleRecords() []*Record {
 		{Type: TypeIdem, Key: "client-key-1", FP: fp, ID: "c00000001", TimeNS: 1754550600000000000},
 		{Type: TypeSnapshot, State: EncodeState(NewState())},
 		{Type: TypeEpoch, Epoch: 7},
+		{Type: TypeCommittedRef, ID: "c00000001", Sum: sha256.Sum256([]byte{9, 8, 7, 6}),
+			Node: "http://127.0.0.1:9001", NodeID: "ab12cd34", TimeNS: 5},
+		// A cache hit: one record admits and commits, by bytes or by ref.
+		{Type: TypeCommitted, ID: "c00000004", Result: []byte{9, 8, 7, 6}, TimeNS: 6,
+			Req: []byte{4}, Priority: 1, TimeoutNS: 7, Tenant: "acme"},
+		{Type: TypeCommittedRef, ID: "c00000005", Sum: sha256.Sum256([]byte{9, 8, 7, 6}), TimeNS: 8,
+			Req: []byte{5}, Priority: -1, TimeoutNS: 9, Tenant: "acme"},
+		{Type: TypeSnapshot, State: EncodeState(sharedState())},
 	}
+}
+
+// sharedState is a snapshot image whose two jobs committed one result.
+func sharedState() *State {
+	st := NewState()
+	st.Epoch = 2
+	for _, id := range []string{"s1", "s2"} {
+		st.Apply(&Record{Type: TypeAdmitted, ID: id, Req: []byte(id), TimeNS: 1})
+		st.Apply(&Record{Type: TypeCommitted, ID: id, Result: []byte("one result"), TimeNS: 2})
+	}
+	return st
 }
 
 func TestRecordRoundTrip(t *testing.T) {
@@ -59,7 +79,8 @@ func assertRecordEqual(t *testing.T, want, got *Record) {
 		got.Msg != want.Msg || got.Failed != want.Failed || got.Code != want.Code ||
 		got.Key != want.Key || got.FP != want.FP || got.Epoch != want.Epoch ||
 		!bytes.Equal(got.Req, want.Req) || !bytes.Equal(got.Result, want.Result) ||
-		!bytes.Equal(got.State, want.State) {
+		!bytes.Equal(got.State, want.State) ||
+		(want.Type == TypeCommittedRef && got.Sum != want.Sum) {
 		t.Fatalf("%v: round-trip mismatch:\n got %+v\nwant %+v", want.Type, got, want)
 	}
 }
@@ -97,6 +118,9 @@ func TestSnapshotStateRoundTrip(t *testing.T) {
 	got, err := DecodeState(EncodeState(st))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
+	}
+	if shared := EncodeState(sharedState()); bytes.Count(shared, []byte("one result")) != 1 {
+		t.Fatal("snapshot image stores a result shared by two jobs more than once")
 	}
 	if got.Epoch != 3 || len(got.Order) != 2 || len(got.Jobs) != 2 || len(got.Idem) != 1 {
 		t.Fatalf("state shape mismatch: %+v", got)
@@ -413,6 +437,11 @@ func FuzzJournalReplay(f *testing.F) {
 		seedBuf = append(seedBuf, frame...)
 	}
 	f.Add(seedBuf)
+	parent, err := os.ReadFile("testdata/parent-format/seg-00000002.wal")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(parent)
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -27,7 +27,9 @@ const (
 	// re-dispatch invariant).
 	TypeDispatched Type = 2
 	// TypeCommitted: the job reached a successful terminal state with a
-	// result.
+	// result, carried as its encoded bytes. A committed record that also
+	// carries admission fields admits the job in the same record (a
+	// proof-cache hit, minted done).
 	TypeCommitted Type = 3
 	// TypeCanceled: the job reached a failed/canceled terminal state, or
 	// an admission lost the under-lock idempotency race after its
@@ -35,13 +37,23 @@ const (
 	TypeCanceled Type = 4
 	// TypeIdem: an idempotency-index entry was bound to a job.
 	TypeIdem Type = 5
-	// TypeSnapshot: a full State image; always the first record of a
-	// fresh segment, written by WriteSnapshot before older segments are
-	// deleted.
-	TypeSnapshot Type = 6
+	// TypeSnapshotInline: a full State image in which every job carries
+	// its result bytes inline. Older builds wrote it; it is only
+	// replayed.
+	TypeSnapshotInline Type = 6
 	// TypeEpoch: the persisted coordinator epoch, appended once per
 	// process start after replay.
 	TypeEpoch Type = 7
+	// TypeCommittedRef: TypeCommitted with the result named by the
+	// SHA-256 of its encoded bytes instead of carrying them. The journal
+	// writes it only when a committed record with those bytes is already
+	// in the chain, since the last snapshot or inside it.
+	TypeCommittedRef Type = 8
+	// TypeSnapshot: a full State image holding each distinct result once,
+	// in a table the jobs index into; always the first record of a fresh
+	// segment, written by WriteSnapshot before older segments are
+	// deleted.
+	TypeSnapshot Type = 9
 )
 
 func (t Type) String() string {
@@ -56,10 +68,14 @@ func (t Type) String() string {
 		return "canceled"
 	case TypeIdem:
 		return "idem"
-	case TypeSnapshot:
-		return "snapshot"
+	case TypeSnapshotInline:
+		return "snapshot-inline"
 	case TypeEpoch:
 		return "epoch"
+	case TypeCommittedRef:
+		return "committed-ref"
+	case TypeSnapshot:
+		return "snapshot"
 	default:
 		return fmt.Sprintf("type(%d)", uint8(t))
 	}
@@ -81,7 +97,9 @@ type Record struct {
 	ID string
 
 	// Admitted: the marshaled jobs.Request, effective priority, the
-	// admission deadline budget, and the owning tenant name.
+	// admission deadline budget, and the owning tenant name. Committed
+	// and committed-ref records carry them too when they admit the job
+	// (Req non-empty), submitted at TimeNS.
 	Req       []byte
 	Priority  int64
 	TimeoutNS int64
@@ -96,8 +114,13 @@ type Record struct {
 	Node   string
 	NodeID string
 
-	// Committed: the marshaled jobs.Result.
+	// Committed: the marshaled jobs.Result, and Sum, the SHA-256 of
+	// those bytes. Sum is not encoded in a committed record: Append reads
+	// it to decide whether to write a committed-ref instead (a zero Sum
+	// always writes the bytes), and replay recomputes it. A committed-ref
+	// record carries only Sum.
 	Result []byte
+	Sum    [32]byte
 
 	// Canceled: the terminal classification. Failed distinguishes a
 	// failure from a cancellation; Class/Code are the HTTP error class
@@ -112,7 +135,8 @@ type Record struct {
 	Key string
 	FP  [32]byte
 
-	// Snapshot: a wire-encoded State (EncodeState/DecodeState).
+	// Snapshot: a wire-encoded State (EncodeState/DecodeState; the
+	// inline image has its own decoder).
 	State []byte
 
 	// Epoch: the persisted coordinator epoch.
@@ -133,12 +157,23 @@ func (rec *Record) EncodeTo(w *wire.Writer) error {
 	case TypeDispatched:
 		w.Str(rec.ID)
 		w.Str(rec.Node)
-	case TypeCommitted:
+	case TypeCommitted, TypeCommittedRef:
 		w.Str(rec.ID)
-		w.Blob(rec.Result)
+		if rec.Type == TypeCommitted {
+			w.Blob(rec.Result)
+		} else {
+			w.Blob(rec.Sum[:])
+		}
 		w.Str(rec.Node)
 		w.Str(rec.NodeID)
 		w.U64(uint64(rec.TimeNS))
+		if len(rec.Req) > 0 {
+			// Optional trailer, absent from older committed records.
+			w.Blob(rec.Req)
+			w.U64(uint64(rec.Priority))
+			w.U64(uint64(rec.TimeoutNS))
+			w.Str(rec.Tenant)
+		}
 	case TypeCanceled:
 		w.Str(rec.ID)
 		w.Str(rec.Class)
@@ -155,7 +190,7 @@ func (rec *Record) EncodeTo(w *wire.Writer) error {
 		w.Blob(rec.FP[:])
 		w.Str(rec.ID)
 		w.U64(uint64(rec.TimeNS))
-	case TypeSnapshot:
+	case TypeSnapshot, TypeSnapshotInline:
 		w.Blob(rec.State)
 	case TypeEpoch:
 		w.Uvarint(rec.Epoch)
@@ -191,12 +226,27 @@ func DecodeRecord(data []byte) (*Record, error) {
 	case TypeDispatched:
 		rec.ID = r.Str()
 		rec.Node = r.Str()
-	case TypeCommitted:
+	case TypeCommitted, TypeCommittedRef:
 		rec.ID = r.Str()
-		rec.Result = r.Blob()
+		if rec.Type == TypeCommitted {
+			rec.Result = r.Blob()
+		} else if sum := r.Blob(); r.Err() == nil && len(sum) != len(rec.Sum) {
+			return nil, fmt.Errorf("journal: result digest is %d bytes, want %d", len(sum), len(rec.Sum))
+		} else {
+			copy(rec.Sum[:], sum)
+		}
 		rec.Node = r.Str()
 		rec.NodeID = r.Str()
 		rec.TimeNS = int64(r.U64())
+		if r.More() {
+			rec.Req = r.Blob()
+			rec.Priority = int64(r.U64())
+			rec.TimeoutNS = int64(r.U64())
+			rec.Tenant = r.Str()
+			if r.Err() == nil && len(rec.Req) == 0 {
+				return nil, fmt.Errorf("journal: %v record admits an empty request", rec.Type)
+			}
+		}
 	case TypeCanceled:
 		rec.ID = r.Str()
 		rec.Class = r.Str()
@@ -213,7 +263,7 @@ func DecodeRecord(data []byte) (*Record, error) {
 		copy(rec.FP[:], fp)
 		rec.ID = r.Str()
 		rec.TimeNS = int64(r.U64())
-	case TypeSnapshot:
+	case TypeSnapshot, TypeSnapshotInline:
 		rec.State = r.Blob()
 	case TypeEpoch:
 		rec.Epoch = r.Uvarint()

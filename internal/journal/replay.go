@@ -9,6 +9,7 @@
 package journal
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -39,6 +40,9 @@ func (j *Journal) Replay(apply func(*Record)) error {
 	}
 	live := segs[:0]
 	corrupted := false
+	// known tracks the results the chain holds as replay passes them, so
+	// appends after replay can name them by digest.
+	known := make(map[[32]byte]struct{})
 	for _, seg := range segs {
 		if corrupted {
 			// Everything after a truncated tail is unreachable history:
@@ -71,6 +75,7 @@ func (j *Journal) Replay(apply func(*Record)) error {
 				corrupted = true
 				break
 			}
+			learn(known, rec)
 			apply(rec)
 			j.st.recordsReplayed.Add(1)
 			off += n
@@ -95,10 +100,30 @@ func (j *Journal) Replay(apply func(*Record)) error {
 	j.f = f
 	j.segs = append([]segFile(nil), live...)
 	j.size = fi.Size()
+	j.known = known
 	j.replayed = true
 	j.mu.Unlock()
 	j.st.setReplayDuration(time.Since(start))
 	return nil
+}
+
+// learn folds one replayed record into the known-result set: committed
+// bytes join it (and the record gets its Sum), a snapshot replaces it
+// with the results its image holds. An inline image is not searched:
+// results it holds are simply written again on their next commit.
+func learn(known map[[32]byte]struct{}, rec *Record) {
+	switch rec.Type {
+	case TypeCommitted:
+		rec.Sum = sha256.Sum256(rec.Result)
+		known[rec.Sum] = struct{}{}
+	case TypeSnapshotInline:
+		clear(known)
+	case TypeSnapshot:
+		clear(known)
+		for _, sum := range tableSums(rec.State) {
+			known[sum] = struct{}{}
+		}
+	}
 }
 
 // parseFrame validates one frame at the head of b, returning the
@@ -144,13 +169,16 @@ type JobRecord struct {
 	Dispatches int64
 	Node       string
 
-	Terminal   bool
-	Failed     bool
-	Canceled   bool
-	Class      string
-	Msg        string
-	Code       int64
-	Result     []byte
+	Terminal bool
+	Failed   bool
+	Canceled bool
+	Class    string
+	Msg      string
+	Code     int64
+	Result   []byte
+	// ResultSum is the SHA-256 of Result; zero when unknown (a job from
+	// an inline snapshot image).
+	ResultSum  [32]byte
 	DoneNode   string
 	DoneNodeID string
 	FinishedNS int64
@@ -172,11 +200,15 @@ type State struct {
 	Order []string
 	Jobs  map[string]*JobRecord
 	Idem  []IdemRecord
+
+	// results holds every result the chain carries, by digest: what a
+	// committed-ref record resolves against.
+	results map[[32]byte][]byte
 }
 
 // NewState returns an empty state ready for Apply.
 func NewState() *State {
-	return &State{Jobs: make(map[string]*JobRecord)}
+	return &State{Jobs: make(map[string]*JobRecord), results: make(map[[32]byte][]byte)}
 }
 
 // Apply folds one record into the state. Records referencing unknown or
@@ -202,16 +234,38 @@ func (st *State) Apply(rec *Record) {
 			job.Dispatches++
 			job.Node = rec.Node
 		}
-	case TypeCommitted:
+	case TypeCommitted, TypeCommittedRef:
+		sum, raw := rec.Sum, rec.Result
+		if rec.Type == TypeCommitted {
+			// The bytes are in the chain whichever job they commit.
+			if sum == ([32]byte{}) {
+				sum = sha256.Sum256(raw)
+			}
+			if st.results == nil {
+				st.results = make(map[[32]byte][]byte)
+			}
+			st.results[sum] = raw
+		} else if raw = st.results[sum]; raw == nil {
+			// A ref never reaches the disk ahead of its bytes; without
+			// them the record restores nothing.
+			return
+		}
+		if len(rec.Req) > 0 {
+			st.Apply(&Record{Type: TypeAdmitted, ID: rec.ID, Req: rec.Req, Priority: rec.Priority,
+				TimeoutNS: rec.TimeoutNS, Tenant: rec.Tenant, TimeNS: rec.TimeNS})
+		}
 		if job := st.Jobs[rec.ID]; job != nil && !job.Terminal {
 			job.Terminal = true
-			job.Result = rec.Result
+			job.Result = raw
+			job.ResultSum = sum
 			job.DoneNode = rec.Node
 			job.DoneNodeID = rec.NodeID
 			job.FinishedNS = rec.TimeNS
 		}
 	case TypeCanceled:
-		if job := st.Jobs[rec.ID]; job != nil && !job.Terminal {
+		// A superseded job was never acknowledged under its own id, even
+		// when the record that admitted it also committed it.
+		if job := st.Jobs[rec.ID]; job != nil && (!job.Terminal || rec.Class == ClassSuperseded) {
 			job.Terminal = true
 			job.Failed = rec.Failed
 			job.Canceled = !rec.Failed
@@ -229,8 +283,12 @@ func (st *State) Apply(rec *Record) {
 			}
 		}
 		st.Idem = append(st.Idem, entry)
-	case TypeSnapshot:
-		if ns, err := DecodeState(rec.State); err == nil {
+	case TypeSnapshot, TypeSnapshotInline:
+		decode := DecodeState
+		if rec.Type == TypeSnapshotInline {
+			decode = decodeStateInline
+		}
+		if ns, err := decode(rec.State); err == nil {
 			*st = *ns
 		}
 		// An undecodable snapshot payload inside a CRC-valid frame means

@@ -1,20 +1,47 @@
 // Snapshot payload codec. A snapshot is a full State image encoded with
 // internal/wire, carried inside a TypeSnapshot record at the head of a
-// fresh segment; replay substitutes it for all prior history.
+// fresh segment; replay substitutes it for all prior history. The image
+// opens with a table of the distinct results its jobs hold, each stored
+// once with its SHA-256, and every job names its result by table index:
+// a thousand retained jobs that served one cached proof store it once.
 package journal
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"sort"
 
 	"unizk/internal/wire"
 )
 
+// result is one snapshot table entry: a job result's encoded bytes and
+// their SHA-256.
+type result struct {
+	sum [32]byte
+	raw []byte
+}
+
+// resultSum is the digest of job's result, from ResultSum when the
+// caller filled it in.
+func resultSum(job *JobRecord) [32]byte {
+	if job.ResultSum != ([32]byte{}) {
+		return job.ResultSum
+	}
+	return sha256.Sum256(job.Result)
+}
+
 // EncodeState serializes a snapshot payload. Jobs are emitted in Order;
 // ids in Order without a job entry are skipped (they cannot be
 // restored), and jobs missing from Order are appended in sorted-id
 // order so the image is deterministic and total.
 func EncodeState(st *State) []byte {
+	data, _ := encodeState(st)
+	return data
+}
+
+// encodeState is EncodeState that also returns the digests of the
+// result table: the results the image holds.
+func encodeState(st *State) ([]byte, [][32]byte) {
 	ids := make([]string, 0, len(st.Jobs))
 	seen := make(map[string]bool, len(st.Jobs))
 	for _, id := range st.Order {
@@ -32,11 +59,38 @@ func EncodeState(st *State) []byte {
 	sort.Strings(extra)
 	ids = append(ids, extra...)
 
+	// Index 0 means no result; table entry i is index i+1.
+	var table []result
+	index := make(map[[32]byte]uint64)
+	refs := make([]uint64, len(ids))
+	size := 0
+	for i, id := range ids {
+		job := st.Jobs[id]
+		if len(job.Result) == 0 {
+			continue
+		}
+		sum := resultSum(job)
+		if _, ok := index[sum]; !ok {
+			table = append(table, result{sum: sum, raw: job.Result})
+			index[sum] = uint64(len(table))
+			size += len(job.Result)
+		}
+		refs[i] = index[sum]
+	}
+
 	var w wire.Writer
+	w.Grow(size + 64*len(table) + 256*len(ids))
+	sums := make([][32]byte, len(table))
+	w.Len(len(table))
+	for i, e := range table {
+		w.Blob(e.sum[:])
+		w.Blob(e.raw)
+		sums[i] = e.sum
+	}
 	w.Uvarint(st.Epoch)
 	w.Len(len(ids))
-	for _, id := range ids {
-		encodeJob(&w, st.Jobs[id])
+	for i, id := range ids {
+		encodeJob(&w, st.Jobs[id], refs[i])
 	}
 	w.Len(len(st.Idem))
 	for _, e := range st.Idem {
@@ -45,7 +99,7 @@ func EncodeState(st *State) []byte {
 		w.Str(e.JobID)
 		w.U64(uint64(e.ExpiresNS))
 	}
-	return w.Bytes()
+	return w.Bytes(), sums
 }
 
 // Job flag bits inside the snapshot encoding.
@@ -55,7 +109,8 @@ const (
 	jobFlagCanceled
 )
 
-func encodeJob(w *wire.Writer, job *JobRecord) {
+// encodeJob writes one job with its result as table index ref.
+func encodeJob(w *wire.Writer, job *JobRecord, ref uint64) {
 	w.Str(job.ID)
 	w.Blob(job.Req)
 	w.U64(uint64(job.Priority))
@@ -78,20 +133,88 @@ func encodeJob(w *wire.Writer, job *JobRecord) {
 	w.Str(job.Class)
 	w.Str(job.Msg)
 	w.U64(uint64(job.Code))
-	w.Blob(job.Result)
+	w.Uvarint(ref)
 	w.Str(job.DoneNode)
 	w.Str(job.DoneNodeID)
 	w.U64(uint64(job.FinishedNS))
 }
 
+// decodeTable reads the result table that opens a snapshot payload.
+func decodeTable(r *wire.Reader) ([]result, error) {
+	n := r.Len()
+	var table []result
+	for i := 0; i < n && r.Err() == nil; i++ {
+		var e result
+		sum := r.Blob()
+		if r.Err() == nil && len(sum) != len(e.sum) {
+			return nil, fmt.Errorf("journal: snapshot result digest is %d bytes, want %d", len(sum), len(e.sum))
+		}
+		copy(e.sum[:], sum)
+		e.raw = r.Blob()
+		table = append(table, e)
+	}
+	return table, r.Err()
+}
+
+// tableSums lists the digests of the results a snapshot payload holds;
+// nil when the payload does not decode.
+func tableSums(data []byte) [][32]byte {
+	table, err := decodeTable(wire.NewReader(data))
+	if err != nil {
+		return nil
+	}
+	sums := make([][32]byte, len(table))
+	for i, e := range table {
+		sums[i] = e.sum
+	}
+	return sums
+}
+
 // DecodeState parses a snapshot payload.
 func DecodeState(data []byte) (*State, error) {
 	r := wire.NewReader(data)
+	table, err := decodeTable(r)
+	if err != nil {
+		return nil, err
+	}
+	return decodeStateBody(r, func(job *JobRecord) error {
+		ref := r.Uvarint()
+		switch {
+		case ref == 0:
+		case ref > uint64(len(table)):
+			return fmt.Errorf("journal: snapshot job %s names result %d of %d", job.ID, ref, len(table))
+		default:
+			job.Result, job.ResultSum = table[ref-1].raw, table[ref-1].sum
+		}
+		return nil
+	}, table)
+}
+
+// decodeStateInline parses a TypeSnapshotInline payload, whose jobs
+// carry their result bytes.
+func decodeStateInline(data []byte) (*State, error) {
+	r := wire.NewReader(data)
+	return decodeStateBody(r, func(job *JobRecord) error {
+		job.Result = r.Blob()
+		return nil
+	}, nil)
+}
+
+// decodeStateBody parses what follows the result table: the epoch, the
+// jobs (reading each job's result through readResult) and the
+// idempotency index. table seeds the state's result index.
+func decodeStateBody(r *wire.Reader, readResult func(*JobRecord) error, table []result) (*State, error) {
 	st := NewState()
+	for _, e := range table {
+		st.results[e.sum] = e.raw
+	}
 	st.Epoch = r.Uvarint()
 	nJobs := r.Len()
 	for i := 0; i < nJobs && r.Err() == nil; i++ {
-		job := decodeJob(r)
+		job, err := decodeJob(r, readResult)
+		if err != nil {
+			return nil, err
+		}
 		if r.Err() != nil {
 			break
 		}
@@ -117,7 +240,7 @@ func DecodeState(data []byte) (*State, error) {
 	return st, nil
 }
 
-func decodeJob(r *wire.Reader) *JobRecord {
+func decodeJob(r *wire.Reader, readResult func(*JobRecord) error) (*JobRecord, error) {
 	job := &JobRecord{}
 	job.ID = r.Str()
 	job.Req = r.Blob()
@@ -134,9 +257,11 @@ func decodeJob(r *wire.Reader) *JobRecord {
 	job.Class = r.Str()
 	job.Msg = r.Str()
 	job.Code = int64(r.U64())
-	job.Result = r.Blob()
+	if err := readResult(job); err != nil {
+		return nil, err
+	}
 	job.DoneNode = r.Str()
 	job.DoneNodeID = r.Str()
 	job.FinishedNS = int64(r.U64())
-	return job
+	return job, nil
 }

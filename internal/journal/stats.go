@@ -49,6 +49,8 @@ func (s *fsyncSampler) quantile(q float64) time.Duration {
 // stats is the journal's internal counter set.
 type stats struct {
 	recordsAppended atomic.Int64
+	bytesAppended   atomic.Int64
+	resultsShared   atomic.Int64
 	recordsReplayed atomic.Int64
 	appendErrors    atomic.Int64
 	truncatedTails  atomic.Int64
@@ -70,6 +72,11 @@ func (s *stats) setReplayDuration(d time.Duration) {
 // Stats is a point-in-time snapshot of the journal's health.
 type Stats struct {
 	RecordsAppended int64
+	// BytesAppended counts the frame bytes this process wrote, snapshots
+	// included; ResultsShared counts committed records written as
+	// committed-refs, each one proof not written again.
+	BytesAppended   int64
+	ResultsShared   int64
 	RecordsReplayed int64
 	AppendErrors    int64
 	TruncatedTails  int64
@@ -95,6 +102,8 @@ func (j *Journal) Stats() Stats {
 	j.mu.Unlock()
 	st := Stats{
 		RecordsAppended: j.st.recordsAppended.Load(),
+		BytesAppended:   j.st.bytesAppended.Load(),
+		ResultsShared:   j.st.resultsShared.Load(),
 		RecordsReplayed: j.st.recordsReplayed.Load(),
 		AppendErrors:    j.st.appendErrors.Load(),
 		TruncatedTails:  j.st.truncatedTails.Load(),

@@ -70,6 +70,14 @@ type VerificationKey struct {
 	prog *constraint.Program
 }
 
+// SecurityBits is the circuit's soundness in bits: the least of FRI's
+// term and the PIOP's, the permutation argument over its 3·N·Reps wire
+// slots, α over its constraints and ζ over the degree-4 quotient (see
+// fri.Config.ProofSecurityBits).
+func (c *Circuit) SecurityBits() int {
+	return c.cfg.ProofSecurityBits(numWires*c.N*c.Reps, c.prog.Len(), 4, c.LogN)
+}
+
 // Build compiles with one gate per row (Reps = 1).
 func (b *Builder) Build(cfg fri.Config) *Circuit { return b.BuildWide(cfg, 1) }
 

@@ -73,7 +73,7 @@ type Config struct {
 }
 
 type entry struct {
-	res     *jobs.Result
+	res     *jobs.Encoded
 	expires time.Time
 	cost    time.Duration // run time of the prove that made it; 0 from Put
 	used    uint64        // access sequence number: lower = less recent
@@ -177,7 +177,7 @@ func (c *Cache) worthLocked(key Key, cost time.Duration) float64 {
 // effect.
 //
 //unizklint:holds c.mu
-func (c *Cache) lookupLocked(key Key) *jobs.Result {
+func (c *Cache) lookupLocked(key Key) *jobs.Encoded {
 	e, ok := c.entries[key]
 	if !ok {
 		return nil
@@ -211,7 +211,7 @@ func (c *Cache) victimLocked() (victim Key, worth float64) {
 // and otherwise declines the newcomer, unless force is set.
 //
 //unizklint:holds c.mu
-func (c *Cache) insertLocked(key Key, res *jobs.Result, cost time.Duration, force bool) {
+func (c *Cache) insertLocked(key Key, res *jobs.Encoded, cost time.Duration, force bool) {
 	expires := c.clock().Add(c.cfg.TTL)
 	if e, ok := c.entries[key]; ok {
 		e.res, e.expires, e.cost = res, expires, max(e.cost, cost)
@@ -237,13 +237,14 @@ func (c *Cache) insertLocked(key Key, res *jobs.Result, cost time.Duration, forc
 // concurrent submitters of the same content. Every call counts one
 // request for key, whatever its outcome. Exactly one of three outcomes:
 //
-//   - res != nil: cache hit — the proof already exists, serve it.
+//   - res != nil: cache hit — the proof already exists, encoded once;
+//     serve it.
 //   - leaderID != "": an identical request is proving right now; the
 //     caller should attach to that job (coalesce) instead of proving.
 //   - leader == true: the caller is the leader for this key. It must
 //     eventually call Complete (success) or Abort (failure/cancel) with
 //     the same jobID, or the key stays in flight forever.
-func (c *Cache) Begin(key Key, jobID string) (res *jobs.Result, leaderID string, leader bool) {
+func (c *Cache) Begin(key Key, jobID string) (res *jobs.Encoded, leaderID string, leader bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.countLocked(key)
@@ -290,9 +291,9 @@ func (c *Cache) Flight(key Key) (leaderID string, ok bool) {
 // least recently accessed) only for a result worth strictly more, and
 // otherwise declines the result, which is still returned to the leader
 // and its followers.
-func (c *Cache) Complete(key Key, jobID string, res *jobs.Result, cost time.Duration, check func(*jobs.Result) error) error {
+func (c *Cache) Complete(key Key, jobID string, res *jobs.Encoded, cost time.Duration, check func(*jobs.Result) error) error {
 	if c.cfg.Verify && check != nil {
-		if err := check(res); err != nil {
+		if err := check(res.Result); err != nil {
 			c.verifyRejected.Add(1)
 			c.Abort(key, jobID)
 			return err
@@ -315,9 +316,10 @@ func (c *Cache) Complete(key Key, jobID string, res *jobs.Result, cost time.Dura
 // measured cost the entry is worth nothing, so it is the first to go
 // when the cache is full.
 func (c *Cache) Put(key Key, res *jobs.Result) {
+	enc := jobs.Encode(res)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.insertLocked(key, res, 0, true)
+	c.insertLocked(key, enc, 0, true)
 }
 
 // Abort clears a leader's flight without inserting anything — the prove

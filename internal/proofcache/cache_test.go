@@ -28,7 +28,7 @@ func complete(t *testing.T, c *Cache, key Key, id string, res *jobs.Result, cost
 	if got != nil || leaderID != "" || !leader {
 		t.Fatalf("Begin(%s) = (%v, %q, %v), want fresh leader", id, got, leaderID, leader)
 	}
-	if err := c.Complete(key, id, res, cost, nil); err != nil {
+	if err := c.Complete(key, id, jobs.Encode(res), cost, nil); err != nil {
 		t.Fatalf("Complete: %v", err)
 	}
 }
@@ -228,7 +228,7 @@ func TestCacheDeckReplayBeatsLRU(t *testing.T) {
 			}
 			missed += cost(k)
 			ms := time.Duration(cost(k) * float64(time.Millisecond))
-			if err := c.Complete(key, id, testRes(k), ms, nil); err != nil {
+			if err := c.Complete(key, id, jobs.Encode(testRes(k)), ms, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -276,7 +276,7 @@ func TestCacheCoalescing(t *testing.T) {
 	if st := c.Stats(); st.Coalesced != 3 || st.Flights != 1 {
 		t.Fatalf("stats = %+v, want 3 coalesced, 1 flight", st)
 	}
-	if err := c.Complete(k, "leader", testRes(0), time.Millisecond, nil); err != nil {
+	if err := c.Complete(k, "leader", jobs.Encode(testRes(0)), time.Millisecond, nil); err != nil {
 		t.Fatalf("Complete: %v", err)
 	}
 	// After completion, new submitters hit the cache.
@@ -304,7 +304,7 @@ func TestCacheAbortClearsFlight(t *testing.T) {
 		t.Fatal("after leader abort the next Begin must start a fresh flight")
 	}
 	// A stale Complete from the aborted leader must not insert.
-	if err := c.Complete(k, "leader", testRes(0), time.Millisecond, nil); err != nil {
+	if err := c.Complete(k, "leader", jobs.Encode(testRes(0)), time.Millisecond, nil); err != nil {
 		t.Fatalf("stale Complete: %v", err)
 	}
 	if resident(c, k) {
@@ -317,7 +317,7 @@ func TestCacheVerifyOnInsertRejects(t *testing.T) {
 	k := testKey(0)
 	c.Begin(k, "leader")
 	bad := errors.New("proof rejected")
-	if err := c.Complete(k, "leader", testRes(0), time.Millisecond, func(*jobs.Result) error { return bad }); !errors.Is(err, bad) {
+	if err := c.Complete(k, "leader", jobs.Encode(testRes(0)), time.Millisecond, func(*jobs.Result) error { return bad }); !errors.Is(err, bad) {
 		t.Fatalf("Complete with failing check = %v, want %v", err, bad)
 	}
 	if resident(c, k) {
@@ -331,7 +331,7 @@ func TestCacheVerifyOnInsertRejects(t *testing.T) {
 	if _, _, leader := c.Begin(k, "retry"); !leader {
 		t.Fatal("key must accept a new leader after verify rejection")
 	}
-	if err := c.Complete(k, "retry", testRes(0), time.Millisecond, func(*jobs.Result) error { return nil }); err != nil {
+	if err := c.Complete(k, "retry", jobs.Encode(testRes(0)), time.Millisecond, func(*jobs.Result) error { return nil }); err != nil {
 		t.Fatalf("Complete with passing check: %v", err)
 	}
 	if !resident(c, k) {
@@ -386,7 +386,7 @@ func TestCacheConcurrentHammer(t *testing.T) {
 				case leader && i%3 == 0:
 					c.Abort(k, id)
 				case leader:
-					_ = c.Complete(k, id, testRes(ki), time.Duration(1+ki)*time.Millisecond, nil)
+					_ = c.Complete(k, id, jobs.Encode(testRes(ki)), time.Duration(1+ki)*time.Millisecond, nil)
 				case res != nil:
 					if res.Proof[0] != byte(ki) {
 						t.Errorf("key %d served foreign proof %v", ki, res.Proof)

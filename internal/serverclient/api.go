@@ -182,6 +182,11 @@ type JournalMetrics struct {
 	// writes and its startup replay volume.
 	RecordsAppended int64 `json:"records_appended"`
 	RecordsReplayed int64 `json:"records_replayed"`
+	// BytesAppended counts the bytes those writes put on disk, snapshots
+	// included; ResultsShared counts results journaled by digest because
+	// their bytes were already in the journal.
+	BytesAppended int64 `json:"bytes_appended"`
+	ResultsShared int64 `json:"results_shared"`
 	// AppendErrors counts journal writes that failed after admission
 	// control (disk trouble); the service keeps serving but durability
 	// of those transitions is lost.

@@ -47,6 +47,14 @@ type Stark struct {
 	prog *constraint.Program
 }
 
+// SecurityBits is the proof's soundness in bits: the least of FRI's
+// term and the PIOP's, α over the AIR's constraints and ζ over the
+// quotient of degree maxConstraintDegree·N; a STARK has no permutation
+// argument (see fri.Config.ProofSecurityBits).
+func (s *Stark) SecurityBits() int {
+	return s.cfg.ProofSecurityBits(0, s.prog.Len(), maxConstraintDegree, s.LogN)
+}
+
 // Proof is a Starky proof.
 type Proof struct {
 	TraceCap, QuotientCap merkle.Cap

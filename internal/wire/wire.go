@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"unizk/internal/field"
 	"unizk/internal/poseidon"
@@ -24,6 +25,10 @@ type Writer struct {
 
 // Bytes returns the encoded stream.
 func (w *Writer) Bytes() []byte { return w.buf }
+
+// Grow reserves room for n more bytes, so a caller that knows the
+// encoded size writes it without regrowing the buffer.
+func (w *Writer) Grow(n int) { w.buf = slices.Grow(w.buf, n) }
 
 // LenOffsets returns the byte offsets of every length prefix written so
 // far, in write order.
@@ -143,6 +148,10 @@ func (r *Reader) Done() error {
 	}
 	return nil
 }
+
+// More reports whether unread bytes remain after no error: how a decoder
+// tells whether an optional trailing section is present.
+func (r *Reader) More() bool { return r.err == nil && r.pos < len(r.data) }
 
 func (r *Reader) fail(err error) {
 	if r.err == nil {
