@@ -276,13 +276,11 @@ func replayedResult(jr *journal.JobRecord, memo map[[32]byte]*jobs.Encoded) (*jo
 	if res, ok := memo[sum]; ok {
 		return res, nil
 	}
-	res := new(jobs.Result)
-	if err := res.UnmarshalBinary(jr.Result); err != nil {
-		return nil, err
+	res, err := jobs.DecodeEncoded(jr.Result, sum)
+	if err == nil {
+		memo[sum] = res
 	}
-	enc := &jobs.Encoded{Result: res, Raw: jr.Result, Sum: sum}
-	memo[sum] = enc
-	return enc, nil
+	return res, err
 }
 
 // replayedErr rebuilds a journaled terminal error. Lifecycle classes

@@ -16,6 +16,7 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -215,7 +216,8 @@ func (res *Result) MarshalBinary() ([]byte, error) {
 // Encoded is a result together with its wire encoding and the SHA-256
 // of that encoding. It is made once, when the result is produced, and
 // then shared read-only: the proof cache keeps it, the journal names the
-// result by Sum, and every HTTP reply writes Raw.
+// result by Sum, and every HTTP reply writes Raw. The result's Proof is
+// a window of Raw, so an Encoded holds one copy of the proof.
 type Encoded struct {
 	*Result
 	Raw []byte
@@ -228,7 +230,29 @@ func Encode(res *Result) *Encoded {
 	w.Grow(len(res.Proof) + 8*len(res.Public) + 3*binary.MaxVarintLen64)
 	res.EncodeTo(&w)
 	raw := w.Bytes()
-	return &Encoded{Result: res, Raw: raw, Sum: sha256.Sum256(raw)}
+	return encoded(res, raw, sha256.Sum256(raw))
+}
+
+// DecodeEncoded rebuilds the Encoded of raw, a result encoding whose
+// SHA-256 is sum.
+func DecodeEncoded(raw []byte, sum [sha256.Size]byte) (*Encoded, error) {
+	res := new(Result)
+	if err := res.UnmarshalBinary(raw); err != nil {
+		return nil, err
+	}
+	return encoded(res, raw, sum), nil
+}
+
+// encoded pairs res with its encoding raw, pointing the proof into raw
+// when it sits there in EncodeTo's layout (always, unless raw spelled a
+// length with a longer varint than EncodeTo writes).
+func encoded(res *Result, raw []byte, sum [sha256.Size]byte) *Encoded {
+	n := len(res.Proof)
+	head := len(binary.AppendUvarint(nil, uint64(res.Kind))) + len(binary.AppendUvarint(nil, uint64(n)))
+	if head+n <= len(raw) && bytes.Equal(raw[head:head+n], res.Proof) {
+		res = &Result{Kind: res.Kind, Proof: raw[head : head+n : head+n], Public: res.Public}
+	}
+	return &Encoded{Result: res, Raw: raw, Sum: sum}
 }
 
 // UnmarshalBinary deserializes a result.

@@ -3,6 +3,7 @@ package jobs
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"testing"
 
@@ -268,6 +269,33 @@ func TestSecurityBitsPinned(t *testing.T) {
 		}
 		if got := j.SecurityBits(); got != tc.want {
 			t.Errorf("%v %s 2^%d: %d security bits, want %d", tc.kind, tc.workload, tc.logRows, got, tc.want)
+		}
+	}
+}
+
+// TestEncodedSharesProofBytes checks that an Encoded holds one copy of
+// the proof — its Proof is a window of Raw — and that DecodeEncoded
+// rebuilds the same thing from the bytes and digest alone.
+func TestEncodedSharesProofBytes(t *testing.T) {
+	res := &Result{Kind: KindPlonk, Proof: bytes.Repeat([]byte{0xab}, 300), Public: []field.Element{field.New(7)}}
+	enc := Encode(res)
+	raw, err := res.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(enc.Raw, raw) || enc.Sum != sha256.Sum256(raw) {
+		t.Fatal("Encode disagrees with MarshalBinary")
+	}
+	dec, err := DecodeEncoded(enc.Raw, enc.Sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, e := range map[string]*Encoded{"Encode": enc, "DecodeEncoded": dec} {
+		if !bytes.Equal(e.Proof, res.Proof) || len(e.Public) != 1 || e.Public[0] != res.Public[0] {
+			t.Fatalf("%s: result %+v, want %+v", name, e.Result, res)
+		}
+		if &e.Proof[0] != &e.Raw[3] || cap(e.Proof) != len(e.Proof) {
+			t.Fatalf("%s: proof is not a capped window of Raw", name)
 		}
 	}
 }

@@ -110,21 +110,26 @@ func TestCommitsShareResultBytes(t *testing.T) {
 // and every point inside a frame — and replays each prefix: no job is
 // terminal without its result, and no ref is applied without its bytes.
 func TestReplayCutAnywhere(t *testing.T) {
-	r1, r2 := []byte("result-one"), []byte("result-two-longer")
+	r1, r2, r3 := []byte("result-one"), []byte("result-two-longer"), []byte("result-three")
 	dir := t.TempDir()
 	j, st := openReplayed(t, dir, Options{Fsync: FsyncOff, SnapshotEvery: -1})
 	appendAll(t, j, commitRecs("a", r1))
 	appendAll(t, j, commitRecs("b", r1))
+	appendAll(t, j, commitRecs("x", r3))
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
 	j, st = openReplayed(t, dir, Options{Fsync: FsyncOff, SnapshotEvery: -1})
+	// x is retired before the snapshot, so r3 leaves the chain with the
+	// segments the snapshot deletes.
+	delete(st.Jobs, "x")
 	if err := j.WriteSnapshot(st); err != nil {
 		t.Fatal(err)
 	}
 	appendAll(t, j, commitRecs("c", r1)) // ref into the image
 	appendAll(t, j, commitRecs("d", r2)) // new bytes
 	appendAll(t, j, commitRecs("e", r2)) // ref into the tail
+	appendAll(t, j, commitRecs("g", r3)) // bytes again: the image lacks them
 	hit := &Record{Type: TypeCommitted, ID: "f", Req: []byte("f"), Tenant: "t",
 		Result: r2, Sum: sha256.Sum256(r2), TimeNS: 3}
 	appendAll(t, j, []*Record{hit})
@@ -138,7 +143,7 @@ func TestReplayCutAnywhere(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string][]byte{"a": r1, "b": r1, "c": r1, "d": r2, "e": r2, "f": r2}
+	want := map[string][]byte{"a": r1, "b": r1, "c": r1, "d": r2, "e": r2, "f": r2, "g": r3}
 
 	for cut := 0; cut <= len(full); cut++ {
 		cdir := t.TempDir()
