@@ -194,8 +194,8 @@ func (c *Core) abandon(j *Job) {
 // admission durable — nothing is acknowledged before that — and
 // publishes the job; if it cannot, the job is abandoned. A job minted
 // done (a cache hit) is finished here: one journal record admits and
-// commits it, and it is published straight into the retained set. The key is
-// rechecked under the lock: a concurrent duplicate may have registered
+// commits it, and it is published straight into the retained set. The
+// key is rechecked under the lock: a concurrent duplicate may have registered
 // it meanwhile, exactly one of the racing submits admits, and the loser
 // gets the winner's job back. A submit that passed the drain gate just
 // before Shutdown flipped it is refused here, so nothing registers
@@ -305,8 +305,9 @@ func (c *Core) Dispatch(j *Job, node string) time.Duration {
 // Finish moves a job to its terminal state exactly once: it settles the
 // job's proof-cache flight, journals the outcome before any waiter is
 // released, frees the tenant slot, and retires the record. Executors
-// call it for every job they started; the core calls it for cache hits
-// and for restored jobs the executor refused.
+// call it for every job they started; the core calls it for restored
+// jobs the executor refused. Cache hits never run it: register finishes
+// them.
 func (c *Core) Finish(j *Job, res *jobs.Result, err error) {
 	var enc *jobs.Encoded
 	if err == nil {

@@ -10,7 +10,6 @@ package jobcore
 
 import (
 	"context"
-	"crypto/sha256"
 	"fmt"
 	"sort"
 	"time"
@@ -269,16 +268,12 @@ func (c *Core) restoreJobLocked(j *Job, jr *journal.JobRecord, now time.Time, re
 // replayedResult decodes a replayed job's result, once per distinct
 // result: memo maps digests to the results already decoded.
 func replayedResult(jr *journal.JobRecord, memo map[[32]byte]*jobs.Encoded) (*jobs.Encoded, error) {
-	sum := jr.ResultSum
-	if sum == ([32]byte{}) {
-		sum = sha256.Sum256(jr.Result)
-	}
-	if res, ok := memo[sum]; ok {
+	if res, ok := memo[jr.ResultSum]; ok {
 		return res, nil
 	}
-	res, err := jobs.DecodeEncoded(jr.Result, sum)
+	res, err := jobs.DecodeEncoded(jr.Result, jr.ResultSum)
 	if err == nil {
-		memo[sum] = res
+		memo[jr.ResultSum] = res
 	}
 	return res, err
 }

@@ -176,8 +176,7 @@ type JobRecord struct {
 	Msg      string
 	Code     int64
 	Result   []byte
-	// ResultSum is the SHA-256 of Result; zero when unknown (a job from
-	// an inline snapshot image).
+	// ResultSum is the SHA-256 of Result.
 	ResultSum  [32]byte
 	DoneNode   string
 	DoneNodeID string

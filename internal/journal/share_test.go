@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -235,5 +236,65 @@ func TestParentFormatReplays(t *testing.T) {
 	defer j3.Close()
 	if len(st3.Jobs) != 4 || !bytes.Equal(st3.Jobs["p00000004"].Result, res) || !bytes.Equal(st3.Jobs["p00000001"].Result, res) {
 		t.Fatalf("state after re-snapshot: %+v", st3.Jobs)
+	}
+}
+
+// TestConcurrentCommitsAndSnapshots commits a few results from several
+// goroutines while snapshots keep resetting the known set: no ref may
+// reach the disk ahead of its bytes, whichever way the appends and the
+// snapshots interleave. Run under -race it also checks the known set's
+// locking.
+func TestConcurrentCommitsAndSnapshots(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := openReplayed(t, dir, Options{Fsync: FsyncOff, SnapshotEvery: -1})
+	results := [][]byte{[]byte("alpha"), []byte("beta"), []byte("gamma")}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 60; i++ {
+				for _, rec := range commitRecs(fmt.Sprintf("g%d-%03d", g, i), results[(g+i)%len(results)]) {
+					if err := j.Append(rec); err != nil {
+						t.Errorf("append: %v", err)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 20; i++ {
+			if err := j.WriteSnapshot(NewState()); err != nil {
+				t.Errorf("snapshot: %v", err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	<-done
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	st := NewState()
+	if err := j2.Replay(func(rec *Record) {
+		if rec.Type == TypeCommittedRef && st.results[rec.Sum] == nil {
+			t.Errorf("ref for %s replayed ahead of its bytes", rec.ID)
+		}
+		st.Apply(rec)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for id, job := range st.Jobs {
+		if !job.Terminal || len(job.Result) == 0 {
+			t.Fatalf("job %s replayed without its result: %+v", id, job)
+		}
 	}
 }

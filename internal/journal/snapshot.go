@@ -195,7 +195,9 @@ func DecodeState(data []byte) (*State, error) {
 func decodeStateInline(data []byte) (*State, error) {
 	r := wire.NewReader(data)
 	return decodeStateBody(r, func(job *JobRecord) error {
-		job.Result = r.Blob()
+		if job.Result = r.Blob(); len(job.Result) > 0 {
+			job.ResultSum = sha256.Sum256(job.Result)
+		}
 		return nil
 	}, nil)
 }
