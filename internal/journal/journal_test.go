@@ -90,12 +90,20 @@ func TestDecodeRecordRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref, err := (&Record{Type: TypeCommittedRef, ID: "c1", Sum: [32]byte{1}}).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := map[string][]byte{
 		"empty":          {},
 		"unknown type":   {0xff, 0x01},
 		"zero type":      {0x00},
 		"truncated body": good[:len(good)-1],
 		"trailing bytes": append(append([]byte(nil), good...), 0x00),
+		// A ref's digest is 32 bytes: drop its last byte.
+		"short digest": append(append([]byte{ref[0], ref[1], ref[2], ref[3], 31}, ref[5:5+31]...), ref[5+32:]...),
+		// An admission trailer must name a request.
+		"empty admission": append(append([]byte(nil), ref...), 0x00, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x00),
 	}
 	for name, data := range cases {
 		if _, err := DecodeRecord(data); err == nil {

@@ -230,9 +230,11 @@ func DecodeRecord(data []byte) (*Record, error) {
 		rec.ID = r.Str()
 		if rec.Type == TypeCommitted {
 			rec.Result = r.Blob()
-		} else if sum := r.Blob(); r.Err() == nil && len(sum) != len(rec.Sum) {
-			return nil, fmt.Errorf("journal: result digest is %d bytes, want %d", len(sum), len(rec.Sum))
 		} else {
+			sum := r.Blob()
+			if r.Err() == nil && len(sum) != len(rec.Sum) {
+				return nil, fmt.Errorf("journal: result digest is %d bytes, want %d", len(sum), len(rec.Sum))
+			}
 			copy(rec.Sum[:], sum)
 		}
 		rec.Node = r.Str()

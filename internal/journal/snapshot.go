@@ -177,7 +177,7 @@ func DecodeState(data []byte) (*State, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeStateBody(r, func(job *JobRecord) error {
+	return decodeStateBody(r, table, func(job *JobRecord) error {
 		ref := r.Uvarint()
 		switch {
 		case ref == 0:
@@ -187,25 +187,25 @@ func DecodeState(data []byte) (*State, error) {
 			job.Result, job.ResultSum = table[ref-1].raw, table[ref-1].sum
 		}
 		return nil
-	}, table)
+	})
 }
 
 // decodeStateInline parses a TypeSnapshotInline payload, whose jobs
 // carry their result bytes.
 func decodeStateInline(data []byte) (*State, error) {
 	r := wire.NewReader(data)
-	return decodeStateBody(r, func(job *JobRecord) error {
+	return decodeStateBody(r, nil, func(job *JobRecord) error {
 		if job.Result = r.Blob(); len(job.Result) > 0 {
 			job.ResultSum = sha256.Sum256(job.Result)
 		}
 		return nil
-	}, nil)
+	})
 }
 
 // decodeStateBody parses what follows the result table: the epoch, the
 // jobs (reading each job's result through readResult) and the
-// idempotency index. table seeds the state's result index.
-func decodeStateBody(r *wire.Reader, readResult func(*JobRecord) error, table []result) (*State, error) {
+// idempotency index. The table becomes the state's result index.
+func decodeStateBody(r *wire.Reader, table []result, readResult func(*JobRecord) error) (*State, error) {
 	st := NewState()
 	for _, e := range table {
 		st.results[e.sum] = e.raw
