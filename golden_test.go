@@ -2,6 +2,9 @@ package unizk_test
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -17,6 +20,7 @@ import (
 	"unizk/internal/parallel"
 	"unizk/internal/plonk"
 	"unizk/internal/poseidon"
+	"unizk/internal/workloads"
 )
 
 // goldenVectors pins prover outputs for a fixed seed so that any
@@ -40,6 +44,13 @@ type goldenVectors struct {
 	// radix-2 at the bottom, cache-blocked parallel layers at the top. A
 	// schedule change that is not bit-identical at any size fails here.
 	NTTSweep []nttSweepEntry `json:"ntt_sweep"`
+	// PlonkProofSHA256 and StarkProofSHA256 pin whole encoded proofs: the
+	// seed circuit's, and the Fibonacci AIR's at 2^6 rows under
+	// fri.TestConfig. Every cap, opening and FRI value is in the bytes,
+	// so a reordered transcript fails here even where the proof-of-work
+	// grind happens to land on the same witness.
+	PlonkProofSHA256 string `json:"plonk_proof_sha256"`
+	StarkProofSHA256 string `json:"stark_proof_sha256"`
 }
 
 // nttSweepEntry pins one size of the forward/inverse NTT sweep.
@@ -134,9 +145,11 @@ func computeGolden(t *testing.T) goldenVectors {
 	proof := proveSeedCircuit(t)
 
 	out := goldenVectors{
-		MerkleCap:       capFlat,
-		PlonkPowWitness: uint64(proof.FRI.PowWitness),
-		NTTSweep:        sweep,
+		MerkleCap:        capFlat,
+		PlonkPowWitness:  uint64(proof.FRI.PowWitness),
+		NTTSweep:         sweep,
+		PlonkProofSHA256: proofDigest(t, proof),
+		StarkProofSHA256: proofDigest(t, proveSeedStark(t)),
 	}
 	for _, e := range digest {
 		out.NTTDigest = append(out.NTTDigest, uint64(e))
@@ -170,6 +183,31 @@ func proveSeedCircuit(t *testing.T) *plonk.Proof {
 	return proof
 }
 
+// proveSeedStark proves the Fibonacci AIR on 2^6 rows.
+func proveSeedStark(t *testing.T) encoding.BinaryMarshaler {
+	t.Helper()
+	s, cols, err := workloads.BuildFibonacciStark(6, fri.TestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	proof, err := s.Prove(cols, nil)
+	if err != nil {
+		t.Fatalf("seed stark prove: %v", err)
+	}
+	return proof
+}
+
+// proofDigest is the hex SHA-256 of a proof's wire encoding.
+func proofDigest(t *testing.T, proof encoding.BinaryMarshaler) string {
+	t.Helper()
+	data, err := proof.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
+}
+
 func (g goldenVectors) diff(ref goldenVectors) error {
 	if len(g.NTTDigest) != len(ref.NTTDigest) {
 		return fmt.Errorf("NTT digest length %d, want %d", len(g.NTTDigest), len(ref.NTTDigest))
@@ -189,6 +227,12 @@ func (g goldenVectors) diff(ref goldenVectors) error {
 	}
 	if g.PlonkPowWitness != ref.PlonkPowWitness {
 		return fmt.Errorf("Plonk PoW witness = %#x, want %#x", g.PlonkPowWitness, ref.PlonkPowWitness)
+	}
+	if g.PlonkProofSHA256 != ref.PlonkProofSHA256 {
+		return fmt.Errorf("Plonk proof SHA-256 = %s, want %s", g.PlonkProofSHA256, ref.PlonkProofSHA256)
+	}
+	if g.StarkProofSHA256 != ref.StarkProofSHA256 {
+		return fmt.Errorf("Stark proof SHA-256 = %s, want %s", g.StarkProofSHA256, ref.StarkProofSHA256)
 	}
 	if len(g.NTTSweep) != len(ref.NTTSweep) {
 		return fmt.Errorf("NTT sweep has %d sizes, want %d", len(g.NTTSweep), len(ref.NTTSweep))

@@ -87,6 +87,21 @@ func TestPlonkTamperTaxonomy(t *testing.T) {
 		{"wrong wires cap size", edit(func(p *plonk.Proof) {
 			p.WiresCap = p.WiresCap[:1]
 		}), prooferr.ErrMalformedProof},
+		{"wrong Z cap size", edit(func(p *plonk.Proof) {
+			p.ZCap = p.ZCap[:1]
+		}), prooferr.ErrMalformedProof},
+		{"wrong quotient cap size", edit(func(p *plonk.Proof) {
+			p.QuotientCap = append(p.QuotientCap, p.QuotientCap[0])
+		}), prooferr.ErrMalformedProof},
+		{"truncated constants openings", edit(func(p *plonk.Proof) {
+			p.ConstantsOpen = p.ConstantsOpen[:len(p.ConstantsOpen)-1]
+		}), prooferr.ErrMalformedProof},
+		{"extended next-row Z openings", edit(func(p *plonk.Proof) {
+			p.ZsNextOpen = append(p.ZsNextOpen, field.ExtOne)
+		}), prooferr.ErrMalformedProof},
+		{"truncated quotient openings", edit(func(p *plonk.Proof) {
+			p.QuotientOpen = p.QuotientOpen[:len(p.QuotientOpen)-1]
+		}), prooferr.ErrMalformedProof},
 		{"dropped query round", edit(func(p *plonk.Proof) {
 			p.FRI.QueryRounds = p.FRI.QueryRounds[:len(p.FRI.QueryRounds)-1]
 		}), prooferr.ErrMalformedProof},
@@ -170,6 +185,12 @@ func TestStarkTamperTaxonomy(t *testing.T) {
 		}), prooferr.ErrMalformedProof},
 		{"wrong trace cap size", edit(func(p *stark.Proof) {
 			p.TraceCap = p.TraceCap[:1]
+		}), prooferr.ErrMalformedProof},
+		{"wrong quotient cap size", edit(func(p *stark.Proof) {
+			p.QuotientCap = p.QuotientCap[:1]
+		}), prooferr.ErrMalformedProof},
+		{"truncated next-row trace openings", edit(func(p *stark.Proof) {
+			p.TraceNextOpen = p.TraceNextOpen[:len(p.TraceNextOpen)-1]
 		}), prooferr.ErrMalformedProof},
 		{"dropped query round", edit(func(p *stark.Proof) {
 			p.FRI.QueryRounds = p.FRI.QueryRounds[:len(p.FRI.QueryRounds)-1]
