@@ -5,17 +5,17 @@ import (
 	"fmt"
 	"testing"
 
-	"unizk/internal/constraint"
 	"unizk/internal/field"
 	"unizk/internal/fri"
 	"unizk/internal/merkle"
 	"unizk/internal/ntt"
 	"unizk/internal/parallel"
+	"unizk/internal/piop"
 	"unizk/internal/plonk"
 	"unizk/internal/poly"
 	"unizk/internal/poseidon"
 	"unizk/internal/prooferr"
-	"unizk/internal/stark"
+	"unizk/internal/workloads"
 )
 
 // refVerify is the FRI verifier as it was before the Merkle paths were
@@ -229,8 +229,8 @@ type friInstance struct {
 	logN       int
 }
 
-// plonkInstance proves a Fibonacci circuit of steps additions and replays
-// plonk.Verify's transcript up to its fri.Verify call.
+// plonkInstance proves a Fibonacci circuit of steps additions and takes
+// fri.Verify's arguments from the circuit's transcript replay.
 func plonkInstance(t *testing.T, cfg fri.Config, steps int) friInstance {
 	t.Helper()
 	b := plonk.NewBuilder()
@@ -252,122 +252,54 @@ func plonkInstance(t *testing.T, cfg fri.Config, steps int) friInstance {
 		t.Fatalf("plonk prove: %v", err)
 	}
 	vk := c.VerificationKey()
-	pub := proof.PublicInputs
-	if err := plonk.Verify(vk, pub, proof); err != nil {
+	if err := plonk.Verify(vk, proof.PublicInputs, proof); err != nil {
 		t.Fatalf("honest plonk proof rejected: %v", err)
 	}
-
-	var zeta field.Ext
-	transcript := func() *poseidon.Challenger {
-		ch := poseidon.NewChallenger()
-		ch.ObserveCap(vk.ConstantsCap)
-		ch.ObserveSlice(pub)
-		ch.ObserveCap(proof.WiresCap)
-		ch.Sample()
-		ch.Sample()
-		ch.ObserveCap(proof.ZCap)
-		ch.Sample()
-		ch.ObserveCap(proof.QuotientCap)
-		zeta = ch.SampleExt()
-		ch.ObserveExts(proof.ConstantsOpen, proof.WiresOpen,
-			proof.ZsOpen, proof.QuotientOpen, proof.ZsNextOpen)
-		return ch
-	}
-	transcript()
-	reps := vk.Reps
-	return friInstance{
-		name: fmt.Sprintf("plonk/fib-%d/q%d", steps, cfg.NumQueries),
-		oracles: []fri.VerifierOracle{
-			{Cap: vk.ConstantsCap, NumPolys: 8 * reps},
-			{Cap: proof.WiresCap, NumPolys: 3 * reps},
-			{Cap: proof.ZCap, NumPolys: reps},
-			{Cap: proof.QuotientCap, NumPolys: len(proof.QuotientOpen)},
-		},
-		groups: []fri.PointGroup{
-			{Point: zeta, Oracles: []int{0, 1, 2, 3}},
-			{Point: field.ExtScalarMul(field.PrimitiveRootOfUnity(vk.LogN), zeta), Oracles: []int{2}},
-		},
-		opened: fri.OpenedValues{
-			{proof.ConstantsOpen, proof.WiresOpen, proof.ZsOpen, proof.QuotientOpen},
-			{proof.ZsNextOpen},
-		},
-		proof:      proof.FRI,
-		transcript: transcript,
-		cfg:        cfg,
-		logN:       vk.LogN,
-	}
+	return replayed(t, fmt.Sprintf("plonk/fib-%d/q%d", steps, cfg.NumQueries), proof.FRI, cfg, vk.LogN,
+		func() (*piop.Replay, error) { return vk.Replay(proof.PublicInputs, proof) })
 }
 
-// starkInstance proves the Fibonacci AIR on 2^logN rows and replays
-// (*stark.Stark).Verify's transcript up to its fri.Verify call.
+// starkInstance proves the Fibonacci AIR on 2^logN rows and takes
+// fri.Verify's arguments from the AIR's transcript replay.
 func starkInstance(t *testing.T, cfg fri.Config, logN int) friInstance {
 	t.Helper()
-	n := 1 << logN
-	c0, c1 := make([]field.Element, n), make([]field.Element, n)
-	c0[0], c1[0] = field.Zero, field.One
-	for r := 1; r < n; r++ {
-		c0[r] = c1[r-1]
-		c1[r] = field.Add(c0[r-1], c1[r-1])
-	}
-	air := stark.AIR{
-		Width: 2,
-		Transitions: []*constraint.Expr{
-			constraint.Sub(constraint.Next(0), constraint.Col(1)),
-			constraint.Sub(constraint.Next(1), constraint.Add(constraint.Col(0), constraint.Col(1))),
-		},
-		FirstRow: []stark.Boundary{{Col: 0, Value: 0}, {Col: 1, Value: 1}},
-		LastRow:  []stark.Boundary{{Col: 1, Value: c1[n-1]}},
-	}
-	s, err := stark.New(air, logN, cfg)
+	s, cols, err := workloads.BuildFibonacciStark(logN, cfg)
 	if err != nil {
 		t.Fatalf("stark new: %v", err)
 	}
-	proof, err := s.Prove([][]field.Element{c0, c1}, nil)
+	proof, err := s.Prove(cols, nil)
 	if err != nil {
 		t.Fatalf("stark prove: %v", err)
 	}
 	if err := s.Verify(proof); err != nil {
 		t.Fatalf("honest stark proof rejected: %v", err)
 	}
+	return replayed(t, fmt.Sprintf("stark/fib-2^%d/q%d", logN, cfg.NumQueries), proof.FRI, cfg, logN,
+		func() (*piop.Replay, error) { return s.Replay(proof) })
+}
 
-	var zeta field.Ext
-	transcript := func() *poseidon.Challenger {
-		ch := poseidon.NewChallenger()
-		ch.Observe(field.New(uint64(s.Width)))
-		ch.Observe(field.New(uint64(s.LogN)))
-		ch.Observe(field.New(uint64(len(s.Transitions))))
-		for _, bs := range [][]stark.Boundary{s.FirstRow, s.LastRow} {
-			for _, b := range bs {
-				ch.Observe(field.New(uint64(b.Col)))
-				ch.Observe(b.Value)
-			}
-		}
-		ch.ObserveCap(proof.TraceCap)
-		ch.Sample()
-		ch.ObserveCap(proof.QuotientCap)
-		zeta = ch.SampleExt()
-		ch.ObserveExts(proof.TraceOpen, proof.TraceNextOpen, proof.QuotientOpen)
-		return ch
+// replayed is the FRI half of an honest proof, with a fresh transcript
+// replay per call.
+func replayed(t *testing.T, name string, proof *fri.Proof, cfg fri.Config, logN int,
+	replay func() (*piop.Replay, error)) friInstance {
+
+	t.Helper()
+	r, err := replay()
+	if err != nil {
+		t.Fatalf("%s: replay: %v", name, err)
 	}
-	transcript()
 	return friInstance{
-		name: fmt.Sprintf("stark/fib-2^%d/q%d", logN, cfg.NumQueries),
-		oracles: []fri.VerifierOracle{
-			{Cap: proof.TraceCap, NumPolys: s.Width},
-			{Cap: proof.QuotientCap, NumPolys: len(proof.QuotientOpen)},
+		name:    name,
+		oracles: r.Oracles,
+		groups:  r.Groups,
+		opened:  r.Opened,
+		proof:   proof,
+		transcript: func() *poseidon.Challenger {
+			r, _ := replay()
+			return r.Challenger
 		},
-		groups: []fri.PointGroup{
-			{Point: zeta, Oracles: []int{0, 1}},
-			{Point: field.ExtScalarMul(field.PrimitiveRootOfUnity(logN), zeta), Oracles: []int{0}},
-		},
-		opened: fri.OpenedValues{
-			{proof.TraceOpen, proof.QuotientOpen},
-			{proof.TraceNextOpen},
-		},
-		proof:      proof.FRI,
-		transcript: transcript,
-		cfg:        cfg,
-		logN:       logN,
+		cfg:  cfg,
+		logN: logN,
 	}
 }
 

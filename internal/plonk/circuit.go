@@ -7,6 +7,7 @@ import (
 	"unizk/internal/field"
 	"unizk/internal/fri"
 	"unizk/internal/merkle"
+	"unizk/internal/ntt"
 	"unizk/internal/parallel"
 )
 
@@ -105,7 +106,7 @@ func (b *Builder) BuildWide(cfg fri.Config, reps int) *Circuit {
 
 	c := &Circuit{
 		N:          n,
-		LogN:       log2(n),
+		LogN:       ntt.Log2(n),
 		Reps:       reps,
 		NumCols:    numCols,
 		NumPublic:  len(b.pubTargets),
@@ -238,12 +239,4 @@ func (c *Circuit) VerificationKey() VerificationKey {
 		Cfg:          c.cfg,
 		prog:         c.prog,
 	}
-}
-
-func log2(n int) int {
-	l := 0
-	for 1<<l < n {
-		l++
-	}
-	return l
 }

@@ -11,6 +11,7 @@ import (
 	"unizk/internal/merkle"
 	"unizk/internal/ntt"
 	"unizk/internal/parallel"
+	"unizk/internal/piop"
 	"unizk/internal/poseidon"
 	"unizk/internal/trace"
 )
@@ -59,85 +60,72 @@ func (c *Circuit) ProveContext(ctx context.Context, w *Witness, rec *trace.Recor
 	if w.circuit != c {
 		return nil, fmt.Errorf("plonk: witness built for a different circuit")
 	}
+	pr, pub, err := c.prover(ctx, w, rec)
+	if err != nil {
+		return nil, err
+	}
+	caps, open, friProof, err := declare(c.LogN, c.Reps, c.cfg).Prove(ctx, seed(c.constants.Cap(), pub), pr, rec)
+	if err != nil {
+		return nil, err
+	}
+	return &Proof{
+		WiresCap: caps[0], ZCap: caps[1], QuotientCap: caps[2],
+		ConstantsOpen: open[0], WiresOpen: open[1], ZsOpen: open[2], QuotientOpen: open[3], ZsNextOpen: open[4],
+		PublicInputs: pub, FRI: friProof,
+	}, nil
+}
+
+// declare is a circuit's round declaration (paper Fig. 7): the
+// constants (oracle 0) are preprocessed; the wires (1), then β and γ; the
+// grand product and its partial products (2), then α; the quotient (3).
+// Its openings are observed grouped by point: every oracle at ζ, then Z
+// at g·ζ. Proof and its encoding keep their own field order.
+func declare(logN, reps int, cfg fri.Config) *piop.IOP {
+	return &piop.IOP{
+		LogN:         logN,
+		Cfg:          cfg,
+		Preprocessed: []int{8 * reps},
+		Rounds:       []piop.Round{{Width: numWires * reps, Challenges: 2}, {Width: reps, Challenges: 1}},
+		Openings:     []piop.Opening{{Oracle: 0}, {Oracle: 1}, {Oracle: 2}, {Oracle: 3}, {Oracle: 2, Rotation: 1}},
+		Invalid:      ErrInvalidProof,
+	}
+}
+
+// seed starts a circuit's transcript: the constants cap, then the public
+// inputs.
+func seed(constantsCap merkle.Cap, pub []field.Element) *poseidon.Challenger {
 	ch := poseidon.NewChallenger()
-	ch.ObserveCap(c.constants.Cap())
-	tr, err := c.commitTrace(ctx, w, rec, func(pub []field.Element, wiresCap merkle.Cap) (beta, gamma field.Element) {
-		ch.ObserveSlice(pub)
-		ch.ObserveCap(wiresCap)
-		return ch.Sample(), ch.Sample()
-	})
-	if err != nil {
-		return nil, err
-	}
-	wiresBatch, zBatch := tr.wires, tr.zs
-	ch.ObserveCap(zBatch.Cap())
-	alpha := ch.Sample()
+	ch.ObserveCap(constantsCap)
+	ch.ObserveSlice(pub)
+	return ch
+}
 
-	// --- Quotient polynomial on the 4N coset. ---
-	tChunks, err := c.computeQuotient(ctx, tr, alpha, rec)
+// prover runs the generators on w, materializes the witness, checks every
+// gate, and returns the prover's side of the declaration with the public
+// inputs: round 0 commits the wire columns, round 1 the grand product
+// under β and γ (§5.4), and the quotient reads the committed LDEs under α.
+func (c *Circuit) prover(ctx context.Context, w *Witness, rec *trace.Recorder) (piop.Prover, []field.Element, error) {
+	wires, pub, pi, err := c.generate(ctx, w)
 	if err != nil {
-		return nil, err
+		return piop.Prover{}, nil, err
 	}
-	quotBatch, err := fri.CommitCoeffs(ctx, tChunks, c.cfg.RateBits, c.cfg.CapHeight, rec)
-	if err != nil {
-		return nil, err
+	// Sanity check every gate constraint before doing any expensive work.
+	rows := c.traceColumns(wires, pi)
+	if row, rep, ok := c.gateProg.Violation(rows, nil); !ok {
+		return piop.Prover{}, nil, fmt.Errorf("plonk: gate constraint violated at row %d rep %d", row, rep)
 	}
-	ch.ObserveCap(quotBatch.Cap())
-
-	zeta := ch.SampleExt()
-	g := field.PrimitiveRootOfUnity(c.LogN)
-	zetaNext := field.ExtScalarMul(g, zeta)
-
-	// --- Openings (paper Fig. 7, "Prove Openings"). ---
-	open := func(b *fri.PolynomialBatch, z field.Ext) []field.Ext {
-		if err != nil {
-			return nil
-		}
-		var v []field.Ext
-		v, err = b.EvalAll(ctx, z, rec)
-		return v
-	}
-	constOpen, wiresOpen, zsOpen := open(c.constants, zeta), open(wiresBatch, zeta), open(zBatch, zeta)
-	quotOpen, zsNextOpen := open(quotBatch, zeta), open(zBatch, zetaNext)
-	if err != nil {
-		return nil, err
-	}
-	ch.ObserveExts(constOpen, wiresOpen, zsOpen, quotOpen, zsNextOpen)
-
-	oracles := []*fri.PolynomialBatch{c.constants, wiresBatch, zBatch, quotBatch}
-	groups := []fri.PointGroup{
-		{Point: zeta, Oracles: []int{0, 1, 2, 3}},
-		{Point: zetaNext, Oracles: []int{2}},
-	}
-	opened := fri.OpenedValues{
-		{constOpen, wiresOpen, zsOpen, quotOpen},
-		{zsNextOpen},
-	}
-	friProof, err := fri.Prove(ctx, oracles, groups, opened, ch, c.cfg, rec)
-	if err != nil {
-		return nil, err
-	}
-
-	proof := &Proof{
-		WiresCap:      wiresBatch.Cap(),
-		ZCap:          zBatch.Cap(),
-		QuotientCap:   quotBatch.Cap(),
-		ConstantsOpen: constOpen,
-		WiresOpen:     wiresOpen,
-		ZsOpen:        zsOpen,
-		ZsNextOpen:    zsNextOpen,
-		QuotientOpen:  quotOpen,
-		PublicInputs:  tr.pub,
-		FRI:           friProof,
-	}
-	// The per-proof batches are dead once their caps are copied into the
-	// proof (the FRI query phase copied every opened row): their pooled
-	// LDE columns and digest levels go back for the next
-	// proof. The constants batch is circuit-lifetime and stays.
-	wiresBatch.Release()
-	zBatch.Release()
-	quotBatch.Release()
-	return proof, nil
+	return piop.Prover{
+		Preprocessed: []*fri.PolynomialBatch{c.constants},
+		Round: func(ctx context.Context, i int, cs []field.Element) ([][]field.Element, error) {
+			if i == 0 {
+				return wires, nil
+			}
+			return c.computeZs(ctx, rows, cs[0], cs[1], rec)
+		},
+		Quotient: func(ctx context.Context, oracles []*fri.PolynomialBatch, cs []field.Element) ([][]field.Element, error) {
+			return c.computeQuotient(ctx, oracles, pi, cs, rec)
+		},
+	}, pub, nil
 }
 
 // wireColumns materializes the witness: the wire columns, the public
@@ -182,58 +170,22 @@ func (c *Circuit) generate(ctx context.Context, w *Witness) (wires [][]field.Ele
 	return c.wireColumns(ctx, w)
 }
 
-// committed is the prover's state once the grand product is committed:
-// what the quotient reads besides α.
-type committed struct {
-	wires, zs   *fri.PolynomialBatch
-	pub, pi     []field.Element
-	beta, gamma field.Element
-}
-
-// commitTrace runs the generators and the prover's steps up to the
-// quotient: wire materialization, the gate check, the wires commitment
-// (paper Fig. 7), and the grand product (§5.4) and its commitment. draw
-// observes the public inputs and the wires cap and returns β and γ.
-func (c *Circuit) commitTrace(ctx context.Context, w *Witness, rec *trace.Recorder,
-	draw func(pub []field.Element, wiresCap merkle.Cap) (beta, gamma field.Element)) (*committed, error) {
-
-	wires, pub, pi, err := c.generate(ctx, w)
-	if err != nil {
-		return nil, err
-	}
-	// Sanity check every gate constraint before doing any expensive work.
-	rows := c.traceColumns(wires, pi)
-	if row, rep, ok := c.gateProg.Violation(rows, nil); !ok {
-		return nil, fmt.Errorf("plonk: gate constraint violated at row %d rep %d", row, rep)
-	}
-	tr := &committed{pub: pub, pi: pi}
-	if tr.wires, err = fri.CommitValues(ctx, wires, c.cfg.RateBits, c.cfg.CapHeight, rec); err != nil {
-		return nil, err
-	}
-	tr.beta, tr.gamma = draw(pub, tr.wires.Cap())
-	zPolys, err := c.computeZs(ctx, rows, tr.beta, tr.gamma, rec)
-	if err != nil {
-		return nil, err
-	}
-	if tr.zs, err = fri.CommitValues(ctx, zPolys, c.cfg.RateBits, c.cfg.CapHeight, rec); err != nil {
-		return nil, err
-	}
-	return tr, nil
-}
-
-// QuotientKernel prepares a proof of w up to its quotient phase, with
-// fixed challenges, and returns a function that reruns only that phase.
+// QuotientKernel prepares a proof of w up to its quotient phase and
+// returns a function that reruns only that phase.
 // The kernel trajectory (internal/bench/trajectory) uses it to time the
 // quotient apart from the rest of the prover.
 func (c *Circuit) QuotientKernel(w *Witness) (func(context.Context) error, error) {
-	tr, err := c.commitTrace(context.Background(), w, nil, func([]field.Element, merkle.Cap) (field.Element, field.Element) {
-		return field.New(0x9e3779b9), field.New(0x7f4a7c15)
-	})
+	ctx := context.Background()
+	pr, pub, err := c.prover(ctx, w, nil)
+	if err != nil {
+		return nil, err
+	}
+	oracles, cs, err := declare(c.LogN, c.Reps, c.cfg).Commit(ctx, seed(c.constants.Cap(), pub), pr, nil)
 	if err != nil {
 		return nil, err
 	}
 	return func(ctx context.Context) error {
-		_, err := c.computeQuotient(ctx, tr, field.New(0x2545f491), nil)
+		_, err := pr.Quotient(ctx, oracles, cs)
 		return err
 	}, nil
 }
@@ -301,16 +253,17 @@ func (c *Circuit) computeZs(ctx context.Context, rows [][]field.Element,
 // committed LDE are the g·H_4N evaluations in bit-reversed order, since
 // g·ω_M^br_M(i) = g·ω_4N^br_4N(i) for i < 4N. So the constants, wires
 // and Z columns are read where they were committed, only the PI column is
-// extended, and x is the cached bit-reversed coset domain.
-func (c *Circuit) computeQuotient(ctx context.Context, tr *committed, alpha field.Element,
-	rec *trace.Recorder) ([][]field.Element, error) {
+// extended, and x is the cached bit-reversed coset domain. cs holds β, γ
+// and α.
+func (c *Circuit) computeQuotient(ctx context.Context, oracles []*fri.PolynomialBatch, pi []field.Element,
+	cs []field.Element, rec *trace.Recorder) ([][]field.Element, error) {
 
 	n := c.N
 	d := 4 * n
 	shift := field.MultiplicativeGenerator
 
 	piD := make([]field.Element, d)
-	copy(piD, tr.pi)
+	copy(piD, pi)
 	var err error
 	rec.NTT(n, 1, true, false, false, func() {
 		err = ntt.Transform(ctx, piD[:n], ntt.Spec{Inverse: true})
@@ -325,7 +278,7 @@ func (c *Circuit) computeQuotient(ctx context.Context, tr *committed, alpha fiel
 		return nil, err
 	}
 
-	cols := slices.Concat(c.constants.LDE[:8*c.Reps], tr.wires.LDE[:c.NumCols], tr.zs.LDE[:c.Reps],
+	cols := slices.Concat(oracles[0].LDE[:8*c.Reps], oracles[1].LDE[:c.NumCols], oracles[2].LDE[:c.Reps],
 		[][]field.Element{piD, ntt.CosetDomainBR(c.LogN + 2)})
-	return c.prog.Quotient(ctx, constraint.BitReversed(cols), []field.Element{tr.beta, tr.gamma}, alpha, rec)
+	return c.prog.Quotient(ctx, constraint.BitReversed(cols), cs[:2], cs[2], rec)
 }

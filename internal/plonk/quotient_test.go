@@ -8,7 +8,6 @@ import (
 	"unizk/internal/constraint"
 	"unizk/internal/field"
 	"unizk/internal/fri"
-	"unizk/internal/merkle"
 	"unizk/internal/ntt"
 	"unizk/internal/parallel"
 	"unizk/internal/trace"
@@ -228,18 +227,23 @@ func TestQuotientMatchesReference(t *testing.T) {
 			for logN := 3; logN <= 8; logN++ {
 				name := fmt.Sprintf("rate%d/reps%d/2^%d", cfg.RateBits, reps, logN)
 				c, w := quotientCircuit(t, cfg, logN, reps)
-				beta, gamma, alpha := field.New(0x1234567), field.New(0xdeadbeef), field.New(uint64(logN*reps+5))
-				tr, err := c.commitTrace(ctx, w, nil, func([]field.Element, merkle.Cap) (field.Element, field.Element) {
-					return beta, gamma
-				})
+				pr, pub, err := c.prover(ctx, w, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				got, err := c.computeQuotient(ctx, tr, alpha, nil)
+				oracles, cs, err := declare(c.LogN, c.Reps, c.cfg).Commit(ctx, seed(c.constants.Cap(), pub), pr, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				want, err := c.refQuotient(ctx, tr.wires, tr.zs, tr.pi, beta, gamma, alpha, nil)
+				got, err := pr.Quotient(ctx, oracles, cs)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				pi := make([]field.Element, c.N)
+				for i, p := range pub {
+					pi[i] = field.Neg(p)
+				}
+				want, err := c.refQuotient(ctx, oracles[1], oracles[2], pi, cs[0], cs[1], cs[2], nil)
 				if err != nil {
 					t.Fatalf("%s: reference: %v", name, err)
 				}

@@ -13,10 +13,10 @@ import (
 // it before the constraints were compiled,
 //
 //	Σ_gates α^i·gate + Σ_links α^i·link + α^{2R}·L1(ζ)·(Z(ζ) − 1) == Z_H(ζ)·t(ζ).
-func refConstraintCheck(vk VerificationKey, ks, pub []field.Element, proof *Proof, cs challenges) bool {
+func refConstraintCheck(vk VerificationKey, ks, pub []field.Element, proof *Proof, cs []field.Element, zeta field.Ext) bool {
 	reps := vk.Reps
 	n := uint64(1) << vk.LogN
-	zeta, alpha, beta, gamma := cs.zeta, cs.alpha, cs.beta, cs.gamma
+	beta, gamma, alpha := cs[0], cs[1], cs[2]
 	zhZeta := field.ExtSub(field.ExtExp(zeta, n), field.ExtOne)
 	if zhZeta.IsZero() {
 		return false
@@ -146,9 +146,12 @@ func TestConstraintCheckMatchesReference(t *testing.T) {
 			p.QuotientOpen = append([]field.Ext(nil), proof.QuotientOpen...)
 			tpub := append([]field.Element(nil), pub...)
 			tc.apply(&p, tpub)
-			_, cs := replay(vk, tpub, &p)
-			got := checkConstraints(vk, tpub, &p, cs) == nil
-			want := refConstraintCheck(vk, c.ks, tpub, &p, cs)
+			r, err := vk.Replay(tpub, &p)
+			if err != nil {
+				t.Fatalf("reps %d, %s: replay: %v", reps, tc.name, err)
+			}
+			got := checkConstraints(vk, tpub, &p, r.Challenges, r.Zeta) == nil
+			want := refConstraintCheck(vk, c.ks, tpub, &p, r.Challenges, r.Zeta)
 			if got != want || (tc.name == "honest" && !got) || (tc.reject && got) {
 				t.Errorf("reps %d, %s: compiled check %v, reference %v", reps, tc.name, got, want)
 			}

@@ -10,6 +10,7 @@ import (
 	"unizk/internal/fri"
 	"unizk/internal/merkle"
 	"unizk/internal/ntt"
+	"unizk/internal/piop"
 	"unizk/internal/poseidon"
 	"unizk/internal/prooferr"
 	"unizk/internal/trace"
@@ -146,10 +147,9 @@ func (s *Stark) ProveContext(ctx context.Context, columns [][]field.Element,
 	if len(columns) != s.Width {
 		return nil, fmt.Errorf("stark: %d columns, want %d", len(columns), s.Width)
 	}
-	n := s.N
 	for i, col := range columns {
-		if len(col) != n {
-			return nil, fmt.Errorf("stark: column %d has %d rows, want %d", i, len(col), n)
+		if len(col) != s.N {
+			return nil, fmt.Errorf("stark: column %d has %d rows, want %d", i, len(col), s.N)
 		}
 	}
 
@@ -163,74 +163,33 @@ func (s *Stark) ProveContext(ctx context.Context, columns [][]field.Element,
 		return nil, fmt.Errorf("stark: boundary constraint %d violated at row %d", i-len(s.Transitions), r)
 	}
 
-	ch := s.transcript()
+	caps, open, friProof, err := s.iop().Prove(ctx, s.transcript(), piop.Prover{
+		Round: func(context.Context, int, []field.Element) ([][]field.Element, error) { return columns, nil },
+		Quotient: func(ctx context.Context, oracles []*fri.PolynomialBatch, cs []field.Element) ([][]field.Element, error) {
+			return s.computeQuotient(ctx, oracles[0], cs[0], rec)
+		},
+	}, rec)
+	if err != nil {
+		return nil, err
+	}
+	return &Proof{
+		TraceCap: caps[0], QuotientCap: caps[1],
+		TraceOpen: open[0], TraceNextOpen: open[1], QuotientOpen: open[2],
+		FRI: friProof,
+	}, nil
+}
 
-	if err := ctx.Err(); err != nil {
-		return nil, err
+// iop is the AIR's round declaration (paper Fig. 7): the trace, then α;
+// the quotient. Its openings are observed by oracle: the trace at ζ and
+// g·ζ, then the quotient at ζ.
+func (s *Stark) iop() *piop.IOP {
+	return &piop.IOP{
+		LogN:     s.LogN,
+		Cfg:      s.cfg,
+		Rounds:   []piop.Round{{Width: s.Width, Challenges: 1}},
+		Openings: []piop.Opening{{Oracle: 0}, {Oracle: 0, Rotation: 1}, {Oracle: 1}},
+		Invalid:  ErrInvalidProof,
 	}
-	traceBatch, err := fri.CommitValues(ctx, columns, s.cfg.RateBits, s.cfg.CapHeight, rec)
-	if err != nil {
-		return nil, err
-	}
-	ch.ObserveCap(traceBatch.Cap())
-	alpha := ch.Sample()
-
-	tChunks, err := s.computeQuotient(ctx, traceBatch, alpha, rec)
-	if err != nil {
-		return nil, err
-	}
-	quotBatch, err := fri.CommitCoeffs(ctx, tChunks, s.cfg.RateBits, s.cfg.CapHeight, rec)
-	if err != nil {
-		return nil, err
-	}
-	ch.ObserveCap(quotBatch.Cap())
-
-	zeta := ch.SampleExt()
-	g := field.PrimitiveRootOfUnity(s.LogN)
-	zetaNext := field.ExtScalarMul(g, zeta)
-
-	traceOpen, err := traceBatch.EvalAll(ctx, zeta, rec)
-	if err != nil {
-		return nil, err
-	}
-	traceNextOpen, err := traceBatch.EvalAll(ctx, zetaNext, rec)
-	if err != nil {
-		return nil, err
-	}
-	quotOpen, err := quotBatch.EvalAll(ctx, zeta, rec)
-	if err != nil {
-		return nil, err
-	}
-	ch.ObserveExts(traceOpen, traceNextOpen, quotOpen)
-
-	oracles := []*fri.PolynomialBatch{traceBatch, quotBatch}
-	groups := []fri.PointGroup{
-		{Point: zeta, Oracles: []int{0, 1}},
-		{Point: zetaNext, Oracles: []int{0}},
-	}
-	opened := fri.OpenedValues{
-		{traceOpen, quotOpen},
-		{traceNextOpen},
-	}
-	friProof, err := fri.Prove(ctx, oracles, groups, opened, ch, s.cfg, rec)
-	if err != nil {
-		return nil, err
-	}
-
-	proof := &Proof{
-		TraceCap:      traceBatch.Cap(),
-		QuotientCap:   quotBatch.Cap(),
-		TraceOpen:     traceOpen,
-		TraceNextOpen: traceNextOpen,
-		QuotientOpen:  quotOpen,
-		FRI:           friProof,
-	}
-	// Both batches are per-proof: with their caps copied and every opened
-	// row copied by the FRI query phase, their pooled buffers go back for
-	// the next proof.
-	traceBatch.Release()
-	quotBatch.Release()
-	return proof, nil
 }
 
 // computeQuotient evaluates the trace columns on the coset g·H_4N in
@@ -284,31 +243,6 @@ var (
 	ErrProofRejected  = fmt.Errorf("%w: %w", ErrInvalidProof, prooferr.ErrProofRejected)
 )
 
-// validateShape performs the structural validation of a decoded proof
-// before any of its data is used.
-func (s *Stark) validateShape(proof *Proof) error {
-	if proof == nil {
-		return fmt.Errorf("%w: nil proof", ErrMalformedProof)
-	}
-	if proof.FRI == nil {
-		return fmt.Errorf("%w: missing FRI proof", ErrMalformedProof)
-	}
-	capSize := fri.CapSize(s.cfg, s.LogN+s.cfg.RateBits)
-	if len(proof.TraceCap) != capSize {
-		return fmt.Errorf("%w: trace cap has %d digests, want %d",
-			ErrMalformedProof, len(proof.TraceCap), capSize)
-	}
-	if len(proof.QuotientCap) != capSize {
-		return fmt.Errorf("%w: quotient cap has %d digests, want %d",
-			ErrMalformedProof, len(proof.QuotientCap), capSize)
-	}
-	if len(proof.TraceOpen) != s.Width || len(proof.TraceNextOpen) != s.Width ||
-		len(proof.QuotientOpen) != constraint.QuotientChunks {
-		return fmt.Errorf("%w: malformed openings", ErrMalformedProof)
-	}
-	return nil
-}
-
 // Verify checks a proof. Any error wraps ErrInvalidProof plus exactly one
 // of ErrMalformedProof (shape violation) or ErrProofRejected
 // (cryptographic failure); a panic slipping past the structural
@@ -317,45 +251,27 @@ func (s *Stark) validateShape(proof *Proof) error {
 func (s *Stark) Verify(proof *Proof) (err error) {
 	defer prooferr.CatchPanic(&err, "stark")
 
-	if err := s.validateShape(proof); err != nil {
+	r, err := s.Replay(proof)
+	if err != nil {
 		return err
 	}
-	n := uint64(s.N)
+	return r.Verify(proof.FRI, func(cs []field.Element, zeta field.Ext) error {
+		if s.prog.EvalExt(proof.TraceOpen, proof.TraceNextOpen, nil, cs[0], zeta) != s.prog.QuotientAt(proof.QuotientOpen, zeta) {
+			return fmt.Errorf("%w: constraint equation fails at ζ", ErrProofRejected)
+		}
+		return nil
+	})
+}
 
-	ch := s.transcript()
-	ch.ObserveCap(proof.TraceCap)
-	alpha := ch.Sample()
-	ch.ObserveCap(proof.QuotientCap)
-	zeta := ch.SampleExt()
-	g := field.PrimitiveRootOfUnity(s.LogN)
-	zetaNext := field.ExtScalarMul(g, zeta)
-	ch.ObserveExts(proof.TraceOpen, proof.TraceNextOpen, proof.QuotientOpen)
-
-	if field.ExtSub(field.ExtExp(zeta, n), field.ExtOne).IsZero() {
-		return fmt.Errorf("%w: ζ lies on the trace domain", ErrProofRejected)
+// Replay checks that the proof and its FRI proof are present and replays
+// its transcript on the AIR's declaration: α and ζ, and fri.Verify's
+// arguments.
+func (s *Stark) Replay(proof *Proof) (*piop.Replay, error) {
+	if proof == nil || proof.FRI == nil {
+		return nil, fmt.Errorf("%w: missing proof or FRI proof", ErrMalformedProof)
 	}
-	if s.prog.EvalExt(proof.TraceOpen, proof.TraceNextOpen, nil, alpha, zeta) !=
-		s.prog.QuotientAt(proof.QuotientOpen, zeta) {
-		return fmt.Errorf("%w: constraint equation fails at ζ", ErrProofRejected)
-	}
-
-	oracles := []fri.VerifierOracle{
-		{Cap: proof.TraceCap, NumPolys: s.Width},
-		{Cap: proof.QuotientCap, NumPolys: constraint.QuotientChunks},
-	}
-	groups := []fri.PointGroup{
-		{Point: zeta, Oracles: []int{0, 1}},
-		{Point: zetaNext, Oracles: []int{0}},
-	}
-	opened := fri.OpenedValues{
-		{proof.TraceOpen, proof.QuotientOpen},
-		{proof.TraceNextOpen},
-	}
-	if err := fri.Verify(oracles, groups, opened, proof.FRI, ch, s.cfg, s.LogN); err != nil {
-		// %w preserves the fri error's taxonomy class (shape vs. crypto).
-		return fmt.Errorf("%w: %w", ErrInvalidProof, err)
-	}
-	return nil
+	return s.iop().Replay(s.transcript(), []merkle.Cap{proof.TraceCap, proof.QuotientCap},
+		[][]field.Ext{proof.TraceOpen, proof.TraceNextOpen, proof.QuotientOpen})
 }
 
 // QuotientKernel commits columns and returns a function that reruns only
