@@ -125,10 +125,19 @@ go test -race -run 'Grind|Permute|MDS' ./internal/poseidon ./internal/fri
 # chunk edge, twice in one chunk, in the last partial chunk), a panic in
 # a query chunk classified as CatchPanic classifies it, batched Merkle-path
 # verification against Verify, and the plonk and stark verifiers' own
-# rejection tests, under the race detector. The full -race run below
-# repeats it; this step makes a verifier divergence fail under its own
-# name.
-go test -race -run 'Verify' ./internal/fri ./internal/merkle ./internal/plonk ./internal/stark
+# rejection tests, and the PIOP driver's prove/replay round trip and shape
+# checks, under the race detector. The full -race run below repeats it;
+# this step makes a verifier divergence fail under its own name.
+go test -race -run 'Verify' ./internal/fri ./internal/merkle ./internal/plonk ./internal/stark ./internal/piop
+
+# Mutation harness: every mutant of a pristine plonk and stark proof
+# (bit flips, truncations, non-canonical elements, length prefixes,
+# structured edits) must be rejected with its prooferr class, never
+# accepted and never a panic; the tamper taxonomy pins one class per
+# proof component, and the pristine proofs must be identical serial and
+# parallel. The full -race run below repeats it; this step makes a false
+# accept or a panic in either verifier fail under its own name.
+go test -race -run 'FaultInjection|TamperTaxonomy|PristineProofs' ./internal/faultinject
 
 # Portable hash and NTT path: on an AVX-512 host the batched permutation
 # and the field slice layer (NTT butterflies and scalings, the constraint
@@ -146,8 +155,9 @@ go test -race -run 'Verify' ./internal/fri ./internal/merkle ./internal/plonk ./
 # orders, challenges, all four divisor classes), the tiled stark
 # quotient against its per-point reference, plonk's compiled ζ check
 # against the hand-written one, and the dense plonk witness against the
-# map-backed one and its clones — under the race detector.
-go test -tags purego -race -run 'Permute|Grind|Batch|Build|Verify|Ref|Quotient|Butterflies|Scale|Combine|Program|Constraint|Witness|Vec|EvalAll' ./internal/field ./internal/poseidon ./internal/merkle ./internal/fri ./internal/ntt ./internal/constraint ./internal/plonk ./internal/stark
+# map-backed one and its clones, and the PIOP driver's round trip — under
+# the race detector.
+go test -tags purego -race -run 'Permute|Grind|Batch|Build|Verify|Ref|Quotient|Butterflies|Scale|Combine|Program|Constraint|Witness|Vec|EvalAll' ./internal/field ./internal/poseidon ./internal/merkle ./internal/fri ./internal/ntt ./internal/constraint ./internal/plonk ./internal/stark ./internal/piop
 
 # Kernel trajectory regression check: with UNIZK_BENCH_ENFORCE=1 this
 # re-measures the tracked kernel registry (internal/bench/trajectory)

@@ -147,9 +147,10 @@ func (s *Stark) ProveContext(ctx context.Context, columns [][]field.Element,
 	if len(columns) != s.Width {
 		return nil, fmt.Errorf("stark: %d columns, want %d", len(columns), s.Width)
 	}
+	n := s.N
 	for i, col := range columns {
-		if len(col) != s.N {
-			return nil, fmt.Errorf("stark: column %d has %d rows, want %d", i, len(col), s.N)
+		if len(col) != n {
+			return nil, fmt.Errorf("stark: column %d has %d rows, want %d", i, len(col), n)
 		}
 	}
 
