@@ -171,9 +171,9 @@ func (c *Circuit) generate(ctx context.Context, w *Witness) (wires [][]field.Ele
 }
 
 // QuotientKernel prepares a proof of w up to its quotient phase and
-// returns a function that reruns only that phase.
-// The kernel trajectory (internal/bench/trajectory) uses it to time the
-// quotient apart from the rest of the prover.
+// returns a function that reruns only that phase. The kernel trajectory
+// (internal/bench/trajectory) uses it to time the quotient apart from the
+// rest of the prover.
 func (c *Circuit) QuotientKernel(w *Witness) (func(context.Context) error, error) {
 	ctx := context.Background()
 	pr, pub, err := c.prover(ctx, w, nil)
