@@ -229,7 +229,7 @@ go test -run='^$' -fuzz='^FuzzJournalReplay$' -fuzztime=10s ./internal/journal
 # executor over two self-spawned nodes.
 SMOKE_DIR=$(mktemp -d)
 trap 'rm -rf "$SMOKE_DIR"' EXIT
-smoke() {
+serve() {
 	bin=$1
 	shift
 	go build -o "$SMOKE_DIR/$bin" "./cmd/$bin"
@@ -243,14 +243,42 @@ smoke() {
 	done
 	[ -s "$SMOKE_DIR/port" ] || { cat "$SMOKE_DIR/$bin.log"; exit 1; }
 	addr=$(head -n1 "$SMOKE_DIR/port")
-	go run ./cmd/prove -remote "http://$addr" -protocol plonky2 -app Fibonacci -rows 6
-	go run ./cmd/prove -remote "http://$addr" -protocol starky -app Factorial -rows 6 -retries 3
+}
+drain() {
 	kill -TERM "$pid"
 	wait "$pid"
 	grep -q 'drained cleanly' "$SMOKE_DIR/$bin.log"
 }
+smoke() {
+	serve "$@"
+	go run ./cmd/prove -remote "http://$addr" -protocol plonky2 -app Fibonacci -rows 6
+	go run ./cmd/prove -remote "http://$addr" -protocol starky -app Factorial -rows 6 -retries 3
+	drain
+}
 smoke unizk-server -queue 8 -inflight 1
 smoke unizk-cluster -spawn 2
+
+# Registry smoke test: at its default flags unizk-server compiles each
+# (kind, workload, logRows) circuit once, so two proves of one circuit
+# cost one compile and the second hits the registry; -registry 0 turns
+# the registry off, and both counters drop off /metrics.
+go build -o "$SMOKE_DIR/prove" ./cmd/prove
+serve unizk-server
+"$SMOKE_DIR/prove" -remote "http://$addr" -protocol plonky2 -app Fibonacci -rows 6
+"$SMOKE_DIR/prove" -remote "http://$addr" -protocol plonky2 -app Fibonacci -rows 6
+curl -sf "http://$addr/metrics" >"$SMOKE_DIR/metrics.json"
+grep -Eq '"registry_compiles": 1,' "$SMOKE_DIR/metrics.json" || { cat "$SMOKE_DIR/metrics.json"; exit 1; }
+grep -Eq '"registry_hits": [1-9][0-9]*,' "$SMOKE_DIR/metrics.json" || { cat "$SMOKE_DIR/metrics.json"; exit 1; }
+drain
+serve unizk-server -registry 0
+"$SMOKE_DIR/prove" -remote "http://$addr" -protocol plonky2 -app Fibonacci -rows 6
+"$SMOKE_DIR/prove" -remote "http://$addr" -protocol plonky2 -app Fibonacci -rows 6
+curl -sf "http://$addr/metrics" >"$SMOKE_DIR/metrics.json"
+if grep -Eq '"registry_(compiles|hits)"' "$SMOKE_DIR/metrics.json"; then
+	cat "$SMOKE_DIR/metrics.json"
+	exit 1
+fi
+drain
 
 # Negative case: a staleness bound that does not exceed the probe
 # interval plus a probe timeout would eject a node on its first failed

@@ -26,6 +26,7 @@ import (
 
 	"unizk/cmd/internal/serving"
 	"unizk/internal/parallel"
+	"unizk/internal/proofcache"
 	"unizk/internal/server"
 )
 
@@ -53,7 +54,7 @@ func registerFlags(fs *flag.FlagSet) options {
 		workers:  fs.Int("workers", 0, "prover pool size shared by all in-flight jobs (0 = NumCPU)"),
 		idemTTL:  fs.Duration("idem-ttl", 10*time.Minute, "how long a submitted idempotency key deduplicates retries"),
 		idemKeys: fs.Int("idem-keys", 4096, "max idempotency keys tracked before the oldest are evicted"),
-		registry: fs.Int("registry", 0, "precompiled-circuit registry size: hot circuits compile once (0 = off)"),
+		registry: fs.Int("registry", proofcache.DefaultRegistryBytes>>20, "precompiled-circuit registry budget in MiB: each circuit compiles once, least recently used evicted past the budget (0 = off)"),
 	}
 }
 
@@ -74,11 +75,15 @@ func run(o options) error {
 	if *o.workers > 0 {
 		parallel.SetWorkers(*o.workers)
 	}
+	registry := int64(*o.registry) << 20
+	if registry <= 0 {
+		registry = -1 // server.Config: negative is off
+	}
 	s, err := server.NewDurable(server.Config{
-		Options:          opt,
-		QueueCap:         *o.queueCap,
-		MaxInFlight:      *o.inflight,
-		RegistryCircuits: *o.registry,
+		Options:       opt,
+		QueueCap:      *o.queueCap,
+		MaxInFlight:   *o.inflight,
+		RegistryBytes: registry,
 	})
 	if err != nil {
 		return err

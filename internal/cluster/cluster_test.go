@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -742,5 +743,54 @@ func TestStatusForCluster(t *testing.T) {
 			t.Errorf("statusForCluster(%v) = %d %q, want %d %q",
 				tc.err, status, class, tc.status, tc.class)
 		}
+	}
+}
+
+// TestClusterProofBytesFromNode checks that the coordinator serves the
+// node's proof reply as the node sent it: the /proof bodies of the
+// cluster job and of the node job it ran as are byte-identical.
+func TestClusterProofBytesFromNode(t *testing.T) {
+	n := startTestNode(t, server.Config{})
+	t.Cleanup(n.kill)
+	coord, cl, url := startCluster(t, fastConfig(n.url))
+	waitHealthy(t, coord, 1)
+	ctx := context.Background()
+
+	req := &jobs.Request{Kind: jobs.KindPlonk, Workload: "Fibonacci", LogRows: 6}
+	id, err := cl.Submit(ctx, req, serverclient.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Wait(ctx, id); err != nil {
+		t.Fatal(err)
+	}
+	// The node-side job is the one keyed "cluster/<id>"; resubmitting
+	// the key finds it.
+	nodeReq := *req
+	nodeReq.IdempotencyKey = "cluster/" + id
+	reply, err := serverclient.New(n.url).SubmitDetail(ctx, &nodeReq, serverclient.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reply.Deduplicated {
+		t.Fatalf("node submit %+v, want a dedup onto the cluster job's node job", reply)
+	}
+	body := func(u string) []byte {
+		t.Helper()
+		resp, err := http.Get(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d, %v", u, resp.StatusCode, err)
+		}
+		return b
+	}
+	fromCoord := body(url + "/v1/jobs/" + id + "/proof")
+	fromNode := body(n.url + "/v1/jobs/" + reply.ID + "/proof")
+	if !bytes.Equal(fromCoord, fromNode) {
+		t.Fatalf("coordinator /proof (%d bytes) differs from the node's (%d bytes)", len(fromCoord), len(fromNode))
 	}
 }

@@ -69,7 +69,7 @@ func (x *remote) watch(j *jobcore.Job, p *placement) {
 
 // runJob is the placement/failover loop: pick a node, run the job
 // there, and return its outcome or — node lost or busy — try another.
-func (x *remote) runJob(j *jobcore.Job, p *placement) (*jobs.Result, error) {
+func (x *remote) runJob(j *jobcore.Job, p *placement) (*jobs.Encoded, error) {
 	ctx := j.Context()
 	for {
 		if err := ctx.Err(); err != nil {
@@ -133,7 +133,7 @@ func (x *remote) pickNode() *node {
 
 // runOn dispatches the job to one node and sees it through to a result
 // there, or to errNodeLost/errNodeBusy for the outer loop.
-func (x *remote) runOn(j *jobcore.Job, p *placement, n *node) (*jobs.Result, error) {
+func (x *remote) runOn(j *jobcore.Job, p *placement, n *node) (*jobs.Encoded, error) {
 	gen := n.generation()
 	p.mu.Lock()
 	p.node, p.genAt = n, gen
@@ -221,13 +221,13 @@ func terminalSubmitError(err error) bool {
 }
 
 // awaitResult polls the node for the remote job's outcome.
-func (x *remote) awaitResult(j *jobcore.Job, p *placement, n *node, gen int64, remoteID string) (*jobs.Result, error) {
+func (x *remote) awaitResult(j *jobcore.Job, p *placement, n *node, gen int64, remoteID string) (*jobs.Encoded, error) {
 	ctx := j.Context()
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		res, err := n.client.Result(ctx, remoteID)
+		res, err := n.client.ResultEncoded(ctx, remoteID)
 		if err == nil {
 			x.recordCompletion(p, n)
 			return res, nil
@@ -306,10 +306,10 @@ func classifyAwait(err error) int {
 // tryRecover makes one bounded attempt to fetch the finished result
 // from a node that was just declared lost: if it was ejected spuriously
 // and the proof completed, this salvages it instead of re-proving.
-func (x *remote) tryRecover(j *jobcore.Job, n *node, remoteID string) (*jobs.Result, bool) {
+func (x *remote) tryRecover(j *jobcore.Job, n *node, remoteID string) (*jobs.Encoded, bool) {
 	rctx, cancel := context.WithTimeout(j.Context(), x.cfg.recoverTimeout)
 	defer cancel()
-	res, err := n.client.Result(rctx, remoteID)
+	res, err := n.client.ResultEncoded(rctx, remoteID)
 	if err != nil {
 		return nil, false
 	}

@@ -3,6 +3,7 @@ package constraint
 import (
 	"context"
 	"sync"
+	"unsafe"
 
 	"unizk/internal/field"
 	"unizk/internal/ntt"
@@ -90,6 +91,20 @@ type regFile struct {
 
 // Len is the number of constraints: how many terms α combines.
 func (p *Program) Len() int { return len(p.outs) }
+
+// ResidentBytes is the heap the compiled program keeps alive: its code
+// and constraint tables. The pooled register files are not counted:
+// the pools drop them under GC pressure.
+func (p *Program) ResidentBytes() int64 {
+	n := int64(unsafe.Sizeof(*p)) +
+		int64(cap(p.code))*int64(unsafe.Sizeof(node{})) +
+		int64(cap(p.outs))*int64(unsafe.Sizeof(0)) +
+		int64(cap(p.classes))*int64(unsafe.Sizeof(Class(0)))
+	for _, b := range p.byClass {
+		n += int64(cap(b)) * int64(unsafe.Sizeof(0))
+	}
+	return n
+}
 
 func (p *Program) newRegFile() *regFile {
 	rf := &regFile{

@@ -2,6 +2,7 @@ package fri
 
 import (
 	"context"
+	"unsafe"
 
 	"unizk/internal/field"
 	"unizk/internal/merkle"
@@ -163,6 +164,25 @@ func CommitCoeffs(ctx context.Context, coeffs [][]field.Element,
 
 // Cap returns the batch's Merkle commitment.
 func (b *PolynomialBatch) Cap() merkle.Cap { return b.Tree.Cap() }
+
+// ResidentBytes is the heap the batch keeps alive: its coefficient and
+// LDE columns and its Merkle levels.
+func (b *PolynomialBatch) ResidentBytes() int64 {
+	n := ColumnBytes(b.Coeffs) + ColumnBytes(b.LDE)
+	if b.Tree != nil {
+		n += b.Tree.ResidentBytes()
+	}
+	return n
+}
+
+// ColumnBytes is the heap that the backing arrays of cols occupy.
+func ColumnBytes(cols [][]field.Element) int64 {
+	n := int64(cap(cols)) * int64(unsafe.Sizeof([]field.Element(nil)))
+	for _, c := range cols {
+		n += int64(cap(c)) * int64(unsafe.Sizeof(field.Zero))
+	}
+	return n
+}
 
 // NumPolys returns the number of polynomials in the batch.
 func (b *PolynomialBatch) NumPolys() int { return len(b.Coeffs) }

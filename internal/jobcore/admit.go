@@ -304,17 +304,15 @@ func (c *Core) Dispatch(j *Job, node string) time.Duration {
 
 // Finish moves a job to its terminal state exactly once: it settles the
 // job's proof-cache flight, journals the outcome before any waiter is
-// released, frees the tenant slot, and retires the record. Executors
-// call it for every job they started; the core calls it for restored
-// jobs the executor refused. Cache hits never run it: register finishes
-// them.
-func (c *Core) Finish(j *Job, res *jobs.Result, err error) {
-	var enc *jobs.Encoded
-	if err == nil {
-		// Encoded and hashed once: the cache, the journal and every reply
-		// share these bytes.
-		enc = jobs.Encode(res)
-	}
+// released, frees the tenant slot, and retires the record. enc is the
+// result, encoded and hashed once by the executor (jobs.Encode, or
+// jobs.DecodeEncoded over bytes a node sent): the cache, the journal and
+// every reply share it. Executors call Finish for every job they
+// started; the core calls it for restored jobs the executor refused.
+// Cache hits never run it: register finishes them. The retained record
+// drops Verify here, after its one use, so it does not pin the compiled
+// job it is bound to.
+func (c *Core) Finish(j *Job, enc *jobs.Encoded, err error) {
 	if err == nil && j.cacheLeader {
 		// With verify-on-insert, a proof that fails its own verifier fails
 		// the job (and is never cached) instead of fanning out to every
@@ -336,6 +334,7 @@ func (c *Core) Finish(j *Job, res *jobs.Result, err error) {
 	}
 	j.finished = time.Now()
 	j.res, j.err = enc, err
+	j.Verify = nil
 	switch {
 	case err == nil:
 		j.state = StateDone

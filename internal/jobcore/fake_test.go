@@ -103,7 +103,7 @@ func (f *fakeExec) run(j *Job) {
 			f.core.Finish(j, nil, err)
 			return
 		}
-		f.core.Finish(j, fakeProof(j.Req), nil)
+		f.core.Finish(j, jobs.Encode(fakeProof(j.Req)), nil)
 	}
 }
 

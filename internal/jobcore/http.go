@@ -202,6 +202,7 @@ func (c *Core) writeResult(w http.ResponseWriter, j *Job) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(v.res.Raw)))
 	_, _ = w.Write(v.res.Raw)
 }
 

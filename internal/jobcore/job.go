@@ -31,7 +31,8 @@ func (s State) String() string {
 func (s State) terminal() bool { return s >= StateDone }
 
 // Job is one admitted proof job and its mutable lifecycle record. The
-// exported fields are immutable once the job is registered.
+// exported fields are immutable once the job is registered, except that
+// Exec and Verify are dropped when the job ends (below).
 type Job struct {
 	ID       string
 	Req      *jobs.Request
@@ -41,7 +42,10 @@ type Job struct {
 	// Exec is the executor's per-job state (a compiled circuit, a
 	// placement record), attached in Executor.Prepare. Verify, when set
 	// there, is the cheap verify-on-insert check for the proof cache; nil
-	// falls back to jobs.CheckResult.
+	// falls back to jobs.CheckResult. Finish clears Verify after its one
+	// use, and an executor whose Exec holds a compiled circuit clears it
+	// once the job no longer needs it: a finished record is retained for
+	// queries, and must not pin its circuit.
 	Exec   any
 	Verify func(*jobs.Result) error
 

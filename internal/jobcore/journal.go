@@ -76,13 +76,15 @@ func (c *Core) journalSuperseded(id string) {
 	})
 }
 
-// journalIdem makes an idempotency binding durable. Best-effort: losing
-// it costs a replayed dedup after a crash, never a wrong answer.
+// journalIdem journals an idempotency binding. Best-effort: losing it
+// costs a replayed dedup after a crash, never a wrong answer, so it is
+// written in order but does not wait for an fsync of its own; the next
+// durable record covers it.
 func (c *Core) journalIdem(key string, fp fingerprint, jobID string) {
 	if c.jnl == nil {
 		return
 	}
-	_ = c.jnl.Append(&journal.Record{
+	_ = c.jnl.AppendNoWait(&journal.Record{
 		Type:   journal.TypeIdem,
 		Key:    key,
 		FP:     fp,

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -353,4 +354,85 @@ func TestCacheHitBytesFlat(t *testing.T) {
 		t.Fatalf("a cache hit allocates %.0f B with a 1 MiB proof against %.0f B with a 256 B one", large, small)
 	}
 	t.Logf("bytes per cache hit: %.0f (256 B proof), %.0f (1 MiB proof)", small, large)
+}
+
+// parkExec takes jobs without executing them, so a test sees what
+// admission alone costs; Drain finishes what it holds.
+type parkExec struct {
+	*fakeExec
+	mu sync.Mutex
+	//unizklint:guardedby mu
+	parked []*Job
+}
+
+func (p *parkExec) Start(j *Job) error {
+	p.mu.Lock()
+	p.parked = append(p.parked, j)
+	p.mu.Unlock()
+	return nil
+}
+
+func (p *parkExec) Drain() {
+	p.mu.Lock()
+	parked := p.parked
+	p.parked = nil
+	p.mu.Unlock()
+	for _, j := range parked {
+		p.core.Finish(j, nil, ErrDraining)
+	}
+}
+
+// TestKeyedSubmitOneFsync pins admission's durability cost under
+// FsyncAlways: a submit, keyed or not, waits for one fsync, the one
+// that makes its admission durable. The idempotency binding is written
+// behind it without an fsync of its own, and is still replayed.
+func TestKeyedSubmitOneFsync(t *testing.T) {
+	dir := t.TempDir()
+	opt := Options{JournalDir: dir, JournalFsync: journal.FsyncAlways}
+	p := &parkExec{fakeExec: &fakeExec{}}
+	c := New("t", classifyFake, opt)
+	p.core = c
+	if err := c.Open(p); err != nil {
+		t.Fatal(err)
+	}
+	keyed := script("complete")
+	keyed.IdempotencyKey = "one-fsync"
+	var keyedID string
+	for _, req := range []*jobs.Request{script("complete"), keyed} {
+		before := c.jnl.Stats()
+		j, _, err := c.Admit(req, 0, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := c.jnl.Stats()
+		if got := after.Fsyncs - before.Fsyncs; got != 1 {
+			t.Fatalf("submit with key %q cost %d fsyncs, want 1", req.IdempotencyKey, got)
+		}
+		want := int64(1)
+		if req.IdempotencyKey != "" {
+			want, keyedID = 2, j.ID
+		}
+		if got := after.RecordsAppended - before.RecordsAppended; got != want {
+			t.Fatalf("submit with key %q appended %d records, want %d", req.IdempotencyKey, got, want)
+		}
+		c.Finish(j, jobs.Encode(fakeProof(req)), nil)
+	}
+	shutdown(t, c)
+
+	// The binding survives the restart: the resubmit dedups onto the
+	// first life's job.
+	p2 := &parkExec{fakeExec: &fakeExec{}}
+	c2 := New("t", classifyFake, opt)
+	p2.core = c2
+	if err := c2.Open(p2); err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(t, c2)
+	j, how, err := c2.Admit(keyed, 0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if how != AdmitDeduped || j.ID != keyedID {
+		t.Fatalf("resubmit after restart = %s (how %d), want a dedup onto %s", j.ID, how, keyedID)
+	}
 }

@@ -390,6 +390,19 @@ func (j *Job) ReuseFor(req *Request) (*Job, error) {
 	return d, nil
 }
 
+// ResidentBytes is the heap a compiled job keeps alive, what a circuit
+// registry holding it as a base pays: for plonk the circuit (selectors,
+// σ, copy classes, committed constants, constraint programs), its
+// witness and public inputs; for stark the AIR's program and the trace.
+// Pooled per-proof scratch is not the job's and is not counted.
+func (j *Job) ResidentBytes() int64 {
+	if j.req.Kind == KindPlonk {
+		return j.circuit.ResidentBytes() + j.wit.ResidentBytes() +
+			fri.ColumnBytes([][]field.Element{j.pub})
+	}
+	return j.stark.ResidentBytes() + fri.ColumnBytes(j.cols)
+}
+
 // Describe returns the one-line build summary cmd/prove prints.
 func (j *Job) Describe() string {
 	switch j.req.Kind {

@@ -268,7 +268,17 @@ func frameOf(rec *Record) ([]byte, error) {
 // the journal's lock, where the write happens, so a ref always follows
 // its bytes in the file: any durable prefix that holds the ref holds
 // them too.
-func (j *Journal) Append(rec *Record) error {
+func (j *Journal) Append(rec *Record) error { return j.append(rec, true) }
+
+// AppendNoWait journals a best-effort record: framed and written under
+// the journal's lock, in order with every other append, but it returns
+// without waiting for durability. The next fsync that covers it (the
+// next Append's under FsyncAlways, the group commit's, rotation's or
+// Close's) makes it durable. A record whose loss after a power cut
+// costs redone work, never a wrong answer, saves its fsync this way.
+func (j *Journal) AppendNoWait(rec *Record) error { return j.append(rec, false) }
+
+func (j *Journal) append(rec *Record, wait bool) error {
 	shareable := rec.Type == TypeCommitted && rec.Sum != ([32]byte{})
 	ref := shareable && j.isKnown(rec.Sum)
 	for {
@@ -309,6 +319,10 @@ func (j *Journal) Append(rec *Record) error {
 			j.st.resultsShared.Add(1)
 		case shareable:
 			j.known[rec.Sum] = struct{}{}
+		}
+		if !wait {
+			j.mu.Unlock()
+			return nil
 		}
 		return j.awaitLocked(seq)
 	}

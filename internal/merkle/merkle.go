@@ -11,6 +11,7 @@ package merkle
 import (
 	"context"
 	"fmt"
+	"unsafe"
 
 	"unizk/internal/field"
 	"unizk/internal/ntt"
@@ -124,6 +125,15 @@ func build(ctx context.Context, n, capHeight int, hashLeaves func(lo, hi int, ou
 		digests = next
 	}
 	return t, nil
+}
+
+// ResidentBytes is the heap the tree's digest levels occupy.
+func (t *Tree) ResidentBytes() int64 {
+	var n int64
+	for _, l := range t.levels {
+		n += int64(cap(l)) * int64(unsafe.Sizeof(poseidon.HashOut{}))
+	}
+	return n
 }
 
 // Release returns the tree's digest levels to the shared pool. The

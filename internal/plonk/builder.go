@@ -11,6 +11,7 @@ package plonk
 import (
 	"fmt"
 	"slices"
+	"unsafe"
 
 	"unizk/internal/field"
 )
@@ -252,6 +253,13 @@ func (w *Witness) Err() error { return w.err }
 // cloned per prove. The copy is two slices; nothing is pooled or shared.
 func (w *Witness) Clone() *Witness {
 	return &Witness{circuit: w.circuit, values: slices.Clone(w.values), set: slices.Clone(w.set), err: w.err}
+}
+
+// ResidentBytes is the heap the witness's class values and bitmap occupy.
+func (w *Witness) ResidentBytes() int64 {
+	return int64(unsafe.Sizeof(*w)) +
+		int64(cap(w.values))*int64(unsafe.Sizeof(field.Zero)) +
+		int64(cap(w.set))*int64(unsafe.Sizeof(uint64(0)))
 }
 
 // Get returns the target's value (zero if unset or outside the circuit).

@@ -2,6 +2,7 @@ package plonk
 
 import (
 	"context"
+	"unsafe"
 
 	"unizk/internal/constraint"
 	"unizk/internal/field"
@@ -207,6 +208,23 @@ func (b *Builder) BuildWide(cfg fri.Config, reps int) *Circuit {
 	c.gateProg = constraint.Compile(c.LogN, cs[:reps])
 	c.factorProg = constraint.Compile(c.LogN, factors)
 	return c
+}
+
+// ResidentBytes is the heap the compiled circuit keeps alive: the
+// selector, σ and row-point columns, the copy-class table, the committed
+// constants (coefficients, LDE and Merkle levels) and the three compiled
+// constraint programs.
+func (c *Circuit) ResidentBytes() int64 {
+	n := int64(unsafe.Sizeof(*c)) +
+		fri.ColumnBytes(c.selectors) + fri.ColumnBytes(c.sigmaVals) +
+		fri.ColumnBytes([][]field.Element{c.ks, c.rowPoints}) +
+		int64(cap(c.class))*int64(unsafe.Sizeof(int32(0))) +
+		int64(cap(c.pubTargets))*int64(unsafe.Sizeof(Target{})) +
+		c.constants.ResidentBytes()
+	for _, p := range []*constraint.Program{c.prog, c.gateProg, c.factorProg} {
+		n += p.ResidentBytes()
+	}
+	return n
 }
 
 // classOf returns t's copy-class index, and false for a target outside

@@ -17,34 +17,41 @@ type CircuitKey struct {
 	LogRows  int
 }
 
-// DefaultMaxCircuits bounds the registry when Config leaves it zero.
-// Compiled circuits are orders of magnitude larger than proofs, so the
-// default is small; the working set of hot (workload, logRows) pairs is
-// smaller still.
-const DefaultMaxCircuits = 32
+// DefaultRegistryBytes bounds the registry when the budget is left
+// zero. A compiled circuit weighs what its committed constants and
+// tables do (jobs.Job.ResidentBytes): kilobytes for a small stark AIR
+// and trace, under 2 MB for a 2^8-row plonk circuit. The benchmark's
+// serving sets, 8 and 24 circuits, weigh 1.4 and 8.7 MB compiled fresh,
+// and 13.9 MB for the 24 inside a server, where the constants can take
+// larger buffers from the shared pools.
+const DefaultRegistryBytes = 256 << 20
 
 type regEntry struct {
-	key  CircuitKey
-	base *jobs.Job
-	elem *list.Element
+	key   CircuitKey
+	base  *jobs.Job
+	bytes int64
+	elem  *list.Element
 }
 
 // Registry memoizes compiled circuits at the jobs.Compile seam: compile
 // once per (kind, workload, logRows), prove many. It hands out *derived*
 // jobs via jobs.Job.ReuseFor — never the shared base — so the mutable
 // per-prove state (the plonk witness, a payload-overridden trace) is
-// private to each caller while the frozen circuit/AIR is shared. Safe
-// for concurrent use; racing compiles of the same key are allowed and
-// resolve first-store-wins (the loser's compile is wasted work, not a
-// correctness problem).
+// private to each caller while the frozen circuit/AIR is shared. The
+// bases it holds are bounded by bytes (jobs.Job.ResidentBytes), least
+// recently used evicted first. Safe for concurrent use; racing compiles
+// of the same key are allowed and resolve first-store-wins (the loser's
+// compile is wasted work, not a correctness problem).
 type Registry struct {
-	max int
+	budget int64
 
 	mu sync.Mutex
 	//unizklint:guardedby mu
 	entries map[CircuitKey]*regEntry
 	//unizklint:guardedby mu
 	lru *list.List // front = most recently used; values are *regEntry
+	//unizklint:guardedby mu
+	bytes int64 // sum of the entries' ResidentBytes
 
 	hits     atomic.Int64
 	misses   atomic.Int64
@@ -52,14 +59,14 @@ type Registry struct {
 	compiles atomic.Int64
 }
 
-// NewRegistry builds a registry bounded to maxCircuits entries
-// (DefaultMaxCircuits if <= 0).
-func NewRegistry(maxCircuits int) *Registry {
-	if maxCircuits <= 0 {
-		maxCircuits = DefaultMaxCircuits
+// NewRegistry builds a registry whose bases together keep at most
+// budgetBytes alive (DefaultRegistryBytes if <= 0).
+func NewRegistry(budgetBytes int64) *Registry {
+	if budgetBytes <= 0 {
+		budgetBytes = DefaultRegistryBytes
 	}
 	return &Registry{
-		max:     maxCircuits,
+		budget:  budgetBytes,
 		entries: make(map[CircuitKey]*regEntry),
 		lru:     list.New(),
 	}
@@ -97,23 +104,23 @@ func (r *Registry) JobFor(req *jobs.Request) (*jobs.Job, error) {
 	if err != nil {
 		return nil, err
 	}
+	size := base.ResidentBytes()
 	r.mu.Lock()
 	if prior, ok := r.entries[k]; ok {
 		// Lost the compile race; keep the first-stored base.
 		r.lru.MoveToFront(prior.elem)
 		base = prior.base
-	} else {
-		e := &regEntry{key: k, base: base}
+	} else if size <= r.budget {
+		// A base larger than the whole budget serves this request and
+		// is dropped with it.
+		e := &regEntry{key: k, base: base, bytes: size}
 		e.elem = r.lru.PushFront(e)
 		r.entries[k] = e
-		for len(r.entries) > r.max {
-			back := r.lru.Back()
-			if back == nil {
-				break
-			}
-			old := back.Value.(*regEntry)
+		r.bytes += size
+		for r.bytes > r.budget {
+			old := r.lru.Remove(r.lru.Back()).(*regEntry)
 			delete(r.entries, old.key)
-			r.lru.Remove(back)
+			r.bytes -= old.bytes
 			r.evicted.Add(1)
 		}
 	}
@@ -128,12 +135,14 @@ type RegistryStats struct {
 	Evicted  int64
 	Compiles int64
 	Entries  int
+	// Bytes is the entries' ResidentBytes total, at most the budget.
+	Bytes int64
 }
 
 // Stats snapshots the counters and current size.
 func (r *Registry) Stats() RegistryStats {
 	r.mu.Lock()
-	entries := len(r.entries)
+	entries, bytes := len(r.entries), r.bytes
 	r.mu.Unlock()
 	return RegistryStats{
 		Hits:     r.hits.Load(),
@@ -141,5 +150,6 @@ func (r *Registry) Stats() RegistryStats {
 		Evicted:  r.evicted.Load(),
 		Compiles: r.compiles.Load(),
 		Entries:  entries,
+		Bytes:    bytes,
 	}
 }

@@ -137,7 +137,7 @@ func TestRegistryStarkPayloadOverride(t *testing.T) {
 }
 
 func TestRegistryValidatesAndBounds(t *testing.T) {
-	r := NewRegistry(2)
+	r := NewRegistry(1) // smaller than any circuit: nothing is kept
 	if _, err := r.JobFor(&jobs.Request{Kind: jobs.KindPlonk, Workload: "Fibonacci", LogRows: 0}); !errors.Is(err, prooferr.ErrProofRejected) {
 		t.Fatalf("invalid request = %v, want rejected", err)
 	}
@@ -149,8 +149,129 @@ func TestRegistryValidatesAndBounds(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := r.Stats()
-	if st.Entries != 2 || st.Evicted != 1 {
-		t.Fatalf("stats = %+v, want LRU bound of 2 with 1 eviction", st)
+	if st := r.Stats(); st.Entries != 0 || st.Bytes != 0 || st.Compiles != 4 || st.Evicted != 0 {
+		t.Fatalf("stats = %+v, want 4 compiles (one failed) and nothing kept under a 1-byte budget", st)
+	}
+}
+
+// TestRegistryByteBudget pins the byte bound: bases are evicted least
+// recently used first until their ResidentBytes fit the budget, a base
+// larger than the whole budget serves its request without being
+// registered, and Stats' entries and bytes agree with what is held.
+func TestRegistryByteBudget(t *testing.T) {
+	req := func(logRows int) *jobs.Request {
+		return &jobs.Request{Kind: jobs.KindStark, Workload: "Fibonacci", LogRows: logRows}
+	}
+	size := func(logRows int) int64 {
+		j, err := jobs.Compile(req(logRows))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j.ResidentBytes()
+	}
+	s3, s4, s5 := size(3), size(4), size(5)
+	r := NewRegistry(s3 + s5)
+	get := func(logRows int) {
+		t.Helper()
+		if _, err := r.JobFor(req(logRows)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := func() map[int]int64 {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		out := map[int]int64{}
+		for k, e := range r.entries {
+			if e.bytes != e.base.ResidentBytes() {
+				t.Fatalf("2^%d: entry weighs %d bytes, its base %d", k.LogRows, e.bytes, e.base.ResidentBytes())
+			}
+			out[k.LogRows] = e.bytes
+		}
+		return out
+	}
+	agree := func(want map[int]int64) RegistryStats {
+		t.Helper()
+		st, got := r.Stats(), held()
+		var sum int64
+		for _, b := range got {
+			sum += b
+		}
+		if len(got) != len(want) || st.Entries != len(got) || st.Bytes != sum || sum > s3+s5 {
+			t.Fatalf("held %v (stats %+v), want %v within a budget of %d bytes", got, st, want, s3+s5)
+		}
+		for lr, b := range want {
+			if got[lr] != b {
+				t.Fatalf("held %v, want %v", got, want)
+			}
+		}
+		return st
+	}
+
+	get(3)
+	get(4)
+	get(3) // 2^3 is now the most recently used, 2^4 the least
+	agree(map[int]int64{3: s3, 4: s4})
+	get(5) // over budget by s4: evicts 2^4 only
+	st := agree(map[int]int64{3: s3, 5: s5})
+	if st.Evicted != 1 || st.Compiles != 3 || st.Hits != 1 {
+		t.Fatalf("stats = %+v, want 1 eviction, 3 compiles, 1 hit", st)
+	}
+	get(3)
+	get(4) // compiles again, and evicts 2^5, now the least recently used
+	st = agree(map[int]int64{3: s3, 4: s4})
+	if st.Evicted != 2 || st.Compiles != 4 || st.Hits != 2 {
+		t.Fatalf("stats = %+v, want 2 evictions, 4 compiles, 2 hits", st)
+	}
+
+	// A base larger than the whole budget proves its request and is
+	// dropped; the registered ones stay.
+	big := req(9)
+	if size(9) <= s3+s5 {
+		t.Fatalf("2^9 base weighs %d bytes, want more than the %d-byte budget", size(9), s3+s5)
+	}
+	for i := 0; i < 2; i++ {
+		j, err := r.JobFor(big)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := j.Prove(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Check(res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st = agree(map[int]int64{3: s3, 4: s4})
+	if st.Evicted != 2 || st.Compiles != 6 || st.Hits != 2 {
+		t.Fatalf("stats = %+v, want the oversized base compiled per request, never registered", st)
+	}
+}
+
+// BenchmarkRegistryMiss prices the registry on traffic that never
+// repeats a circuit: every lookup misses, so each op pays Compile plus
+// the registry's own work (ResidentBytes, the insert, ReuseFor's
+// witness clone). Compare the miss sub-benchmark with compile, which is
+// jobs.Compile alone; the two should be within noise.
+func BenchmarkRegistryMiss(b *testing.B) {
+	for _, req := range []*jobs.Request{
+		{Kind: jobs.KindPlonk, Workload: "MVM", LogRows: 4},
+		{Kind: jobs.KindStark, Workload: "SHA-256", LogRows: 6},
+	} {
+		name := req.Kind.String() + "/" + req.Workload
+		b.Run(name+"/compile", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := jobs.Compile(req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(name+"/miss", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := NewRegistry(0).JobFor(req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

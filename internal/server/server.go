@@ -47,10 +47,12 @@ type Config struct {
 	// latency against utilization when jobs have serial phases; it does
 	// not multiply CPU demand. Default 2.
 	MaxInFlight int
-	// RegistryCircuits > 0 enables the precompiled-circuit registry:
-	// hot (kind, workload, logRows) triples compile once and every
-	// subsequent admit derives from the stored base. 0 disables it.
-	RegistryCircuits int
+	// RegistryBytes is the precompiled-circuit registry's budget: each
+	// (kind, workload, logRows) triple compiles once and every later
+	// admit derives from the stored base, the bases together keeping at
+	// most this many bytes alive. Zero takes
+	// proofcache.DefaultRegistryBytes; negative disables the registry.
+	RegistryBytes int64
 
 	// testHookRunning, when set by in-package tests, runs after a job
 	// transitions to running and before its prover starts.
@@ -89,8 +91,8 @@ func NewDurable(cfg Config) (*Server, error) {
 		nodeID:  newNodeID(),
 		started: time.Now(),
 	}
-	if cfg.RegistryCircuits > 0 {
-		x.registry = proofcache.NewRegistry(cfg.RegistryCircuits)
+	if cfg.RegistryBytes >= 0 {
+		x.registry = proofcache.NewRegistry(cfg.RegistryBytes)
 	}
 	// The runners start before recovery re-enqueues unfinished jobs, so a
 	// full queue at startup drains instead of failing them.
@@ -213,7 +215,7 @@ func (x *local) run(j *jobcore.Job) {
 	// A job canceled (or deadline-expired) while queued is finished
 	// without proving.
 	if err := j.Context().Err(); err != nil {
-		x.core.Finish(j, nil, err)
+		x.finish(j, nil, err)
 		return
 	}
 	x.queueWait.add(x.core.Dispatch(j, ""))
@@ -225,10 +227,21 @@ func (x *local) run(j *jobcore.Job) {
 	x.proveInvocations.Add(1)
 	res, err := j.Exec.(*jobs.Job).Prove(j.Context())
 	x.inFlight.Add(-1)
+	var enc *jobs.Encoded
 	if err == nil {
 		x.proveLat.add(time.Since(began))
+		// Encoded and hashed once: the cache, the journal and every reply
+		// share these bytes.
+		enc = jobs.Encode(res)
 	}
-	x.core.Finish(j, res, err)
+	x.finish(j, enc, err)
+}
+
+// finish ends a job, dropping its compiled circuit from the record
+// first: the record is retained after the job ends and must not pin it.
+func (x *local) finish(j *jobcore.Job, enc *jobs.Encoded, err error) {
+	j.Exec = nil
+	x.core.Finish(j, enc, err)
 }
 
 // Backlog scales the observed median prove latency by the queue depth
@@ -255,7 +268,7 @@ func (x *local) Health(h *serverclient.Health) int {
 // Drain closes the queue and rejects what it still held.
 func (x *local) Drain() {
 	for _, j := range x.queue.Close() {
-		x.core.Finish(j, nil, fmt.Errorf("job %s was queued at drain: %w", j.ID, jobcore.ErrDraining))
+		x.finish(j, nil, fmt.Errorf("job %s was queued at drain: %w", j.ID, jobcore.ErrDraining))
 	}
 }
 
@@ -293,6 +306,8 @@ func (x *local) Metrics(sh jobcore.Shared) any {
 		snap.RegistryMisses = rs.Misses
 		snap.RegistryCompiles = rs.Compiles
 		snap.RegistryEntries = rs.Entries
+		snap.RegistryBytes = rs.Bytes
+		snap.RegistryEvicted = rs.Evicted
 	}
 	return snap
 }

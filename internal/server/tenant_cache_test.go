@@ -21,7 +21,7 @@ import (
 // prover invocations and bit-identical proof bytes.
 func TestProofCacheHit(t *testing.T) {
 	s, c := newTestServer(t, Config{QueueCap: 8, MaxInFlight: 2,
-		RegistryCircuits: 8, Options: jobcore.Options{CacheEntries: 16}})
+		Options: jobcore.Options{CacheEntries: 16}})
 	ctx := context.Background()
 
 	mk := func(key string) *jobs.Request {

@@ -160,10 +160,14 @@ type MetricsSnapshot struct {
 	CacheMetrics
 
 	// Precompiled-circuit registry counters; zero when disabled.
+	// RegistryBytes is what the registered circuits keep alive, and
+	// RegistryEvicted counts circuits dropped to stay within the budget.
 	RegistryHits     int64 `json:"registry_hits,omitempty"`
 	RegistryMisses   int64 `json:"registry_misses,omitempty"`
 	RegistryCompiles int64 `json:"registry_compiles,omitempty"`
 	RegistryEntries  int   `json:"registry_entries,omitempty"`
+	RegistryBytes    int64 `json:"registry_bytes,omitempty"`
+	RegistryEvicted  int64 `json:"registry_evicted,omitempty"`
 
 	TenantSection
 

@@ -3,6 +3,7 @@ package serverclient
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -206,11 +207,30 @@ func (c *Client) exchange(ctx context.Context, method, u string, body []byte) (*
 		return nil, nil, transportErr(ctx, "do", err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := readBody(resp)
 	if err != nil {
 		return resp, nil, transportErr(ctx, "read body", err)
 	}
 	return resp, data, nil
+}
+
+// maxPresized bounds the buffer a declared Content-Length may size up
+// front; a longer body is read as it arrives.
+const maxPresized = 64 << 20
+
+// readBody reads a reply body. A declared Content-Length sizes the
+// buffer once and exactly, so a proof reply a caller keeps
+// (ResultEncoded) carries no slack; otherwise the body grows as read.
+func readBody(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n <= 0 || n > maxPresized {
+		return io.ReadAll(resp.Body)
+	}
+	data := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, data); err != nil {
+		return nil, err
+	}
+	return data, nil
 }
 
 // Submit enqueues a job asynchronously and returns its id.
@@ -257,6 +277,36 @@ func (c *Client) Status(ctx context.Context, id string) (*JobStatus, error) {
 // Result fetches a completed job's proof, ErrNotReady while it is still
 // queued or running, or the job's mapped error if it failed.
 func (c *Client) Result(ctx context.Context, id string) (*jobs.Result, error) {
+	body, err := c.resultBody(ctx, id)
+	if err != nil {
+		return nil, err
+	}
+	res := new(jobs.Result)
+	if err := res.UnmarshalBinary(body); err != nil {
+		return nil, mangled(err)
+	}
+	return res, nil
+}
+
+// ResultEncoded is Result that keeps the reply: the result comes back
+// with the bytes the server encoded, as Raw, and their SHA-256, so a
+// caller that serves it again (the cluster coordinator) neither encodes
+// nor copies the proof. The body is still decoded once, and one that
+// does not decode is a TransportError.
+func (c *Client) ResultEncoded(ctx context.Context, id string) (*jobs.Encoded, error) {
+	body, err := c.resultBody(ctx, id)
+	if err != nil {
+		return nil, err
+	}
+	enc, err := jobs.DecodeEncoded(body, sha256.Sum256(body))
+	if err != nil {
+		return nil, mangled(err)
+	}
+	return enc, nil
+}
+
+// resultBody fetches the proof endpoint's body.
+func (c *Client) resultBody(ctx context.Context, id string) ([]byte, error) {
 	status, body, err := c.do(ctx, http.MethodGet, c.BaseURL+"/v1/jobs/"+id+"/proof", nil)
 	if err != nil {
 		return nil, err
@@ -264,13 +314,14 @@ func (c *Client) Result(ctx context.Context, id string) (*jobs.Result, error) {
 	if status == http.StatusAccepted {
 		return nil, ErrNotReady
 	}
-	res := new(jobs.Result)
-	if err := res.UnmarshalBinary(body); err != nil {
-		// A 2xx body that does not decode was mangled in flight, not
-		// refused by the server: retrying the fetch can succeed.
-		return nil, &TransportError{Op: "decode result", Err: err}
-	}
-	return res, nil
+	return body, nil
+}
+
+// mangled classifies a 2xx result body that does not decode: it was
+// mangled in flight, not refused by the server, so retrying the fetch
+// can succeed.
+func mangled(err error) error {
+	return &TransportError{Op: "decode result", Err: err}
 }
 
 // Cancel asks the server to cancel a queued or running job.

@@ -1,14 +1,20 @@
 package serverclient
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"unizk/internal/jobs"
 )
 
 // roundTripFunc adapts a function to http.RoundTripper.
@@ -311,5 +317,58 @@ func TestRetryDeterministicWithSeed(t *testing.T) {
 		if a[i] < 0 || a[i] > ceil {
 			t.Fatalf("delay %d = %v outside [0, %v]", i, a[i], ceil)
 		}
+	}
+}
+
+// TestResultEncodedKeepsReply checks that ResultEncoded returns the
+// reply's bytes as the result's encoding, with the proof a window of
+// them, and so allocates one full proof less than decoding the reply
+// and encoding the result again (Result, then jobs.Encode).
+func TestResultEncodedKeepsReply(t *testing.T) {
+	res := &jobs.Result{Kind: jobs.KindStark, Proof: bytes.Repeat([]byte{7}, 1<<20)}
+	want := jobs.Encode(res)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", strconv.Itoa(len(want.Raw)))
+		_, _ = w.Write(want.Raw)
+	}))
+	defer ts.Close()
+	c := New(ts.URL)
+	ctx := context.Background()
+
+	enc, err := c.ResultEncoded(ctx, "j1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(enc.Raw, want.Raw) || enc.Sum != want.Sum || !bytes.Equal(enc.Proof, res.Proof) {
+		t.Fatal("ResultEncoded differs from the encoding the server sent")
+	}
+	// The proof follows the kind and its length, one uvarint each.
+	if head := 1 + len(binary.AppendUvarint(nil, uint64(len(res.Proof)))); &enc.Raw[head] != &enc.Proof[0] {
+		t.Fatal("the proof is a copy, not a window of the reply")
+	}
+
+	perOp := func(f func() error) int64 {
+		const runs = 16
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if err := f(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	kept := perOp(func() error { _, err := c.ResultEncoded(ctx, "j1"); return err })
+	again := perOp(func() error {
+		res, err := c.Result(ctx, "j1")
+		if err == nil {
+			jobs.Encode(res)
+		}
+		return err
+	})
+	if saved := again - kept; saved < int64(len(res.Proof)) {
+		t.Fatalf("ResultEncoded allocates %d bytes per fetch, decode then encode %d: want at least one proof (%d bytes) less",
+			kept, again, len(res.Proof))
 	}
 }

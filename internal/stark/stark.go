@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"unsafe"
 
 	"unizk/internal/constraint"
 	"unizk/internal/field"
@@ -54,6 +55,14 @@ type Stark struct {
 // argument (see fri.Config.ProofSecurityBits).
 func (s *Stark) SecurityBits() int {
 	return s.cfg.ProofSecurityBits(0, s.prog.Len(), maxConstraintDegree, s.LogN)
+}
+
+// ResidentBytes is the heap the Stark keeps alive: its compiled
+// constraint program and the AIR's boundary tables. The transition
+// expression trees are built per workload and not counted.
+func (s *Stark) ResidentBytes() int64 {
+	return int64(unsafe.Sizeof(*s)) + s.prog.ResidentBytes() +
+		int64(cap(s.FirstRow)+cap(s.LastRow))*int64(unsafe.Sizeof(Boundary{}))
 }
 
 // Proof is a Starky proof.
