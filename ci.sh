@@ -48,11 +48,12 @@ go test -timeout 5m ./internal/allocgate
 # Job-lifecycle core race gate: internal/jobcore driven by a scripted
 # fake executor (admission rollback, status table, idempotency,
 # long-poll/SSE, journal recovery), the proof cache's admission and
-# eviction under concurrent Begin/Complete/Abort/Put, and the journal's
-# known-result set shared by concurrent appenders, under the race
-# detector. The full -race run below repeats it; this step makes a
-# lifecycle, cache or journal regression fail under its own name.
-go test -race ./internal/jobcore ./internal/proofcache ./internal/journal
+# eviction under concurrent Begin/Complete/Abort/Put, the bounded store
+# that decides which entries stay (against its brute-force model), and
+# the journal's known-result set shared by concurrent appenders, under
+# the race detector. The full -race run below repeats it; this step
+# makes a lifecycle, cache or journal regression fail under its own name.
+go test -race ./internal/jobcore ./internal/proofcache ./internal/store ./internal/journal
 
 # Chaos soak (fixed seed, small circuits): concurrent clients drive real
 # proof jobs through injected connection resets, truncated responses,
@@ -213,6 +214,13 @@ go test -run='^$' -fuzz='^FuzzResultRoundTrip$' -fuzztime=5s ./internal/jobs
 # in stats. This is the corruption half of the durability story; the
 # crash-recovery soak above is the process-death half.
 go test -run='^$' -fuzz='^FuzzJournalReplay$' -fuzztime=10s ./internal/journal
+
+# Bounded store fuzz: arbitrary Get/Add/Delete/SetBudget sequences
+# against a brute-force model. The weights stay within the budget,
+# nothing heavier than it is kept, no decline was worth more than what
+# it would have displaced, the count map stays bounded, and forced
+# zero-cost inserts evict least recently used first.
+go test -run='^$' -fuzz='^FuzzStore$' -fuzztime=10s ./internal/store
 
 # Benchmark self-test: the repository benchmark (benchmark/, its own
 # module, so `./...` above skips it) builds the serving binaries and

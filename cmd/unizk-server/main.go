@@ -54,7 +54,7 @@ func registerFlags(fs *flag.FlagSet) options {
 		workers:  fs.Int("workers", 0, "prover pool size shared by all in-flight jobs (0 = NumCPU)"),
 		idemTTL:  fs.Duration("idem-ttl", 10*time.Minute, "how long a submitted idempotency key deduplicates retries"),
 		idemKeys: fs.Int("idem-keys", 4096, "max idempotency keys tracked before the oldest are evicted"),
-		registry: fs.Int("registry", proofcache.DefaultRegistryBytes>>20, "precompiled-circuit registry budget in MiB: each circuit compiles once, least recently used evicted past the budget (0 = off)"),
+		registry: fs.Int("registry", proofcache.DefaultRegistryBytes>>20, "precompiled-circuit registry budget in MiB: each circuit compiles once, and past the budget the circuits worth least (requests × compile time ÷ bytes) are evicted (0 = off)"),
 	}
 }
 

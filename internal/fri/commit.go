@@ -65,6 +65,24 @@ func (b *PolynomialBatch) Release() {
 	}
 }
 
+// Detach moves the batch out of the buffer pools into arrays of exactly
+// its size and returns the pooled buffers, for a batch that outlives
+// many proofs (a circuit's preprocessed constants): a pool hands back
+// any buffer large enough, which after a larger proof is larger than
+// the batch, and the batch would keep it alive for life.
+func (b *PolynomialBatch) Detach() {
+	for _, cols := range [][][]field.Element{b.Coeffs, b.LDE} {
+		for i, c := range cols {
+			cols[i] = append(make([]field.Element, 0, len(c)), c...)
+		}
+	}
+	for _, p := range b.owned {
+		baseBufs.Put(p)
+	}
+	b.owned = nil
+	b.Tree.Detach()
+}
+
 // CommitValues commits polynomials given by their evaluations over the
 // size-N subgroup in natural order. This is the full FRI commitment flow
 // of paper Fig. 1 right: iNTT^NN (step 1), LDE with coset NTT^NR (step 2),

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"context"
 	"runtime"
 	"testing"
 )
@@ -34,5 +35,29 @@ func TestResidentBytes(t *testing.T) {
 			t.Errorf("%s %s 2^%d: ResidentBytes %d outside ±25%% of the heap delta %d",
 				req.Kind, req.Workload, req.LogRows, got, heap)
 		}
+	}
+}
+
+// TestResidentBytesAfterProving: a circuit compiled after a larger one
+// has proved, which leaves larger buffers in the shared pools, weighs
+// what a fresh compile does — its committed constants hold arrays of
+// exactly their size, not whatever pooled buffer was large enough.
+func TestResidentBytesAfterProving(t *testing.T) {
+	small := &Request{Kind: KindPlonk, Workload: "MVM", LogRows: 4}
+	weigh := func() int64 {
+		j, err := Compile(small)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j.ResidentBytes()
+	}
+	runtime.GC()
+	runtime.GC() // empties the pools: this compile is fresh
+	fresh := weigh()
+	if _, err := Execute(context.Background(), &Request{Kind: KindPlonk, Workload: "MVM", LogRows: 8}); err != nil {
+		t.Fatal(err)
+	}
+	if got := weigh(); got != fresh {
+		t.Fatalf("compiled after a 2^8 prove the 2^4 circuit weighs %d bytes, fresh %d", got, fresh)
 	}
 }

@@ -149,6 +149,19 @@ func (t *Tree) Release() {
 	t.levels = nil
 }
 
+// Detach moves the tree's digest levels out of the shared pool into
+// arrays of exactly their size and returns the pooled buffers, for a
+// tree that outlives many proofs (see fri.PolynomialBatch.Detach).
+func (t *Tree) Detach() {
+	for i, l := range t.levels {
+		t.levels[i] = append(make([]poseidon.HashOut, 0, len(l)), l...)
+	}
+	for _, p := range t.levelBufs {
+		digestBufs.Put(p)
+	}
+	t.levelBufs = nil
+}
+
 // Cap returns the tree's commitment.
 func (t *Tree) Cap() Cap {
 	top := t.levels[len(t.levels)-1]

@@ -4,16 +4,18 @@ import (
 	"sync"
 
 	"unizk/internal/field"
+	"unizk/internal/store"
 )
 
 // Bounded table cache for twiddle and domain tables. A proving server
 // runs many jobs over a handful of transform sizes, so the tables that
 // dominate NTT setup — forward/inverse root-of-unity half-tables, coset
 // power tables, and the bit-reversed LDE domain points — are computed
-// once and shared across jobs. Unlike the unbounded per-process sync.Map
-// it replaces, the cache holds at most a configured number of field
-// elements and evicts least-recently-used tables beyond it, so a server
-// fed adversarially many distinct sizes cannot grow without bound.
+// once and shared across jobs. The cache holds at most a configured
+// number of field elements, so a server fed adversarially many distinct
+// sizes cannot grow without bound: each table weighs its length, and
+// inserts are forced at rebuild cost 0, which internal/store's policy
+// turns into least-recently-used eviction.
 //
 // Published tables are immutable: once a slice leaves the cache it is
 // only ever read, by any number of concurrent jobs. Eviction merely
@@ -39,12 +41,6 @@ type tableKey struct {
 	shift field.Element
 }
 
-// tableEntry is one cached table with its LRU stamp.
-type tableEntry struct {
-	table []field.Element
-	tick  uint64
-}
-
 // CacheStats is a point-in-time snapshot of the table cache.
 type CacheStats struct {
 	Hits      uint64 // lookups served from the cache
@@ -64,128 +60,54 @@ const DefaultCacheElems = 1 << 23
 type tableCache struct {
 	mu sync.Mutex
 	//unizklint:guardedby mu
-	entries map[tableKey]*tableEntry
-	//unizklint:guardedby mu
-	elems int
-	//unizklint:guardedby mu
-	tick uint64
-	//unizklint:guardedby mu
-	limit int
-	//unizklint:guardedby mu
-	hits uint64
-	//unizklint:guardedby mu
-	misses uint64
-	//unizklint:guardedby mu
-	evictions uint64
+	tables *store.Store[tableKey, []field.Element]
 }
 
-var cache = &tableCache{
-	entries: map[tableKey]*tableEntry{},
-	limit:   DefaultCacheElems,
-}
-
-// lookup returns the cached table for key, bumping its recency.
-func (c *tableCache) lookup(key tableKey) ([]field.Element, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok {
-		c.misses++
-		return nil, false
-	}
-	c.tick++
-	e.tick = c.tick
-	c.hits++
-	return e.table, true
-}
-
-// publish stores a freshly built table, returning the canonical slice:
-// on a racing double-build the first stored table wins so every caller
-// shares one backing array. Tables larger than the whole limit are
-// returned uncached.
-func (c *tableCache) publish(key tableKey, table []field.Element) []field.Element {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok {
-		c.tick++
-		e.tick = c.tick
-		return e.table
-	}
-	if len(table) > c.limit {
-		return table
-	}
-	c.tick++
-	e := &tableEntry{table: table, tick: c.tick}
-	c.entries[key] = e
-	c.elems += len(table)
-	c.evictLocked(e)
-	return table
-}
-
-// evictLocked drops least-recently-used entries, never keep (the entry
-// that triggered the sweep, or nil), until the element total fits the
-// limit.
-//
-//unizklint:holds c.mu
-func (c *tableCache) evictLocked(keep *tableEntry) {
-	for c.elems > c.limit {
-		var victim tableKey
-		var oldest *tableEntry
-		for k, e := range c.entries {
-			if e != keep && (oldest == nil || e.tick < oldest.tick) {
-				victim, oldest = k, e
-			}
-		}
-		if oldest == nil {
-			return
-		}
-		c.elems -= len(oldest.table)
-		delete(c.entries, victim)
-		c.evictions++
-	}
-}
-
-// setLimit installs a new element bound and evicts down to it. It
-// returns the previous limit so tests can restore it.
-func (c *tableCache) setLimit(elems int) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	prev := c.limit
-	c.limit = elems
-	c.evictLocked(nil)
-	return prev
-}
-
-// snapshot returns current stats.
-func (c *tableCache) snapshot() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Evictions: c.evictions,
-		Entries:   len(c.entries),
-		Elems:     c.elems,
-	}
-}
+var cache = &tableCache{tables: store.New[tableKey, []field.Element](DefaultCacheElems)}
 
 // getOrBuild resolves key from the cache, building and publishing on a
 // miss. build runs outside the lock: concurrent misses may build twice,
-// but publish keeps exactly one.
+// but the first stored table wins, so every caller shares one backing
+// array. A table larger than the whole limit is returned uncached.
 func (c *tableCache) getOrBuild(key tableKey, build func() []field.Element) []field.Element {
-	if t, ok := c.lookup(key); ok {
+	c.mu.Lock()
+	t, ok := c.tables.Get(key)
+	c.mu.Unlock()
+	if ok {
 		return t
 	}
-	return c.publish(key, build())
+	t = build()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if prior, ok := c.tables.Peek(key); ok {
+		return prior
+	}
+	c.tables.Add(key, t, int64(len(t)), 0, true)
+	return t
 }
 
 // SetCacheLimit bounds the table cache at the given number of field
 // elements, evicting immediately if the current contents exceed it, and
 // returns the previous limit. Tests shrink it to exercise eviction.
-func SetCacheLimit(elems int) int { return cache.setLimit(elems) }
+func SetCacheLimit(elems int) int {
+	cache.mu.Lock()
+	defer cache.mu.Unlock()
+	return int(cache.tables.SetBudget(int64(elems)))
+}
 
 // GetCacheStats returns a snapshot of the shared table cache counters.
-func GetCacheStats() CacheStats { return cache.snapshot() }
+func GetCacheStats() CacheStats {
+	cache.mu.Lock()
+	st := cache.tables.Stats()
+	cache.mu.Unlock()
+	return CacheStats{
+		Hits:      uint64(st.Hits),
+		Misses:    uint64(st.Misses),
+		Evictions: uint64(st.Evicted),
+		Entries:   st.Entries,
+		Elems:     int(st.Weight),
+	}
+}
 
 // Preload builds and caches the forward and inverse layer tables that a
 // size-2^logN transform reads, so a later transform of that size does

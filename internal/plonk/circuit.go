@@ -202,6 +202,7 @@ func (b *Builder) BuildWide(cfg fri.Config, reps int) *Circuit {
 	var err error
 	c.constants, err = fri.CommitValues(context.Background(), constPolys, cfg.RateBits, cfg.CapHeight, nil)
 	parallel.Must(err)
+	c.constants.Detach()
 
 	cs, factors := constraints(reps, c.LogN, c.ks)
 	c.prog = constraint.Compile(c.LogN, cs)

@@ -1,6 +1,6 @@
 // Package proofcache implements the content-addressed proof cache and
 // the precompiled-circuit registry behind the serving stack's hot-path
-// amortization (ROADMAP item 4): identical requests cost one prove.
+// amortization (ROADMAP item 9): identical requests cost one prove.
 //
 // The cache key is derived from request *content* — the canonical wire
 // encoding of (kind, workload, logRows, payload) — and deliberately
@@ -20,12 +20,12 @@ package proofcache
 
 import (
 	"crypto/sha256"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"unizk/internal/jobs"
+	"unizk/internal/store"
 	"unizk/internal/wire"
 )
 
@@ -51,12 +51,6 @@ const (
 	DefaultTTL        = 30 * time.Minute
 )
 
-// freqWindow is TinyLFU's reset interval in multiples of MaxEntries:
-// after freqWindow·MaxEntries counted lookups every request count
-// halves and zero counts are dropped, so old popularity fades and the
-// count map never holds more than 2·freqWindow·MaxEntries keys.
-const freqWindow = 10
-
 // Config bounds the cache. The zero value gets DefaultMaxEntries and
 // DefaultTTL; a nil *Cache (not a zero Config) is how callers disable
 // caching entirely.
@@ -75,8 +69,6 @@ type Config struct {
 type entry struct {
 	res     *jobs.Encoded
 	expires time.Time
-	cost    time.Duration // run time of the prove that made it; 0 from Put
-	used    uint64        // access sequence number: lower = less recent
 }
 
 // flight is one in-progress prove for a key: the leader's job plus the
@@ -93,24 +85,15 @@ type Cache struct {
 
 	mu sync.Mutex
 	//unizklint:guardedby mu
-	entries map[Key]*entry
+	entries *store.Store[Key, entry] // each weighs 1: the budget is MaxEntries
 	//unizklint:guardedby mu
 	flights map[Key]*flight
-	//unizklint:guardedby mu
-	freq map[Key]int // recent Begin count per key, resident or not
-	//unizklint:guardedby mu
-	counted int // Begins since the counts last halved
-	//unizklint:guardedby mu
-	seq uint64 // last access sequence number handed out
 	//unizklint:guardedby mu
 	now func() time.Time // test hook; nil means time.Now
 
 	hits           atomic.Int64
 	misses         atomic.Int64
 	coalesced      atomic.Int64
-	evicted        atomic.Int64
-	declined       atomic.Int64
-	inserted       atomic.Int64
 	expired        atomic.Int64
 	verifyRejected atomic.Int64
 }
@@ -125,9 +108,8 @@ func New(cfg Config) *Cache {
 	}
 	return &Cache{
 		cfg:     cfg,
-		entries: make(map[Key]*entry),
+		entries: store.New[Key, entry](int64(cfg.MaxEntries)),
 		flights: make(map[Key]*flight),
-		freq:    make(map[Key]int),
 	}
 }
 
@@ -137,100 +119,6 @@ func (c *Cache) clock() time.Time {
 		return c.now()
 	}
 	return time.Now()
-}
-
-//unizklint:holds c.mu
-func (c *Cache) touchLocked(e *entry) {
-	c.seq++
-	e.used = c.seq
-}
-
-// countLocked records one request for key, halving every count at the
-// end of each window.
-//
-//unizklint:holds c.mu
-func (c *Cache) countLocked(key Key) {
-	c.freq[key]++
-	c.counted++
-	if c.counted < freqWindow*c.cfg.MaxEntries {
-		return
-	}
-	c.counted = 0
-	for k, n := range c.freq {
-		if n /= 2; n == 0 {
-			delete(c.freq, k)
-		} else {
-			c.freq[k] = n
-		}
-	}
-}
-
-// worthLocked is what keeping a result for key saves: its recent request
-// count times the run time of the prove that would have to be redone.
-//
-//unizklint:holds c.mu
-func (c *Cache) worthLocked(key Key, cost time.Duration) float64 {
-	return float64(c.freq[key]) * float64(cost)
-}
-
-// lookupLocked resolves key to a live cached result, expiring as a side
-// effect.
-//
-//unizklint:holds c.mu
-func (c *Cache) lookupLocked(key Key) *jobs.Encoded {
-	e, ok := c.entries[key]
-	if !ok {
-		return nil
-	}
-	if !e.expires.After(c.clock()) {
-		delete(c.entries, key)
-		c.expired.Add(1)
-		return nil
-	}
-	c.touchLocked(e)
-	return e.res
-}
-
-// victimLocked returns the resident key worth least, ties going to the
-// least recently accessed entry. The scan is linear, but it runs only
-// when a finished prove meets a full cache.
-//
-//unizklint:holds c.mu
-func (c *Cache) victimLocked() (victim Key, worth float64) {
-	worth, used := math.Inf(1), uint64(math.MaxUint64)
-	for k, e := range c.entries {
-		if w := c.worthLocked(k, e.cost); w < worth || (w == worth && e.used < used) {
-			victim, worth, used = k, w, e.used
-		}
-	}
-	return victim, worth
-}
-
-// insertLocked stores res under key, refreshing an entry already there.
-// A full cache evicts its victim only for a newcomer worth strictly more
-// and otherwise declines the newcomer, unless force is set.
-//
-//unizklint:holds c.mu
-func (c *Cache) insertLocked(key Key, res *jobs.Encoded, cost time.Duration, force bool) {
-	expires := c.clock().Add(c.cfg.TTL)
-	if e, ok := c.entries[key]; ok {
-		e.res, e.expires, e.cost = res, expires, max(e.cost, cost)
-		c.touchLocked(e)
-		return
-	}
-	if len(c.entries) >= c.cfg.MaxEntries {
-		victim, worth := c.victimLocked()
-		if !force && c.worthLocked(key, cost) <= worth {
-			c.declined.Add(1)
-			return
-		}
-		delete(c.entries, victim)
-		c.evicted.Add(1)
-	}
-	e := &entry{res: res, expires: expires, cost: cost}
-	c.touchLocked(e)
-	c.entries[key] = e
-	c.inserted.Add(1)
 }
 
 // Begin resolves key at admission time, atomically with respect to
@@ -247,10 +135,14 @@ func (c *Cache) insertLocked(key Key, res *jobs.Encoded, cost time.Duration, for
 func (c *Cache) Begin(key Key, jobID string) (res *jobs.Encoded, leaderID string, leader bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.countLocked(key)
-	if res := c.lookupLocked(key); res != nil {
+	e, ok := c.entries.Get(key)
+	if ok && e.expires.After(c.clock()) {
 		c.hits.Add(1)
-		return res, "", false
+		return e.res, "", false
+	}
+	if ok {
+		c.entries.Delete(key)
+		c.expired.Add(1)
 	}
 	if f, ok := c.flights[key]; ok {
 		f.followers++
@@ -286,8 +178,8 @@ func (c *Cache) Flight(key Key) (leaderID string, ok bool) {
 // the key's current leader is a no-op (the flight was aborted and
 // reclaimed, or never existed).
 //
-// Which results stay: a result is worth its key's recent request count
-// times its cost. A full cache evicts its least-worth entry (ties: the
+// Which results stay (internal/store's policy at weight 1): a result is
+// worth its key's recent request count times its cost. A full cache evicts its least-worth entry (ties: the
 // least recently accessed) only for a result worth strictly more, and
 // otherwise declines the result, which is still returned to the leader
 // and its followers.
@@ -306,8 +198,8 @@ func (c *Cache) Complete(key Key, jobID string, res *jobs.Encoded, cost time.Dur
 	}
 	delete(c.flights, key)
 	// A racing insert (e.g. a replicated coordinator writing the same
-	// content) may already have landed; insertLocked refreshes it.
-	c.insertLocked(key, res, cost, false)
+	// content) may already have landed; Add refreshes it.
+	c.entries.Add(key, entry{res, c.clock().Add(c.cfg.TTL)}, 1, cost, false)
 	return nil
 }
 
@@ -319,7 +211,7 @@ func (c *Cache) Put(key Key, res *jobs.Result) {
 	enc := jobs.Encode(res)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.insertLocked(key, enc, 0, true)
+	c.entries.Add(key, entry{enc, c.clock().Add(c.cfg.TTL)}, 1, 0, true)
 }
 
 // Abort clears a leader's flight without inserting anything — the prove
@@ -353,18 +245,18 @@ type Stats struct {
 // Stats snapshots the counters and current sizes.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
-	entries, flights := len(c.entries), len(c.flights)
+	st, flights := c.entries.Stats(), len(c.flights)
 	c.mu.Unlock()
 	return Stats{
 		Hits:           c.hits.Load(),
 		Misses:         c.misses.Load(),
 		Coalesced:      c.coalesced.Load(),
-		Evicted:        c.evicted.Load(),
-		Declined:       c.declined.Load(),
+		Evicted:        st.Evicted,
+		Declined:       st.Declined,
 		Expired:        c.expired.Load(),
-		Inserted:       c.inserted.Load(),
+		Inserted:       st.Inserted,
 		VerifyRejected: c.verifyRejected.Load(),
-		Entries:        entries,
+		Entries:        st.Entries,
 		Flights:        flights,
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"unizk/internal/jobs"
+	"unizk/internal/store"
 )
 
 func testKey(i int) Key {
@@ -38,7 +39,7 @@ func complete(t *testing.T, c *Cache, key Key, id string, res *jobs.Result, cost
 func resident(c *Cache, key Key) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.entries[key]
+	_, ok := c.entries.Peek(key)
 	return ok
 }
 
@@ -144,10 +145,10 @@ func TestCacheCountHistoryBounded(t *testing.T) {
 		}
 		c.Abort(k, id)
 		c.mu.Lock()
-		n := len(c.freq)
+		n := c.entries.Counted()
 		c.mu.Unlock()
-		if n > 2*freqWindow*size {
-			t.Fatalf("after %d one-off keys the count map holds %d keys, want <= %d", i+1, n, 2*freqWindow*size)
+		if n > 2*store.Window*size {
+			t.Fatalf("after %d one-off keys the count map holds %d keys, want <= %d", i+1, n, 2*store.Window*size)
 		}
 	}
 }
@@ -408,7 +409,7 @@ func TestCacheConcurrentHammer(t *testing.T) {
 		t.Fatalf("counter accounting off: %+v", st)
 	}
 	c.mu.Lock()
-	n := len(c.freq)
+	n := c.entries.Counted()
 	c.mu.Unlock()
 	if n > keys {
 		t.Fatalf("count map holds %d keys, want <= %d", n, keys)

@@ -1,11 +1,12 @@
 package proofcache
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"unizk/internal/jobs"
+	"unizk/internal/store"
 )
 
 // CircuitKey identifies one compiled circuit: the request fields that
@@ -21,41 +22,28 @@ type CircuitKey struct {
 // zero. A compiled circuit weighs what its committed constants and
 // tables do (jobs.Job.ResidentBytes): kilobytes for a small stark AIR
 // and trace, under 2 MB for a 2^8-row plonk circuit. The benchmark's
-// serving sets, 8 and 24 circuits, weigh 1.4 and 8.7 MB compiled fresh,
-// and 13.9 MB for the 24 inside a server, where the constants can take
-// larger buffers from the shared pools.
+// serving sets, 8 and 24 circuits, weigh 1.4 and 8.7 MB, compiled fresh
+// or inside a server that has been proving (the committed constants
+// hold arrays of exactly their size, fri.PolynomialBatch.Detach).
 const DefaultRegistryBytes = 256 << 20
-
-type regEntry struct {
-	key   CircuitKey
-	base  *jobs.Job
-	bytes int64
-	elem  *list.Element
-}
 
 // Registry memoizes compiled circuits at the jobs.Compile seam: compile
 // once per (kind, workload, logRows), prove many. It hands out *derived*
 // jobs via jobs.Job.ReuseFor — never the shared base — so the mutable
 // per-prove state (the plonk witness, a payload-overridden trace) is
 // private to each caller while the frozen circuit/AIR is shared. The
-// bases it holds are bounded by bytes (jobs.Job.ResidentBytes), least
-// recently used evicted first. Safe for concurrent use; racing compiles
-// of the same key are allowed and resolve first-store-wins (the loser's
+// bases it holds are bounded by bytes (jobs.Job.ResidentBytes) and kept
+// by internal/store's policy, a base's rebuild cost being the measured
+// run time of its compile. Safe for concurrent use; racing compiles of
+// the same key are allowed and resolve first-store-wins (the loser's
 // compile is wasted work, not a correctness problem).
 type Registry struct {
-	budget int64
-
 	mu sync.Mutex
 	//unizklint:guardedby mu
-	entries map[CircuitKey]*regEntry
+	bases *store.Store[CircuitKey, *jobs.Job]
 	//unizklint:guardedby mu
-	lru *list.List // front = most recently used; values are *regEntry
-	//unizklint:guardedby mu
-	bytes int64 // sum of the entries' ResidentBytes
+	compileCost func(CircuitKey) time.Duration // test hook; nil measures Compile
 
-	hits     atomic.Int64
-	misses   atomic.Int64
-	evicted  atomic.Int64
 	compiles atomic.Int64
 }
 
@@ -65,11 +53,7 @@ func NewRegistry(budgetBytes int64) *Registry {
 	if budgetBytes <= 0 {
 		budgetBytes = DefaultRegistryBytes
 	}
-	return &Registry{
-		budget:  budgetBytes,
-		entries: make(map[CircuitKey]*regEntry),
-		lru:     list.New(),
-	}
+	return &Registry{bases: store.New[CircuitKey, *jobs.Job](budgetBytes)}
 }
 
 // JobFor returns a ready-to-prove job for req, reusing a previously
@@ -82,16 +66,11 @@ func (r *Registry) JobFor(req *jobs.Request) (*jobs.Job, error) {
 	}
 	k := CircuitKey{Kind: req.Kind, Workload: req.Workload, LogRows: req.LogRows}
 	r.mu.Lock()
-	e, ok := r.entries[k]
-	if ok {
-		r.lru.MoveToFront(e.elem)
-	}
+	base, ok := r.bases.Get(k)
 	r.mu.Unlock()
 	if ok {
-		r.hits.Add(1)
-		return e.base.ReuseFor(req)
+		return base.ReuseFor(req)
 	}
-	r.misses.Add(1)
 
 	// Compile the canonical base — no payload, no idempotency key — so
 	// the base's trace/witness is the workload's generated one and any
@@ -100,29 +79,24 @@ func (r *Registry) JobFor(req *jobs.Request) (*jobs.Job, error) {
 	// amortize, and holding the lock across it would serialize unrelated
 	// keys.
 	r.compiles.Add(1)
+	start := time.Now()
 	base, err := jobs.Compile(&jobs.Request{Kind: req.Kind, Workload: req.Workload, LogRows: req.LogRows})
 	if err != nil {
 		return nil, err
 	}
+	cost := time.Since(start)
 	size := base.ResidentBytes()
 	r.mu.Lock()
-	if prior, ok := r.entries[k]; ok {
+	if r.compileCost != nil {
+		cost = r.compileCost(k)
+	}
+	if prior, ok := r.bases.Peek(k); ok {
 		// Lost the compile race; keep the first-stored base.
-		r.lru.MoveToFront(prior.elem)
-		base = prior.base
-	} else if size <= r.budget {
-		// A base larger than the whole budget serves this request and
-		// is dropped with it.
-		e := &regEntry{key: k, base: base, bytes: size}
-		e.elem = r.lru.PushFront(e)
-		r.entries[k] = e
-		r.bytes += size
-		for r.bytes > r.budget {
-			old := r.lru.Remove(r.lru.Back()).(*regEntry)
-			delete(r.entries, old.key)
-			r.bytes -= old.bytes
-			r.evicted.Add(1)
-		}
+		base = prior
+	} else {
+		// A base the store declines, or one larger than the whole
+		// budget, serves this request and is dropped with it.
+		r.bases.Add(k, base, size, cost, false)
 	}
 	r.mu.Unlock()
 	return base.ReuseFor(req)
@@ -142,14 +116,14 @@ type RegistryStats struct {
 // Stats snapshots the counters and current size.
 func (r *Registry) Stats() RegistryStats {
 	r.mu.Lock()
-	entries, bytes := len(r.entries), r.bytes
+	st := r.bases.Stats()
 	r.mu.Unlock()
 	return RegistryStats{
-		Hits:     r.hits.Load(),
-		Misses:   r.misses.Load(),
-		Evicted:  r.evicted.Load(),
+		Hits:     st.Hits,
+		Misses:   st.Misses,
+		Evicted:  st.Evicted,
 		Compiles: r.compiles.Load(),
-		Entries:  entries,
-		Bytes:    bytes,
+		Entries:  st.Entries,
+		Bytes:    st.Weight,
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"unizk/internal/jobs"
 	"unizk/internal/prooferr"
@@ -102,7 +103,7 @@ func TestRegistryConcurrentPlonkReuse(t *testing.T) {
 			}
 
 			r.mu.Lock()
-			base := r.entries[CircuitKey{Kind: req.Kind, Workload: req.Workload, LogRows: req.LogRows}].base
+			base, _ := r.bases.Peek(CircuitKey{Kind: req.Kind, Workload: req.Workload, LogRows: req.LogRows})
 			r.mu.Unlock()
 			for _, again := range []struct {
 				name string
@@ -154,10 +155,13 @@ func TestRegistryValidatesAndBounds(t *testing.T) {
 	}
 }
 
-// TestRegistryByteBudget pins the byte bound: bases are evicted least
-// recently used first until their ResidentBytes fit the budget, a base
-// larger than the whole budget serves its request without being
-// registered, and Stats' entries and bytes agree with what is held.
+// TestRegistryByteBudget pins the byte bound and the order bases stay
+// in: a base that needs room evicts only bases worth less per byte
+// (request count × compile cost ÷ ResidentBytes), least worth first, and
+// is otherwise declined; a base larger than the whole budget serves its
+// request without being registered; and Stats' entries and bytes agree
+// with what is held. Compile costs are injected as a cost per byte of
+// each size, so a base's worth per byte is its count × that cost.
 func TestRegistryByteBudget(t *testing.T) {
 	req := func(logRows int) *jobs.Request {
 		return &jobs.Request{Kind: jobs.KindStark, Workload: "Fibonacci", LogRows: logRows}
@@ -170,34 +174,34 @@ func TestRegistryByteBudget(t *testing.T) {
 		return j.ResidentBytes()
 	}
 	s3, s4, s5 := size(3), size(4), size(5)
-	r := NewRegistry(s3 + s5)
-	get := func(logRows int) {
+	budget := s3 + s5
+	registry := func(perByte map[int]int64) *Registry {
+		r := NewRegistry(budget)
+		r.compileCost = func(k CircuitKey) time.Duration {
+			return time.Duration(perByte[k.LogRows] * size(k.LogRows))
+		}
+		return r
+	}
+	get := func(r *Registry, logRows int) {
 		t.Helper()
 		if _, err := r.JobFor(req(logRows)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	held := func() map[int]int64 {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		out := map[int]int64{}
-		for k, e := range r.entries {
-			if e.bytes != e.base.ResidentBytes() {
-				t.Fatalf("2^%d: entry weighs %d bytes, its base %d", k.LogRows, e.bytes, e.base.ResidentBytes())
-			}
-			out[k.LogRows] = e.bytes
-		}
-		return out
-	}
-	agree := func(want map[int]int64) RegistryStats {
+	agree := func(r *Registry, want map[int]int64) RegistryStats {
 		t.Helper()
-		st, got := r.Stats(), held()
-		var sum int64
-		for _, b := range got {
-			sum += b
+		got, sum := map[int]int64{}, int64(0)
+		r.mu.Lock()
+		for _, lr := range []int{3, 4, 5, 9} {
+			if base, ok := r.bases.Peek(CircuitKey{Kind: jobs.KindStark, Workload: "Fibonacci", LogRows: lr}); ok {
+				got[lr] = base.ResidentBytes()
+				sum += got[lr]
+			}
 		}
-		if len(got) != len(want) || st.Entries != len(got) || st.Bytes != sum || sum > s3+s5 {
-			t.Fatalf("held %v (stats %+v), want %v within a budget of %d bytes", got, st, want, s3+s5)
+		r.mu.Unlock()
+		st := r.Stats()
+		if len(got) != len(want) || st.Entries != len(got) || st.Bytes != sum || sum > budget {
+			t.Fatalf("held %v (stats %+v), want %v within a budget of %d bytes", got, st, want, budget)
 		}
 		for lr, b := range want {
 			if got[lr] != b {
@@ -207,27 +211,28 @@ func TestRegistryByteBudget(t *testing.T) {
 		return st
 	}
 
-	get(3)
-	get(4)
-	get(3) // 2^3 is now the most recently used, 2^4 the least
-	agree(map[int]int64{3: s3, 4: s4})
-	get(5) // over budget by s4: evicts 2^4 only
-	st := agree(map[int]int64{3: s3, 5: s5})
+	r := registry(map[int]int64{3: 1, 4: 1, 5: 4})
+	get(r, 3)
+	get(r, 4)
+	get(r, 3) // 2^3 is worth 2 per byte, 2^4 is worth 1
+	agree(r, map[int]int64{3: s3, 4: s4})
+	get(r, 5) // worth 4, over budget by s4: evicts 2^4 only
+	st := agree(r, map[int]int64{3: s3, 5: s5})
 	if st.Evicted != 1 || st.Compiles != 3 || st.Hits != 1 {
 		t.Fatalf("stats = %+v, want 1 eviction, 3 compiles, 1 hit", st)
 	}
-	get(3)
-	get(4) // compiles again, and evicts 2^5, now the least recently used
-	st = agree(map[int]int64{3: s3, 4: s4})
-	if st.Evicted != 2 || st.Compiles != 4 || st.Hits != 2 {
-		t.Fatalf("stats = %+v, want 2 evictions, 4 compiles, 2 hits", st)
+	get(r, 3)
+	get(r, 4) // compiles again, worth 2, less than 2^3's 3: declined
+	st = agree(r, map[int]int64{3: s3, 5: s5})
+	if st.Evicted != 1 || st.Compiles != 4 || st.Hits != 2 {
+		t.Fatalf("stats = %+v, want 1 eviction, 4 compiles, 2 hits", st)
 	}
 
 	// A base larger than the whole budget proves its request and is
 	// dropped; the registered ones stay.
 	big := req(9)
-	if size(9) <= s3+s5 {
-		t.Fatalf("2^9 base weighs %d bytes, want more than the %d-byte budget", size(9), s3+s5)
+	if size(9) <= budget {
+		t.Fatalf("2^9 base weighs %d bytes, want more than the %d-byte budget", size(9), budget)
 	}
 	for i := 0; i < 2; i++ {
 		j, err := r.JobFor(big)
@@ -242,9 +247,21 @@ func TestRegistryByteBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st = agree(map[int]int64{3: s3, 4: s4})
-	if st.Evicted != 2 || st.Compiles != 6 || st.Hits != 2 {
+	st = agree(r, map[int]int64{3: s3, 5: s5})
+	if st.Evicted != 1 || st.Compiles != 6 || st.Hits != 2 {
 		t.Fatalf("stats = %+v, want the oversized base compiled per request, never registered", st)
+	}
+
+	// The small base costly to compile outlives the large cheap one,
+	// though it is the less recently used: 2^4 needs room and evicts
+	// 2^5, worth 2 per byte, before 2^3, worth 1000.
+	r = registry(map[int]int64{3: 1000, 4: 10, 5: 1})
+	get(r, 3)
+	get(r, 5)
+	get(r, 5)
+	get(r, 4)
+	if st := agree(r, map[int]int64{3: s3, 4: s4}); st.Evicted != 1 {
+		t.Fatalf("stats = %+v, want 1 eviction", st)
 	}
 }
 
