@@ -140,13 +140,14 @@ go test -race -run 'Verify' ./internal/fri ./internal/merkle ./internal/plonk ./
 # accept or a panic in either verifier fail under its own name.
 go test -race -run 'FaultInjection|TamperTaxonomy|PristineProofs' ./internal/faultinject
 
-# Portable hash and NTT path: on an AVX-512 host the batched permutation
-# and the field slice layer (NTT butterflies and scalings, the constraint
-# program, the quotient and FRI's reduce) run in assembly, so this step
-# builds with the standard purego tag to keep the portable loops (the
-# path on every other host) under the same differential tests — the
-# slice kernels against the scalar ops, EvalAll against Horner's rule,
-# the batch against PermuteNaive, batched Merkle trees against the scalar
+# Portable hash and NTT path: on an AVX-512 host the batched and
+# single-state permutations and the field slice layer (NTT butterflies
+# and scalings, the constraint program, the quotient and FRI's reduce)
+# run in assembly, so this step builds with the standard purego tag to
+# keep the portable loops (the path on every other host) under the same
+# differential tests — the slice kernels against the scalar ops, EvalAll
+# against Horner's rule, the Go rounds and the batch against
+# PermuteNaive, batched Merkle trees against the scalar
 # reference tree, and the batched grind against the serial loop,
 # batched Merkle-path verification against Verify, the batched FRI
 # verifier against its serial reference, every NTT Spec against the
@@ -181,7 +182,8 @@ go test -run '^$' -bench 'Kernels|Reports' -benchtime 1x .
 # counts {1, 2, 7, NumCPU}.
 go test -race ./...
 
-# Fuzz the decode+verify boundary of each protocol, plus the worker
+# Fuzz the decode+verify boundary of each protocol, the arena proof
+# decoder against the element-at-a-time reference, plus the worker
 # pool's chunking arithmetic, the Poseidon permutation against its naive
 # oracle, the eight-lane NTT butterflies against the scalar loop, every
 # kernel of the field slice layer against the scalar field ops,
@@ -193,6 +195,7 @@ go test -race ./...
 # budget goes to fuzzing.
 go test -run='^$' -fuzz='^FuzzPlonkUnmarshalVerify$' -fuzztime=10s ./internal/plonk
 go test -run='^$' -fuzz='^FuzzStarkUnmarshalVerify$' -fuzztime=10s ./internal/stark
+go test -run='^$' -fuzz='^FuzzDecodeMatchesReference$' -fuzztime=10s ./internal/wire
 go test -run='^$' -fuzz='^FuzzForCoverage$' -fuzztime=10s ./internal/parallel
 go test -run='^$' -fuzz='^FuzzPermute$' -fuzztime=20s ./internal/poseidon
 go test -run='^$' -fuzz='^FuzzPermuteX8$' -fuzztime=20s ./internal/poseidon

@@ -8,6 +8,7 @@ import (
 	"unizk/internal/constraint"
 	"unizk/internal/field"
 	"unizk/internal/fri"
+	"unizk/internal/jobs"
 	"unizk/internal/merkle"
 	"unizk/internal/ntt"
 	"unizk/internal/parallel"
@@ -275,8 +276,9 @@ func TestWitnessAllocs(t *testing.T) {
 // change pushes a prover past its budget, either find the regression or
 // re-measure and justify the new pin in the commit.
 const (
-	plonkProofBudget = 876 // measured 584 on the fib-40 circuit with the witness in a class-indexed slice
-	starkProofBudget = 669 // measured ~446 on the 2^6-row fib AIR with the quotient state pooled per constraint program
+	plonkProofBudget  = 876 // measured 584 on the fib-40 circuit with the witness in a class-indexed slice
+	starkProofBudget  = 669 // measured ~446 on the 2^6-row fib AIR with the quotient state pooled per constraint program
+	proofDecodeBudget = 15  // measured 10 on plonk MVM 2^11 and on stark SHA-256 2^12
 )
 
 // TestPlonkProofAllocs pins the whole-proof allocation count of the
@@ -355,5 +357,40 @@ func TestStarkProofAllocs(t *testing.T) {
 		}
 		prove()
 		pinAtMost(t, "stark.Prove(fib-2^6)", starkProofBudget, prove)
+	})
+}
+
+// TestProofDecodeAllocs pins proof decoding at a constant number of
+// allocations, whatever the proof's size: the wire reader carves every
+// element, extension element and digest collection from one exactly
+// sized array per kind, and the FRI decoder its caps, query rounds,
+// opened rows and fold steps likewise. The element-at-a-time decoder it
+// replaced made 1453 allocations on the stark proof.
+func TestProofDecodeAllocs(t *testing.T) {
+	serialRun(t, func() {
+		for _, c := range []struct {
+			req    jobs.Request
+			decode func([]byte) error
+		}{
+			{jobs.Request{Kind: jobs.KindPlonk, Workload: "MVM", LogRows: 11},
+				func(b []byte) error { var p plonk.Proof; return p.UnmarshalBinary(b) }},
+			{jobs.Request{Kind: jobs.KindStark, Workload: "SHA-256", LogRows: 12},
+				func(b []byte) error { var p stark.Proof; return p.UnmarshalBinary(b) }},
+		} {
+			j, err := jobs.Compile(&c.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := j.Prove(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%v/%s-2^%d decode", c.req.Kind, c.req.Workload, c.req.LogRows)
+			pinAtMost(t, name, proofDecodeBudget, func() {
+				if err := c.decode(res.Proof); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
 	})
 }

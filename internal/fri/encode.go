@@ -29,34 +29,77 @@ func (p *Proof) EncodeTo(w *wire.Writer) {
 	w.Elem(p.PowWitness)
 }
 
-// DecodeProof deserializes a FRI proof.
-func DecodeProof(r *wire.Reader) *Proof {
-	p := &Proof{}
+// Decoder carries a FRI proof's shape from wire.Decode's sizing pass,
+// which counts its commit-phase caps, query rounds, opened rows and fold
+// steps, to the filling pass, which carves each kind from one exactly
+// sized array.
+type Decoder struct {
+	nCaps, nRounds, nRows, nSteps int
+	caps                          []merkle.Cap
+	rounds                        []QueryRound
+	rows                          []OracleRow
+	steps                         []QueryStep
+}
+
+// slots returns n entries carved from *arena, nil for none, or, in a
+// sizing pass, adds n to *count and returns nil.
+func slots[T any](r *wire.Reader, arena *[]T, count *int, n int) []T {
+	if r.Sizing() {
+		*count += n
+		return nil
+	}
+	if n == 0 {
+		return nil
+	}
+	return wire.Carve(arena, n)
+}
+
+// DecodeProof deserializes a FRI proof, returning nil in wire.Decode's
+// sizing pass. d must be the same Decoder in both passes; on a reader
+// outside wire.Decode a zero Decoder gives each slice its own array.
+func DecodeProof(r *wire.Reader, d *Decoder) *Proof {
+	if !r.Sizing() {
+		d.caps, d.rounds = make([]merkle.Cap, d.nCaps), make([]QueryRound, d.nRounds)
+		d.rows, d.steps = make([]OracleRow, d.nRows), make([]QueryStep, d.nSteps)
+	}
 	nCaps := r.Len()
+	caps := slots(r, &d.caps, &d.nCaps, nCaps)
 	for i := 0; i < nCaps && r.Err() == nil; i++ {
-		p.CommitPhaseCaps = append(p.CommitPhaseCaps, merkle.Cap(r.Hashes()))
+		c := r.Hashes()
+		if caps != nil {
+			caps[i] = c
+		}
 	}
 	nRounds := r.Len()
+	rounds := slots(r, &d.rounds, &d.nRounds, nRounds)
 	for i := 0; i < nRounds && r.Err() == nil; i++ {
-		var q QueryRound
 		nRows := r.Len()
+		rows := slots(r, &d.rows, &d.nRows, nRows)
 		for j := 0; j < nRows && r.Err() == nil; j++ {
-			q.OracleRows = append(q.OracleRows, OracleRow{
-				Values: r.Elems(),
-				Proof:  merkle.Proof{Siblings: r.Hashes()},
-			})
+			row := OracleRow{Values: r.Elems(), Proof: merkle.Proof{Siblings: r.Hashes()}}
+			if rows != nil {
+				rows[j] = row
+			}
 		}
 		nSteps := r.Len()
+		steps := slots(r, &d.steps, &d.nSteps, nSteps)
 		for j := 0; j < nSteps && r.Err() == nil; j++ {
 			var s QueryStep
 			s.Pair[0] = r.Ext()
 			s.Pair[1] = r.Ext()
 			s.Proof = merkle.Proof{Siblings: r.Hashes()}
-			q.Steps = append(q.Steps, s)
+			if steps != nil {
+				steps[j] = s
+			}
 		}
-		p.QueryRounds = append(p.QueryRounds, q)
+		if rounds != nil {
+			rounds[i] = QueryRound{OracleRows: rows, Steps: steps}
+		}
 	}
-	p.FinalPoly = r.Exts()
-	p.PowWitness = r.Elem()
-	return p
+	finalPoly := r.Exts()
+	powWitness := r.Elem()
+	if r.Sizing() {
+		return nil
+	}
+	return &Proof{CommitPhaseCaps: caps, QueryRounds: rounds, FinalPoly: finalPoly, PowWitness: powWitness}
 }

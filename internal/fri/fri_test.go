@@ -361,7 +361,6 @@ func TestVerifyQueryChunkPanicIsClassified(t *testing.T) {
 		groups: []PointGroup{{Oracles: []int{0}}},
 		proof:  &Proof{QueryRounds: make([]QueryRound, n)},
 		idxs:   make([]int, n),
-		w:      field.One,
 	}
 	want := func() (err error) {
 		defer prooferr.CatchPanic(&err, "fri")

@@ -131,7 +131,14 @@ func Verify(oracles []VerifierOracle, groups []PointGroup, opened OpenedValues,
 	// The query indices depend on the transcript only, so all of them are
 	// sampled before any query is checked.
 	qp := &queryPhase{oracles: oracles, groups: groups, proof: proof, betas: betas,
-		idxs: make([]int, len(proof.QueryRounds)), logM: logM, w: field.PrimitiveRootOfUnity(logM), cfg: cfg}
+		idxs: make([]int, len(proof.QueryRounds)), logM: logM, cfg: cfg}
+	qp.wPow, qp.wInvPow = make([]field.Element, logM), make([]field.Element, logM)
+	w := field.PrimitiveRootOfUnity(logM)
+	wInv := field.Inverse(w)
+	for j := range logM {
+		qp.wPow[j], qp.wInvPow[j] = w, wInv
+		w, wInv = field.Square(w), field.Square(wInv)
+	}
 	qp.powA, qp.powB, qp.ys = openingTables(groups, opened, alpha)
 	for q := range qp.idxs {
 		qp.idxs[q] = int(ch.SampleBits(logM))
@@ -177,8 +184,10 @@ type queryPhase struct {
 	betas      []field.Ext
 	idxs       []int
 	logM       int
-	w          field.Element // the LDE domain's generator
-	cfg        Config
+	// wPow[j] and wInvPow[j] are w^(2^j) and w^(-2^j), w the LDE
+	// domain's generator.
+	wPow, wInvPow []field.Element
+	cfg           Config
 }
 
 // openingTables returns α^0, α^1, … split into their base and ω parts,
@@ -207,8 +216,9 @@ func (qp *queryPhase) check(lo, hi int) error {
 	if err != nil {
 		return err
 	}
+	pts := qp.points(lo, hi)
 	for q := lo; q < hi; q++ {
-		if err := qp.verifyQuery(q, paths); err != nil {
+		if err := qp.verifyQuery(q, paths, pts); err != nil {
 			return fmt.Errorf("query %d (index %d): %w", q, qp.idxs[q], err)
 		}
 	}
@@ -312,10 +322,54 @@ func (pv *pathVerdicts) verify(q, b int, leaf []field.Element, index int, p merk
 	return nil
 }
 
-// halfOne is 1/2, which turns 1/x into 1/(2x) in the fold.
-var halfOne = field.Inverse(field.New(2))
+// halfOne is 1/2, which turns 1/x into 1/(2x) in the fold; genInv is
+// 1/g, g the LDE coset's shift.
+var (
+	halfOne = field.Inverse(field.New(2))
+	genInv  = field.Inverse(field.MultiplicativeGenerator)
+)
 
-func (qp *queryPhase) verifyQuery(q int, paths *pathVerdicts) error {
+// chunkPoints holds, for the queries of one chunk starting at query lo,
+// each query's point x on the LDE coset, 1/x, and 1/(x − z) for each
+// group's opening point z, query by query (zero where x = z).
+type chunkPoints struct {
+	lo      int
+	x, xInv [queryGrain]field.Element
+	invDiff []field.Ext
+}
+
+// points computes the chunkPoints of queries [lo, hi): x = g·w^e and
+// 1/x = (1/g)·w^(-e), e the bit-reversed index, from the tables of
+// powers, and every 1/(x − z) through the norms' one batch inversion
+// (1/(a + b·X) = (a − b·X)/(a² − W·b²)).
+func (qp *queryPhase) points(lo, hi int) *chunkPoints {
+	ng := len(qp.groups)
+	cp := &chunkPoints{lo: lo, invDiff: make([]field.Ext, (hi-lo)*ng)}
+	norms := make([]field.Element, len(cp.invDiff))
+	for q := lo; q < hi; q++ {
+		e := ntt.BitReverse(qp.idxs[q], qp.logM)
+		x, xInv := field.MultiplicativeGenerator, genInv
+		for j := range qp.wPow {
+			if e>>j&1 == 1 {
+				x, xInv = field.Mul(x, qp.wPow[j]), field.Mul(xInv, qp.wInvPow[j])
+			}
+		}
+		cp.x[q-lo], cp.xInv[q-lo] = x, xInv
+		for gi, g := range qp.groups {
+			d := field.ExtSub(field.FromBase(x), g.Point)
+			k := (q-lo)*ng + gi
+			cp.invDiff[k] = d
+			norms[k] = field.Sub(field.Square(d.A), field.Mul(field.W, field.Square(d.B)))
+		}
+	}
+	field.BatchInverse(norms)
+	for k, d := range cp.invDiff {
+		cp.invDiff[k] = field.Ext{A: field.Mul(d.A, norms[k]), B: field.Mul(field.Neg(d.B), norms[k])}
+	}
+	return cp
+}
+
+func (qp *queryPhase) verifyQuery(q int, paths *pathVerdicts, pts *chunkPoints) error {
 	oracles, proof, idx, logM := qp.oracles, qp.proof, qp.idxs[q], qp.logM
 	round := proof.QueryRounds[q]
 	if len(round.OracleRows) != len(oracles) {
@@ -345,8 +399,8 @@ func (qp *queryPhase) verifyQuery(q int, paths *pathVerdicts) error {
 
 	// Recompute the combined value F(x) at the query's point x from the
 	// authenticated rows.
-	x := field.Mul(field.MultiplicativeGenerator,
-		field.Exp(qp.w, uint64(ntt.BitReverse(idx, logM))))
+	x := pts.x[q-pts.lo]
+	invDiff := pts.invDiff[(q-pts.lo)*len(qp.groups):]
 	v := field.ExtZero
 	k := 0
 	for gi, g := range qp.groups {
@@ -362,14 +416,14 @@ func (qp *queryPhase) verifyQuery(q int, paths *pathVerdicts) error {
 		if diff.IsZero() {
 			return fmt.Errorf("%w: opening point lies on the LDE domain", ErrProofInvalid)
 		}
-		v = field.ExtAdd(v, field.ExtMul(field.ExtSub(b, qp.ys[gi]), field.ExtInverse(diff)))
+		v = field.ExtAdd(v, field.ExtMul(field.ExtSub(b, qp.ys[gi]), invDiff[gi]))
 	}
 
 	// Walk the fold layers. At every layer the query's pair sits at the
 	// points (x_k, −x_k), x_k being the query's point x at an even index
 	// and −x at an odd one, and the next layer's point is x²: so x and 1/x
 	// are squared from layer to layer.
-	xInv := field.Inverse(x)
+	xInv := pts.xInv[q-pts.lo]
 	i := idx
 	for t, step := range round.Steps {
 		if step.Pair[i&1] != v {
@@ -400,7 +454,7 @@ func (qp *queryPhase) verifyQuery(q int, paths *pathVerdicts) error {
 	}
 
 	// The folded value must match the final polynomial.
-	if v != poly.EvalExtCoeffs(proof.FinalPoly, field.FromBase(x)) {
+	if v != poly.EvalExtCoeffsAt(proof.FinalPoly, x) {
 		return fmt.Errorf("%w: final polynomial mismatch", ErrProofInvalid)
 	}
 	return nil

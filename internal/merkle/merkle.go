@@ -49,10 +49,10 @@ type Proof struct {
 // hashGrain is the number of Poseidon hashes per worker chunk: a
 // multiple of the eight hashes one batched permutation call computes,
 // large enough that chunk claiming is noise next to the chunk's eight
-// calls, small enough to load-balance mid-size levels. On 2-core
-// AVX-512 hosts BenchmarkPermuteX8 measured 3.2µs per call at 3.9 GHz
-// and 6.0µs at 2.1 GHz, 0.4 to 0.75µs per permutation; the portable
-// loop, 38µs per call at 2.1 GHz, costs about 5µs per permutation.
+// calls, small enough to load-balance mid-size levels. On the 2-core
+// AVX-512 Xeon BenchmarkPermuteX8 measures 6.1 to 6.3µs per call, about
+// 0.8µs per permutation, against 2.0µs for one BenchmarkPermute; the
+// portable loop, about 41µs per call, costs about 5µs per permutation.
 const hashGrain = 64
 
 // Build constructs a tree over the given leaves, leaf i being the row
@@ -235,7 +235,7 @@ func VerifyBatch(c Cap, ops []Opening, ok []bool) error {
 
 // minSIMDLanes is the smallest chunk verifyChunk hashes with the batched
 // permutation.
-const minSIMDLanes = 2
+const minSIMDLanes = 4
 
 // verifyChunk is VerifyBatch on at most eight openings. A chunk whose
 // path lengths differ, which only a malformed proof produces, and a chunk
@@ -243,11 +243,11 @@ const minSIMDLanes = 2
 // Verify; leaves of differing widths HashOrNoopBatch itself hashes one at
 // a time. On the SIMD backend a chunk of minSIMDLanes or more runs as a
 // full eight-lane call, the idle lanes repeating the last live one. One
-// such call costs 1.3 to 1.7 scalar permutations (BenchmarkPermuteX8
-// against BenchmarkPermute on 2-core AVX-512 hosts: 3.2 against 1.94µs
-// at 3.9 GHz, 6.0 against 4.5µs at 2.1 GHz), so two live lanes already
-// come out ahead. On the portable loop only the live lanes run, since
-// each lane costs a permutation anyway.
+// such call costs about three single-state permutations
+// (BenchmarkPermuteX8 against BenchmarkPermute on the 2-core AVX-512
+// Xeon: 6.1 to 6.3 against 2.0µs), so three live lanes break about even
+// and four come out ahead. On the portable loop only the live lanes run,
+// since each lane costs a permutation anyway.
 //
 //unizklint:hotpath
 func verifyChunk(c Cap, ops []Opening, ok []bool) {

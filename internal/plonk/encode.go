@@ -38,18 +38,20 @@ func (p *Proof) MarshalBinary() ([]byte, error) {
 // prooferr.ErrMalformedProof; structural validation beyond canonical field
 // encodings is left to Verify.
 func (p *Proof) UnmarshalBinary(data []byte) error {
-	r := wire.NewReader(data)
-	p.WiresCap = merkle.Cap(r.Hashes())
-	p.ZCap = merkle.Cap(r.Hashes())
-	p.QuotientCap = merkle.Cap(r.Hashes())
-	p.ConstantsOpen = r.Exts()
-	p.WiresOpen = r.Exts()
-	p.ZsOpen = r.Exts()
-	p.ZsNextOpen = r.Exts()
-	p.QuotientOpen = r.Exts()
-	p.PublicInputs = r.Elems()
-	p.FRI = fri.DecodeProof(r)
-	if err := r.Done(); err != nil {
+	var d fri.Decoder
+	err := wire.Decode(data, func(r *wire.Reader) {
+		p.WiresCap = merkle.Cap(r.Hashes())
+		p.ZCap = merkle.Cap(r.Hashes())
+		p.QuotientCap = merkle.Cap(r.Hashes())
+		p.ConstantsOpen = r.Exts()
+		p.WiresOpen = r.Exts()
+		p.ZsOpen = r.Exts()
+		p.ZsNextOpen = r.Exts()
+		p.QuotientOpen = r.Exts()
+		p.PublicInputs = r.Elems()
+		p.FRI = fri.DecodeProof(r, &d)
+	})
+	if err != nil {
 		return fmt.Errorf("plonk: decode: %w: %w", err, prooferr.ErrMalformedProof)
 	}
 	return nil

@@ -24,6 +24,17 @@ func EvalExtCoeffs(coeffs []field.Ext, x field.Ext) field.Ext {
 	return acc
 }
 
+// EvalExtCoeffsAt evaluates an extension-field coefficient vector at a
+// base-field point: EvalExtCoeffs at field.FromBase(x), with two base
+// products per coefficient instead of an extension product.
+func EvalExtCoeffsAt(coeffs []field.Ext, x field.Element) field.Ext {
+	var acc field.Ext
+	for i := len(coeffs) - 1; i >= 0; i-- {
+		acc = field.ExtAdd(field.ExtScalarMul(x, acc), coeffs[i])
+	}
+	return acc
+}
+
 // ChunkProducts computes h[i] = Π_{j=8i}^{8i+7} q[j], the per-chunk
 // products of paper Equation (1). len(q) must be a multiple of chunkSize.
 func ChunkProducts(q []field.Element, chunkSize int) []field.Element {

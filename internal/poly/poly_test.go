@@ -57,6 +57,13 @@ func TestEvalExtCoeffs(t *testing.T) {
 	if EvalExtCoeffs(ext, x) != EvalExt(base, x) {
 		t.Fatal("EvalExtCoeffs disagrees with EvalExt on embedded coeffs")
 	}
+	for i := range ext {
+		ext[i] = field.Ext{A: field.New(rng.Uint64()), B: field.New(rng.Uint64())}
+	}
+	b := field.New(rng.Uint64())
+	if EvalExtCoeffsAt(ext, b) != EvalExtCoeffs(ext, field.FromBase(b)) {
+		t.Fatal("EvalExtCoeffsAt disagrees with EvalExtCoeffs at an embedded base point")
+	}
 }
 
 func TestChunkAndPartialProducts(t *testing.T) {

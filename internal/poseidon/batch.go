@@ -26,7 +26,7 @@ func permuteX8Generic(x *lanesX8) {
 		for i := range s {
 			s[i] = x[i][k]
 		}
-		permuteLanes(&s)
+		permuteLanesGeneric(&s)
 		for i := range s {
 			x[i][k] = s[i]
 		}

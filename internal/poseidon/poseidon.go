@@ -203,10 +203,12 @@ func Permute(s State) State {
 	return s
 }
 
-// permuteLanes runs the rounds of Permute in place.
+// permuteLanesGeneric runs the rounds of Permute in place in Go: the
+// path on hosts without the SIMD backend and under the purego build tag,
+// and the reference the single-state kernel is tested against.
 //
 //unizklint:hotpath
-func permuteLanes(s *lanes) {
+func permuteLanesGeneric(s *lanes) {
 	r := 0
 	for ; r < HalfFullRounds; r++ {
 		fullRound(s, r)

@@ -24,14 +24,26 @@ func randState(rng *rand.Rand) State {
 }
 
 // TestFastMatchesNaive is the central property: the optimized permutation
-// (paper Algorithm 1 with derived PreMDSMatrix / SparseMDSMatrix) computes
-// exactly the textbook Poseidon permutation.
+// (paper Algorithm 1 with derived PreMDSMatrix / SparseMDSMatrix, the Go
+// rounds) computes exactly the textbook Poseidon permutation, and so does
+// Permute, whichever backend it dispatches to.
 func TestFastMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 300; i++ {
 		s := randState(rng)
-		if Permute(s) != PermuteNaive(s) {
-			t.Fatalf("fast and naive permutations differ on input %v", s)
+		want := PermuteNaive(s)
+		if Permute(s) != want {
+			t.Fatalf("Permute and the naive permutation differ on input %v", s)
+		}
+		var x lanes
+		for j, e := range s {
+			x[j] = uint64(e)
+		}
+		permuteLanesGeneric(&x)
+		for j, v := range x {
+			if field.New(v) != want[j] {
+				t.Fatalf("fast and naive permutations differ on input %v", s)
+			}
 		}
 	}
 }
@@ -376,9 +388,10 @@ func TestLaneArithmetic(t *testing.T) {
 	}
 }
 
-// FuzzPermute checks Permute against PermuteNaive, and the lane rounds
-// on raw (possibly non-canonical) 64-bit lanes against the naive
-// permutation of their canonical values.
+// FuzzPermute checks Permute against PermuteNaive, and both the
+// dispatching lane rounds (the single-state kernel on AVX-512 hosts) and
+// the Go rounds on raw (possibly non-canonical) 64-bit lanes against the
+// naive permutation of their canonical values.
 func FuzzPermute(f *testing.F) {
 	edges := []uint64{0, field.Order - 1, 1<<32 - 1, 1 << 32, 1 << 63}
 	for k := range edges {
@@ -400,11 +413,50 @@ func FuzzPermute(f *testing.F) {
 		if got := Permute(s); got != want {
 			t.Fatalf("Permute(%v) = %v, PermuteNaive = %v", s, got, want)
 		}
+		generic := raw
 		permuteLanes(&raw)
-		for i, v := range raw {
-			if field.New(v) != want[i] {
-				t.Fatalf("permuteLanes lane %d = %#x, PermuteNaive = %v", i, v, want[i])
+		permuteLanesGeneric(&generic)
+		for i := range raw {
+			if field.New(raw[i]) != want[i] || field.New(generic[i]) != want[i] {
+				t.Fatalf("lane %d: permuteLanes %#x, permuteLanesGeneric %#x, PermuteNaive %v", i, raw[i], generic[i], want[i])
 			}
 		}
 	})
+}
+
+// TestChallengerMatchesNaive drives a Challenger through random runs of
+// observations and samples against a duplex sponge on PermuteNaive: the
+// transcript path through whichever permutation backend Permute runs.
+func TestChallengerMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for run := 0; run < 50; run++ {
+		c := NewChallenger()
+		var state State
+		var in, out []field.Element
+		duplex := func() {
+			copy(state[:], in)
+			in = in[:0]
+			state = PermuteNaive(state)
+			out = append(out[:0], state[:Rate]...)
+		}
+		for op := 0; op < 60; op++ {
+			if rng.Intn(3) > 0 {
+				e := field.New(rng.Uint64())
+				c.Observe(e)
+				out = out[:0]
+				if in = append(in, e); len(in) == Rate {
+					duplex()
+				}
+				continue
+			}
+			if len(in) > 0 || len(out) == 0 {
+				duplex()
+			}
+			want := out[len(out)-1]
+			out = out[:len(out)-1]
+			if got := c.Sample(); got != want {
+				t.Fatalf("run %d op %d: Sample = %v, want %v", run, op, got, want)
+			}
+		}
+	}
 }

@@ -15,6 +15,28 @@ func permuteX8(x *lanesX8) {
 	permuteX8Generic(x)
 }
 
+// permuteLanes runs the rounds of Permute in place.
+//
+//unizklint:hotpath
+func permuteLanes(s *lanes) {
+	if field.AVX512 {
+		permuteAVX512(s)
+		return
+	}
+	permuteLanesGeneric(s)
+}
+
+// permuteAVX512 is the AVX-512F single-state permutation of
+// x8_amd64.s, walking x8Table and mdsCols.
+//
+//go:noescape
+func permuteAVX512(s *lanes)
+
+// mdsAVX512 applies permuteAVX512's MDS layer alone, for tests.
+//
+//go:noescape
+func mdsAVX512(s *lanes)
+
 // permuteX8AVX512 is the AVX-512F permutation of x8_amd64.s, walking
 // x8Table.
 //
@@ -36,10 +58,21 @@ func mdsX8AVX512(x *lanesX8)
 // final full rounds.
 var x8Table [FullRounds*Width + PartialRounds]uint64
 
-// initX8 builds x8Table from the round constants. It runs from the
+// mdsCols holds the MDS matrix by columns for permuteAVX512: column c
+// is mdsCols[c][:Width], rows 0-7 then 8-11, padded with zeros to two
+// 512-bit vectors.
+var mdsCols [Width][16]uint64
+
+// initX8 builds x8Table and mdsCols from the round constants and the MDS
+// matrix. It runs from the
 // package init, after those constants exist.
 func initX8() {
 	m := MDSMatrix()
+	for r, row := range m {
+		for c, e := range row {
+			mdsCols[c][r] = uint64(e)
+		}
+	}
 	t := x8Table[:0]
 	// owed is what the previous partial round still adds to the state:
 	// M times lanes 1..11 of its constant.

@@ -392,3 +392,242 @@ TEXT ·mdsX8AVX512(SB), NOSPLIT, $0-8
 	STORE
 	VZEROUPPER
 	RET
+
+// One Poseidon permutation, the sequential sponges' kernel (the
+// transcript, TwoToOne, HashNoPad and the batch tails; UniZK spreads one
+// permutation over a 12x3 PE region for these, Fig. 5b). Lanes 0-7 of the
+// state live in S0, lanes 8-11 in the low half of S8; the high half of S8
+// is never stored. It runs the rounds and walks x8Table exactly as
+// permuteX8AVX512 does. The S-boxes of the full rounds run on S0 and S8,
+// the lane-0 S-box of the partial rounds in scalar MULQ arithmetic: the
+// vector S-box on S0 measured 2.55 µs a permutation against the scalar
+// one's 2.05 µs (2-core AVX-512 Xeon), its three dependent products each
+// a long chain of vector ops.
+//
+// The MDS layer works by columns: lane c broadcast to every position
+// (VPERMQ), its two 32-bit limbs multiplied by column c of the matrix
+// (read from mdsCols through R9; the diagonal is in column 0), the eight
+// and four rows of each limb summed in ALO/AHI and BLO/BHI, and each
+// row's limbs joined as in the batched kernel. The limb sums stay below
+// 264·2^32 < 2^41, JOIN's bound. In a partial round the columns of lanes
+// 1-11 are summed while the scalar S-box runs, and lane 0's column last.
+//
+// Register roles:
+//   Z0, Z1    S0, S8: the state
+//   Z2-Z9     IDX0-IDX7: VPERMQ indices broadcasting lane k
+//   Z10, Z11  BC, BH: the broadcast lane and its high limb
+//   Z12-Z20   S-box powers and T0-T5, as in the batched kernel
+//   Z21-Z23, Z25  ALO, AHI, BLO, BHI: the limb row sums
+//   Z24       CA, JOIN's temporary
+//   Z26, Z27  PA, PB: limb products
+//   Z30       S8's round constants
+//   Z31       EPS
+//   K3        0x0f: S8's lanes in memory
+//   AX, DX, R10-R13  the scalar S-box
+
+#define S0 Z0
+#define S8 Z1
+#define IDX0 Z2
+#define IDX1 Z3
+#define IDX2 Z4
+#define IDX3 Z5
+#define IDX4 Z6
+#define IDX5 Z7
+#define IDX6 Z8
+#define IDX7 Z9
+#define BC Z10
+#define BH Z11
+#define ALO Z21
+#define AHI Z22
+#define BLO Z23
+#define BHI Z25
+#define PA Z26
+#define PB Z27
+
+// COLSET sets the row sums to the column at off(R9) times the lane in
+// BC; COL adds that product to them.
+#define COLSET(off) \
+	VPSRLQ   $32, BC, BH;       \
+	VPMULUDQ off(R9), BC, ALO;  \
+	VPMULUDQ off(R9), BH, AHI;  \
+	VPMULUDQ off+64(R9), BC, BLO; \
+	VPMULUDQ off+64(R9), BH, BHI
+
+#define COL(off) \
+	VPSRLQ   $32, BC, BH;       \
+	VPMULUDQ off(R9), BC, PA;   \
+	VPADDQ   PA, ALO, ALO;      \
+	VPMULUDQ off(R9), BH, PB;   \
+	VPADDQ   PB, AHI, AHI;      \
+	VPMULUDQ off+64(R9), BC, PA; \
+	VPADDQ   PA, BLO, BLO;      \
+	VPMULUDQ off+64(R9), BH, PB; \
+	VPADDQ   PB, BHI, BHI
+
+// LANE adds the column of the lane src[idx], found at off(R9).
+#define LANE(src, idx, off) \
+	VPERMQ src, idx, BC; \
+	COL(off)
+
+// COLS2 adds the columns of lanes 2-11.
+#define COLS2 \
+	LANE(S0, IDX2, 256);  \
+	LANE(S0, IDX3, 384);  \
+	LANE(S0, IDX4, 512);  \
+	LANE(S0, IDX5, 640);  \
+	LANE(S0, IDX6, 768);  \
+	LANE(S0, IDX7, 896);  \
+	LANE(S8, IDX0, 1024); \
+	LANE(S8, IDX1, 1152); \
+	LANE(S8, IDX2, 1280); \
+	LANE(S8, IDX3, 1408)
+
+// JOINTO is JOIN with the result in D, which must not be h.
+#define JOINTO(l, h, D) \
+	VPSRLQ   $32, h, CA;     \
+	VPMULUDQ EPS, CA, CA;    \
+	VPADDQ   CA, l, l;       \
+	VPSLLQ   $32, h, h;      \
+	VPADDQ   h, l, D;        \
+	VPCMPUQ  $1, h, D, K1;   \
+	VPADDQ   EPS, D, K1, D
+
+#define JOINS \
+	JOINTO(ALO, AHI, S0); \
+	JOINTO(BLO, BHI, S8)
+
+// SMDS multiplies the state by the MDS matrix.
+#define SMDS \
+	VPERMQ S0, IDX0, BC;  \
+	COLSET(0);            \
+	LANE(S0, IDX1, 128);  \
+	COLS2;                \
+	JOINS
+
+// SSETUP loads EPS, K3, K7, IDX0-IDX7 and the state from (DI).
+// Clobbers AX.
+#define SSETUP \
+	SETEPS;                  \
+	MOVL  $0x5555, AX;       \
+	KMOVW AX, K7;            \
+	MOVL  $0x0f, AX;         \
+	KMOVW AX, K3;            \
+	VPXORQ IDX0, IDX0, IDX0; \
+	MOVQ  $1, AX;            \
+	VPBROADCASTQ AX, IDX1;   \
+	MOVQ  $2, AX;            \
+	VPBROADCASTQ AX, IDX2;   \
+	MOVQ  $3, AX;            \
+	VPBROADCASTQ AX, IDX3;   \
+	MOVQ  $4, AX;            \
+	VPBROADCASTQ AX, IDX4;   \
+	MOVQ  $5, AX;            \
+	VPBROADCASTQ AX, IDX5;   \
+	MOVQ  $6, AX;            \
+	VPBROADCASTQ AX, IDX6;   \
+	MOVQ  $7, AX;            \
+	VPBROADCASTQ AX, IDX7;   \
+	VMOVDQU64   0(DI), S0;   \
+	VMOVDQU64.Z 64(DI), K3, S8
+
+#define SSTORE \
+	VMOVDQU64 S0, 0(DI);      \
+	VMOVDQU64 S8, K3, 64(DI)
+
+// SREDUCE sets AX to a lane congruent to DX·2^64 + AX, as reduce128
+// does. Clobbers DX, R10, R11.
+#define SREDUCE \
+	MOVQ DX, R10;      \
+	SHRQ $32, R10;     \
+	SUBQ R10, AX;      \
+	SBBQ R11, R11;     \
+	MOVL R11, R11;     \
+	SUBQ R11, AX;      \
+	MOVL DX, R10;      \
+	MOVQ R10, R11;     \
+	SHLQ $32, R11;     \
+	SUBQ R10, R11;     \
+	ADDQ R11, AX;      \
+	SBBQ R10, R10;     \
+	MOVL R10, R10;     \
+	ADDQ R10, AX
+
+// SSBOX sets AX = AX^7. Clobbers DX, R10-R13.
+#define SSBOX \
+	MOVQ AX, R12;  \
+	MULQ AX;       \
+	SREDUCE;       \
+	MOVQ AX, R13;  \
+	MULQ R12;      \
+	SREDUCE;       \
+	MOVQ AX, R12;  \
+	MOVQ R13, AX;  \
+	MULQ R13;      \
+	SREDUCE;       \
+	MULQ R12;      \
+	SREDUCE
+
+// func permuteAVX512(s *lanes)
+TEXT ·permuteAVX512(SB), NOSPLIT, $0-8
+	MOVQ s+0(FP), DI
+	SSETUP
+	LEAQ ·x8Table(SB), R8
+	LEAQ ·mdsCols(SB), R9
+
+	XORQ BX, BX // 0 for the first half of the full rounds, 1 for the second
+	MOVQ $const_HalfFullRounds, CX
+
+sfull:
+	VPADDQ    0(R8), S0, S0
+	VPCMPUQ   $1, 0(R8), S0, K1
+	VPADDQ    EPS, S0, K1, S0
+	VMOVDQU64.Z 64(R8), K3, Z30
+	VPADDQ    Z30, S8, S8
+	VPCMPUQ   $1, Z30, S8, K2
+	VPADDQ    EPS, S8, K2, S8
+	SBOX(S0)
+	SBOX(S8)
+	SMDS
+	ADDQ $(8*const_Width), R8
+	DECQ CX
+	JNZ  sfull
+	TESTQ BX, BX
+	JNZ   sdone
+	MOVQ  $1, BX
+
+	MOVQ $const_PartialRounds, CX
+
+spartial:
+	VMOVQ X0, AX
+	ADDQ  0(R8), AX
+	SBBQ  R10, R10
+	MOVL  R10, R10
+	ADDQ  R10, AX
+	SSBOX
+	VPERMQ S0, IDX1, BC
+	COLSET(128)
+	COLS2
+	VPBROADCASTQ AX, BC
+	COL(0)
+	JOINS
+	ADDQ $8, R8
+	DECQ CX
+	JNZ  spartial
+
+	MOVQ $const_HalfFullRounds, CX
+	JMP  sfull
+
+sdone:
+	SSTORE
+	VZEROUPPER
+	RET
+
+// func mdsAVX512(s *lanes)
+TEXT ·mdsAVX512(SB), NOSPLIT, $0-8
+	MOVQ s+0(FP), DI
+	SSETUP
+	LEAQ ·mdsCols(SB), R9
+	SMDS
+	SSTORE
+	VZEROUPPER
+	RET

@@ -34,14 +34,16 @@ func (p *Proof) MarshalBinary() ([]byte, error) {
 // prooferr.ErrMalformedProof; structural validation beyond canonical
 // field encodings is left to Verify.
 func (p *Proof) UnmarshalBinary(data []byte) error {
-	r := wire.NewReader(data)
-	p.TraceCap = merkle.Cap(r.Hashes())
-	p.QuotientCap = merkle.Cap(r.Hashes())
-	p.TraceOpen = r.Exts()
-	p.TraceNextOpen = r.Exts()
-	p.QuotientOpen = r.Exts()
-	p.FRI = fri.DecodeProof(r)
-	if err := r.Done(); err != nil {
+	var d fri.Decoder
+	err := wire.Decode(data, func(r *wire.Reader) {
+		p.TraceCap = merkle.Cap(r.Hashes())
+		p.QuotientCap = merkle.Cap(r.Hashes())
+		p.TraceOpen = r.Exts()
+		p.TraceNextOpen = r.Exts()
+		p.QuotientOpen = r.Exts()
+		p.FRI = fri.DecodeProof(r, &d)
+	})
+	if err != nil {
 		return fmt.Errorf("stark: decode: %w: %w", err, prooferr.ErrMalformedProof)
 	}
 	return nil

@@ -129,6 +129,58 @@ type Reader struct {
 	data []byte
 	pos  int
 	err  error
+	// sizing marks Decode's first pass, in which the collection readers
+	// check their runs and count their entries in nElems, nExts and
+	// nHashes but return nil.
+	sizing                 bool
+	nElems, nExts, nHashes int
+	// checked marks Decode's second pass, whose words the first pass has
+	// already found canonical; elems, exts and hashes are the exactly
+	// sized arrays it carves its collections from, nil outside Decode,
+	// where each collection gets its own.
+	checked bool
+	elems   []field.Element
+	exts    []field.Ext
+	hashes  []poseidon.HashOut
+}
+
+// Decode decodes data with decode, which it runs twice: first to check
+// every bound and canonical form and to count the elements, extension
+// elements and digests the collections hold, then, if that pass
+// succeeds, to fill every collection from one exactly sized array per
+// kind. decode must read the stream the same way both times, so its
+// reads may depend on lengths and single values but not on what a
+// collection reader returned; Sizing tells the passes apart. Decode
+// returns the first error, or Done's.
+func Decode(data []byte, decode func(*Reader)) error {
+	size := Reader{data: data, sizing: true}
+	decode(&size)
+	if err := size.Done(); err != nil {
+		return err
+	}
+	r := Reader{data: data, checked: true,
+		elems:  make([]field.Element, size.nElems),
+		exts:   make([]field.Ext, size.nExts),
+		hashes: make([]poseidon.HashOut, size.nHashes)}
+	decode(&r)
+	return r.Done()
+}
+
+// Sizing reports whether r runs Decode's first pass, in which
+// Elems, Exts and Hashes return nil.
+func (r *Reader) Sizing() bool { return r.sizing }
+
+// Carve returns the next n entries of *arena as a slice whose capacity
+// ends with it, so appending to it cannot write into the next one, and
+// advances *arena past them. When *arena is nil or holds fewer than n
+// entries it returns a new slice instead.
+func Carve[T any](arena *[]T, n int) []T {
+	if *arena == nil || len(*arena) < n {
+		return make([]T, n)
+	}
+	s := (*arena)[:n:n]
+	*arena = (*arena)[n:]
+	return s
 }
 
 // NewReader wraps an encoded stream.
@@ -206,6 +258,39 @@ func (r *Reader) lenFor(elemBytes int) int {
 	return n
 }
 
+// words returns the next n words, all canonical field elements, and
+// consumes them. It fails as reading them one Elem at a time would: at
+// the first non-canonical word, else at the end of the stream. A checked
+// reader skips the canonical test its sizing pass already made.
+func (r *Reader) words(n int) []byte {
+	if r.err != nil {
+		return nil
+	}
+	avail := (len(r.data) - r.pos) / 8
+	b := r.data[r.pos : r.pos+8*min(n, avail)]
+	for i := 0; i < len(b) && !r.checked; i += 8 {
+		if binary.LittleEndian.Uint64(b[i:]) >= field.Order {
+			r.fail(errNonCanonical())
+			return nil
+		}
+	}
+	if n > avail {
+		r.fail(ErrTruncated)
+		return nil
+	}
+	r.pos += len(b)
+	return b
+}
+
+// word returns the i'th word of b, a run words checked.
+func word(b []byte, i int) field.Element {
+	return field.New(binary.LittleEndian.Uint64(b[8*i:]))
+}
+
+func errNonCanonical() error {
+	return fmt.Errorf("%w: non-canonical field element", ErrInvalid)
+}
+
 // U64 reads a raw 64-bit word.
 func (r *Reader) U64() uint64 {
 	if r.err != nil {
@@ -222,23 +307,27 @@ func (r *Reader) U64() uint64 {
 
 // Elem reads a field element, rejecting non-canonical encodings.
 func (r *Reader) Elem() field.Element {
-	v := r.U64()
-	if v >= field.Order {
-		r.fail(fmt.Errorf("%w: non-canonical field element", ErrInvalid))
+	b := r.words(1)
+	if r.err != nil {
 		return 0
 	}
-	return field.New(v)
+	return word(b, 0)
 }
 
 // Elems reads a length-prefixed element slice.
 func (r *Reader) Elems() []field.Element {
 	n := r.lenFor(8)
+	b := r.words(n)
 	if r.err != nil {
 		return nil
 	}
-	out := make([]field.Element, n)
+	if r.sizing {
+		r.nElems += n
+		return nil
+	}
+	out := Carve(&r.elems, n)
 	for i := range out {
-		out[i] = r.Elem()
+		out[i] = word(b, i)
 	}
 	return out
 }
@@ -277,20 +366,27 @@ func (r *Reader) Str() string {
 
 // Ext reads an extension element.
 func (r *Reader) Ext() field.Ext {
-	a := r.Elem()
-	b := r.Elem()
-	return field.Ext{A: a, B: b}
+	b := r.words(2)
+	if r.err != nil {
+		return field.Ext{}
+	}
+	return field.Ext{A: word(b, 0), B: word(b, 1)}
 }
 
 // Exts reads a length-prefixed extension slice.
 func (r *Reader) Exts() []field.Ext {
 	n := r.lenFor(16)
+	b := r.words(2 * n)
 	if r.err != nil {
 		return nil
 	}
-	out := make([]field.Ext, n)
+	if r.sizing {
+		r.nExts += n
+		return nil
+	}
+	out := Carve(&r.exts, n)
 	for i := range out {
-		out[i] = r.Ext()
+		out[i] = field.Ext{A: word(b, 2*i), B: word(b, 2*i+1)}
 	}
 	return out
 }
@@ -298,8 +394,10 @@ func (r *Reader) Exts() []field.Ext {
 // Hash reads a digest.
 func (r *Reader) Hash() poseidon.HashOut {
 	var h poseidon.HashOut
-	for i := range h {
-		h[i] = r.Elem()
+	if b := r.words(len(h)); r.err == nil {
+		for i := range h {
+			h[i] = word(b, i)
+		}
 	}
 	return h
 }
@@ -307,12 +405,19 @@ func (r *Reader) Hash() poseidon.HashOut {
 // Hashes reads a length-prefixed digest slice.
 func (r *Reader) Hashes() []poseidon.HashOut {
 	n := r.lenFor(32)
+	b := r.words(4 * n)
 	if r.err != nil {
 		return nil
 	}
-	out := make([]poseidon.HashOut, n)
+	if r.sizing {
+		r.nHashes += n
+		return nil
+	}
+	out := Carve(&r.hashes, n)
 	for i := range out {
-		out[i] = r.Hash()
+		for j := range out[i] {
+			out[i][j] = word(b, 4*i+j)
+		}
 	}
 	return out
 }
