@@ -47,13 +47,14 @@ go test -timeout 5m ./internal/allocgate
 
 # Job-lifecycle core race gate: internal/jobcore driven by a scripted
 # fake executor (admission rollback, status table, idempotency,
-# long-poll/SSE, journal recovery), the proof cache's admission and
-# eviction under concurrent Begin/Complete/Abort/Put, the bounded store
-# that decides which entries stay (against its brute-force model), and
-# the journal's known-result set shared by concurrent appenders, under
-# the race detector. The full -race run below repeats it; this step
-# makes a lifecycle, cache or journal regression fail under its own name.
-go test -race ./internal/jobcore ./internal/proofcache ./internal/store ./internal/journal
+# SSE and the polling fallback, journal recovery), internal/serverclient
+# that consumes both, the proof cache's admission and eviction under
+# concurrent Begin/Complete/Abort/Put, the bounded store that decides
+# which entries stay (against its brute-force model), and the journal's
+# known-result set shared by concurrent appenders, under the race
+# detector. The full -race run below repeats it; this step makes a
+# lifecycle, cache or journal regression fail under its own name.
+go test -race ./internal/jobcore ./internal/serverclient ./internal/proofcache ./internal/store ./internal/journal
 
 # Chaos soak (fixed seed, small circuits): concurrent clients drive real
 # proof jobs through injected connection resets, truncated responses,

@@ -123,7 +123,8 @@ func runRemote(ctx context.Context, baseURL string, req *jobs.Request, timeout t
 	var err error
 	if stream {
 		// Async submit, then follow the job's progress events; each
-		// status line is one SSE (or long-poll/poll fallback) update.
+		// status line is one SSE update. A failed stream falls back to
+		// polling, which prints none.
 		var id string
 		id, err = c.Submit(ctx, req, serverclient.Options{Timeout: timeout})
 		exitOn(err, remoteExitCode(err))

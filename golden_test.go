@@ -262,11 +262,10 @@ func (g goldenVectors) diff(ref goldenVectors) error {
 
 func TestGoldenVectors(t *testing.T) {
 	prevWorkers := parallel.Workers()
-	defer func() { parallel.SetSerial(false); parallel.SetWorkers(prevWorkers) }()
+	defer parallel.SetWorkers(prevWorkers)
 
-	parallel.SetSerial(true)
+	parallel.SetWorkers(1)
 	serial := computeGolden(t)
-	parallel.SetSerial(false)
 
 	if os.Getenv("UNIZK_UPDATE_GOLDEN") != "" {
 		data, err := json.MarshalIndent(serial, "", "  ")

@@ -17,17 +17,17 @@ import (
 	"unizk/internal/stark"
 )
 
-// serialRun forces serial execution for the duration of fn so that
-// AllocsPerRun measures the kernels themselves, not the worker pool's
-// dispatch closures, then restores the previous mode.
+// serialRun runs fn on a one-worker pool so that AllocsPerRun measures
+// the kernels themselves, not the worker pool's dispatch closures, then
+// restores the previous worker count.
 func serialRun(t *testing.T, fn func()) {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
-	prev := parallel.SerialMode()
-	parallel.SetSerial(true)
-	defer parallel.SetSerial(prev)
+	prev := parallel.Workers()
+	parallel.SetWorkers(1)
+	defer parallel.SetWorkers(prev)
 	fn()
 }
 
@@ -178,7 +178,7 @@ func TestVecAllocs(t *testing.T) {
 // TestTwiddleCacheAllocs pins the table-cache hit paths: once a size's
 // tables are cached, transforms and coset scalings at that size must not
 // allocate (2^10 stays below the NTT's parallel threshold, so the serial
-// path runs even without SetSerial) — a regression here means a cache key stopped matching and
+// path runs even on a multi-worker pool) — a regression here means a cache key stopped matching and
 // every proof is silently rebuilding tables.
 func TestTwiddleCacheAllocs(t *testing.T) {
 	serialRun(t, func() {

@@ -272,8 +272,8 @@ func TestClusterCacheSoak(t *testing.T) {
 }
 
 // clusterSoakAwaitStream retries WaitStream until the proof arrives —
-// the SSE path with its long-poll and plain-poll fallbacks, under the
-// same chaos and error classification as soakAwait.
+// the SSE path with its plain-poll fallback, under the same chaos and
+// error classification as soakAwait.
 func clusterSoakAwaitStream(t *testing.T, ctx context.Context, c *serverclient.Client, ci, n int, id string) ([]byte, bool) {
 	for {
 		res, err := c.WaitStream(ctx, id, nil)

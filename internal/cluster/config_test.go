@@ -28,7 +28,6 @@ func TestShippingSettings(t *testing.T) {
 		got, want any
 	}{
 		{"poll interval", s.pollInterval, 25 * time.Millisecond},
-		{"node client poll interval", n.client.PollInterval, 25 * time.Millisecond},
 		{"saturation backoff", s.saturationBackoff, 250 * time.Millisecond},
 		{"retry base delay", n.retry.BaseDelay, 50 * time.Millisecond},
 		{"recover timeout", s.recoverTimeout, 2 * time.Second},

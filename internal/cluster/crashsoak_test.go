@@ -261,7 +261,6 @@ func TestCrashRecoverySoak(t *testing.T) {
 	defer cancel()
 	newClient := func(ci int) *serverclient.Client {
 		c := serverclient.New(life1.url)
-		c.PollInterval = 10 * time.Millisecond
 		c.Retry = &serverclient.RetryPolicy{
 			MaxAttempts: 6,
 			BaseDelay:   5 * time.Millisecond,

@@ -68,11 +68,10 @@ func newNode(baseURL string, index int, s settings) *node {
 		breaker: br,
 		retry:   rp,
 		client: &serverclient.Client{
-			BaseURL:      baseURL,
-			HTTPClient:   hc,
-			PollInterval: s.pollInterval,
-			Retry:        rp,
-			Breaker:      br,
+			BaseURL:    baseURL,
+			HTTPClient: hc,
+			Retry:      rp,
+			Breaker:    br,
 		},
 	}
 }

@@ -37,9 +37,8 @@ import (
 //   - cache and per-tenant counters in Metrics add up;
 //   - after drain + close, the goroutine count settles: nothing leaks.
 //
-// Half the clients await via WaitStream (SSE with long-poll and plain
-// polling fallback), so the degradation ladder is exercised under the
-// same faults.
+// Half the clients await via WaitStream (SSE with a plain polling
+// fallback), so the fallback is exercised under the same faults.
 func TestCacheSoak(t *testing.T) {
 	const (
 		seed       = 20250807
@@ -242,8 +241,8 @@ func TestCacheSoak(t *testing.T) {
 			m.RejectedRateLimited)
 	}
 
-	// Drain, close, settle: coalesced watchers, SSE streams, and
-	// long-poll parkers must all unwind.
+	// Drain, close, settle: coalesced watchers and SSE streams must
+	// all unwind.
 	sctx, scancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer scancel()
 	if err := s.Shutdown(sctx); err != nil {
@@ -255,8 +254,8 @@ func TestCacheSoak(t *testing.T) {
 }
 
 // soakAwaitStream retries WaitStream until the proof arrives: the SSE
-// path with its internal long-poll and plain-poll fallbacks, under the
-// same chaos and the same error classification as soakAwait.
+// path with its plain-poll fallback, under the same chaos and the same
+// error classification as soakAwait.
 func soakAwaitStream(t *testing.T, ctx context.Context, c *serverclient.Client, ci, n int, id string) ([]byte, bool) {
 	for {
 		res, err := c.WaitStream(ctx, id, nil)

@@ -10,13 +10,13 @@ import (
 
 // TestPristineProofsSerialVsParallel checks the harness's fixture proofs
 // — full Plonk and Stark pipelines end to end — serialize to identical
-// bytes whether the prover kernels run forced-serial or on a multi-worker
+// bytes whether the prover kernels run on one worker or on a multi-worker
 // pool. This is the harness-level form of the bit-identity contract: the
 // pristine proof the mutants are derived from must not depend on the
 // machine's core count.
 func TestPristineProofsSerialVsParallel(t *testing.T) {
 	prev := parallel.Workers()
-	defer func() { parallel.SetSerial(false); parallel.SetWorkers(prev) }()
+	defer parallel.SetWorkers(prev)
 
 	for _, build := range []struct {
 		name string
@@ -25,12 +25,11 @@ func TestPristineProofsSerialVsParallel(t *testing.T) {
 		{"plonk", PlonkTarget},
 		{"stark", StarkTarget},
 	} {
-		parallel.SetSerial(true)
+		parallel.SetWorkers(1)
 		ref, err := build.mk()
 		if err != nil {
 			t.Fatalf("%s serial target: %v", build.name, err)
 		}
-		parallel.SetSerial(false)
 
 		for _, workers := range []int{2, runtime.NumCPU()} {
 			parallel.SetWorkers(workers)

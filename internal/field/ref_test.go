@@ -148,11 +148,7 @@ func TestRefDot(t *testing.T) {
 // including zero entries (which must stay zero).
 func TestRefBatchInverse(t *testing.T) {
 	prevWorkers := parallel.Workers()
-	prevSerial := parallel.SerialMode()
-	defer func() {
-		parallel.SetSerial(prevSerial)
-		parallel.SetWorkers(prevWorkers)
-	}()
+	defer parallel.SetWorkers(prevWorkers)
 
 	rng := rand.New(rand.NewSource(0xba7c4))
 	for _, n := range []int{0, 1, 7, 512, 5000} {
@@ -176,9 +172,8 @@ func TestRefBatchInverse(t *testing.T) {
 			}
 		}
 
-		parallel.SetSerial(true)
+		parallel.SetWorkers(1)
 		run("serial", BatchInverse)
-		parallel.SetSerial(false)
 		for _, workers := range []int{1, 2, 7} {
 			parallel.SetWorkers(workers)
 			run("parallel", func(ys []Element) {

@@ -75,7 +75,7 @@ func combineFixture(seed int64, logN, rateBits, numGroups int) ([]*PolynomialBat
 // groups, and every worker count.
 func TestCombineMatchesReference(t *testing.T) {
 	prev := parallel.Workers()
-	defer func() { parallel.SetSerial(false); parallel.SetWorkers(prev) }()
+	defer parallel.SetWorkers(prev)
 
 	alpha := field.NewExt(0x1234_5678, 0x9abc_def0)
 	for rateBits := 1; rateBits <= 3; rateBits++ {
@@ -84,9 +84,8 @@ func TestCombineMatchesReference(t *testing.T) {
 				name := fmt.Sprintf("rate%d/groups%d/2^%d", rateBits, numGroups, logN)
 				oracles, groups, opened := combineFixture(int64(100*rateBits+10*numGroups+logN), logN, rateBits, numGroups)
 				want := refCombine(oracles, groups, opened, alpha)
-				for _, workers := range []int{0, 1, 2, 7, runtime.NumCPU()} {
-					parallel.SetSerial(workers == 0)
-					parallel.SetWorkers(max(workers, 1))
+				for _, workers := range []int{1, 2, 7, runtime.NumCPU()} {
+					parallel.SetWorkers(workers)
 					got := make([]field.Ext, len(want))
 					if err := Combine(context.Background(), got, oracles, groups, opened, alpha); err != nil {
 						t.Fatalf("%s workers=%d: %v", name, workers, err)

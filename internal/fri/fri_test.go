@@ -348,13 +348,13 @@ func TestShapeOKGatesBatching(t *testing.T) {
 
 // TestVerifyQueryChunkPanicIsClassified checks that a panic inside a chunk of
 // the query loop reaches the caller as prooferr.CatchPanic reports one on
-// the calling goroutine, with the pool at one, two and seven workers and
-// in serial mode. The phase's one point group names an oracle the phase
-// lacks, which Verify's shape checks never let through, so every query's
-// combine step indexes past its rows.
+// the calling goroutine, with the pool at one, two and seven workers.
+// The phase's one point group names an oracle the phase lacks, which
+// Verify's shape checks never let through, so every query's combine step
+// indexes past its rows.
 func TestVerifyQueryChunkPanicIsClassified(t *testing.T) {
 	prev := parallel.Workers()
-	defer func() { parallel.SetSerial(false); parallel.SetWorkers(prev) }()
+	defer parallel.SetWorkers(prev)
 
 	const n = 20 // two full chunks and a partial one
 	qp := &queryPhase{
@@ -368,18 +368,14 @@ func TestVerifyQueryChunkPanicIsClassified(t *testing.T) {
 		_ = rows[0].Values
 		return nil
 	}()
-	for _, m := range []struct {
-		workers int
-		serial  bool
-	}{{1, false}, {2, false}, {7, false}, {prev, true}} {
-		parallel.SetWorkers(m.workers)
-		parallel.SetSerial(m.serial)
+	for _, workers := range []int{1, 2, 7} {
+		parallel.SetWorkers(workers)
 		err := qp.run()
 		if err == nil || err.Error() != want.Error() {
-			t.Fatalf("workers=%d serial=%v: got %v, want %v", m.workers, m.serial, err, want)
+			t.Fatalf("workers=%d: got %v, want %v", workers, err, want)
 		}
 		if !errors.Is(err, prooferr.ErrPanicRecovered) || prooferr.Class(err) != "malformed" {
-			t.Fatalf("workers=%d serial=%v: %v is not a classified recovered panic", m.workers, m.serial, err)
+			t.Fatalf("workers=%d: %v is not a classified recovered panic", workers, err)
 		}
 	}
 }

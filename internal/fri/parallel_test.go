@@ -25,7 +25,7 @@ func encodeProof(t *testing.T, p *Proof) []byte {
 // counts.
 func TestCommitSerialVsParallel(t *testing.T) {
 	prev := parallel.Workers()
-	defer func() { parallel.SetSerial(false); parallel.SetWorkers(prev) }()
+	defer parallel.SetWorkers(prev)
 
 	cfg := TestConfig()
 	for _, logN := range []int{4, 6, 8, 10, 12} {
@@ -33,9 +33,8 @@ func TestCommitSerialVsParallel(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(logN)))
 		values := randValues(rng, 3, n)
 
-		parallel.SetSerial(true)
+		parallel.SetWorkers(1)
 		ref := must(CommitValues(context.Background(), values, cfg.RateBits, cfg.CapHeight, nil))
-		parallel.SetSerial(false)
 
 		for _, workers := range []int{1, 2, 7, runtime.NumCPU()} {
 			parallel.SetWorkers(workers)
@@ -68,16 +67,15 @@ func TestCommitSerialVsParallel(t *testing.T) {
 // chain.
 func TestProveSerialVsParallel(t *testing.T) {
 	prev := parallel.Workers()
-	defer func() { parallel.SetSerial(false); parallel.SetWorkers(prev) }()
+	defer parallel.SetWorkers(prev)
 
 	for _, logN := range []int{4, 5, 7} {
-		parallel.SetSerial(true)
+		parallel.SetWorkers(1)
 		f := newFixture(t, int64(100+logN), logN)
 		refCh := f.challenger()
 		refProof := must(Prove(context.Background(), f.oracles, f.groups, f.opened, refCh, f.cfg, nil))
 		refBytes := encodeProof(t, refProof)
 		refState := refCh.Sample()
-		parallel.SetSerial(false)
 
 		for _, workers := range []int{1, 2, 7, runtime.NumCPU()} {
 			parallel.SetWorkers(workers)
@@ -102,14 +100,13 @@ func TestProveSerialVsParallel(t *testing.T) {
 // fri.grind_tries and its pins read this node.
 func TestGrindNodeIsSerialEquivalent(t *testing.T) {
 	prev := parallel.Workers()
-	defer func() { parallel.SetSerial(false); parallel.SetWorkers(prev) }()
+	defer parallel.SetWorkers(prev)
 
 	f := newFixture(t, 31, 5)
 	f.cfg.ProofOfWorkBits = 10
 	var witness field.Element
-	for i, workers := range []int{0, 1, 2, 7, runtime.NumCPU()} {
-		parallel.SetSerial(workers == 0)
-		parallel.SetWorkers(max(workers, 1))
+	for i, workers := range []int{1, 2, 7, runtime.NumCPU()} {
+		parallel.SetWorkers(workers)
 		rec := trace.New()
 		proof := f.prove(rec)
 		var sizes []int
@@ -131,16 +128,15 @@ func TestGrindNodeIsSerialEquivalent(t *testing.T) {
 // TestEvalAllSerialVsParallel checks the batched opening evaluations.
 func TestEvalAllSerialVsParallel(t *testing.T) {
 	prev := parallel.Workers()
-	defer func() { parallel.SetSerial(false); parallel.SetWorkers(prev) }()
+	defer parallel.SetWorkers(prev)
 
 	cfg := TestConfig()
 	rng := rand.New(rand.NewSource(42))
 	b := must(CommitValues(context.Background(), randValues(rng, 7, 1<<10), cfg.RateBits, cfg.CapHeight, nil))
 	zeta := field.Ext{A: field.New(rng.Uint64()), B: field.New(rng.Uint64())}
 
-	parallel.SetSerial(true)
+	parallel.SetWorkers(1)
 	ref := must(b.EvalAll(context.Background(), zeta, nil))
-	parallel.SetSerial(false)
 
 	for _, workers := range []int{1, 2, 7, runtime.NumCPU()} {
 		parallel.SetWorkers(workers)

@@ -470,15 +470,14 @@ func errClass(err error) string {
 // across the worker pool and batches each chunk's Merkle paths, returns
 // the serial reference's exact error string and class on each, and
 // accepts the honest proofs as it does, with the pool at one, two and
-// seven workers and in serial mode.
+// seven workers.
 func TestVerifyMatchesSerialReference(t *testing.T) {
 	prev := parallel.Workers()
-	defer func() { parallel.SetSerial(false); parallel.SetWorkers(prev) }()
+	defer parallel.SetWorkers(prev)
 	modes := []struct {
 		name    string
 		workers int
-		serial  bool
-	}{{"workers=1", 1, false}, {"workers=2", 2, false}, {"workers=7", 7, false}, {"serial", prev, true}}
+	}{{"workers=1", 1}, {"workers=2", 2}, {"workers=7", 7}}
 
 	plonky := fri.PlonkyConfig()
 	plonky.ProofOfWorkBits = 8
@@ -494,7 +493,6 @@ func TestVerifyMatchesSerialReference(t *testing.T) {
 		check := func(what string, p *fri.Proof, want error) {
 			for _, m := range modes {
 				parallel.SetWorkers(m.workers)
-				parallel.SetSerial(m.serial)
 				got := fri.Verify(in.oracles, in.groups, in.opened, p, in.transcript(), in.cfg, in.logN)
 				if (got == nil) != (want == nil) || got != nil && (got.Error() != want.Error() || errClass(got) != errClass(want)) {
 					t.Errorf("%s: %s, %s:\n got  %s %v\n want %s %v", in.name, what, m.name, errClass(got), got, errClass(want), want)

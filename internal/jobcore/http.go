@@ -1,7 +1,7 @@
 // The HTTP API, identical on every tier:
 //
 //	POST /v1/jobs              submit a job (wire-encoded jobs.Request body)
-//	GET  /v1/jobs/{id}         job status (JSON; ?wait= long-poll, SSE)
+//	GET  /v1/jobs/{id}         job status (JSON snapshot, or SSE)
 //	GET  /v1/jobs/{id}/proof   proof bytes (wire-encoded jobs.Result)
 //	POST /v1/jobs/{id}/cancel  cancel a queued or running job
 //	POST /v1/prove             submit and wait (proof bytes in response)
@@ -251,10 +251,9 @@ func (c *Core) lookupOr404(w http.ResponseWriter, r *http.Request) (*Job, bool) 
 	return j, ok
 }
 
-// handleStatus reports a job's status: a plain GET answers at once,
-// ?wait=30s long-polls until the job is terminal or the wait elapses,
-// and Accept: text/event-stream streams a "status" event now and on
-// each observed transition (stream.go).
+// handleStatus reports a job's status: a plain GET answers at once
+// with a JSON snapshot, and Accept: text/event-stream streams a
+// "status" event now and on each observed transition (stream.go).
 func (c *Core) handleStatus(w http.ResponseWriter, r *http.Request) {
 	j, ok := c.lookupOr404(w, r)
 	if !ok {
@@ -263,14 +262,6 @@ func (c *Core) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
 		c.streamJob(w, r, j)
 		return
-	}
-	wait, err := parseWait(r)
-	if err != nil {
-		c.writeError(w, err)
-		return
-	}
-	if wait > 0 && !waitDone(r, j.done, wait) {
-		return // client went away; nothing left to answer
 	}
 	writeJSON(w, http.StatusOK, c.statusJSON(j))
 }

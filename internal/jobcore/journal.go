@@ -261,7 +261,7 @@ func (c *Core) restoreJobLocked(j *Job, jr *journal.JobRecord, now time.Time, re
 		}
 	}
 	c.met.countTerminal(j.state, j.err)
-	// Waiters park on done (sync-prove dedup attach, long-poll, SSE): a
+	// Waiters park on done (sync-prove dedup attach, SSE): a
 	// restored terminal job must present it closed or they hang forever.
 	close(j.done)
 	c.finishedList = append(c.finishedList, jr.ID)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -12,11 +13,12 @@ import (
 	"unizk/internal/serverclient"
 )
 
-// TestStatusLongPoll parks a ?wait= status request against a held job
-// and checks it returns promptly once the job settles (not after the
-// full wait).
-func TestStatusLongPoll(t *testing.T) {
+// TestStatusIgnoresWait checks ?wait= is an ignored parameter: a status
+// GET carrying it on a held, running job answers at once with the
+// running snapshot instead of parking until the job settles.
+func TestStatusIgnoresWait(t *testing.T) {
 	gate := make(chan struct{})
+	defer close(gate)
 	_, c := newTestCore(t, Options{}, &fakeExec{hold: holdUntil(gate)})
 	ctx := context.Background()
 	id, err := c.Submit(ctx, script("complete"), serverclient.Options{})
@@ -25,45 +27,63 @@ func TestStatusLongPoll(t *testing.T) {
 	}
 	waitForState(t, c, id, "running")
 
-	type polled struct {
-		st  *serverclient.JobStatus
-		err error
-	}
-	got := make(chan polled, 1)
-	go func() {
-		st, err := c.StatusWait(ctx, id, time.Minute)
-		got <- polled{st, err}
-	}()
-	// The long-poll must be parked, not answered with "running".
-	select {
-	case p := <-got:
-		t.Fatalf("long-poll returned early: %+v %v", p.st, p.err)
-	case <-time.After(100 * time.Millisecond):
-	}
-	close(gate)
-	select {
-	case p := <-got:
-		if p.err != nil {
-			t.Fatal(p.err)
-		}
-		if p.st.State != "done" {
-			t.Fatalf("long-poll state = %q, want done", p.st.State)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("long-poll did not return after job settled")
-	}
-
-	// A zero wait still answers immediately, and a bad wait is 400.
-	if st, err := c.StatusWait(ctx, id, 0); err != nil || st.State != "done" {
-		t.Fatalf("plain status = %+v %v", st, err)
-	}
-	resp, err := http.Get(c.BaseURL + "/v1/jobs/" + id + "?wait=bogus")
+	wctx, cancel := context.WithTimeout(ctx, time.Second)
+	defer cancel()
+	hreq, err := http.NewRequestWithContext(wctx, http.MethodGet, c.BaseURL+"/v1/jobs/"+id+"?wait=1m", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad wait = %d, want 400", resp.StatusCode)
+	resp, err := http.DefaultClient.Do(hreq)
+	if err != nil {
+		t.Fatalf("status with ?wait=1m did not answer within 1s: %v", err)
+	}
+	defer resp.Body.Close()
+	var st Status
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || st.State != "running" {
+		t.Fatalf("status with ?wait=1m = %d %+v, want 200 running", resp.StatusCode, st)
+	}
+}
+
+// noFlush is a ResponseWriter that cannot flush: it hides every method
+// but the interface's own.
+type noFlush struct{ http.ResponseWriter }
+
+// TestStreamEndsWhenFlushFails streams a held, running job through a
+// writer that cannot flush: the stream carries the current status and
+// ends at once rather than holding the request until the job settles.
+func TestStreamEndsWhenFlushFails(t *testing.T) {
+	gate := make(chan struct{})
+	defer close(gate)
+	core, c := newTestCore(t, Options{}, &fakeExec{hold: holdUntil(gate)})
+	id, err := c.Submit(context.Background(), script("complete"), serverclient.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitForState(t, c, id, "running")
+	j, ok := core.Lookup(id)
+	if !ok {
+		t.Fatalf("job %s not registered", id)
+	}
+
+	rec := httptest.NewRecorder()
+	ended := make(chan struct{})
+	go func() {
+		defer close(ended)
+		core.streamJob(noFlush{rec}, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+id, nil), j)
+	}()
+	select {
+	case <-ended:
+	case <-time.After(10 * time.Second):
+		t.Fatal("stream held open although flushing fails")
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "text/event-stream" {
+		t.Fatalf("content type = %q, want text/event-stream", ct)
+	}
+	if body := rec.Body.String(); strings.Count(body, "event: status\n") != 1 || !strings.Contains(body, `"state":"running"`) {
+		t.Fatalf("stream body = %q, want one running status event", body)
 	}
 }
 

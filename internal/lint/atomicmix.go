@@ -2,83 +2,37 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
-// AtomicMix flags mixed atomic/plain access: once any site in a package
-// passes &x.f to a sync/atomic function, every other read or write of
-// that field must also go through sync/atomic. A plain load racing an
-// atomic store is undefined behavior the race detector only catches
-// when the schedule cooperates; the metrics counters in the service and
-// chaos layers are the motivating surface. The typed sync/atomic
-// wrappers (atomic.Int64 &co.) make this mistake unrepresentable and
-// are the preferred fix.
+// AtomicMix flags every reference to a package-level sync/atomic
+// function (atomic.AddInt64, atomic.LoadPointer,
+// atomic.CompareAndSwapUint32, …). Those functions act on plain
+// variables, so nothing stops another site reading or writing the same
+// variable plainly: a data race the race detector catches only when the
+// schedule cooperates. The typed wrappers (atomic.Int64,
+// atomic.Pointer[T] &co.) carry atomicity in the field's type, which
+// makes mixed access impossible to write; they are the only atomics the
+// tree uses.
 var AtomicMix = &Analyzer{
 	Name: "atomicmix",
-	Doc: "a field accessed via sync/atomic anywhere must never be read or " +
-		"written plainly elsewhere; prefer the typed atomic.Int64-style wrappers",
+	Doc: "package-level sync/atomic functions are forbidden: use the typed " +
+		"atomic.Int64-style wrappers, whose type makes mixed atomic/plain access unwritable",
 	Run: runAtomicMix,
 }
 
 func runAtomicMix(p *Pass) {
-	info := p.Pkg.Info
-	// Pass 1: find fields whose address feeds a sync/atomic function,
-	// remembering the exact selector nodes inside those calls so pass 2
-	// does not flag the atomic sites themselves.
-	atomicAt := map[*types.Var]token.Pos{}
-	atomicUse := map[*ast.SelectorExpr]bool{}
 	for _, f := range p.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
+			id, ok := n.(*ast.Ident)
 			if !ok {
 				return true
 			}
-			fn := calleeFunc(info, call)
-			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
-				return true
-			}
-			for _, arg := range call.Args {
-				ue, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-				if !ok || ue.Op != token.AND {
-					continue
-				}
-				sel, ok := ast.Unparen(ue.X).(*ast.SelectorExpr)
-				if !ok {
-					continue
-				}
-				v, ok := info.Uses[sel.Sel].(*types.Var)
-				if !ok || !v.IsField() {
-					continue
-				}
-				if _, seen := atomicAt[v]; !seen {
-					atomicAt[v] = sel.Sel.Pos()
-				}
-				atomicUse[sel] = true
-			}
-			return true
-		})
-	}
-	if len(atomicAt) == 0 {
-		return
-	}
-	// Pass 2: any other selector resolving to one of those fields is a
-	// plain access.
-	for _, f := range p.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok || atomicUse[sel] {
-				return true
-			}
-			v, ok := info.Uses[sel.Sel].(*types.Var)
-			if !ok {
-				return true
-			}
-			if first, ok := atomicAt[v]; ok {
-				p.Reportf(sel.Sel.Pos(),
-					"plain access to %s, which is accessed via sync/atomic at %s; "+
-						"use sync/atomic (or a typed atomic.Int64-style field) consistently",
-					v.Name(), p.Fset.Position(first))
+			fn, ok := p.Pkg.Info.Uses[id].(*types.Func)
+			if ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" &&
+				fn.Type().(*types.Signature).Recv() == nil {
+				p.Reportf(id.Pos(), "sync/atomic.%s acts on a plain variable; "+
+					"use a typed atomic.Int64-style field instead", fn.Name())
 			}
 			return true
 		})

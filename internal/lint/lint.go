@@ -31,8 +31,9 @@
 //   - goroutinelife: every go statement must be tied to a lifecycle —
 //     WaitGroup Done/Wait pairing, context use, or channel-range —
 //     or carry an audited allow directive.
-//   - atomicmix: a field accessed via sync/atomic anywhere must never
-//     be read or written plainly elsewhere.
+//   - atomicmix: no package-level sync/atomic function may be used;
+//     typed atomics (atomic.Int64 &co.) make mixed atomic/plain access
+//     impossible to write.
 //   - hotalloc: functions annotated //unizklint:hotpath must avoid
 //     allocation-inducing constructs (make/append/new, fmt, string
 //     concatenation, field-element boxing, escaping closures); the

@@ -13,7 +13,7 @@ import (
 // internal digests, and opening proofs — whatever the worker count.
 func TestBuildSerialVsParallel(t *testing.T) {
 	prev := parallel.Workers()
-	defer func() { parallel.SetSerial(false); parallel.SetWorkers(prev) }()
+	defer parallel.SetWorkers(prev)
 
 	for _, logN := range []int{4, 6, 8, 10, 12} {
 		n := 1 << logN
@@ -24,9 +24,8 @@ func TestBuildSerialVsParallel(t *testing.T) {
 			capHeight = 0
 		}
 
-		parallel.SetSerial(true)
+		parallel.SetWorkers(1)
 		ref := Build(leaves, capHeight)
-		parallel.SetSerial(false)
 
 		openAt := []int{0, 1, n / 2, n - 1}
 		for _, workers := range []int{1, 2, 7, runtime.NumCPU()} {

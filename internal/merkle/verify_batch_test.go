@@ -83,8 +83,8 @@ func checkBatch(t *testing.T, name string, c Cap, ops []Opening) {
 // widths and cap heights, with all-valid batches and batches mixing every
 // fault kind, serially and on the pool.
 func TestVerifyBatchMatchesVerify(t *testing.T) {
-	prevWorkers, prevSerial := parallel.Workers(), parallel.SerialMode()
-	defer func() { parallel.SetSerial(prevSerial); parallel.SetWorkers(prevWorkers) }()
+	prevWorkers := parallel.Workers()
+	defer parallel.SetWorkers(prevWorkers)
 
 	const numLeaves = 64
 	rng := rand.New(rand.NewSource(23))
@@ -103,14 +103,10 @@ func TestVerifyBatchMatchesVerify(t *testing.T) {
 					mixed[i] = valid[i]
 					mutateOpening(&mixed[i], numLeaves, byte(rng.Intn(numFaults)), byte(rng.Intn(256)))
 				}
-				for _, mode := range []struct {
-					serial  bool
-					workers int
-				}{{true, 1}, {false, 2}, {false, 7}} {
-					parallel.SetSerial(mode.serial)
-					parallel.SetWorkers(mode.workers)
-					name := fmt.Sprintf("width=%d cap=%d size=%d serial=%v workers=%d",
-						width, capHeight, size, mode.serial, mode.workers)
+				for _, workers := range []int{1, 2, 7} {
+					parallel.SetWorkers(workers)
+					name := fmt.Sprintf("width=%d cap=%d size=%d workers=%d",
+						width, capHeight, size, workers)
 					checkBatch(t, name+" valid", c, valid)
 					checkBatch(t, name+" mixed", c, mixed)
 				}

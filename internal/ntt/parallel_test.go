@@ -22,7 +22,7 @@ var diffSizes = []int{1 << 4, 1 << 6, 1 << 8, 1 << 10, 1 << 11, 1 << 12}
 
 // TestTransformsSerialVsParallel is the NTT differential test without
 // the oracle: every Spec, across sizes and worker counts, must be
-// byte-identical to the forced-serial execution.
+// byte-identical to the one-worker execution.
 func TestTransformsSerialVsParallel(t *testing.T) {
 	restoreParallel(t)
 	ctx := context.Background()
@@ -31,12 +31,11 @@ func TestTransformsSerialVsParallel(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(n)))
 			input := randVec(rng, n)
 
-			parallel.SetSerial(true)
+			parallel.SetWorkers(1)
 			ref := clone(input)
 			if err := Transform(ctx, ref, s); err != nil {
 				t.Fatalf("%+v n=%d serial: %v", s, n, err)
 			}
-			parallel.SetSerial(false)
 
 			for _, workers := range workerSweep() {
 				parallel.SetWorkers(workers)
@@ -58,15 +57,14 @@ func TestTransformsSerialVsParallel(t *testing.T) {
 // TestLDESerialVsParallel covers the allocating LDE kernel.
 func TestLDESerialVsParallel(t *testing.T) {
 	prev := parallel.Workers()
-	defer func() { parallel.SetSerial(false); parallel.SetWorkers(prev) }()
+	defer parallel.SetWorkers(prev)
 
 	for _, n := range diffSizes {
 		rng := rand.New(rand.NewSource(int64(n) + 1))
 		coeffs := randVec(rng, n)
 
-		parallel.SetSerial(true)
+		parallel.SetWorkers(1)
 		ref := LDE(coeffs, 2, field.MultiplicativeGenerator)
-		parallel.SetSerial(false)
 
 		for _, workers := range workerSweep() {
 			parallel.SetWorkers(workers)

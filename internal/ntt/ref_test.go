@@ -16,10 +16,10 @@ import (
 
 // Differential layer: every Transform Spec and Columns against the
 // O(n²) DFT oracles in ntt_ref_test.go, over edge vectors and fuzzed inputs,
-// in forced serial mode and through the worker pool at every count of
-// workerSweep. Sizes run up to twice parallelMin so the serial core, the
-// pool-parallel layers and the cache-blocked tail pass are all pinned to
-// the oracle.
+// through the worker pool at every count of workerSweep, one worker
+// (the serial run) included. Sizes run up to twice parallelMin so the
+// serial core, the pool-parallel layers and the cache-blocked tail pass
+// are all pinned to the oracle.
 
 // refMaxLog is the largest transform size the sweep checks; oracle cost
 // is quadratic, so sizes above refEdgeMaxLog get a random vector only.
@@ -85,13 +85,10 @@ func refTransform(in []field.Element, s Spec) []field.Element {
 	return out
 }
 
-// eachMode runs check in forced-serial mode and then through the pool at
-// every worker count of workerSweep.
+// eachMode runs check through the pool at every worker count of
+// workerSweep, the one-worker serial run first.
 func eachMode(t *testing.T, check func(mode string)) {
 	t.Helper()
-	parallel.SetSerial(true)
-	check("serial")
-	parallel.SetSerial(false)
 	for _, workers := range workerSweep() {
 		parallel.SetWorkers(workers)
 		check(fmt.Sprintf("workers=%d", workers))
@@ -100,15 +97,11 @@ func eachMode(t *testing.T, check func(mode string)) {
 
 func restoreParallel(t *testing.T) {
 	prevWorkers := parallel.Workers()
-	prevSerial := parallel.SerialMode()
-	t.Cleanup(func() {
-		parallel.SetSerial(prevSerial)
-		parallel.SetWorkers(prevWorkers)
-	})
+	t.Cleanup(func() { parallel.SetWorkers(prevWorkers) })
 }
 
 // TestRefTransforms is the oracle sweep over edge and fuzzed vectors:
-// all 16 Specs × sizes 2^0..2^10 × {serial, 1, 2, 7, NumCPU} workers.
+// all 16 Specs × sizes 2^0..2^10 × {1, 2, 7, NumCPU} workers.
 func TestRefTransforms(t *testing.T) {
 	refSweep(t, 0, refEdgeMaxLog)
 }

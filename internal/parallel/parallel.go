@@ -14,7 +14,9 @@
 // worker ran which chunk or in what order, every parallel kernel is
 // bit-identical to its serial execution, which keeps Fiat–Shamir
 // transcripts stable. The differential test layer
-// (internal/*/parallel_test.go) enforces this across worker counts.
+// (internal/*/parallel_test.go) enforces this across worker counts,
+// taking its reference run under SetWorkers(1), where every For runs
+// inline on the calling goroutine.
 //
 // Cancellation contract: For polls its context between chunks and returns
 // ctx.Err() promptly, so ProveContext-style cancellation propagates into
@@ -114,7 +116,7 @@ func (p *Pool) For(ctx context.Context, n, grain int, fn func(lo, hi int)) error
 	}
 	chunks := (n + grain - 1) / grain
 
-	if chunks == 1 || p.workers == 1 || SerialMode() {
+	if chunks == 1 || p.workers == 1 {
 		for c := 0; c < chunks; c++ {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -218,19 +220,6 @@ func defaultGrain(n int) int {
 	return g
 }
 
-// serialMode, when set, forces every For call onto the calling goroutine
-// regardless of pool size — the differential test layer's reference
-// execution.
-var serialMode atomic.Bool
-
-// SetSerial switches the package between serial and parallel execution.
-// It is a test/debug knob: toggling it while a prover is running is safe
-// (each For call reads it once) but pointless.
-func SetSerial(on bool) { serialMode.Store(on) }
-
-// SerialMode reports whether serial execution is forced.
-func SerialMode() bool { return serialMode.Load() }
-
 // sharedPools memoizes one pool per worker count, so test sweeps over
 // worker counts reuse goroutines instead of leaking them.
 var (
@@ -268,7 +257,8 @@ func Workers() int { return Default().Workers() }
 
 // SetWorkers replaces the default pool with a shared pool of the given
 // size. It is a test knob (the differential layer sweeps {1, 2, 7,
-// NumCPU}); swapping while a prover is mid-flight is not meaningful.
+// NumCPU}, one worker being the serial reference); swapping while a
+// prover is mid-flight is not meaningful.
 func SetWorkers(n int) { defaultPool.Store(sharedPool(n)) }
 
 // For runs fn over [0, n) on the default pool. See Pool.For.

@@ -138,26 +138,26 @@ func TestNestedFor(t *testing.T) {
 	}
 }
 
-// TestSerialModeForcesInline checks SetSerial(true) runs every chunk on
-// the calling goroutine.
-func TestSerialModeForcesInline(t *testing.T) {
-	SetSerial(true)
-	defer SetSerial(false)
-	if !SerialMode() {
-		t.Fatal("SerialMode() = false after SetSerial(true)")
-	}
-	p := NewPool(8)
-	defer p.Close()
+// TestSerialRunIsOneWorkerPool checks SetWorkers(1) — the differential
+// tests' reference run — makes package-level For run every chunk on the
+// calling goroutine, in order.
+func TestSerialRunIsOneWorkerPool(t *testing.T) {
+	prev := Workers()
+	defer SetWorkers(prev)
+	SetWorkers(1)
 	var order []int
-	err := p.For(context.Background(), 100, 7, func(lo, hi int) {
-		order = append(order, lo) // safe: serial mode is single-goroutine
+	err := For(context.Background(), 100, 7, func(lo, hi int) {
+		order = append(order, lo) // safe: a one-worker pool is single-goroutine
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(order) != 15 {
+		t.Fatalf("ran %d chunks, want 15", len(order))
+	}
 	for i := 1; i < len(order); i++ {
 		if order[i] <= order[i-1] {
-			t.Fatal("serial mode ran chunks out of order or concurrently")
+			t.Fatal("one-worker pool ran chunks out of order or concurrently")
 		}
 	}
 }

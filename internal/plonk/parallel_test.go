@@ -10,13 +10,9 @@ import (
 )
 
 // proveBytes runs the full prover and returns the serialized proof.
-func proveBytes(t *testing.T, workers int, serial bool) []byte {
+func proveBytes(t *testing.T, workers int) []byte {
 	t.Helper()
-	parallel.SetSerial(serial)
-	defer parallel.SetSerial(false)
-	if !serial {
-		parallel.SetWorkers(workers)
-	}
+	parallel.SetWorkers(workers)
 
 	c, xs, out := paperCircuit()
 	w := c.NewWitness()
@@ -27,10 +23,10 @@ func proveBytes(t *testing.T, workers int, serial bool) []byte {
 	w.Set(out, field.New(99))
 	proof, err := c.Prove(w, nil)
 	if err != nil {
-		t.Fatalf("prove (workers=%d serial=%v): %v", workers, serial, err)
+		t.Fatalf("prove (workers=%d): %v", workers, err)
 	}
 	if err := Verify(c.VerificationKey(), []field.Element{field.New(99)}, proof); err != nil {
-		t.Fatalf("verify (workers=%d serial=%v): %v", workers, serial, err)
+		t.Fatalf("verify (workers=%d): %v", workers, err)
 	}
 	b, err := proof.MarshalBinary()
 	if err != nil {
@@ -42,14 +38,14 @@ func proveBytes(t *testing.T, workers int, serial bool) []byte {
 // TestProveParallelDeterministic is the end-to-end Plonk differential
 // test: the serialized proof — every cap, opening, FRI round, and PoW
 // witness, all downstream of the Fiat–Shamir transcript — must be
-// byte-identical between forced-serial and every parallel worker count.
+// byte-identical between the one-worker run and every worker count.
 func TestProveParallelDeterministic(t *testing.T) {
 	prev := parallel.Workers()
-	defer func() { parallel.SetSerial(false); parallel.SetWorkers(prev) }()
+	defer parallel.SetWorkers(prev)
 
-	ref := proveBytes(t, 1, true)
+	ref := proveBytes(t, 1)
 	for _, workers := range []int{1, 2, 7, runtime.NumCPU()} {
-		if got := proveBytes(t, workers, false); !bytes.Equal(got, ref) {
+		if got := proveBytes(t, workers); !bytes.Equal(got, ref) {
 			t.Fatalf("workers=%d: proof bytes differ from serial execution", workers)
 		}
 	}

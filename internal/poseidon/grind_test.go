@@ -59,26 +59,22 @@ func grindTranscript(seed int64, pending int) *Challenger {
 type grindMode struct {
 	name    string
 	workers int
-	serial  bool
 }
 
 func grindModes() []grindMode {
 	return []grindMode{
-		{"serial", 1, true},
-		{"workers=1", 1, false},
-		{"workers=2", 2, false},
-		{"workers=7", 7, false},
-		{"workers=NumCPU", runtime.NumCPU(), false},
+		{"workers=1", 1},
+		{"workers=2", 2},
+		{"workers=7", 7},
+		{"workers=NumCPU", runtime.NumCPU()},
 	}
 }
 
 // withMode runs fn under mode, restoring the pool afterwards.
 func withMode(m grindMode, fn func()) {
 	prev := parallel.Workers()
-	prevSerial := parallel.SerialMode()
-	defer func() { parallel.SetSerial(prevSerial); parallel.SetWorkers(prev) }()
+	defer parallel.SetWorkers(prev)
 	parallel.SetWorkers(m.workers)
-	parallel.SetSerial(m.serial)
 	fn()
 }
 

@@ -72,8 +72,6 @@ type Client struct {
 	BaseURL string
 	// HTTPClient defaults to http.DefaultClient.
 	HTTPClient *http.Client
-	// PollInterval paces Wait's status polling; default 25ms.
-	PollInterval time.Duration
 	// Retry, when non-nil, transparently re-issues requests that fail
 	// with a retryable error (transport faults, 429/502/503) using
 	// capped exponential backoff with full jitter. Retried submissions
@@ -330,6 +328,9 @@ func (c *Client) Cancel(ctx context.Context, id string) error {
 	return err
 }
 
+// pollInterval paces Wait's polling.
+const pollInterval = 25 * time.Millisecond
+
 // Wait polls until the job finishes, then returns its result (or its
 // mapped error). The poll loop exits early when ctx is done.
 //
@@ -342,10 +343,6 @@ func (c *Client) Cancel(ctx context.Context, id string) error {
 // like "canceled" or "deadline", which are the *job's own* terminal
 // outcome) still return immediately; bound the restart window with ctx.
 func (c *Client) Wait(ctx context.Context, id string) (*jobs.Result, error) {
-	interval := c.PollInterval
-	if interval <= 0 {
-		interval = 25 * time.Millisecond
-	}
 	for {
 		res, err := c.Result(ctx, id)
 		if !errors.Is(err, ErrNotReady) && !waitCanRepoll(err) {
@@ -354,7 +351,7 @@ func (c *Client) Wait(ctx context.Context, id string) (*jobs.Result, error) {
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()
-		case <-time.After(interval):
+		case <-time.After(pollInterval):
 		}
 	}
 }

@@ -109,8 +109,9 @@ func TestTransportClassification(t *testing.T) {
 	}
 }
 
-// TestStreamStatusSnapshotReadError: a JSON snapshot reply whose body
-// breaks mid-read is a transport fault of the stream, not a decode error.
+// TestStreamStatusSnapshotReadError: a JSON snapshot reply, even one
+// whose body breaks mid-read, is a transport fault of the stream, not a
+// decode error.
 func TestStreamStatusSnapshotReadError(t *testing.T) {
 	c := New("http://server.invalid")
 	c.HTTPClient = &http.Client{Transport: roundTripFunc(func(*http.Request) (*http.Response, error) {
@@ -124,6 +125,39 @@ func TestStreamStatusSnapshotReadError(t *testing.T) {
 	var te *TransportError
 	if !errors.As(err, &te) || te.Op != "stream status" {
 		t.Fatalf("error = %v, want *TransportError with Op %q", err, "stream status")
+	}
+}
+
+// TestStreamStatusRejectsSnapshot: a server that answers the stream
+// request with a terminal JSON snapshot has not streamed, so
+// StreamStatus reports a transport fault, and WaitStream still returns
+// the proof by falling back to Wait.
+func TestStreamStatusRejectsSnapshot(t *testing.T) {
+	want := &jobs.Result{Kind: jobs.KindStark, Proof: []byte("proof")}
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/jobs/j0001", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write([]byte(`{"id":"j0001","state":"done"}`))
+	})
+	mux.HandleFunc("GET /v1/jobs/j0001/proof", func(w http.ResponseWriter, r *http.Request) {
+		_, _ = w.Write(jobs.Encode(want).Raw)
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	c := New(ts.URL)
+	ctx := context.Background()
+
+	st, err := c.StreamStatus(ctx, "j0001", nil)
+	var te *TransportError
+	if !errors.As(err, &te) {
+		t.Fatalf("StreamStatus = %+v, %v; want a *TransportError", st, err)
+	}
+	res, err := c.WaitStream(ctx, "j0001", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(res.Proof, want.Proof) {
+		t.Fatalf("WaitStream proof = %q, want %q", res.Proof, want.Proof)
 	}
 }
 

@@ -97,7 +97,6 @@ func TestWaitSurvivesRestart(t *testing.T) {
 	t.Cleanup(rs.kill)
 
 	c := New("http://" + rs.addr)
-	c.PollInterval = 5 * time.Millisecond
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -165,7 +164,6 @@ func TestWaitStreamSurvivesRestart(t *testing.T) {
 	t.Cleanup(func() { close(hang) })
 
 	c := New("http://" + rs.addr)
-	c.PollInterval = 5 * time.Millisecond
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

@@ -10,21 +10,17 @@ import (
 
 // starkProveBytes runs the full Stark prover and returns the serialized
 // proof.
-func starkProveBytes(t *testing.T, logN, workers int, serial bool) []byte {
+func starkProveBytes(t *testing.T, logN, workers int) []byte {
 	t.Helper()
-	parallel.SetSerial(serial)
-	defer parallel.SetSerial(false)
-	if !serial {
-		parallel.SetWorkers(workers)
-	}
+	parallel.SetWorkers(workers)
 
 	s, cols, _ := fibAIR(logN)
 	proof, err := s.Prove(cols, nil)
 	if err != nil {
-		t.Fatalf("prove (logN=%d workers=%d serial=%v): %v", logN, workers, serial, err)
+		t.Fatalf("prove (logN=%d workers=%d): %v", logN, workers, err)
 	}
 	if err := s.Verify(proof); err != nil {
-		t.Fatalf("verify (logN=%d workers=%d serial=%v): %v", logN, workers, serial, err)
+		t.Fatalf("verify (logN=%d workers=%d): %v", logN, workers, err)
 	}
 	b, err := proof.MarshalBinary()
 	if err != nil {
@@ -34,17 +30,17 @@ func starkProveBytes(t *testing.T, logN, workers int, serial bool) []byte {
 }
 
 // TestProveParallelDeterministic is the end-to-end Stark differential
-// test: serialized proofs must be byte-identical between forced-serial
-// and every parallel worker count, for trace sizes on both sides of the
-// NTT parallel threshold.
+// test: serialized proofs must be byte-identical between the one-worker
+// run and every worker count, for trace sizes on both sides of the NTT
+// parallel threshold.
 func TestProveParallelDeterministic(t *testing.T) {
 	prev := parallel.Workers()
-	defer func() { parallel.SetSerial(false); parallel.SetWorkers(prev) }()
+	defer parallel.SetWorkers(prev)
 
 	for _, logN := range []int{4, 7, 10} {
-		ref := starkProveBytes(t, logN, 1, true)
+		ref := starkProveBytes(t, logN, 1)
 		for _, workers := range []int{1, 2, 7, runtime.NumCPU()} {
-			if got := starkProveBytes(t, logN, workers, false); !bytes.Equal(got, ref) {
+			if got := starkProveBytes(t, logN, workers); !bytes.Equal(got, ref) {
 				t.Fatalf("logN=%d workers=%d: proof bytes differ from serial execution", logN, workers)
 			}
 		}
