@@ -77,6 +77,14 @@ go test -race -timeout 10m -run '^TestChaosSoak$' ./internal/faultinject/netchao
 # own name.
 go test -race -timeout 10m -run '^TestClusterChaosSoak$' ./internal/cluster
 
+# Busy-node re-route gate: a node that refuses a submit before admission
+# (429 queue_full, 503 draining, each with Retry-After: 1) must cost a
+# cluster job one submit and well under a second, because node clients
+# make one exchange per call and dispatch re-routes at once. The full
+# -race run below repeats it; this step makes a node client that starts
+# retrying on its own fail under its own name.
+go test -race -run '^TestBusyNodeReroutesAtOnce$' ./internal/cluster
+
 # Cache soak (fixed seed, both topologies): distinct-tenant clients
 # hammer the same request contents — no idempotency keys — through a
 # chaos-wrapped single server and a 3-node cluster with the

@@ -53,10 +53,10 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "abort proving after this duration (0 = no limit)")
 	remote := flag.String("remote", "", "prove on a unizk-server at this base URL instead of locally")
 	workers := flag.Int("workers", 0, "prover pool size for local proving (0 = NumCPU; capped by GOMAXPROCS in practice)")
-	retries := flag.Int("retries", 1, "total remote attempts for retryable failures (transport faults, 429/502/503)")
+	retries := flag.Int("retries", 1, "attempts per remote request, the first included (1 = no retry); retries transport faults and 429/502/503")
 	idemKey := flag.String("idempotency-key", "", "idempotency key for remote submits; auto-generated when -retries > 1")
 	apiKey := flag.String("api-key", "", "tenant API key for remote submits (sent as Authorization: Bearer)")
-	stream := flag.Bool("stream", false, "submit async and stream job progress (SSE, falling back to long-poll/poll)")
+	stream := flag.Bool("stream", false, "submit async and stream job progress (SSE, falling back to polling)")
 	flag.Parse()
 
 	if *workers > 0 {
@@ -101,9 +101,10 @@ func runLocal(ctx context.Context, req *jobs.Request) {
 
 // runRemote submits the job on the service's synchronous endpoint and
 // re-verifies the returned proof locally, so a lying server still
-// exits 4. With -retries > 1 the client transparently retries retryable
-// failures under an idempotency key, so a retried submit that raced a
-// lost response attaches to the original job instead of proving twice.
+// exits 4. With -retries N > 1 the client makes up to N attempts per
+// request, retrying retryable failures under an idempotency key, so a
+// retried submit that raced a lost response attaches to the original
+// job instead of proving twice.
 func runRemote(ctx context.Context, baseURL string, req *jobs.Request, timeout time.Duration, retries int, apiKey string, stream bool) {
 	c := serverclient.New(baseURL)
 	c.APIKey = apiKey
@@ -114,7 +115,6 @@ func runRemote(ctx context.Context, baseURL string, req *jobs.Request, timeout t
 			req.IdempotencyKey = key
 		}
 		c.Retry = &serverclient.RetryPolicy{MaxAttempts: retries}
-		c.Breaker = &serverclient.Breaker{}
 	}
 	fmt.Printf("remote prove: %s %q 2^%d rows via %s\n", req.Kind, req.Workload, req.LogRows, baseURL)
 

@@ -95,7 +95,6 @@ func TestClusterCacheSoak(t *testing.T) {
 		Nodes:         urls,
 		ProbeInterval: 25 * time.Millisecond,
 		StaleAfter:    time.Second,
-		Seed:          seed,
 		Transport:     linkChaos.WrapTransport(innerRT),
 		Options: jobcore.Options{
 			CacheEntries: 64,

@@ -8,10 +8,11 @@
 //
 //   - Jobs are routed by least-loaded placement over each node's
 //     probed /metrics in-flight and queue-wait signals.
-//   - Every node is health-probed through the serverclient breaker/retry
-//     stack; one whose probes have failed for longer than
-//     Config.StaleAfter is ejected (its in-flight attributions are
-//     declared lost), and a later successful probe readmits it.
+//   - Every node is health-probed, one exchange per probe; one whose
+//     probes have failed for longer than Config.StaleAfter is ejected
+//     (its in-flight attributions are declared lost), and a later
+//     successful probe readmits it. The prober is the only failure
+//     detector: node clients make one exchange per call.
 //   - Each node's /healthz identity (node_id, start_ns) is watched for
 //     epoch changes: a restarted node at the same address lost its
 //     in-memory jobs, so its attributions are invalidated even though
@@ -89,16 +90,12 @@ type Config struct {
 	// is merely slow risks proving it twice.
 	StaleAfter time.Duration
 
-	// Seed fixes the node clients' retry jitter for deterministic
-	// soaks; 0 seeds from the wall clock.
-	Seed int64
 	// Transport, when non-nil, is the HTTP transport node clients use —
 	// the seam tests inject network chaos through.
 	Transport http.RoundTripper
 }
 
-// The coordinator's fixed timings. Each node client's breaker threshold
-// and attempt count stay at the serverclient defaults (5 and 4).
+// The coordinator's fixed timings.
 const (
 	// pollInterval paces result polling and ambiguous-submit retries.
 	pollInterval = 25 * time.Millisecond
@@ -113,11 +110,6 @@ const (
 	maxProbeTimeout = time.Second
 	// pendingPerNode is the pending cap's share per node.
 	pendingPerNode = 64
-	// breakerOpen, retryBase and retryMax tune each node client's
-	// breaker and retry policy.
-	breakerOpen = 2 * time.Second
-	retryBase   = 50 * time.Millisecond
-	retryMax    = 2 * time.Second
 )
 
 // settings is a Config with every timing and bound filled in. Tests
@@ -130,8 +122,7 @@ type settings struct {
 	probeTimeout      time.Duration
 	// pendingCap bounds queued+dispatched cluster jobs; beyond it submits
 	// are refused with 503 (ErrSaturated).
-	pendingCap                       int
-	breakerOpen, retryBase, retryMax time.Duration
+	pendingCap int
 }
 
 // withDefaults fills in the probe cadence, the staleness bound and the
@@ -148,9 +139,6 @@ func (c Config) withDefaults() settings {
 		recoverTimeout:    recoverTimeout,
 		probeTimeout:      min(c.StaleAfter/3, maxProbeTimeout),
 		pendingCap:        pendingPerNode * len(c.Nodes),
-		breakerOpen:       breakerOpen,
-		retryBase:         retryBase,
-		retryMax:          retryMax,
 	}
 }
 
@@ -181,8 +169,8 @@ func New(cfg Config) (*Coordinator, error) {
 // start runs a coordinator on filled-in settings.
 func start(s settings) (*Coordinator, error) {
 	x := &remote{core: jobcore.New("c", statusForCluster, s.Options), cfg: s}
-	for i, u := range s.Nodes {
-		x.nodes = append(x.nodes, newNode(u, i, s))
+	for _, u := range s.Nodes {
+		x.nodes = append(x.nodes, newNode(u, s))
 	}
 	if err := x.core.Open(x); err != nil {
 		return nil, err

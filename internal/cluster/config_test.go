@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"cmp"
 	"reflect"
 	"strings"
 	"testing"
@@ -22,21 +21,19 @@ func TestShippingSettings(t *testing.T) {
 		StaleAfter:    3 * time.Second,
 	}
 	s := cfg.withDefaults()
-	n := newNode(cfg.Nodes[0], 0, s)
+	n := newNode(cfg.Nodes[0], s)
 	cases := []struct {
 		name      string
 		got, want any
 	}{
 		{"poll interval", s.pollInterval, 25 * time.Millisecond},
 		{"saturation backoff", s.saturationBackoff, 250 * time.Millisecond},
-		{"retry base delay", n.retry.BaseDelay, 50 * time.Millisecond},
 		{"recover timeout", s.recoverTimeout, 2 * time.Second},
-		{"breaker open timeout", n.breaker.OpenTimeout, 2 * time.Second},
-		{"retry max delay", n.retry.MaxDelay, 2 * time.Second},
 		{"probe timeout", s.probeTimeout, time.Second},
 		{"pending cap", s.pendingCap, 3 * 64},
-		{"breaker threshold", cmp.Or(n.breaker.FailureThreshold, serverclient.DefaultFailureThreshold), 5},
-		{"retry attempts", cmp.Or(n.retry.MaxAttempts, serverclient.DefaultMaxAttempts), 4},
+		// One exchange per call: the prober and dispatch's loops are the
+		// only failure detector and the only retry.
+		{"node client retry", n.client.Retry, (*serverclient.RetryPolicy)(nil)},
 	}
 	for _, tc := range cases {
 		if tc.got != tc.want {

@@ -63,7 +63,6 @@ func crashCoordMain() {
 		Nodes:         nodes,
 		ProbeInterval: 25 * time.Millisecond,
 		StaleAfter:    time.Second,
-		Seed:          seed,
 		Transport:     linkChaos.WrapTransport(&http.Transport{}),
 		Options:       jobcore.Options{JournalDir: dir},
 	})

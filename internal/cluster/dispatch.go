@@ -1,11 +1,13 @@
 // Job dispatch and failover. Each started job gets a watcher goroutine
 // that places it on the least-loaded healthy node, submits it under the
-// stable "cluster/<id>" idempotency key, and polls for the result. The
+// stable "cluster/<id>" idempotency key, and polls for the result.
+// These loops are the only retry: node clients make one exchange per
+// call, so every refusal and fault reaches them at once. The
 // exactly-once discipline lives here:
 //
-//   - An *ambiguous* submit failure (transport fault, breaker open,
-//     unclassified 5xx) may mean the node admitted the job before the
-//     reply was lost — so the watcher sticks to that node and resubmits
+//   - An *ambiguous* submit failure (transport fault, unclassified
+//     5xx) may mean the node admitted the job before the reply was
+//     lost — so the watcher sticks to that node and resubmits
 //     the same key until the node either answers (dedup attaches to the
 //     original job) or is declared lost. Re-routing on ambiguity would
 //     risk proving the job on two nodes.
@@ -97,7 +99,7 @@ func (x *remote) runJob(j *jobcore.Job, p *placement) (*jobs.Encoded, error) {
 				// If the ejected node is actually alive (probes starved or
 				// chaos-eaten), the orphaned remote job would burn a prover
 				// slot for nobody. Best-effort cancel it; against a truly
-				// dead node this fails fast (breaker or refused dial).
+				// dead node this fails fast (refused dial).
 				x.cancelRemote(p)
 			}
 			x.met.redispatches.Add(1)
@@ -275,8 +277,7 @@ func classifyAwait(err error) int {
 	}
 	var ae *serverclient.APIError
 	if !errors.As(err, &ae) {
-		// Transport fault or breaker open: the fetch, not the job,
-		// failed.
+		// Transport fault: the fetch, not the job, failed.
 		return awaitPoll
 	}
 	switch {

@@ -1,6 +1,5 @@
 // Cluster metrics: the shared sections, the remote executor's counters,
-// and a per-node roster with each node's probed load picture and its
-// client stack's breaker/retry statistics.
+// and a per-node roster with each node's probed load picture.
 package cluster
 
 import (
@@ -55,9 +54,6 @@ type NodeMetrics struct {
 	Ejections    int64 `json:"ejections"`
 	Readmissions int64 `json:"readmissions"`
 	EpochChanges int64 `json:"epoch_changes"`
-
-	Breaker serverclient.BreakerStats `json:"breaker"`
-	Retry   serverclient.RetryStats   `json:"retry"`
 }
 
 // healthy: probed at least once, not ejected, not draining.
@@ -125,8 +121,6 @@ func (x *remote) Metrics(sh jobcore.Shared) any {
 			row.LastProbeAgeMS = now.Sub(n.lastOK).Milliseconds()
 		}
 		n.mu.Unlock()
-		row.Breaker = n.breaker.Stats()
-		row.Retry = n.retry.Stats()
 		if row.healthy() {
 			m.NodesHealthy++
 		}

@@ -1,7 +1,7 @@
-// Node handles: one per prover node, holding the serverclient stack
-// (breaker + seeded retry) the coordinator talks through, the probed
-// health/load picture, and the generation counter that invalidates job
-// attributions when the node dies or restarts.
+// Node handles: one per prover node, holding the serverclient the
+// coordinator talks through (one exchange per call: no retry policy),
+// the probed health/load picture, and the generation counter that
+// invalidates job attributions when the node dies or restarts.
 package cluster
 
 import (
@@ -14,10 +14,8 @@ import (
 )
 
 type node struct {
-	url     string
-	client  *serverclient.Client
-	breaker *serverclient.Breaker
-	retry   *serverclient.RetryPolicy
+	url    string
+	client *serverclient.Client
 
 	mu sync.Mutex
 	// m is the node's row in the metrics roster, and the only copy of
@@ -46,33 +44,19 @@ type node struct {
 	saturatedUntil time.Time
 }
 
-func newNode(baseURL string, index int, s settings) *node {
-	br := &serverclient.Breaker{OpenTimeout: s.breakerOpen}
-	rp := &serverclient.RetryPolicy{
-		BaseDelay: s.retryBase,
-		MaxDelay:  s.retryMax,
-		// Per-node seeds derive from the cluster seed so soaks are
-		// reproducible but nodes do not retry in lockstep.
-		Seed: s.Seed + int64(index)*7919,
-	}
-	if s.Seed == 0 {
-		rp.Seed = 0
-	}
+// newNode builds a node handle whose client makes exactly one exchange
+// per call. The prober alone decides that a node is lost, and dispatch's
+// loops alone retry: a client-side retry would honour a refusal's
+// Retry-After before dispatch could re-route the job.
+func newNode(baseURL string, s settings) *node {
 	hc := http.DefaultClient
 	if s.Transport != nil {
 		hc = &http.Client{Transport: s.Transport}
 	}
 	return &node{
-		url:     baseURL,
-		m:       NodeMetrics{URL: baseURL},
-		breaker: br,
-		retry:   rp,
-		client: &serverclient.Client{
-			BaseURL:    baseURL,
-			HTTPClient: hc,
-			Retry:      rp,
-			Breaker:    br,
-		},
+		url:    baseURL,
+		m:      NodeMetrics{URL: baseURL},
+		client: &serverclient.Client{BaseURL: baseURL, HTTPClient: hc},
 	}
 }
 

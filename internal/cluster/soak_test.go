@@ -104,7 +104,6 @@ func TestClusterChaosSoak(t *testing.T) {
 		// under StaleAfter, so the kill must be caught by the epoch
 		// change, and chaos alone must never eject a live node.
 		StaleAfter: time.Second,
-		Seed:       seed,
 		Transport:  linkChaos.WrapTransport(innerRT),
 	})
 	if err != nil {
@@ -371,10 +370,7 @@ func soakRetryable(err error) bool {
 		return true
 	}
 	var ae *serverclient.APIError
-	if errors.As(err, &ae) {
-		return ae.Retryable()
-	}
-	return errors.Is(err, serverclient.ErrCircuitOpen)
+	return errors.As(err, &ae) && ae.Retryable()
 }
 
 // settleGoroutines waits for the goroutine count to return near its

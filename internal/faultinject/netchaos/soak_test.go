@@ -21,8 +21,8 @@ import (
 // service: N concurrent clients drive real proof jobs through a real
 // server with faults injected on both sides of the wire — request
 // resets, truncated responses, 503 blips, connection resets, latency —
-// while every client retries through the resilient-client machinery
-// (retry policy + circuit breaker) under idempotency keys.
+// while every client retries through its retry policy under
+// idempotency keys.
 //
 // Invariants pinned:
 //   - every job eventually yields a proof bit-identical to a direct,
@@ -32,8 +32,8 @@ import (
 //   - the server's prover ran exactly once per unique admitted job —
 //     retried submits never prove twice (ProveInvocations == unique ids);
 //   - every error seen along the way is a classified, retryable one
-//     (transport fault, retryable API error, or open breaker) — never
-//     an unclassified failure, never a panic;
+//     (transport fault or retryable API error) — never an
+//     unclassified failure, never a panic;
 //   - after drain + close, the goroutine count settles: nothing leaks.
 //
 // The seed is fixed, so the fault schedule (up to goroutine
@@ -106,7 +106,6 @@ func TestChaosSoak(t *testing.T) {
 				MaxDelay:    100 * time.Millisecond,
 				Seed:        seed + int64(ci) + 1,
 			}
-			c.Breaker = &serverclient.Breaker{FailureThreshold: 8, OpenTimeout: 50 * time.Millisecond}
 
 			for n := 0; n < jobsEach; n++ {
 				req := request(ci, n)
@@ -252,10 +251,7 @@ func soakRetryable(err error) bool {
 		return true
 	}
 	var ae *serverclient.APIError
-	if errors.As(err, &ae) {
-		return ae.Retryable()
-	}
-	return errors.Is(err, serverclient.ErrCircuitOpen)
+	return errors.As(err, &ae) && ae.Retryable()
 }
 
 // settleGoroutines waits for the goroutine count to return near its

@@ -489,8 +489,10 @@ func (j *Job) Check(res *Result) error {
 	}
 }
 
-// Execute compiles and proves a request in one step — the shared
-// entry point for cmd/prove's local path and one-shot callers.
+// Execute compiles and proves a request in one step: the direct,
+// serviceless proof that tests hold a served proof against. cmd/prove
+// does not use it: it calls Compile and then Prove, to print the job's
+// description and soundness between the two.
 func Execute(ctx context.Context, req *Request) (*Result, error) {
 	j, err := Compile(req)
 	if err != nil {

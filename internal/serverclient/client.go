@@ -76,12 +76,11 @@ type Client struct {
 	// with a retryable error (transport faults, 429/502/503) using
 	// capped exponential backoff with full jitter. Retried submissions
 	// should carry an idempotency key so a retry after an ambiguous
-	// transport failure cannot prove twice.
+	// transport failure cannot prove twice. It is for end-user clients:
+	// a client without one makes exactly one exchange per call, which
+	// is what a caller running its own retry loop (the cluster
+	// coordinator) needs.
 	Retry *RetryPolicy
-	// Breaker, when non-nil, fails calls fast with ErrCircuitOpen after
-	// a streak of transport-level failures, instead of piling timeouts
-	// onto a dead server.
-	Breaker *Breaker
 	// APIKey, when non-empty, authenticates every request as its tenant
 	// (sent as Authorization: Bearer). Unset means the server's default
 	// tenant.
@@ -139,24 +138,14 @@ func apiError(resp *http.Response, body []byte) error {
 // do issues a request and returns the response body, converting non-2xx
 // replies into *APIError and exchange failures into *TransportError.
 // When the client has a Retry policy, retryable failures are re-issued
-// with backoff; when it has a Breaker, calls fail fast with
-// ErrCircuitOpen while the breaker is open.
+// with backoff; without one, do makes exactly one exchange.
 func (c *Client) do(ctx context.Context, method, u string, body []byte) (int, []byte, error) {
-	start := time.Now()
 	for attempt := 1; ; attempt++ {
-		if c.Breaker != nil {
-			if err := c.Breaker.Allow(); err != nil {
-				return 0, nil, err
-			}
-		}
 		status, data, err := c.doOnce(ctx, method, u, body)
-		if c.Breaker != nil {
-			c.Breaker.Record(err)
-		}
 		if err == nil || c.Retry == nil {
 			return status, data, err
 		}
-		delay, ok := c.Retry.next(attempt, time.Since(start), err)
+		delay, ok := c.Retry.next(attempt, err)
 		if !ok {
 			return status, data, err
 		}
@@ -335,13 +324,13 @@ const pollInterval = 25 * time.Millisecond
 // mapped error). The poll loop exits early when ctx is done.
 //
 // Wait survives a coordinator restart: a transport failure (connection
-// refused while the process is down, a reply torn mid-restart) or an
-// open breaker does not surface — the job id is still valid on the
-// other side of a journal-backed recovery, so Wait keeps re-polling the
-// status by id under the client's RetryPolicy/Breaker until the service
-// answers again. Decided API errors (including retryable-classed ones
-// like "canceled" or "deadline", which are the *job's own* terminal
-// outcome) still return immediately; bound the restart window with ctx.
+// refused while the process is down, a reply torn mid-restart) does
+// not surface — the job id is still valid on the other side of a
+// journal-backed recovery, so Wait keeps re-polling the status by id
+// under the client's RetryPolicy until the service answers again.
+// Decided API errors (including retryable-classed ones like "canceled"
+// or "deadline", which are the *job's own* terminal outcome) still
+// return immediately; bound the restart window with ctx.
 func (c *Client) Wait(ctx context.Context, id string) (*jobs.Result, error) {
 	for {
 		res, err := c.Result(ctx, id)
@@ -360,7 +349,7 @@ func (c *Client) Wait(ctx context.Context, id string) (*jobs.Result, error) {
 // (not the job) failed, so the job's outcome is still unknown.
 func waitCanRepoll(err error) bool {
 	var te *TransportError
-	return errors.As(err, &te) || errors.Is(err, ErrCircuitOpen)
+	return errors.As(err, &te)
 }
 
 // Prove submits a job on the synchronous endpoint and returns the proof
@@ -398,20 +387,10 @@ func (c *Client) Health(ctx context.Context) (*Health, error) {
 // HealthAny fetches /healthz in a single attempt and decodes the body
 // regardless of HTTP status: a draining server answers 503 but its body
 // still carries the node identity and load a cluster prober needs to
-// tell "draining" from "dead". The breaker (when configured) gates and
-// records the exchange — any decoded reply, 503 included, is evidence
-// of life — but the retry policy does not apply: the prober's own loop
-// is the retry.
+// tell "draining" from "dead". The retry policy does not apply: the
+// prober's own loop is the retry.
 func (c *Client) HealthAny(ctx context.Context) (*Health, int, error) {
-	if c.Breaker != nil {
-		if err := c.Breaker.Allow(); err != nil {
-			return nil, 0, err
-		}
-	}
 	resp, data, err := c.exchange(ctx, http.MethodGet, c.BaseURL+"/healthz", nil)
-	if c.Breaker != nil {
-		c.Breaker.Record(err)
-	}
 	if err != nil {
 		return nil, 0, err
 	}

@@ -235,6 +235,28 @@ func TestRetryRecoversFromBlips(t *testing.T) {
 	}
 }
 
+// TestRetryMakesMaxAttempts: MaxAttempts N is N exchanges against a
+// server that refuses every dial (cmd/prove -retries N), and the error
+// that surfaces is the last dial failure itself.
+func TestRetryMakesMaxAttempts(t *testing.T) {
+	calls := 0
+	dead := roundTripFunc(func(*http.Request) (*http.Response, error) {
+		calls++
+		return nil, errors.New("connection refused")
+	})
+	c := New("http://server.invalid")
+	c.HTTPClient = &http.Client{Transport: dead}
+	c.Retry = &RetryPolicy{MaxAttempts: 8, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond, Seed: 1}
+	_, err := c.Status(context.Background(), "j0001")
+	var te *TransportError
+	if !errors.As(err, &te) || !strings.Contains(err.Error(), "connection refused") {
+		t.Fatalf("err = %v, want the dial failure", err)
+	}
+	if calls != 8 {
+		t.Fatalf("%d exchanges, want 8", calls)
+	}
+}
+
 // TestRetryStopsOnTerminalError checks that terminal API errors are
 // never retried even with an aggressive policy.
 func TestRetryStopsOnTerminalError(t *testing.T) {
@@ -284,23 +306,6 @@ func TestRetryHonorsRetryAfter(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed < time.Second {
 		t.Fatalf("retry slept %v, want ≥1s from Retry-After", elapsed)
-	}
-}
-
-// TestRetryBudget bounds the total time spent: a budget smaller than
-// the next delay stops the loop even with attempts remaining.
-func TestRetryBudget(t *testing.T) {
-	p := &RetryPolicy{MaxAttempts: 10, BaseDelay: 40 * time.Millisecond,
-		MaxDelay: 40 * time.Millisecond, Budget: 50 * time.Millisecond, Seed: 1}
-	err := &TransportError{Op: "do", Err: errors.New("reset")}
-	// Something always fits inside a fresh budget...
-	if _, ok := p.next(1, 0, err); !ok {
-		// full jitter can legitimately produce a delay that fits
-		t.Skip("jitter produced a delay beyond the budget on attempt 1")
-	}
-	// ...but once elapsed ≥ budget nothing does.
-	if d, ok := p.next(2, 60*time.Millisecond, err); ok {
-		t.Fatalf("retry allowed past budget (delay %v)", d)
 	}
 }
 

@@ -27,9 +27,6 @@ type RetryPolicy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps a single sleep; 0 means DefaultMaxDelay.
 	MaxDelay time.Duration
-	// Budget caps the total time spent across all attempts and sleeps;
-	// 0 means no elapsed-time budget (attempts alone bound the loop).
-	Budget time.Duration
 	// Seed fixes the jitter stream for deterministic tests; 0 seeds
 	// from the wall clock.
 	Seed int64
@@ -39,39 +36,21 @@ type RetryPolicy struct {
 	//unizklint:guardedby mu
 	rng *rand.Rand
 
-	// Lifetime counters behind Stats.
-	retries    atomic.Int64
-	exhausted  atomic.Int64
-	terminal   atomic.Int64
-	overBudget atomic.Int64
+	// retries is the lifetime counter behind Stats.
+	retries atomic.Int64
 }
 
-// RetryStats is a snapshot of a RetryPolicy's lifetime counters: how
-// many sleeps it scheduled and why it stopped retrying, so a
-// coordinator (or a test) can observe per-node retry pressure.
+// RetryStats is a snapshot of a RetryPolicy's lifetime counter, so a
+// load generator can report the retry pressure its clients met.
 type RetryStats struct {
 	// Retries counts attempts the policy allowed to be re-issued (each
 	// corresponds to one backoff sleep).
-	Retries int64 `json:"retries"`
-	// Exhausted counts calls that gave up because MaxAttempts ran out
-	// while the error was still retryable.
-	Exhausted int64 `json:"exhausted"`
-	// Terminal counts calls that stopped because the error was not
-	// retryable (a decided API reply, the caller's own context, …).
-	Terminal int64 `json:"terminal"`
-	// OverBudget counts calls that gave up because the next sleep would
-	// overrun the elapsed-time Budget.
-	OverBudget int64 `json:"over_budget"`
+	Retries int64
 }
 
-// Stats returns a snapshot of the policy's counters.
+// Stats returns a snapshot of the policy's counter.
 func (p *RetryPolicy) Stats() RetryStats {
-	return RetryStats{
-		Retries:    p.retries.Load(),
-		Exhausted:  p.exhausted.Load(),
-		Terminal:   p.terminal.Load(),
-		OverBudget: p.overBudget.Load(),
-	}
+	return RetryStats{Retries: p.retries.Load()}
 }
 
 // Defaults for the zero-valued fields of RetryPolicy.
@@ -90,24 +69,14 @@ func (p *RetryPolicy) maxAttempts() int {
 
 // next decides whether a failed attempt may be retried and, if so, how
 // long to sleep first. attempt is 1-based (the attempt that just
-// failed), elapsed is the total time since the first attempt started,
-// and err is the failure being considered.
-func (p *RetryPolicy) next(attempt int, elapsed time.Duration, err error) (time.Duration, bool) {
-	if !autoRetryable(err) {
-		p.terminal.Add(1)
-		return 0, false
-	}
-	if attempt >= p.maxAttempts() {
-		p.exhausted.Add(1)
+// failed) and err is the failure being considered.
+func (p *RetryPolicy) next(attempt int, err error) (time.Duration, bool) {
+	if !autoRetryable(err) || attempt >= p.maxAttempts() {
 		return 0, false
 	}
 	d := p.delay(attempt)
 	if ra := retryAfterHint(err); ra > d {
 		d = ra
-	}
-	if p.Budget > 0 && elapsed+d >= p.Budget {
-		p.overBudget.Add(1)
-		return 0, false
 	}
 	p.retries.Add(1)
 	return d, true

@@ -17,8 +17,8 @@ import (
 //
 // TransportError is deliberately distinct from APIError: an APIError
 // means the server parsed the request and answered; a TransportError
-// means the exchange itself broke. The retry policy and circuit breaker
-// treat the two differently.
+// means the exchange itself broke. The retry policy treats the two
+// differently.
 type TransportError struct {
 	// Op names the exchange step that failed ("do", "read body",
 	// "decode submit reply", …).
@@ -34,9 +34,8 @@ func (e *TransportError) Error() string {
 func (e *TransportError) Unwrap() error { return e.Err }
 
 // transportErr classifies err from an exchange step. The caller's own
-// context expiring is not a transport fault — retrying cannot help, and
-// the breaker must not count it against the server — so it propagates
-// as the bare context error. Everything else wraps as *TransportError.
+// context expiring is not a transport fault — retrying cannot help —
+// so it propagates as the bare context error. Everything else wraps as *TransportError.
 func transportErr(ctx context.Context, op string, err error) error {
 	if err == nil {
 		return nil
