@@ -53,8 +53,11 @@ go test -timeout 5m ./internal/allocgate
 # which entries stay (against its brute-force model), and the journal's
 # known-result set shared by concurrent appenders, under the race
 # detector. The full -race run below repeats it; this step makes a
-# lifecycle, cache or journal regression fail under its own name.
+# lifecycle, cache or journal regression fail under its own name. The
+# idempotency tests repeat 200 times: an order race between a job
+# becoming visible and its retirement fails once in hundreds of runs.
 go test -race ./internal/jobcore ./internal/serverclient ./internal/proofcache ./internal/store ./internal/journal
+go test -race -count=200 -run '^TestIdempotency' ./internal/jobcore
 
 # Chaos soak (fixed seed, small circuits): concurrent clients drive real
 # proof jobs through injected connection resets, truncated responses,

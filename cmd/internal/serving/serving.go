@@ -69,7 +69,6 @@ func Register(fs *flag.FlagSet, t Tier) *Flags {
 	fs.DurationVar(&f.opt.DefaultTimeout, "job-timeout", 5*time.Minute, "default per-job deadline, measured from admission")
 	fs.DurationVar(&f.drain, "drain", t.Drain, t.DrainHelp)
 	fs.IntVar(&f.opt.CacheEntries, "cache", 0, t.CacheHelp)
-	fs.DurationVar(&f.opt.CacheTTL, "cache-ttl", 0, "cached proof lifetime (0 = proofcache default)")
 	fs.BoolVar(&f.opt.CacheVerify, "cache-verify", false, "verify each proof before caching it (verify-on-insert)")
 	fs.StringVar(&f.opt.JournalDir, "journal", "", t.JournalHelp)
 	fs.IntVar(&f.opt.SnapshotEvery, "snapshot-every", 0, "journal records between snapshot compactions (0 = journal default, negative = never)")

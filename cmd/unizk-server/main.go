@@ -34,8 +34,8 @@ import (
 // the local executor's.
 type options struct {
 	*serving.Flags
-	queueCap, inflight, workers, idemKeys, registry *int
-	idemTTL                                         *time.Duration
+	queueCap, inflight, workers, registry *int
+	idemTTL                               *time.Duration
 }
 
 func registerFlags(fs *flag.FlagSet) options {
@@ -53,7 +53,6 @@ func registerFlags(fs *flag.FlagSet) options {
 		inflight: fs.Int("inflight", 2, "jobs proving concurrently"),
 		workers:  fs.Int("workers", 0, "prover pool size shared by all in-flight jobs (0 = NumCPU)"),
 		idemTTL:  fs.Duration("idem-ttl", 10*time.Minute, "how long a submitted idempotency key deduplicates retries"),
-		idemKeys: fs.Int("idem-keys", 4096, "max idempotency keys tracked before the oldest are evicted"),
 		registry: fs.Int("registry", proofcache.DefaultRegistryBytes>>20, "precompiled-circuit registry budget in MiB: each circuit compiles once, and past the budget the circuits worth least (requests × compile time ÷ bytes) are evicted (0 = off)"),
 	}
 }
@@ -71,7 +70,7 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	opt.IdempotencyTTL, opt.MaxIdempotencyKeys = *o.idemTTL, *o.idemKeys
+	opt.IdempotencyTTL = *o.idemTTL
 	if *o.workers > 0 {
 		parallel.SetWorkers(*o.workers)
 	}

@@ -78,6 +78,7 @@ func (c *Core) Admit(req *jobs.Request, priority int, timeout time.Duration, tn 
 		ID:       fmt.Sprintf("%s%08d", c.idPrefix, c.nextID.Add(1)),
 		Req:      req,
 		Priority: priority,
+		fp:       fp,
 		done:     make(chan struct{}),
 		running:  make(chan struct{}),
 		owner:    tn,
@@ -106,7 +107,7 @@ func (c *Core) Admit(req *jobs.Request, priority int, timeout time.Duration, tn 
 			res, leaderID, leader = c.cache.Begin(j.cacheKey, j.ID)
 		}
 		if res != nil {
-			return c.admitCached(j, res, fp)
+			return c.admitCached(j, res)
 		}
 		j.cacheLeader = leader
 	}
@@ -131,7 +132,7 @@ func (c *Core) Admit(req *jobs.Request, priority int, timeout time.Duration, tn 
 	case timeout <= 0:
 		timeout = c.opt.DefaultTimeout
 	}
-	if existing, err := c.register(j, fp, timeout); err != nil || existing != nil {
+	if existing, err := c.register(j, timeout); err != nil || existing != nil {
 		return existing, AdmitDeduped, err
 	}
 	if err := c.exec.Start(j); err != nil {
@@ -147,14 +148,14 @@ func (c *Core) Admit(req *jobs.Request, priority int, timeout time.Duration, tn 
 // replays — serves it through the normal lifecycle, with no execution.
 // The hit reuses the cached encoding: register journals it as one
 // record naming the result, and replies write the same bytes.
-func (c *Core) admitCached(j *Job, res *jobs.Encoded, fp fingerprint) (*Job, AdmitHow, error) {
+func (c *Core) admitCached(j *Job, res *jobs.Encoded) (*Job, AdmitHow, error) {
 	// Counted here, not via AcquireSlot: a cached serve claims no slot
 	// but is still a submission the tenant had accepted.
 	j.owner.RecordAdmit()
 	j.mu.Lock()
 	j.state, j.res = StateDone, res
 	j.mu.Unlock()
-	if existing, err := c.register(j, fp, 0); err != nil || existing != nil {
+	if existing, err := c.register(j, 0); err != nil || existing != nil {
 		return existing, AdmitDeduped, err
 	}
 	c.met.submitted.Add(1)
@@ -196,15 +197,20 @@ func (c *Core) abandon(j *Job) {
 // done (a cache hit) is finished here: one journal record admits and
 // commits it, and it is published straight into the retained set. The
 // key is rechecked under the lock: a concurrent duplicate may have registered
-// it meanwhile, exactly one of the racing submits admits, and the loser
-// gets the winner's job back. A submit that passed the drain gate just
+// it meanwhile, exactly one of the racing submits admits and binds the
+// key to its record, and the loser gets the winner's job back. The
+// submission time comes from the core's clock, which idempotency
+// expiry reads too. A submit that passed the drain gate just
 // before Shutdown flipped it is refused here, so nothing registers
 // after Shutdown has seen the pending count reach zero.
-func (c *Core) register(j *Job, fp fingerprint, timeout time.Duration) (existing *Job, err error) {
+func (c *Core) register(j *Job, timeout time.Duration) (existing *Job, err error) {
 	j.Timeout = timeout
 	j.ctx, j.cancel = c.jobContext(timeout)
+	c.mu.Lock()
+	now := c.clock()
+	c.mu.Unlock()
 	j.mu.Lock()
-	j.submitted = time.Now()
+	j.submitted = now
 	done := j.state == StateDone
 	if done {
 		j.finished = j.submitted
@@ -224,7 +230,7 @@ func (c *Core) register(j *Job, fp fingerprint, timeout time.Duration) (existing
 	key := j.Req.IdempotencyKey
 	c.mu.Lock()
 	if key != "" {
-		existing, err = c.idemLookupLocked(key, fp)
+		existing, err = c.idemLookupLocked(key, j.fp)
 	}
 	if err == nil && existing == nil && c.draining.Load() {
 		err = ErrDraining
@@ -241,7 +247,7 @@ func (c *Core) register(j *Job, fp fingerprint, timeout time.Duration) (existing
 		return existing, err
 	}
 	if key != "" {
-		c.idemInsertLocked(key, fp, j.ID)
+		c.idemIndex[key] = j
 	}
 	c.jobsByID[j.ID] = j
 	if done {
@@ -250,9 +256,6 @@ func (c *Core) register(j *Job, fp fingerprint, timeout time.Duration) (existing
 		c.pending++
 	}
 	c.mu.Unlock()
-	if key != "" {
-		c.journalIdem(key, fp, j.ID)
-	}
 	return nil, nil
 }
 
@@ -263,7 +266,7 @@ func (c *Core) unregister(j *Job) {
 	defer c.snapMu.RUnlock()
 	c.mu.Lock()
 	delete(c.jobsByID, j.ID)
-	c.idemDeleteLocked(j.Req.IdempotencyKey, j.ID)
+	c.idemDeleteLocked(j)
 	c.pending--
 	c.mu.Unlock()
 	c.journalSuperseded(j.ID)
@@ -303,11 +306,12 @@ func (c *Core) Dispatch(j *Job, node string) time.Duration {
 }
 
 // Finish moves a job to its terminal state exactly once: it settles the
-// job's proof-cache flight, journals the outcome before any waiter is
-// released, frees the tenant slot, and retires the record. enc is the
-// result, encoded and hashed once by the executor (jobs.Encode, or
-// jobs.DecodeEncoded over bytes a node sent): the cache, the journal and
-// every reply share it. Executors call Finish for every job they
+// job's proof-cache flight, publishes the outcome and retires the
+// record in one critical section, journals the outcome before any
+// waiter is released, and frees the tenant slot. enc is the result,
+// encoded and hashed once by the executor (jobs.Encode, or
+// jobs.DecodeEncoded over bytes a node sent): the cache, the journal
+// and every reply share it. Executors call Finish for every job they
 // started; the core calls it for restored jobs the executor refused.
 // Cache hits never run it: register finishes them. The retained record
 // drops Verify here, after its one use, so it does not pin the compiled
@@ -326,9 +330,11 @@ func (c *Core) Finish(j *Job, enc *jobs.Encoded, err error) {
 		}
 	}
 	c.snapMu.RLock()
+	c.mu.Lock()
 	j.mu.Lock()
 	if j.state.terminal() {
 		j.mu.Unlock()
+		c.mu.Unlock()
 		c.snapMu.RUnlock()
 		return
 	}
@@ -345,6 +351,10 @@ func (c *Core) Finish(j *Job, enc *jobs.Encoded, err error) {
 	}
 	state := j.state
 	j.mu.Unlock()
+	// Retired as it becomes visible: a client that has seen this job
+	// end also sees every eviction its retirement caused.
+	c.retireLocked(j.ID)
+	c.mu.Unlock()
 	// Durable before close(j.done) releases waiters: an acknowledged
 	// outcome survives a crash.
 	c.journalTerminal(j, state, enc, err)
@@ -361,20 +371,16 @@ func (c *Core) Finish(j *Job, enc *jobs.Encoded, err error) {
 	}
 	j.cancel()
 	close(j.done)
-	c.retire(j)
-}
-
-// retire keeps a finished job for later queries and evicts the oldest
-// beyond the retention bound, idempotency entry included: the index
-// only points at live records, so a dedup hit can always replay.
-func (c *Core) retire(j *Job) {
 	c.mu.Lock()
 	c.pending--
-	c.retireLocked(j.ID)
 	c.mu.Unlock()
 	c.poke()
 }
 
+// retireLocked keeps a finished job for later queries and evicts the
+// oldest beyond the retention bound, idempotency binding included: the
+// index only points at live records, so a dedup hit can always replay.
+//
 //unizklint:holds c.mu
 func (c *Core) retireLocked(id string) {
 	c.finishedList = append(c.finishedList, id)
@@ -382,7 +388,7 @@ func (c *Core) retireLocked(id string) {
 		evict := c.finishedList[0]
 		c.finishedList = c.finishedList[1:]
 		if old, ok := c.jobsByID[evict]; ok {
-			c.idemDeleteLocked(old.Req.IdempotencyKey, evict)
+			c.idemDeleteLocked(old)
 			delete(c.jobsByID, evict)
 		}
 	}

@@ -178,48 +178,15 @@ func TestIdempotencyFailureNotCached(t *testing.T) {
 	}
 }
 
-// TestIdempotencyEviction bounds the key index: with MaxIdempotencyKeys
-// of 2, the oldest key is evicted and re-admits fresh while the newest
-// still dedups. A key also goes when its job record is retired out of
-// the retained set.
+// TestIdempotencyEviction pins that a key lives as long as its job
+// record: once the record is retired out of the retained set, the key
+// re-admits fresh.
 func TestIdempotencyEviction(t *testing.T) {
-	_, c := newTestCore(t, Options{MaxIdempotencyKeys: 2}, &fakeExec{})
+	_, c := newTestCore(t, Options{maxRetained: 1}, &fakeExec{})
 	ctx := context.Background()
-	mk := func(key string) *jobs.Request {
-		r := script("complete")
-		r.IdempotencyKey = key
-		return r
-	}
-	ids := make(map[string]string)
-	for _, key := range []string{"k1", "k2", "k3"} {
-		r, err := c.SubmitDetail(ctx, mk(key), serverclient.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.Wait(ctx, r.ID); err != nil {
-			t.Fatal(err)
-		}
-		ids[key] = r.ID
-	}
-	// k1 was evicted when k3 was inserted: it re-admits fresh.
-	r1, err := c.SubmitDetail(ctx, mk("k1"), serverclient.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Deduplicated || r1.ID == ids["k1"] {
-		t.Fatalf("evicted key resubmit = %+v, want fresh admit", r1)
-	}
-	// k3 is still indexed: it dedups.
-	r3, err := c.SubmitDetail(ctx, mk("k3"), serverclient.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r3.Deduplicated || r3.ID != ids["k3"] {
-		t.Fatalf("retained key resubmit = %+v, want dedup onto %s", r3, ids["k3"])
-	}
-
-	_, c = newTestCore(t, Options{maxRetained: 1}, &fakeExec{})
-	old, err := c.SubmitDetail(ctx, mk("old"), serverclient.Options{})
+	keyed := script("complete")
+	keyed.IdempotencyKey = "old"
+	old, err := c.SubmitDetail(ctx, keyed, serverclient.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +197,7 @@ func TestIdempotencyEviction(t *testing.T) {
 	if _, err := c.Prove(ctx, script("complete"), serverclient.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	again, err := c.SubmitDetail(ctx, mk("old"), serverclient.Options{})
+	again, err := c.SubmitDetail(ctx, keyed, serverclient.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

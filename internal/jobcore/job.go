@@ -59,6 +59,10 @@ type Job struct {
 	done    chan struct{}
 	running chan struct{}
 
+	// fp fingerprints the request of a keyed job: the SHA-256 of its
+	// encoding, set at admission and at recovery.
+	fp fingerprint
+
 	// owner is the tenant the job is attributed to; only slotHeld jobs
 	// release an in-flight slot at finish. cacheLeader marks the job
 	// whose outcome settles the proof-cache flight for cacheKey.

@@ -48,16 +48,14 @@ type Options struct {
 	// DefaultTimeout applies to jobs that request no deadline (default
 	// 5m, negative means none); requested ones are capped at maxTimeout.
 	DefaultTimeout time.Duration
-	// IdempotencyTTL and MaxIdempotencyKeys bound the idempotency index
-	// (10m, 4096).
-	IdempotencyTTL     time.Duration
-	MaxIdempotencyKeys int
+	// IdempotencyTTL is how long after its submission a job's
+	// idempotency key deduplicates retries (10m); the retained-record
+	// bound ends it sooner.
+	IdempotencyTTL time.Duration
 	// CacheEntries > 0 enables the content-addressed proof cache (off by
 	// default: deployments may rely on every admitted job executing).
-	// CacheTTL bounds entry age (0 = proofcache.DefaultTTL); CacheVerify
-	// verifies each proof before it is inserted.
+	// CacheVerify verifies each proof before it is inserted.
 	CacheEntries int
-	CacheTTL     time.Duration
 	CacheVerify  bool
 	// Tenants is the API-key/rate/quota registry; nil means only the
 	// unlimited default tenant (unauthenticated single-user deployments).
@@ -91,7 +89,6 @@ func (o Options) withDefaults() Options {
 	}
 	Default(&o.maxRetained, 1024)
 	Default(&o.IdempotencyTTL, 10*time.Minute)
-	Default(&o.MaxIdempotencyKeys, 4096)
 	if o.Tenants == nil {
 		// NewRegistry without configs cannot fail: it only synthesizes
 		// the unlimited default tenant.
@@ -180,7 +177,7 @@ type Core struct {
 
 	mu sync.Mutex
 	//unizklint:guardedby mu
-	now func() time.Time // test hook for idempotency TTL expiry; nil means time.Now
+	now func() time.Time // test hook for submission time and idempotency expiry; nil means time.Now
 	//unizklint:guardedby mu
 	jobsByID map[string]*Job
 	//unizklint:guardedby mu
@@ -188,12 +185,10 @@ type Core struct {
 	// pending counts registered jobs that are not yet terminal.
 	//unizklint:guardedby mu
 	pending int
+	// idemIndex binds each idempotency key to the retained or pending
+	// job it admitted.
 	//unizklint:guardedby mu
-	idemIndex map[string]*idemEntry
-	//unizklint:guardedby mu
-	idemOrder []idemOrderEntry
-	//unizklint:guardedby mu
-	idemSeq uint64
+	idemIndex map[string]*Job
 }
 
 // New builds an idle core: no journal is open and nothing is admitted
@@ -211,12 +206,11 @@ func New(idPrefix string, classify func(error) (int, string), opt Options) *Core
 		cancelAll: cancel,
 		settled:   make(chan struct{}, 1),
 		jobsByID:  make(map[string]*Job),
-		idemIndex: make(map[string]*idemEntry),
+		idemIndex: make(map[string]*Job),
 	}
 	if opt.CacheEntries > 0 {
 		c.cache = proofcache.New(proofcache.Config{
 			MaxEntries: opt.CacheEntries,
-			TTL:        opt.CacheTTL,
 			Verify:     opt.CacheVerify,
 		})
 	}
@@ -284,8 +278,9 @@ func (c *Core) Lookup(id string) (*Job, bool) {
 	return j, ok
 }
 
-// clock reads the injected time source; idempotency TTL expiry goes
-// through it so tests drive expiry deterministically.
+// clock reads the injected time source; submission stamps and
+// idempotency expiry go through it so tests drive expiry
+// deterministically.
 //
 //unizklint:holds c.mu
 func (c *Core) clock() time.Time {

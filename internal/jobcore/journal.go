@@ -10,6 +10,7 @@ package jobcore
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"sort"
 	"time"
@@ -73,23 +74,6 @@ func (c *Core) journalSuperseded(id string) {
 		ID:     id,
 		Class:  journal.ClassSuperseded,
 		TimeNS: time.Now().UnixNano(),
-	})
-}
-
-// journalIdem journals an idempotency binding. Best-effort: losing it
-// costs a replayed dedup after a crash, never a wrong answer, so it is
-// written in order but does not wait for an fsync of its own; the next
-// durable record covers it.
-func (c *Core) journalIdem(key string, fp fingerprint, jobID string) {
-	if c.jnl == nil {
-		return
-	}
-	_ = c.jnl.AppendNoWait(&journal.Record{
-		Type:   journal.TypeIdem,
-		Key:    key,
-		FP:     fp,
-		ID:     jobID,
-		TimeNS: time.Now().Add(c.opt.IdempotencyTTL).UnixNano(),
 	})
 }
 
@@ -192,14 +176,6 @@ func (c *Core) recover() ([]*Job, error) {
 			resume = append(resume, j)
 		}
 	}
-	c.mu.Lock()
-	for _, e := range st.Idem {
-		exp := time.Unix(0, e.ExpiresNS)
-		if _, ok := c.jobsByID[e.JobID]; ok && exp.After(now) {
-			c.idemBindLocked(e.Key, e.FP, e.JobID, exp)
-		}
-	}
-	c.mu.Unlock()
 	c.nextID.Store(maxID)
 	return resume, nil
 }
@@ -207,9 +183,12 @@ func (c *Core) recover() ([]*Job, error) {
 // restoreJobLocked publishes one replayed job. Terminal jobs become
 // retained records (result/error replayable, idempotent hits land on
 // them); unfinished jobs are re-registered as pending with whatever
-// deadline budget remains. No tenant slot is re-acquired (the crash
-// released them all) and no cache flight restored (cache bodies are
-// deliberately not journaled; the next identical submit re-primes).
+// deadline budget remains. A keyed job binds its key, overwriting the
+// binding of an earlier job in admission order, as a live re-admission
+// did; expired and failed bindings drop on their next lookup. No tenant
+// slot is re-acquired (the crash released them all) and no cache flight
+// restored (cache bodies are deliberately not journaled; the next
+// identical submit re-primes).
 //
 //unizklint:holds c.mu
 func (c *Core) restoreJobLocked(j *Job, jr *journal.JobRecord, now time.Time, results map[[32]byte]*jobs.Encoded) {
@@ -225,6 +204,10 @@ func (c *Core) restoreJobLocked(j *Job, jr *journal.JobRecord, now time.Time, re
 	}
 	c.met.submitted.Add(1)
 	c.jobsByID[jr.ID] = j
+	if key := j.Req.IdempotencyKey; key != "" {
+		j.fp = sha256.Sum256(jr.Req)
+		c.idemIndex[key] = j
+	}
 	if !jr.Terminal {
 		// An already-expired budget gets an epsilon so the job terminates
 		// promptly through the normal deadline path.
@@ -382,14 +365,5 @@ func (c *Core) captureState() *journal.State {
 		st.Jobs[id] = jr
 		st.Order = append(st.Order, id)
 	}
-	for key, e := range c.idemIndex {
-		st.Idem = append(st.Idem, journal.IdemRecord{
-			Key:       key,
-			FP:        e.fp,
-			JobID:     e.jobID,
-			ExpiresNS: e.expires.UnixNano(),
-		})
-	}
-	sort.Slice(st.Idem, func(a, b int) bool { return st.Idem[a].Key < st.Idem[b].Key })
 	return st
 }

@@ -3,7 +3,11 @@ package jobcore
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -16,6 +20,7 @@ import (
 	"unizk/internal/jobs"
 	"unizk/internal/journal"
 	"unizk/internal/serverclient"
+	"unizk/internal/wire"
 )
 
 // TestJournalRestartRetainsState restarts a journaled core cleanly and
@@ -383,9 +388,9 @@ func (p *parkExec) Drain() {
 }
 
 // TestKeyedSubmitOneFsync pins admission's durability cost under
-// FsyncAlways: a submit, keyed or not, waits for one fsync, the one
-// that makes its admission durable. The idempotency binding is written
-// behind it without an fsync of its own, and is still replayed.
+// FsyncAlways: a submit, keyed or not, appends one record and waits for
+// one fsync, the one that makes its admission durable. The idempotency
+// binding is still replayed.
 func TestKeyedSubmitOneFsync(t *testing.T) {
 	dir := t.TempDir()
 	opt := Options{JournalDir: dir, JournalFsync: journal.FsyncAlways}
@@ -408,12 +413,11 @@ func TestKeyedSubmitOneFsync(t *testing.T) {
 		if got := after.Fsyncs - before.Fsyncs; got != 1 {
 			t.Fatalf("submit with key %q cost %d fsyncs, want 1", req.IdempotencyKey, got)
 		}
-		want := int64(1)
 		if req.IdempotencyKey != "" {
-			want, keyedID = 2, j.ID
+			keyedID = j.ID
 		}
-		if got := after.RecordsAppended - before.RecordsAppended; got != want {
-			t.Fatalf("submit with key %q appended %d records, want %d", req.IdempotencyKey, got, want)
+		if got := after.RecordsAppended - before.RecordsAppended; got != 1 {
+			t.Fatalf("submit with key %q appended %d records, want 1", req.IdempotencyKey, got)
 		}
 		c.Finish(j, jobs.Encode(fakeProof(req)), nil)
 	}
@@ -435,4 +439,214 @@ func TestKeyedSubmitOneFsync(t *testing.T) {
 	if how != AdmitDeduped || j.ID != keyedID {
 		t.Fatalf("resubmit after restart = %s (how %d), want a dedup onto %s", j.ID, how, keyedID)
 	}
+}
+
+// TestKeyedAdmissionAloneRebindsKey cuts the journal right after a keyed
+// job's admitted record — all a crash may leave of the submit — and
+// checks the restarted core binds the key from that record: the resubmit
+// dedups onto the resumed job instead of admitting a second one.
+func TestKeyedAdmissionAloneRebindsKey(t *testing.T) {
+	dir := t.TempDir()
+	opt := Options{JournalDir: dir, JournalFsync: journal.FsyncOff}
+	core1, c1 := newTestCore(t, opt, &fakeExec{})
+	ctx := context.Background()
+	keyed := script("complete")
+	keyed.IdempotencyKey = "cut-after-admit"
+	var cut int64
+	core1.admitted = func(*Job) {
+		segs, err := filepath.Glob(filepath.Join(dir, "seg-*.wal"))
+		if err != nil || len(segs) != 1 {
+			t.Errorf("journal segments = %v (err=%v), want one", segs, err)
+			return
+		}
+		if fi, err := os.Stat(segs[0]); err == nil {
+			cut = fi.Size()
+		}
+	}
+	id, err := c1.Submit(ctx, keyed, serverclient.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c1.Wait(ctx, id); err != nil {
+		t.Fatal(err)
+	}
+	shutdown(t, core1)
+	if cut == 0 {
+		t.Fatal("admission hook saw no journal segment")
+	}
+	if err := os.Truncate(filepath.Join(dir, "seg-00000001.wal"), cut); err != nil {
+		t.Fatal(err)
+	}
+
+	f2 := &fakeExec{}
+	core2, c2 := newTestCore(t, opt, f2)
+	if jm := core2.Shared().Journal; jm.RecoveredJobs != 1 {
+		t.Fatalf("recovered jobs = %d, want the cut job back", jm.RecoveredJobs)
+	}
+	again, err := c2.SubmitDetail(ctx, keyed, serverclient.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.Deduplicated || again.ID != id {
+		t.Fatalf("resubmit after the cut = %+v, want a dedup onto %s", again, id)
+	}
+	if _, err := c2.Wait(ctx, id); err != nil {
+		t.Fatal(err)
+	}
+	if n := f2.executions.Load(); n != 1 {
+		t.Fatalf("second life executed %d jobs, want only the resumed one", n)
+	}
+}
+
+// TestSnapshotRestoredKeyDedups restores keyed jobs from a snapshot
+// record alone and checks the key binds to the later of two jobs that
+// used it, as it was bound live: the first ended canceled, so the
+// second re-admitted the key.
+func TestSnapshotRestoredKeyDedups(t *testing.T) {
+	dir := t.TempDir()
+	jnl, err := journal.Open(dir, journal.Options{SnapshotEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := journal.Rebuild(jnl); err != nil {
+		t.Fatal(err)
+	}
+	keyed := script("complete")
+	keyed.IdempotencyKey = "from-snapshot"
+	raw, err := keyed.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now().UnixNano()
+	res := jobs.Encode(fakeProof(keyed))
+	st := journal.NewState()
+	for _, rec := range []*journal.Record{
+		{Type: journal.TypeAdmitted, ID: "t00000001", Req: raw, TimeNS: now},
+		{Type: journal.TypeCanceled, ID: "t00000001", Class: "canceled", Msg: "context canceled", Code: 499, TimeNS: now},
+		{Type: journal.TypeAdmitted, ID: "t00000002", Req: raw, TimeNS: now},
+		{Type: journal.TypeCommitted, ID: "t00000002", Result: res.Raw, TimeNS: now},
+	} {
+		if err := jnl.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		st.Apply(rec)
+	}
+	if !jnl.SnapshotDue() {
+		t.Fatal("snapshot not due after four records at SnapshotEvery 1")
+	}
+	if err := jnl.WriteSnapshot(st); err != nil {
+		t.Fatal(err)
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	f := &fakeExec{}
+	core, c := newTestCore(t, Options{JournalDir: dir}, f)
+	if jm := core.Shared().Journal; jm.RecordsReplayed != 1 {
+		t.Fatalf("replayed %d records, want the snapshot alone", jm.RecordsReplayed)
+	}
+	again, err := c.SubmitDetail(context.Background(), keyed, serverclient.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.Deduplicated || again.ID != "t00000002" {
+		t.Fatalf("resubmit after restart = %+v, want a dedup onto t00000002", again)
+	}
+	if n := f.executions.Load(); n != 0 {
+		t.Fatalf("restart executed %d jobs, want 0", n)
+	}
+}
+
+// frame wraps payload the way the journal frames a record: u32 LE
+// length, u32 LE CRC32-C, payload.
+func frame(payload []byte) []byte {
+	out := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	return append(out, payload...)
+}
+
+// idemBinding encodes one idempotency binding as older builds wrote it,
+// in a type-5 record and in a snapshot's idem section alike.
+func idemBinding(w *wire.Writer, key, id string, fp [32]byte, expires int64) {
+	w.Str(key)
+	w.Blob(fp[:])
+	w.Str(id)
+	w.U64(uint64(expires))
+}
+
+// TestParentIdemRecordsReplay replays a journal as older builds wrote
+// it for two keyed jobs: a snapshot whose idem section binds the first,
+// then the second's admitted record, the type-5 record that bound it,
+// and its commit. Replay ignores both forms of binding and rebinds each
+// key from its job record.
+func TestParentIdemRecordsReplay(t *testing.T) {
+	now := time.Now().UnixNano()
+	expires := now + int64(10*time.Minute)
+	var raws [2][]byte
+	var reqs [2]*jobs.Request
+	for i := range reqs {
+		reqs[i] = script("complete")
+		reqs[i].IdempotencyKey = fmt.Sprintf("parent-%d", i)
+		raw, err := reqs[i].MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		raws[i] = raw
+	}
+
+	st := journal.NewState()
+	st.Epoch = 1
+	st.Apply(&journal.Record{Type: journal.TypeAdmitted, ID: "t00000001", Req: raws[0], TimeNS: now})
+	st.Apply(&journal.Record{Type: journal.TypeCommitted, ID: "t00000001", Result: jobs.Encode(fakeProof(reqs[0])).Raw, TimeNS: now})
+	var sec wire.Writer
+	sec.Len(1)
+	idemBinding(&sec, "parent-0", "t00000001", sha256.Sum256(raws[0]), expires)
+	// EncodeState ends in the empty idem section, one zero byte; older
+	// builds wrote their entries there.
+	image := journal.EncodeState(st)
+	image = append(image[:len(image)-1], sec.Bytes()...)
+	var idem wire.Writer
+	idem.Uvarint(uint64(journal.TypeIdem))
+	idemBinding(&idem, "parent-1", "t00000002", sha256.Sum256(raws[1]), expires)
+	var seg []byte
+	for _, payload := range [][]byte{
+		mustMarshal(t, &journal.Record{Type: journal.TypeSnapshot, State: image}),
+		mustMarshal(t, &journal.Record{Type: journal.TypeAdmitted, ID: "t00000002", Req: raws[1], TimeNS: now}),
+		idem.Bytes(),
+		mustMarshal(t, &journal.Record{Type: journal.TypeCommitted, ID: "t00000002", Result: jobs.Encode(fakeProof(reqs[1])).Raw, TimeNS: now}),
+	} {
+		seg = append(seg, frame(payload)...)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "seg-00000001.wal"), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	f := &fakeExec{}
+	core, c := newTestCore(t, Options{JournalDir: dir}, f)
+	if jm := core.Shared().Journal; jm.RecordsReplayed != 4 || jm.TruncatedTails != 0 {
+		t.Fatalf("journal metrics = %+v, want 4 records replayed and no truncation", jm)
+	}
+	for i, req := range reqs {
+		again, err := c.SubmitDetail(context.Background(), req, serverclient.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("t%08d", i+1); !again.Deduplicated || again.ID != want {
+			t.Fatalf("resubmit of %s = %+v, want a dedup onto %s", req.IdempotencyKey, again, want)
+		}
+	}
+	if sh := core.Shared(); sh.IdempotencyEntries != 2 || f.executions.Load() != 0 {
+		t.Fatalf("idempotency entries = %d, executions = %d, want 2 and 0", sh.IdempotencyEntries, f.executions.Load())
+	}
+}
+
+func mustMarshal(t *testing.T, rec *journal.Record) []byte {
+	t.Helper()
+	payload, err := rec.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload
 }

@@ -83,7 +83,6 @@ func (c *Core) Shared() Shared {
 			CacheCoalesced:      cs.Coalesced,
 			CacheEvicted:        cs.Evicted,
 			CacheDeclined:       cs.Declined,
-			CacheExpired:        cs.Expired,
 			CacheInserted:       cs.Inserted,
 			CacheVerifyRejected: cs.VerifyRejected,
 			CacheEntries:        cs.Entries,

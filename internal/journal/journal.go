@@ -5,11 +5,11 @@
 // The contract is journal-before-ack: a state transition is appended
 // (and, per the fsync policy, made durable) before it is acknowledged
 // to a client, so replaying the newest snapshot plus the segment tail
-// reconstructs every acknowledged job, its terminal result, and the
-// idempotency index. Frames are written directly to the segment file —
-// never through a userspace buffer — so even with fsync off a SIGKILL
-// loses nothing that reached the kernel; fsync policies only widen the
-// protection to OS/power failure. See DESIGN.md §16.
+// reconstructs every acknowledged job and its terminal result. Frames
+// are written directly to the segment file — never through a userspace
+// buffer — so even with fsync off a SIGKILL loses nothing that reached
+// the kernel; fsync policies only widen the protection to OS/power
+// failure. See DESIGN.md §16.
 //
 // Lifecycle: Open → Replay (exactly once, even on a fresh directory) →
 // Append/WriteSnapshot → Close.
@@ -268,17 +268,7 @@ func frameOf(rec *Record) ([]byte, error) {
 // the journal's lock, where the write happens, so a ref always follows
 // its bytes in the file: any durable prefix that holds the ref holds
 // them too.
-func (j *Journal) Append(rec *Record) error { return j.append(rec, true) }
-
-// AppendNoWait journals a best-effort record: framed and written under
-// the journal's lock, in order with every other append, but it returns
-// without waiting for durability. The next fsync that covers it (the
-// next Append's under FsyncAlways, the group commit's, rotation's or
-// Close's) makes it durable. A record whose loss after a power cut
-// costs redone work, never a wrong answer, saves its fsync this way.
-func (j *Journal) AppendNoWait(rec *Record) error { return j.append(rec, false) }
-
-func (j *Journal) append(rec *Record, wait bool) error {
+func (j *Journal) Append(rec *Record) error {
 	shareable := rec.Type == TypeCommitted && rec.Sum != ([32]byte{})
 	ref := shareable && j.isKnown(rec.Sum)
 	for {
@@ -319,10 +309,6 @@ func (j *Journal) append(rec *Record, wait bool) error {
 			j.st.resultsShared.Add(1)
 		case shareable:
 			j.known[rec.Sum] = struct{}{}
-		}
-		if !wait {
-			j.mu.Unlock()
-			return nil
 		}
 		return j.awaitLocked(seq)
 	}

@@ -3,9 +3,7 @@ package journal
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,10 +16,6 @@ import (
 // type encodes — the round-trip table for both the record codec and the
 // on-disk framing.
 func sampleRecords() []*Record {
-	fp := [32]byte{}
-	for i := range fp {
-		fp[i] = byte(i * 7)
-	}
 	return []*Record{
 		{Type: TypeAdmitted, ID: "c00000001", Req: []byte{1, 2, 3}, Priority: -5,
 			TimeoutNS: int64(3 * time.Minute), Tenant: "acme", TimeNS: 1754550000000000001},
@@ -32,7 +26,6 @@ func sampleRecords() []*Record {
 			Failed: true, Code: 504, TimeNS: 1754550002000000003},
 		{Type: TypeCanceled, ID: "c00000003", Class: "canceled", Msg: "context canceled",
 			Failed: false, Code: 499, TimeNS: 4},
-		{Type: TypeIdem, Key: "client-key-1", FP: fp, ID: "c00000001", TimeNS: 1754550600000000000},
 		{Type: TypeSnapshot, State: EncodeState(NewState())},
 		{Type: TypeEpoch, Epoch: 7},
 		{Type: TypeCommittedRef, ID: "c00000001", Sum: sha256.Sum256([]byte{9, 8, 7, 6}),
@@ -77,7 +70,7 @@ func assertRecordEqual(t *testing.T, want, got *Record) {
 		got.TimeoutNS != want.TimeoutNS || got.Tenant != want.Tenant || got.TimeNS != want.TimeNS ||
 		got.Node != want.Node || got.NodeID != want.NodeID || got.Class != want.Class ||
 		got.Msg != want.Msg || got.Failed != want.Failed || got.Code != want.Code ||
-		got.Key != want.Key || got.FP != want.FP || got.Epoch != want.Epoch ||
+		got.Epoch != want.Epoch ||
 		!bytes.Equal(got.Req, want.Req) || !bytes.Equal(got.Result, want.Result) ||
 		!bytes.Equal(got.State, want.State) ||
 		(want.Type == TypeCommittedRef && got.Sum != want.Sum) {
@@ -121,7 +114,6 @@ func TestSnapshotStateRoundTrip(t *testing.T) {
 	st.Apply(&Record{Type: TypeDispatched, ID: "c1", Node: "http://n2"})
 	st.Apply(&Record{Type: TypeCommitted, ID: "c1", Result: []byte{3, 4}, Node: "http://n2", NodeID: "id2", TimeNS: 20})
 	st.Apply(&Record{Type: TypeCanceled, ID: "c2", Class: "deadline", Msg: "late", Failed: true, Code: 504, TimeNS: 21})
-	st.Apply(&Record{Type: TypeIdem, Key: "k", FP: [32]byte{1}, ID: "c1", TimeNS: 99})
 
 	got, err := DecodeState(EncodeState(st))
 	if err != nil {
@@ -130,7 +122,7 @@ func TestSnapshotStateRoundTrip(t *testing.T) {
 	if shared := EncodeState(sharedState()); bytes.Count(shared, []byte("one result")) != 1 {
 		t.Fatal("snapshot image stores a result shared by two jobs more than once")
 	}
-	if got.Epoch != 3 || len(got.Order) != 2 || len(got.Jobs) != 2 || len(got.Idem) != 1 {
+	if got.Epoch != 3 || len(got.Order) != 2 || len(got.Jobs) != 2 {
 		t.Fatalf("state shape mismatch: %+v", got)
 	}
 	j1 := got.Jobs["c1"]
@@ -141,9 +133,6 @@ func TestSnapshotStateRoundTrip(t *testing.T) {
 	j2 := got.Jobs["c2"]
 	if j2 == nil || !j2.Terminal || !j2.Failed || j2.Canceled || j2.Class != "deadline" || j2.Code != 504 {
 		t.Fatalf("c2 mismatch: %+v", j2)
-	}
-	if got.Idem[0].Key != "k" || got.Idem[0].JobID != "c1" || got.Idem[0].ExpiresNS != 99 {
-		t.Fatalf("idem mismatch: %+v", got.Idem[0])
 	}
 }
 
@@ -438,12 +427,9 @@ func FuzzJournalReplay(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		frame := make([]byte, frameHeader+len(payload))
-		binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
-		binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, castagnoli))
-		copy(frame[frameHeader:], payload)
-		seedBuf = append(seedBuf, frame...)
+		seedBuf = append(seedBuf, rawFrame(payload)...)
 	}
+	seedBuf = append(seedBuf, rawFrame(idemPayload())...)
 	f.Add(seedBuf)
 	parent, err := os.ReadFile("testdata/parent-format/seg-00000002.wal")
 	if err != nil {

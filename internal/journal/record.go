@@ -7,6 +7,7 @@
 package journal
 
 import (
+	"crypto/sha256"
 	"fmt"
 
 	"unizk/internal/wire"
@@ -35,7 +36,8 @@ const (
 	// an admission lost the under-lock idempotency race after its
 	// Admitted record was already durable (ClassSuperseded).
 	TypeCanceled Type = 4
-	// TypeIdem: an idempotency-index entry was bound to a job.
+	// TypeIdem: an idempotency binding. Older builds wrote it; replay
+	// ignores it, because the admitted record already carries the key.
 	TypeIdem Type = 5
 	// TypeSnapshotInline: a full State image in which every job carries
 	// its result bytes inline. Older builds wrote it; it is only
@@ -92,8 +94,7 @@ const ClassSuperseded = "superseded"
 type Record struct {
 	Type Type
 
-	// ID is the coordinator job id (all job-lifecycle records, and the
-	// bound job for TypeIdem).
+	// ID is the coordinator job id (all job-lifecycle records).
 	ID string
 
 	// Admitted: the marshaled jobs.Request, effective priority, the
@@ -105,8 +106,7 @@ type Record struct {
 	TimeoutNS int64
 	Tenant    string
 
-	// TimeNS is the event instant (admission, completion) as UnixNano —
-	// except for TypeIdem, where it is the entry's expiry.
+	// TimeNS is the event instant (admission, completion) as UnixNano.
 	TimeNS int64
 
 	// Dispatched: the target node's base URL. Committed: the node URL
@@ -130,10 +130,6 @@ type Record struct {
 	Msg    string
 	Failed bool
 	Code   int64
-
-	// Idem: the client's key and the request fingerprint it vouches for.
-	Key string
-	FP  [32]byte
 
 	// Snapshot: a wire-encoded State (EncodeState/DecodeState; the
 	// inline image has its own decoder).
@@ -184,11 +180,6 @@ func (rec *Record) EncodeTo(w *wire.Writer) error {
 			w.Uvarint(0)
 		}
 		w.U64(uint64(rec.Code))
-		w.U64(uint64(rec.TimeNS))
-	case TypeIdem:
-		w.Str(rec.Key)
-		w.Blob(rec.FP[:])
-		w.Str(rec.ID)
 		w.U64(uint64(rec.TimeNS))
 	case TypeSnapshot, TypeSnapshotInline:
 		w.Blob(rec.State)
@@ -257,14 +248,14 @@ func DecodeRecord(data []byte) (*Record, error) {
 		rec.Code = int64(r.U64())
 		rec.TimeNS = int64(r.U64())
 	case TypeIdem:
-		rec.Key = r.Str()
-		fp := r.Blob()
-		if r.Err() == nil && len(fp) != len(rec.FP) {
-			return nil, fmt.Errorf("journal: idem fingerprint is %d bytes, want %d", len(fp), len(rec.FP))
+		// Read to validate the frame, then dropped: key, fingerprint,
+		// job id, expiry.
+		r.Str()
+		if fp := r.Blob(); r.Err() == nil && len(fp) != sha256.Size {
+			return nil, fmt.Errorf("journal: idem fingerprint is %d bytes, want %d", len(fp), sha256.Size)
 		}
-		copy(rec.FP[:], fp)
-		rec.ID = r.Str()
-		rec.TimeNS = int64(r.U64())
+		r.Str()
+		r.U64()
 	case TypeSnapshot, TypeSnapshotInline:
 		rec.State = r.Blob()
 	case TypeEpoch:

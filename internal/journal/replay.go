@@ -183,22 +183,13 @@ type JobRecord struct {
 	FinishedNS int64
 }
 
-// IdemRecord is one replayed idempotency-index entry.
-type IdemRecord struct {
-	Key       string
-	FP        [32]byte
-	JobID     string
-	ExpiresNS int64
-}
-
-// State is the replayed coordinator state: the epoch, every known job
-// in admission order, and the idempotency index. It is also the
-// snapshot payload (EncodeState/DecodeState).
+// State is the replayed coordinator state: the epoch and every known
+// job in admission order. It is also the snapshot payload
+// (EncodeState/DecodeState).
 type State struct {
 	Epoch uint64
 	Order []string
 	Jobs  map[string]*JobRecord
-	Idem  []IdemRecord
 
 	// results holds every result the chain carries, by digest: what a
 	// committed-ref record resolves against.
@@ -273,15 +264,6 @@ func (st *State) Apply(rec *Record) {
 			job.Code = rec.Code
 			job.FinishedNS = rec.TimeNS
 		}
-	case TypeIdem:
-		entry := IdemRecord{Key: rec.Key, FP: rec.FP, JobID: rec.ID, ExpiresNS: rec.TimeNS}
-		for i := range st.Idem {
-			if st.Idem[i].Key == rec.Key {
-				st.Idem[i] = entry
-				return
-			}
-		}
-		st.Idem = append(st.Idem, entry)
 	case TypeSnapshot, TypeSnapshotInline:
 		decode := DecodeState
 		if rec.Type == TypeSnapshotInline {

@@ -3,11 +3,15 @@ package journal
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"unizk/internal/wire"
 )
 
 // commitRecs returns the admitted and committed records of job id with
@@ -193,8 +197,8 @@ func TestParentFormatReplays(t *testing.T) {
 	res := []byte("parent-result-bytes")
 	check := func(st *State) {
 		t.Helper()
-		if st.Epoch != 1 || len(st.Jobs) != 4 || len(st.Idem) != 1 || st.Idem[0].JobID != "p00000001" {
-			t.Fatalf("parent state shape: epoch %d, %d jobs, idem %+v", st.Epoch, len(st.Jobs), st.Idem)
+		if st.Epoch != 1 || len(st.Jobs) != 4 {
+			t.Fatalf("parent state shape: epoch %d, %d jobs", st.Epoch, len(st.Jobs))
 		}
 		p1, p2, p3, p4 := st.Jobs["p00000001"], st.Jobs["p00000002"], st.Jobs["p00000003"], st.Jobs["p00000004"]
 		if !p1.Terminal || !bytes.Equal(p1.Result, res) || p1.Dispatches != 1 || p1.DoneNodeID != "id1" ||
@@ -236,6 +240,65 @@ func TestParentFormatReplays(t *testing.T) {
 	defer j3.Close()
 	if len(st3.Jobs) != 4 || !bytes.Equal(st3.Jobs["p00000004"].Result, res) || !bytes.Equal(st3.Jobs["p00000001"].Result, res) {
 		t.Fatalf("state after re-snapshot: %+v", st3.Jobs)
+	}
+}
+
+// rawFrame frames payload by hand, as frameOf would: it also frames
+// records the current encoder no longer writes.
+func rawFrame(payload []byte) []byte {
+	out := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))
+	return append(out, payload...)
+}
+
+// idemPayload is a type-5 record as older builds wrote it: key,
+// fingerprint, job id, expiry.
+func idemPayload() []byte {
+	var w wire.Writer
+	w.Uvarint(uint64(TypeIdem))
+	w.Str("p-key")
+	w.Blob(make([]byte, sha256.Size))
+	w.Str("p00000004")
+	w.U64(1754550600000000000)
+	return w.Bytes()
+}
+
+// TestEncodeStateEmptyIdemSection replays the parent-format journal —
+// its inline snapshot binds a key in its idem section — with a type-5
+// record appended, and checks that both replay without a truncation and
+// that the image EncodeState makes of the replayed state still carries
+// the idem section older builds read, empty: bindings live in the job
+// records.
+func TestEncodeStateEmptyIdemSection(t *testing.T) {
+	data, err := os.ReadFile("testdata/parent-format/seg-00000002.wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	data = append(data, rawFrame(idemPayload())...)
+	if err := os.WriteFile(filepath.Join(dir, "seg-00000002.wal"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, st := openReplayed(t, dir, Options{Fsync: FsyncOff})
+	defer j.Close()
+	if s := j.Stats(); s.RecordsReplayed != 6 || s.TruncatedTails != 0 {
+		t.Fatalf("replayed %d records with %d truncated tails, want 6 and 0", s.RecordsReplayed, s.TruncatedTails)
+	}
+	r := wire.NewReader(EncodeState(st))
+	if _, err := decodeTable(r); err != nil {
+		t.Fatal(err)
+	}
+	r.Uvarint() // epoch
+	for n := r.Len(); n > 0; n-- {
+		if _, err := decodeJob(r, func(*JobRecord) error { r.Uvarint(); return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := r.Len(); n != 0 {
+		t.Fatalf("snapshot image holds %d idem entries, want 0", n)
+	}
+	if err := r.Done(); err != nil {
+		t.Fatalf("snapshot image: %v", err)
 	}
 }
 

@@ -92,13 +92,9 @@ func encodeState(st *State) ([]byte, [][32]byte) {
 	for i, id := range ids {
 		encodeJob(&w, st.Jobs[id], refs[i])
 	}
-	w.Len(len(st.Idem))
-	for _, e := range st.Idem {
-		w.Str(e.Key)
-		w.Blob(e.FP[:])
-		w.Str(e.JobID)
-		w.U64(uint64(e.ExpiresNS))
-	}
+	// The idempotency section older builds filled, kept empty so they
+	// can still read the image.
+	w.Len(0)
 	return w.Bytes(), sums
 }
 
@@ -204,7 +200,8 @@ func decodeStateInline(data []byte) (*State, error) {
 
 // decodeStateBody parses what follows the result table: the epoch, the
 // jobs (reading each job's result through readResult) and the
-// idempotency index. The table becomes the state's result index.
+// idempotency section, whose entries older builds wrote and replay
+// drops. The table becomes the state's result index.
 func decodeStateBody(r *wire.Reader, table []result, readResult func(*JobRecord) error) (*State, error) {
 	st := NewState()
 	for _, e := range table {
@@ -225,16 +222,13 @@ func decodeStateBody(r *wire.Reader, table []result, readResult func(*JobRecord)
 	}
 	nIdem := r.Len()
 	for i := 0; i < nIdem && r.Err() == nil; i++ {
-		var e IdemRecord
-		e.Key = r.Str()
-		fp := r.Blob()
-		if r.Err() == nil && len(fp) != len(e.FP) {
-			return nil, fmt.Errorf("journal: snapshot idem fingerprint is %d bytes, want %d", len(fp), len(e.FP))
+		// Key, fingerprint, job id, expiry.
+		r.Str()
+		if fp := r.Blob(); r.Err() == nil && len(fp) != sha256.Size {
+			return nil, fmt.Errorf("journal: snapshot idem fingerprint is %d bytes, want %d", len(fp), sha256.Size)
 		}
-		copy(e.FP[:], fp)
-		e.JobID = r.Str()
-		e.ExpiresNS = int64(r.U64())
-		st.Idem = append(st.Idem, e)
+		r.Str()
+		r.U64()
 	}
 	if err := r.Done(); err != nil {
 		return nil, err

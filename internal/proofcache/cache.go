@@ -45,30 +45,21 @@ func KeyFor(req *jobs.Request) Key {
 	return sha256.Sum256(w.Bytes())
 }
 
-// Defaults for Config zero values.
-const (
-	DefaultMaxEntries = 512
-	DefaultTTL        = 30 * time.Minute
-)
+// DefaultMaxEntries is the cache size a zero Config gets.
+const DefaultMaxEntries = 512
 
-// Config bounds the cache. The zero value gets DefaultMaxEntries and
-// DefaultTTL; a nil *Cache (not a zero Config) is how callers disable
-// caching entirely.
+// Config bounds the cache. The zero value gets DefaultMaxEntries; a nil
+// *Cache (not a zero Config) is how callers disable caching entirely.
+// Entries never expire: a cached proof is the proof a fresh prove would
+// produce, so only the size bound retires them.
 type Config struct {
 	// MaxEntries bounds the number of retained results. A full cache
 	// keeps the results worth most to keep (see Complete).
 	MaxEntries int
-	// TTL bounds entry age; expired entries are dropped on lookup.
-	TTL time.Duration
 	// Verify makes Complete check each result against its compiled job
 	// before inserting (verify-on-insert): a proof that fails its own
 	// verifier is reported to the leader and never served from cache.
 	Verify bool
-}
-
-type entry struct {
-	res     *jobs.Encoded
-	expires time.Time
 }
 
 // flight is one in-progress prove for a key: the leader's job plus the
@@ -85,16 +76,13 @@ type Cache struct {
 
 	mu sync.Mutex
 	//unizklint:guardedby mu
-	entries *store.Store[Key, entry] // each weighs 1: the budget is MaxEntries
+	entries *store.Store[Key, *jobs.Encoded] // each weighs 1: the budget is MaxEntries
 	//unizklint:guardedby mu
 	flights map[Key]*flight
-	//unizklint:guardedby mu
-	now func() time.Time // test hook; nil means time.Now
 
 	hits           atomic.Int64
 	misses         atomic.Int64
 	coalesced      atomic.Int64
-	expired        atomic.Int64
 	verifyRejected atomic.Int64
 }
 
@@ -103,22 +91,11 @@ func New(cfg Config) *Cache {
 	if cfg.MaxEntries <= 0 {
 		cfg.MaxEntries = DefaultMaxEntries
 	}
-	if cfg.TTL <= 0 {
-		cfg.TTL = DefaultTTL
-	}
 	return &Cache{
 		cfg:     cfg,
-		entries: store.New[Key, entry](int64(cfg.MaxEntries)),
+		entries: store.New[Key, *jobs.Encoded](int64(cfg.MaxEntries)),
 		flights: make(map[Key]*flight),
 	}
-}
-
-//unizklint:holds c.mu
-func (c *Cache) clock() time.Time {
-	if c.now != nil {
-		return c.now()
-	}
-	return time.Now()
 }
 
 // Begin resolves key at admission time, atomically with respect to
@@ -135,14 +112,9 @@ func (c *Cache) clock() time.Time {
 func (c *Cache) Begin(key Key, jobID string) (res *jobs.Encoded, leaderID string, leader bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries.Get(key)
-	if ok && e.expires.After(c.clock()) {
+	if res, ok := c.entries.Get(key); ok {
 		c.hits.Add(1)
-		return e.res, "", false
-	}
-	if ok {
-		c.entries.Delete(key)
-		c.expired.Add(1)
+		return res, "", false
 	}
 	if f, ok := c.flights[key]; ok {
 		f.followers++
@@ -199,7 +171,7 @@ func (c *Cache) Complete(key Key, jobID string, res *jobs.Encoded, cost time.Dur
 	delete(c.flights, key)
 	// A racing insert (e.g. a replicated coordinator writing the same
 	// content) may already have landed; Add refreshes it.
-	c.entries.Add(key, entry{res, c.clock().Add(c.cfg.TTL)}, 1, cost, false)
+	c.entries.Add(key, res, 1, cost, false)
 	return nil
 }
 
@@ -211,7 +183,7 @@ func (c *Cache) Put(key Key, res *jobs.Result) {
 	enc := jobs.Encode(res)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries.Add(key, entry{enc, c.clock().Add(c.cfg.TTL)}, 1, 0, true)
+	c.entries.Add(key, enc, 1, 0, true)
 }
 
 // Abort clears a leader's flight without inserting anything — the prove
@@ -235,7 +207,6 @@ type Stats struct {
 	Coalesced      int64
 	Evicted        int64
 	Declined       int64 // results a full cache chose not to keep
-	Expired        int64
 	Inserted       int64
 	VerifyRejected int64
 	Entries        int
@@ -253,7 +224,6 @@ func (c *Cache) Stats() Stats {
 		Coalesced:      c.coalesced.Load(),
 		Evicted:        st.Evicted,
 		Declined:       st.Declined,
-		Expired:        c.expired.Load(),
 		Inserted:       st.Inserted,
 		VerifyRejected: c.verifyRejected.Load(),
 		Entries:        st.Entries,

@@ -62,7 +62,7 @@ func TestKeyForIgnoresIdempotencyKey(t *testing.T) {
 // TestCacheHitMissAndRecencyTieBreak: among entries of equal worth the
 // least recently accessed one is evicted.
 func TestCacheHitMissAndRecencyTieBreak(t *testing.T) {
-	c := New(Config{MaxEntries: 2, TTL: time.Hour})
+	c := New(Config{MaxEntries: 2})
 	k0, k1, k2 := testKey(0), testKey(1), testKey(2)
 	complete(t, c, k0, "j0", testRes(0), time.Millisecond)
 	complete(t, c, k1, "j1", testRes(1), 2*time.Millisecond)
@@ -88,7 +88,7 @@ func TestCacheHitMissAndRecencyTieBreak(t *testing.T) {
 // proof to redo goes first, and a newcomer worth no more than the
 // cheapest resident is declined.
 func TestCacheEvictsCheaperAmongEqualCounts(t *testing.T) {
-	c := New(Config{MaxEntries: 2, TTL: time.Hour})
+	c := New(Config{MaxEntries: 2})
 	k0, k1, k2, k3 := testKey(0), testKey(1), testKey(2), testKey(3)
 	complete(t, c, k0, "j0", testRes(0), 10*time.Millisecond)
 	complete(t, c, k1, "j1", testRes(1), 5*time.Millisecond)
@@ -114,7 +114,7 @@ func TestCacheEvictsCheaperAmongEqualCounts(t *testing.T) {
 // times the cache's size, does not flush a popular expensive proof.
 func TestCacheScanResistance(t *testing.T) {
 	const size = 4
-	c := New(Config{MaxEntries: size, TTL: time.Hour})
+	c := New(Config{MaxEntries: size})
 	hot := testKey(0)
 	complete(t, c, hot, "hot", testRes(0), 40*time.Millisecond)
 	for i := 0; i < 3; i++ {
@@ -137,7 +137,7 @@ func TestCacheScanResistance(t *testing.T) {
 // so a stream of one-off keys cannot grow the count map without bound.
 func TestCacheCountHistoryBounded(t *testing.T) {
 	const size = 4
-	c := New(Config{MaxEntries: size, TTL: time.Hour})
+	c := New(Config{MaxEntries: size})
 	for i := 0; i < 100*size; i++ {
 		k, id := testKey(i), fmt.Sprintf("j%d", i)
 		if _, _, leader := c.Begin(k, id); !leader {
@@ -219,7 +219,7 @@ func TestCacheDeckReplayBeatsLRU(t *testing.T) {
 	for d := 0; d < decks; d++ {
 		seq = append(seq, deck...)
 	}
-	c := New(Config{MaxEntries: size, TTL: time.Hour})
+	c := New(Config{MaxEntries: size})
 	missed := 0.0
 	for i, k := range seq {
 		key, id := testKey(k), fmt.Sprintf("r%d", i)
@@ -238,27 +238,6 @@ func TestCacheDeckReplayBeatsLRU(t *testing.T) {
 	t.Logf("miss cost %.0f ms = %.2f × LRU's %.0f ms; stats %+v", missed, missed/lru, lru, c.Stats())
 	if missed > 0.6*lru {
 		t.Fatalf("miss cost %.0f ms is %.2f of LRU's %.0f ms, want <= 0.6", missed, missed/lru, lru)
-	}
-}
-
-func TestCacheTTLExpiryDeterministic(t *testing.T) {
-	c := New(Config{MaxEntries: 8, TTL: time.Minute})
-	now := time.Unix(1000, 0)
-	c.now = func() time.Time { return now }
-	k := testKey(0)
-	complete(t, c, k, "j0", testRes(0), time.Millisecond)
-	now = now.Add(59 * time.Second)
-	if res, _, _ := c.Begin(k, "j1"); res == nil {
-		t.Fatal("entry must be live just before TTL")
-	}
-	now = now.Add(2 * time.Second) // 61s after insert
-	// Begin after expiry starts a fresh flight, not a hit.
-	if res, _, leader := c.Begin(k, "j2"); res != nil || !leader {
-		t.Fatalf("Begin after expiry = (%v, leader=%v), want fresh leader", res, leader)
-	}
-	st := c.Stats()
-	if st.Expired != 1 || st.Entries != 0 {
-		t.Fatalf("stats = %+v, want 1 expired, 0 entries", st)
 	}
 }
 
@@ -341,7 +320,7 @@ func TestCacheVerifyOnInsertRejects(t *testing.T) {
 }
 
 func TestCachePutSeedsWithoutFlight(t *testing.T) {
-	c := New(Config{MaxEntries: 2, TTL: time.Hour})
+	c := New(Config{MaxEntries: 2})
 	k := testKey(0)
 	c.Put(k, testRes(0))
 	if res, _, _ := c.Begin(k, "j0"); res == nil || res.Proof[0] != 0 {
@@ -370,7 +349,7 @@ func TestCachePutSeedsWithoutFlight(t *testing.T) {
 // every served result the right one, and the counts bounded.
 func TestCacheConcurrentHammer(t *testing.T) {
 	const size = 4
-	c := New(Config{MaxEntries: size, TTL: time.Hour})
+	c := New(Config{MaxEntries: size})
 	const workers = 16
 	const keys = 2 * size
 	var wg sync.WaitGroup

@@ -113,7 +113,6 @@ type CacheMetrics struct {
 	CacheCoalesced      int64 `json:"cache_coalesced,omitempty"`
 	CacheEvicted        int64 `json:"cache_evicted,omitempty"`
 	CacheDeclined       int64 `json:"cache_declined,omitempty"`
-	CacheExpired        int64 `json:"cache_expired,omitempty"`
 	CacheInserted       int64 `json:"cache_inserted,omitempty"`
 	CacheVerifyRejected int64 `json:"cache_verify_rejected,omitempty"`
 	CacheEntries        int   `json:"cache_entries,omitempty"`
