@@ -218,6 +218,9 @@ go test -run='^$' -fuzz='^FuzzDIFButterfliesX8$' -fuzztime=20s ./internal/ntt
 go test -run='^$' -fuzz='^FuzzDIF8Vec$' -fuzztime=20s ./internal/ntt
 go test -run='^$' -fuzz='^FuzzHashColumnsBatch$' -fuzztime=20s ./internal/poseidon
 go test -run='^$' -fuzz='^FuzzVec$' -fuzztime=20s ./internal/field
+# The Merkle verifier's walk, which hashes each distinct node once,
+# against Verify on duplicate, conflicting, ragged and negative-index
+# openings.
 go test -run='^$' -fuzz='^FuzzVerifyBatch$' -fuzztime=20s ./internal/merkle
 go test -run='^$' -fuzz='^FuzzConstraintProgram$' -fuzztime=20s ./internal/constraint
 go test -run='^$' -fuzz='^FuzzWitness$' -fuzztime=20s ./internal/plonk

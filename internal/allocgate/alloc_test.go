@@ -126,8 +126,8 @@ func TestKernelAllocs(t *testing.T) {
 			}
 		})
 
-		// VerifyBatch on a query phase's worth of openings: 28 rows of 135
-		// elements, three whole chunks and a tail of four.
+		// VerifyBatch on a query phase's worth of openings: 9, 28 and 84
+		// rows of 135 elements, the last two with a padded tail of four.
 		rows := make([][]field.Element, 256)
 		for i := range rows {
 			rows[i] = make([]field.Element, 135)
@@ -136,17 +136,20 @@ func TestKernelAllocs(t *testing.T) {
 			}
 		}
 		rowTree := merkle.Build(rows, 4)
-		ops := make([]merkle.Opening, 28)
+		ops := make([]merkle.Opening, 84)
 		for q := range ops {
 			idx := (q * 37) % len(rows)
 			ops[q] = merkle.Opening{Leaf: rows[idx], Index: idx, Proof: rowTree.Open(idx)}
 		}
 		ok := make([]bool, len(ops))
 		rowCap := rowTree.Cap()
-		// The one allocation is the pool closure, whatever the number of
-		// openings.
-		for _, n := range []int{9, 28} {
-			pinAtMost(t, fmt.Sprintf("merkle.VerifyBatch(%dx135)", n), 1, func() {
+		// The walk's scratch is pooled and grown to the largest batch by
+		// the warm-up, so no number of openings allocates.
+		if err := merkle.VerifyBatch(rowCap, ops, ok); err != nil {
+			t.Fatalf("verify batch: %v", err)
+		}
+		for _, n := range []int{9, 28, 84} {
+			pinZero(t, fmt.Sprintf("merkle.VerifyBatch(%dx135)", n), func() {
 				if err := merkle.VerifyBatch(rowCap, ops[:n], ok); err != nil || !ok[n-1] {
 					t.Fatalf("verify batch: %v", err)
 				}
@@ -279,6 +282,8 @@ const (
 	plonkProofBudget  = 876 // measured 584 on the fib-40 circuit with the witness in a class-indexed slice
 	starkProofBudget  = 669 // measured ~446 on the 2^6-row fib AIR with the quotient state pooled per constraint program
 	proofDecodeBudget = 15  // measured 10 on plonk MVM 2^11 and on stark SHA-256 2^12
+	plonkCheckBudget  = 80  // decode + Check, measured 53 on plonk MVM 2^11 with the query phase's scratch pooled
+	starkCheckBudget  = 65  // decode + Check, measured 42 on stark SHA-256 2^12
 )
 
 // TestPlonkProofAllocs pins the whole-proof allocation count of the
@@ -391,6 +396,47 @@ func TestProofDecodeAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
+		}
+	})
+}
+
+// TestProofCheckAllocs pins what the repository benchmark's verify times,
+// decoding a wire-encoded result and Job.Check, on the same two
+// instances: the FRI query phase recycles its scratch (Merkle verdicts
+// and openings, fold leaves, query points, norms and failures) across
+// proofs. Before it did, the two made 151 and 246 allocations.
+func TestProofCheckAllocs(t *testing.T) {
+	serialRun(t, func() {
+		for _, c := range []struct {
+			req    jobs.Request
+			budget float64
+		}{
+			{jobs.Request{Kind: jobs.KindPlonk, Workload: "MVM", LogRows: 11}, plonkCheckBudget},
+			{jobs.Request{Kind: jobs.KindStark, Workload: "SHA-256", LogRows: 12}, starkCheckBudget},
+		} {
+			j, err := jobs.Compile(&c.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := j.Prove(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := res.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func() {
+				var r jobs.Result
+				if err := r.UnmarshalBinary(raw); err != nil {
+					t.Fatal(err)
+				}
+				if err := j.Check(&r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check() // warm the pools
+			pinAtMost(t, fmt.Sprintf("%v/%s-2^%d decode+Check", c.req.Kind, c.req.Workload, c.req.LogRows), c.budget, check)
 		}
 	})
 }

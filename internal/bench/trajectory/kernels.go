@@ -69,8 +69,9 @@ func Kernels() []Kernel {
 		Kernel{Name: "fri/grind/16-bit", Bench: benchGrind},
 		Kernel{Name: "merkle/commit/2^12", Bench: func(b *testing.B) { benchMerkleCommit(b, 4) }},
 		Kernel{Name: "merkle/commit/2^12x32", Bench: func(b *testing.B) { benchMerkleCommit(b, 32) }},
-		Kernel{Name: "merkle/verify/2^14x135", Bench: func(b *testing.B) { benchMerkleVerify(b, false) }},
-		Kernel{Name: "merkle/verify-batch/2^14x135", Bench: func(b *testing.B) { benchMerkleVerify(b, true) }},
+		Kernel{Name: "merkle/verify/2^14x135", Bench: func(b *testing.B) { benchMerkleVerify(b, plonkyOpenings, false) }},
+		Kernel{Name: "merkle/verify-batch/2^14x135", Bench: func(b *testing.B) { benchMerkleVerify(b, plonkyOpenings, true) }},
+		Kernel{Name: "merkle/verify-batch/2^6x32-q84", Bench: func(b *testing.B) { benchMerkleVerify(b, smallStarkyOpenings, true) }},
 		Kernel{Name: "fri/fold/2^15", Bench: benchFRIFold},
 		Kernel{Name: "fri/combine/2^14", Bench: benchFRICombine},
 		Kernel{Name: "fri/eval-all/mvm-2^11", Bench: benchFRIEvalAll},
@@ -503,33 +504,46 @@ func benchMerkleCommit(b *testing.B, width int) {
 	}
 }
 
-// verifyOpenings is the merkle/verify rows' fixture, built once: 28
-// openings (PlonkyConfig's query count) of 135-element rows from a
-// 2^14-leaf tree with a height-4 cap.
-var verifyOpenings = sync.OnceValues(func() (merkle.Cap, []merkle.Opening) {
-	const n, width, queries = 1 << 14, 135, 28
-	flat := make([]field.Element, width*n)
-	leaves := make([][]field.Element, n)
-	for i := range leaves {
-		row := flat[width*i : width*(i+1)]
-		for j := range row {
-			row[j] = field.New(uint64(i*width+j) * 0x9e37_79b9_7f4a_7c15)
+// merkleOpenings returns a merkle/verify row's fixture, built on first
+// use: queries openings of width-element rows from a 2^logN-leaf tree
+// with a height-4 cap, at pseudo-random indices that repeat once queries
+// outnumber the leaves.
+func merkleOpenings(logN, width, queries int) func() (merkle.Cap, []merkle.Opening) {
+	return sync.OnceValues(func() (merkle.Cap, []merkle.Opening) {
+		n := 1 << logN
+		flat := make([]field.Element, width*n)
+		leaves := make([][]field.Element, n)
+		for i := range leaves {
+			row := flat[width*i : width*(i+1)]
+			for j := range row {
+				row[j] = field.New(uint64(i*width+j) * 0x9e37_79b9_7f4a_7c15)
+			}
+			leaves[i] = row
 		}
-		leaves[i] = row
-	}
-	tree := merkle.Build(leaves, 4)
-	ops := make([]merkle.Opening, queries)
-	for q := range ops {
-		idx := (q*0x9e37 + 11) % n
-		ops[q] = merkle.Opening{Leaf: leaves[idx], Index: idx, Proof: tree.Open(idx)}
-	}
-	return tree.Cap(), ops
-})
+		tree := merkle.Build(leaves, 4)
+		ops := make([]merkle.Opening, queries)
+		for q := range ops {
+			idx := (q*0x9e37 + 11) % n
+			ops[q] = merkle.Opening{Leaf: leaves[idx], Index: idx, Proof: tree.Open(idx)}
+		}
+		return tree.Cap(), ops
+	})
+}
 
-// benchMerkleVerify checks the fixture's openings one at a time with
+var (
+	// plonkyOpenings is PlonkyConfig's 28 queries into 135-element rows
+	// of a 2^14-leaf tree.
+	plonkyOpenings = merkleOpenings(14, 135, 28)
+	// smallStarkyOpenings is StarkyConfig's 84 queries into the 2^6-leaf
+	// LDE of a 2^5-row trace, 32-element rows: most paths share most of
+	// their nodes.
+	smallStarkyOpenings = merkleOpenings(6, 32, 84)
+)
+
+// benchMerkleVerify checks a fixture's openings one at a time with
 // Verify, or together with VerifyBatch, and reports ns per opening.
-func benchMerkleVerify(b *testing.B, batch bool) {
-	c, ops := verifyOpenings()
+func benchMerkleVerify(b *testing.B, fixture func() (merkle.Cap, []merkle.Opening), batch bool) {
+	c, ops := fixture()
 	ok := make([]bool, len(ops))
 	b.ResetTimer()
 	for i := 0; i < b.N; i += len(ops) {

@@ -156,7 +156,7 @@ func TestKernelRegistry(t *testing.T) {
 		"field/mul/4096", "field/inverse",
 		"ntt/forwardNN/2^12", "ntt/inverseNN/2^18", "ntt/cosetForwardNR/2^15", "ntt/lde/2^11x48-rate3",
 		"poseidon/permute-x8", "merkle/commit/2^12", "merkle/commit/2^12x32",
-		"merkle/verify/2^14x135", "merkle/verify-batch/2^14x135", "fri/fold/2^15",
+		"merkle/verify/2^14x135", "merkle/verify-batch/2^14x135", "merkle/verify-batch/2^6x32-q84", "fri/fold/2^15",
 		"plonk/quotient/mvm-2^11",
 		"fri/combine/2^14", "stark/quotient/sha-2^12", "witness/mvm-2^11",
 		"field/mul-vec/4096", "fri/eval-all/mvm-2^11",

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 
 	"unizk/internal/field"
 	"unizk/internal/merkle"
@@ -83,6 +84,8 @@ func Verify(oracles []VerifierOracle, groups []PointGroup, opened OpenedValues,
 		}
 	}
 
+	qp := queryPhases.Get().(*queryPhase)
+	defer qp.release()
 	alpha := ch.SampleExt()
 
 	// Re-derive the fold challenges. Domains smaller than the configured
@@ -99,7 +102,7 @@ func Verify(oracles []VerifierOracle, groups []PointGroup, opened OpenedValues,
 		return fmt.Errorf("%w: %d commit-phase caps, want %d",
 			ErrProofShape, len(proof.CommitPhaseCaps), numLayers)
 	}
-	betas := make([]field.Ext, numLayers)
+	qp.betas = resize(qp.betas, numLayers)
 	layerSize := m
 	for t := 0; t < numLayers; t++ {
 		wantCap := 1 << layerCapHeight(cfg, layerSize/2)
@@ -108,7 +111,7 @@ func Verify(oracles []VerifierOracle, groups []PointGroup, opened OpenedValues,
 				ErrProofShape, t, len(proof.CommitPhaseCaps[t]), wantCap)
 		}
 		ch.ObserveCap(proof.CommitPhaseCaps[t])
-		betas[t] = ch.SampleExt()
+		qp.betas[t] = ch.SampleExt()
 		layerSize >>= 1
 	}
 
@@ -130,37 +133,46 @@ func Verify(oracles []VerifierOracle, groups []PointGroup, opened OpenedValues,
 
 	// The query indices depend on the transcript only, so all of them are
 	// sampled before any query is checked.
-	qp := &queryPhase{oracles: oracles, groups: groups, proof: proof, betas: betas,
-		idxs: make([]int, len(proof.QueryRounds)), logM: logM, cfg: cfg}
-	qp.wPow, qp.wInvPow = make([]field.Element, logM), make([]field.Element, logM)
+	qp.oracles, qp.groups, qp.proof, qp.logM, qp.cfg = oracles, groups, proof, logM, cfg
+	qp.idxs = resize(qp.idxs, len(proof.QueryRounds))
+	qp.wPow, qp.wInvPow = resize(qp.wPow, logM), resize(qp.wInvPow, logM)
 	w := field.PrimitiveRootOfUnity(logM)
 	wInv := field.Inverse(w)
 	for j := range logM {
 		qp.wPow[j], qp.wInvPow[j] = w, wInv
 		w, wInv = field.Square(w), field.Square(wInv)
 	}
-	qp.powA, qp.powB, qp.ys = openingTables(groups, opened, alpha)
+	qp.openingTables(opened, alpha)
 	for q := range qp.idxs {
 		qp.idxs[q] = int(ch.SampleBits(logM))
 	}
 	return qp.run()
 }
 
-// run checks the queries in chunks of queryGrain across the worker pool,
-// each chunk stopping at its first failure, and returns the lowest-indexed
-// failure: the one a one-query-at-a-time verifier would return.
+// run checks every query's Merkle paths, then the queries in chunks of
+// queryGrain across the worker pool, each chunk stopping at its first
+// failure, and returns the lowest-indexed failure: the one a
+// one-query-at-a-time verifier would return.
 func (qp *queryPhase) run() error {
-	fails := make([]error, (len(qp.idxs)+queryGrain-1)/queryGrain)
-	err := parallel.For(context.Background(), len(qp.idxs), queryGrain, func(lo, hi int) {
-		fails[lo/queryGrain] = qp.check(lo, hi)
-	})
-	for _, f := range fails {
-		if err == nil {
-			err = f
+	err := qp.verifyPaths()
+	if err == nil {
+		ng := len(qp.groups)
+		qp.x, qp.xInv = resize(qp.x, len(qp.idxs)), resize(qp.xInv, len(qp.idxs))
+		qp.invDiff, qp.norms = resize(qp.invDiff, len(qp.idxs)*ng), resize(qp.norms, len(qp.idxs)*ng)
+		fails := resize(qp.errs, (len(qp.idxs)+queryGrain-1)/queryGrain)
+		clear(fails)
+		qp.errs = fails
+		err = parallel.For(context.Background(), len(qp.idxs), queryGrain, func(lo, hi int) {
+			fails[lo/queryGrain] = qp.check(lo, hi)
+		})
+		for _, f := range fails {
+			if err == nil {
+				err = f
+			}
 		}
 	}
-	// A panic in a chunk, or in a chunk's merkle.VerifyBatch, comes back
-	// as a *parallel.PanicError: report it as CatchPanic reports one.
+	// A panic in a chunk, or in a merkle.VerifyBatch call, comes back as
+	// a *parallel.PanicError: report it as CatchPanic reports one.
 	var pe *parallel.PanicError
 	if errors.As(err, &pe) {
 		return prooferr.Recovered("fri", pe.Value)
@@ -168,13 +180,13 @@ func (qp *queryPhase) run() error {
 	return err
 }
 
-// queryGrain is the number of queries one chunk of the query loop checks:
-// one batched permutation call covers a chunk's openings of one oracle or
-// one fold layer.
+// queryGrain is the number of queries one chunk of the query loop checks.
 const queryGrain = 8
 
 // queryPhase is what every chunk of the query loop reads: the oracles,
 // the opening tables, the fold challenges and the sampled query indices.
+// It also holds the phase's scratch, which grows on first use and is
+// kept while the queryPhase waits in queryPhases for the next proof.
 type queryPhase struct {
 	oracles    []VerifierOracle
 	groups     []PointGroup
@@ -188,37 +200,68 @@ type queryPhase struct {
 	// domain's generator.
 	wPow, wInvPow []field.Element
 	cfg           Config
+
+	paths pathVerdicts
+	// ops and leaves hold the Merkle openings verifyPaths batches, tree
+	// by tree, and the fold steps' leaves; errs holds one error per tree,
+	// then one per chunk of the query loop.
+	ops    []merkle.Opening
+	leaves []field.Element
+	errs   []error
+	// x[q] and xInv[q] are query q's point x on the LDE coset and 1/x;
+	// invDiff[q·len(groups)+gi] is 1/(x − z) for group gi's opening point
+	// z (zero where x = z), computed through norms.
+	x, xInv, norms []field.Element
+	invDiff        []field.Ext
 }
 
-// openingTables returns α^0, α^1, … split into their base and ω parts,
-// one power per opened value in the order a query combines its rows
-// (group by group, oracle by oracle), and each group's Σ α^k·y_k over its
-// opened values y_k, which is the same for every query.
-func openingTables(groups []PointGroup, opened OpenedValues, alpha field.Ext) (powA, powB []field.Element, ys []field.Ext) {
-	ys = make([]field.Ext, len(groups))
+// queryPhases recycles queryPhases, and with them their scratch, across
+// proofs.
+var queryPhases = sync.Pool{New: func() any { return new(queryPhase) }}
+
+// release drops qp's references to the proof and returns it to
+// queryPhases.
+func (qp *queryPhase) release() {
+	qp.oracles, qp.groups, qp.proof = nil, nil, nil
+	clear(qp.ops)
+	queryPhases.Put(qp)
+}
+
+// resize returns s with length n, reallocated only when it is too short.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// openingTables sets powA and powB to α^0, α^1, … split into their base
+// and ω parts, one power per opened value in the order a query combines
+// its rows (group by group, oracle by oracle), and ys to each group's
+// Σ α^k·y_k over its opened values y_k, which is the same for every
+// query.
+func (qp *queryPhase) openingTables(opened OpenedValues, alpha field.Ext) {
+	qp.ys = resize(qp.ys, len(qp.groups))
+	qp.powA, qp.powB = qp.powA[:0], qp.powB[:0]
 	pow := field.ExtOne
-	for gi := range groups {
+	for gi := range qp.groups {
+		qp.ys[gi] = field.ExtZero
 		for _, vals := range opened[gi] {
 			for _, y := range vals {
-				powA, powB = append(powA, pow.A), append(powB, pow.B)
-				ys[gi] = field.ExtAdd(ys[gi], field.ExtMul(pow, y))
+				qp.powA, qp.powB = append(qp.powA, pow.A), append(qp.powB, pow.B)
+				qp.ys[gi] = field.ExtAdd(qp.ys[gi], field.ExtMul(pow, y))
 				pow = field.ExtMul(pow, alpha)
 			}
 		}
 	}
-	return powA, powB, ys
 }
 
-// check verifies queries [lo, hi): their Merkle paths in batches, then
-// each query's checks in query order. It returns the first failure.
+// check verifies queries [lo, hi) in query order, reading their Merkle
+// verdicts from paths, and returns the first failure.
 func (qp *queryPhase) check(lo, hi int) error {
-	paths, err := qp.batchPaths(lo, hi)
-	if err != nil {
-		return err
-	}
-	pts := qp.points(lo, hi)
+	qp.points(lo, hi)
 	for q := lo; q < hi; q++ {
-		if err := qp.verifyQuery(q, paths, pts); err != nil {
+		if err := qp.verifyQuery(q); err != nil {
 			return fmt.Errorf("query %d (index %d): %w", q, qp.idxs[q], err)
 		}
 	}
@@ -254,69 +297,88 @@ func shapeOK(oracles []VerifierOracle, round QueryRound, numLayers, logM int, cf
 	return true
 }
 
-// pathVerdicts holds the batched Merkle verdicts of one chunk of queries
-// starting at query lo. Batch b is oracle b, then fold layer
-// b-len(oracles); lane[q-lo] is query q's opening in every batch, or -1
-// when the query failed a shape check and was left out.
+// pathVerdicts holds the Merkle verdicts of every query that passes its
+// shape checks. Tree b is oracle b, then fold layer b-len(oracles);
+// lane[q] is query q's position among the batched queries, or -1 when it
+// failed a shape check and was left out, and ok[b·n+lane[q]] is tree b's
+// verdict on query q's opening.
 type pathVerdicts struct {
-	lo   int
-	lane [queryGrain]int
-	ok   [][queryGrain]bool
+	lane []int
+	ok   []bool
+	n    int
 }
 
-// batchPaths checks every Merkle opening of the queries in [lo, hi) that
-// pass their shape checks, with one merkle.VerifyBatch call per oracle
-// and one per fold layer. Leaving out misshapen queries means a malformed
-// proof cannot make the verifier hash before the walk rejects its shape.
-// It returns merkle.VerifyBatch's error, a recovered panic.
-func (qp *queryPhase) batchPaths(lo, hi int) (*pathVerdicts, error) {
-	proof := qp.proof
-	pv := &pathVerdicts{lo: lo, ok: make([][queryGrain]bool, len(qp.oracles)+len(proof.CommitPhaseCaps))}
-	var (
-		qs     [queryGrain]int
-		ops    [queryGrain]merkle.Opening
-		leaves [4 * queryGrain]field.Element
-	)
-	n := 0
-	for q := lo; q < hi; q++ {
-		pv.lane[q-lo] = -1
+// verifyPaths checks every Merkle opening of the queries that pass their
+// shape checks, with one merkle.VerifyBatch call per tree, the trees
+// across the worker pool. Each call hashes once a node that several
+// queries' paths share. Leaving out misshapen queries means a malformed proof
+// cannot make the verifier hash before the walk rejects its shape. It
+// returns merkle.VerifyBatch's error, a recovered panic.
+func (qp *queryPhase) verifyPaths() error {
+	pv, proof := &qp.paths, qp.proof
+	pv.lane = resize(pv.lane, len(qp.idxs))
+	pv.n = 0
+	for q := range qp.idxs {
+		pv.lane[q] = -1
 		if shapeOK(qp.oracles, proof.QueryRounds[q], len(proof.CommitPhaseCaps), qp.logM, qp.cfg) {
-			pv.lane[q-lo] = n
-			qs[n] = q
-			n++
+			pv.lane[q] = pv.n
+			pv.n++
 		}
 	}
-	for oi, o := range qp.oracles {
-		for j, q := range qs[:n] {
-			row := proof.QueryRounds[q].OracleRows[oi]
-			ops[j] = merkle.Opening{Leaf: row.Values, Index: qp.idxs[q], Proof: row.Proof}
+	trees := len(qp.oracles) + len(proof.CommitPhaseCaps)
+	pv.ok = resize(pv.ok, trees*pv.n)
+	qp.ops = resize(qp.ops, trees*pv.n)
+	qp.leaves = resize(qp.leaves, 4*len(proof.CommitPhaseCaps)*pv.n)
+	errs := resize(qp.errs, trees)
+	clear(errs)
+	qp.errs = errs
+	err := parallel.For(context.Background(), trees, 1, func(lo, hi int) {
+		for b := lo; b < hi; b++ {
+			errs[b] = qp.verifyTree(b)
 		}
-		if err := merkle.VerifyBatch(o.Cap, ops[:n], pv.ok[oi][:]); err != nil {
-			return nil, err
-		}
-	}
-	for t, c := range proof.CommitPhaseCaps {
-		for j, q := range qs[:n] {
-			step := proof.QueryRounds[q].Steps[t]
-			leaf := leaves[4*j : 4*j+4]
-			leaf[0], leaf[1], leaf[2], leaf[3] = step.Pair[0].A, step.Pair[0].B, step.Pair[1].A, step.Pair[1].B
-			ops[j] = merkle.Opening{Leaf: leaf, Index: qp.idxs[q] >> (t + 1), Proof: step.Proof}
-		}
-		if err := merkle.VerifyBatch(c, ops[:n], pv.ok[len(qp.oracles)+t][:]); err != nil {
-			return nil, err
+	})
+	for _, e := range errs {
+		if err == nil {
+			err = e
 		}
 	}
-	return pv, nil
+	return err
 }
 
-// verify returns batch b's verdict on query q's opening as merkle.Verify
-// would, and calls merkle.Verify for a query the batches left out.
+// verifyTree makes tree b's merkle.VerifyBatch call over every batched
+// query's opening of it.
+func (qp *queryPhase) verifyTree(b int) error {
+	pv, proof, n := &qp.paths, qp.proof, qp.paths.n
+	ops := qp.ops[b*n : (b+1)*n]
+	if b < len(qp.oracles) {
+		for q, lane := range pv.lane {
+			if lane >= 0 {
+				row := proof.QueryRounds[q].OracleRows[b]
+				ops[lane] = merkle.Opening{Leaf: row.Values, Index: qp.idxs[q], Proof: row.Proof}
+			}
+		}
+		return merkle.VerifyBatch(qp.oracles[b].Cap, ops, pv.ok[b*n:(b+1)*n])
+	}
+	t := b - len(qp.oracles)
+	for q, lane := range pv.lane {
+		if lane >= 0 {
+			step := proof.QueryRounds[q].Steps[t]
+			leaf := qp.leaves[4*(t*n+lane) : 4*(t*n+lane+1)]
+			leaf[0], leaf[1], leaf[2], leaf[3] = step.Pair[0].A, step.Pair[0].B, step.Pair[1].A, step.Pair[1].B
+			ops[lane] = merkle.Opening{Leaf: leaf, Index: qp.idxs[q] >> (t + 1), Proof: step.Proof}
+		}
+	}
+	return merkle.VerifyBatch(proof.CommitPhaseCaps[t], ops, pv.ok[b*n:(b+1)*n])
+}
+
+// verify returns tree b's verdict on query q's opening as merkle.Verify
+// would, and calls merkle.Verify for a query verifyPaths left out.
 func (pv *pathVerdicts) verify(q, b int, leaf []field.Element, index int, p merkle.Proof, c merkle.Cap) error {
-	lane := pv.lane[q-pv.lo]
+	lane := pv.lane[q]
 	if lane < 0 {
 		return merkle.Verify(leaf, index, p, c)
 	}
-	if !pv.ok[b][lane] {
+	if !pv.ok[b*pv.n+lane] {
 		return merkle.ErrInvalidProof
 	}
 	return nil
@@ -329,23 +391,12 @@ var (
 	genInv  = field.Inverse(field.MultiplicativeGenerator)
 )
 
-// chunkPoints holds, for the queries of one chunk starting at query lo,
-// each query's point x on the LDE coset, 1/x, and 1/(x − z) for each
-// group's opening point z, query by query (zero where x = z).
-type chunkPoints struct {
-	lo      int
-	x, xInv [queryGrain]field.Element
-	invDiff []field.Ext
-}
-
-// points computes the chunkPoints of queries [lo, hi): x = g·w^e and
-// 1/x = (1/g)·w^(-e), e the bit-reversed index, from the tables of
+// points sets x, 1/x and every 1/(x − z) of queries [lo, hi): x = g·w^e
+// and 1/x = (1/g)·w^(-e), e the bit-reversed index, from the tables of
 // powers, and every 1/(x − z) through the norms' one batch inversion
 // (1/(a + b·X) = (a − b·X)/(a² − W·b²)).
-func (qp *queryPhase) points(lo, hi int) *chunkPoints {
+func (qp *queryPhase) points(lo, hi int) {
 	ng := len(qp.groups)
-	cp := &chunkPoints{lo: lo, invDiff: make([]field.Ext, (hi-lo)*ng)}
-	norms := make([]field.Element, len(cp.invDiff))
 	for q := lo; q < hi; q++ {
 		e := ntt.BitReverse(qp.idxs[q], qp.logM)
 		x, xInv := field.MultiplicativeGenerator, genInv
@@ -354,22 +405,22 @@ func (qp *queryPhase) points(lo, hi int) *chunkPoints {
 				x, xInv = field.Mul(x, qp.wPow[j]), field.Mul(xInv, qp.wInvPow[j])
 			}
 		}
-		cp.x[q-lo], cp.xInv[q-lo] = x, xInv
+		qp.x[q], qp.xInv[q] = x, xInv
 		for gi, g := range qp.groups {
 			d := field.ExtSub(field.FromBase(x), g.Point)
-			k := (q-lo)*ng + gi
-			cp.invDiff[k] = d
-			norms[k] = field.Sub(field.Square(d.A), field.Mul(field.W, field.Square(d.B)))
+			k := q*ng + gi
+			qp.invDiff[k] = d
+			qp.norms[k] = field.Sub(field.Square(d.A), field.Mul(field.W, field.Square(d.B)))
 		}
 	}
-	field.BatchInverse(norms)
-	for k, d := range cp.invDiff {
-		cp.invDiff[k] = field.Ext{A: field.Mul(d.A, norms[k]), B: field.Mul(field.Neg(d.B), norms[k])}
+	field.BatchInverse(qp.norms[lo*ng : hi*ng])
+	for k := lo * ng; k < hi*ng; k++ {
+		d := qp.invDiff[k]
+		qp.invDiff[k] = field.Ext{A: field.Mul(d.A, qp.norms[k]), B: field.Mul(field.Neg(d.B), qp.norms[k])}
 	}
-	return cp
 }
 
-func (qp *queryPhase) verifyQuery(q int, paths *pathVerdicts, pts *chunkPoints) error {
+func (qp *queryPhase) verifyQuery(q int) error {
 	oracles, proof, idx, logM := qp.oracles, qp.proof, qp.idxs[q], qp.logM
 	round := proof.QueryRounds[q]
 	if len(round.OracleRows) != len(oracles) {
@@ -392,15 +443,15 @@ func (qp *queryPhase) verifyQuery(q int, paths *pathVerdicts, pts *chunkPoints) 
 			return fmt.Errorf("%w: oracle %d proof length %d, want %d",
 				ErrProofShape, oi, len(row.Proof.Siblings), wantSiblings)
 		}
-		if err := paths.verify(q, oi, row.Values, idx, row.Proof, oracles[oi].Cap); err != nil {
+		if err := qp.paths.verify(q, oi, row.Values, idx, row.Proof, oracles[oi].Cap); err != nil {
 			return fmt.Errorf("%w: oracle %d row: %v", ErrProofInvalid, oi, err)
 		}
 	}
 
 	// Recompute the combined value F(x) at the query's point x from the
 	// authenticated rows.
-	x := pts.x[q-pts.lo]
-	invDiff := pts.invDiff[(q-pts.lo)*len(qp.groups):]
+	x := qp.x[q]
+	invDiff := qp.invDiff[q*len(qp.groups):]
 	v := field.ExtZero
 	k := 0
 	for gi, g := range qp.groups {
@@ -423,7 +474,7 @@ func (qp *queryPhase) verifyQuery(q int, paths *pathVerdicts, pts *chunkPoints) 
 	// points (x_k, −x_k), x_k being the query's point x at an even index
 	// and −x at an odd one, and the next layer's point is x²: so x and 1/x
 	// are squared from layer to layer.
-	xInv := pts.xInv[q-pts.lo]
+	xInv := qp.xInv[q]
 	i := idx
 	for t, step := range round.Steps {
 		if step.Pair[i&1] != v {
@@ -435,7 +486,7 @@ func (qp *queryPhase) verifyQuery(q int, paths *pathVerdicts, pts *chunkPoints) 
 			return fmt.Errorf("%w: layer %d proof length %d, want %d",
 				ErrProofShape, t, len(step.Proof.Siblings), wantSiblings)
 		}
-		if err := paths.verify(q, len(oracles)+t, leaf[:], i>>1, step.Proof, proof.CommitPhaseCaps[t]); err != nil {
+		if err := qp.paths.verify(q, len(oracles)+t, leaf[:], i>>1, step.Proof, proof.CommitPhaseCaps[t]); err != nil {
 			return fmt.Errorf("%w: fold layer %d: %v", ErrProofInvalid, t, err)
 		}
 		// Fold: v' = [x_k·(a+b) + β·(a−b)] / (2x_k).

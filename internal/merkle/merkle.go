@@ -9,8 +9,11 @@
 package merkle
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
+	"sync"
 	"unsafe"
 
 	"unizk/internal/field"
@@ -222,74 +225,217 @@ type Opening struct {
 }
 
 // VerifyBatch sets ok[i] to whether ops[i] authenticates against c, the
-// verdict Verify would give. The openings are split into chunks of eight
-// that run across the shared worker pool, and each chunk hashes its
-// leaves, then each path level, with one batched permutation call. ok
-// must be at least as long as ops. It returns the pool's error, which
-// with no cancellation can only be a recovered panic.
+// verdict Verify would give, hashing each distinct input once. It walks
+// the openings in index order: at the leaves it hashes each distinct
+// (index, leaf) pair once, then at each path level each distinct (parent
+// index, left, right) triple once, however many openings share it. Every
+// opening still gets its own verdict, so one whose leaf or sibling
+// differs from another's at the same node gets a hash of its own. An
+// opening with a negative index, or with a path length other than the
+// first non-negative opening's, is checked with Verify. A level's
+// distinct inputs are hashed eight to a batched permutation call, and
+// leaves wider than a digest across the shared worker pool. ok must be
+// at least as long as ops. It returns the pool's error, which with no
+// cancellation can only be a recovered panic.
 func VerifyBatch(c Cap, ops []Opening, ok []bool) error {
-	return parallel.For(context.Background(), len(ops), 8, func(lo, hi int) {
-		verifyChunk(c, ops[lo:hi], ok[lo:hi])
-	})
+	w := walks.Get().(*walk)
+	_, err := w.verify(c, ops, ok)
+	clear(w.rows) // drop the references to the callers' leaves
+	walks.Put(w)
+	return err
 }
 
-// minSIMDLanes is the smallest chunk verifyChunk hashes with the batched
-// permutation.
+// minSIMDLanes is the smallest run of distinct inputs VerifyBatch hashes
+// with the batched permutation: on the SIMD backend a level's last run of
+// minSIMDLanes or more inputs is hashed as a full eight-lane call, the
+// idle lanes repeating the last live one. One such call costs about three
+// single-state permutations (BenchmarkPermuteX8 against BenchmarkPermute
+// on the 2-core AVX-512 Xeon: 6.1 to 6.3 against 2.0µs), so three live
+// lanes break about even and four come out ahead. A shorter run, and any
+// run on the portable loop, where each lane costs a permutation anyway,
+// is hashed one input at a time.
 const minSIMDLanes = 4
 
-// verifyChunk is VerifyBatch on at most eight openings. A chunk whose
-// path lengths differ, which only a malformed proof produces, and a chunk
-// of fewer than minSIMDLanes, are checked one opening at a time with
-// Verify; leaves of differing widths HashOrNoopBatch itself hashes one at
-// a time. On the SIMD backend a chunk of minSIMDLanes or more runs as a
-// full eight-lane call, the idle lanes repeating the last live one. One
-// such call costs about three single-state permutations
-// (BenchmarkPermuteX8 against BenchmarkPermute on the 2-core AVX-512
-// Xeon: 6.1 to 6.3 against 2.0µs), so three live lanes break about even
-// and four come out ahead. On the portable loop only the live lanes run,
-// since each lane costs a permutation anyway.
+// walk is VerifyBatch's scratch, recycled through walks so that a call
+// makes no allocation once its buffers have grown to the batch size.
+type walk struct {
+	// order is the openings the walk batches, sorted by index.
+	order []opRef
+	// slot[k] is the distinct node order[k] reaches on the current level;
+	// node[s] is the index of distinct node s, next the level being built.
+	slot       []int
+	node, next []int
+	// rows holds the distinct leaves, kids the next level's distinct
+	// (left, right) pairs, h the digests of the current level's distinct
+	// nodes, each with room for the padding lanes.
+	rows [][]field.Element
+	kids []poseidon.HashOut
+	h    []poseidon.HashOut
+	// leafChunk is hashLeafChunk bound to this walk, made once so that
+	// handing it to the pool does not allocate per call.
+	leafChunk func(lo, hi int)
+}
+
+// opRef is an opening's index and position among VerifyBatch's ops.
+type opRef struct{ index, op int }
+
+var walks = sync.Pool{New: func() any {
+	w := new(walk)
+	w.leafChunk = w.hashLeafChunk
+	return w
+}}
+
+// verify is VerifyBatch on w's scratch. It also returns the number of
+// distinct inputs it hashed: leaves, then internal nodes.
+func (w *walk) verify(c Cap, ops []Opening, ok []bool) (hashed int, err error) {
+	depth := -1
+	w.order = w.order[:0]
+	for i := range ops {
+		op := &ops[i]
+		if depth < 0 && op.Index >= 0 {
+			depth = len(op.Proof.Siblings)
+		}
+		if op.Index < 0 || len(op.Proof.Siblings) != depth {
+			ok[i] = Verify(op.Leaf, op.Index, op.Proof, c) == nil
+			continue
+		}
+		w.order = append(w.order, opRef{op.Index, i})
+	}
+	n := len(w.order)
+	if n == 0 {
+		return 0, nil
+	}
+	slices.SortFunc(w.order, func(a, b opRef) int { return cmp.Or(cmp.Compare(a.index, b.index), a.op-b.op) })
+	padded := (n + 7) &^ 7
+	w.slot = resize(w.slot, n)
+	w.node, w.next = resize(w.node, n), resize(w.next, n)
+	w.rows = resize(w.rows, padded)
+	w.kids, w.h = resize(w.kids, 2*padded), resize(w.h, padded)
+
+	d := w.distinctLeaves(ops)
+	hashed += d
+	if err := w.hashLeaves(d); err != nil {
+		return hashed, err
+	}
+	for level := range depth {
+		d = w.distinctNodes(ops, level)
+		hashed += d
+		w.hashNodes(d)
+	}
+	for k, r := range w.order {
+		s := w.slot[k]
+		i := w.node[s]
+		ok[r.op] = i < len(c) && c[i] == w.h[s]
+	}
+	return hashed, nil
+}
+
+// resize returns s with length n, reallocated only when it is too short.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// distinctLeaves gives every opening the slot of its (index, leaf) pair,
+// collecting each distinct pair's leaf in rows and index in node, and
+// returns their number. Openings of one index are adjacent in order, so
+// a leaf is looked for only among its index's pairs.
 //
 //unizklint:hotpath
-func verifyChunk(c Cap, ops []Opening, ok []bool) {
-	n, depth := len(ops), len(ops[0].Proof.Siblings)
-	ragged := false
-	for _, op := range ops[1:] {
-		ragged = ragged || len(op.Proof.Siblings) != depth
-	}
-	if ragged || n < minSIMDLanes {
-		for k, op := range ops {
-			ok[k] = Verify(op.Leaf, op.Index, op.Proof, c) == nil
+func (w *walk) distinctLeaves(ops []Opening) int {
+	d, run := 0, 0
+	for k, r := range w.order {
+		if k == 0 || r.index != w.order[k-1].index {
+			run = d
 		}
-		return
-	}
-	lanes := n
-	if poseidon.SIMD() != "" {
-		lanes = 8
-	}
-	var (
-		rows [8][]field.Element
-		h    [8]poseidon.HashOut
-		idx  [8]int
-		kids [16]poseidon.HashOut
-	)
-	for k := range lanes {
-		op := &ops[min(k, n-1)]
-		rows[k], idx[k] = op.Leaf, op.Index
-	}
-	poseidon.HashOrNoopBatch(rows[:lanes], h[:lanes])
-	for level := range depth {
-		for k := range lanes {
-			sib := ops[min(k, n-1)].Proof.Siblings[level]
-			if idx[k]&1 == 0 {
-				kids[2*k], kids[2*k+1] = h[k], sib
-			} else {
-				kids[2*k], kids[2*k+1] = sib, h[k]
-			}
-			idx[k] >>= 1
+		leaf := ops[r.op].Leaf
+		s := run
+		for s < d && !slices.Equal(w.rows[s], leaf) {
+			s++
 		}
-		poseidon.TwoToOneBatch(kids[:2*lanes], h[:lanes])
+		if s == d {
+			w.rows[d], w.node[d] = leaf, r.index
+			d++
+		}
+		w.slot[k] = s
 	}
-	for k, op := range ops {
-		ok[k] = op.Index >= 0 && idx[k] < len(c) && c[idx[k]] == h[k]
+	return d
+}
+
+// distinctNodes moves every opening one level up its path: it gives each
+// the slot of its (parent index, left, right) triple on the next level,
+// collecting each distinct triple's children in kids and parent index in
+// node, and returns their number. Openings of one parent index are
+// adjacent in order, so a pair is looked for only among its parent's.
+//
+//unizklint:hotpath
+func (w *walk) distinctNodes(ops []Opening, level int) int {
+	d, run, parent := 0, 0, -1
+	for k, r := range w.order {
+		s := w.slot[k]
+		i := w.node[s]
+		left, right := w.h[s], ops[r.op].Proof.Siblings[level]
+		if i&1 == 1 {
+			left, right = right, left
+		}
+		if i>>1 != parent {
+			run, parent = d, i>>1
+		}
+		j := run
+		for j < d && (w.kids[2*j] != left || w.kids[2*j+1] != right) {
+			j++
+		}
+		if j == d {
+			w.kids[2*d], w.kids[2*d+1], w.next[d] = left, right, parent
+			d++
+		}
+		w.slot[k] = j
 	}
+	w.node, w.next = w.next, w.node
+	return d
+}
+
+// lanes is the number of lanes a level of d distinct inputs is hashed
+// in: d, or on the SIMD backend a last run of at least minSIMDLanes
+// padded to eight.
+func lanes(d int) int {
+	if poseidon.SIMD() != "" && d%8 >= minSIMDLanes {
+		return (d + 7) &^ 7
+	}
+	return d
+}
+
+// hashLeaves sets h[:d] to the digests of the d distinct leaves. Leaves
+// wider than a digest cost a permutation per eight elements each, which
+// is enough work per chunk of eight to spread across the pool.
+func (w *walk) hashLeaves(d int) error {
+	n := lanes(d)
+	for j := d; j < n; j++ {
+		w.rows[j] = w.rows[d-1]
+	}
+	if n > 8 && len(w.rows[0]) > poseidon.HashOutLen {
+		return parallel.For(context.Background(), n, 8, w.leafChunk)
+	}
+	w.hashLeafChunk(0, n)
+	return nil
+}
+
+// hashLeafChunk hashes leaves [lo, hi).
+//
+//unizklint:hotpath
+func (w *walk) hashLeafChunk(lo, hi int) {
+	poseidon.HashOrNoopBatch(w.rows[lo:hi], w.h[lo:hi])
+}
+
+// hashNodes sets h[:d] to the digests of the d distinct pairs in kids.
+//
+//unizklint:hotpath
+func (w *walk) hashNodes(d int) {
+	n := lanes(d)
+	for j := d; j < n; j++ {
+		w.kids[2*j], w.kids[2*j+1] = w.kids[2*d-2], w.kids[2*d-1]
+	}
+	poseidon.TwoToOneBatch(w.kids[:2*n], w.h[:n])
 }

@@ -78,10 +78,11 @@ func checkBatch(t *testing.T, name string, c Cap, ops []Opening) {
 }
 
 // TestVerifyBatchMatchesVerify compares VerifyBatch with Verify on every
-// opening, across batch sizes that exercise the scalar chunk (1-3), the
-// idle-lane chunk (4-7), whole chunks and a tail (8-17, 28), across leaf
-// widths and cap heights, with all-valid batches and batches mixing every
-// fault kind, serially and on the pool.
+// opening, across batch sizes that exercise the scalar tail (1-3), the
+// padded tail (4-7), whole runs of eight and longer levels (8-17, 28),
+// across leaf widths and cap heights, with all-valid batches, batches
+// mixing every fault kind, and batches whose openings share three indices
+// and half of which are faulted, serially and on the pool.
 func TestVerifyBatchMatchesVerify(t *testing.T) {
 	prevWorkers := parallel.Workers()
 	defer parallel.SetWorkers(prevWorkers)
@@ -97,11 +98,17 @@ func TestVerifyBatchMatchesVerify(t *testing.T) {
 			for _, size := range sizes {
 				valid := make([]Opening, size)
 				mixed := make([]Opening, size)
+				dups := make([]Opening, size)
 				for i := range valid {
 					idx := rng.Intn(numLeaves)
 					valid[i] = Opening{Leaf: leaves[idx], Index: idx, Proof: tree.Open(idx)}
 					mixed[i] = valid[i]
 					mutateOpening(&mixed[i], numLeaves, byte(rng.Intn(numFaults)), byte(rng.Intn(256)))
+					idx = 3 * rng.Intn(3)
+					dups[i] = Opening{Leaf: leaves[idx], Index: idx, Proof: tree.Open(idx)}
+					if rng.Intn(2) == 0 {
+						mutateOpening(&dups[i], numLeaves, byte(rng.Intn(numFaults)), byte(rng.Intn(256)))
+					}
 				}
 				for _, workers := range []int{1, 2, 7} {
 					parallel.SetWorkers(workers)
@@ -109,15 +116,73 @@ func TestVerifyBatchMatchesVerify(t *testing.T) {
 						width, capHeight, size, workers)
 					checkBatch(t, name+" valid", c, valid)
 					checkBatch(t, name+" mixed", c, mixed)
+					checkBatch(t, name+" dups", c, dups)
 				}
 			}
 		}
 	}
 }
 
-// FuzzVerifyBatch mutates openings of fixed trees, three bytes per
-// opening (index, fault kind, fault argument), and compares VerifyBatch
-// with Verify on every one.
+// TestVerifyBatchHashesEachNodeOnce counts the inputs the walk hashes on
+// honest openings, as many as a stark proof's queries over the small
+// LDE of a 2^5-row trace and PlonkyConfig's over a 2^14-leaf tree: it
+// must hash each distinct leaf and each distinct node below the cap
+// exactly once, however many paths share it.
+func TestVerifyBatchHashesEachNodeOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for _, tc := range []struct{ logN, capHeight, queries int }{
+		{6, 4, 84},
+		{6, 0, 84},
+		{14, 4, 28},
+	} {
+		n := 1 << tc.logN
+		leaves := randLeaves(rng, n, 8)
+		tree := Build(leaves, tc.capHeight)
+		ops := make([]Opening, tc.queries)
+		// distinct[l] holds the indices of the distinct nodes on level l,
+		// the leaves being level 0.
+		depth := tc.logN - tc.capHeight
+		distinct := make([]map[int]bool, depth+1)
+		for l := range distinct {
+			distinct[l] = map[int]bool{}
+		}
+		for q := range ops {
+			idx := rng.Intn(n)
+			ops[q] = Opening{Leaf: leaves[idx], Index: idx, Proof: tree.Open(idx)}
+			for l := range distinct {
+				distinct[l][idx>>l] = true
+			}
+		}
+		want := 0
+		for _, d := range distinct {
+			want += len(d)
+		}
+		ok := make([]bool, len(ops))
+		w := walks.Get().(*walk)
+		got, err := w.verify(tree.Cap(), ops, ok)
+		walks.Put(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for q := range ok {
+			if !ok[q] {
+				t.Fatalf("2^%d leaves: honest opening %d rejected", tc.logN, q)
+			}
+		}
+		if got != want {
+			t.Errorf("2^%d leaves, cap height %d, %d openings: walk hashed %d inputs, want %d distinct leaves and nodes (%d per path)",
+				tc.logN, tc.capHeight, tc.queries, got, want, tc.queries*(depth+1))
+		}
+	}
+}
+
+// FuzzVerifyBatch builds openings of fixed trees, three bytes per opening,
+// and compares VerifyBatch with Verify on every one. The first byte picks
+// the leaf index, or from 128 up repeats an earlier opening's index, so a
+// batch holds honest duplicates and, once the other two bytes (fault kind
+// and argument, see mutateOpening) fault one copy, conflicting ones: the
+// same index with other leaf data, or the same node with another sibling.
+// Ragged paths and negative indices are fault kinds of their own.
 func FuzzVerifyBatch(f *testing.F) {
 	const numLeaves = 32
 	rng := rand.New(rand.NewSource(24))
@@ -135,6 +200,11 @@ func FuzzVerifyBatch(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 2, 0, 0, 3, 0, 0})
 	f.Add([]byte{2, 5, 6, 7, 9, 1, 3, 31, 7, 2, 30, 0, 0, 4, 5, 5, 8, 3, 200, 1, 1, 4})
 	f.Add(make([]byte, 1+3*28))
+	// Honest duplicates, then the same index with another leaf and the
+	// same node with another sibling at its first and its top level.
+	f.Add([]byte{1, 7, 0, 0, 128, 0, 0, 129, 0, 0, 128, faultLeafElement, 3, 128, faultSibling, 0, 129, faultSibling, 3, 6, 0, 0})
+	// Ragged paths and negative indices among duplicates.
+	f.Add([]byte{3, 4, 0, 0, 128, faultRaggedPath, 0, 128, faultRaggedPath, 1, 128, faultNegativeIndex, 0, 5, 0, 0, 130, 0, 0})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) == 0 {
 			return
@@ -145,6 +215,12 @@ func FuzzVerifyBatch(f *testing.F) {
 		for i := range ops {
 			b := raw[3*i : 3*i+3]
 			idx := int(b[0]) % numLeaves
+			if b[0] >= 128 && i > 0 {
+				idx = ops[int(b[0]-128)%i].Index
+				if idx < 0 || idx >= numLeaves {
+					idx = int(b[0]) % numLeaves
+				}
+			}
 			ops[i] = Opening{Leaf: fx.leaves[idx], Index: idx, Proof: fx.tree.Open(idx)}
 			mutateOpening(&ops[i], numLeaves, b[1], b[2])
 		}
