@@ -369,7 +369,7 @@ func TestClusterNoHealthyNodes503(t *testing.T) {
 	if ae.RetryAfter < time.Second {
 		t.Fatalf("Retry-After = %v, want ≥1s", ae.RetryAfter)
 	}
-	if !ae.Retryable() {
+	if !serverclient.Retryable(ae.StatusCode) {
 		t.Fatal("no_healthy_nodes rejection must be retryable")
 	}
 }

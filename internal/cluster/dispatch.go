@@ -219,7 +219,7 @@ func terminalSubmitError(err error) bool {
 	if !errors.As(err, &ae) {
 		return false
 	}
-	return !ae.Retryable()
+	return !serverclient.Retryable(ae.StatusCode)
 }
 
 // awaitResult polls the node for the remote job's outcome.

@@ -247,6 +247,3 @@ func (m *Model) nextRand() uint64 {
 func (m *Model) Stats() (bytes, cycles int64) {
 	return m.totalBytes, m.totalCycles
 }
-
-// Config returns the model's configuration.
-func (m *Model) Config() Config { return m.cfg }

@@ -251,7 +251,7 @@ func soakRetryable(err error) bool {
 		return true
 	}
 	var ae *serverclient.APIError
-	return errors.As(err, &ae) && ae.Retryable()
+	return errors.As(err, &ae) && serverclient.Retryable(ae.StatusCode)
 }
 
 // settleGoroutines waits for the goroutine count to return near its

@@ -9,6 +9,7 @@ import (
 
 	"unizk/internal/jobs"
 	"unizk/internal/proofcache"
+	"unizk/internal/serverclient"
 	"unizk/internal/tenant"
 )
 
@@ -87,29 +88,23 @@ func (c *Core) Admit(req *jobs.Request, priority int, timeout time.Duration, tn 
 		// The cache answers before the executor is consulted: a hit is
 		// served even when nothing could execute a new job.
 		j.cacheKey = proofcache.KeyFor(req)
-		res, leaderID, leader := c.cache.Begin(j.cacheKey, j.ID)
-		for i := 0; leaderID != ""; i++ {
-			if lj, ok := c.Lookup(leaderID); ok {
+		for {
+			res, lj := c.beginFlight(j)
+			if res != nil {
+				return c.admitCached(j, res)
+			}
+			if lj == nil {
+				break // j leads the flight
+			}
+			// An identical request leads the flight. Wait until its
+			// admission ends, then attach to it if it started, or resolve
+			// again if it was abandoned.
+			<-lj.admitted
+			if _, ok := c.Lookup(lj.ID); ok {
 				tn.RecordAdmit()
 				return lj, AdmitCoalesced, nil
 			}
-			// The flight exists but its leader is between Begin and register,
-			// or its admission failed and the flight is about to clear. Wait
-			// a beat and re-resolve; after a bounded wait, prove independently
-			// rather than stall on a flight nobody can observe.
-			if i >= 500 {
-				break
-			}
-			time.Sleep(2 * time.Millisecond)
-			if cur, ok := c.cache.Flight(j.cacheKey); ok && cur == leaderID {
-				continue
-			}
-			res, leaderID, leader = c.cache.Begin(j.cacheKey, j.ID)
 		}
-		if res != nil {
-			return c.admitCached(j, res)
-		}
-		j.cacheLeader = leader
 	}
 	if err := tn.AcquireSlot(time.Duration(c.retryAfterSeconds()) * time.Second); err != nil {
 		c.abandon(j)
@@ -119,7 +114,7 @@ func (c *Core) Admit(req *jobs.Request, priority int, timeout time.Duration, tn 
 	j.slotHeld = true
 	if err := c.exec.Prepare(j, nil); err != nil {
 		c.abandon(j)
-		if code, _ := c.classify(err); !Retryable(code) {
+		if code, _ := c.classify(err); !serverclient.Retryable(code) {
 			// The request, not capacity, is at fault (unknown workload, bad
 			// payload shape); capacity refusals are the executor's to count.
 			c.met.rejectedInvalid.Add(1)
@@ -140,7 +135,41 @@ func (c *Core) Admit(req *jobs.Request, priority int, timeout time.Duration, tn 
 		return nil, AdmitFresh, err
 	}
 	c.met.submitted.Add(1)
+	c.endAdmission(j)
 	return j, AdmitFresh, nil
+}
+
+// beginFlight resolves j's content in the proof cache: a cached result,
+// or the leader of the flight already proving it, or (both nil) j as
+// the new leader. It runs under c.mu (the cache's lock nests inside it)
+// so that a flight's leader is always in c.leaders or c.jobsByID for the
+// followers that find its flight.
+func (c *Core) beginFlight(j *Job) (*jobs.Encoded, *Job) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	res, leaderID, leader := c.cache.Begin(j.cacheKey, j.ID)
+	if leader {
+		j.cacheLeader = true
+		j.admitted = make(chan struct{})
+		c.leaders[j.ID] = j
+		return nil, nil
+	}
+	if lj, ok := c.leaders[leaderID]; ok {
+		return res, lj
+	}
+	return res, c.jobsByID[leaderID]
+}
+
+// endAdmission releases the followers waiting on a flight leader whose
+// admission has ended, started or abandoned. Each admission ends once.
+func (c *Core) endAdmission(j *Job) {
+	if !j.cacheLeader {
+		return
+	}
+	c.mu.Lock()
+	delete(c.leaders, j.ID)
+	c.mu.Unlock()
+	close(j.admitted)
 }
 
 // admitCached mints an already-done job for a proof-cache hit, so every
@@ -181,7 +210,10 @@ func (c *Core) jobContext(timeout time.Duration) (context.Context, context.Cance
 // the content stays provable and the tenant's slot free.
 func (c *Core) abandon(j *Job) {
 	if j.cacheLeader {
+		// Aborted first: a follower woken by endAdmission finds the
+		// flight gone and resolves the content afresh.
 		c.cache.Abort(j.cacheKey, j.ID)
+		c.endAdmission(j)
 	}
 	if j.slotHeld {
 		j.owner.Release()

@@ -52,18 +52,20 @@ func TestAdmissionRollbackMatrix(t *testing.T) {
 	}
 	cases := []struct {
 		name string
+		// noCache runs the case with the proof cache off.
+		noCache bool
 		// run returns the ids the client was acknowledged and how many
 		// Admitted records must have been superseded.
 		run func(e env) (acked []string, superseded int)
 	}{
-		{"refused before admission: flight and slot released, nothing journaled", func(e env) ([]string, int) {
+		{name: "refused before admission: flight and slot released, nothing journaled", run: func(e env) ([]string, int) {
 			if _, _, err := e.c.Admit(script("refuse"), 0, 0, e.tn); !errors.Is(err, errNoCapacity) {
 				e.t.Fatalf("refused submit = %v, want errNoCapacity", err)
 			}
 			// Same content is provable afterwards: the flight was aborted.
 			return nil, 0
 		}},
-		{"cache-leader abort: next identical submit leads and proves", func(e env) ([]string, int) {
+		{name: "cache-leader abort: next identical submit leads and proves", run: func(e env) ([]string, int) {
 			refuse := errors.New("start refused")
 			e.f.startErr.Store(&refuse)
 			if _, _, err := e.c.Admit(script("complete"), 0, 0, e.tn); !errors.Is(err, refuse) {
@@ -77,7 +79,7 @@ func TestAdmissionRollbackMatrix(t *testing.T) {
 			wait(e, j)
 			return []string{j.ID}, 1
 		}},
-		{"saturation after journal append: unregistered, key unbound, record superseded", func(e env) ([]string, int) {
+		{name: "saturation after journal append: unregistered, key unbound, record superseded", run: func(e env) ([]string, int) {
 			full := error(jobqueue.ErrFull)
 			e.f.startErr.Store(&full)
 			req := script("complete")
@@ -96,7 +98,9 @@ func TestAdmissionRollbackMatrix(t *testing.T) {
 			wait(e, j)
 			return []string{j.ID}, 1
 		}},
-		{"idem race loser: attaches to the winner, its record superseded", func(e env) ([]string, int) {
+		// Without the cache: with it, the second submit would coalesce
+		// onto the first instead of racing it to register.
+		{name: "idem race loser: attaches to the winner, its record superseded", noCache: true, run: func(e env) ([]string, int) {
 			hook, entered, release := blockFirst()
 			e.f.prepareHook = hook
 			req := script("complete")
@@ -127,7 +131,7 @@ func TestAdmissionRollbackMatrix(t *testing.T) {
 			}
 			return []string{w.ID}, 1
 		}},
-		{"coalesced follower before leader registration: waits, then attaches", func(e env) ([]string, int) {
+		{name: "coalesced follower before leader registration: waits, then attaches", run: func(e env) ([]string, int) {
 			hook, entered, release := blockFirst()
 			e.f.prepareHook = hook
 			running := make(chan struct{})
@@ -179,7 +183,11 @@ func TestAdmissionRollbackMatrix(t *testing.T) {
 			}
 			dir := t.TempDir()
 			f := &fakeExec{}
-			c, _ := newTestCore(t, Options{CacheEntries: 8, Tenants: reg, JournalDir: dir}, f)
+			opt := Options{CacheEntries: 8, Tenants: reg, JournalDir: dir}
+			if tc.noCache {
+				opt.CacheEntries = 0
+			}
+			c, _ := newTestCore(t, opt, f)
 			acked, superseded := tc.run(env{t, c, f, tn})
 
 			if n := c.Pending(); n != 0 {
@@ -188,8 +196,10 @@ func TestAdmissionRollbackMatrix(t *testing.T) {
 			if n := tn.Stats().InFlight; n != 0 {
 				t.Errorf("tenant holds %d in-flight slots, want 0", n)
 			}
-			if n := c.cache.Stats().Flights; n != 0 {
-				t.Errorf("%d cache flights left open, want 0", n)
+			if c.cache != nil {
+				if n := c.cache.Stats().Flights; n != 0 {
+					t.Errorf("%d cache flights left open, want 0", n)
+				}
 			}
 			shutdown(t, c)
 
@@ -230,6 +240,74 @@ func TestAdmissionRollbackMatrix(t *testing.T) {
 			if sh := c2.Shared(); sh.Submitted != int64(len(acked)) || sh.Pending != 0 {
 				t.Errorf("second life restored %d jobs (%d pending), want %d and 0",
 					sh.Submitted, sh.Pending, len(acked))
+			}
+		})
+	}
+}
+
+// TestCoalescedFollowerWaitsForLeaderAdmission: a follower that finds
+// a flight whose leader is still admitting waits for that admission to
+// end, however long it takes. It attaches to a leader that started (here
+// after a 1.5 s Prepare, about a plonk MVM 2^14 compile), and resolves
+// the content again after one that Prepare refused or that Start
+// refused after it was registered, never attaching to a job that will
+// not run.
+func TestCoalescedFollowerWaitsForLeaderAdmission(t *testing.T) {
+	for _, tc := range []struct {
+		name, workload string
+		hold           time.Duration
+		startRefuses   bool // hold the leader just before it is published, not in Prepare
+	}{
+		{"started", "complete", 1500 * time.Millisecond, false},
+		{"refused in Prepare", "refuse", 0, false},
+		{"refused by Start", "complete", 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hook, entered, release := blockFirst()
+			f := &fakeExec{prepareHook: hook}
+			c, _ := newTestCore(t, Options{CacheEntries: 8}, f)
+			if tc.startRefuses {
+				f.prepareHook, c.admitted = nil, hook
+				full := errNoCapacity
+				f.startErr.Store(&full)
+			}
+			type out struct {
+				j   *Job
+				how AdmitHow
+				err error
+			}
+			admit := func(ch chan<- out) {
+				j, how, err := c.Admit(script(tc.workload), 0, 0, nil)
+				ch <- out{j, how, err}
+			}
+			leader, follower := make(chan out, 1), make(chan out, 1)
+			go admit(leader)
+			<-entered // the leader holds the flight and is not yet published
+			go admit(follower)
+			for c.cache.Stats().Coalesced == 0 { // follower found the flight
+				time.Sleep(time.Millisecond)
+			}
+			time.Sleep(tc.hold)
+			close(release)
+			l, fo := <-leader, <-follower
+			if tc.workload == "refuse" || tc.startRefuses {
+				if !errors.Is(l.err, errNoCapacity) || !errors.Is(fo.err, errNoCapacity) {
+					t.Fatalf("leader = %v, follower = %v/%v, want both refused", l.err, fo.how, fo.err)
+				}
+				if n := c.cache.Stats().Misses; n != 2 {
+					t.Fatalf("cache misses = %d, want 2: the follower leads a flight of its own", n)
+				}
+				return
+			}
+			if l.err != nil || l.how != AdmitFresh {
+				t.Fatalf("leader = %v/%v, want fresh", l.how, l.err)
+			}
+			if fo.err != nil || fo.how != AdmitCoalesced || fo.j != l.j {
+				t.Fatalf("follower = %v/%v on %v, want coalesced onto %s", fo.how, fo.err, fo.j, l.j.ID)
+			}
+			<-l.j.Done()
+			if n := f.executions.Load(); n != 1 {
+				t.Fatalf("executions = %d, want 1", n)
 			}
 		})
 	}

@@ -52,7 +52,7 @@ func (c *Core) writeError(w http.ResponseWriter, err error) {
 	case errors.As(err, &limit):
 		body.Tenant = limit.Tenant
 		body.RetryAfterSeconds = ceilSeconds(limit.RetryAfter)
-	case Retryable(status):
+	case serverclient.Retryable(status):
 		body.RetryAfterSeconds = c.retryAfterSeconds()
 	}
 	if body.RetryAfterSeconds > 0 {
@@ -236,7 +236,7 @@ func (c *Core) statusJSON(j *Job) Status {
 		code, class := c.classify(v.err)
 		st.Error = v.err.Error()
 		st.Class = class
-		st.Retryable = Retryable(code)
+		st.Retryable = serverclient.Retryable(code)
 	}
 	return st
 }

@@ -134,7 +134,7 @@ func TestIdempotencyConflict(t *testing.T) {
 	if apiErr.StatusCode != http.StatusConflict || apiErr.Class != "idempotency_conflict" {
 		t.Fatalf("conflict reply = %+v, want 409/idempotency_conflict", apiErr)
 	}
-	if apiErr.Retryable() {
+	if serverclient.Retryable(apiErr.StatusCode) {
 		t.Fatal("idempotency conflict marked retryable")
 	}
 	if n := core.Shared().IdempotentConflicts; n != 1 {

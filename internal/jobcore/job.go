@@ -58,6 +58,9 @@ type Job struct {
 	// never close it, so progress streams select on done alongside it.
 	done    chan struct{}
 	running chan struct{}
+	// admitted closes once, when a cache leader's admission ends:
+	// started, or abandoned. Followers of its flight wait on it.
+	admitted chan struct{}
 
 	// fp fingerprints the request of a keyed job: the SHA-256 of its
 	// encoding, set at admission and at recovery.

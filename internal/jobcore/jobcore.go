@@ -189,6 +189,11 @@ type Core struct {
 	// job it admitted.
 	//unizklint:guardedby mu
 	idemIndex map[string]*Job
+	// leaders holds each proof-cache flight leader from its cache.Begin
+	// until its admission ends, so a follower that finds the flight can
+	// wait on the leader's admitted channel.
+	//unizklint:guardedby mu
+	leaders map[string]*Job
 }
 
 // New builds an idle core: no journal is open and nothing is admitted
@@ -207,6 +212,7 @@ func New(idPrefix string, classify func(error) (int, string), opt Options) *Core
 		settled:   make(chan struct{}, 1),
 		jobsByID:  make(map[string]*Job),
 		idemIndex: make(map[string]*Job),
+		leaders:   make(map[string]*Job),
 	}
 	if opt.CacheEntries > 0 {
 		c.cache = proofcache.New(proofcache.Config{

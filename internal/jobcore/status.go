@@ -11,11 +11,6 @@ import (
 	"unizk/internal/tenant"
 )
 
-// StatusClientClosedRequest is the nginx-originated code for "the
-// client went away": the job was canceled by disconnect or an explicit
-// cancel call, not by the server.
-const StatusClientClosedRequest = 499
-
 // StatusFor maps an error to (HTTP status, error class) — the one place
 // internal error classes become wire-visible. Every handler, the job
 // status document and the journal go through it (via the classify
@@ -62,7 +57,7 @@ func StatusFor(err error) (int, string) {
 	case errors.Is(err, ErrIdempotencyConflict):
 		return http.StatusConflict, "idempotency_conflict"
 	case errors.Is(err, context.Canceled):
-		return StatusClientClosedRequest, "canceled"
+		return serverclient.StatusClientClosedRequest, "canceled"
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout, "deadline"
 	case errors.Is(err, prooferr.ErrMalformedProof):
@@ -71,17 +66,5 @@ func StatusFor(err error) (int, string) {
 		return http.StatusUnprocessableEntity, "rejected"
 	default:
 		return http.StatusInternalServerError, "internal"
-	}
-}
-
-// Retryable reports whether resubmitting the same request later can
-// succeed: backpressure, drain, cancellation and deadline are transient.
-func Retryable(status int) bool {
-	switch status {
-	case http.StatusTooManyRequests, http.StatusServiceUnavailable,
-		StatusClientClosedRequest, http.StatusGatewayTimeout:
-		return true
-	default:
-		return false
 	}
 }

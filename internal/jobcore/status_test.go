@@ -36,7 +36,7 @@ func TestStatusFor(t *testing.T) {
 		{"queue closed", jobqueue.ErrClosed, http.StatusServiceUnavailable, "draining", true},
 		{"idempotency conflict", ErrIdempotencyConflict, http.StatusConflict, "idempotency_conflict", false},
 		{"wrapped idempotency conflict", fmt.Errorf("key %q: %w", "k", ErrIdempotencyConflict), http.StatusConflict, "idempotency_conflict", false},
-		{"canceled", context.Canceled, StatusClientClosedRequest, "canceled", true},
+		{"canceled", context.Canceled, serverclient.StatusClientClosedRequest, "canceled", true},
 		{"deadline", context.DeadlineExceeded, http.StatusGatewayTimeout, "deadline", true},
 		{"malformed", prooferr.ErrMalformedProof, http.StatusBadRequest, "malformed", false},
 		{"wrapped malformed", fmt.Errorf("jobs: %w: %w", jobs.ErrBadRequest, prooferr.ErrMalformedProof), http.StatusBadRequest, "malformed", false},
@@ -53,7 +53,7 @@ func TestStatusFor(t *testing.T) {
 		{"replayed", &replayedError{code: 503, class: "no_capacity", msg: "x"}, 503, "no_capacity", true},
 		// The documented precedence: a canceled job whose error chain also
 		// carries a prooferr class still maps to the lifecycle code.
-		{"lifecycle beats taxonomy", fmt.Errorf("%w during verify: %w", context.Canceled, prooferr.ErrProofRejected), StatusClientClosedRequest, "canceled", true},
+		{"lifecycle beats taxonomy", fmt.Errorf("%w during verify: %w", context.Canceled, prooferr.ErrProofRejected), serverclient.StatusClientClosedRequest, "canceled", true},
 	}
 	for _, tc := range cases {
 		status, class := StatusFor(tc.err)
@@ -61,8 +61,8 @@ func TestStatusFor(t *testing.T) {
 			t.Errorf("%s: StatusFor = (%d, %q), want (%d, %q)",
 				tc.name, status, class, tc.status, tc.class)
 		}
-		if got := Retryable(status); got != tc.retryable {
-			t.Errorf("%s: Retryable(%d) = %v, want %v", tc.name, status, got, tc.retryable)
+		if got := serverclient.Retryable(status); got != tc.retryable {
+			t.Errorf("%s: serverclient.Retryable(%d) = %v, want %v", tc.name, status, got, tc.retryable)
 		}
 	}
 }
@@ -97,7 +97,7 @@ func TestStatusTableEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitForState(t, c, id, "failed")
-	if _, err = c.Result(ctx, id); !errors.As(err, &ae) || ae.StatusCode != 422 || ae.Class != "rejected" || ae.Retryable() {
+	if _, err = c.Result(ctx, id); !errors.As(err, &ae) || ae.StatusCode != 422 || ae.Class != "rejected" || serverclient.Retryable(ae.StatusCode) {
 		t.Fatalf("failed job result = %v, want terminal 422 rejected", err)
 	}
 	if st, _ := c.Status(ctx, id); st.Class != "rejected" || st.Retryable || st.Error == "" {
@@ -114,7 +114,7 @@ func TestStatusTableEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitForState(t, c, id, "canceled")
-	if _, err = c.Result(ctx, id); !errors.As(err, &ae) || ae.StatusCode != StatusClientClosedRequest || !ae.Retryable() {
+	if _, err = c.Result(ctx, id); !errors.As(err, &ae) || ae.StatusCode != serverclient.StatusClientClosedRequest || !serverclient.Retryable(ae.StatusCode) {
 		t.Fatalf("canceled job result = %v, want retryable 499", err)
 	}
 
@@ -132,7 +132,7 @@ func TestStatusTableEndToEnd(t *testing.T) {
 
 	// Malformed input is refused before the executor sees it.
 	_, err = c.Submit(ctx, &jobs.Request{Kind: 9, Workload: "complete", LogRows: 5}, serverclient.Options{})
-	if !errors.As(err, &ae) || ae.StatusCode != http.StatusBadRequest || ae.Retryable() {
+	if !errors.As(err, &ae) || ae.StatusCode != http.StatusBadRequest || serverclient.Retryable(ae.StatusCode) {
 		t.Fatalf("unknown kind = %v, want terminal 400", err)
 	}
 	if _, err := c.Status(ctx, "nope"); !errors.As(err, &ae) || ae.StatusCode != http.StatusNotFound {

@@ -124,9 +124,6 @@ func New[T any](capacity int) *Queue[T] {
 	}
 }
 
-// Cap returns the queue's capacity.
-func (q *Queue[T]) Cap() int { return q.cap }
-
 // Len returns the number of queued items.
 func (q *Queue[T]) Len() int {
 	q.mu.Lock()

@@ -424,9 +424,6 @@ func (j *Job) SecurityBits() int {
 	return j.stark.SecurityBits()
 }
 
-// Request returns the request the job was compiled from.
-func (j *Job) Request() *Request { return j.req }
-
 // Prove runs the job under ctx. Cancellation and deadlines propagate
 // through ProveContext into every parallel kernel (DESIGN.md §9), so a
 // canceled job releases its workers promptly.

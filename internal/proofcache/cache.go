@@ -126,21 +126,6 @@ func (c *Cache) Begin(key Key, jobID string) (res *jobs.Encoded, leaderID string
 	return nil, "", true
 }
 
-// Flight peeks at the current flight leader for key without counting
-// anything — how a coalescing follower re-checks while it waits for the
-// leader's job to become visible in its server's registry (the leader
-// registers a beat after Begin; a follower can observe the flight
-// first).
-func (c *Cache) Flight(key Key) (leaderID string, ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	f, ok := c.flights[key]
-	if !ok {
-		return "", false
-	}
-	return f.leaderID, true
-}
-
 // Complete finishes a leader's flight with a successful result that
 // took cost (the prove's run time) to produce. If the cache was built
 // with Verify, check is invoked (outside the lock) and a failing result

@@ -143,7 +143,7 @@ func TestBackpressureEndToEnd(t *testing.T) {
 		if apiErr.StatusCode != http.StatusTooManyRequests {
 			t.Fatalf("saturated submit = %d, want 429", apiErr.StatusCode)
 		}
-		if apiErr.Class != "queue_full" || !apiErr.Retryable() || apiErr.RetryAfter < time.Second {
+		if apiErr.Class != "queue_full" || !serverclient.Retryable(apiErr.StatusCode) || apiErr.RetryAfter < time.Second {
 			t.Fatalf("429 reply lacks backpressure info: %+v", apiErr)
 		}
 	}
@@ -274,7 +274,7 @@ func TestJobDeadline(t *testing.T) {
 	if !errors.As(err, &apiErr) {
 		t.Fatalf("deadline prove = %v, want APIError", err)
 	}
-	if apiErr.StatusCode != http.StatusGatewayTimeout || apiErr.Class != "deadline" || !apiErr.Retryable() {
+	if apiErr.StatusCode != http.StatusGatewayTimeout || apiErr.Class != "deadline" || !serverclient.Retryable(apiErr.StatusCode) {
 		t.Fatalf("deadline reply = %+v, want 504/deadline/retryable", apiErr)
 	}
 }
@@ -303,7 +303,7 @@ func TestSubmitRejections(t *testing.T) {
 		if apiErr.StatusCode != tc.want {
 			t.Fatalf("%s: status %d, want %d", tc.name, apiErr.StatusCode, tc.want)
 		}
-		if apiErr.Retryable() {
+		if serverclient.Retryable(apiErr.StatusCode) {
 			t.Fatalf("%s: invalid request marked retryable", tc.name)
 		}
 	}
@@ -400,7 +400,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	// Its proof endpoint maps to 499.
 	_, err = c.Result(ctx, queued)
 	var apiErr *serverclient.APIError
-	if !errors.As(err, &apiErr) || apiErr.StatusCode != jobcore.StatusClientClosedRequest {
+	if !errors.As(err, &apiErr) || apiErr.StatusCode != serverclient.StatusClientClosedRequest {
 		t.Fatalf("result of canceled job = %v, want 499", err)
 	}
 }

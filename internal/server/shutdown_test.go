@@ -86,7 +86,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	// New submissions are refused with a retryable 503.
 	_, err = c.Submit(ctx, queuedReq, serverclient.Options{})
 	var apiErr *serverclient.APIError
-	if !errors.As(err, &apiErr) || apiErr.StatusCode != 503 || !apiErr.Retryable() {
+	if !errors.As(err, &apiErr) || apiErr.StatusCode != 503 || !serverclient.Retryable(apiErr.StatusCode) {
 		t.Fatalf("submit while draining = %v, want retryable 503", err)
 	}
 	if h, err := c.Health(ctx); err == nil {

@@ -227,7 +227,7 @@ func TestTenantAuthAndLimits(t *testing.T) {
 	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusUnauthorized {
 		t.Fatalf("unknown key submit = %v, want 401", err)
 	}
-	if apiErr.Class != "unauthorized" || apiErr.Retryable() {
+	if apiErr.Class != "unauthorized" || serverclient.Retryable(apiErr.StatusCode) {
 		t.Fatalf("401 reply = %+v, want terminal unauthorized", apiErr)
 	}
 
@@ -248,7 +248,7 @@ func TestTenantAuthAndLimits(t *testing.T) {
 	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-rate submit = %v, want 429", err)
 	}
-	if apiErr.Class != tenant.ReasonRateLimited || !apiErr.Retryable() {
+	if apiErr.Class != tenant.ReasonRateLimited || !serverclient.Retryable(apiErr.StatusCode) {
 		t.Fatalf("429 reply = %+v, want retryable rate_limited", apiErr)
 	}
 	if apiErr.Tenant != "alpha" {

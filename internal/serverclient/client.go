@@ -44,13 +44,18 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("server: %d %s: %s", e.StatusCode, e.Class, e.Message)
 }
 
-// Retryable reports whether resubmitting the same job later can
-// succeed: true for backpressure (429), drain (503), cancellation, and
-// deadline replies.
-func (e *APIError) Retryable() bool {
-	switch e.StatusCode {
+// StatusClientClosedRequest is the nginx-originated code for "the
+// client went away": the job was canceled by disconnect or an explicit
+// cancel call, not by the server.
+const StatusClientClosedRequest = 499
+
+// Retryable reports whether resubmitting the same request later can
+// succeed after a reply with this status: backpressure (429), drain
+// (503), cancellation (499) and deadline (504) are transient.
+func Retryable(status int) bool {
+	switch status {
 	case http.StatusTooManyRequests, http.StatusServiceUnavailable,
-		499, http.StatusGatewayTimeout:
+		StatusClientClosedRequest, http.StatusGatewayTimeout:
 		return true
 	default:
 		return false

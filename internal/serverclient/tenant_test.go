@@ -85,8 +85,8 @@ func TestTenantStatusMappings(t *testing.T) {
 			if ae.Tenant != tc.wantTenant {
 				t.Fatalf("tenant = %q, want %q", ae.Tenant, tc.wantTenant)
 			}
-			if ae.Retryable() != tc.wantRetryable {
-				t.Fatalf("retryable = %v, want %v", ae.Retryable(), tc.wantRetryable)
+			if Retryable(ae.StatusCode) != tc.wantRetryable {
+				t.Fatalf("retryable = %v, want %v", Retryable(ae.StatusCode), tc.wantRetryable)
 			}
 			if ae.RetryAfter != tc.wantRetryWait {
 				t.Fatalf("retry after = %v, want %v", ae.RetryAfter, tc.wantRetryWait)

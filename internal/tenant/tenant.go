@@ -141,9 +141,6 @@ type Tenant struct {
 // Name returns the tenant's configured name.
 func (t *Tenant) Name() string { return t.cfg.Name }
 
-// Class returns the tenant's priority class.
-func (t *Tenant) Class() int { return t.cfg.Class }
-
 // classBand is the priority distance between adjacent tenant classes;
 // client per-request priorities are clamped to within half a band so no
 // client-chosen value can cross into another class's lane.
