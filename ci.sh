@@ -63,12 +63,17 @@ stage_allocgate() { go test -timeout 5m ./internal/allocgate; }
 # concurrent Begin/Complete/Abort/Put, the bounded store that decides
 # which entries stay (against its brute-force model), and the journal's
 # known-result set shared by concurrent appenders. Both serving tiers run
-# on this one core, so it runs before any soak. The idempotency tests
-# repeat 200 times: an order race between a job becoming visible and its
-# retirement fails once in hundreds of runs.
+# on this one core, so it runs before any soak. The admission tests
+# repeat, because their races fail once in hundreds of runs: an order
+# race between a job becoming visible and its retirement, and a submit
+# racing a duplicate that is refused after its record is durable. The
+# idempotency tests and the rollback matrix run 200 times (about 77 s on
+# 2 cores); the coalescing tests 20 times, since one of them holds its
+# leader for 1.5 s.
 stage_race_jobcore() {
 	go test -race ./internal/jobcore ./internal/serverclient ./internal/proofcache ./internal/store ./internal/journal
-	go test -race -count=200 -run '^TestIdempotency' ./internal/jobcore
+	go test -race -count=200 -run 'Idempotency|Rollback' ./internal/jobcore
+	go test -race -count=20 -run 'Coalesc' ./internal/jobcore
 }
 
 # Chaos soak (fixed seed, small circuits): concurrent clients drive real

@@ -135,7 +135,7 @@ func waitHealthy(t *testing.T, c *Coordinator, n int) {
 
 func directProof(t *testing.T, req *jobs.Request) []byte {
 	t.Helper()
-	res, err := jobs.Execute(context.Background(), req)
+	res, err := proveDirect(context.Background(), req)
 	if err != nil {
 		t.Fatalf("direct prove: %v", err)
 	}
@@ -614,7 +614,7 @@ func (f *fakeNode) submitCount() int {
 // probed load differs, the job goes to the emptier one.
 func TestClusterLeastLoaded(t *testing.T) {
 	req := &jobs.Request{Kind: jobs.KindStark, Workload: "Fibonacci", LogRows: 4}
-	res, err := jobs.Execute(context.Background(), req)
+	res, err := proveDirect(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -720,7 +720,7 @@ func TestBusyNodeReroutesAtOnce(t *testing.T) {
 // each step.
 func TestClusterEjectionAndReadmission(t *testing.T) {
 	req := &jobs.Request{Kind: jobs.KindStark, Workload: "Fibonacci", LogRows: 4}
-	res, err := jobs.Execute(context.Background(), req)
+	res, err := proveDirect(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -855,4 +855,14 @@ func TestClusterProofBytesFromNode(t *testing.T) {
 	if !bytes.Equal(fromCoord, fromNode) {
 		t.Fatalf("coordinator /proof (%d bytes) differs from the node's (%d bytes)", len(fromCoord), len(fromNode))
 	}
+}
+
+// proveDirect compiles and proves req outside any service: the proof a
+// served one is held against.
+func proveDirect(ctx context.Context, req *jobs.Request) (*jobs.Result, error) {
+	j, err := jobs.Compile(req)
+	if err != nil {
+		return nil, err
+	}
+	return j.Prove(ctx)
 }

@@ -354,7 +354,7 @@ func TestCrashRecoverySoak(t *testing.T) {
 			sig := fmt.Sprintf("%s|%s|%d", a.req.Kind, a.req.Workload, a.req.LogRows)
 			want, ok := direct[sig]
 			if !ok {
-				d, err := jobs.Execute(context.Background(), a.req)
+				d, err := proveDirect(context.Background(), a.req)
 				if err != nil {
 					t.Fatalf("direct prove %s: %v", sig, err)
 				}

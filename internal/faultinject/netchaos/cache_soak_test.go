@@ -145,7 +145,7 @@ func TestCacheSoak(t *testing.T) {
 	// Bit-identical to chaos-free direct proves, every submission.
 	want := make([][]byte, len(contents))
 	for n, req := range contents {
-		d, err := jobs.Execute(context.Background(), req)
+		d, err := proveDirect(context.Background(), req)
 		if err != nil {
 			t.Fatalf("direct prove %d: %v", n, err)
 		}

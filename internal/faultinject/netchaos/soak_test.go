@@ -140,7 +140,7 @@ func TestChaosSoak(t *testing.T) {
 			sig := fmt.Sprintf("%s|%s|%d", r.req.Kind, r.req.Workload, r.req.LogRows)
 			want, ok := direct[sig]
 			if !ok {
-				d, err := jobs.Execute(context.Background(), r.req)
+				d, err := proveDirect(context.Background(), r.req)
 				if err != nil {
 					t.Fatalf("direct prove %s: %v", sig, err)
 				}
@@ -271,4 +271,14 @@ func settleGoroutines(t *testing.T, before int) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+}
+
+// proveDirect compiles and proves req outside any service: the proof a
+// served one is held against.
+func proveDirect(ctx context.Context, req *jobs.Request) (*jobs.Result, error) {
+	j, err := jobs.Compile(req)
+	if err != nil {
+		return nil, err
+	}
+	return j.Prove(ctx)
 }

@@ -34,10 +34,11 @@ const (
 //
 // The order is cheapest-first: drain gate, tenant rate token, request
 // validation, idempotency lookup, proof-cache lookup/flight, tenant
-// in-flight slot, Executor.Prepare, journal, register, Executor.Start.
-// A rate-limited tenant never costs a compile, a cache hit never takes
-// a quota slot, and every refusal after the flight or slot is taken
-// gives both back (abandon).
+// in-flight slot, Executor.Prepare, journal, then publication together
+// with Executor.Start. A rate-limited tenant never costs a compile, a
+// cache hit never takes a quota slot, and every refusal after the
+// flight or slot is taken leaves through unwind, which gives back
+// whatever the job holds.
 func (c *Core) Admit(req *jobs.Request, priority int, timeout time.Duration, tn *tenant.Tenant) (*Job, AdmitHow, error) {
 	if c.draining.Load() {
 		return nil, AdmitFresh, ErrDraining
@@ -97,8 +98,8 @@ func (c *Core) Admit(req *jobs.Request, priority int, timeout time.Duration, tn 
 				break // j leads the flight
 			}
 			// An identical request leads the flight. Wait until its
-			// admission ends, then attach to it if it started, or resolve
-			// again if it was abandoned.
+			// admission ends, then attach to it if it was published, or
+			// resolve again if it was unwound.
 			<-lj.admitted
 			if _, ok := c.Lookup(lj.ID); ok {
 				tn.RecordAdmit()
@@ -107,13 +108,15 @@ func (c *Core) Admit(req *jobs.Request, priority int, timeout time.Duration, tn 
 		}
 	}
 	if err := tn.AcquireSlot(time.Duration(c.retryAfterSeconds()) * time.Second); err != nil {
-		c.abandon(j)
+		c.unwind(j)
 		c.met.rejectedLimited.Add(1)
 		return nil, AdmitFresh, err
 	}
-	j.slotHeld = true
+	j.mu.Lock()
+	j.holds = holdsSlot
+	j.mu.Unlock()
 	if err := c.exec.Prepare(j, nil); err != nil {
-		c.abandon(j)
+		c.unwind(j)
 		if code, _ := c.classify(err); !serverclient.Retryable(code) {
 			// The request, not capacity, is at fault (unknown workload, bad
 			// payload shape); capacity refusals are the executor's to count.
@@ -130,12 +133,6 @@ func (c *Core) Admit(req *jobs.Request, priority int, timeout time.Duration, tn 
 	if existing, err := c.register(j, timeout); err != nil || existing != nil {
 		return existing, AdmitDeduped, err
 	}
-	if err := c.exec.Start(j); err != nil {
-		c.unregister(j)
-		return nil, AdmitFresh, err
-	}
-	c.met.submitted.Add(1)
-	c.endAdmission(j)
 	return j, AdmitFresh, nil
 }
 
@@ -149,7 +146,6 @@ func (c *Core) beginFlight(j *Job) (*jobs.Encoded, *Job) {
 	defer c.mu.Unlock()
 	res, leaderID, leader := c.cache.Begin(j.cacheKey, j.ID)
 	if leader {
-		j.cacheLeader = true
 		j.admitted = make(chan struct{})
 		c.leaders[j.ID] = j
 		return nil, nil
@@ -160,16 +156,16 @@ func (c *Core) beginFlight(j *Job) (*jobs.Encoded, *Job) {
 	return res, c.jobsByID[leaderID]
 }
 
-// endAdmission releases the followers waiting on a flight leader whose
-// admission has ended, started or abandoned. Each admission ends once.
-func (c *Core) endAdmission(j *Job) {
-	if !j.cacheLeader {
-		return
+// endAdmissionLocked releases the followers waiting on a flight leader:
+// its admission has ended, published or unwound. Each admission ends
+// once.
+//
+//unizklint:holds c.mu
+func (c *Core) endAdmissionLocked(j *Job) {
+	if j.admitted != nil {
+		delete(c.leaders, j.ID)
+		close(j.admitted)
 	}
-	c.mu.Lock()
-	delete(c.leaders, j.ID)
-	c.mu.Unlock()
-	close(j.admitted)
 }
 
 // admitCached mints an already-done job for a proof-cache hit, so every
@@ -187,8 +183,6 @@ func (c *Core) admitCached(j *Job, res *jobs.Encoded) (*Job, AdmitHow, error) {
 	if existing, err := c.register(j, 0); err != nil || existing != nil {
 		return existing, AdmitDeduped, err
 	}
-	c.met.submitted.Add(1)
-	c.met.countTerminal(StateDone, nil)
 	return j, AdmitCached, nil
 }
 
@@ -205,17 +199,28 @@ func (c *Core) jobContext(timeout time.Duration) (context.Context, context.Cance
 	return tctx, func() { tcancel(); cancel() }
 }
 
-// abandon gives back what a job that will not be acknowledged holds —
-// flight leadership, quota slot, context — on every refusal path, so
-// the content stays provable and the tenant's slot free.
-func (c *Core) abandon(j *Job) {
-	if j.cacheLeader {
-		// Aborted first: a follower woken by endAdmission finds the
+// unwind is the one exit of a job that is never published, whichever
+// step refused it: it gives back what the job holds — its durable
+// Admitted record is superseded so replay does not resurrect it, its
+// flight aborted, its slot and context released — so the content stays
+// provable and the tenant's slot free. Only register holds a record,
+// under the snapMu.RLock that pairs the superseding append.
+func (c *Core) unwind(j *Job) {
+	j.mu.Lock()
+	holds := j.holds
+	j.mu.Unlock()
+	if holds&holdsRecord != 0 {
+		c.journalSuperseded(j.ID)
+	}
+	if j.admitted != nil {
+		// Aborted first: a follower woken by endAdmissionLocked finds the
 		// flight gone and resolves the content afresh.
 		c.cache.Abort(j.cacheKey, j.ID)
-		c.endAdmission(j)
+		c.mu.Lock()
+		c.endAdmissionLocked(j)
+		c.mu.Unlock()
 	}
-	if j.slotHeld {
+	if holds&holdsSlot != 0 {
 		j.owner.Release()
 	}
 	if j.cancel != nil {
@@ -223,18 +228,17 @@ func (c *Core) abandon(j *Job) {
 	}
 }
 
-// register stamps the job's deadline and submission time, makes the
-// admission durable — nothing is acknowledged before that — and
-// publishes the job; if it cannot, the job is abandoned. A job minted
-// done (a cache hit) is finished here: one journal record admits and
-// commits it, and it is published straight into the retained set. The
-// key is rechecked under the lock: a concurrent duplicate may have registered
-// it meanwhile, exactly one of the racing submits admits and binds the
-// key to its record, and the loser gets the winner's job back. The
-// submission time comes from the core's clock, which idempotency
-// expiry reads too. A submit that passed the drain gate just
-// before Shutdown flipped it is refused here, so nothing registers
-// after Shutdown has seen the pending count reach zero.
+// register stamps the job's deadline and submission time (from the
+// clock idempotency expiry reads), makes the admission durable — nothing
+// is acknowledged before that — and publishes the job in one critical
+// section with its key rechecked (exactly one of racing duplicates binds
+// it; a loser gets the winner's job back), the drain flag rechecked (so
+// nothing registers after Shutdown saw pending reach zero), and
+// Executor.Start: a job is visible only once the executor has it, so
+// every published job ends, and a refused one unwinds before anyone
+// could attach to it. A job minted done (a cache hit) is not started:
+// one record admits and commits it, and it is retired as it is
+// published.
 func (c *Core) register(j *Job, timeout time.Duration) (existing *Job, err error) {
 	j.Timeout = timeout
 	j.ctx, j.cancel = c.jobContext(timeout)
@@ -243,19 +247,22 @@ func (c *Core) register(j *Job, timeout time.Duration) (existing *Job, err error
 	c.mu.Unlock()
 	j.mu.Lock()
 	j.submitted = now
-	done := j.state == StateDone
-	if done {
-		j.finished = j.submitted
+	res := j.res // set only on a job minted done
+	if res != nil {
+		j.finished = now
 		j.cancel()
 		close(j.done)
 	}
 	j.mu.Unlock()
 	c.snapMu.RLock()
 	defer c.snapMu.RUnlock()
-	if err := c.journalAdmitted(j); err != nil {
-		c.abandon(j)
+	if err := c.journalAdmitted(j, now, res); err != nil {
+		c.unwind(j)
 		return nil, err
 	}
+	j.mu.Lock()
+	j.holds |= holdsRecord
+	j.mu.Unlock()
 	if c.admitted != nil {
 		c.admitted(j)
 	}
@@ -264,15 +271,16 @@ func (c *Core) register(j *Job, timeout time.Duration) (existing *Job, err error
 	if key != "" {
 		existing, err = c.idemLookupLocked(key, j.fp)
 	}
-	if err == nil && existing == nil && c.draining.Load() {
+	switch {
+	case err != nil || existing != nil:
+	case c.draining.Load():
 		err = ErrDraining
+	case res == nil:
+		err = c.exec.Start(j)
 	}
 	if err != nil || existing != nil {
 		c.mu.Unlock()
-		// The Admitted record is already durable; mark the loser
-		// superseded so replay does not resurrect it.
-		c.journalSuperseded(j.ID)
-		c.abandon(j)
+		c.unwind(j)
 		if existing != nil {
 			c.met.idemHits.Add(1)
 		}
@@ -282,36 +290,16 @@ func (c *Core) register(j *Job, timeout time.Duration) (existing *Job, err error
 		c.idemIndex[key] = j
 	}
 	c.jobsByID[j.ID] = j
-	if done {
+	c.met.submitted.Add(1)
+	if res != nil {
 		c.retireLocked(j.ID)
+		c.met.countTerminal(StateDone, nil)
 	} else {
 		c.pending++
 	}
+	c.endAdmissionLocked(j)
 	c.mu.Unlock()
 	return nil, nil
-}
-
-// unregister withdraws a never-acknowledged job the executor refused
-// to start, superseding its Admitted record so replay skips it.
-func (c *Core) unregister(j *Job) {
-	c.snapMu.RLock()
-	defer c.snapMu.RUnlock()
-	c.mu.Lock()
-	delete(c.jobsByID, j.ID)
-	c.idemDeleteLocked(j)
-	c.pending--
-	c.mu.Unlock()
-	c.journalSuperseded(j.ID)
-	c.abandon(j)
-	c.poke()
-}
-
-// poke wakes a Shutdown waiting for the pending count to drop.
-func (c *Core) poke() {
-	select {
-	case c.settled <- struct{}{}:
-	default:
-	}
 }
 
 // Dispatch records that the executor is about to execute the job (on
@@ -349,7 +337,7 @@ func (c *Core) Dispatch(j *Job, node string) time.Duration {
 // drops Verify here, after its one use, so it does not pin the compiled
 // job it is bound to.
 func (c *Core) Finish(j *Job, enc *jobs.Encoded, err error) {
-	if err == nil && j.cacheLeader {
+	if err == nil && j.admitted != nil {
 		// With verify-on-insert, a proof that fails its own verifier fails
 		// the job (and is never cached) instead of fanning out to every
 		// coalesced waiter. The cache weighs the result by the job's run
@@ -381,7 +369,10 @@ func (c *Core) Finish(j *Job, enc *jobs.Encoded, err error) {
 	default:
 		j.state = StateFailed
 	}
-	state := j.state
+	state, holds := j.state, j.holds
+	// Counted before anyone can see the state, as pending is dropped
+	// before waiters are released: what a client saw end is in /metrics.
+	c.met.countTerminal(state, err)
 	j.mu.Unlock()
 	// Retired as it becomes visible: a client that has seen this job
 	// end also sees every eviction its retirement caused.
@@ -392,21 +383,23 @@ func (c *Core) Finish(j *Job, enc *jobs.Encoded, err error) {
 	c.journalTerminal(j, state, enc, err)
 	c.snapMu.RUnlock()
 
-	c.met.countTerminal(state, err)
-	if j.cacheLeader {
+	if j.admitted != nil {
 		// No-op after a successful Complete; clears the flight on every
 		// failure path so the content stays provable by the next submit.
 		c.cache.Abort(j.cacheKey, j.ID)
 	}
-	if j.slotHeld {
+	if holds&holdsSlot != 0 {
 		j.owner.Release()
 	}
 	j.cancel()
-	close(j.done)
 	c.mu.Lock()
 	c.pending--
 	c.mu.Unlock()
-	c.poke()
+	close(j.done)
+	select { // wake a Shutdown waiting for the pending count to drop
+	case c.settled <- struct{}{}:
+	default:
+	}
 }
 
 // retireLocked keeps a finished job for later queries and evicts the
@@ -420,7 +413,9 @@ func (c *Core) retireLocked(id string) {
 		evict := c.finishedList[0]
 		c.finishedList = c.finishedList[1:]
 		if old, ok := c.jobsByID[evict]; ok {
-			c.idemDeleteLocked(old)
+			if key := old.Req.IdempotencyKey; c.idemIndex[key] == old {
+				delete(c.idemIndex, key)
+			}
 			delete(c.jobsByID, evict)
 		}
 	}

@@ -131,6 +131,58 @@ func TestAdmissionRollbackMatrix(t *testing.T) {
 			}
 			return []string{w.ID}, 1
 		}},
+		{name: "refused by Start while a duplicate races it: neither is left waiting", run: func(e env) ([]string, int) {
+			hook, entered, release := blockFirst()
+			e.f.startHook = hook
+			e.f.startErr.Store(&errNoCapacity)
+			req := script("complete")
+			req.IdempotencyKey = "refused"
+			first := make(chan error, 1)
+			go func() {
+				_, _, err := e.c.Admit(req, 0, 0, e.tn)
+				first <- err
+			}()
+			<-entered // the first submit is inside Start
+			type out struct {
+				j   *Job
+				err error
+			}
+			second := make(chan out, 1)
+			go func() {
+				j, _, err := e.c.Admit(req, 0, 0, e.tn)
+				second <- out{j, err}
+			}()
+			// Give the second submit time to find the first: a job published
+			// before Start refused it would dedup it at once, while one not
+			// yet published keeps it waiting on the store lock.
+			select {
+			case o := <-second:
+				second <- o
+			case <-time.After(100 * time.Millisecond):
+			}
+			close(release)
+			if err := <-first; !errors.Is(err, errNoCapacity) {
+				e.t.Fatalf("first submit = %v, want the start refusal", err)
+			}
+			var s out
+			select {
+			case s = <-second:
+			case <-time.After(5 * time.Second):
+				e.t.Fatal("second submit still waiting 5 s after the first was refused")
+			}
+			if s.err != nil {
+				if !errors.Is(s.err, errNoCapacity) {
+					e.t.Fatalf("second submit = %v, want the start refusal or a job", s.err)
+				}
+				return nil, 2
+			}
+			select {
+			case <-s.j.Done():
+			case <-time.After(5 * time.Second):
+				e.t.Fatalf("second submit's job %s never ended", s.j.ID)
+			}
+			return []string{s.j.ID}, 1
+		}},
 		{name: "coalesced follower before leader registration: waits, then attaches", run: func(e env) ([]string, int) {
 			hook, entered, release := blockFirst()
 			e.f.prepareHook = hook

@@ -40,11 +40,13 @@ func classifyFake(err error) (int, string) {
 //
 // hold, when set, runs after Dispatch and before the script — the
 // handle tests use to keep a job running. prepareHook runs inside
-// Prepare for fresh submits; startErr makes Start refuse.
+// Prepare for fresh submits, startHook first inside Start; startErr
+// makes Start refuse.
 type fakeExec struct {
 	core        *Core
 	hold        func(*Job)
 	prepareHook func(*Job)
+	startHook   func(*Job)
 	startErr    atomic.Pointer[error]
 	executions  atomic.Int64
 	wg          sync.WaitGroup
@@ -65,6 +67,9 @@ func (f *fakeExec) Prepare(j *Job, rec *journal.JobRecord) error {
 }
 
 func (f *fakeExec) Start(j *Job) error {
+	if f.startHook != nil {
+		f.startHook(j)
+	}
 	if e := f.startErr.Load(); e != nil {
 		return *e
 	}

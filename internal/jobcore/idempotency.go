@@ -58,12 +58,3 @@ func (c *Core) idemLookupLocked(key string, fp fingerprint) (*Job, error) {
 	}
 	return j, nil
 }
-
-// idemDeleteLocked removes j's key if it is still bound to j.
-//
-//unizklint:holds c.mu
-func (c *Core) idemDeleteLocked(j *Job) {
-	if key := j.Req.IdempotencyKey; c.idemIndex[key] == j {
-		delete(c.idemIndex, key)
-	}
-}

@@ -30,6 +30,14 @@ func (s State) String() string {
 
 func (s State) terminal() bool { return s >= StateDone }
 
+// holding is a set of what an admission holds (Job.holds).
+type holding uint8
+
+const (
+	holdsSlot   holding = 1 << iota // a tenant in-flight slot
+	holdsRecord                     // a durable Admitted record
+)
+
 // Job is one admitted proof job and its mutable lifecycle record. The
 // exported fields are immutable once the job is registered, except that
 // Exec and Verify are dropped when the job ends (below).
@@ -58,23 +66,27 @@ type Job struct {
 	// never close it, so progress streams select on done alongside it.
 	done    chan struct{}
 	running chan struct{}
-	// admitted closes once, when a cache leader's admission ends:
-	// started, or abandoned. Followers of its flight wait on it.
+	// admitted is made only on a proof-cache flight leader, the job
+	// whose outcome settles the flight for cacheKey, and closes once,
+	// when its admission ends: published, or unwound. Followers of its
+	// flight wait on it.
 	admitted chan struct{}
+	cacheKey proofcache.Key
 
 	// fp fingerprints the request of a keyed job: the SHA-256 of its
 	// encoding, set at admission and at recovery.
 	fp fingerprint
 
-	// owner is the tenant the job is attributed to; only slotHeld jobs
-	// release an in-flight slot at finish. cacheLeader marks the job
-	// whose outcome settles the proof-cache flight for cacheKey.
-	owner       *tenant.Tenant
-	slotHeld    bool
-	cacheKey    proofcache.Key
-	cacheLeader bool
+	// owner is the tenant the job is attributed to.
+	owner *tenant.Tenant
 
 	mu sync.Mutex
+	// holds is what the job's admission took besides a flight and its
+	// context: unwind gives it all back if the job is never published,
+	// Finish its slot if it is. A cache hit holds a record and no slot,
+	// a restored job neither, so it is a set rather than a position.
+	//unizklint:guardedby mu
+	holds holding
 	//unizklint:guardedby mu
 	state State
 	//unizklint:guardedby mu

@@ -115,16 +115,18 @@ type Attribution struct {
 // registered job is executed. The core calls it; it calls back
 // Core.Dispatch before each execution attempt and Core.Finish exactly
 // once per started job. A job's Context ends on cancel, deadline and
-// forced shutdown, so cancellation needs no method of its own. Prepare
-// and Attribution run under core locks and must not call back.
+// forced shutdown, so cancellation needs no method of its own. Prepare,
+// Start and Attribution run under core locks and must not call back.
 type Executor interface {
 	// Prepare attaches the executor's per-job state. rec is nil for a
 	// fresh admission, where an error refuses the submit before anything
 	// is journaled or acknowledged; during recovery it is the replayed
 	// record, and an error fails the restored job.
 	Prepare(j *Job, rec *journal.JobRecord) error
-	// Start takes over a registered job. An error means the job was not
-	// taken (saturation, drain) and the admission is rolled back.
+	// Start takes over a job in the critical section that publishes it,
+	// so no one sees a job the executor has not taken. An error means the
+	// job was not taken (saturation, drain): the admission unwinds, and
+	// the job is never published.
 	Start(j *Job) error
 	// Backlog estimates how long the current backlog takes to clear, for
 	// Retry-After hints; 0 when unknown.

@@ -30,12 +30,13 @@ type replayedError struct {
 
 func (e *replayedError) Error() string { return e.msg }
 
-// journalAdmitted makes the admission durable. A failure here fails the
-// admission: the client must never hold an acknowledgment the journal
-// cannot replay. A job minted done (a cache hit) is admitted and
-// committed by one committed record, which the journal writes as a
-// committed-ref when the result's bytes are already on disk.
-func (c *Core) journalAdmitted(j *Job) error {
+// journalAdmitted makes the admission, submitted at submitted, durable.
+// A failure here fails the admission: the client must never hold an
+// acknowledgment the journal cannot replay. A job minted done with res
+// (a cache hit) is admitted and committed by one committed record,
+// which the journal writes as a committed-ref when the result's bytes
+// are already on disk.
+func (c *Core) journalAdmitted(j *Job, submitted time.Time, res *jobs.Encoded) error {
 	if c.jnl == nil {
 		return nil
 	}
@@ -43,9 +44,6 @@ func (c *Core) journalAdmitted(j *Job) error {
 	if err != nil {
 		return err
 	}
-	j.mu.Lock()
-	submitted, res := j.submitted, j.res
-	j.mu.Unlock()
 	rec := &journal.Record{
 		Type:      journal.TypeAdmitted,
 		ID:        j.ID,

@@ -486,18 +486,6 @@ func (j *Job) Check(res *Result) error {
 	}
 }
 
-// Execute compiles and proves a request in one step: the direct,
-// serviceless proof that tests hold a served proof against. cmd/prove
-// does not use it: it calls Compile and then Prove, to print the job's
-// description and soundness between the two.
-func Execute(ctx context.Context, req *Request) (*Result, error) {
-	j, err := Compile(req)
-	if err != nil {
-		return nil, err
-	}
-	return j.Prove(ctx)
-}
-
 // CheckResult recompiles the request and verifies the result against it
 // — what cmd/prove -remote does with proof bytes returned by a server.
 func CheckResult(req *Request, res *Result) error {

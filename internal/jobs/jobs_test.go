@@ -120,13 +120,13 @@ func TestBadTracePayload(t *testing.T) {
 }
 
 // TestExecuteMatchesDirectProve is the drift guard: the shared execution
-// path must produce byte-identical proofs to calling the provers
-// directly, for both kinds.
+// path, Compile then Prove, must produce byte-identical proofs to calling
+// the provers directly, for both kinds.
 func TestExecuteMatchesDirectProve(t *testing.T) {
 	ctx := context.Background()
 
 	req := &Request{Kind: KindPlonk, Workload: "Fibonacci", LogRows: 6}
-	res, err := Execute(ctx, req)
+	res, err := proveDirect(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,11 +150,11 @@ func TestExecuteMatchesDirectProve(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(res.Proof, direct) {
-		t.Fatal("plonk: jobs.Execute proof differs from direct ProveContext")
+		t.Fatal("plonk: Compile+Prove proof differs from direct ProveContext")
 	}
 
 	sreq := &Request{Kind: KindStark, Workload: "Factorial", LogRows: 6}
-	sres, err := Execute(ctx, sreq)
+	sres, err := proveDirect(ctx, sreq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestExecuteMatchesDirectProve(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(sres.Proof, sdirect) {
-		t.Fatal("stark: jobs.Execute proof differs from direct ProveContext")
+		t.Fatal("stark: Compile+Prove proof differs from direct ProveContext")
 	}
 }
 
@@ -200,7 +200,7 @@ func TestStarkTracePayloadOverride(t *testing.T) {
 		w.Elems(col)
 	}
 	req := &Request{Kind: KindStark, Workload: "Fibonacci", LogRows: 5, Payload: w.Bytes()}
-	res, err := Execute(context.Background(), req)
+	res, err := proveDirect(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,15 +223,15 @@ func TestStarkTracePayloadOverride(t *testing.T) {
 func TestProveCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Execute(ctx, &Request{Kind: KindPlonk, Workload: "Fibonacci", LogRows: 6})
+	_, err := proveDirect(ctx, &Request{Kind: KindPlonk, Workload: "Fibonacci", LogRows: 6})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled Execute = %v, want context.Canceled", err)
+		t.Fatalf("canceled prove = %v, want context.Canceled", err)
 	}
 }
 
 func TestCheckRejectsTamperedResult(t *testing.T) {
 	req := &Request{Kind: KindStark, Workload: "Factorial", LogRows: 5}
-	res, err := Execute(context.Background(), req)
+	res, err := proveDirect(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,4 +298,14 @@ func TestEncodedSharesProofBytes(t *testing.T) {
 			t.Fatalf("%s: proof is not a capped window of Raw", name)
 		}
 	}
+}
+
+// proveDirect compiles and proves req outside any service: the proof a
+// served one is held against.
+func proveDirect(ctx context.Context, req *Request) (*Result, error) {
+	j, err := Compile(req)
+	if err != nil {
+		return nil, err
+	}
+	return j.Prove(ctx)
 }

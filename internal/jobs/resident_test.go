@@ -54,7 +54,7 @@ func TestResidentBytesAfterProving(t *testing.T) {
 	runtime.GC()
 	runtime.GC() // empties the pools: this compile is fresh
 	fresh := weigh()
-	if _, err := Execute(context.Background(), &Request{Kind: KindPlonk, Workload: "MVM", LogRows: 8}); err != nil {
+	if _, err := proveDirect(context.Background(), &Request{Kind: KindPlonk, Workload: "MVM", LogRows: 8}); err != nil {
 		t.Fatal(err)
 	}
 	if got := weigh(); got != fresh {

@@ -24,7 +24,7 @@ func TestRegistryBitIdenticalToDirect(t *testing.T) {
 		{Kind: jobs.KindStark, Workload: "Factorial", LogRows: 5},
 	}
 	for _, req := range reqs {
-		direct, err := jobs.Execute(ctx, req)
+		direct, err := proveDirect(ctx, req)
 		if err != nil {
 			t.Fatalf("%s direct: %v", req.Kind, err)
 		}
@@ -57,7 +57,7 @@ func TestRegistryBitIdenticalToDirect(t *testing.T) {
 // derived job clones the witness, so the generator writes that proving
 // performs never touch shared state: after the derived jobs, the shared
 // base itself proves, and one derived job proves a second time, and
-// every proof is byte-equal to jobs.Execute's.
+// every proof is byte-equal to proveDirect's.
 func TestRegistryConcurrentPlonkReuse(t *testing.T) {
 	ctx := context.Background()
 	for _, req := range []*jobs.Request{
@@ -67,7 +67,7 @@ func TestRegistryConcurrentPlonkReuse(t *testing.T) {
 	} {
 		t.Run(req.Workload, func(t *testing.T) {
 			r := NewRegistry(0)
-			direct, err := jobs.Execute(ctx, req)
+			direct, err := proveDirect(ctx, req)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -291,4 +291,14 @@ func BenchmarkRegistryMiss(b *testing.B) {
 			}
 		})
 	}
+}
+
+// proveDirect compiles and proves req outside any service: the proof a
+// served one is held against.
+func proveDirect(ctx context.Context, req *jobs.Request) (*jobs.Result, error) {
+	j, err := jobs.Compile(req)
+	if err != nil {
+		return nil, err
+	}
+	return j.Prove(ctx)
 }

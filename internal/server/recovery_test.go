@@ -84,7 +84,7 @@ func TestServerJournalRequeuesUnfinished(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: wait after recovery: %v", id, err)
 		}
-		direct, err := jobs.Execute(ctx, reqs[id])
+		direct, err := proveDirect(ctx, reqs[id])
 		if err != nil {
 			t.Fatal(err)
 		}

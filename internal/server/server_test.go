@@ -62,7 +62,7 @@ func TestSubmitPollFetch(t *testing.T) {
 		if err := jobs.CheckResult(req, res); err != nil {
 			t.Fatalf("%s: returned proof does not verify: %v", req.Kind, err)
 		}
-		direct, err := jobs.Execute(ctx, req)
+		direct, err := proveDirect(ctx, req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func TestBackpressureEndToEnd(t *testing.T) {
 		if err := jobs.CheckResult(a.req, res); err != nil {
 			t.Fatalf("accepted job %s proof does not verify: %v", a.id, err)
 		}
-		direct, err := jobs.Execute(ctx, a.req)
+		direct, err := proveDirect(ctx, a.req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +207,7 @@ func TestSyncProve(t *testing.T) {
 	if err := jobs.CheckResult(req, res); err != nil {
 		t.Fatal(err)
 	}
-	direct, err := jobs.Execute(ctx, req)
+	direct, err := proveDirect(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,4 +403,14 @@ func TestCancelQueuedJob(t *testing.T) {
 	if !errors.As(err, &apiErr) || apiErr.StatusCode != serverclient.StatusClientClosedRequest {
 		t.Fatalf("result of canceled job = %v, want 499", err)
 	}
+}
+
+// proveDirect compiles and proves req outside any service: the proof a
+// served one is held against.
+func proveDirect(ctx context.Context, req *jobs.Request) (*jobs.Result, error) {
+	j, err := jobs.Compile(req)
+	if err != nil {
+		return nil, err
+	}
+	return j.Prove(ctx)
 }

@@ -75,7 +75,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	if err := jobs.CheckResult(inflightReq, res); err != nil {
 		t.Fatal(err)
 	}
-	direct, err := jobs.Execute(ctx, inflightReq)
+	direct, err := proveDirect(ctx, inflightReq)
 	if err != nil {
 		t.Fatal(err)
 	}

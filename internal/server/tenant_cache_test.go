@@ -57,7 +57,7 @@ func TestProofCacheHit(t *testing.T) {
 		}
 	}
 
-	direct, err := jobs.Execute(ctx, mk(""))
+	direct, err := proveDirect(ctx, mk(""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestProofCacheCoalescing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := jobs.Execute(ctx, req)
+	direct, err := proveDirect(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,7 +81,7 @@ func terminalHandler(id string, res *jobs.Result) http.Handler {
 // faults of the outage and return the result, not surface the blip.
 func TestWaitSurvivesRestart(t *testing.T) {
 	req := &jobs.Request{Kind: jobs.KindPlonk, Workload: "Fibonacci", LogRows: 4}
-	res, err := jobs.Execute(context.Background(), req)
+	res, err := proveDirect(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestWaitSurvivesRestart(t *testing.T) {
 // server rather than reporting the outage.
 func TestWaitStreamSurvivesRestart(t *testing.T) {
 	req := &jobs.Request{Kind: jobs.KindStark, Workload: "Factorial", LogRows: 4}
-	res, err := jobs.Execute(context.Background(), req)
+	res, err := proveDirect(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,4 +201,14 @@ func TestWaitStreamSurvivesRestart(t *testing.T) {
 	if !sawRunning.Load() {
 		t.Fatal("stream callback never saw the pre-crash running status")
 	}
+}
+
+// proveDirect compiles and proves req outside any service: the proof a
+// served one is held against.
+func proveDirect(ctx context.Context, req *jobs.Request) (*jobs.Result, error) {
+	j, err := jobs.Compile(req)
+	if err != nil {
+		return nil, err
+	}
+	return j.Prove(ctx)
 }
