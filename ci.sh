@@ -69,11 +69,15 @@ stage_allocgate() { go test -timeout 5m ./internal/allocgate; }
 # racing a duplicate that is refused after its record is durable. The
 # idempotency tests and the rollback matrix run 200 times (about 77 s on
 # 2 cores); the coalescing tests 20 times, since one of them holds its
-# leader for 1.5 s.
+# leader for 1.5 s. Compaction folds the journal's records under the
+# journal's own lock while appenders run beside it, with no lock in the
+# core around either, so the compaction and snapshot tests of both
+# packages repeat 50 times.
 stage_race_jobcore() {
 	go test -race ./internal/jobcore ./internal/serverclient ./internal/proofcache ./internal/store ./internal/journal
 	go test -race -count=200 -run 'Idempotency|Rollback' ./internal/jobcore
 	go test -race -count=20 -run 'Coalesc' ./internal/jobcore
+	go test -race -count=50 -run 'Compact|Snapshot' ./internal/journal ./internal/jobcore
 }
 
 # Chaos soak (fixed seed, small circuits): concurrent clients drive real

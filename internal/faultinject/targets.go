@@ -3,12 +3,12 @@ package faultinject
 import (
 	"fmt"
 
-	"unizk/internal/constraint"
 	"unizk/internal/field"
 	"unizk/internal/fri"
 	"unizk/internal/plonk"
 	"unizk/internal/stark"
 	"unizk/internal/wire"
+	"unizk/internal/workloads"
 )
 
 // PlonkTarget builds a small satisfied circuit, proves it once, and wraps
@@ -152,29 +152,11 @@ func plonkStructured() []Mutant {
 // StarkTarget builds the Fibonacci AIR, proves a valid trace, and wraps
 // the serialized proof as a fault-injection target.
 func StarkTarget() (Target, error) {
-	const logN = 4
-	n := 1 << logN
-	c0 := make([]field.Element, n)
-	c1 := make([]field.Element, n)
-	c0[0], c1[0] = field.Zero, field.One
-	for r := 1; r < n; r++ {
-		c0[r] = c1[r-1]
-		c1[r] = field.Add(c0[r-1], c1[r-1])
-	}
-	air := stark.AIR{
-		Width: 2,
-		Transitions: []*constraint.Expr{
-			constraint.Sub(constraint.Next(0), constraint.Col(1)),
-			constraint.Sub(constraint.Next(1), constraint.Add(constraint.Col(0), constraint.Col(1))),
-		},
-		FirstRow: []stark.Boundary{{Col: 0, Value: 0}, {Col: 1, Value: 1}},
-		LastRow:  []stark.Boundary{{Col: 1, Value: c1[n-1]}},
-	}
-	s, err := stark.New(air, logN, fri.TestConfig())
+	s, trace, err := workloads.BuildFibonacciStark(4, fri.TestConfig())
 	if err != nil {
 		return Target{}, fmt.Errorf("faultinject: stark new: %w", err)
 	}
-	proof, err := s.Prove([][]field.Element{c0, c1}, nil)
+	proof, err := s.Prove(trace, nil)
 	if err != nil {
 		return Target{}, fmt.Errorf("faultinject: stark prove: %w", err)
 	}

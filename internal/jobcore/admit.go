@@ -203,8 +203,7 @@ func (c *Core) jobContext(timeout time.Duration) (context.Context, context.Cance
 // step refused it: it gives back what the job holds — its durable
 // Admitted record is superseded so replay does not resurrect it, its
 // flight aborted, its slot and context released — so the content stays
-// provable and the tenant's slot free. Only register holds a record,
-// under the snapMu.RLock that pairs the superseding append.
+// provable and the tenant's slot free. Only register holds a record.
 func (c *Core) unwind(j *Job) {
 	j.mu.Lock()
 	holds := j.holds
@@ -254,8 +253,6 @@ func (c *Core) register(j *Job, timeout time.Duration) (existing *Job, err error
 		close(j.done)
 	}
 	j.mu.Unlock()
-	c.snapMu.RLock()
-	defer c.snapMu.RUnlock()
 	if err := c.journalAdmitted(j, now, res); err != nil {
 		c.unwind(j)
 		return nil, err
@@ -308,8 +305,6 @@ func (c *Core) register(j *Job, timeout time.Duration) (existing *Job, err error
 // under-counts executions, so a recovered re-run is always a recorded
 // one. It returns the job's queue wait.
 func (c *Core) Dispatch(j *Job, node string) time.Duration {
-	c.snapMu.RLock()
-	defer c.snapMu.RUnlock()
 	j.mu.Lock()
 	if j.started.IsZero() {
 		j.started = time.Now()
@@ -349,13 +344,11 @@ func (c *Core) Finish(j *Job, enc *jobs.Encoded, err error) {
 			enc, err = nil, cerr
 		}
 	}
-	c.snapMu.RLock()
 	c.mu.Lock()
 	j.mu.Lock()
 	if j.state.terminal() {
 		j.mu.Unlock()
 		c.mu.Unlock()
-		c.snapMu.RUnlock()
 		return
 	}
 	j.finished = time.Now()
@@ -381,7 +374,6 @@ func (c *Core) Finish(j *Job, enc *jobs.Encoded, err error) {
 	// Durable before close(j.done) releases waiters: an acknowledged
 	// outcome survives a crash.
 	c.journalTerminal(j, state, enc, err)
-	c.snapMu.RUnlock()
 
 	if j.admitted != nil {
 		// No-op after a successful Complete; clears the flight on every

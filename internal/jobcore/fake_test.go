@@ -35,6 +35,7 @@ func classifyFake(err error) (int, string) {
 //	complete  finish with a proof that is a pure function of the content
 //	fail      finish with a classified (422) prover error
 //	hang      run until the job's context ends, finish with its error
+//	drained   finish with the drain refusal of work that never ran
 //	refuse    Prepare refuses the submit before admission
 //	big       complete, with a proof padded to 2^LogRows bytes
 //
@@ -103,6 +104,8 @@ func (f *fakeExec) run(j *Job) {
 	case "hang":
 		<-j.Context().Done()
 		f.core.Finish(j, nil, j.Context().Err())
+	case "drained":
+		f.core.Finish(j, nil, fmt.Errorf("fake: not started: %w", ErrDraining))
 	default:
 		if err := j.Context().Err(); err != nil {
 			f.core.Finish(j, nil, err)

@@ -14,10 +14,10 @@
 // roster, placement, submit/await/re-dispatch). Everything a client or
 // the journal can observe is decided here, once.
 //
-// Lock order: snapMu → mu → Job.mu. Every journal append is paired
-// with its in-memory mutation under snapMu.RLock; the snapshot writer
-// captures state and compacts under snapMu.Lock, so compaction never
-// deletes a record whose effect the replacing snapshot lacks.
+// Lock order: mu → Job.mu. Journal appends take neither: the journal
+// compacts by folding its own records under its own lock, so a snapshot
+// can neither miss a durable record nor hold a transition that never
+// became one.
 package jobcore
 
 import (
@@ -174,8 +174,6 @@ type Core struct {
 	// admitted, when set, runs after a job's admission is durable and
 	// before the job is published: the test hook for journal-before-ack.
 	admitted func(*Job)
-
-	snapMu sync.RWMutex
 
 	mu sync.Mutex
 	//unizklint:guardedby mu

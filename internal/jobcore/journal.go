@@ -1,18 +1,19 @@
 // Write-ahead journaling and crash recovery. The journal* helpers are
-// the only writers of journal records; every caller pairs the append
-// with its in-memory mutation under c.snapMu.RLock. recover runs once
-// in Open, before any request is served: it replays snapshot+tail into
-// the retained/pending maps and the idempotency index, bumps the
-// persisted epoch, and hands unfinished jobs back to the executor.
-// Dispatched records mark execution attempts, so a job that was
-// executing at the kill re-runs as a *recorded* re-entry.
+// the only writers of journal records, each called before the
+// transition it records is acknowledged. No lock pairs an append with
+// its in-memory mutation: snapshotLoop has the journal compact itself
+// from its own records. recover runs once in Open, before any request
+// is served: it replays snapshot+tail into the retained/pending maps
+// and the idempotency index, bumps the persisted epoch, and hands
+// unfinished jobs back to the executor. Dispatched records mark
+// execution attempts, so a job that was executing at the kill re-runs
+// as a *recorded* re-entry.
 package jobcore
 
 import (
 	"context"
 	"crypto/sha256"
 	"fmt"
-	"sort"
 	"time"
 
 	"unizk/internal/jobs"
@@ -190,8 +191,8 @@ func (c *Core) recover() ([]*Job, error) {
 //
 //unizklint:holds c.mu
 func (c *Core) restoreJobLocked(j *Job, jr *journal.JobRecord, now time.Time, results map[[32]byte]*jobs.Encoded) {
-	// Not yet published, but the guarded fields keep their discipline;
-	// c.mu → j.mu matches captureState.
+	// Not yet published, but the guarded fields keep their discipline,
+	// in the core's c.mu → j.mu order.
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.submitted = time.Unix(0, jr.SubmittedNS)
@@ -290,7 +291,9 @@ func (c *Core) tenantByName(name string) *tenant.Tenant {
 }
 
 // snapshotLoop compacts the journal whenever enough records have
-// accumulated since the last snapshot, bounding replay cost.
+// accumulated since the last snapshot, bounding replay cost. The
+// journal builds the image from its own records, keeping the unfinished
+// jobs and the finished ones the store retains.
 func (c *Core) snapshotLoop() {
 	defer c.aux.Done()
 	t := time.NewTicker(250 * time.Millisecond)
@@ -302,66 +305,7 @@ func (c *Core) snapshotLoop() {
 		case <-t.C:
 		}
 		if c.jnl.SnapshotDue() {
-			// snapMu.Lock excludes every append+mutate pair, so the captured
-			// state covers everything the compacted segments held.
-			c.snapMu.Lock()
-			_ = c.jnl.WriteSnapshot(c.captureState())
-			c.snapMu.Unlock()
+			_ = c.jnl.Compact(c.opt.maxRetained)
 		}
 	}
-}
-
-// captureState builds the snapshot image. Callers hold c.snapMu.Lock.
-func (c *Core) captureState() *journal.State {
-	st := journal.NewState()
-	st.Epoch = c.epoch
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ids := make([]string, 0, len(c.jobsByID))
-	for id := range c.jobsByID {
-		ids = append(ids, id)
-	}
-	// Job ids are zero-padded, so lexicographic order is admission order.
-	sort.Strings(ids)
-	for _, id := range ids {
-		j := c.jobsByID[id]
-		raw, err := j.Req.MarshalBinary()
-		if err != nil {
-			continue
-		}
-		at := c.exec.Attribution(j)
-		jr := &journal.JobRecord{
-			ID:        j.ID,
-			Req:       raw,
-			Priority:  int64(j.Priority),
-			TimeoutNS: int64(j.Timeout),
-			Tenant:    j.owner.Name(),
-			Node:      at.Node,
-		}
-		j.mu.Lock()
-		jr.SubmittedNS = j.submitted.UnixNano()
-		jr.Dispatches = int64(j.dispatches)
-		if j.state.terminal() {
-			jr.Terminal = true
-			jr.FinishedNS = j.finished.UnixNano()
-		}
-		switch j.state {
-		case StateDone:
-			// The encoding made at finish, shared: the snapshot image
-			// stores each distinct result once.
-			jr.DoneNode, jr.DoneNodeID = at.Node, at.NodeID
-			jr.Result, jr.ResultSum = j.res.Raw, j.res.Sum
-		case StateFailed, StateCanceled:
-			jr.Failed = j.state == StateFailed
-			jr.Canceled = j.state == StateCanceled
-			if j.err != nil {
-				code, class := c.classify(j.err)
-				jr.Class, jr.Code, jr.Msg = class, int64(code), j.err.Error()
-			}
-		}
-		j.mu.Unlock()
-		st.Jobs[id] = jr
-		st.Order = append(st.Order, id)
-	}
-	return st
 }

@@ -6,12 +6,14 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -25,7 +27,8 @@ import (
 
 // TestJournalRestartRetainsState restarts a journaled core cleanly and
 // checks the second life serves the first life's results bit-identically
-// (and its failures with the class they were acknowledged with), keeps
+// (and its failures, deadlines and drain refusals with the class and
+// code they were acknowledged with), keeps
 // its idempotency bindings, bumps the persisted epoch, and reports the
 // replay in /metrics and /healthz.
 func TestJournalRestartRetainsState(t *testing.T) {
@@ -43,9 +46,23 @@ func TestJournalRestartRetainsState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	failedID, err := c1.Submit(ctx, script("fail"), serverclient.Options{})
-	if err != nil {
-		t.Fatal(err)
+	// Failures are restored with the class and code they ended with.
+	failures := []struct {
+		req       *jobs.Request
+		opts      serverclient.Options
+		class     string
+		code      int
+		retryable bool
+		id        string
+	}{
+		{req: script("fail"), class: "rejected", code: 422},
+		{req: script("hang"), opts: serverclient.Options{Timeout: 20 * time.Millisecond}, class: "deadline", code: 504, retryable: true},
+		{req: script("drained"), class: "draining", code: 503, retryable: true},
+	}
+	for i := range failures {
+		if failures[i].id, err = c1.Submit(ctx, failures[i].req, failures[i].opts); err != nil {
+			t.Fatal(err)
+		}
 	}
 	plainRes, err := c1.Wait(ctx, plainID)
 	if err != nil {
@@ -54,7 +71,9 @@ func TestJournalRestartRetainsState(t *testing.T) {
 	if _, err := c1.Wait(ctx, keyedID); err != nil {
 		t.Fatal(err)
 	}
-	waitForState(t, c1, failedID, "failed")
+	for _, f := range failures {
+		waitForState(t, c1, f.id, "failed")
+	}
 	if core1.epoch != 1 {
 		t.Fatalf("first life epoch = %d, want 1", core1.epoch)
 	}
@@ -81,12 +100,18 @@ func TestJournalRestartRetainsState(t *testing.T) {
 	if !bytes.Equal(res.Proof, plainRes.Proof) {
 		t.Fatal("replayed proof differs from the one acknowledged before restart")
 	}
-	st, err := c2.Status(ctx, failedID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != "failed" || st.Class != "rejected" || st.Retryable {
-		t.Fatalf("replayed failed job = %+v, want failed/rejected/terminal", st)
+	for _, f := range failures {
+		st, err := c2.Status(ctx, f.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != "failed" || st.Class != f.class || st.Retryable != f.retryable {
+			t.Fatalf("replayed %s job = %+v, want failed/%s, retryable %v", f.req.Workload, st, f.class, f.retryable)
+		}
+		var ae *serverclient.APIError
+		if _, err := c2.Result(ctx, f.id); !errors.As(err, &ae) || ae.StatusCode != f.code || ae.Class != f.class {
+			t.Fatalf("replayed %s job result = %v, want %d %s", f.req.Workload, err, f.code, f.class)
+		}
 	}
 
 	// The idempotency binding survived: the same key resolves to the
@@ -519,7 +544,6 @@ func TestSnapshotRestoredKeyDedups(t *testing.T) {
 	}
 	now := time.Now().UnixNano()
 	res := jobs.Encode(fakeProof(keyed))
-	st := journal.NewState()
 	for _, rec := range []*journal.Record{
 		{Type: journal.TypeAdmitted, ID: "t00000001", Req: raw, TimeNS: now},
 		{Type: journal.TypeCanceled, ID: "t00000001", Class: "canceled", Msg: "context canceled", Code: 499, TimeNS: now},
@@ -529,12 +553,11 @@ func TestSnapshotRestoredKeyDedups(t *testing.T) {
 		if err := jnl.Append(rec); err != nil {
 			t.Fatal(err)
 		}
-		st.Apply(rec)
 	}
 	if !jnl.SnapshotDue() {
 		t.Fatal("snapshot not due after four records at SnapshotEvery 1")
 	}
-	if err := jnl.WriteSnapshot(st); err != nil {
+	if err := jnl.Compact(2); err != nil {
 		t.Fatal(err)
 	}
 	if err := jnl.Close(); err != nil {
@@ -556,6 +579,143 @@ func TestSnapshotRestoredKeyDedups(t *testing.T) {
 	if n := f.executions.Load(); n != 0 {
 		t.Fatalf("restart executed %d jobs, want 0", n)
 	}
+}
+
+// TestCoreCompactionMatchesReplay runs one scenario twice, once on a
+// journal the core's snapshot loop compacts every four records and once
+// on one it never compacts, kills each core (its journal copied while a
+// job is still executing) and restarts a core on the copy. Both must
+// restore the same jobs: states, result bytes, error classes and codes,
+// idempotency bindings, dispatch counts and epoch.
+func TestCoreCompactionMatchesReplay(t *testing.T) {
+	compacted, fromImage := restartAfterScenario(t, 4)
+	reference, fromRecords := restartAfterScenario(t, -1)
+	if compacted != reference {
+		t.Fatalf("restored from a compacted journal:\n%s\nfrom the uncompacted one:\n%s", compacted, reference)
+	}
+	if fromImage >= fromRecords {
+		t.Fatalf("compacted journal replayed %d records, uncompacted %d: no compaction ran", fromImage, fromRecords)
+	}
+}
+
+// restartAfterScenario admits a keyed job, a proof and its cache hit, a
+// failed job, a canceled job and one that stays dispatched but
+// unfinished, on a core whose journal compacts every snapshotEvery
+// records. It then copies the journal, as a kill would leave it, and
+// describes what a core restarted on the copy restores, along with how
+// many records that restart replayed.
+func restartAfterScenario(t *testing.T, snapshotEvery int) (string, int64) {
+	t.Helper()
+	dir := t.TempDir()
+	gate := make(chan struct{})
+	f := &fakeExec{hold: func(j *Job) {
+		if j.Req.Workload == "big" {
+			holdUntil(gate)(j)
+		}
+	}}
+	core, c := newTestCore(t, Options{JournalDir: dir, SnapshotEvery: snapshotEvery, CacheEntries: 4}, f)
+	defer close(gate)
+	ctx := context.Background()
+	submit := func(req *jobs.Request) string {
+		t.Helper()
+		id, err := c.Submit(ctx, req, serverclient.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	// A job's terminal record is durable once its done channel closes;
+	// its state is visible a little earlier.
+	ended := func(id string) {
+		t.Helper()
+		j, ok := core.Lookup(id)
+		if !ok {
+			t.Fatalf("job %s not found", id)
+		}
+		select {
+		case <-j.Done():
+		case <-time.After(10 * time.Second):
+			t.Fatalf("job %s never ended", id)
+		}
+	}
+	// First, so that every compaction folds its dispatched record.
+	waitForState(t, c, submit(script("big")), "running")
+	keyed := script("complete")
+	keyed.IdempotencyKey = "compact-k1"
+	cached := script("complete")
+	cached.LogRows = 6
+	for _, req := range []*jobs.Request{keyed, cached, cached, script("fail")} {
+		ended(submit(req))
+	}
+	if hits := core.Shared().CacheHits; hits != 1 {
+		t.Fatalf("cache hits = %d, want 1", hits)
+	}
+	hung := submit(script("hang"))
+	waitForState(t, c, hung, "running")
+	if err := c.Cancel(ctx, hung); err != nil {
+		t.Fatal(err)
+	}
+	ended(hung)
+	if snapshotEvery > 0 {
+		// Compacted at least once, and nothing more is due.
+		deadline := time.Now().Add(10 * time.Second)
+		for core.jnl.Stats().Snapshots == 0 || core.jnl.SnapshotDue() {
+			if time.Now().After(deadline) {
+				t.Fatalf("journal never compacted: %+v", core.jnl.Stats())
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	crashed := t.TempDir()
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.wal"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("journal segments = %v (err=%v)", segs, err)
+	}
+	for _, seg := range segs {
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(crashed, filepath.Base(seg)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The restarted executor parks what it resumes, so the restored
+	// dispatch count is the replayed one.
+	p := &parkExec{fakeExec: &fakeExec{}}
+	restarted := New("t", classifyFake, Options{JournalDir: crashed, CacheEntries: 4})
+	p.core = restarted
+	if err := restarted.Open(p); err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(t, restarted)
+	return restoredState(restarted), restarted.Shared().Journal.RecordsReplayed
+}
+
+// restoredState describes, one line each in id order, every job a core
+// holds — state, dispatch count, error class and code, result digest —
+// then each idempotency binding and the epoch.
+func restoredState(c *Core) string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var lines []string
+	for id, j := range c.jobsByID {
+		j.mu.Lock()
+		code, class := c.classify(j.err)
+		var raw []byte
+		if j.res != nil {
+			raw = j.res.Raw
+		}
+		lines = append(lines, fmt.Sprintf("%s %v dispatches=%d %d %q result=%x",
+			id, j.state, j.dispatches, code, class, sha256.Sum256(raw)))
+		j.mu.Unlock()
+	}
+	for key, j := range c.idemIndex {
+		lines = append(lines, fmt.Sprintf("key %s -> %s", key, j.ID))
+	}
+	sort.Strings(lines)
+	return fmt.Sprintf("%s\nepoch %d", strings.Join(lines, "\n"), c.epoch)
 }
 
 // frame wraps payload the way the journal frames a record: u32 LE

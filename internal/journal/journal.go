@@ -12,7 +12,7 @@
 // failure. See DESIGN.md §16.
 //
 // Lifecycle: Open → Replay (exactly once, even on a fresh directory) →
-// Append/WriteSnapshot → Close.
+// Append/Compact → Close.
 package journal
 
 import (
@@ -420,26 +420,23 @@ func (j *Journal) rotateLocked() error {
 }
 
 // SnapshotDue reports whether the snapshot cadence has elapsed — the
-// owner (the coordinator's snapshot loop) then captures its state and
-// calls WriteSnapshot.
+// owner (the coordinator's snapshot loop) then calls Compact.
 func (j *Journal) SnapshotDue() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.opts.SnapshotEvery > 0 && j.sinceSnapshot >= j.opts.SnapshotEvery
 }
 
-// WriteSnapshot compacts the journal: st becomes the first record of a
-// fresh segment, is durably fsynced regardless of policy, and only then
-// are the older segments deleted. The caller must guarantee st is
-// consistent with every Append that has returned (the coordinator's
-// snapshot barrier does this by excluding appenders while capturing).
-func (j *Journal) WriteSnapshot(st *State) error {
-	image, sums := encodeState(st)
-	frame, err := frameOf(&Record{Type: TypeSnapshot, State: image})
-	if err != nil {
-		return err
-	}
-
+// Compact replaces the live segments with one snapshot of the state
+// they hold. It folds them with the parse and State.Apply replay uses,
+// drops superseded jobs and all but the keep finished jobs that
+// finished last (ties in admission order; unfinished jobs all stay),
+// and writes the image as the first record of a fresh segment, fsynced
+// regardless of policy, before the older segments are deleted. It runs
+// under the journal's lock, so the image holds every record appended
+// before it and none that was never appended. A live frame that does
+// not parse fails it before any segment is touched.
+func (j *Journal) Compact(keep int) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
@@ -447,6 +444,31 @@ func (j *Journal) WriteSnapshot(st *State) error {
 	}
 	if !j.replayed {
 		return errNotReplayed
+	}
+	st := NewState()
+	for _, seg := range j.segs {
+		data, err := os.ReadFile(seg.path)
+		if err != nil {
+			return fmt.Errorf("journal: %w", err)
+		}
+		if n := scan(data, st.Apply); n < len(data) {
+			return fmt.Errorf("journal: %s: unreadable frame at offset %d", seg.path, n)
+		}
+	}
+	st.retain(keep)
+	image, sums := encodeState(st)
+	return j.installLocked(image, sums)
+}
+
+// installLocked writes image as a snapshot record at the head of a
+// fresh segment, fsyncs it, retires every older segment, and resets the
+// known set to sums, the digests of the image's result table.
+//
+//unizklint:holds j.mu
+func (j *Journal) installLocked(image []byte, sums [][32]byte) error {
+	frame, err := frameOf(&Record{Type: TypeSnapshot, State: image})
+	if err != nil {
+		return err
 	}
 	next := j.segs[len(j.segs)-1].seq + 1
 	path := j.segPath(next)

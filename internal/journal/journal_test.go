@@ -255,11 +255,11 @@ func TestSegmentRotationAndFsyncPolicies(t *testing.T) {
 func TestSnapshotCompaction(t *testing.T) {
 	dir := t.TempDir()
 	j, _ := openReplayed(t, dir, Options{Fsync: FsyncOff, SegmentBytes: 256, SnapshotEvery: 8})
-	st := NewState()
-	st.Epoch = 1
+	if err := j.Append(&Record{Type: TypeEpoch, Epoch: 1}); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 16; i++ {
 		rec := &Record{Type: TypeAdmitted, ID: string(rune('a' + i)), Req: []byte{byte(i)}, TimeNS: int64(i)}
-		st.Apply(rec)
 		if err := j.Append(rec); err != nil {
 			t.Fatal(err)
 		}
@@ -267,11 +267,11 @@ func TestSnapshotCompaction(t *testing.T) {
 	if !j.SnapshotDue() {
 		t.Fatal("snapshot not due after SnapshotEvery appends")
 	}
-	if err := j.WriteSnapshot(st); err != nil {
+	if err := j.Compact(0); err != nil {
 		t.Fatal(err)
 	}
 	if j.SnapshotDue() {
-		t.Fatal("snapshot still due immediately after WriteSnapshot")
+		t.Fatal("snapshot still due immediately after Compact")
 	}
 	s := j.Stats()
 	if s.Segments != 1 || s.Snapshots != 1 || s.SnapshotAge <= 0 {
@@ -292,6 +292,76 @@ func TestSnapshotCompaction(t *testing.T) {
 	}
 	if a := got.Jobs["a"]; a == nil || !a.Terminal || !bytes.Equal(a.Result, []byte{42}) {
 		t.Fatalf("tail record after snapshot not applied: %+v", a)
+	}
+}
+
+// TestCompactRetains compacts a journal holding unfinished, finished
+// and superseded jobs and checks the image keeps every unfinished job,
+// the one finished job that finished last (ties in admission order)
+// and no superseded one, with each kept job's record intact.
+func TestCompactRetains(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := openReplayed(t, dir, Options{Fsync: FsyncOff, SnapshotEvery: -1})
+	admit := func(id string) *Record { return &Record{Type: TypeAdmitted, ID: id, Req: []byte(id), TimeNS: 1} }
+	done := func(id string, at int64) *Record {
+		return &Record{Type: TypeCanceled, ID: id, Class: "deadline", Code: 504, Failed: true, TimeNS: at}
+	}
+	appendAll(t, j, []*Record{
+		{Type: TypeEpoch, Epoch: 3},
+		admit("f1"), admit("f2"), admit("f3"), admit("f4"), admit("run"), admit("sup"),
+		{Type: TypeDispatched, ID: "run", Node: "n1"},
+		{Type: TypeDispatched, ID: "run", Node: "n2"},
+		done("f3", 10), done("f1", 30), done("f4", 20), done("f2", 30),
+		{Type: TypeCanceled, ID: "sup", Class: ClassSuperseded, TimeNS: 40},
+	})
+	if err := j.Compact(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j2, st := openReplayed(t, dir, Options{})
+	defer j2.Close()
+	if s := j2.Stats(); s.RecordsReplayed != 1 {
+		t.Fatalf("replayed %d records, want the image alone", s.RecordsReplayed)
+	}
+	// f1 and f2 finished last, together; f2 was admitted later.
+	if got := strings.Join(st.Order, ","); got != "f2,run" || st.Epoch != 3 {
+		t.Fatalf("image holds %s at epoch %d, want f2,run at epoch 3", got, st.Epoch)
+	}
+	if f2 := st.Jobs["f2"]; !f2.Failed || f2.Class != "deadline" || f2.Code != 504 || f2.FinishedNS != 30 {
+		t.Fatalf("f2 = %+v", f2)
+	}
+	if run := st.Jobs["run"]; run.Terminal || run.Dispatches != 2 || run.Node != "n2" {
+		t.Fatalf("run = %+v", run)
+	}
+}
+
+// TestCompactRefusesUnreadableFrame corrupts a frame in the live segment
+// and checks Compact fails without touching any segment.
+func TestCompactRefusesUnreadableFrame(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := openReplayed(t, dir, Options{Fsync: FsyncOff, SnapshotEvery: -1})
+	defer j.Close()
+	appendAll(t, j, commitRecs("a", []byte("result")))
+	seg := lastSegment(t, dir)
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0x40
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Compact(1); err == nil {
+		t.Fatal("Compact folded a corrupt frame")
+	}
+	after, err := os.ReadFile(seg)
+	if err != nil || !bytes.Equal(after, data) || lastSegment(t, dir) != seg {
+		t.Fatalf("failed Compact touched the segments (err=%v)", err)
+	}
+	if s := j.Stats(); s.Snapshots != 0 || s.Segments != 1 {
+		t.Fatalf("failed Compact stats: %+v", s)
 	}
 }
 

@@ -53,7 +53,7 @@ const (
 	TypeCommittedRef Type = 8
 	// TypeSnapshot: a full State image holding each distinct result once,
 	// in a table the jobs index into; always the first record of a fresh
-	// segment, written by WriteSnapshot before older segments are
+	// segment, written by Compact before older segments are
 	// deleted.
 	TypeSnapshot Type = 9
 )

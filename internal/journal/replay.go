@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"sort"
 	"time"
 )
 
@@ -22,63 +23,73 @@ import (
 // exactly once after Open — on a fresh directory it applies nothing and
 // creates the first segment.
 func (j *Journal) Replay(apply func(*Record)) error {
+	_, err := j.replay(apply)
+	return err
+}
+
+// Rebuild replays the journal into a fresh State — the one-call
+// recovery entry point used by the coordinator at startup.
+func Rebuild(j *Journal) (*State, error) {
+	return j.replay(nil)
+}
+
+// replay is Replay that also returns the fold of the records it applied
+// (apply may be nil). The fold's result table is the known set: the
+// results whose bytes the chain holds, which appends after replay name
+// by digest.
+func (j *Journal) replay(apply func(*Record)) (*State, error) {
 	j.mu.Lock()
 	if j.closed {
 		j.mu.Unlock()
-		return ErrClosed
+		return nil, ErrClosed
 	}
 	if j.replayed {
 		j.mu.Unlock()
-		return fmt.Errorf("journal: Replay called twice")
+		return nil, fmt.Errorf("journal: Replay called twice")
 	}
 	j.mu.Unlock()
 
 	start := time.Now()
 	segs, err := j.listSegments()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	live := segs[:0]
 	corrupted := false
-	// known tracks the results the chain holds as replay passes them, so
-	// appends after replay can name them by digest.
-	known := make(map[[32]byte]struct{})
+	st := NewState()
+	fold := func(rec *Record) {
+		st.Apply(rec)
+		if apply != nil {
+			apply(rec)
+		}
+		j.st.recordsReplayed.Add(1)
+	}
 	for _, seg := range segs {
 		if corrupted {
 			// Everything after a truncated tail is unreachable history:
 			// frames beyond the cut may depend on records that were never
 			// durable. Quarantine whole.
 			if err := os.Rename(seg.path, seg.path+".quarantine"); err != nil {
-				return fmt.Errorf("journal: %w", err)
+				return nil, fmt.Errorf("journal: %w", err)
 			}
 			j.st.truncatedTails.Add(1)
 			continue
 		}
 		data, err := os.ReadFile(seg.path)
 		if err != nil {
-			return fmt.Errorf("journal: %w", err)
+			return nil, fmt.Errorf("journal: %w", err)
 		}
-		off := 0
-		for off < len(data) {
-			rec, n, ok := parseFrame(data[off:])
-			if !ok {
-				// Torn or corrupt: preserve the bad bytes, then cut the
-				// segment back to its last good frame.
-				if werr := os.WriteFile(seg.path+".quarantine", data[off:], 0o644); werr != nil {
-					return fmt.Errorf("journal: %w", werr)
-				}
-				if terr := os.Truncate(seg.path, int64(off)); terr != nil {
-					return fmt.Errorf("journal: %w", terr)
-				}
-				data = data[:off]
-				j.st.truncatedTails.Add(1)
-				corrupted = true
-				break
+		if off := scan(data, fold); off < len(data) {
+			// Torn or corrupt: preserve the bad bytes, then cut the
+			// segment back to its last good frame.
+			if werr := os.WriteFile(seg.path+".quarantine", data[off:], 0o644); werr != nil {
+				return nil, fmt.Errorf("journal: %w", werr)
 			}
-			learn(known, rec)
-			apply(rec)
-			j.st.recordsReplayed.Add(1)
-			off += n
+			if terr := os.Truncate(seg.path, int64(off)); terr != nil {
+				return nil, fmt.Errorf("journal: %w", terr)
+			}
+			j.st.truncatedTails.Add(1)
+			corrupted = true
 		}
 		live = append(live, seg)
 	}
@@ -88,48 +99,49 @@ func (j *Journal) Replay(apply func(*Record)) error {
 	tail := live[len(live)-1]
 	f, err := os.OpenFile(tail.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return fmt.Errorf("journal: %w", err)
+		return nil, fmt.Errorf("journal: %w", err)
 	}
 	fi, err := f.Stat()
 	if err != nil {
 		f.Close()
-		return fmt.Errorf("journal: %w", err)
+		return nil, fmt.Errorf("journal: %w", err)
 	}
 
 	j.mu.Lock()
 	j.f = f
 	j.segs = append([]segFile(nil), live...)
 	j.size = fi.Size()
-	j.known = known
+	j.known = make(map[[32]byte]struct{}, len(st.results))
+	for sum := range st.results {
+		j.known[sum] = struct{}{}
+	}
 	j.replayed = true
 	j.mu.Unlock()
 	j.st.setReplayDuration(time.Since(start))
-	return nil
+	return st, nil
 }
 
-// learn folds one replayed record into the known-result set: committed
-// bytes join it (and the record gets its Sum), a snapshot replaces it
-// with the results its image holds. An inline image is not searched:
-// results it holds are simply written again on their next commit.
-func learn(known map[[32]byte]struct{}, rec *Record) {
-	switch rec.Type {
-	case TypeCommitted:
-		rec.Sum = sha256.Sum256(rec.Result)
-		known[rec.Sum] = struct{}{}
-	case TypeSnapshotInline:
-		clear(known)
-	case TypeSnapshot:
-		clear(known)
-		for _, sum := range tableSums(rec.State) {
-			known[sum] = struct{}{}
+// scan applies, in order, every intact frame at the head of data and
+// returns the length of that intact prefix: len(data) unless a frame
+// is torn or corrupt.
+func scan(data []byte, apply func(*Record)) int {
+	off := 0
+	for off < len(data) {
+		rec, n, ok := parseFrame(data[off:])
+		if !ok {
+			break
 		}
+		apply(rec)
+		off += n
 	}
+	return off
 }
 
 // parseFrame validates one frame at the head of b, returning the
 // decoded record and the frame's total length. ok=false flags a torn or
 // corrupt frame (short header, absurd length, truncated payload, CRC
-// mismatch, undecodable record).
+// mismatch, undecodable record). A committed record gets its Sum, which
+// the encoding leaves out, so no fold hashes its bytes again.
 func parseFrame(b []byte) (*Record, int, bool) {
 	if len(b) < frameHeader {
 		return nil, 0, false
@@ -146,6 +158,9 @@ func parseFrame(b []byte) (*Record, int, bool) {
 	rec, err := DecodeRecord(payload)
 	if err != nil {
 		return nil, 0, false
+	}
+	if rec.Type == TypeCommitted {
+		rec.Sum = sha256.Sum256(rec.Result)
 	}
 	return rec, frameHeader + int(n), true
 }
@@ -282,12 +297,28 @@ func (st *State) Apply(rec *Record) {
 	}
 }
 
-// Rebuild replays the journal into a fresh State — the one-call
-// recovery entry point used by the coordinator at startup.
-func Rebuild(j *Journal) (*State, error) {
-	st := NewState()
-	if err := j.Replay(st.Apply); err != nil {
-		return nil, err
+// retain drops what a snapshot image need not hold: superseded jobs,
+// never acknowledged, and every finished job but the keep that finished
+// last, ties broken by admission order. Unfinished jobs all stay.
+func (st *State) retain(keep int) {
+	var finished []*JobRecord
+	for _, id := range st.Order {
+		switch job := st.Jobs[id]; {
+		case job.Class == ClassSuperseded:
+			delete(st.Jobs, id)
+		case job.Terminal:
+			finished = append(finished, job)
+		}
 	}
-	return st, nil
+	sort.SliceStable(finished, func(a, b int) bool { return finished[a].FinishedNS < finished[b].FinishedNS })
+	for _, job := range finished[:max(len(finished)-keep, 0)] {
+		delete(st.Jobs, job.ID)
+	}
+	order := st.Order[:0]
+	for _, id := range st.Order {
+		if st.Jobs[id] != nil {
+			order = append(order, id)
+		}
+	}
+	st.Order = order
 }

@@ -89,7 +89,7 @@ func TestCommitsShareResultBytes(t *testing.T) {
 
 	j2, st := openReplayed(t, dir, Options{Fsync: FsyncOff})
 	checkResults(t, st, ids, res)
-	if err := j2.WriteSnapshot(st); err != nil {
+	if err := j2.Compact(n); err != nil {
 		t.Fatal(err)
 	}
 	if got := bytes.Count(segmentBytes(t, dir), res); got != 1 {
@@ -110,25 +110,26 @@ func TestCommitsShareResultBytes(t *testing.T) {
 }
 
 // TestReplayCutAnywhere cuts a journal that mixes committed bytes,
-// refs into the tail, refs into a snapshot image and a cache hit's
+// refs into the tail, refs into a compacted image and a cache hit's
 // admit-and-commit record at every byte offset — every frame boundary
-// and every point inside a frame — and replays each prefix: no job is
-// terminal without its result, and no ref is applied without its bytes.
+// and every point inside a frame — and replays each prefix: every whole
+// frame before the cut is applied, no job is terminal without its
+// result, and no ref is applied without its bytes.
 func TestReplayCutAnywhere(t *testing.T) {
 	r1, r2, r3 := []byte("result-one"), []byte("result-two-longer"), []byte("result-three")
 	dir := t.TempDir()
-	j, st := openReplayed(t, dir, Options{Fsync: FsyncOff, SnapshotEvery: -1})
-	appendAll(t, j, commitRecs("a", r1))
-	appendAll(t, j, commitRecs("b", r1))
+	j, _ := openReplayed(t, dir, Options{Fsync: FsyncOff, SnapshotEvery: -1})
+	// The three jobs finish together and x was admitted first, so a
+	// compaction keeping two finished jobs drops it: r3 leaves the chain
+	// with the segments the compaction deletes.
 	appendAll(t, j, commitRecs("x", r3))
+	appendAll(t, j, commitRecs("a", r1))
+	appendAll(t, j, commitRecs("b", r1)) // ref into the tail
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	j, st = openReplayed(t, dir, Options{Fsync: FsyncOff, SnapshotEvery: -1})
-	// x is retired before the snapshot, so r3 leaves the chain with the
-	// segments the snapshot deletes.
-	delete(st.Jobs, "x")
-	if err := j.WriteSnapshot(st); err != nil {
+	j, _ = openReplayed(t, dir, Options{Fsync: FsyncOff, SnapshotEvery: -1})
+	if err := j.Compact(2); err != nil {
 		t.Fatal(err)
 	}
 	appendAll(t, j, commitRecs("c", r1)) // ref into the image
@@ -149,6 +150,16 @@ func TestReplayCutAnywhere(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string][]byte{"a": r1, "b": r1, "c": r1, "d": r2, "e": r2, "f": r2, "g": r3}
+	// ends[i] is where frame i ends: a cut at or past it keeps the frame.
+	var ends []int
+	for off := 0; off < len(full); {
+		_, n, ok := parseFrame(full[off:])
+		if !ok {
+			t.Fatalf("unreadable frame at %d of the uncut journal", off)
+		}
+		off += n
+		ends = append(ends, off)
+	}
 
 	for cut := 0; cut <= len(full); cut++ {
 		cdir := t.TempDir()
@@ -166,9 +177,17 @@ func TestReplayCutAnywhere(t *testing.T) {
 			}
 			st.Apply(rec)
 		})
+		replayed := cj.Stats().RecordsReplayed
 		cj.Close()
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
+		}
+		whole := 0
+		for whole < len(ends) && ends[whole] <= cut {
+			whole++
+		}
+		if replayed != int64(whole) {
+			t.Fatalf("cut %d: replayed %d records, want the %d whole frames before it", cut, replayed, whole)
 		}
 		for id, job := range st.Jobs {
 			if job.Terminal && !bytes.Equal(job.Result, want[id]) {
@@ -243,6 +262,16 @@ func TestParentFormatReplays(t *testing.T) {
 	}
 }
 
+// WriteSnapshot installs st's image as the journal's snapshot, the way
+// Compact installs the fold of the records: tests use it to snapshot a
+// state without folding it from segments.
+func (j *Journal) WriteSnapshot(st *State) error {
+	image, sums := encodeState(st)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.installLocked(image, sums)
+}
+
 // rawFrame frames payload by hand, as frameOf would: it also frames
 // records the current encoder no longer writes.
 func rawFrame(payload []byte) []byte {
@@ -303,7 +332,8 @@ func TestEncodeStateEmptyIdemSection(t *testing.T) {
 }
 
 // TestConcurrentCommitsAndSnapshots commits a few results from several
-// goroutines while snapshots keep resetting the known set: no ref may
+// goroutines while compactions that keep no finished job keep resetting
+// the known set: no ref may
 // reach the disk ahead of its bytes, whichever way the appends and the
 // snapshots interleave. Run under -race it also checks the known set's
 // locking.
@@ -330,7 +360,7 @@ func TestConcurrentCommitsAndSnapshots(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 20; i++ {
-			if err := j.WriteSnapshot(NewState()); err != nil {
+			if err := j.Compact(0); err != nil {
 				t.Errorf("snapshot: %v", err)
 				return
 			}

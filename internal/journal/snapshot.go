@@ -152,20 +152,6 @@ func decodeTable(r *wire.Reader) ([]result, error) {
 	return table, r.Err()
 }
 
-// tableSums lists the digests of the results a snapshot payload holds;
-// nil when the payload does not decode.
-func tableSums(data []byte) [][32]byte {
-	table, err := decodeTable(wire.NewReader(data))
-	if err != nil {
-		return nil
-	}
-	sums := make([][32]byte, len(table))
-	for i, e := range table {
-		sums[i] = e.sum
-	}
-	return sums
-}
-
 // DecodeState parses a snapshot payload.
 func DecodeState(data []byte) (*State, error) {
 	r := wire.NewReader(data)

@@ -62,13 +62,6 @@ type Config struct {
 	Verify bool
 }
 
-// flight is one in-progress prove for a key: the leader's job plus the
-// count of coalesced followers that attached to it.
-type flight struct {
-	leaderID  string
-	followers int
-}
-
 // Cache is the content-addressed proof cache with singleflight
 // coalescing. All methods are safe for concurrent use.
 type Cache struct {
@@ -77,8 +70,9 @@ type Cache struct {
 	mu sync.Mutex
 	//unizklint:guardedby mu
 	entries *store.Store[Key, *jobs.Encoded] // each weighs 1: the budget is MaxEntries
+	// flights maps each key being proved to its leader's job id.
 	//unizklint:guardedby mu
-	flights map[Key]*flight
+	flights map[Key]string
 
 	hits           atomic.Int64
 	misses         atomic.Int64
@@ -94,7 +88,7 @@ func New(cfg Config) *Cache {
 	return &Cache{
 		cfg:     cfg,
 		entries: store.New[Key, *jobs.Encoded](int64(cfg.MaxEntries)),
-		flights: make(map[Key]*flight),
+		flights: make(map[Key]string),
 	}
 }
 
@@ -116,13 +110,12 @@ func (c *Cache) Begin(key Key, jobID string) (res *jobs.Encoded, leaderID string
 		c.hits.Add(1)
 		return res, "", false
 	}
-	if f, ok := c.flights[key]; ok {
-		f.followers++
+	if leaderID, ok := c.flights[key]; ok {
 		c.coalesced.Add(1)
-		return nil, f.leaderID, false
+		return nil, leaderID, false
 	}
 	c.misses.Add(1)
-	c.flights[key] = &flight{leaderID: jobID}
+	c.flights[key] = jobID
 	return nil, "", true
 }
 
@@ -150,7 +143,7 @@ func (c *Cache) Complete(key Key, jobID string, res *jobs.Encoded, cost time.Dur
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if f, ok := c.flights[key]; !ok || f.leaderID != jobID {
+	if leaderID, ok := c.flights[key]; !ok || leaderID != jobID {
 		return nil
 	}
 	delete(c.flights, key)
@@ -180,7 +173,7 @@ func (c *Cache) Put(key Key, res *jobs.Result) {
 func (c *Cache) Abort(key Key, jobID string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if f, ok := c.flights[key]; ok && f.leaderID == jobID {
+	if leaderID, ok := c.flights[key]; ok && leaderID == jobID {
 		delete(c.flights, key)
 	}
 }
